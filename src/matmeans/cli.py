@@ -103,22 +103,26 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
+def _overrides(**flags) -> dict:
+    """Config overrides for the flags given explicitly; a value no config
+    accepts is a usage error. Per-case defaults apply to the other flags."""
+    overrides = {key: val for key, val in flags.items() if val is not None}
+    try:
+        harness.CaseConfig(**overrides)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
+    return overrides
+
+
 def _cmd_verify(args) -> int:
     names = args.case or None
     if names:
         unknown = [n for n in names if n not in harness.case_names()]
         if unknown:
             raise _UsageError(f"unknown case(s): {', '.join(unknown)}")
-    # Per-case defaults apply unless the flag was given explicitly.
-    overrides = {}
-    for key, val in (
-        ("instances", args.instances),
-        ("seed", args.seed),
-        ("dim_max", args.dim_max),
-        ("rel_tol", args.tol),
-    ):
-        if val is not None:
-            overrides[key] = val
+    overrides = _overrides(
+        instances=args.instances, seed=args.seed, dim_max=args.dim_max, rel_tol=args.tol
+    )
     reports = harness.run_suite(
         names=names, failures_dir=args.failures_dir, **overrides
     )
@@ -142,6 +146,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"grid values must be numeric, got {text!r}") from None
+    if not np.all(np.isfinite((start, stop, step))):
+        raise _UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"empty grid {text!r}")
     return np.arange(start, stop + step * 0.5, step)
@@ -151,12 +157,10 @@ def _cmd_sweep(args) -> int:
     if args.case not in harness.case_names():
         raise _UsageError(f"unknown case {args.case!r}")
     param = {"nu": "nu", "N": "depth", "cond": "cond"}[args.param]
+    if param not in harness.REGISTRY[args.case].sweep_params:
+        raise _UsageError(f"case {args.case!r} does not sweep {args.param}")
     grid = _parse_grid(args.grid)
-    overrides = {}
-    if args.instances is not None:
-        overrides["instances"] = args.instances
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = _overrides(instances=args.instances, seed=args.seed)
     rows = harness.sweep(args.case, param, grid, **overrides)
     lines = [f"{args.param},mean_gap,mean_gain"]
     lines.extend(

@@ -7,6 +7,13 @@ randomness from a stream keyed by ``hash(seed, case name, instance index)``,
 so runs are deterministic, order-insensitive, and individual instances can
 be replayed. Precondition failures (for cases with hypotheses) resample
 rather than fail, with the skip count bounded and reported.
+
+Most cases follow the paper's pattern of a classical bound, a dyadic
+refinement of depth N, then the target. Each of them is one row: an input
+draw, a chain function, a weight branch and a base label, made into a
+builder by ``_refinement``. Identities, shape checks and cases with
+hypotheses have builders of their own. Every builder records each drawn
+parameter in its payload, which failure files carry for replay.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class CaseConfig:
     def __post_init__(self):
         if self.instances < 1:
             raise DomainError("instances must be >= 1")
-        if self.rel_tol < 0.0:
+        if not self.rel_tol >= 0.0:  # NaN would make every check pass
             raise DomainError("rel_tol must be >= 0")
         if not (1 <= self.dim_min <= self.dim_max):
             raise DomainError(f"bad dimension range {self.dim_min}..{self.dim_max}")
@@ -189,149 +196,153 @@ def _loguniform(rng, lo, hi) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def _ordered_scalars(rng, lo=1e-3, hi=1e3) -> tuple[float, float]:
-    x = _loguniform(rng, lo, hi)
-    y = _loguniform(rng, lo, hi)
-    while y == x:  # pragma: no cover - measure zero
-        y = _loguniform(rng, lo, hi)
-    return min(x, y), max(x, y)
-
-
-def _spd_pair(rng, cfg, forced, cap=None) -> tuple[SpdMatrix, SpdMatrix, float, int]:
+def _spd_pair(rng, cfg, forced, cap=None, ordered=False):
+    """Two random SPD matrices (A <= B when ``ordered``) and their payload."""
     n = _draw_dim(rng, cfg, cap)
     cond = float(forced.get("cond", cfg.cond_max))
-    return random_spd(n, cond, rng), random_spd(n, cond, rng), cond, n
+    a, b = random_spd(n, cond, rng), random_spd(n, cond, rng)
+    if ordered:
+        b = SpdMatrix(a.a + b.a)  # B = A + SPD
+    return a, b, {"a": matrix_to_json(a), "b": matrix_to_json(b), "cond": cond, "n": n}
 
 
-def _ordered_spd_pair(rng, cfg, forced, cap=None):
-    """A pair with A <= B by construction (B = A + SPD)."""
-    a, s, cond, n = _spd_pair(rng, cfg, forced, cap)
-    return a, SpdMatrix(a.a + s.a), cond, n
+def _norm_triple(rng, cfg, forced):
+    """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind."""
+    a, b, payload = _spd_pair(rng, cfg, forced, cap=6)
+    n = payload["n"]
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    kind = norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
+    payload.update(x=matrix_to_json(x), kind=str(kind))
+    return a, b, x, kind, payload
 
 
-def _gaussian(rng, n) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+# Input draws of the refinement table: each returns the chain's keyword
+# arguments and the payload that replays them.
 
-
-def _pick_kind(rng) -> norms.NormKind:
-    return norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
-
-
-def _pair_payload(a, b, **extra) -> dict:
-    payload = {"a": matrix_to_json(a), "b": matrix_to_json(b)}
-    payload.update(extra)
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Scalar cases.
-
-def _convex_builder(anchor):
-    def build(rng, cfg, forced):
-        fname, f = scalar.CONVEX_CATALOG[int(rng.integers(len(scalar.CONVEX_CATALOG)))]
+def _catalog_inputs(catalog):
+    def draw(rng, cfg, forced):
+        fname, f = catalog[int(rng.integers(len(catalog)))]
         a = float(rng.uniform(-5.0, 5.0))
         b = float(rng.uniform(-5.0, 5.0))
         while abs(b - a) < 1e-3:
             b = float(rng.uniform(-5.0, 5.0))
         a, b = min(a, b), max(a, b)
-        nu = _draw_nu(rng, cfg, forced, branch=0)
-        depth = _draw_depth(rng, cfg, forced)
-        chain = scalar.convex_refined_chain(f, a, b, nu, depth, anchor=anchor)
-        return Built(
-            chain=chain,
-            refined=chain.value("refined"),
-            base=chain.value("secant"),
-            payload={"f": fname, "a": a, "b": b, "nu": nu, "depth": depth},
-        )
+        return {"f": f, "a": a, "b": b}, {"f": fname, "a": a, "b": b}
+
+    return draw
+
+
+_convex_inputs = _catalog_inputs(scalar.CONVEX_CATALOG)
+_logconvex_inputs = _catalog_inputs(scalar.LOGCONVEX_CATALOG)
+
+
+def _xy_inputs(rng, cfg, forced):
+    x = _loguniform(rng, 1e-3, 1e3)
+    y = _loguniform(rng, 1e-3, 1e3)
+    return {"x": x, "y": y}, {"x": x, "y": y}
+
+
+def _ordered_xy_inputs(rng, cfg, forced):
+    """0 < x < y, both log-uniform in [1e-3, 1e3]."""
+    x = _loguniform(rng, 1e-3, 1e3)
+    y = _loguniform(rng, 1e-3, 1e3)
+    while y == x:  # pragma: no cover - measure zero
+        y = _loguniform(rng, 1e-3, 1e3)
+    x, y = min(x, y), max(x, y)
+    return {"x": x, "y": y}, {"x": x, "y": y}
+
+
+def _spd_inputs(rng, cfg, forced):
+    a, b, payload = _spd_pair(rng, cfg, forced)
+    return {"a": a, "b": b}, payload
+
+
+def _ordered_spd_inputs(rng, cfg, forced):
+    a, b, payload = _spd_pair(rng, cfg, forced, ordered=True)
+    return {"a": a, "b": b}, payload
+
+
+def _norm_inputs(rng, cfg, forced):
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+    return {"a": a, "b": b, "x": x, "kind": kind}, payload
+
+
+def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
+    """Builder of a case that checks ``chain_fn``: classical bound, refinement, target.
+
+    Draws the inputs, then nu on ``branch`` (+1: nu >= 0, -1: nu <= -1, 0:
+    either), then the depth unless ``depth`` is false, and calls
+    ``chain_fn(**inputs, nu=, depth=, **fixed)``. ``base`` names the chain's
+    unrefined bound; with it the "refined" and ``base`` entries feed the
+    sweep gain.
+    """
+
+    def build(rng, cfg, forced):
+        args, payload = inputs(rng, cfg, forced)
+        args["nu"] = payload["nu"] = _draw_nu(rng, cfg, forced, branch)
+        if depth:
+            args["depth"] = payload["depth"] = _draw_depth(rng, cfg, forced)
+        chain = chain_fn(**args, **fixed)
+        if base is None:
+            return Built(chain=chain, payload=payload)
+        pick = chain.matrix if isinstance(chain, means.OperatorChain) else chain.value
+        return Built(chain=chain, refined=pick("refined"), base=pick(base), payload=payload)
 
     return build
 
+
+# ---------------------------------------------------------------------------
+# Scalar cases.
 
 _register(
     "convex_refined_a",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at a",
-)(_convex_builder("a"))
+)(_refinement(
+    _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="a"
+))
 
 _register(
     "convex_refined_b",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at b",
-)(_convex_builder("b"))
-
-
-def _logconvex_builder(anchor):
-    branch = 1 if anchor == "a" else -1
-
-    def build(rng, cfg, forced):
-        fname, f = scalar.LOGCONVEX_CATALOG[
-            int(rng.integers(len(scalar.LOGCONVEX_CATALOG)))
-        ]
-        a = float(rng.uniform(-5.0, 5.0))
-        b = float(rng.uniform(-5.0, 5.0))
-        while abs(b - a) < 1e-3:
-            b = float(rng.uniform(-5.0, 5.0))
-        a, b = min(a, b), max(a, b)
-        nu = _draw_nu(rng, cfg, forced, branch=branch)
-        depth = _draw_depth(rng, cfg, forced)
-        chain = scalar.logconvex_refined_chain(f, a, b, nu, depth, anchor=anchor)
-        return Built(
-            chain=chain,
-            refined=chain.value("refined"),
-            base=chain.value("power"),
-            payload={"f": fname, "a": a, "b": b, "nu": nu, "depth": depth},
-        )
-
-    return build
-
+)(_refinement(
+    _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="b"
+))
 
 _register(
     "logconvex_refined_a",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, nonnegative weights",
-)(_logconvex_builder("a"))
+)(_refinement(
+    _logconvex_inputs, scalar.logconvex_refined_chain, branch=1, base="power", anchor="a"
+))
 
 _register(
     "logconvex_refined_b",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, weights <= -1",
-)(_logconvex_builder("b"))
-
-
-def _young_builder(branch):
-    def build(rng, cfg, forced):
-        x = _loguniform(rng, 1e-3, 1e3)
-        y = _loguniform(rng, 1e-3, 1e3)
-        nu = _draw_nu(rng, cfg, forced, branch=branch)
-        depth = _draw_depth(rng, cfg, forced)
-        chain = scalar.young_reverse_chain(x, y, nu, depth)
-        return Built(
-            chain=chain,
-            refined=chain.value("refined"),
-            base=chain.value("arith"),
-            payload={"x": x, "y": y, "nu": nu, "depth": depth},
-        )
-
-    return build
-
+)(_refinement(
+    _logconvex_inputs, scalar.logconvex_refined_chain, branch=-1, base="power", anchor="b"
+))
 
 _register(
     "young_reverse_pos",
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu >= 0",
-)(_young_builder(1))
+)(_refinement(_xy_inputs, scalar.young_reverse_chain, branch=1, base="arith"))
 
 _register(
     "young_reverse_neg",
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu <= -1",
-)(_young_builder(-1))
+)(_refinement(_xy_inputs, scalar.young_reverse_chain, branch=-1, base="arith"))
 
 
 @_register(
@@ -394,54 +405,25 @@ def _build_young_collapse(rng, cfg, forced):
     return Built(margins=np.array([margin]), payload={"x": x, "y": y, "nu": nu})
 
 
-@_register(
+_register(
     "harmonic_reverse",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse arithmetic-harmonic inequality, 0 < x < y",
-)
-def _build_harmonic_reverse(rng, cfg, forced):
-    x, y = _ordered_scalars(rng)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    depth = _draw_depth(rng, cfg, forced)
-    chain = scalar.harmonic_reverse_chain(x, y, nu, depth)
-    return Built(
-        chain=chain,
-        refined=chain.value("refined"),
-        base=chain.value("arith"),
-        payload={"x": x, "y": y, "nu": nu, "depth": depth},
-    )
+)(_refinement(_ordered_xy_inputs, scalar.harmonic_reverse_chain, branch=1, base="arith"))
 
-
-@_register(
+_register(
     "harmonic_geometric",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse geometric-harmonic inequality, 0 < x < y",
-)
-def _build_harmonic_geometric(rng, cfg, forced):
-    x, y = _ordered_scalars(rng)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    depth = _draw_depth(rng, cfg, forced)
-    chain = scalar.harmonic_geometric_chain(x, y, nu, depth)
-    return Built(
-        chain=chain,
-        refined=chain.value("refined"),
-        base=chain.value("geom"),
-        payload={"x": x, "y": y, "nu": nu, "depth": depth},
-    )
+)(_refinement(_ordered_xy_inputs, scalar.harmonic_geometric_chain, branch=1, base="geom"))
 
-
-@_register(
+_register(
     "kantorovich_scalar",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     description="Kantorovich-weighted reverse geometric-harmonic bound",
-)
-def _build_kantorovich_scalar(rng, cfg, forced):
-    x, y = _ordered_scalars(rng)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    chain = scalar.kantorovich_chain(x, y, nu)
-    return Built(chain=chain, payload={"x": x, "y": y, "nu": nu})
+)(_refinement(_ordered_xy_inputs, scalar.kantorovich_chain, branch=1, depth=False))
 
 
 @_register(
@@ -465,82 +447,37 @@ def _build_harmonic_curvature(rng, cfg, forced):
 
 
 # ---------------------------------------------------------------------------
-# Operator cases.
-
-def _operator_reverse_builder(branch):
-    def build(rng, cfg, forced):
-        a, b, cond, n = _spd_pair(rng, cfg, forced)
-        nu = _draw_nu(rng, cfg, forced, branch=branch)
-        depth = _draw_depth(rng, cfg, forced)
-        chain = means.operator_reverse_chain(a, b, nu, depth)
-        return Built(
-            chain=chain,
-            refined=chain.matrix("refined"),
-            base=chain.matrix("arith"),
-            payload=_pair_payload(a, b, nu=nu, depth=depth, cond=cond, n=n),
-        )
-
-    return build
-
+# Operator and trace cases.
 
 _register(
     "operator_reverse_pos",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu >= 0",
-)(_operator_reverse_builder(1))
+)(_refinement(_spd_inputs, means.operator_reverse_chain, branch=1, base="arith"))
 
 _register(
     "operator_reverse_neg",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu <= -1",
-)(_operator_reverse_builder(-1))
-
-
-def _operator_squared_builder(branch, base_label):
-    def build(rng, cfg, forced):
-        a, b, cond, n = _spd_pair(rng, cfg, forced)
-        nu = _draw_nu(rng, cfg, forced, branch=branch)
-        depth = _draw_depth(rng, cfg, forced)
-        chain = means.operator_squared_chain(a, b, nu, depth)
-        return Built(
-            chain=chain,
-            refined=chain.matrix("refined"),
-            base=chain.matrix(base_label),
-            payload=_pair_payload(a, b, nu=nu, depth=depth, cond=cond, n=n),
-        )
-
-    return build
-
+)(_refinement(_spd_inputs, means.operator_reverse_chain, branch=-1, base="arith"))
 
 _register(
     "operator_squared_pos",
     sweep=("nu", "depth", "cond"),
     description="squared operator reverse Young refinement, nu >= 0",
-)(_operator_squared_builder(1, "scaled_arith"))
+)(_refinement(_spd_inputs, means.operator_squared_chain, branch=1, base="scaled_arith"))
 
 _register(
     "operator_squared_neg",
     sweep=("nu", "depth", "cond"),
     description="squared operator refinement, nu <= -1 (B A^{-1} B form)",
-)(_operator_squared_builder(-1, "scaled_b"))
+)(_refinement(_spd_inputs, means.operator_squared_chain, branch=-1, base="scaled_b"))
 
-
-@_register(
+_register(
     "harmonic_operator",
     sweep=("nu", "depth", "cond"),
     description="refined reverse arithmetic-harmonic operator inequality, A <= B",
-)
-def _build_harmonic_operator(rng, cfg, forced):
-    a, b, cond, n = _ordered_spd_pair(rng, cfg, forced)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    depth = _draw_depth(rng, cfg, forced)
-    chain = means.harmonic_operator_chain(a, b, nu, depth)
-    return Built(
-        chain=chain,
-        refined=chain.matrix("refined"),
-        base=chain.matrix("arith"),
-        payload=_pair_payload(a, b, nu=nu, depth=depth, cond=cond, n=n),
-    )
+)(_refinement(_ordered_spd_inputs, means.harmonic_operator_chain, branch=1, base="arith"))
 
 
 @_register(
@@ -552,29 +489,13 @@ def _build_harmonic_operator(rng, cfg, forced):
     ),
 )
 def _build_kantorovich_operator(rng, cfg, forced):
-    a, b, cond, n = _ordered_spd_pair(rng, cfg, forced)
+    a, b, payload = _spd_pair(rng, cfg, forced, ordered=True)
     nu = _draw_nu(rng, cfg, forced, branch=1)
     holds, witness = means.kantorovich_hypothesis(a, b)
     if not holds:
         raise Resample(f"hypothesis witness {witness:.3e}")
     chain = means.kantorovich_operator_chain(a, b, nu)
-    return Built(chain=chain, payload=_pair_payload(a, b, nu=nu, cond=cond, n=n))
-
-
-def _trace_builder(chain_fn, base_label):
-    def build(rng, cfg, forced):
-        a, b, cond, n = _spd_pair(rng, cfg, forced)
-        nu = _draw_nu(rng, cfg, forced, branch=1)
-        depth = _draw_depth(rng, cfg, forced)
-        chain = chain_fn(a, b, nu, depth)
-        return Built(
-            chain=chain,
-            refined=chain.value("refined"),
-            base=chain.value(base_label),
-            payload=_pair_payload(a, b, nu=nu, depth=depth, cond=cond, n=n),
-        )
-
-    return build
+    return Built(chain=chain, payload={**payload, "nu": nu})
 
 
 _register(
@@ -582,112 +503,53 @@ _register(
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="additive trace refinement chain",
-)(_trace_builder(means.trace_additive_chain, "arith"))
+)(_refinement(_spd_inputs, means.trace_additive_chain, branch=1, base="arith"))
 
 _register(
     "trace_multiplicative",
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="multiplicative trace refinement chain",
-)(_trace_builder(means.trace_multiplicative_chain, "power"))
+)(_refinement(_spd_inputs, means.trace_multiplicative_chain, branch=1, base="power"))
 
-
-@_register(
+_register(
     "trace_depth1",
     overrides={"rel_tol": 1e-9},
     sweep=("nu",),
     description="depth-1 trace specializations and the Schatten-1 comparison",
-)
-def _build_trace_depth1(rng, cfg, forced):
-    a, b, cond, n = _spd_pair(rng, cfg, forced)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    chain = means.trace_depth1_chain(a, b, nu)
-    return Built(chain=chain, payload=_pair_payload(a, b, nu=nu, cond=cond, n=n))
+)(_refinement(_spd_inputs, means.trace_depth1_chain, branch=1, depth=False))
 
 
 # ---------------------------------------------------------------------------
-# Norm cases (dimension capped at 6, all five norm kinds in rotation).
-
-def _norm_case_inputs(rng, cfg, forced):
-    a, b, cond, n = _spd_pair(rng, cfg, forced, cap=6)
-    x = _gaussian(rng, n)
-    kind = _pick_kind(rng)
-    return a, b, x, kind, cond, n
-
-
-def _norm_reverse_builder(branch):
-    def build(rng, cfg, forced):
-        a, b, x, kind, cond, n = _norm_case_inputs(rng, cfg, forced)
-        nu = _draw_nu(rng, cfg, forced, branch=branch)
-        depth = _draw_depth(rng, cfg, forced)
-        chain = norms.norm_reverse_chain(a, b, x, nu, depth, kind)
-        return Built(
-            chain=chain,
-            refined=chain.value("refined"),
-            base=chain.value("power"),
-            payload=_pair_payload(
-                a, b, x=matrix_to_json(x), nu=nu, depth=depth, kind=str(kind), n=n
-            ),
-        )
-
-    return build
-
+# Norm and Heinz cases (dimension capped at 6, all five norm kinds in rotation).
 
 _register(
     "norm_reverse_pos",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu >= 0",
-)(_norm_reverse_builder(1))
+)(_refinement(_norm_inputs, norms.norm_reverse_chain, branch=1, base="power"))
 
 _register(
     "norm_reverse_neg",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu <= -1",
-)(_norm_reverse_builder(-1))
+)(_refinement(_norm_inputs, norms.norm_reverse_chain, branch=-1, base="power"))
 
-
-@_register(
+_register(
     "norm_heinz_power",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="two-sided power refinement ||A^{1+nu} X B^{1+nu}||",
-)
-def _build_norm_heinz_power(rng, cfg, forced):
-    a, b, x, kind, cond, n = _norm_case_inputs(rng, cfg, forced)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    depth = _draw_depth(rng, cfg, forced)
-    chain = norms.norm_heinz_chain(a, b, x, nu, depth, kind)
-    return Built(
-        chain=chain,
-        refined=chain.value("refined"),
-        base=chain.value("power"),
-        payload=_pair_payload(
-            a, b, x=matrix_to_json(x), nu=nu, depth=depth, kind=str(kind), n=n
-        ),
-    )
+)(_refinement(_norm_inputs, norms.norm_heinz_chain, branch=1, base="power"))
 
-
-@_register(
+_register(
     "norm_combined",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="five-term chain joining scalar and norm-functional refinements",
-)
-def _build_norm_combined(rng, cfg, forced):
-    a, b, x, kind, cond, n = _norm_case_inputs(rng, cfg, forced)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    depth = _draw_depth(rng, cfg, forced)
-    chain = norms.combined_norm_chain(a, b, x, nu, depth, kind)
-    return Built(
-        chain=chain,
-        refined=chain.value("refined"),
-        base=chain.value("power"),
-        payload=_pair_payload(
-            a, b, x=matrix_to_json(x), nu=nu, depth=depth, kind=str(kind), n=n
-        ),
-    )
+)(_refinement(_norm_inputs, norms.combined_norm_chain, branch=1, base="power"))
 
 
 @_register(
@@ -696,7 +558,7 @@ def _build_norm_combined(rng, cfg, forced):
     description="depth-1 corollaries ||AX||^{1+2nu} and ||AXB||^{1+2nu}",
 )
 def _build_norm_collapse(rng, cfg, forced):
-    a, b, x, kind, cond, n = _norm_case_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     nu = _draw_nu(rng, cfg, forced, branch=1)
     half = norms.norm_functional(a, b, x, 0.5, kind)
     lhs1 = math.exp((1.0 + 2.0 * nu) * math.log(norms.ui_norm(a.a @ x, kind)))
@@ -709,10 +571,7 @@ def _build_norm_collapse(rng, cfg, forced):
     rhs2 = math.exp(math.log(g_end) + 2.0 * nu * math.log(half))
     m1 = (rhs1 - lhs1) / max(1.0, lhs1, rhs1)
     m2 = (rhs2 - lhs2) / max(1.0, lhs2, rhs2)
-    return Built(
-        margins=np.array([m1, m2]),
-        payload=_pair_payload(a, b, x=matrix_to_json(x), nu=nu, kind=str(kind)),
-    )
+    return Built(margins=np.array([m1, m2]), payload={**payload, "nu": nu})
 
 
 @_register(
@@ -721,7 +580,7 @@ def _build_norm_collapse(rng, cfg, forced):
     description="log-convexity of v -> ||A^{1-v} X B^v|| on random combinations",
 )
 def _build_norm_logconvexity(rng, cfg, forced):
-    a, b, x, kind, cond, n = _norm_case_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     v1, v2 = rng.uniform(-2.0, 3.0, size=2)
     alpha = float(rng.uniform(0.0, 1.0))
     fa = norms.norm_functional(a, b, x, float(v1), kind)
@@ -731,20 +590,8 @@ def _build_norm_logconvexity(rng, cfg, forced):
     margin = (bound - fm) / max(1.0, bound, fm)
     return Built(
         margins=np.array([margin]),
-        payload=_pair_payload(
-            a, b, x=matrix_to_json(x), v1=float(v1), v2=float(v2), alpha=alpha
-        ),
+        payload={**payload, "v1": float(v1), "v2": float(v2), "alpha": alpha},
     )
-
-
-# ---------------------------------------------------------------------------
-# Heinz cases.
-
-def _heinz_inputs(rng, cfg, forced):
-    a, b, cond, n = _spd_pair(rng, cfg, forced, cap=6)
-    x = _gaussian(rng, n)
-    kind = _pick_kind(rng)
-    return a, b, x, kind, n
 
 
 @_register(
@@ -753,12 +600,12 @@ def _heinz_inputs(rng, cfg, forced):
     description="Heinz functional symmetry f(nu) = f(1-nu) to 1e-10",
 )
 def _build_heinz_symmetry(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     nu = float(rng.uniform(-3.0, 4.0))
     d = abs(
         norms.heinz_norm(a, b, x, nu, kind) - norms.heinz_norm(a, b, x, 1.0 - nu, kind)
     )
-    return Built(margins=np.array([(1e-10 - d) / 1e-10]), payload={"nu": nu, "n": n})
+    return Built(margins=np.array([(1e-10 - d) / 1e-10]), payload={**payload, "nu": nu})
 
 
 @_register(
@@ -767,17 +614,12 @@ def _build_heinz_symmetry(rng, cfg, forced):
     description="midpoint convexity of the Heinz functional on [-3, 4]",
 )
 def _build_heinz_midpoint(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     v1, v2 = rng.uniform(-3.0, 4.0, size=2)
-    mid = norms.heinz_norm(a, b, x, float((v1 + v2) / 2.0), kind)
-    avg = (
-        norms.heinz_norm(a, b, x, float(v1), kind)
-        + norms.heinz_norm(a, b, x, float(v2), kind)
-    ) / 2.0
-    margin = (avg - mid) / max(1.0, avg, mid)
+    margin = norms.heinz_midpoint_margin(a, b, x, float(v1), float(v2), kind)
     return Built(
         margins=np.array([margin]),
-        payload=_pair_payload(a, b, x=matrix_to_json(x), v1=float(v1), v2=float(v2)),
+        payload={**payload, "v1": float(v1), "v2": float(v2)},
     )
 
 
@@ -787,38 +629,17 @@ def _build_heinz_midpoint(rng, cfg, forced):
     description="Heinz functional nonincreasing on [-3, 1/2], nondecreasing on [1/2, 4]",
 )
 def _build_heinz_monotonicity(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
-    grid = np.linspace(-3.0, 4.0, 81)
-    vals = np.array([norms.heinz_norm(a, b, x, float(v), kind) for v in grid])
-    scale = max(1.0, float(vals.max()))
-    split = int(np.argmin(np.abs(grid - 0.5)))
-    down = (vals[:split] - vals[1 : split + 1]) / scale
-    up = (vals[split + 1 :] - vals[split:-1]) / scale
-    return Built(
-        margins=np.concatenate([down, up]),
-        payload=_pair_payload(a, b, x=matrix_to_json(x), kind=str(kind)),
-    )
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+    margins, _ = norms.heinz_grid_margins(a, b, x, kind)
+    return Built(margins=margins, payload=payload)
 
 
-@_register(
+_register(
     "heinz_reverse",
     overrides={"nu_range": (0.0, 4.0)},
     sweep=("nu", "depth", "cond"),
     description="reversed Heinz inequality with dyadic refinement",
-)
-def _build_heinz_reverse(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    depth = _draw_depth(rng, cfg, forced)
-    chain = norms.heinz_reverse_chain(a, b, x, nu, depth, kind)
-    return Built(
-        chain=chain,
-        refined=chain.value("refined"),
-        base=chain.value("sum_norm"),
-        payload=_pair_payload(
-            a, b, x=matrix_to_json(x), nu=nu, depth=depth, kind=str(kind)
-        ),
-    )
+)(_refinement(_norm_inputs, norms.heinz_reverse_chain, branch=1, base="sum_norm"))
 
 
 @_register(
@@ -827,7 +648,7 @@ def _build_heinz_reverse(rng, cfg, forced):
     description="||AX + XB|| <= f(nu) for weights outside [0, 1]",
 )
 def _build_heinz_outside(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     if rng.integers(2) == 0:
         nu = -float(rng.uniform(0.01, 3.0))
     else:
@@ -836,7 +657,7 @@ def _build_heinz_outside(rng, cfg, forced):
     fv = norms.heinz_norm(a, b, x, nu, kind)
     return Built(
         margins=np.array([(fv - f0) / max(1.0, f0, fv)]),
-        payload=_pair_payload(a, b, x=matrix_to_json(x), nu=nu, kind=str(kind)),
+        payload={**payload, "nu": nu},
     )
 
 
@@ -846,14 +667,11 @@ def _build_heinz_outside(rng, cfg, forced):
     description="power-difference comparison for 0 < q < p",
 )
 def _build_heinz_pq(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     p = float(rng.uniform(0.2, 3.0))
     q = p * float(rng.uniform(0.05, 0.95))
     chain = norms.heinz_pq_chain(a, b, x, p, q, kind)
-    return Built(
-        chain=chain,
-        payload=_pair_payload(a, b, x=matrix_to_json(x), p=p, q=q, kind=str(kind)),
-    )
+    return Built(chain=chain, payload={**payload, "p": p, "q": q})
 
 
 @_register(
@@ -862,15 +680,12 @@ def _build_heinz_pq(rng, cfg, forced):
     description="interpolated power-difference comparison for 0 < r < q < p",
 )
 def _build_heinz_interpolated(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     p = float(rng.uniform(0.2, 3.0))
     q = p * float(rng.uniform(0.05, 0.95))
     r = q * float(rng.uniform(0.02, 0.98))
     chain = norms.heinz_interpolated_chain(a, b, x, p, q, r, kind)
-    return Built(
-        chain=chain,
-        payload=_pair_payload(a, b, x=matrix_to_json(x), p=p, q=q, r=r, kind=str(kind)),
-    )
+    return Built(chain=chain, payload={**payload, "p": p, "q": q, "r": r})
 
 
 @_register(
@@ -879,30 +694,52 @@ def _build_heinz_interpolated(rng, cfg, forced):
     description="interpolated Heinz value nonincreasing in r on [0, q]",
 )
 def _build_heinz_interp_grid(rng, cfg, forced):
-    a, b, x, kind, n = _heinz_inputs(rng, cfg, forced)
+    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     p = float(rng.uniform(0.2, 3.0))
     q = p * float(rng.uniform(0.05, 0.95))
     rs = np.linspace(0.0, q, 9)
     vals = norms.heinz_interpolation_values(a, b, x, p, q, rs, kind)
     scale = max(1.0, float(np.max(vals)))
     margins = (vals[:-1] - vals[1:]) / scale
-    return Built(
-        margins=margins,
-        payload=_pair_payload(a, b, x=matrix_to_json(x), p=p, q=q, kind=str(kind)),
-    )
+    return Built(margins=margins, payload={**payload, "p": p, "q": q})
 
 
 # ---------------------------------------------------------------------------
 # Execution.
+
+def _build(case: CaseDef, cfg: CaseConfig, index: int, forced: dict) -> Built:
+    return case.build(instance_rng(cfg.seed, case.name, index), cfg, forced)
+
+
+def _instances(case: CaseDef, cfg: CaseConfig, forced: dict):
+    """Yield (index, built) for the first ``cfg.instances`` instances that hold.
+
+    Instance ``index`` draws from ``instance_rng(seed, case, index)``. One
+    whose hypothesis fails (Resample) is skipped for the next index; more
+    than 100x ``cfg.instances`` skips raise RuntimeError.
+    """
+    index = produced = 0
+    while produced < cfg.instances:
+        if index - produced > _RESAMPLE_FACTOR * cfg.instances:
+            raise RuntimeError(
+                f"case {case.name}: resampling exceeded {_RESAMPLE_FACTOR}x instance budget"
+            )
+        try:
+            built = _build(case, cfg, index, forced)
+        except Resample:
+            pass
+        else:
+            produced += 1
+            yield index, built
+        index += 1
+
 
 def build_instance(
     name: str, index: int, cfg: CaseConfig | None = None, forced: dict | None = None, **overrides
 ) -> Built:
     """Build one instance of a case (may raise Resample for hypothesis cases)."""
     case = _case(name)
-    cfg = _config_for(case, cfg, overrides)
-    rng = instance_rng(cfg.seed, name, index)
-    return case.build(rng, cfg, dict(forced or {}))
+    return _build(case, _config_for(case, cfg, overrides), index, dict(forced or {}))
 
 
 def _write_failure(directory: Path, name: str, index: int, built: Built, row, cfg) -> None:
@@ -936,29 +773,16 @@ def run_case(
     cfg = _config_for(case, cfg, overrides)
     rows: list[np.ndarray] = []
     gaps: list[float] = []
-    skipped = 0
     written = 0
-    index = 0
-    while len(rows) < cfg.instances:
-        if skipped > _RESAMPLE_FACTOR * cfg.instances:
-            raise RuntimeError(
-                f"case {name}: resampling exceeded {_RESAMPLE_FACTOR}x instance budget"
-            )
-        rng = instance_rng(cfg.seed, name, index)
-        this_index = index
-        index += 1
-        try:
-            built = case.build(rng, cfg, {})
-        except Resample:
-            skipped += 1
-            continue
+    for index, built in _instances(case, cfg, {}):
         row = built.slack_row()
         rows.append(row)
         gaps.append(built.gap())
         if float(np.min(row)) < -cfg.rel_tol and failures_dir is not None:
             if written < MAX_FAILURE_FILES_PER_CASE:
-                _write_failure(Path(failures_dir), name, this_index, built, row, cfg)
+                _write_failure(Path(failures_dir), name, index, built, row, cfg)
                 written += 1
+    skipped = index + 1 - len(rows)  # every index up to the last one was drawn
     return aggregate_report(
         name, rows, gaps, cfg.rel_tol, skipped=skipped, notes=case.description
     )
@@ -1025,22 +849,9 @@ def sweep(
         forced = {param: int(value) if param == "depth" else float(value)}
         gaps = []
         gains = []
-        index = 0
-        produced = 0
-        skipped = 0
-        while produced < cfg.instances:
-            if skipped > _RESAMPLE_FACTOR * cfg.instances:
-                raise RuntimeError(f"case {name}: sweep resampling budget exceeded")
-            rng = instance_rng(cfg.seed, name, index)
-            index += 1
-            try:
-                built = case.build(rng, cfg, dict(forced))
-            except Resample:
-                skipped += 1
-                continue
+        for _, built in _instances(case, cfg, forced):
             gaps.append(built.gap())
             gains.append(_gain(built))
-            produced += 1
         out.append(
             SweepRow(float(value), float(np.mean(gaps)), float(np.mean(gains)))
         )

@@ -300,34 +300,14 @@ def random_hermitian(n: int, seed) -> HermitianMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Elementary matrix operations (plumbing shared by the other modules).
+# Argument coercion shared by the other modules.
 
 def _arr(x) -> np.ndarray:
     return x.a if isinstance(x, ComplexMatrix) else np.asarray(x, dtype=np.complex128)
 
 
-def multiply(x, y) -> ComplexMatrix:
-    return ComplexMatrix(_arr(x) @ _arr(y))
-
-
-def adjoint(x) -> ComplexMatrix:
-    return ComplexMatrix(_arr(x).conj().T)
-
-
-def add(x, y) -> ComplexMatrix:
-    return ComplexMatrix(_arr(x) + _arr(y))
-
-
-def scale(x, c) -> ComplexMatrix:
-    return ComplexMatrix(c * _arr(x))
-
-
-def trace(x) -> complex:
-    return complex(np.trace(_arr(x)))
-
-
-def frobenius_norm(x) -> float:
-    return float(np.linalg.norm(_arr(x)))
+def _as_spd(m) -> SpdMatrix:
+    return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
 
 
 # ---------------------------------------------------------------------------

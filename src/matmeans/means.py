@@ -26,9 +26,10 @@ from .linalg import (
     HermitianMatrix,
     LOEWNER_REL_TOL,
     SpdMatrix,
+    _as_spd,
     loewner_leq,
 )
-from .scalar import MAX_REFINE_DEPTH, ScalarChain, weight_branch
+from .scalar import ScalarChain, _check_depth, weight_branch
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,6 @@ class OperatorChain:
 
     def matrix(self, label: str) -> HermitianMatrix:
         return self.matrices[self.labels.index(label)]
-
-
-def _as_spd(m) -> SpdMatrix:
-    return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
-
-
-def _check_depth(depth: int) -> int:
-    if not (1 <= int(depth) <= MAX_REFINE_DEPTH):
-        raise DomainError(f"depth must be in 1..{MAX_REFINE_DEPTH}, got {depth}")
-    return int(depth)
 
 
 class _Transfer:

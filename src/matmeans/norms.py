@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import ComplexMatrix, HermitianMatrix, SpdMatrix
+from .linalg import HermitianMatrix, _arr, _as_spd
 from .reporting import ChainReport, aggregate_report
-from .scalar import MAX_REFINE_DEPTH, ScalarChain, young_reverse_chain
+from .scalar import ScalarChain, _check_depth, young_reverse_chain
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,9 @@ DEFAULT_NORM_KINDS: tuple[NormKind, ...] = (
 )
 
 
-def _xarr(x) -> np.ndarray:
-    return x.a if isinstance(x, ComplexMatrix) else np.asarray(x, dtype=np.complex128)
-
-
 def singular_values(x) -> np.ndarray:
     """Singular values, descending: square roots of the spectrum of X*X."""
-    a = _xarr(x)
+    a = _arr(x)
     gram = HermitianMatrix(a.conj().T @ a)
     w = np.maximum(gram.eig.eigenvalues, 0.0)
     return np.sqrt(w)[::-1]
@@ -106,20 +102,10 @@ def ui_norm(x, kind: NormKind) -> float:
     return kind.of_sigma(singular_values(x))
 
 
-def _as_spd(m) -> SpdMatrix:
-    return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
-
-
-def _check_depth(depth: int) -> int:
-    if not (1 <= int(depth) <= MAX_REFINE_DEPTH):
-        raise DomainError(f"depth must be in 1..{MAX_REFINE_DEPTH}, got {depth}")
-    return int(depth)
-
-
 def norm_functional(a, b, x, nu: float, kind: NormKind) -> float:
     """||A^{1-nu} X B^{nu}||; log-convex as a function of nu."""
     a, b = _as_spd(a), _as_spd(b)
-    return ui_norm(a.power(1.0 - nu).a @ _xarr(x) @ b.power(nu).a, kind)
+    return ui_norm(a.power(1.0 - nu).a @ _arr(x) @ b.power(nu).a, kind)
 
 
 def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -133,7 +119,7 @@ def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scalar
     """
     a, b = _as_spd(a), _as_spd(b)
     depth = _check_depth(depth)
-    xa = _xarr(x)
+    xa = _arr(x)
 
     def f(v: float) -> float:
         val = ui_norm(a.power(1.0 - v).a @ xa @ b.power(v).a, kind)
@@ -172,7 +158,7 @@ def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarCh
     if nu < 0.0:
         raise DomainError("norm_heinz_chain requires nu >= 0")
     depth = _check_depth(depth)
-    xa = _xarr(x)
+    xa = _arr(x)
 
     def g(v: float) -> float:
         val = ui_norm(a.power(1.0 - v).a @ xa @ b.power(1.0 - v).a, kind)
@@ -202,7 +188,7 @@ def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("combined_norm_chain requires nu >= 0")
-    xa = _xarr(x)
+    xa = _arr(x)
     fa = ui_norm(a.a @ xa, kind)
     fb = ui_norm(xa @ b.a, kind)
     scalar_part = young_reverse_chain(fa, fb, nu, depth)
@@ -232,7 +218,7 @@ def heinz_norm(a, b, x, nu: float, kind: NormKind) -> float:
     the exponent rounding far above the 1e-10 guarantee.
     """
     a, b = _as_spd(a), _as_spd(b)
-    xa = _xarr(x)
+    xa = _arr(x)
     t = abs(nu - 0.5)
     lo, hi = 0.5 - t, 0.5 + t
     m = a.power(lo).a @ xa @ b.power(hi).a + a.power(hi).a @ xa @ b.power(lo).a
@@ -266,7 +252,7 @@ def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
     a, b = _as_spd(a), _as_spd(b)
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
-    xa = _xarr(x)
+    xa = _arr(x)
     d = a.power(p - q).a @ xa + xa @ b.power(p - q).a
     full = a.power(p).a @ xa @ b.power(-q).a + a.power(-q).a @ xa @ b.power(p).a
     return ScalarChain(("split", "full"), (ui_norm(d, kind), ui_norm(full, kind)))
@@ -275,7 +261,7 @@ def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
 def heinz_interpolated_value(a, b, x, p: float, q: float, r: float, kind: NormKind) -> float:
     """||A^{p-r} X B^{-q+r} + A^{-q+r} X B^{p-r}||."""
     a, b = _as_spd(a), _as_spd(b)
-    xa = _xarr(x)
+    xa = _arr(x)
     m = (
         a.power(p - r).a @ xa @ b.power(-q + r).a
         + a.power(-q + r).a @ xa @ b.power(p - r).a
@@ -306,6 +292,34 @@ def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) 
     return np.array([heinz_interpolated_value(a, b, x, p, q, float(r), kind) for r in rs])
 
 
+def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> float:
+    """Normalized midpoint-convexity margin of the Heinz functional f.
+
+    ((f(v1) + f(v2))/2 - f((v1+v2)/2)) / max(1, both sides); nonnegative
+    because f is convex on the whole line.
+    """
+    mid = heinz_norm(a, b, x, (v1 + v2) / 2.0, kind)
+    avg = (heinz_norm(a, b, x, v1, kind) + heinz_norm(a, b, x, v2, kind)) / 2.0
+    return (avg - mid) / max(1.0, avg, mid)
+
+
+def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
+    """Monotonicity margins of the Heinz functional f on an even grid over [-3, 4].
+
+    Returns ``(margins, vals)``: ``vals`` is f on the grid, and ``margins``
+    holds the steps f(v_i) - f(v_{i+1}) left of 1/2 (f nonincreasing) then
+    f(v_{i+1}) - f(v_i) right of it (f nondecreasing), divided by
+    max(1, max f). Every margin is nonnegative.
+    """
+    grid = np.linspace(-3.0, 4.0, grid_points)
+    vals = np.array([heinz_norm(a, b, x, float(v), kind) for v in grid])
+    scale = max(1.0, float(vals.max()))
+    split = int(np.argmin(np.abs(grid - 0.5)))
+    down = (vals[:split] - vals[1 : split + 1]) / scale
+    up = (vals[split + 1 :] - vals[split:-1]) / scale
+    return np.concatenate([down, up]), vals
+
+
 def heinz_shape_report(
     a,
     b,
@@ -326,24 +340,12 @@ def heinz_shape_report(
     """
     a, b = _as_spd(a), _as_spd(b)
     rng = np.random.default_rng(seed)
-
-    def f(v: float) -> float:
-        return heinz_norm(a, b, x, v, kind)
-
     rows = []
     for _ in range(pairs):
         v1, v2 = rng.uniform(-3.0, 4.0, size=2)
-        mid = f((v1 + v2) / 2.0)
-        avg = (f(v1) + f(v2)) / 2.0
-        scale = max(1.0, mid, avg)
-        rows.append(np.array([(avg - mid) / scale]))
-    grid = np.linspace(-3.0, 4.0, grid_points)
-    vals = np.array([f(v) for v in grid])
-    scale = max(1.0, float(vals.max()))
-    split = int(np.argmin(np.abs(grid - 0.5)))
-    down = (vals[:split] - vals[1 : split + 1]) / scale  # nonincreasing left of 1/2
-    up = (vals[split + 1 :] - vals[split:-1]) / scale  # nondecreasing right of 1/2
-    rows.append(np.concatenate([down, up]))
+        rows.append(np.array([heinz_midpoint_margin(a, b, x, float(v1), float(v2), kind)]))
+    margins, vals = heinz_grid_margins(a, b, x, kind, grid_points)
+    rows.append(margins)
     return aggregate_report(
         "heinz_shape", rows, gaps=[float(vals.max() - vals.min())], rel_tol=rel_tol
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import DomainError
 
@@ -385,12 +385,3 @@ def kantorovich_chain(x: float, y: float, nu: float) -> ScalarChain:
     lx, ly = math.log(x), math.log(y)
     lhs = math.exp((1.0 + nu) * lx - nu * ly + nu * math.log(kantorovich_constant(y / x)))
     return ScalarChain(("geom_kantorovich", "harm"), (lhs, harm_mean(x, y, -nu)))
-
-
-def catalog_functions(names: Sequence[str] | None = None, log_convex: bool = False):
-    """Return (name, f) pairs from the fixed test-function catalogs."""
-    table = LOGCONVEX_CATALOG if log_convex else CONVEX_CATALOG
-    if names is None:
-        return table
-    lookup = dict(table)
-    return tuple((name, lookup[name]) for name in names)

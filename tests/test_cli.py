@@ -138,9 +138,17 @@ class TestNorm:
 
 class TestVerify:
     def test_unknown_case_is_usage_error(self, capsys):
-        code, stdout, stderr = run_cli(capsys, "verify", "--case", "unknown_case")
-        assert code == EXIT_USAGE
-        assert "unknown" in stderr and stdout == ""
+        # Flag values no case config accepts are usage errors too.
+        for argv, reason in (
+            (("--case", "unknown_case"), "unknown"),
+            (("--tol", "-1"), "rel_tol"),
+            (("--tol", "nan"), "rel_tol"),
+            (("--instances", "0"), "instances"),
+            (("--dim-max", "0"), "dimension"),
+        ):
+            code, stdout, stderr = run_cli(capsys, "verify", *argv)
+            assert code == EXIT_USAGE, argv
+            assert reason in stderr and stdout == "", argv
 
     def test_small_run_reproducible(self, capsys, tmp_path):
         args = (
@@ -206,11 +214,12 @@ class TestSweep:
         assert float(first[2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_grid_is_usage_error(self, capsys):
-        code, stdout, stderr = run_cli(
-            capsys,
-            "sweep", "--case", "young_reverse_pos", "--param", "N", "--grid", "8:1:1",
-        )
-        assert code == EXIT_USAGE and stdout == ""
+        for grid in ("8:1:1", "nan:1:1"):
+            code, stdout, stderr = run_cli(
+                capsys,
+                "sweep", "--case", "young_reverse_pos", "--param", "N", "--grid", grid,
+            )
+            assert code == EXIT_USAGE and stdout == "", grid
 
     def test_csv_file_output(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -224,10 +233,14 @@ class TestSweep:
         assert lines[0] == "nu,mean_gap,mean_gain" and len(lines) == 4
 
     def test_unknown_case_is_usage_error(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "sweep", "--case", "nope", "--param", "N", "--grid", "1:2:1"
-        )
-        assert code == EXIT_USAGE
+        # So is a parameter the case does not sweep, or a bad flag value.
+        for argv in (
+            ("--case", "nope", "--param", "N"),
+            ("--case", "kantorovich_scalar", "--param", "N"),
+            ("--case", "young_reverse_pos", "--param", "N", "--instances", "0"),
+        ):
+            code, stdout, _ = run_cli(capsys, "sweep", *argv, "--grid", "1:2:1")
+            assert code == EXIT_USAGE and stdout == "", argv
 
 
 class TestUsage:

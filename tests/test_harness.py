@@ -131,6 +131,14 @@ class TestRunSuite:
         assert csv1 == csv2
 
 
+def _builds(name, index):
+    try:
+        harness.build_instance(name, index)
+    except Resample:
+        return False
+    return True
+
+
 class TestBuildInstance:
     def test_deterministic(self):
         b1 = harness.build_instance("young_reverse_pos", 3)
@@ -139,12 +147,26 @@ class TestBuildInstance:
         assert b1.chain.values == b2.chain.values
 
     def test_forced_parameters_keep_instance_identity(self):
-        b1 = harness.build_instance("young_reverse_pos", 5, forced={"depth": 1})
-        b2 = harness.build_instance("young_reverse_pos", 5, forced={"depth": 4})
-        assert b1.payload["x"] == b2.payload["x"]
-        assert b1.payload["y"] == b2.payload["y"]
-        assert b1.payload["nu"] == b2.payload["nu"]
-        assert b1.payload["depth"] == 1 and b2.payload["depth"] == 4
+        # For every sweepable (case, param): the forced value reaches the
+        # payload, and every entry it does not feed keeps its drawn value
+        # (a forced cond rescales the spectra of A and B, nothing else).
+        for name in harness.case_names():
+            for param in harness.REGISTRY[name].sweep_params:
+                index = next(
+                    i for i in range(20) if _builds(name, i)
+                )  # first index whose hypotheses hold
+                drawn = harness.build_instance(name, index).payload
+                value = {
+                    "depth": 3,
+                    "nu": 2.0 if drawn.get("nu", 0.0) >= 0.0 else -2.5,
+                    "cond": 10.0,
+                }[param]
+                forced = harness.build_instance(name, index, forced={param: value}).payload
+                assert forced[param] == value, (name, param)
+                fed = {param, "a", "b"} if param == "cond" else {param}
+                assert set(forced) == set(drawn), (name, param)
+                for key in set(drawn) - fed:
+                    assert forced[key] == drawn[key], (name, param, key)
 
     def test_instance_rng_stability(self):
         a = harness.instance_rng(7, "case", 0).integers(1 << 30)

@@ -24,7 +24,6 @@ from matmeans import (
     random_unitary,
     spd_pow,
 )
-from matmeans import linalg
 
 from jacobi_oracle import jacobi_eigenvalues
 
@@ -106,7 +105,10 @@ class TestEigh:
             h = _rand_hermitian(rng, n)
             w_ref = jacobi_eigenvalues(h.a)
             np.testing.assert_allclose(
-                h.eig.eigenvalues, w_ref, atol=1e-11 * max(1.0, np.abs(w_ref).max())
+                h.eig.eigenvalues,
+                w_ref,
+                rtol=0,
+                atol=1e-11 * max(1.0, np.abs(w_ref).max()),
             )
 
     def test_deterministic(self):
@@ -240,25 +242,6 @@ class TestRandomGeneration:
     def test_random_unitary_is_unitary(self):
         q = random_unitary(5, 9)
         np.testing.assert_allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
-
-
-class TestMatOps:
-    def test_trace_cyclic(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            tab = linalg.trace(linalg.multiply(a, b))
-            tba = linalg.trace(linalg.multiply(b, a))
-            assert abs(tab - tba) <= 1e-10 * max(1.0, abs(tab))
-
-    def test_elementary_ops(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(linalg.adjoint(a).a, a.T)
-        np.testing.assert_array_equal(linalg.add(a, a).a, 2 * a)
-        np.testing.assert_array_equal(linalg.scale(a, 3.0).a, 3 * a)
-        assert linalg.frobenius_norm(a) == pytest.approx(np.sqrt(30.0))
 
 
 class TestJsonFormat:
