@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -103,14 +104,21 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _usage_check():
+    """Report a DomainError from an argument check as a usage error."""
+    try:
+        yield
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _overrides(**flags) -> dict:
     """Config overrides for the flags given explicitly; a value no config
     accepts is a usage error. Per-case defaults apply to the other flags."""
     overrides = {key: val for key, val in flags.items() if val is not None}
-    try:
+    with _usage_check():
         harness.CaseConfig(**overrides)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from None
     return overrides
 
 
@@ -160,6 +168,8 @@ def _cmd_sweep(args) -> int:
     if param not in harness.REGISTRY[args.case].sweep_params:
         raise _UsageError(f"case {args.case!r} does not sweep {args.param}")
     grid = _parse_grid(args.grid)
+    with _usage_check():
+        harness.sweep_values(param, grid)
     overrides = _overrides(instances=args.instances, seed=args.seed)
     rows = harness.sweep(args.case, param, grid, **overrides)
     lines = [f"{args.param},mean_gap,mean_gain"]

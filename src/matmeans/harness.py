@@ -48,6 +48,7 @@ __all__ = [
     "run_case",
     "run_suite",
     "sweep",
+    "sweep_values",
     "reports_to_csv",
     "DEFAULT_SEED",
 ]
@@ -82,11 +83,13 @@ class CaseConfig:
             raise DomainError("rel_tol must be >= 0")
         if not (1 <= self.dim_min <= self.dim_max):
             raise DomainError(f"bad dimension range {self.dim_min}..{self.dim_max}")
-        if self.cond_max < 1.0:
+        if not self.cond_max >= 1.0:  # NaN compares false
             raise DomainError("cond_max must be >= 1")
+        if self.cond_max == math.inf:
+            raise DomainError("cond_max must be finite")
         if not (0.0 <= self.nu_range[0] <= self.nu_range[1]):
             raise DomainError(f"bad weight magnitude range {self.nu_range}")
-        if not (1 <= self.depth_min <= self.depth_max <= 32):
+        if not (1 <= self.depth_min <= self.depth_max <= scalar.MAX_REFINE_DEPTH):
             raise DomainError(f"bad depth range {self.depth_min}..{self.depth_max}")
 
 
@@ -823,6 +826,28 @@ def _gain(built: Built) -> float:
     return float(built.refined - built.base)
 
 
+def sweep_values(param: str, grid) -> list:
+    """The values ``sweep`` pins ``param`` to, one per grid value.
+
+    Raises DomainError for a value no instance can take: a depth that is
+    not an integer in 1..32, or a cond that is not finite and >= 1.
+    """
+    values = []
+    for value in grid:
+        if param == "depth":
+            if not (float(value).is_integer() and 1 <= value <= scalar.MAX_REFINE_DEPTH):
+                raise DomainError(
+                    f"depth must be an integer in 1..{scalar.MAX_REFINE_DEPTH}, got {value}"
+                )
+            values.append(int(value))
+        else:
+            value = float(value)
+            if param == "cond" and not 1.0 <= value < math.inf:
+                raise DomainError(f"cond must be finite and >= 1, got {value}")
+            values.append(value)
+    return values
+
+
 def sweep(
     name: str,
     param: str,
@@ -836,20 +861,21 @@ def sweep(
     only ``param`` overridden), so columns are directly comparable. Returns
     one row per grid value with the mean end-to-end gap and mean refinement
     gain (refined bound minus unrefined bound; trace difference for operator
-    chains).
+    chains). Every grid value is checked by ``sweep_values`` before any
+    instance is built.
     """
     case = _case(name)
     if param not in case.sweep_params:
         raise DomainError(
             f"case {name!r} does not sweep {param!r}; supported: {case.sweep_params}"
         )
+    values = sweep_values(param, grid)
     cfg = _config_for(case, cfg, overrides)
     out = []
-    for value in grid:
-        forced = {param: int(value) if param == "depth" else float(value)}
+    for value in values:
         gaps = []
         gains = []
-        for _, built in _instances(case, cfg, forced):
+        for _, built in _instances(case, cfg, {param: value}):
             gaps.append(built.gap())
             gains.append(_gain(built))
         out.append(

@@ -17,6 +17,7 @@ gives the same matrices up to round-off; the tests cross-check both routes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,18 +285,16 @@ def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
     if nu < 0.0:
         raise DomainError("trace_additive_chain requires nu >= 0")
     depth = _check_depth(depth)
+
+    @functools.cache
+    def f(v: float) -> float:
+        return _tr(a.power(1.0 - v).a @ b.power(v).a)
+
     base = (1.0 + nu) * _tr(a.a) - nu * _tr(b.a)
     total = 0.0
     for j in range(1, depth + 1):
-        s = 2.0 ** (1 - j)
-        half = 2.0 ** -j
-        total += 2.0 ** (j - 1) * nu * (
-            _tr(a.a)
-            + _tr(a.power(1.0 - s).a @ b.power(s).a)
-            - 2.0 * _tr(a.power(1.0 - half).a @ b.power(half).a)
-        )
-    target = _tr(a.power(1.0 + nu).a @ b.power(-nu).a)
-    return ScalarChain(("arith", "refined", "target"), (base, base + total, target))
+        total += 2.0 ** (j - 1) * nu * (_tr(a.a) + f(2.0 ** (1 - j)) - 2.0 * f(2.0 ** -j))
+    return ScalarChain(("arith", "refined", "target"), (base, base + total, f(-nu)))
 
 
 def trace_multiplicative_chain(a, b, nu: float, depth: int) -> ScalarChain:
@@ -310,6 +309,7 @@ def trace_multiplicative_chain(a, b, nu: float, depth: int) -> ScalarChain:
         raise DomainError("trace_multiplicative_chain requires nu >= 0")
     depth = _check_depth(depth)
 
+    @functools.cache
     def f(v: float) -> float:
         return _tr(a.power(1.0 - v).a @ b.power(v).a)
 

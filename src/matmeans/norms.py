@@ -14,6 +14,7 @@ convex on the whole line, decreasing left of 1/2 and increasing right of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,6 +122,7 @@ def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scalar
     depth = _check_depth(depth)
     xa = _arr(x)
 
+    @functools.cache
     def f(v: float) -> float:
         val = ui_norm(a.power(1.0 - v).a @ xa @ b.power(v).a, kind)
         if not val > 0.0:
@@ -160,6 +162,7 @@ def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarCh
     depth = _check_depth(depth)
     xa = _arr(x)
 
+    @functools.cache
     def g(v: float) -> float:
         val = ui_norm(a.power(1.0 - v).a @ xa @ b.power(1.0 - v).a, kind)
         if not val > 0.0:
@@ -237,6 +240,7 @@ def heinz_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
         raise DomainError("heinz_reverse_chain requires nu >= 0")
     depth = _check_depth(depth)
 
+    @functools.cache
     def f(v: float) -> float:
         return heinz_norm(a, b, x, v, kind)
 

@@ -214,10 +214,18 @@ class TestSweep:
         assert float(first[2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_grid_is_usage_error(self, capsys):
-        for grid in ("8:1:1", "nan:1:1"):
+        # So is a grid value no instance can take: a depth that is not an
+        # integer in 1..32, or a cond below 1.
+        for case, param, grid in (
+            ("young_reverse_pos", "N", "8:1:1"),
+            ("young_reverse_pos", "N", "nan:1:1"),
+            ("operator_reverse_pos", "N", "40:40:1"),
+            ("operator_reverse_pos", "N", "0:0:1"),
+            ("operator_reverse_pos", "N", "1.5:1.5:1"),
+            ("operator_reverse_pos", "cond", "0.5:0.5:1"),
+        ):
             code, stdout, stderr = run_cli(
-                capsys,
-                "sweep", "--case", "young_reverse_pos", "--param", "N", "--grid", grid,
+                capsys, "sweep", "--case", case, "--param", param, "--grid", grid,
             )
             assert code == EXIT_USAGE and stdout == "", grid
 

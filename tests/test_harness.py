@@ -197,9 +197,17 @@ class TestSweep:
         assert len(rows) == 3
         assert all(np.isfinite(r.mean_gap) and np.isfinite(r.mean_gain) for r in rows)
 
-    def test_unsupported_parameter_rejected(self):
+    def test_unsupported_parameter_rejected(self, monkeypatch):
         with pytest.raises(DomainError):
             harness.sweep("kantorovich_scalar", "depth", [1, 2])
+        # Out-of-range values are rejected before any instance is built.
+        monkeypatch.setattr(harness, "_instances", None)
+        for param, grid in (
+            ("depth", [1, 40]), ("depth", [0]), ("depth", [1.5]),
+            ("cond", [2.0, 0.5]), ("cond", [float("nan")]), ("cond", [float("inf")]),
+        ):
+            with pytest.raises(DomainError):
+                harness.sweep("operator_reverse_pos", param, grid)
 
 
 class TestReportAggregation:
@@ -222,3 +230,7 @@ class TestReportAggregation:
         cfg = CaseConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.instances = 5
+        with pytest.raises(DomainError, match="cond_max must be >= 1"):
+            CaseConfig(cond_max=float("nan"))
+        with pytest.raises(DomainError, match="cond_max must be finite"):
+            CaseConfig(cond_max=float("inf"))

@@ -362,6 +362,27 @@ class TestTraceChains:
         with pytest.raises(DomainError):
             trace_additive_chain(a, b, -1.0, 1)
 
+    def test_each_weight_powered_once(self, monkeypatch):
+        # Levels j and j+1 share the point 2^-j; the chain powers A and B
+        # once per distinct weight, and the target once more.
+        a, b = _pair(14)
+        nu = 1.7
+        target = float(np.trace(a.power(1.0 + nu).a @ b.power(-nu).a).real)
+        power = SpdMatrix.power
+        calls = []
+
+        def counted(self, t):
+            calls.append(t)
+            return power(self, t)
+
+        monkeypatch.setattr(SpdMatrix, "power", counted)
+        for chain_fn in (trace_additive_chain, trace_multiplicative_chain):
+            for depth in (1, 4, 16):
+                calls.clear()
+                chain = chain_fn(a, b, nu, depth)
+                assert len(calls) == 2 * (depth + 2), (chain_fn.__name__, depth)
+                assert chain.value("target") == target
+
 
 class TestOperatorChainType:
     def test_rejects_mismatched_lengths(self):

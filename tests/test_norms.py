@@ -20,6 +20,7 @@ from matmeans import (
     norm_functional,
     norm_heinz_chain,
     norm_reverse_chain,
+    norms,
     random_spd,
     random_unitary,
     singular_values,
@@ -199,6 +200,35 @@ class TestNormChains:
                 assert _ascending(c2.values)
                 c3 = norm_heinz_chain(a, b, x, float(rng.uniform(0, 6)), depth, kind)
                 assert _ascending(c3.values)
+
+    def test_each_weight_evaluated_once(self, monkeypatch):
+        # Levels j and j+1 share the point 2^-j; each chain evaluates its
+        # functional once per distinct weight: 0, 1, 2^-1, ..., 2^-depth
+        # (mirrored on the nu <= -1 branch) and the target weight.
+        a, b, x = _instance(15)
+        kind = NormKind.schatten(3.0)
+        nu = 0.7
+        cases = (
+            ("ui_norm", norm_reverse_chain, nu, norm_functional(a, b, x, -nu, kind)),
+            ("ui_norm", norm_reverse_chain, -1.6, norm_functional(a, b, x, 1.6, kind)),
+            (
+                "ui_norm",
+                norm_heinz_chain,
+                nu,
+                ui_norm(a.power(1.0 + nu).a @ x @ b.power(1.0 + nu).a, kind),
+            ),
+            ("heinz_norm", heinz_reverse_chain, nu, heinz_norm(a, b, x, -nu, kind)),
+        )
+        for name, chain_fn, weight, target in cases:
+            calls = []
+            fn = getattr(norms, name)
+            monkeypatch.setattr(norms, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
+            for depth in (1, 4, 16):
+                calls.clear()
+                chain = chain_fn(a, b, x, weight, depth, kind)
+                assert len(calls) == depth + 3, (chain_fn.__name__, weight, depth)
+                assert chain.value("target") == target, (chain_fn.__name__, weight, depth)
+            monkeypatch.undo()
 
     def test_combined_chain_structure(self):
         a, b, x = _instance(14)
