@@ -169,7 +169,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"case {args.case!r} does not sweep {args.param}")
     grid = _parse_grid(args.grid)
     with _usage_check():
-        harness.sweep_values(param, grid)
+        harness.sweep_values(param, grid, harness.REGISTRY[args.case].nu_branch)
     overrides = _overrides(instances=args.instances, seed=args.seed)
     rows = harness.sweep(args.case, param, grid, **overrides)
     lines = [f"{args.param},mean_gap,mean_gain"]

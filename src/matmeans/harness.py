@@ -130,14 +130,20 @@ class CaseDef:
     overrides: dict
     sweep_params: tuple[str, ...]
     description: str
+    nu_branch: int = 0  # +1: nu >= 0, -1: nu <= -1, 0: either
 
 
 REGISTRY: dict[str, CaseDef] = {}
 
 
-def _register(name, *, overrides=None, sweep=(), description=""):
+def _register(name, *, overrides=None, sweep=(), description="", nu_branch=0):
+    """Register a builder; a ``_refinement`` builder brings its own nu branch."""
+
     def deco(fn):
-        REGISTRY[name] = CaseDef(name, fn, dict(overrides or {}), tuple(sweep), description)
+        branch = getattr(fn, "nu_branch", nu_branch)
+        REGISTRY[name] = CaseDef(
+            name, fn, dict(overrides or {}), tuple(sweep), description, branch
+        )
         return fn
 
     return deco
@@ -291,6 +297,7 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
         pick = chain.matrix if isinstance(chain, means.OperatorChain) else chain.value
         return Built(chain=chain, refined=pick("refined"), base=pick(base), payload=payload)
 
+    build.nu_branch = branch
     return build
 
 
@@ -486,6 +493,7 @@ _register(
 @_register(
     "kantorovich_operator",
     sweep=("nu",),
+    nu_branch=1,
     description=(
         "Kantorovich operator bound, A <= B; hypothesis read on the Hermitian "
         "part of B^{-1}A + A^{-1}B, failures skipped"
@@ -826,15 +834,27 @@ def _gain(built: Built) -> float:
     return float(built.refined - built.base)
 
 
-def sweep_values(param: str, grid) -> list:
+_BRANCH_TEXT = {1: "nu >= 0", -1: "nu <= -1", 0: "nu >= 0 or nu <= -1"}
+
+
+def sweep_values(param: str, grid, nu_branch: int = 0) -> list:
     """The values ``sweep`` pins ``param`` to, one per grid value.
 
     Raises DomainError for a value no instance can take: a depth that is
-    not an integer in 1..32, or a cond that is not finite and >= 1.
+    not an integer in 1..32, a cond that is not finite and >= 1, or a nu
+    off the case's weight branch ``nu_branch`` (+1: nu >= 0, -1: nu <= -1,
+    0: either; see ``CaseDef.nu_branch``).
     """
     values = []
     for value in grid:
-        if param == "depth":
+        if param == "nu":
+            value = float(value)
+            if not ((nu_branch >= 0 and value >= 0.0) or (nu_branch <= 0 and value <= -1.0)):
+                raise DomainError(
+                    f"nu must satisfy {_BRANCH_TEXT[nu_branch]} for this case, got {value}"
+                )
+            values.append(value)
+        elif param == "depth":
             if not (float(value).is_integer() and 1 <= value <= scalar.MAX_REFINE_DEPTH):
                 raise DomainError(
                     f"depth must be an integer in 1..{scalar.MAX_REFINE_DEPTH}, got {value}"
@@ -869,7 +889,7 @@ def sweep(
         raise DomainError(
             f"case {name!r} does not sweep {param!r}; supported: {case.sweep_params}"
         )
-    values = sweep_values(param, grid)
+    values = sweep_values(param, grid, case.nu_branch)
     cfg = _config_for(case, cfg, overrides)
     out = []
     for value in values:

@@ -154,6 +154,40 @@ class SpdMatrix(HermitianMatrix):
         return SpdMatrix._assemble(w, self.eig.eigenvectors)
 
 
+def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
+    """``m.power(t).a`` for every weight t in ``ts``, as one (len(ts), n, n) array.
+
+    Works from m's cached factorization (w, Q) and repeats the arithmetic of
+    ``power`` slice by slice: w ** t per weight, the eigenvalues in the same
+    stable order, one product and the same symmetrization. So each slice
+    equals ``m.power(t).a`` bit for bit, whatever else is in the stack, and
+    m^0 is exactly I. A powered spectrum that is not strictly positive, or a
+    non-finite entry, raises DomainError as ``power`` does.
+    """
+    w, q = m.eig.eigenvalues, m.eig.eigenvectors
+    ts = [float(t) for t in ts]
+    n = m.n
+    wts = np.ones((len(ts), n))
+    zero = []
+    for i, t in enumerate(ts):
+        if t == 0.0:
+            zero.append(i)
+        else:
+            wts[i] = w ** t  # row by row: a broadcast power can differ in the last bit
+    if not (wts > 0.0).all():
+        raise DomainError("assembled spectrum must be strictly positive")
+    order = np.argsort(wts, axis=-1, kind="stable")
+    wts = wts[np.arange(len(ts))[:, None], order]
+    qs = np.ascontiguousarray(q.T[order].swapaxes(-1, -2))
+    if zero:
+        qs[zero] = np.eye(n)
+    s = (qs * wts[:, None, :]) @ qs.conj().swapaxes(-1, -2)
+    s = (s + s.conj().swapaxes(-1, -2)) / 2.0
+    if not np.isfinite(s).all():
+        raise DomainError("matrix entries must be finite")
+    return s
+
+
 @dataclass(frozen=True)
 class LoewnerVerdict:
     """Outcome of a semidefinite order comparison X <= Y.

@@ -17,7 +17,6 @@ gives the same matrices up to round-off; the tests cross-check both routes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .linalg import (
     LOEWNER_REL_TOL,
     SpdMatrix,
     _as_spd,
+    _power_stack,
     loewner_leq,
 )
 from .scalar import ScalarChain, _check_depth, weight_branch
@@ -274,6 +274,13 @@ def _tr(m: np.ndarray) -> float:
     return float(np.trace(m).real)
 
 
+def _trace_table(a: SpdMatrix, b: SpdMatrix, vs) -> dict:
+    """{v: tr(A^{1-v} B^v)} for every weight in ``vs``, from one power stack
+    per matrix; each value equals ``_tr(a.power(1-v).a @ b.power(v).a)``."""
+    m = _power_stack(a, [1.0 - v for v in vs]) @ _power_stack(b, vs)
+    return dict(zip(vs, np.trace(m, axis1=-2, axis2=-1).real.tolist()))
+
+
 def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
     """Additive trace refinement chain for nu >= 0.
 
@@ -285,16 +292,12 @@ def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
     if nu < 0.0:
         raise DomainError("trace_additive_chain requires nu >= 0")
     depth = _check_depth(depth)
-
-    @functools.cache
-    def f(v: float) -> float:
-        return _tr(a.power(1.0 - v).a @ b.power(v).a)
-
+    f = _trace_table(a, b, [*(2.0 ** -j for j in range(depth + 1)), -nu])
     base = (1.0 + nu) * _tr(a.a) - nu * _tr(b.a)
     total = 0.0
     for j in range(1, depth + 1):
-        total += 2.0 ** (j - 1) * nu * (_tr(a.a) + f(2.0 ** (1 - j)) - 2.0 * f(2.0 ** -j))
-    return ScalarChain(("arith", "refined", "target"), (base, base + total, f(-nu)))
+        total += 2.0 ** (j - 1) * nu * (_tr(a.a) + f[2.0 ** (1 - j)] - 2.0 * f[2.0 ** -j])
+    return ScalarChain(("arith", "refined", "target"), (base, base + total, f[-nu]))
 
 
 def trace_multiplicative_chain(a, b, nu: float, depth: int) -> ScalarChain:
@@ -308,21 +311,17 @@ def trace_multiplicative_chain(a, b, nu: float, depth: int) -> ScalarChain:
     if nu < 0.0:
         raise DomainError("trace_multiplicative_chain requires nu >= 0")
     depth = _check_depth(depth)
-
-    @functools.cache
-    def f(v: float) -> float:
-        return _tr(a.power(1.0 - v).a @ b.power(v).a)
-
+    f = _trace_table(a, b, [*(2.0 ** -j for j in range(depth + 1)), -nu])
     log_ta, log_tb = np.log(_tr(a.a)), np.log(_tr(b.a))
     log_power = (1.0 + nu) * log_ta - nu * log_tb
     log_prod = 0.0
     for j in range(1, depth + 1):
         log_prod += 2.0 ** j * nu * (
-            0.5 * (log_ta + np.log(f(2.0 ** (1 - j)))) - np.log(f(2.0 ** -j))
+            0.5 * (log_ta + np.log(f[2.0 ** (1 - j)])) - np.log(f[2.0 ** -j])
         )
     return ScalarChain(
         ("power", "refined", "target"),
-        (float(np.exp(log_power)), float(np.exp(log_power + log_prod)), f(-nu)),
+        (float(np.exp(log_power)), float(np.exp(log_power + log_prod)), f[-nu]),
     )
 
 
@@ -338,18 +337,18 @@ def trace_depth1_chain(a, b, nu: float) -> ScalarChain:
     second is the depth-1 additive chain, and the last is the triangle
     inequality for the trace against the Schatten-1 norm of the product.
     """
+    from .norms import singular_values  # norms -> reporting -> means at import
+
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("trace_depth1_chain requires nu >= 0")
     base = (1.0 + nu) * _tr(a.a) - nu * _tr(b.a)
     v0 = base + nu * (np.sqrt(_tr(a.a)) - np.sqrt(_tr(b.a))) ** 2
-    cross = _tr(a.power(0.5).a @ b.power(0.5).a)
-    v1 = base + nu * (_tr(a.a) + _tr(b.a) - 2.0 * cross)
-    prod = a.power(1.0 + nu).a @ b.power(-nu).a
-    v2 = float(np.trace(prod).real)
-    gram = HermitianMatrix(prod.conj().T @ prod)
-    sigma = np.sqrt(np.maximum(gram.eig.eigenvalues, 0.0))
-    v3 = float(np.sum(sigma))
+    # sqrt(A) sqrt(B) and A^{1+nu} B^{-nu} as one stacked product.
+    roots, prod = _power_stack(a, [0.5, 1.0 + nu]) @ _power_stack(b, [0.5, -nu])
+    v1 = base + nu * (_tr(a.a) + _tr(b.a) - 2.0 * _tr(roots))
+    v2 = _tr(prod)
+    v3 = float(np.sum(singular_values(prod)))
     return ScalarChain(
         ("trace_split", "sqrt_cross", "trace_power", "abs_trace_power"),
         (float(v0), float(v1), v2, v3),

@@ -10,18 +10,25 @@ The chain operations refine reversed Young-type inequalities for the
 functional ||A^{1-v} X B^v|| (log-convex in v) and describe the Heinz family
 f(v) = ||A^v X B^{1-v} + A^{1-v} X B^v||, which is symmetric about v = 1/2,
 convex on the whole line, decreasing left of 1/2 and increasing right of it.
+
+Singular values come from LAPACK's SVD, never from the spectrum of X*X,
+which would square the condition number. Every functional of the weight is
+evaluated on its whole set of weights at once: one power stack per matrix
+(``linalg._power_stack``), one stacked product and one SVD over the stack
+(``_norms_of``). Single values (``norm_functional``, ``heinz_norm``) are the
+same kernel on a stack of one, and a value does not depend on the stack it
+is computed in.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .linalg import HermitianMatrix, _arr, _as_spd
+from .errors import ConvergenceError, DomainError
+from .linalg import _arr, _as_spd, _power_stack
 from .reporting import ChainReport, aggregate_report
 from .scalar import ScalarChain, _check_depth, young_reverse_chain
 
@@ -63,16 +70,25 @@ class NormKind:
     def frobenius(cls) -> "NormKind":
         return cls.schatten(2.0)
 
-    def of_sigma(self, sigma: np.ndarray) -> float:
-        if self.family == "schatten":
+    def of_sigma(self, sigma: np.ndarray):
+        """The norm of descending singular values along the last axis.
+
+        A float for one vector, an array for a stack of them; each row's
+        value is the one its vector alone would give.
+        """
+        if self.family == "kyfan":
+            out = np.sum(sigma[..., : int(self.param)], axis=-1)  # k > n clamps to n
+        elif self.param == 1.0:
+            out = np.sum(sigma, axis=-1)
+        elif self.param == 2.0:
+            out = np.sqrt(np.sum(sigma * sigma, axis=-1))
+        else:
+            # Row by row: a broadcast power can differ in the last bit.
             p = self.param
-            if p == 1.0:
-                return float(np.sum(sigma))
-            if p == 2.0:
-                return float(np.sqrt(np.sum(sigma * sigma)))
-            return float(np.sum(sigma ** p) ** (1.0 / p))
-        k = min(int(self.param), sigma.shape[0])  # k > n clamps to n
-        return float(np.sum(sigma[:k]))
+            rows = sigma.reshape(-1, sigma.shape[-1])
+            out = np.array([np.sum(r ** p) ** (1.0 / p) for r in rows])
+            out = out.reshape(sigma.shape[:-1])
+        return float(out) if out.ndim == 0 else out
 
     def __str__(self) -> str:
         if self.family == "kyfan":
@@ -90,12 +106,28 @@ DEFAULT_NORM_KINDS: tuple[NormKind, ...] = (
 )
 
 
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix or a stack of them, descending along the
+    last axis, by LAPACK's SVD (``numpy.linalg.svd``)."""
+    if not np.isfinite(stack).all():
+        raise DomainError("matrix entries must be finite")
+    try:
+        return np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
+
+
+def _norms_of(stack: np.ndarray, kind: NormKind) -> np.ndarray:
+    """``kind`` of every matrix of a (k, n, n) stack, from one SVD."""
+    return kind.of_sigma(_singular_values(stack))
+
+
 def singular_values(x) -> np.ndarray:
-    """Singular values, descending: square roots of the spectrum of X*X."""
+    """Singular values, descending, by LAPACK's SVD."""
     a = _arr(x)
-    gram = HermitianMatrix(a.conj().T @ a)
-    w = np.maximum(gram.eig.eigenvalues, 0.0)
-    return np.sqrt(w)[::-1]
+    if a.ndim != 2:
+        raise DomainError(f"expected a matrix, got shape {a.shape}")
+    return _singular_values(a)
 
 
 def ui_norm(x, kind: NormKind) -> float:
@@ -103,10 +135,61 @@ def ui_norm(x, kind: NormKind) -> float:
     return kind.of_sigma(singular_values(x))
 
 
+# Batched kernels: each evaluates a functional of the weight on a whole list
+# of weights, with one power stack per matrix and one SVD.
+
+def _products(a, b, x, left, right) -> np.ndarray:
+    """The stack of A^{left_i} X B^{right_i}, multiplied left to right."""
+    return _power_stack(a, left) @ _arr(x) @ _power_stack(b, right)
+
+
+def _paired_norms(a, b, x, left, right, kind: NormKind) -> np.ndarray:
+    """||A^{l_i} X B^{r_i} + A^{l_{k+i}} X B^{r_{k+i}}|| for 2k exponent pairs."""
+    s = _products(a, b, x, left, right)
+    k = s.shape[0] // 2
+    return _norms_of(s[:k] + s[k:], kind)
+
+
+def _functional_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
+    """f(v) = ||A^{1-v} X B^v|| at every weight in ``vs``."""
+    return _norms_of(_products(a, b, x, [1.0 - v for v in vs], vs), kind)
+
+
+def _two_sided_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
+    """g(v) = ||A^{1-v} X B^{1-v}|| at every weight in ``vs``."""
+    ws = [1.0 - v for v in vs]
+    return _norms_of(_products(a, b, x, ws, ws), kind)
+
+
+def _heinz_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
+    """The Heinz functional at every weight in ``vs`` (see ``heinz_norm``)."""
+    lo, hi = [], []
+    for v in vs:
+        t = abs(float(v) - 0.5)
+        lo.append(0.5 - t)
+        hi.append(0.5 + t)
+    return _paired_norms(a, b, x, lo + hi, hi + lo, kind)
+
+
+def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
+    """||A^{p-r} X B^{-q+r} + A^{-q+r} X B^{p-r}|| at every r in ``rs``."""
+    rs = [float(r) for r in rs]
+    left = [p - r for r in rs]
+    right = [-q + r for r in rs]
+    return _paired_norms(a, b, x, left + right, right + left, kind)
+
+
+def _positive_table(weights, values) -> dict:
+    """{weight: value} of a norm functional that must not vanish."""
+    if not (values > 0.0).all():
+        raise DomainError("norm functional vanished; X must be nonzero")
+    return dict(zip(weights, values.tolist()))
+
+
 def norm_functional(a, b, x, nu: float, kind: NormKind) -> float:
     """||A^{1-nu} X B^{nu}||; log-convex as a function of nu."""
     a, b = _as_spd(a), _as_spd(b)
-    return ui_norm(a.power(1.0 - nu).a @ _arr(x) @ b.power(nu).a, kind)
+    return float(_functional_values(a, b, x, [float(nu)], kind)[0])
 
 
 def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -120,32 +203,26 @@ def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scalar
     """
     a, b = _as_spd(a), _as_spd(b)
     depth = _check_depth(depth)
-    xa = _arr(x)
-
-    @functools.cache
-    def f(v: float) -> float:
-        val = ui_norm(a.power(1.0 - v).a @ xa @ b.power(v).a, kind)
-        if not val > 0.0:
-            raise DomainError("norm functional vanished; X must be nonzero")
-        return val
-
     if nu >= 0.0:
-        anchor_log = math.log(f(0.0))
+        anchor = 0.0
         points = [(2.0 ** (1 - j), 2.0 ** -j) for j in range(1, depth + 1)]
         exponents = [2.0 ** j * nu for j in range(1, depth + 1)]
     elif nu <= -1.0:
-        anchor_log = math.log(f(1.0))
+        anchor = 1.0
         points = [(1.0 - 2.0 ** (1 - j), 1.0 - 2.0 ** -j) for j in range(1, depth + 1)]
         exponents = [-(2.0 ** j) * (nu + 1.0) for j in range(1, depth + 1)]
     else:
         raise DomainError(f"weight nu={nu} must satisfy nu >= 0 or nu <= -1")
-    log_power = (1.0 + nu) * math.log(f(0.0)) - nu * math.log(f(1.0))
+    weights = [0.0, 1.0, *(cur for _, cur in points), -nu]
+    f = _positive_table(weights, _functional_values(a, b, x, weights, kind))
+    anchor_log = math.log(f[anchor])
+    log_power = (1.0 + nu) * math.log(f[0.0]) - nu * math.log(f[1.0])
     log_prod = 0.0
     for (prev, cur), e in zip(points, exponents):
-        log_prod += e * (0.5 * (anchor_log + math.log(f(prev))) - math.log(f(cur)))
+        log_prod += e * (0.5 * (anchor_log + math.log(f[prev])) - math.log(f[cur]))
     return ScalarChain(
         ("power", "refined", "target"),
-        (math.exp(log_power), math.exp(log_power + log_prod), f(-nu)),
+        (math.exp(log_power), math.exp(log_power + log_prod), f[-nu]),
     )
 
 
@@ -160,24 +237,17 @@ def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarCh
     if nu < 0.0:
         raise DomainError("norm_heinz_chain requires nu >= 0")
     depth = _check_depth(depth)
-    xa = _arr(x)
-
-    @functools.cache
-    def g(v: float) -> float:
-        val = ui_norm(a.power(1.0 - v).a @ xa @ b.power(1.0 - v).a, kind)
-        if not val > 0.0:
-            raise DomainError("norm functional vanished; X must be nonzero")
-        return val
-
-    log_power = (1.0 + nu) * math.log(g(0.0)) - nu * math.log(g(1.0))
+    weights = [0.0, *(2.0 ** -j for j in range(depth + 1)), -nu]
+    g = _positive_table(weights, _two_sided_values(a, b, x, weights, kind))
+    log_power = (1.0 + nu) * math.log(g[0.0]) - nu * math.log(g[1.0])
     log_prod = 0.0
     for j in range(1, depth + 1):
         log_prod += 2.0 ** j * nu * (
-            0.5 * (math.log(g(0.0)) + math.log(g(2.0 ** (1 - j)))) - math.log(g(2.0 ** -j))
+            0.5 * (math.log(g[0.0]) + math.log(g[2.0 ** (1 - j)])) - math.log(g[2.0 ** -j])
         )
     return ScalarChain(
         ("power", "refined", "target"),
-        (math.exp(log_power), math.exp(log_power + log_prod), g(-nu)),
+        (math.exp(log_power), math.exp(log_power + log_prod), g[-nu]),
     )
 
 
@@ -192,8 +262,7 @@ def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     if nu < 0.0:
         raise DomainError("combined_norm_chain requires nu >= 0")
     xa = _arr(x)
-    fa = ui_norm(a.a @ xa, kind)
-    fb = ui_norm(xa @ b.a, kind)
+    fa, fb = _norms_of(np.stack([a.a @ xa, xa @ b.a]), kind).tolist()
     scalar_part = young_reverse_chain(fa, fb, nu, depth)
     norm_part = norm_reverse_chain(a, b, x, nu, depth, kind)
     return ScalarChain(
@@ -221,11 +290,7 @@ def heinz_norm(a, b, x, nu: float, kind: NormKind) -> float:
     the exponent rounding far above the 1e-10 guarantee.
     """
     a, b = _as_spd(a), _as_spd(b)
-    xa = _arr(x)
-    t = abs(nu - 0.5)
-    lo, hi = 0.5 - t, 0.5 + t
-    m = a.power(lo).a @ xa @ b.power(hi).a + a.power(hi).a @ xa @ b.power(lo).a
-    return ui_norm(m, kind)
+    return float(_heinz_values(a, b, x, [nu], kind)[0])
 
 
 def heinz_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -239,16 +304,13 @@ def heinz_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     if nu < 0.0:
         raise DomainError("heinz_reverse_chain requires nu >= 0")
     depth = _check_depth(depth)
-
-    @functools.cache
-    def f(v: float) -> float:
-        return heinz_norm(a, b, x, v, kind)
-
-    base = f(0.0)
+    weights = [0.0, *(2.0 ** -j for j in range(depth + 1)), -nu]
+    f = dict(zip(weights, _heinz_values(a, b, x, weights, kind).tolist()))
+    base = f[0.0]
     total = 0.0
     for j in range(1, depth + 1):
-        total += 2.0 ** j * nu * ((base + f(2.0 ** (1 - j))) / 2.0 - f(2.0 ** -j))
-    return ScalarChain(("sum_norm", "refined", "target"), (base, base + total, f(-nu)))
+        total += 2.0 ** j * nu * ((base + f[2.0 ** (1 - j)]) / 2.0 - f[2.0 ** -j])
+    return ScalarChain(("sum_norm", "refined", "target"), (base, base + total, f[-nu]))
 
 
 def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
@@ -256,34 +318,26 @@ def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
     a, b = _as_spd(a), _as_spd(b)
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
-    xa = _arr(x)
-    d = a.power(p - q).a @ xa + xa @ b.power(p - q).a
-    full = a.power(p).a @ xa @ b.power(-q).a + a.power(-q).a @ xa @ b.power(p).a
-    return ScalarChain(("split", "full"), (ui_norm(d, kind), ui_norm(full, kind)))
+    # split = A^{p-q} X B^0 + A^0 X B^{p-q}; full = A^p X B^{-q} + A^{-q} X B^p.
+    split, full = _paired_norms(
+        a, b, x, [p - q, p, 0.0, -q], [0.0, -q, p - q, p], kind
+    ).tolist()
+    return ScalarChain(("split", "full"), (split, full))
 
 
 def heinz_interpolated_value(a, b, x, p: float, q: float, r: float, kind: NormKind) -> float:
     """||A^{p-r} X B^{-q+r} + A^{-q+r} X B^{p-r}||."""
     a, b = _as_spd(a), _as_spd(b)
-    xa = _arr(x)
-    m = (
-        a.power(p - r).a @ xa @ b.power(-q + r).a
-        + a.power(-q + r).a @ xa @ b.power(p - r).a
-    )
-    return ui_norm(m, kind)
+    return float(_interpolated_values(a, b, x, p, q, [r], kind)[0])
 
 
 def heinz_interpolated_chain(a, b, x, p: float, q: float, r: float, kind: NormKind) -> ScalarChain:
     """Interpolated comparison for 0 < r < q < p (ascending two-term chain)."""
     if not (0.0 < r < q < p):
         raise DomainError(f"need 0 < r < q < p, got p={p}, q={q}, r={r}")
-    return ScalarChain(
-        ("interpolated", "full"),
-        (
-            heinz_interpolated_value(a, b, x, p, q, r, kind),
-            heinz_interpolated_value(a, b, x, p, q, 0.0, kind),
-        ),
-    )
+    a, b = _as_spd(a), _as_spd(b)
+    values = _interpolated_values(a, b, x, p, q, [r, 0.0], kind)
+    return ScalarChain(("interpolated", "full"), tuple(values.tolist()))
 
 
 def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) -> np.ndarray:
@@ -293,7 +347,8 @@ def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) 
     """
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
-    return np.array([heinz_interpolated_value(a, b, x, p, q, float(r), kind) for r in rs])
+    a, b = _as_spd(a), _as_spd(b)
+    return _interpolated_values(a, b, x, p, q, rs, kind)
 
 
 def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> float:
@@ -302,9 +357,20 @@ def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> floa
     ((f(v1) + f(v2))/2 - f((v1+v2)/2)) / max(1, both sides); nonnegative
     because f is convex on the whole line.
     """
-    mid = heinz_norm(a, b, x, (v1 + v2) / 2.0, kind)
-    avg = (heinz_norm(a, b, x, v1, kind) + heinz_norm(a, b, x, v2, kind)) / 2.0
-    return (avg - mid) / max(1.0, avg, mid)
+    a, b = _as_spd(a), _as_spd(b)
+    return _midpoint_margins(a, b, x, [v1], [v2], kind)[0]
+
+
+def _midpoint_margins(a, b, x, v1s, v2s, kind: NormKind) -> list[float]:
+    """``heinz_midpoint_margin`` for every pair (v1s[i], v2s[i]), one SVD."""
+    k = len(v1s)
+    mids = [(v1 + v2) / 2.0 for v1, v2 in zip(v1s, v2s)]
+    vals = _heinz_values(a, b, x, [*mids, *v1s, *v2s], kind).tolist()
+    margins = []
+    for mid, f1, f2 in zip(vals[:k], vals[k : 2 * k], vals[2 * k :]):
+        avg = (f1 + f2) / 2.0
+        margins.append((avg - mid) / max(1.0, avg, mid))
+    return margins
 
 
 def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
@@ -315,8 +381,9 @@ def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     f(v_{i+1}) - f(v_i) right of it (f nondecreasing), divided by
     max(1, max f). Every margin is nonnegative.
     """
+    a, b = _as_spd(a), _as_spd(b)
     grid = np.linspace(-3.0, 4.0, grid_points)
-    vals = np.array([heinz_norm(a, b, x, float(v), kind) for v in grid])
+    vals = _heinz_values(a, b, x, grid, kind)
     scale = max(1.0, float(vals.max()))
     split = int(np.argmin(np.abs(grid - 0.5)))
     down = (vals[:split] - vals[1 : split + 1]) / scale
@@ -343,11 +410,9 @@ def heinz_shape_report(
     failures.
     """
     a, b = _as_spd(a), _as_spd(b)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(pairs):
-        v1, v2 = rng.uniform(-3.0, 4.0, size=2)
-        rows.append(np.array([heinz_midpoint_margin(a, b, x, float(v1), float(v2), kind)]))
+    v = np.random.default_rng(seed).uniform(-3.0, 4.0, size=(pairs, 2)).tolist()
+    v1s, v2s = [p[0] for p in v], [p[1] for p in v]
+    rows = [np.array([m]) for m in _midpoint_margins(a, b, x, v1s, v2s, kind)]
     margins, vals = heinz_grid_margins(a, b, x, kind, grid_points)
     rows.append(margins)
     return aggregate_report(

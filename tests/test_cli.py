@@ -229,6 +229,19 @@ class TestSweep:
             )
             assert code == EXIT_USAGE and stdout == "", grid
 
+    def test_nu_off_branch_is_usage_error(self, capsys):
+        for case, grid in (
+            ("operator_squared_neg", "0:3:1.5"),
+            ("norm_reverse_pos", "-2:-1:1"),
+            ("convex_refined_a", "-0.5:-0.5:1"),
+        ):
+            code, stdout, stderr = run_cli(
+                capsys, "sweep", "--case", case, "--param", "nu", f"--grid={grid}",
+                "--instances", "2",
+            )
+            assert code == EXIT_USAGE and stdout == "", (case, grid)
+            assert "nu must satisfy" in stderr, (case, grid)
+
     def test_csv_file_output(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, stdout, _ = run_cli(

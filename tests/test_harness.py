@@ -139,6 +139,21 @@ def _builds(name, index):
     return True
 
 
+class TestStress:
+    def test_norm_and_heinz_cases_at_high_condition(self):
+        # Every norm and Heinz case at cond 1e8 and 1e12, with n = 1 and
+        # with n in 2..6: nothing raises, and no instance fails.
+        names = [n for n in harness.case_names() if n.startswith(("norm_", "heinz_"))]
+        assert len(names) == 14
+        for cond in (1e8, 1e12):
+            for dim_min, dim_max in ((1, 1), (2, 6)):
+                for name in names:
+                    report = harness.run_case(
+                        name, instances=10, cond_max=cond, dim_min=dim_min, dim_max=dim_max
+                    )
+                    assert report.failures == 0, (name, cond, dim_min, report.min_slack)
+
+
 class TestBuildInstance:
     def test_deterministic(self):
         b1 = harness.build_instance("young_reverse_pos", 3)
@@ -208,6 +223,23 @@ class TestSweep:
         ):
             with pytest.raises(DomainError):
                 harness.sweep("operator_reverse_pos", param, grid)
+
+    def test_nu_off_branch_rejected(self, monkeypatch):
+        # A nu on the other side of a case's weight branch, or in the gap
+        # (-1, 0), is rejected before any instance is built.
+        monkeypatch.setattr(harness, "_instances", None)
+        for name, grid in (
+            ("operator_squared_neg", [0.0, 1.5, 3.0]),
+            ("operator_squared_pos", [-2.0]),
+            ("norm_reverse_neg", [-2.0, -0.5]),
+            ("kantorovich_operator", [-1.0]),
+            ("young_squared", [-0.5]),
+            ("young_reverse_pos", [float("nan")]),
+        ):
+            with pytest.raises(DomainError, match="nu must satisfy"):
+                harness.sweep(name, "nu", grid)
+        assert harness.sweep_values("nu", [0.0, -1.0, 2.5]) == [0.0, -1.0, 2.5]
+        assert harness.sweep_values("nu", [-1.0, -4.5], -1) == [-1.0, -4.5]
 
 
 class TestReportAggregation:

@@ -26,12 +26,14 @@ from matmeans import (
     operator_reverse_chain,
     operator_squared_chain,
     random_spd,
+    singular_values,
     trace_additive_chain,
     trace_depth1_chain,
     trace_multiplicative_chain,
     young_reverse_chain,
     young_squared_chain,
 )
+from matmeans import means
 from matmeans.means import OperatorChain
 from matmeans.reporting import chain_passes, operator_chain_slacks
 
@@ -362,25 +364,38 @@ class TestTraceChains:
         with pytest.raises(DomainError):
             trace_additive_chain(a, b, -1.0, 1)
 
+    def test_abs_trace_power_from_svd(self):
+        # The Schatten-1 term sums LAPACK's singular values (not square roots
+        # of the spectrum of P*P, which squares P's condition number).
+        a, b = _pair(15)
+        nu = 2.3
+        prod = a.power(1.0 + nu).a @ b.power(-nu).a
+        chain = trace_depth1_chain(a, b, nu)
+        sigma = np.linalg.svd(prod, compute_uv=False)
+        assert np.array_equal(singular_values(prod), sigma)
+        assert chain.value("abs_trace_power") == float(np.sum(sigma))
+        assert chain.value("trace_power") == float(np.trace(prod).real)
+
     def test_each_weight_powered_once(self, monkeypatch):
-        # Levels j and j+1 share the point 2^-j; the chain powers A and B
-        # once per distinct weight, and the target once more.
+        # Levels j and j+1 share the point 2^-j; the chain powers A and B in
+        # one stack each, at each distinct weight once and the target once more.
         a, b = _pair(14)
         nu = 1.7
         target = float(np.trace(a.power(1.0 + nu).a @ b.power(-nu).a).real)
-        power = SpdMatrix.power
-        calls = []
+        power_stack = means._power_stack
+        stacks = []
 
-        def counted(self, t):
-            calls.append(t)
-            return power(self, t)
+        def counted(m, ts):
+            stacks.append(list(ts))
+            return power_stack(m, ts)
 
-        monkeypatch.setattr(SpdMatrix, "power", counted)
+        monkeypatch.setattr(means, "_power_stack", counted)
         for chain_fn in (trace_additive_chain, trace_multiplicative_chain):
             for depth in (1, 4, 16):
-                calls.clear()
+                stacks.clear()
                 chain = chain_fn(a, b, nu, depth)
-                assert len(calls) == 2 * (depth + 2), (chain_fn.__name__, depth)
+                assert [len(set(ts)) for ts in stacks] == [depth + 2] * 2, (chain_fn.__name__, depth)
+                assert sum(len(ts) for ts in stacks) == 2 * (depth + 2), (chain_fn.__name__, depth)
                 assert chain.value("target") == target
 
 

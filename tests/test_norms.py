@@ -7,6 +7,7 @@ import pytest
 
 from matmeans import (
     DEFAULT_NORM_KINDS,
+    ConvergenceError,
     DomainError,
     NormKind,
     SpdMatrix,
@@ -69,6 +70,33 @@ class TestSingularValues:
             np.testing.assert_allclose(
                 singular_values(x), ref, atol=1e-10 * max(1.0, ref[0])
             )
+
+
+    def test_small_singular_value_keeps_relative_accuracy(self):
+        # X = U diag(1, 1e-10) V* with seeded unitaries. Through the spectrum
+        # of X*X the small value is lost below sqrt(eps); the SVD keeps it to
+        # the rounding of X's entries (about 1e-16 absolute).
+        for seed in range(5):
+            u, v = random_unitary(2, seed), random_unitary(2, seed + 100)
+            s = singular_values(u @ np.diag([1.0, 1e-10]) @ v.conj().T)
+            assert s[0] == pytest.approx(1.0, rel=1e-15, abs=0.0), seed
+            assert s[1] == pytest.approx(1e-10, rel=1e-5, abs=0.0), seed
+
+    def test_lapack_failure_raises_convergence_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError):
+            singular_values(np.eye(2))
+        with pytest.raises(ConvergenceError):
+            heinz_norm(np.eye(2), np.eye(2), np.eye(2), 0.3, NormKind.spectral())
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(DomainError):
+            singular_values(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        with pytest.raises(DomainError):
+            singular_values(np.ones(3))
 
 
 class TestUiNorm:
@@ -202,33 +230,46 @@ class TestNormChains:
                 assert _ascending(c3.values)
 
     def test_each_weight_evaluated_once(self, monkeypatch):
-        # Levels j and j+1 share the point 2^-j; each chain evaluates its
-        # functional once per distinct weight: 0, 1, 2^-1, ..., 2^-depth
-        # (mirrored on the nu <= -1 branch) and the target weight.
+        # Levels j and j+1 share the point 2^-j; each chain hands its kernel
+        # each distinct weight once: 0, 1, 2^-1, ..., 2^-depth (mirrored on
+        # the nu <= -1 branch) and the target weight, depth + 3 in all, and
+        # the kernel takes the norms of that stack with one SVD.
         a, b, x = _instance(15)
         kind = NormKind.schatten(3.0)
         nu = 0.7
         cases = (
-            ("ui_norm", norm_reverse_chain, nu, norm_functional(a, b, x, -nu, kind)),
-            ("ui_norm", norm_reverse_chain, -1.6, norm_functional(a, b, x, 1.6, kind)),
+            ("_functional_values", norm_reverse_chain, nu, norm_functional(a, b, x, -nu, kind)),
+            ("_functional_values", norm_reverse_chain, -1.6, norm_functional(a, b, x, 1.6, kind)),
             (
-                "ui_norm",
+                "_two_sided_values",
                 norm_heinz_chain,
                 nu,
                 ui_norm(a.power(1.0 + nu).a @ x @ b.power(1.0 + nu).a, kind),
             ),
-            ("heinz_norm", heinz_reverse_chain, nu, heinz_norm(a, b, x, -nu, kind)),
+            ("_heinz_values", heinz_reverse_chain, nu, heinz_norm(a, b, x, -nu, kind)),
+        )
+        stacks = []
+        norms_of = norms._norms_of
+        monkeypatch.setattr(
+            norms, "_norms_of", lambda s, k: stacks.append(s.shape[0]) or norms_of(s, k)
         )
         for name, chain_fn, weight, target in cases:
-            calls = []
+            weights = []
             fn = getattr(norms, name)
-            monkeypatch.setattr(norms, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
+            monkeypatch.setattr(
+                norms, name, lambda a, b, x, vs, k, fn=fn: weights.append(list(vs)) or fn(a, b, x, vs, k)
+            )
             for depth in (1, 4, 16):
-                calls.clear()
+                weights.clear()
+                stacks.clear()
                 chain = chain_fn(a, b, x, weight, depth, kind)
-                assert len(calls) == depth + 3, (chain_fn.__name__, weight, depth)
+                assert len(weights) == 1, (chain_fn.__name__, weight, depth)
+                assert len(set(weights[0])) == len(weights[0]) == depth + 3, (
+                    chain_fn.__name__, weight, depth
+                )
+                assert stacks == [depth + 3], (chain_fn.__name__, weight, depth)
                 assert chain.value("target") == target, (chain_fn.__name__, weight, depth)
-            monkeypatch.undo()
+            monkeypatch.setattr(norms, name, fn)
 
     def test_combined_chain_structure(self):
         a, b, x = _instance(14)
@@ -342,6 +383,18 @@ class TestHeinzFamily:
         kind = NormKind.spectral()
         vals = heinz_interpolation_values(i2, i2, x, 2.0, 1.0, np.linspace(0, 1, 5), kind)
         np.testing.assert_allclose(vals, 2 * ui_norm(x, kind), rtol=1e-12)
+
+    def test_value_independent_of_its_stack(self):
+        # The grid's 81 weights share one stack; each value is the one
+        # heinz_norm computes on a stack of one, bit for bit.
+        rng = np.random.default_rng(31)
+        kinds = (*ALL_KINDS, NormKind.schatten(1.5), NormKind.ky_fan(4))
+        for i, kind in enumerate(kinds):
+            a, b, x = _instance(100 + i, n=1 + i % 6, cond=float(rng.choice([10.0, 1e4])))
+            _, vals = norms.heinz_grid_margins(a, b, x, kind)
+            grid = np.linspace(-3.0, 4.0, 81)
+            for v, val in zip(grid, vals):
+                assert val == heinz_norm(a, b, x, float(v), kind), (str(kind), v)
 
     def test_shape_report_identity_trivial(self):
         i3 = SpdMatrix(np.eye(3))
