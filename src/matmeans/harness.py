@@ -29,12 +29,13 @@ import numpy as np
 
 from . import means, norms, scalar
 from .errors import DomainError
-from .linalg import HermitianMatrix, SpdMatrix, matrix_to_json, random_spd
+from .linalg import HermitianMatrix, SpdMatrix, _power_stack, matrix_to_json, random_spd
 from .reporting import (
     ChainReport,
+    _chain_verdict,
+    _row_fails,
     aggregate_report,
     chain_gap,
-    chain_slacks,
     reports_to_csv,
 )
 
@@ -112,15 +113,19 @@ class Built:
     base: object | None = None
     payload: dict = field(default_factory=dict)
 
-    def slack_row(self) -> np.ndarray:
-        if self.margins is not None:
-            return np.atleast_1d(np.asarray(self.margins, dtype=np.float64))
-        return chain_slacks(self.chain)
+    def slack_row(self) -> list[float]:
+        return self.verdict()[0]
 
     def gap(self) -> float:
         if self.margins is not None:
             return float(np.max(self.margins))
         return chain_gap(self.chain)
+
+    def verdict(self) -> tuple[list[float], float]:
+        """The slack row and the gap, from one pass over the chain."""
+        if self.margins is not None:
+            return np.asarray(self.margins, dtype=np.float64).ravel().tolist(), self.gap()
+        return _chain_verdict(self.chain)
 
 
 @dataclass(frozen=True)
@@ -571,13 +576,15 @@ _register(
 def _build_norm_collapse(rng, cfg, forced):
     a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     nu = _draw_nu(rng, cfg, forced, branch=1)
-    half = norms.norm_functional(a, b, x, 0.5, kind)
-    lhs1 = math.exp((1.0 + 2.0 * nu) * math.log(norms.ui_norm(a.a @ x, kind)))
-    rhs1 = math.exp(
-        math.log(norms.norm_functional(a, b, x, -nu, kind)) + 2.0 * nu * math.log(half)
-    )
-    g0 = norms.ui_norm(a.a @ x @ b.a, kind)
-    g_end = norms.ui_norm(a.power(1.0 + nu).a @ x @ b.power(1.0 + nu).a, kind)
+    # f(1/2) = ||A^{1/2} X B^{1/2}||, f(-nu), ||AX||, ||AXB|| and
+    # ||A^{1+nu} X B^{1+nu}||, from one SVD of the five products.
+    pa = _power_stack(a, [0.5, 1.0 + nu])
+    pb = _power_stack(b, [0.5, -nu, 1.0 + nu])
+    ax = a.a @ x
+    products = [pa[0] @ x @ pb[0], pa[1] @ x @ pb[1], ax, ax @ b.a, pa[1] @ x @ pb[2]]
+    half, f_end, f_ax, g0, g_end = norms._norms_of(np.stack(products), kind).tolist()
+    lhs1 = math.exp((1.0 + 2.0 * nu) * math.log(f_ax))
+    rhs1 = math.exp(math.log(f_end) + 2.0 * nu * math.log(half))
     lhs2 = math.exp((1.0 + 2.0 * nu) * math.log(g0))
     rhs2 = math.exp(math.log(g_end) + 2.0 * nu * math.log(half))
     m1 = (rhs1 - lhs1) / max(1.0, lhs1, rhs1)
@@ -594,9 +601,8 @@ def _build_norm_logconvexity(rng, cfg, forced):
     a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     v1, v2 = rng.uniform(-2.0, 3.0, size=2)
     alpha = float(rng.uniform(0.0, 1.0))
-    fa = norms.norm_functional(a, b, x, float(v1), kind)
-    fb = norms.norm_functional(a, b, x, float(v2), kind)
-    fm = norms.norm_functional(a, b, x, float(alpha * v1 + (1 - alpha) * v2), kind)
+    weights = [float(v1), float(v2), float(alpha * v1 + (1 - alpha) * v2)]
+    fa, fb, fm = norms._functional_values(a, b, x, weights, kind).tolist()
     bound = math.exp(alpha * math.log(fa) + (1 - alpha) * math.log(fb))
     margin = (bound - fm) / max(1.0, bound, fm)
     return Built(
@@ -613,9 +619,8 @@ def _build_norm_logconvexity(rng, cfg, forced):
 def _build_heinz_symmetry(rng, cfg, forced):
     a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
     nu = float(rng.uniform(-3.0, 4.0))
-    d = abs(
-        norms.heinz_norm(a, b, x, nu, kind) - norms.heinz_norm(a, b, x, 1.0 - nu, kind)
-    )
+    f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu], kind).tolist()
+    d = abs(f_nu - f_mirror)
     return Built(margins=np.array([(1e-10 - d) / 1e-10]), payload={**payload, "nu": nu})
 
 
@@ -664,8 +669,7 @@ def _build_heinz_outside(rng, cfg, forced):
         nu = -float(rng.uniform(0.01, 3.0))
     else:
         nu = 1.0 + float(rng.uniform(0.01, 3.0))
-    f0 = norms.heinz_norm(a, b, x, 0.0, kind)
-    fv = norms.heinz_norm(a, b, x, nu, kind)
+    f0, fv = norms._heinz_values(a, b, x, [0.0, nu], kind).tolist()
     return Built(
         margins=np.array([(fv - f0) / max(1.0, f0, fv)]),
         payload={**payload, "nu": nu},
@@ -760,7 +764,7 @@ def _write_failure(directory: Path, name: str, index: int, built: Built, row, cf
         "instance": index,
         "seed": cfg.seed,
         "rel_tol": cfg.rel_tol,
-        "slacks": [float(s) for s in row],
+        "slacks": row,
         "params": built.payload,
     }
     (directory / f"{name}-{index:05d}.json").write_text(json.dumps(data, indent=1))
@@ -782,17 +786,20 @@ def run_case(
     """
     case = _case(name)
     cfg = _config_for(case, cfg, overrides)
-    rows: list[np.ndarray] = []
+    rows: list[list[float]] = []
     gaps: list[float] = []
     written = 0
     for index, built in _instances(case, cfg, {}):
-        row = built.slack_row()
+        row, gap = built.verdict()
         rows.append(row)
-        gaps.append(built.gap())
-        if float(np.min(row)) < -cfg.rel_tol and failures_dir is not None:
-            if written < MAX_FAILURE_FILES_PER_CASE:
-                _write_failure(Path(failures_dir), name, index, built, row, cfg)
-                written += 1
+        gaps.append(gap)
+        if (
+            failures_dir is not None
+            and written < MAX_FAILURE_FILES_PER_CASE
+            and _row_fails(row, cfg.rel_tol)
+        ):
+            _write_failure(Path(failures_dir), name, index, built, row, cfg)
+            written += 1
     skipped = index + 1 - len(rows)  # every index up to the last one was drawn
     return aggregate_report(
         name, rows, gaps, cfg.rel_tol, skipped=skipped, notes=case.description

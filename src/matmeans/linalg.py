@@ -4,7 +4,8 @@ Everything downstream (operator means, unitarily invariant norms, the
 verification harness) is built on the small toolkit in this module:
 
 * value types ``ComplexMatrix`` -> ``HermitianMatrix`` -> ``SpdMatrix`` that
-  validate their defining property at construction,
+  validate their defining property at construction, and ``OperatorChain``,
+  the Loewner-ordered chain that ``means`` builds and ``reporting`` checks,
 * a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``),
 * spectral functions ``apply_spectral`` / ``spd_pow``,
 * the semidefinite (Loewner) order check ``loewner_leq``,
@@ -31,12 +32,13 @@ LOEWNER_REL_TOL = 1e-9
 
 
 def _eigh_array(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and unitary eigenvector columns of Hermitian ``h``."""
+    """Eigenvalues (ascending) and unitary eigenvector columns of Hermitian
+    ``h``, or of every matrix of a stack of them."""
     try:
         return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"LAPACK Hermitian eigensolver did not converge (n={h.shape[0]}): {exc}"
+            f"LAPACK Hermitian eigensolver did not converge (n={h.shape[-1]}): {exc}"
         ) from exc
 
 
@@ -152,6 +154,28 @@ class SpdMatrix(HermitianMatrix):
             return SpdMatrix._assemble(np.ones(n), np.eye(n, dtype=np.complex128))
         w = self.eig.eigenvalues ** t
         return SpdMatrix._assemble(w, self.eig.eigenvectors)
+
+
+@dataclass(frozen=True)
+class OperatorChain:
+    """Labeled Hermitian matrices claimed ascending in the Loewner order."""
+
+    labels: tuple[str, ...]
+    matrices: tuple[HermitianMatrix, ...]
+
+    def __post_init__(self):
+        if len(self.labels) != len(self.matrices) or len(self.matrices) < 2:
+            raise DomainError("chain needs matching labels/matrices, length >= 2")
+        dims = {m.n for m in self.matrices}
+        if len(dims) != 1:
+            raise DomainError(f"chain matrices must share a dimension, got {dims}")
+
+    @property
+    def n(self) -> int:
+        return self.matrices[0].n
+
+    def matrix(self, label: str) -> HermitianMatrix:
+        return self.matrices[self.labels.index(label)]
 
 
 def _power_stack(m: SpdMatrix, ts) -> np.ndarray:

@@ -17,42 +17,20 @@ gives the same matrices up to round-off; the tests cross-check both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
 from .linalg import (
     HermitianMatrix,
     LOEWNER_REL_TOL,
+    OperatorChain,
     SpdMatrix,
     _as_spd,
     _power_stack,
     loewner_leq,
 )
+from .norms import singular_values
 from .scalar import ScalarChain, _check_depth, weight_branch
-
-
-@dataclass(frozen=True)
-class OperatorChain:
-    """Labeled Hermitian matrices claimed ascending in the Loewner order."""
-
-    labels: tuple[str, ...]
-    matrices: tuple[HermitianMatrix, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.matrices) or len(self.matrices) < 2:
-            raise DomainError("chain needs matching labels/matrices, length >= 2")
-        dims = {m.n for m in self.matrices}
-        if len(dims) != 1:
-            raise DomainError(f"chain matrices must share a dimension, got {dims}")
-
-    @property
-    def n(self) -> int:
-        return self.matrices[0].n
-
-    def matrix(self, label: str) -> HermitianMatrix:
-        return self.matrices[self.labels.index(label)]
 
 
 class _Transfer:
@@ -337,8 +315,6 @@ def trace_depth1_chain(a, b, nu: float) -> ScalarChain:
     second is the depth-1 additive chain, and the last is the triangle
     inequality for the trace against the Schatten-1 norm of the product.
     """
-    from .norms import singular_values  # norms -> reporting -> means at import
-
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("trace_depth1_chain requires nu >= 0")

@@ -5,7 +5,12 @@ tolerance. Scalar links report the normalized forward difference
 ``(v[i+1] - v[i]) / scale`` with ``scale = max(1, max |v|)``; operator links
 report the smallest eigenvalue of the difference normalized by
 ``max(1, ||X_i||_2, ||X_{i+1}||_2)``. A link fails when its slack drops
-below ``-rel_tol``.
+below ``-rel_tol`` or is NaN.
+
+The harness takes each instance's slacks and gap from ``_chain_verdict`` in
+one pass: Python floats for a scalar chain, one stacked ``eigh`` for an
+operator chain. ``chain_slacks`` and its two variants share those helpers;
+``chain_gap`` (the sweep's path) returns the same gap on its own.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import HermitianMatrix
-from .means import OperatorChain
+from .linalg import HermitianMatrix, OperatorChain, _eigh_array
 from .scalar import ScalarChain
 
 CSV_HEADER = "case,instances,skipped,failures,min_slack,max_gap"
@@ -65,34 +69,70 @@ class ChainReport:
         return line
 
 
+def _scalar_slacks(values) -> list[float]:
+    """``np.diff(v) / scale`` in Python floats: the same IEEE operations."""
+    v = [float(x) for x in values]
+    scale = max(1.0, max(abs(x) for x in v))
+    return [(hi - lo) / scale for lo, hi in zip(v, v[1:])]
+
+
+def _operator_verdict(chain: OperatorChain) -> tuple[list[float], float]:
+    """Link slacks and the gap of an operator chain from one stacked ``eigh``.
+
+    The stack holds every matrix whose spectrum is not cached yet, each
+    link's difference X_{i+1} - X_i and the end-to-end difference X_k - X_0.
+    The matrices are exactly Hermitian (every constructor symmetrizes), so
+    their differences are too and need no re-symmetrization: each slice's
+    spectrum is the one ``HermitianMatrix(y.a - x.a).eig`` gives. A
+    difference D whose symmetrization D + D* = 2 D overflows raises
+    DomainError, as that constructor does.
+    """
+    mats = chain.matrices
+    xs = np.stack([m.a for m in mats])
+    diffs = np.concatenate([xs[1:] - xs[:-1], xs[-1:] - xs[:1]])
+    if not np.isfinite(diffs + diffs).all():
+        raise DomainError("matrix entries must be finite")
+    fresh = [i for i, m in enumerate(mats) if "eig" not in m.__dict__]
+    w = _eigh_array(np.concatenate([xs[fresh], diffs]))[0].tolist()
+    solved = {i: max(abs(wi[0]), abs(wi[-1])) for i, wi in zip(fresh, w)}
+    norm2 = [solved[i] if i in solved else m.spectral_norm for i, m in enumerate(mats)]
+    links = w[len(fresh) : -1]
+    slacks = [d[0] / max(1.0, x, y) for d, x, y in zip(links, norm2, norm2[1:])]
+    return slacks, w[-1][-1]
+
+
+def _chain_verdict(chain) -> tuple[list[float], float]:
+    """``(chain_slacks(chain), chain_gap(chain))`` in one pass, as floats."""
+    if isinstance(chain, ScalarChain):
+        v = chain.values
+        return _scalar_slacks(v), float(v[-1] - v[0])
+    if isinstance(chain, OperatorChain):
+        return _operator_verdict(chain)
+    raise DomainError(f"not a chain: {type(chain).__name__}")
+
+
+def _row_fails(row, rel_tol: float) -> bool:
+    """A slack row fails when a slack is below ``-rel_tol`` or is NaN."""
+    floor = -rel_tol
+    return not all(s >= floor for s in row)
+
+
 def scalar_chain_slacks(chain: ScalarChain) -> np.ndarray:
     """Normalized forward differences of a scalar chain."""
-    v = np.asarray(chain.values, dtype=np.float64)
-    scale = max(1.0, float(np.max(np.abs(v))))
-    return np.diff(v) / scale
+    return np.asarray(_scalar_slacks(chain.values))
 
 
 def operator_chain_slacks(chain: OperatorChain) -> np.ndarray:
     """Normalized Loewner witnesses for consecutive links of an operator chain."""
-    slacks = []
-    for x, y in zip(chain.matrices, chain.matrices[1:]):
-        diff = HermitianMatrix(y.a - x.a)
-        witness = float(diff.eig.eigenvalues[0])
-        scale = max(1.0, x.spectral_norm, y.spectral_norm)
-        slacks.append(witness / scale)
-    return np.asarray(slacks)
+    return np.asarray(_operator_verdict(chain)[0])
 
 
 def chain_slacks(chain) -> np.ndarray:
-    if isinstance(chain, ScalarChain):
-        return scalar_chain_slacks(chain)
-    if isinstance(chain, OperatorChain):
-        return operator_chain_slacks(chain)
-    raise DomainError(f"not a chain: {type(chain).__name__}")
+    return np.asarray(_chain_verdict(chain)[0])
 
 
 def chain_passes(chain, rel_tol: float) -> bool:
-    return bool(np.min(chain_slacks(chain)) >= -rel_tol)
+    return not _row_fails(_chain_verdict(chain)[0], rel_tol)
 
 
 def chain_gap(chain) -> float:
@@ -106,50 +146,48 @@ def chain_gap(chain) -> float:
     raise DomainError(f"not a chain: {type(chain).__name__}")
 
 
-def _quantiles(columns: list[list[float]]) -> tuple[tuple[float, float, float], ...]:
+def _quantiles(columns: list[np.ndarray]) -> tuple[tuple[float, float, float], ...]:
     out = []
     for col in columns:
-        arr = np.asarray(col)
-        q10, q50, q90 = np.quantile(arr, [0.1, 0.5, 0.9])
+        q10, q50, q90 = np.quantile(col, [0.1, 0.5, 0.9])
         out.append((float(q10), float(q50), float(q90)))
     return tuple(out)
 
 
 def aggregate_report(
     name: str,
-    slack_rows: list[np.ndarray],
+    slack_rows: list[list[float]],
     gaps: list[float],
     rel_tol: float,
     skipped: int = 0,
     notes: str = "",
 ) -> ChainReport:
-    """Fold per-instance slack vectors into a ChainReport.
+    """Fold per-instance slack rows (lists or arrays) into a ChainReport.
 
-    An instance fails when its smallest link slack is below ``-rel_tol``.
-    Rows may have different lengths (margin-style cases); quantiles are taken
-    per link position over the instances that reach it.
+    An instance fails when a link slack is below ``-rel_tol`` or is NaN,
+    and a NaN slack makes ``min_slack`` NaN. Rows may have different
+    lengths (margin-style cases); quantiles are taken per link position over
+    the instances that reach it.
     """
     if not slack_rows:
         raise DomainError(f"case {name} produced no instances")
     failures = 0
-    min_slack = np.inf
     width = max(len(r) for r in slack_rows)
     columns: list[list[float]] = [[] for _ in range(width)]
     for row in slack_rows:
-        m = float(np.min(row))
-        min_slack = min(min_slack, m)
-        if m < -rel_tol:
+        if _row_fails(row, rel_tol):
             failures += 1
-        for k, s in enumerate(row):
-            columns[k].append(float(s))
+        for col, s in zip(columns, row):
+            col.append(s)
+    arrays = [np.asarray(col, dtype=np.float64) for col in columns]
     return ChainReport(
         name=name,
         instances=len(slack_rows),
         skipped=skipped,
         failures=failures,
-        min_slack=float(min_slack),
+        min_slack=float(np.min([a.min() for a in arrays])),
         max_gap=float(max(gaps)) if gaps else 0.0,
-        link_quantiles=_quantiles(columns),
+        link_quantiles=_quantiles(arrays),
         notes=notes,
     )
 

@@ -2,16 +2,20 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from matmeans import DomainError, ScalarChain
+from matmeans import DomainError, HermitianMatrix, OperatorChain, ScalarChain
 from matmeans import harness
 from matmeans.harness import Built, CaseConfig, Resample
 from matmeans.reporting import (
     aggregate_report,
+    chain_gap,
+    chain_passes,
     chain_slacks,
+    operator_chain_slacks,
     reports_to_csv,
     scalar_chain_slacks,
 )
@@ -81,6 +85,21 @@ class TestRunCase:
             assert data["params"] == {"note": "synthetic"}
         finally:
             harness.REGISTRY.pop("_synthetic_fail")
+
+    def test_nan_slack_is_a_failure_with_a_repro_file(self, tmp_path):
+        def nan_margin(rng, cfg, forced):
+            return Built(margins=np.array([0.1, np.nan]), payload={"note": "nan"})
+
+        harness.REGISTRY["_synthetic_nan"] = harness.CaseDef(
+            "_synthetic_nan", nan_margin, {"instances": 3}, (), "synthetic"
+        )
+        try:
+            report = harness.run_case("_synthetic_nan", failures_dir=tmp_path)
+            assert report.failures == 3
+            assert math.isnan(report.min_slack)
+            assert len(list(tmp_path.glob("_synthetic_nan-*.json"))) == 3
+        finally:
+            harness.REGISTRY.pop("_synthetic_nan")
 
     def test_resample_budget_enforced(self):
         def always_skips(rng, cfg, forced):
@@ -251,6 +270,15 @@ class TestReportAggregation:
         assert report.min_slack == pytest.approx(-1e-3)
         assert report.max_gap == 2.0
 
+    def test_nan_slack_counts_as_failure(self):
+        # NaN compares false against -rel_tol; it must still fail the row,
+        # as chain_passes already does, and show in min_slack.
+        for nan_row in (np.array([np.nan, 0.1]), [0.1, float("nan")]):
+            report = aggregate_report("x", [nan_row, [0.2, 0.3]], [0.0, 1.0], 1e-9)
+            assert report.failures == 1
+            assert math.isnan(report.min_slack)
+        assert not chain_passes(ScalarChain(("a", "b"), (0.0, 1.0)), float("nan"))
+
     def test_quantiles_shape(self):
         rows = [np.array([float(i), float(i)]) for i in range(10)]
         report = aggregate_report("q", rows, [0.0], rel_tol=1e-9)
@@ -266,3 +294,72 @@ class TestReportAggregation:
             CaseConfig(cond_max=float("nan"))
         with pytest.raises(DomainError, match="cond_max must be finite"):
             CaseConfig(cond_max=float("inf"))
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+OPERATOR_CASES = (
+    "operator_reverse_pos",
+    "operator_reverse_neg",
+    "operator_squared_pos",
+    "operator_squared_neg",
+    "harmonic_operator",
+    "kantorovich_operator",
+)
+
+
+class TestVerdictPath:
+    def test_scalar_slacks_bit_identical_to_numpy(self):
+        # Magnitudes from 1e-300 to 1e300, both signs, mixed within a chain.
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            k = int(rng.integers(2, 8))
+            v = rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-300, 300, size=k)
+            chain = ScalarChain(tuple("abcdefgh"[:k]), tuple(v.tolist()))
+            expected = np.diff(v) / max(1.0, float(np.max(np.abs(v))))
+            row, gap = Built(chain=chain).verdict()
+            assert _bits(row) == _bits(expected)
+            assert _bits(scalar_chain_slacks(chain)) == _bits(expected)
+            assert gap == chain_gap(chain)
+
+    @staticmethod
+    def _per_link(chain):
+        slacks = []
+        for x, y in zip(chain.matrices, chain.matrices[1:]):
+            witness = float(HermitianMatrix(y.a - x.a).eig.eigenvalues[0])
+            slacks.append(witness / max(1.0, x.spectral_norm, y.spectral_norm))
+        return slacks
+
+    def test_stacked_operator_verdict_matches_per_link(self):
+        checked = 0
+        for cond in (100.0, 1e8):
+            for name in OPERATOR_CASES:
+                for index in range(50):
+                    try:
+                        chain = harness.build_instance(name, index, cond_max=cond).chain
+                    except (Resample, DomainError):
+                        continue  # hypothesis miss, or an abort at 1e8 (ROADMAP item 2)
+                    # Stacked first, while no chain matrix has its spectrum cached.
+                    row, gap = Built(chain=chain).verdict()
+                    assert _bits(row) == _bits(self._per_link(chain)), (name, cond, index)
+                    assert _bits([gap]) == _bits([chain_gap(chain)]), (name, cond, index)
+                    # Now every spectrum is cached, and the result is the same.
+                    assert _bits(operator_chain_slacks(chain)) == _bits(row)
+                    checked += 1
+        assert checked >= 400
+
+    def test_overflowing_difference_raises(self):
+        # Each matrix is valid, but the per-link HermitianMatrix(hi - lo)
+        # overflows when it symmetrizes; the stacked path raises as well.
+        lo = HermitianMatrix(-6e307 * np.eye(2))
+        hi = HermitianMatrix(6e307 * np.eye(2))
+        chain = OperatorChain(("lo", "hi"), (lo, hi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="finite"):
+                HermitianMatrix(hi.a - lo.a)
+            with pytest.raises(DomainError, match="finite"):
+                chain_slacks(chain)
+            with pytest.raises(DomainError, match="finite"):
+                Built(chain=chain).verdict()

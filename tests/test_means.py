@@ -7,6 +7,8 @@ matrices from the public mean operations and compare, and reduce commuting
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -416,3 +418,23 @@ class TestOperatorChainType:
         assert operator_chain_slacks(up)[0] > 0
         down = OperatorChain(("hi", "lo"), (bigger, a))
         assert operator_chain_slacks(down)[0] < 0
+
+
+class TestImportOrder:
+    @pytest.mark.parametrize("first", ["means", "norms"])
+    def test_module_imports_without_a_cycle(self, first):
+        # Load the package without its __init__, so ``first`` really is the
+        # first matmeans module imported; means takes norms at module level.
+        code = (
+            "import importlib, sys, types\n"
+            "pkg = types.ModuleType('matmeans')\n"
+            f"pkg.__path__ = [{str(means.__file__.rsplit('/', 1)[0])!r}]\n"
+            "sys.modules['matmeans'] = pkg\n"
+            f"importlib.import_module('matmeans.{first}')\n"
+            "import matmeans.means, matmeans.norms\n"
+            "assert matmeans.means.singular_values is matmeans.norms.singular_values\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
