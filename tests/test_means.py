@@ -7,6 +7,7 @@ matrices from the public mean operations and compare, and reduce commuting
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -428,7 +429,7 @@ class TestImportOrder:
         code = (
             "import importlib, sys, types\n"
             "pkg = types.ModuleType('matmeans')\n"
-            f"pkg.__path__ = [{str(means.__file__.rsplit('/', 1)[0])!r}]\n"
+            f"pkg.__path__ = [{os.path.dirname(means.__file__)!r}]\n"
             "sys.modules['matmeans'] = pkg\n"
             f"importlib.import_module('matmeans.{first}')\n"
             "import matmeans.means, matmeans.norms\n"
