@@ -288,11 +288,12 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
     either), then the depth unless ``depth`` is false, and calls
     ``chain_fn(**inputs, nu=, depth=, **fixed)``. ``base`` names the chain's
     unrefined bound; with it the "refined" and ``base`` entries feed the
-    sweep gain.
+    sweep gain. A sweep passes the inputs as ``drawn``, with ``rng`` already
+    past their draw (see ``_build``); the builder extends their dicts.
     """
 
-    def build(rng, cfg, forced):
-        args, payload = inputs(rng, cfg, forced)
+    def build(rng, cfg, forced, drawn=None):
+        args, payload = inputs(rng, cfg, forced) if drawn is None else drawn
         args["nu"] = payload["nu"] = _draw_nu(rng, cfg, forced, branch)
         if depth:
             args["depth"] = payload["depth"] = _draw_depth(rng, cfg, forced)
@@ -303,6 +304,7 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
         return Built(chain=chain, refined=pick("refined"), base=pick(base), payload=payload)
 
     build.nu_branch = branch
+    build.inputs = inputs
     return build
 
 
@@ -722,16 +724,42 @@ def _build_heinz_interp_grid(rng, cfg, forced):
 # ---------------------------------------------------------------------------
 # Execution.
 
-def _build(case: CaseDef, cfg: CaseConfig, index: int, forced: dict) -> Built:
-    return case.build(instance_rng(cfg.seed, case.name, index), cfg, forced)
+def _build(
+    case: CaseDef, cfg: CaseConfig, index: int, forced: dict, memo: dict | None = None
+) -> Built:
+    """Build instance ``index``.
+
+    With ``memo``, a builder that has ``inputs`` draws them once per
+    (index, forced cond): input draws read no other forced parameter. A
+    repeat resumes the instance's stream where the first draw left it, so
+    the draws that follow read the same numbers as after a fresh draw. Each
+    build gets its own copies of the args and payload dicts; the arrays
+    they share are read-only.
+    """
+    rng = instance_rng(cfg.seed, case.name, index)
+    inputs = None if memo is None else getattr(case.build, "inputs", None)
+    if inputs is None:
+        return case.build(rng, cfg, forced)
+    key = (index, forced.get("cond"))
+    if key in memo:
+        args, payload, state = memo[key]
+        rng.bit_generator.state = state
+    else:
+        args, payload = inputs(rng, cfg, forced)
+        for value in args.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        memo[key] = args, payload, rng.bit_generator.state
+    return case.build(rng, cfg, forced, drawn=(dict(args), dict(payload)))
 
 
-def _instances(case: CaseDef, cfg: CaseConfig, forced: dict):
+def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, memo: dict | None = None):
     """Yield (index, built) for the first ``cfg.instances`` instances that hold.
 
     Instance ``index`` draws from ``instance_rng(seed, case, index)``. One
     whose hypothesis fails (Resample) is skipped for the next index; more
-    than 100x ``cfg.instances`` skips raise RuntimeError.
+    than 100x ``cfg.instances`` skips raise RuntimeError. ``memo``, a
+    sweep's, is passed on to ``_build``.
     """
     index = produced = 0
     while produced < cfg.instances:
@@ -740,7 +768,7 @@ def _instances(case: CaseDef, cfg: CaseConfig, forced: dict):
                 f"case {case.name}: resampling exceeded {_RESAMPLE_FACTOR}x instance budget"
             )
         try:
-            built = _build(case, cfg, index, forced)
+            built = _build(case, cfg, index, forced, memo)
         except Resample:
             pass
         else:
@@ -885,11 +913,13 @@ def sweep(
     """Re-evaluate a case while pinning one parameter to each grid value.
 
     Instances keep their identity across the grid (same per-index draws with
-    only ``param`` overridden), so columns are directly comparable. Returns
-    one row per grid value with the mean end-to-end gap and mean refinement
-    gain (refined bound minus unrefined bound; trace difference for operator
-    chains). Every grid value is checked by ``sweep_values`` before any
-    instance is built.
+    only ``param`` overridden), so columns are directly comparable. A
+    refinement-table case draws each instance's inputs (A, B, X, ...) once
+    per cond and re-evaluates only the chain at each grid value; the other
+    cases redraw. Returns one row per grid value with the mean end-to-end
+    gap and mean refinement gain (refined bound minus unrefined bound; trace
+    difference for operator chains). Every grid value is checked by
+    ``sweep_values`` before any instance is built.
     """
     case = _case(name)
     if param not in case.sweep_params:
@@ -898,11 +928,12 @@ def sweep(
         )
     values = sweep_values(param, grid, case.nu_branch)
     cfg = _config_for(case, cfg, overrides)
+    memo: dict = {}
     out = []
     for value in values:
         gaps = []
         gains = []
-        for _, built in _instances(case, cfg, {param: value}):
+        for _, built in _instances(case, cfg, {param: value}, memo):
             gaps.append(built.gap())
             gains.append(_gain(built))
         out.append(

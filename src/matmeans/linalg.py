@@ -90,22 +90,27 @@ class ComplexMatrix:
 class HermitianMatrix(ComplexMatrix):
     """A matrix with H = H* up to round-off; symmetrized at construction.
 
-    Construction fails if the Hermitian defect exceeds
-    ``HERMITIAN_DEFECT_TOL * (1 + max |entry|)``; below that the entries are
-    replaced by (H + H*)/2 so round-off never accumulates across operations.
+    Construction fails on a non-finite entry, and if the Hermitian defect
+    exceeds ``HERMITIAN_DEFECT_TOL * (1 + max |entry|)``; below that the
+    entries are replaced by H/2 + (H/2)* so round-off never accumulates
+    across operations. Halving before the sum keeps every finite H finite;
+    for normal numbers it gives the same bits as (H + H*)/2.
     """
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
-        defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
         scale = 1.0 + float(np.max(np.abs(a)))
+        if not np.isfinite(scale) and not np.isfinite(a).all():
+            raise DomainError("matrix entries must be finite")
+        defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
         if not np.isfinite(scale) or defect > HERMITIAN_DEFECT_TOL * scale:
             raise DomainError(
                 f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance"
             )
-        super().__init__((a + a.conj().T) / 2.0)
+        h = a / 2.0
+        super().__init__(h + h.conj().T)
 
     @cached_property
     def eig(self) -> EigenDecomposition:
@@ -143,7 +148,8 @@ class SpdMatrix(HermitianMatrix):
         q = np.ascontiguousarray(np.asarray(q, dtype=np.complex128)[:, order])
         m = (q * w) @ q.conj().T
         obj = cls.__new__(cls)
-        ComplexMatrix.__init__(obj, (m + m.conj().T) / 2.0)
+        m = m / 2.0
+        ComplexMatrix.__init__(obj, m + m.conj().T)
         obj._attach_eig(w, q)
         return obj
 
@@ -206,7 +212,8 @@ def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
     if zero:
         qs[zero] = np.eye(n)
     s = (qs * wts[:, None, :]) @ qs.conj().swapaxes(-1, -2)
-    s = (s + s.conj().swapaxes(-1, -2)) / 2.0
+    s = s / 2.0
+    s = s + s.conj().swapaxes(-1, -2)
     if not np.isfinite(s).all():
         raise DomainError("matrix entries must be finite")
     return s

@@ -84,13 +84,13 @@ def _operator_verdict(chain: OperatorChain) -> tuple[list[float], float]:
     The matrices are exactly Hermitian (every constructor symmetrizes), so
     their differences are too and need no re-symmetrization: each slice's
     spectrum is the one ``HermitianMatrix(y.a - x.a).eig`` gives. A
-    difference D whose symmetrization D + D* = 2 D overflows raises
-    DomainError, as that constructor does.
+    difference whose subtraction overflows raises DomainError, as that
+    constructor does.
     """
     mats = chain.matrices
     xs = np.stack([m.a for m in mats])
     diffs = np.concatenate([xs[1:] - xs[:-1], xs[-1:] - xs[:1]])
-    if not np.isfinite(diffs + diffs).all():
+    if not np.isfinite(diffs).all():
         raise DomainError("matrix entries must be finite")
     fresh = [i for i, m in enumerate(mats) if "eig" not in m.__dict__]
     w = _eigh_array(np.concatenate([xs[fresh], diffs]))[0].tolist()

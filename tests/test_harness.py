@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from matmeans import DomainError, HermitianMatrix, OperatorChain, ScalarChain
-from matmeans import harness
+from matmeans import harness, linalg
 from matmeans.harness import Built, CaseConfig, Resample
 from matmeans.reporting import (
     aggregate_report,
@@ -350,11 +350,24 @@ class TestVerdictPath:
                     checked += 1
         assert checked >= 400
 
-    def test_overflowing_difference_raises(self):
-        # Each matrix is valid, but the per-link HermitianMatrix(hi - lo)
-        # overflows when it symmetrizes; the stacked path raises as well.
+    def test_large_finite_difference_verifies(self):
+        # hi - lo = 1.2e308 I is finite; halving before the sum keeps its
+        # symmetrization finite on the per-link and the stacked path.
         lo = HermitianMatrix(-6e307 * np.eye(2))
         hi = HermitianMatrix(6e307 * np.eye(2))
+        chain = OperatorChain(("lo", "hi"), (lo, hi))
+        per_link = self._per_link(chain)
+        assert per_link == [2.0]
+        row, gap = Built(chain=chain).verdict()
+        assert _bits(row) == _bits(per_link)
+        assert _bits(chain_slacks(chain)) == _bits(per_link)
+        assert _bits([gap]) == _bits([chain_gap(chain)]) == _bits([1.2e308])
+
+    def test_overflowing_difference_raises(self):
+        # Each matrix is valid, but hi - lo overflows to inf: the per-link
+        # HermitianMatrix(hi - lo) and the stacked path both reject it.
+        lo = HermitianMatrix(-1e308 * np.eye(2))
+        hi = HermitianMatrix(1e308 * np.eye(2))
         chain = OperatorChain(("lo", "hi"), (lo, hi))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DomainError, match="finite"):
@@ -363,3 +376,64 @@ class TestVerdictPath:
                 chain_slacks(chain)
             with pytest.raises(DomainError, match="finite"):
                 Built(chain=chain).verdict()
+
+
+def _hex_rows(rows) -> list[tuple[str, str, str]]:
+    return [(r.value.hex(), r.mean_gap.hex(), r.mean_gain.hex()) for r in rows]
+
+
+class TestSweepReuse:
+    """A sweep draws each instance's inputs once per cond, with unchanged results."""
+
+    SWEEPS = (("depth", [1, 3, 6]), ("nu", [0.0, 1.5, 3.0]), ("cond", [2.0, 50.0]))
+
+    def test_rows_equal_fresh_builds(self):
+        k = 4
+        for name in ("operator_reverse_pos", "norm_heinz_power", "heinz_reverse", "trace_additive"):
+            for param, grid in self.SWEEPS:
+                rows = harness.sweep(name, param, grid, instances=k)
+                expected = []
+                for value in grid:
+                    built = [
+                        harness.build_instance(name, i, forced={param: value}) for i in range(k)
+                    ]
+                    expected.append(harness.SweepRow(
+                        float(value),
+                        float(np.mean([b.gap() for b in built])),
+                        float(np.mean([harness._gain(b) for b in built])),
+                    ))
+                assert _hex_rows(rows) == _hex_rows(expected), (name, param)
+
+    def test_random_spd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return linalg.random_spd(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "random_spd", counting)
+        instances, grid = 3, [1, 2, 4, 8]
+        harness.sweep("operator_reverse_pos", "depth", grid, instances=instances)
+        assert len(calls) == 2 * instances
+        calls.clear()
+        harness.sweep("norm_heinz_power", "nu", [0.0, 1.0, 2.0], instances=instances)
+        assert len(calls) == 2 * instances
+        calls.clear()
+        # A cond sweep redraws A and B at every value.
+        harness.sweep("operator_reverse_pos", "cond", [2.0, 10.0, 50.0], instances=instances)
+        assert len(calls) == 2 * 3 * instances
+
+    def test_payload_not_changed_by_next_build(self):
+        case = harness.REGISTRY["norm_heinz_power"]
+        cfg = harness._config_for(case, None, {"instances": 2})
+        memo = {}
+        first = [b for _, b in harness._instances(case, cfg, {"depth": 1}, memo)]
+        saved = json.dumps([b.payload for b in first])
+        second = [b for _, b in harness._instances(case, cfg, {"depth": 5}, memo)]
+        assert json.dumps([b.payload for b in first]) == saved
+        for b1, b2 in zip(first, second):
+            assert (b1.payload["depth"], b2.payload["depth"]) == (1, 5)
+            assert {**b2.payload, "depth": 1} == b1.payload
+        # The X every grid value shares cannot be written through.
+        for args, _, _ in memo.values():
+            assert not args["x"].flags.writeable

@@ -25,6 +25,8 @@ from matmeans import (
     spd_pow,
 )
 
+from matmeans.linalg import _power_stack
+
 from jacobi_oracle import jacobi_eigenvalues
 
 
@@ -50,6 +52,30 @@ class TestConstruction:
     def test_hermitian_rejects_large_defect(self):
         with pytest.raises(DomainError):
             HermitianMatrix([[1.0, 0.5], [0.7, 2.0]])
+
+    def test_hermitian_rejects_non_finite(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite"):
+                HermitianMatrix([[bad, 0], [0, 1]])
+
+    def test_entries_above_half_the_largest_double(self):
+        # (H + H*)/2 would overflow here; H/2 + H*/2 does not.
+        big = 1e308 * np.eye(2)
+        np.testing.assert_array_equal(HermitianMatrix(big).a, big)
+        s = SpdMatrix(big)
+        np.testing.assert_array_equal(s.eig.eigenvalues, [1e308, 1e308])
+        np.testing.assert_array_equal(SpdMatrix._assemble(np.array([1e308, 1e308]), np.eye(2)).a, big)
+        np.testing.assert_array_equal(_power_stack(s, [1.0, 0.5])[0], big)
+
+    def test_symmetrization_bits_unchanged_for_normal_numbers(self):
+        rng = np.random.default_rng(11)
+        for scale in 10.0 ** np.arange(-300, 301, 25):
+            h = _rand_hermitian(rng, 4).a
+            noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            a = scale * (h + 1e-14 * noise)
+            expected = (a + a.conj().T) / 2.0
+            got = HermitianMatrix(a).a
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     def test_spd_rejects_indefinite(self):
         with pytest.raises(DomainError):

@@ -1,0 +1,110 @@
+"""Write a snapshot of matmeans' outputs, to check that a change is bit-identical.
+
+Run it once on each of two source trees and compare the two directories::
+
+    python3 tools/identity_snapshot.py --src ../parent/src --out /tmp/snap-parent
+    python3 tools/identity_snapshot.py --src src --out /tmp/snap-change
+    diff -r /tmp/snap-parent /tmp/snap-change   # silent when identical
+
+``--src`` is the directory that holds the ``matmeans`` package to import.
+Every float goes out as ``float.hex``, so any change in the last bit shows.
+The files:
+
+* ``default.csv`` and ``default_quantiles.txt``: ``reports_to_csv(run_suite())``
+  at the default config, and every report's ``link_quantiles``;
+* ``instances20.csv`` and ``instances20_quantiles.txt``: the same at
+  ``instances=20``;
+* ``sweeps.txt``: every registered case x ``sweep_params`` series at 6
+  instances, on nu {0, 1.5, 3} (or {-1, -2.5, -4} on the nu <= -1 branch),
+  depth {1, 3, 6} and cond {2, 50};
+* ``sweep_depth.txt``: the series of the ``sweep_depth`` benchmark workload
+  (depth 1..16, one instance at each dimension n) on seeds 7,
+  ``DEFAULT_SEED`` and 11.
+
+The default suite takes most of the run time, about ten seconds on a
+2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+SWEEP_INSTANCES = 6
+GRIDS = {"depth": (1, 3, 6), "cond": (2.0, 50.0)}
+NU_GRIDS = {1: (0.0, 1.5, 3.0), -1: (-1.0, -2.5, -4.0)}
+#: The ``sweep_depth`` workload of perfbench/workloads.py: case -> largest n.
+SWEEP_DEPTH_CASES = {"operator_reverse_pos": 8, "norm_heinz_power": 6, "heinz_reverse": 6}
+SWEEP_DEPTHS = tuple(range(1, 17))
+
+
+def _hex(x: float) -> str:
+    return float(x).hex()
+
+
+def _quantile_lines(reports) -> str:
+    lines = []
+    for r in reports:
+        qs = " | ".join(" ".join(_hex(q) for q in link) for link in r.link_quantiles)
+        lines.append(f"{r.name}: {qs}")
+    return "\n".join(lines) + "\n"
+
+
+def _series(harness, name: str, param: str, grid, **overrides) -> str:
+    try:
+        rows = harness.sweep(name, param, grid, **overrides)
+    except (ValueError, RuntimeError) as exc:  # DomainError, ConvergenceError, ...
+        return f"{name} {param}: {type(exc).__name__}: {exc}"
+    cells = " ".join(f"{_hex(r.value)},{_hex(r.mean_gap)},{_hex(r.mean_gain)}" for r in rows)
+    return f"{name} {param}: {cells}"
+
+
+def snapshot(out: Path) -> None:
+    from matmeans import harness
+
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, overrides in (("default", {}), ("instances20", {"instances": 20})):
+        reports = harness.run_suite(**overrides)
+        (out / f"{stem}.csv").write_text(harness.reports_to_csv(reports))
+        (out / f"{stem}_quantiles.txt").write_text(_quantile_lines(reports))
+
+    lines = []
+    for name in harness.case_names():
+        case = harness.REGISTRY[name]
+        for param in case.sweep_params:
+            grid = NU_GRIDS[-1 if case.nu_branch < 0 else 1] if param == "nu" else GRIDS[param]
+            lines.append(_series(harness, name, param, grid, instances=SWEEP_INSTANCES))
+    (out / "sweeps.txt").write_text("\n".join(lines) + "\n")
+    print(f"{len(lines)} sweep series", file=sys.stderr)
+
+    lines = []
+    for seed in (7, harness.DEFAULT_SEED, 11):
+        for name, dim_max in SWEEP_DEPTH_CASES.items():
+            for n in range(2, dim_max + 1):
+                series = _series(
+                    harness, name, "depth", SWEEP_DEPTHS,
+                    instances=1, seed=seed, dim_min=n, dim_max=n,
+                )
+                lines.append(f"seed={seed} n={n} {series}")
+    (out / "sweep_depth.txt").write_text("\n".join(lines) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="directory holding the matmeans package")
+    parser.add_argument("--out", required=True, type=Path, help="directory to write")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import matmeans
+
+    if Path(matmeans.__file__).resolve().parent.parent != src:
+        parser.error(f"imported matmeans from {matmeans.__file__}, not from {src}")
+    snapshot(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
