@@ -29,7 +29,6 @@ from .linalg import (
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
-    random_hermitian,
     random_spd,
     random_unitary,
     spd_pow,

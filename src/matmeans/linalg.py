@@ -101,15 +101,18 @@ class HermitianMatrix(ComplexMatrix):
         a = np.asarray(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
-        scale = 1.0 + float(np.max(np.abs(a)))
-        if not np.isfinite(scale) and not np.isfinite(a).all():
+        # Scale and defect of H/2 (half of 1 + max|H| and of max|H - H*|):
+        # |H/2| stays finite for every finite H, where |H| can overflow.
+        with np.errstate(invalid="ignore"):  # an inf entry is rejected below
+            h = a / 2.0
+        scale = 0.5 + float(np.max(np.abs(h), initial=0.0))
+        if not np.isfinite(scale):
             raise DomainError("matrix entries must be finite")
-        defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-        if not np.isfinite(scale) or defect > HERMITIAN_DEFECT_TOL * scale:
+        defect = float(np.max(np.abs(h - h.conj().T), initial=0.0))
+        if defect > HERMITIAN_DEFECT_TOL * scale:
             raise DomainError(
-                f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance"
+                f"matrix is not Hermitian: defect {2.0 * defect:.3e} exceeds tolerance"
             )
-        h = a / 2.0
         super().__init__(h + h.conj().T)
 
     @cached_property
@@ -355,13 +358,6 @@ def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:
     half = 0.5 * np.log(cond_max)
     lam = np.exp(rng.uniform(-half, half, size=n))
     return SpdMatrix._assemble(lam, q)
-
-
-def random_hermitian(n: int, seed) -> HermitianMatrix:
-    """Seeded random Hermitian matrix (symmetrized complex Gaussian)."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return HermitianMatrix((g + g.conj().T) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,13 @@ from .linalg import (
     loewner_leq,
 )
 from .norms import singular_values
-from .scalar import ScalarChain, _check_depth, weight_branch
+from .scalar import (
+    ScalarChain,
+    _check_depth,
+    _convex_refinement,
+    _logconvex_refinement,
+    weight_branch,
+)
 
 
 class _Transfer:
@@ -97,27 +103,20 @@ def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> None:
 def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
     """Operator version of the reverse Young refinement.
 
-    Ascending (Loewner) chain [A nabla_{-nu} B, refined, A #_{-nu} B]. For
-    nu >= 0 the refinement adds sum_j 2^{j-1} nu (A - 2 A#_{2^-j}B + A#_{2^{1-j}}B);
-    for nu <= -1 it adds -sum_j 2^{j-1}(1+nu) (B - 2 A#_{1-2^-j}B + A#_{1-2^{1-j}}B).
+    Ascending (Loewner) chain [A nabla_{-nu} B, refined, A #_{-nu} B]: the
+    convex refinement of v |-> w^v on the spectrum w of A^{-1/2} B A^{-1/2},
+    anchored at 0 for nu >= 0 and at 1 for nu <= -1, pushed back by
+    congruence. For nu >= 0 the refinement adds
+    sum_j 2^{j-1} nu (A - 2 A#_{2^-j}B + A#_{2^{1-j}}B); for nu <= -1 it adds
+    -sum_j 2^{j-1}(1+nu) (B - 2 A#_{1-2^-j}B + A#_{1-2^{1-j}}B).
     """
     branch = weight_branch(nu)
     depth = _check_depth(depth)
     t = _Transfer(_as_spd(a), _as_spd(b))
-    w = t.w
-    base = (1.0 + nu) - nu * w
-    total = np.zeros_like(w)
-    for j in range(1, depth + 1):
-        if branch > 0:
-            total += 2.0 ** (j - 1) * nu * (1.0 - 2.0 * w ** (2.0 ** -j) + w ** (2.0 ** (1 - j)))
-        else:
-            total -= 2.0 ** (j - 1) * (1.0 + nu) * (
-                w - 2.0 * w ** (1.0 - 2.0 ** -j) + w ** (1.0 - 2.0 ** (1 - j))
-            )
-    return OperatorChain(
-        ("arith", "refined", "geom"),
-        (t.push(base), t.push(base + total), t.push(w ** (-nu))),
+    values = _convex_refinement(
+        lambda vs: [t.w ** v for v in vs], 0.0, 1.0, nu, depth, "a" if branch > 0 else "b"
     )
+    return OperatorChain(("arith", "refined", "geom"), tuple(map(t.push, values)))
 
 
 def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -163,7 +162,9 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     """Refined reverse arithmetic-harmonic operator inequality; needs A <= B.
 
     Ascending chain [A nabla_{-nu} B, refined, A !_{-nu} B] for nu >= 0 with
-    refinement sum_j 2^j nu (A nabla (A !_{2^{1-j}} B) - A !_{2^-j} B).
+    refinement sum_j 2^j nu (A nabla (A !_{2^{1-j}} B) - A !_{2^-j} B): the
+    convex refinement, anchored at 0, of v |-> (1 - v + v/w)^{-1} on the
+    spectrum w of A^{-1/2} B A^{-1/2}, pushed back by congruence.
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
@@ -171,22 +172,15 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     depth = _check_depth(depth)
     _require_loewner_leq(a, b)
     t = _Transfer(a, b)
-    w = t.w
 
     def h(v):
-        d = (1.0 - v) + v / w
+        d = (1.0 - v) + v / t.w
         if np.min(d) <= 0.0:
             raise DomainError("harmonic resolvent not positive on the spectrum")
         return 1.0 / d
 
-    base = (1.0 + nu) - nu * w
-    total = np.zeros_like(w)
-    for j in range(1, depth + 1):
-        total += 2.0 ** j * nu * ((1.0 + h(2.0 ** (1 - j))) / 2.0 - h(2.0 ** -j))
-    return OperatorChain(
-        ("arith", "refined", "harm"),
-        (t.push(base), t.push(base + total), t.push(h(-nu))),
-    )
+    values = _convex_refinement(lambda vs: [h(v) for v in vs], 0.0, 1.0, nu, depth, "a")
+    return OperatorChain(("arith", "refined", "harm"), tuple(map(t.push, values)))
 
 
 def kantorovich_hypothesis(a, b, rel_tol: float = 1e-10) -> tuple[bool, float]:
@@ -252,11 +246,15 @@ def _tr(m: np.ndarray) -> float:
     return float(np.trace(m).real)
 
 
-def _trace_table(a: SpdMatrix, b: SpdMatrix, vs) -> dict:
-    """{v: tr(A^{1-v} B^v)} for every weight in ``vs``, from one power stack
-    per matrix; each value equals ``_tr(a.power(1-v).a @ b.power(v).a)``."""
-    m = _power_stack(a, [1.0 - v for v in vs]) @ _power_stack(b, vs)
-    return dict(zip(vs, np.trace(m, axis1=-2, axis2=-1).real.tolist()))
+def _traces(a: SpdMatrix, b: SpdMatrix):
+    """v |-> tr(A^{1-v} B^v) on a list of weights, from one power stack per
+    matrix; each value equals ``_tr(a.power(1-v).a @ b.power(v).a)``."""
+
+    def values(vs):
+        m = _power_stack(a, [1.0 - v for v in vs]) @ _power_stack(b, vs)
+        return np.trace(m, axis1=-2, axis2=-1).real.tolist()
+
+    return values
 
 
 def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
@@ -264,43 +262,31 @@ def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
 
     [tr((1+nu)A - nu B),
      same + sum_j 2^{j-1} nu tr(A + A^{1-2^{1-j}} B^{2^{1-j}} - 2 A^{1-2^-j} B^{2^-j}),
-     tr(A^{1+nu} B^{-nu})].
+     tr(A^{1+nu} B^{-nu})]: the convex refinement, anchored at 0, of
+    v |-> tr(A^{1-v} B^v).
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("trace_additive_chain requires nu >= 0")
     depth = _check_depth(depth)
-    f = _trace_table(a, b, [*(2.0 ** -j for j in range(depth + 1)), -nu])
-    base = (1.0 + nu) * _tr(a.a) - nu * _tr(b.a)
-    total = 0.0
-    for j in range(1, depth + 1):
-        total += 2.0 ** (j - 1) * nu * (_tr(a.a) + f[2.0 ** (1 - j)] - 2.0 * f[2.0 ** -j])
-    return ScalarChain(("arith", "refined", "target"), (base, base + total, f[-nu]))
+    values = _convex_refinement(_traces(a, b), 0.0, 1.0, nu, depth, "a")
+    return ScalarChain(("arith", "refined", "target"), values)
 
 
 def trace_multiplicative_chain(a, b, nu: float, depth: int) -> ScalarChain:
     """Multiplicative trace refinement chain for nu >= 0.
 
-    Built from log-convexity of v |-> tr(A^{1-v} B^v); the product factors
-    sqrt(tr(A) tr(A^{1-2^{1-j}} B^{2^{1-j}})) / tr(A^{1-2^-j} B^{2^-j}) are
-    all >= 1 and are accumulated in the log domain.
+    [tr(A)^{1+nu} tr(B)^{-nu}, same * product, tr(A^{1+nu} B^{-nu})]: the
+    log-convex refinement, anchored at 0, of v |-> tr(A^{1-v} B^v). Its
+    factors sqrt(tr(A) tr(A^{1-2^{1-j}} B^{2^{1-j}})) / tr(A^{1-2^-j} B^{2^-j})
+    are all >= 1 and are accumulated in the log domain.
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("trace_multiplicative_chain requires nu >= 0")
     depth = _check_depth(depth)
-    f = _trace_table(a, b, [*(2.0 ** -j for j in range(depth + 1)), -nu])
-    log_ta, log_tb = np.log(_tr(a.a)), np.log(_tr(b.a))
-    log_power = (1.0 + nu) * log_ta - nu * log_tb
-    log_prod = 0.0
-    for j in range(1, depth + 1):
-        log_prod += 2.0 ** j * nu * (
-            0.5 * (log_ta + np.log(f[2.0 ** (1 - j)])) - np.log(f[2.0 ** -j])
-        )
-    return ScalarChain(
-        ("power", "refined", "target"),
-        (float(np.exp(log_power)), float(np.exp(log_power + log_prod)), f[-nu]),
-    )
+    values = _logconvex_refinement(_traces(a, b), 0.0, 1.0, nu, depth, "a")
+    return ScalarChain(("power", "refined", "target"), values)
 
 
 def trace_depth1_chain(a, b, nu: float) -> ScalarChain:

@@ -22,7 +22,6 @@ is computed in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,14 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .linalg import _arr, _as_spd, _power_stack
 from .reporting import ChainReport, aggregate_report
-from .scalar import ScalarChain, _check_depth, young_reverse_chain
+from .scalar import (
+    ScalarChain,
+    _check_depth,
+    _convex_refinement,
+    _logconvex_refinement,
+    weight_branch,
+    young_reverse_chain,
+)
 
 
 @dataclass(frozen=True)
@@ -179,13 +185,6 @@ def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
     return _paired_norms(a, b, x, left + right, right + left, kind)
 
 
-def _positive_table(weights, values) -> dict:
-    """{weight: value} of a norm functional that must not vanish."""
-    if not (values > 0.0).all():
-        raise DomainError("norm functional vanished; X must be nonzero")
-    return dict(zip(weights, values.tolist()))
-
-
 def norm_functional(a, b, x, nu: float, kind: NormKind) -> float:
     """||A^{1-nu} X B^{nu}||; log-convex as a function of nu."""
     a, b = _as_spd(a), _as_spd(b)
@@ -195,60 +194,38 @@ def norm_functional(a, b, x, nu: float, kind: NormKind) -> float:
 def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
     """Refined reversal for the norm functional f(v) = ||A^{1-v} X B^v||.
 
-    Ascending chain [f(0)^{1+nu} f(1)^{-nu}, same * product, ||A^{1+nu} X B^{-nu}||]
-    where the nu >= 0 branch multiplies factors
+    Ascending chain [f(0)^{1+nu} f(1)^{-nu}, same * product, ||A^{1+nu} X B^{-nu}||]:
+    the log-convex refinement of f on [0, 1], anchored at 0 for nu >= 0 and
+    at 1 for nu <= -1. The nu >= 0 branch multiplies factors
     (sqrt(f(0) f(2^{1-j})) / f(2^-j))^{2^j nu} and the nu <= -1 branch uses
     the mirrored factors with exponents -2^j (nu + 1). Products are
     accumulated in the log domain.
     """
     a, b = _as_spd(a), _as_spd(b)
     depth = _check_depth(depth)
-    if nu >= 0.0:
-        anchor = 0.0
-        points = [(2.0 ** (1 - j), 2.0 ** -j) for j in range(1, depth + 1)]
-        exponents = [2.0 ** j * nu for j in range(1, depth + 1)]
-    elif nu <= -1.0:
-        anchor = 1.0
-        points = [(1.0 - 2.0 ** (1 - j), 1.0 - 2.0 ** -j) for j in range(1, depth + 1)]
-        exponents = [-(2.0 ** j) * (nu + 1.0) for j in range(1, depth + 1)]
-    else:
-        raise DomainError(f"weight nu={nu} must satisfy nu >= 0 or nu <= -1")
-    weights = [0.0, 1.0, *(cur for _, cur in points), -nu]
-    f = _positive_table(weights, _functional_values(a, b, x, weights, kind))
-    anchor_log = math.log(f[anchor])
-    log_power = (1.0 + nu) * math.log(f[0.0]) - nu * math.log(f[1.0])
-    log_prod = 0.0
-    for (prev, cur), e in zip(points, exponents):
-        log_prod += e * (0.5 * (anchor_log + math.log(f[prev])) - math.log(f[cur]))
-    return ScalarChain(
-        ("power", "refined", "target"),
-        (math.exp(log_power), math.exp(log_power + log_prod), f[-nu]),
+    anchor = "a" if weight_branch(nu) > 0 else "b"
+    values = _logconvex_refinement(
+        lambda vs: _functional_values(a, b, x, vs, kind).tolist(), 0.0, 1.0, nu, depth, anchor
     )
+    return ScalarChain(("power", "refined", "target"), values)
 
 
 def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
     """Refined reversal for g(v) = ||A^{1-v} X B^{1-v}|| at weight nu >= 0.
 
     Ascending chain [||AXB||^{1+nu} ||X||^{-nu}, same * product,
-    ||A^{1+nu} X B^{1+nu}||] with factors
+    ||A^{1+nu} X B^{1+nu}||]: the log-convex refinement of g on [0, 1],
+    anchored at 0, with factors
     (sqrt(||AXB|| ||A^{1-2^{1-j}} X B^{1-2^{1-j}}||) / ||A^{1-2^-j} X B^{1-2^-j}||)^{2^j nu}.
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("norm_heinz_chain requires nu >= 0")
     depth = _check_depth(depth)
-    weights = [0.0, *(2.0 ** -j for j in range(depth + 1)), -nu]
-    g = _positive_table(weights, _two_sided_values(a, b, x, weights, kind))
-    log_power = (1.0 + nu) * math.log(g[0.0]) - nu * math.log(g[1.0])
-    log_prod = 0.0
-    for j in range(1, depth + 1):
-        log_prod += 2.0 ** j * nu * (
-            0.5 * (math.log(g[0.0]) + math.log(g[2.0 ** (1 - j)])) - math.log(g[2.0 ** -j])
-        )
-    return ScalarChain(
-        ("power", "refined", "target"),
-        (math.exp(log_power), math.exp(log_power + log_prod), g[-nu]),
+    values = _logconvex_refinement(
+        lambda vs: _two_sided_values(a, b, x, vs, kind).tolist(), 0.0, 1.0, nu, depth, "a"
     )
+    return ScalarChain(("power", "refined", "target"), values)
 
 
 def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -298,19 +275,18 @@ def heinz_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
 
     With f the Heinz functional, the chain is
     [||AX + XB||, same + sum_j 2^j nu ((f(0) + f(2^{1-j}))/2 - f(2^-j)), f(-nu)],
-    ascending because f is convex on the whole line and f(0) = f(1).
+    ascending because f is convex on the whole line and f(0) = f(1). It is
+    the convex refinement of f on [0, 1], anchored at 0; its secant
+    (1+nu) f(0) - nu f(1) is ||AX + XB||.
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("heinz_reverse_chain requires nu >= 0")
     depth = _check_depth(depth)
-    weights = [0.0, *(2.0 ** -j for j in range(depth + 1)), -nu]
-    f = dict(zip(weights, _heinz_values(a, b, x, weights, kind).tolist()))
-    base = f[0.0]
-    total = 0.0
-    for j in range(1, depth + 1):
-        total += 2.0 ** j * nu * ((base + f[2.0 ** (1 - j)]) / 2.0 - f[2.0 ** -j])
-    return ScalarChain(("sum_norm", "refined", "target"), (base, base + total, f[-nu]))
+    values = _convex_refinement(
+        lambda vs: _heinz_values(a, b, x, vs, kind).tolist(), 0.0, 1.0, nu, depth, "a"
+    )
+    return ScalarChain(("sum_norm", "refined", "target"), values)
 
 
 def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:

@@ -110,12 +110,56 @@ def line_through(f: RealFunction, a: float, b: float, x: float) -> float:
     return ((b - x) * fa + (x - a) * fb) / (b - a)
 
 
-def _dyadic_points_toward(a: float, b: float, depth: int):
-    """Midpoint ladder m_j = ((2^j - 1) a + b) / 2^j converging to ``a``; m_0 = b."""
-    pts = [b]
-    for j in range(1, depth + 1):
-        pts.append(((2.0 ** j - 1.0) * a + b) / 2.0 ** j)
-    return pts
+def _convex_refinement(values, a, b, nu, depth, anchor):
+    """The paper's refinement for a convex f: ``(secant, refined, target)``.
+
+    ``values`` maps a list of points to f at each of them. It is called once,
+    on [a, b, (1+nu) a - nu b, m_1..m_depth], where the midpoint ladder
+    m_j = ((2^j - 1) e + o) / 2^j runs from m_0 = o to the anchor e: e = a
+    with weight w = nu, or e = b with w = -(1+nu). secant = (1+nu) f(a) -
+    nu f(b), refined = secant + sum_j 2^j w [(f(e) + f(m_{j-1}))/2 - f(m_j)]
+    and target = f((1+nu) a - nu b), returned as given. The values may be
+    floats or ndarrays of one shape; arrays are refined entry by entry.
+    """
+    if anchor == "a":
+        e, o, weight = a, b, nu
+    elif anchor == "b":
+        e, o, weight = b, a, -(1.0 + nu)
+    else:
+        raise DomainError(f"anchor must be 'a' or 'b', got {anchor!r}")
+    points = [a, b, (1.0 + nu) * a - nu * b]
+    p = 1.0
+    for _ in range(depth):
+        p *= 2.0
+        points.append(((p - 1.0) * e + o) / p)
+    fa, fb, target, *ladder = values(points)
+    fe, prev = (fa, fb) if anchor == "a" else (fb, fa)
+    secant = (1.0 + nu) * fa - nu * fb
+    total = 0.0
+    p = 1.0
+    for cur in ladder:
+        p *= 2.0
+        total += p * weight * ((fe + prev) / 2.0 - cur)
+        prev = cur
+    return secant, secant + total, target
+
+
+def _logconvex_refinement(values, a, b, nu, depth, anchor):
+    """The paper's refinement for a positive log-convex f: ``(power, refined, target)``.
+
+    The convex refinement of log f, exponentiated: power = f(a)^{1+nu}
+    f(b)^{-nu} and refined = power * prod_j [sqrt(f(e) f(m_{j-1})) /
+    f(m_j)]^{2^j w}; target = f((1+nu) a - nu b) as given. ``values`` is
+    called once, as in ``_convex_refinement``, and returns floats.
+    """
+
+    def logs(points):
+        fa, fb, target, *ladder = values(points)
+        _positive("log-convex chain", fa, fb, *ladder)
+        return [math.log(fa), math.log(fb), target, *map(math.log, ladder)]
+
+    log_power, log_refined, target = _convex_refinement(logs, a, b, nu, depth, anchor)
+    return math.exp(log_power), math.exp(log_refined), target
 
 
 def convex_refined_chain(
@@ -139,24 +183,10 @@ def convex_refined_chain(
         raise DomainError(f"need a < b, got a={a}, b={b}")
     branch = weight_branch(nu)
     depth = _check_depth(depth)
-    fa, fb = _feval(f, a), _feval(f, b)
-    secant = (1.0 + nu) * fa - nu * fb
-    if anchor == "a":
-        pts = _dyadic_points_toward(a, b, depth)
-        base, weight = fa, nu
-        refined_first = branch < 0
-    elif anchor == "b":
-        pts = _dyadic_points_toward(b, a, depth)
-        base, weight = fb, -(1.0 + nu)
-        refined_first = branch > 0
-    else:
-        raise DomainError(f"anchor must be 'a' or 'b', got {anchor!r}")
-    fpts = [_feval(f, p) for p in pts]
-    total = 0.0
-    for j in range(1, depth + 1):
-        total += 2.0 ** j * weight * ((base + fpts[j - 1]) / 2.0 - fpts[j])
-    refined = secant + total
-    target = _feval(f, (1.0 + nu) * a - nu * b)
+    secant, refined, target = _convex_refinement(
+        lambda points: [_feval(f, p) for p in points], a, b, nu, depth, anchor
+    )
+    refined_first = branch < 0 if anchor == "a" else branch > 0
     if refined_first:
         return ScalarChain(("refined", "secant", "target"), (refined, secant, target))
     return ScalarChain(("secant", "refined", "target"), (secant, refined, target))
@@ -176,32 +206,15 @@ def logconvex_refined_chain(
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     depth = _check_depth(depth)
-    if anchor == "a":
-        if nu < 0.0:
-            raise DomainError("anchor 'a' requires nu >= 0")
-        pts = _dyadic_points_toward(a, b, depth)
-        base_pt, weight = a, nu
-    elif anchor == "b":
-        if nu > -1.0:
-            raise DomainError("anchor 'b' requires nu <= -1")
-        pts = _dyadic_points_toward(b, a, depth)
-        base_pt, weight = b, -(1.0 + nu)
-    else:
-        raise DomainError(f"anchor must be 'a' or 'b', got {anchor!r}")
-    fa, fb = _feval(f, a), _feval(f, b)
-    fbase = _feval(f, base_pt)
-    fpts = [_feval(f, p) for p in pts]
-    _positive("log-convex chain", fa, fb, fbase, *fpts)
-    log_power = (1.0 + nu) * math.log(fa) - nu * math.log(fb)
-    log_prod = 0.0
-    for j in range(1, depth + 1):
-        log_prod += 2.0 ** j * weight * (
-            0.5 * (math.log(fbase) + math.log(fpts[j - 1])) - math.log(fpts[j])
-        )
-    target = _feval(f, (1.0 + nu) * a - nu * b)
+    if anchor == "a" and nu < 0.0:
+        raise DomainError("anchor 'a' requires nu >= 0")
+    if anchor == "b" and nu > -1.0:
+        raise DomainError("anchor 'b' requires nu <= -1")
     return ScalarChain(
         ("power", "refined", "target"),
-        (math.exp(log_power), math.exp(log_power + log_prod), target),
+        _logconvex_refinement(
+            lambda points: [_feval(f, p) for p in points], a, b, nu, depth, anchor
+        ),
     )
 
 
@@ -239,9 +252,15 @@ def harm_mean(x: float, y: float, nu: float) -> float:
 def young_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarChain:
     """Refined reversal of the weighted arithmetic-geometric mean inequality.
 
-    Ascending chain [(1+nu)x - nu y, refined, x^{1+nu} y^{-nu}]. For
-    nu >= 0 the refinement adds 2^{j-1} nu (sqrt(x) - (x^{2^{j-1}-1} y)^{1/2^j})^2;
-    for nu <= -1 it adds -2^{j-1}(1+nu) (sqrt(y) - (x y^{2^{j-1}-1})^{1/2^j})^2.
+    Ascending chain [(1+nu)x - nu y, refined, x^{1+nu} y^{-nu}]: the convex
+    refinement of v |-> x^{1-v} y^v on [0, 1], anchored at 0 for nu >= 0
+    and at 1 for nu <= -1. For nu >= 0 the refinement adds
+    2^{j-1} nu (sqrt(x) - (x^{2^{j-1}-1} y)^{1/2^j})^2; for nu <= -1 it adds
+    -2^{j-1}(1+nu) (sqrt(y) - (x y^{2^{j-1}-1})^{1/2^j})^2.
+
+    The ladder is summed in this squared form, not by ``_convex_refinement``:
+    a second difference of values loses about 2^j eps x at level j (a
+    relative error of 6e-6 at depth 32), while a square never cancels.
     """
     _positive("young_reverse_chain", x, y)
     branch = weight_branch(nu)
@@ -320,8 +339,8 @@ def harmonic_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarC
     """Refined reverse arithmetic-harmonic inequality for extended weights.
 
     Ascending chain [(1+nu)x - nu y, refined, harm_mean(x, y, -nu)] for
-    0 < x < y and nu >= 0, where the refinement adds the dyadic midpoint
-    gaps of v |-> harm_mean(x, y, v), which is convex on (-oo, 1]:
+    0 < x < y and nu >= 0: the convex refinement, anchored at 0, of
+    v |-> harm_mean(x, y, v), which is convex on (-oo, 1]. It adds
 
         sum_j 2^j nu [ (x + harm(2^{1-j}))/2 - harm(2^{-j}) ].
     """
@@ -329,39 +348,28 @@ def harmonic_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarC
     if nu < 0.0:
         raise DomainError("harmonic_reverse_chain requires nu >= 0")
     depth = _check_depth(depth)
-    base = (1.0 + nu) * x - nu * y
-    total = 0.0
-    for j in range(1, depth + 1):
-        prev = harm_mean(x, y, 2.0 ** (1 - j))
-        cur = harm_mean(x, y, 2.0 ** (-j))
-        total += 2.0 ** j * nu * ((x + prev) / 2.0 - cur)
-    target = harm_mean(x, y, -nu)
-    return ScalarChain(("arith", "refined", "harm"), (base, base + total, target))
+    values = _convex_refinement(
+        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a"
+    )
+    return ScalarChain(("arith", "refined", "harm"), values)
 
 
 def harmonic_geometric_chain(x: float, y: float, nu: float, depth: int) -> ScalarChain:
     """Refined reverse geometric-harmonic inequality for extended weights.
 
     Ascending chain [x^{1+nu} y^{-nu}, same * prod_j factor_j^{2^j nu},
-    harm_mean(x, y, -nu)] with factor_j = sqrt(x * harm(2^{1-j})) / harm(2^{-j}),
-    each >= 1 by log-convexity of v |-> harm_mean(x, y, v) on (-oo, 1].
+    harm_mean(x, y, -nu)] with factor_j = sqrt(x * harm(2^{1-j})) / harm(2^{-j}):
+    the log-convex refinement, anchored at 0, of v |-> harm_mean(x, y, v),
+    which is log-convex on (-oo, 1].
     """
     _check_ordered(x, y)
     if nu < 0.0:
         raise DomainError("harmonic_geometric_chain requires nu >= 0")
     depth = _check_depth(depth)
-    lx, ly = math.log(x), math.log(y)
-    log_geom = (1.0 + nu) * lx - nu * ly
-    log_prod = 0.0
-    for j in range(1, depth + 1):
-        prev = harm_mean(x, y, 2.0 ** (1 - j))
-        cur = harm_mean(x, y, 2.0 ** (-j))
-        log_prod += 2.0 ** j * nu * (0.5 * (lx + math.log(prev)) - math.log(cur))
-    target = harm_mean(x, y, -nu)
-    return ScalarChain(
-        ("geom", "refined", "harm"),
-        (math.exp(log_geom), math.exp(log_geom + log_prod), target),
+    values = _logconvex_refinement(
+        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a"
     )
+    return ScalarChain(("geom", "refined", "harm"), values)
 
 
 def kantorovich_constant(t: float) -> float:

@@ -19,7 +19,6 @@ from matmeans import (
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
-    random_hermitian,
     random_spd,
     random_unitary,
     spd_pow,
@@ -57,6 +56,18 @@ class TestConstruction:
         for bad in (np.inf, np.nan):
             with pytest.raises(DomainError, match="finite"):
                 HermitianMatrix([[bad, 0], [0, 1]])
+
+    def test_hermitian_entry_modulus_above_the_largest_double(self):
+        # |1.5e308 (1 + i)| overflows; the check reads the scale and the defect
+        # off H/2, so an exactly Hermitian matrix passes and keeps its bits.
+        c = 1.5e308 + 1.5e308j
+        a = np.array([[1, c], [np.conj(c), 1]])
+        np.testing.assert_array_equal(HermitianMatrix(a).a, a)
+
+    def test_hermitian_rejects_anti_hermitian_at_the_largest_doubles(self):
+        c = 1.5e308 + 1.5e308j
+        with pytest.raises(DomainError, match="not Hermitian"):
+            HermitianMatrix([[0, c], [-c, 0]])
 
     def test_entries_above_half_the_largest_double(self):
         # (H + H*)/2 would overflow here; H/2 + H*/2 does not.
@@ -138,7 +149,7 @@ class TestEigh:
             )
 
     def test_deterministic(self):
-        h = random_hermitian(5, 7)
+        h = _rand_hermitian(np.random.default_rng(7), 5)
         d1 = jacobi_eigh(h.a)
         d2 = jacobi_eigh(h.a)
         np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)

@@ -39,6 +39,7 @@ from matmeans import (
 from matmeans import means
 from matmeans.means import OperatorChain
 from matmeans.reporting import chain_passes, operator_chain_slacks
+from matmeans.scalar import _convex_refinement, _logconvex_refinement
 
 
 def _pair(seed, n=4, cond=100.0):
@@ -381,7 +382,8 @@ class TestTraceChains:
 
     def test_each_weight_powered_once(self, monkeypatch):
         # Levels j and j+1 share the point 2^-j; the chain powers A and B in
-        # one stack each, at each distinct weight once and the target once more.
+        # one stack each, at each distinct weight once: 0, 1, 2^-1, ...,
+        # 2^-depth and the target, depth + 3 in all.
         a, b = _pair(14)
         nu = 1.7
         target = float(np.trace(a.power(1.0 + nu).a @ b.power(-nu).a).real)
@@ -397,9 +399,49 @@ class TestTraceChains:
             for depth in (1, 4, 16):
                 stacks.clear()
                 chain = chain_fn(a, b, nu, depth)
-                assert [len(set(ts)) for ts in stacks] == [depth + 2] * 2, (chain_fn.__name__, depth)
-                assert sum(len(ts) for ts in stacks) == 2 * (depth + 2), (chain_fn.__name__, depth)
+                assert [len(set(ts)) for ts in stacks] == [depth + 3] * 2, (chain_fn.__name__, depth)
+                assert sum(len(ts) for ts in stacks) == 2 * (depth + 3), (chain_fn.__name__, depth)
                 assert chain.value("target") == target
+
+
+class TestGeneralRefinement:
+    """Each chain is one of the two general refinements of its functional."""
+
+    def test_operator_chains(self):
+        for seed in range(4):
+            a, b = _ordered_pair(30 + seed, n=2 + seed)
+            t = means._Transfer(a, b)
+            power = lambda vs: [t.w ** v for v in vs]
+            harm = lambda vs: [1.0 / ((1.0 - v) + v / t.w) for v in vs]
+            cases = [
+                (operator_reverse_chain, power, 1.3, "a"),
+                (operator_reverse_chain, power, -2.4, "b"),
+                (harmonic_operator_chain, harm, 1.3, "a"),
+            ]
+            for chain_fn, values, nu, anchor in cases:
+                for depth in (1, 4, 16):
+                    chain = chain_fn(a, b, nu, depth)
+                    expected = _convex_refinement(values, 0.0, 1.0, nu, depth, anchor)
+                    for m, v in zip(chain.matrices, expected):
+                        assert np.array_equal(m.a, t.push(v).a), (chain_fn.__name__, nu, depth)
+
+    def test_trace_chains(self):
+        for seed in range(4):
+            a, b = _pair(40 + seed, n=2 + seed)
+
+            def traces(vs):
+                return [float(np.trace(a.power(1.0 - v).a @ b.power(v).a).real) for v in vs]
+
+            for chain_fn, kernel in (
+                (trace_additive_chain, _convex_refinement),
+                (trace_multiplicative_chain, _logconvex_refinement),
+            ):
+                for nu, depth in ((0.0, 1), (0.8, 4), (5.5, 16)):
+                    chain = chain_fn(a, b, nu, depth)
+                    expected = kernel(traces, 0.0, 1.0, nu, depth, "a")
+                    assert [v.hex() for v in chain.values] == [v.hex() for v in expected], (
+                        chain_fn.__name__, nu, depth
+                    )
 
 
 class TestOperatorChainType:

@@ -29,6 +29,8 @@ from matmeans import (
     young_reverse_chain,
 )
 
+from matmeans.scalar import _convex_refinement, _logconvex_refinement
+
 ALL_KINDS = DEFAULT_NORM_KINDS
 
 
@@ -270,6 +272,31 @@ class TestNormChains:
                 assert stacks == [depth + 3], (chain_fn.__name__, weight, depth)
                 assert chain.value("target") == target, (chain_fn.__name__, weight, depth)
             monkeypatch.setattr(norms, name, fn)
+
+    def test_chains_are_the_refinements_of_their_functionals(self):
+        # Each chain equals the general refinement applied to the public
+        # single-weight value of its functional, bit for bit.
+        for seed in range(3):
+            a, b, x = _instance(50 + seed, n=2 + seed)
+            for kind in ALL_KINDS:
+                f = lambda vs: [norm_functional(a, b, x, v, kind) for v in vs]
+                g = lambda vs: [
+                    ui_norm(a.power(1.0 - v).a @ x @ b.power(1.0 - v).a, kind) for v in vs
+                ]
+                h = lambda vs: [heinz_norm(a, b, x, v, kind) for v in vs]
+                cases = (
+                    (norm_reverse_chain, _logconvex_refinement, f, 1.2, "a"),
+                    (norm_reverse_chain, _logconvex_refinement, f, -2.1, "b"),
+                    (norm_heinz_chain, _logconvex_refinement, g, 1.2, "a"),
+                    (heinz_reverse_chain, _convex_refinement, h, 1.2, "a"),
+                )
+                for chain_fn, kernel, values, nu, anchor in cases:
+                    for depth in (1, 4, 16):
+                        chain = chain_fn(a, b, x, nu, depth, kind)
+                        expected = kernel(values, 0.0, 1.0, nu, depth, anchor)
+                        assert [v.hex() for v in chain.values] == [
+                            v.hex() for v in expected
+                        ], (chain_fn.__name__, str(kind), nu, depth)
 
     def test_combined_chain_structure(self):
         a, b, x = _instance(14)

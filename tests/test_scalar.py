@@ -31,6 +31,7 @@ from matmeans import (
     young_reverse_chain,
     young_squared_chain,
 )
+from matmeans.scalar import _convex_refinement
 
 SQ = lambda t: t * t
 
@@ -125,6 +126,27 @@ class TestConvexRefinedChain:
             convex_refined_chain(SQ, 0.0, 1.0, 1.0, 0)
         with pytest.raises(DomainError):
             convex_refined_chain(SQ, 0.0, 1.0, 1.0, 33)
+
+
+class TestRefinementKernels:
+    def test_array_values_refine_entry_by_entry(self):
+        # The operator chains refine a whole spectrum at once; each entry must
+        # be what the same functional gives as a float.
+        c = np.array([-2.5, 0.0, 0.3, 1.0, 7.25])
+        for anchor, nus in (("a", (0.0, 0.6, 4.0)), ("b", (-1.0, -2.2, -9.0))):
+            for nu in nus:
+                for depth in (1, 5, 32):
+                    stacked = _convex_refinement(
+                        lambda vs: [(v - c) * (v - c) for v in vs], -1.5, 2.0, nu, depth, anchor
+                    )
+                    for i, ci in enumerate(c.tolist()):
+                        single = _convex_refinement(
+                            lambda vs: [(v - ci) * (v - ci) for v in vs],
+                            -1.5, 2.0, nu, depth, anchor,
+                        )
+                        assert [float(s[i]).hex() for s in stacked] == [
+                            float(s).hex() for s in single
+                        ], (anchor, nu, depth, ci)
 
 
 class TestLogConvexChain:
@@ -225,6 +247,17 @@ class TestYoungReverse:
     def test_zero_weight(self):
         chain = young_reverse_chain(5.0, 0.1, 0.0, 3)
         np.testing.assert_allclose(chain.values, 5.0, rtol=1e-13)
+
+    def test_deep_ladder_keeps_near_equal_arguments_ascending(self):
+        # Deep levels add terms near 2^-j x; a second difference of values
+        # would lose 2^j eps x to cancellation there and break the order.
+        for x, y, nu in ((1.0, 1.0005, 1.0), (1.0005, 1.0, -2.0)):
+            prev = -math.inf
+            for depth in (16, 24, 32):
+                chain = young_reverse_chain(x, y, nu, depth)
+                assert ascending(chain, rel_tol=1e-12), (x, y, nu, depth)
+                assert chain.value("refined") >= prev
+                prev = chain.value("refined")
 
     def test_depth1_matches_two_term_closed_form(self):
         rng = np.random.default_rng(31)

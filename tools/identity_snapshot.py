@@ -21,6 +21,17 @@ The files:
   (depth 1..16, one instance at each dimension n) on seeds 7,
   ``DEFAULT_SEED`` and 11.
 
+With ``--against DIR`` it then compares the new snapshot with the one in
+``DIR`` and prints what moved: for each CSV row that differs, whether its
+``instances``, ``skipped`` and ``failures`` match and how far ``min_slack``
+and ``max_gap`` shifted; for each other file, how many lines differ and the
+largest shift of a value relative to the largest value of its line. It
+exits 1 when a count differs, a case is missing on one side, a file's line
+count differs, or a series errors on one side only::
+
+    python3 tools/identity_snapshot.py --src src --out /tmp/snap-change \
+        --against /tmp/snap-parent
+
 The default suite takes most of the run time, about ten seconds on a
 2-core machine.
 """
@@ -28,6 +39,8 @@ The default suite takes most of the run time, about ten seconds on a
 from __future__ import annotations
 
 import argparse
+import csv
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +50,7 @@ NU_GRIDS = {1: (0.0, 1.5, 3.0), -1: (-1.0, -2.5, -4.0)}
 #: The ``sweep_depth`` workload of perfbench/workloads.py: case -> largest n.
 SWEEP_DEPTH_CASES = {"operator_reverse_pos": 8, "norm_heinz_power": 6, "heinz_reverse": 6}
 SWEEP_DEPTHS = tuple(range(1, 17))
+COUNTS = ("instances", "skipped", "failures")
 
 
 def _hex(x: float) -> str:
@@ -90,11 +104,80 @@ def snapshot(out: Path) -> None:
     (out / "sweep_depth.txt").write_text("\n".join(lines) + "\n")
 
 
+def _csv_rows(path: Path) -> dict:
+    with path.open(newline="") as fh:
+        return {row["case"]: row for row in csv.DictReader(fh)}
+
+
+def _shift(old: dict, new: dict, key: str) -> str:
+    if old[key] == new[key]:
+        return f"{key} {old[key]} (same)"
+    return f"{key} {old[key]} -> {new[key]} ({float(new[key]) - float(old[key]):+.3e})"
+
+
+def _values(line: str):
+    """The floats of a snapshot line, or None for a series that raised."""
+    cells = line.partition(": ")[2]
+    if ": " in cells:  # "ExceptionType: message"
+        return None
+    return [float.fromhex(t) for t in re.split(r"[ ,|]+", cells) if t]
+
+
+def compare(out: Path, against: Path) -> bool:
+    """Print how the snapshot in ``out`` differs from the one in ``against``.
+
+    Returns whether every verdict count is the same on both sides.
+    """
+    same = True
+    for stem in ("default", "instances20"):
+        old, new = _csv_rows(against / f"{stem}.csv"), _csv_rows(out / f"{stem}.csv")
+        for case in [*old, *(c for c in new if c not in old)]:
+            o, n = old.get(case), new.get(case)
+            if o == n:
+                continue
+            if o is None or n is None:
+                same = False
+                print(f"{stem}.csv {case}: only in {against if n is None else out}")
+                continue
+            counts = all(o[k] == n[k] for k in COUNTS)
+            same = same and counts
+            verdict = "counts match" if counts else "COUNTS DIFFER " + ", ".join(
+                f"{k} {o[k]} -> {n[k]}" for k in COUNTS if o[k] != n[k]
+            )
+            print(f"{stem}.csv {case}: {verdict}; "
+                  f"{_shift(o, n, 'min_slack')}; {_shift(o, n, 'max_gap')}")
+    for name in ("default_quantiles.txt", "instances20_quantiles.txt",
+                 "sweeps.txt", "sweep_depth.txt"):
+        old = (against / name).read_text().splitlines()
+        new = (out / name).read_text().splitlines()
+        if len(old) != len(new):
+            same = False
+            print(f"{name}: {len(old)} lines -> {len(new)} lines")
+            continue
+        moved, worst = 0, 0.0
+        for o, n in zip(old, new):
+            if o == n:
+                continue
+            moved += 1
+            vo, vn = _values(o), _values(n)
+            if vo is None or vn is None or len(vo) != len(vn):
+                same = same and vo is None and vn is None  # raised on both sides
+                print(f"{name}: {o!r} -> {n!r}")
+                continue
+            scale = max(map(abs, vo + vn)) or 1.0
+            worst = max(worst, max(abs(a - b) for a, b in zip(vo, vn)) / scale)
+        print(f"{name}: {moved} of {len(new)} lines differ, largest shift "
+              f"{worst:.3e} of its line's largest value")
+    return same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, type=Path,
                         help="directory holding the matmeans package")
     parser.add_argument("--out", required=True, type=Path, help="directory to write")
+    parser.add_argument("--against", type=Path,
+                        help="snapshot directory to compare the new one with")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
@@ -103,6 +186,8 @@ def main(argv=None) -> int:
     if Path(matmeans.__file__).resolve().parent.parent != src:
         parser.error(f"imported matmeans from {matmeans.__file__}, not from {src}")
     snapshot(args.out)
+    if args.against is not None and not compare(args.out, args.against):
+        return 1
     return 0
 
 
