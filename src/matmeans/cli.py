@@ -10,7 +10,7 @@ Subcommands::
 
 Standard output carries data only; diagnostics go to standard error. Exit
 codes: 0 success, 1 verification failures, 2 domain/precondition error,
-64 usage error.
+64 usage error (a bad flag, or a flag value out of its range).
 """
 
 from __future__ import annotations
@@ -60,7 +60,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    m = random_spd(args.n, args.cond, args.seed)
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
+    with _usage_check():
+        m = random_spd(args.n, args.cond, args.seed)
     _emit(json.dumps(matrix_to_json(m)), args.out)
     return EXIT_OK
 
@@ -95,11 +98,13 @@ def _parse_norm_kind(args) -> norms.NormKind:
 
 
 def _cmd_norm(args) -> int:
+    with _usage_check():
+        kind = _parse_norm_kind(args)
     try:
         obj = json.loads(Path(args.x).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read matrix file {args.x}: {exc}") from exc
-    value = norms.ui_norm(matrix_from_json(obj), _parse_norm_kind(args))
+    value = norms.ui_norm(matrix_from_json(obj), kind)
     _emit(f"{value:.17g}", None)
     return EXIT_OK
 

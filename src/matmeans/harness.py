@@ -113,9 +113,6 @@ class Built:
     base: object | None = None
     payload: dict = field(default_factory=dict)
 
-    def slack_row(self) -> list[float]:
-        return self.verdict()[0]
-
     def gap(self) -> float:
         if self.margins is not None:
             return float(np.max(self.margins))

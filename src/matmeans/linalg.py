@@ -4,8 +4,11 @@ Everything downstream (operator means, unitarily invariant norms, the
 verification harness) is built on the small toolkit in this module:
 
 * value types ``ComplexMatrix`` -> ``HermitianMatrix`` -> ``SpdMatrix`` that
-  validate their defining property at construction, and ``OperatorChain``,
-  the Loewner-ordered chain that ``means`` builds and ``reporting`` checks,
+  validate their defining property when built from outside input, and
+  ``OperatorChain``, the Loewner-ordered chain that ``means`` builds and
+  ``reporting`` checks,
+* one assembly, ``_congruence``, of every matrix built from a spectrum:
+  Hermitian by construction, so it skips the validating constructors,
 * a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``),
 * spectral functions ``apply_spectral`` / ``spd_pow``,
 * the semidefinite (Loewner) order check ``loewner_leq``,
@@ -47,6 +50,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _hermitian_part(h: np.ndarray) -> np.ndarray:
+    """H/2 + (H/2)* for a matrix or a stack: exactly Hermitian, and finite for
+    every finite H. For normal numbers it has the bits of (H + H*)/2."""
+    h = h / 2.0
+    return h + h.conj().swapaxes(-1, -2)
+
+
+def _congruence(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M diag(v) M* for a matrix M and real vector v, or for a stack of each,
+    made exactly Hermitian by ``_hermitian_part``. Every spectral matrix of
+    the package is assembled here."""
+    return _hermitian_part((m * v[..., None, :]) @ m.conj().swapaxes(-1, -2))
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral factorization H = Q diag(w) Q* with ``eigenvalues`` ascending."""
@@ -59,8 +76,7 @@ class EigenDecomposition:
         return self.eigenvalues.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.conj().T
+        return _congruence(self.eigenvectors, self.eigenvalues)
 
 
 class ComplexMatrix:
@@ -115,6 +131,24 @@ class HermitianMatrix(ComplexMatrix):
             )
         super().__init__(h + h.conj().T)
 
+    @classmethod
+    def _exact(cls, a: np.ndarray):
+        """Wrap an exactly Hermitian array, checking only that it is finite."""
+        obj = cls.__new__(cls)
+        ComplexMatrix.__init__(obj, a)
+        return obj
+
+    @classmethod
+    def _assemble(cls, w: np.ndarray, q: np.ndarray):
+        """Q diag(w) Q* from a known factorization (Q unitary), with that
+        factorization recorded, so the solver never runs on it."""
+        order = np.argsort(w, kind="stable")
+        w = np.ascontiguousarray(np.asarray(w, dtype=np.float64)[order])
+        q = np.ascontiguousarray(np.asarray(q, dtype=np.complex128)[:, order])
+        obj = cls._exact(_congruence(q, w))
+        obj.__dict__["eig"] = EigenDecomposition(_freeze(w), _freeze(q))
+        return obj
+
     @cached_property
     def eig(self) -> EigenDecomposition:
         """Eigendecomposition, computed once and cached (the type is immutable)."""
@@ -125,10 +159,6 @@ class HermitianMatrix(ComplexMatrix):
     def spectral_norm(self) -> float:
         w = self.eig.eigenvalues
         return float(max(abs(w[0]), abs(w[-1])))
-
-    def _attach_eig(self, w: np.ndarray, q: np.ndarray) -> None:
-        # Private fast path: record a decomposition known by construction.
-        self.__dict__["eig"] = EigenDecomposition(_freeze(w), _freeze(q))
 
 
 class SpdMatrix(HermitianMatrix):
@@ -143,18 +173,9 @@ class SpdMatrix(HermitianMatrix):
 
     @classmethod
     def _assemble(cls, w: np.ndarray, q: np.ndarray) -> "SpdMatrix":
-        """Build Q diag(w) Q* from a known factorization, skipping the solver."""
         if np.min(w) <= 0.0:
             raise DomainError("assembled spectrum must be strictly positive")
-        order = np.argsort(w, kind="stable")
-        w = np.ascontiguousarray(np.asarray(w, dtype=np.float64)[order])
-        q = np.ascontiguousarray(np.asarray(q, dtype=np.complex128)[:, order])
-        m = (q * w) @ q.conj().T
-        obj = cls.__new__(cls)
-        m = m / 2.0
-        ComplexMatrix.__init__(obj, m + m.conj().T)
-        obj._attach_eig(w, q)
-        return obj
+        return super()._assemble(w, q)
 
     def power(self, t: float) -> "SpdMatrix":
         """Real matrix power through the cached eigendecomposition."""
@@ -190,11 +211,10 @@ class OperatorChain:
 def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
     """``m.power(t).a`` for every weight t in ``ts``, as one (len(ts), n, n) array.
 
-    Works from m's cached factorization (w, Q) and repeats the arithmetic of
-    ``power`` slice by slice: w ** t per weight, the eigenvalues in the same
-    stable order, one product and the same symmetrization. So each slice
-    equals ``m.power(t).a`` bit for bit, whatever else is in the stack, and
-    m^0 is exactly I. A powered spectrum that is not strictly positive, or a
+    Each slice is ``_congruence`` of the (w ** t, Q) that ``power`` hands to
+    ``_assemble``, in the same stable ascending order, so it equals
+    ``m.power(t).a`` bit for bit whatever else is in the stack, and m^0 is
+    exactly I. A powered spectrum that is not strictly positive, or a
     non-finite entry, raises DomainError as ``power`` does.
     """
     w, q = m.eig.eigenvalues, m.eig.eigenvectors
@@ -214,9 +234,7 @@ def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
     qs = np.ascontiguousarray(q.T[order].swapaxes(-1, -2))
     if zero:
         qs[zero] = np.eye(n)
-    s = (qs * wts[:, None, :]) @ qs.conj().swapaxes(-1, -2)
-    s = s / 2.0
-    s = s + s.conj().swapaxes(-1, -2)
+    s = _congruence(qs, wts)
     if not np.isfinite(s).all():
         raise DomainError("matrix entries must be finite")
     return s
@@ -282,12 +300,7 @@ def apply_spectral(h, phi) -> HermitianMatrix:
         raise DomainError(f"spectral function undefined on the spectrum: {exc}") from exc
     if not np.all(np.isfinite(vals)):
         raise DomainError("spectral function returned a non-finite value")
-    q = dec.eigenvectors
-    m = (q * vals) @ q.conj().T
-    out = HermitianMatrix(m)
-    order = np.argsort(vals, kind="stable")
-    out._attach_eig(vals[order], np.ascontiguousarray(q[:, order]))
-    return out
+    return HermitianMatrix._assemble(vals, dec.eigenvectors)
 
 
 def spd_pow(a: SpdMatrix, t: float) -> SpdMatrix:
@@ -316,41 +329,29 @@ def loewner_leq(x, y, rel_tol: float = LOEWNER_REL_TOL) -> LoewnerVerdict:
     return LoewnerVerdict(holds=witness >= -tol, witness_eigenvalue=witness, tolerance_used=tol)
 
 
-def _mgs_unitary(g: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of ``g`` by modified Gram-Schmidt."""
-    q = np.array(g, dtype=np.complex128)
-    n = q.shape[0]
-    for k in range(n):
-        for i in range(k):
-            q[:, k] -= (q[:, i].conj() @ q[:, k]) * q[:, i]
-        nrm = np.linalg.norm(q[:, k])
-        if nrm < 1e-12:
-            raise ArithmeticError("rank-deficient Gaussian draw")
-        q[:, k] /= nrm
-    return q
-
-
 def random_unitary(n: int, seed) -> np.ndarray:
-    """Seeded approximately-Haar unitary from a complex Gaussian matrix."""
+    """Seeded Haar unitary: the Q factor of a complex Gaussian matrix G = QR,
+    with its phases chosen so that R has a positive real diagonal (Mezzadri,
+    *Notices AMS* 54, 2007)."""
     rng = np.random.default_rng(seed)
-    while True:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        try:
-            return _mgs_unitary(g)
-        except ArithmeticError:  # pragma: no cover - probability ~ 0
-            continue
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:
     """Seeded random positive definite matrix with bounded condition number.
 
-    Draws a unitary Q by modified Gram-Schmidt of a complex Gaussian matrix
-    and eigenvalues log-uniform in [1/sqrt(cond_max), sqrt(cond_max)], so the
-    spectral condition number never exceeds ``cond_max``. Deterministic per
-    seed; ``seed`` may be an integer or a ``numpy.random.Generator``.
+    Draws a unitary Q with ``random_unitary`` and eigenvalues log-uniform in
+    [1/sqrt(cond_max), sqrt(cond_max)], so the spectral condition number
+    never exceeds ``cond_max``. Deterministic per seed; ``seed`` may be an
+    integer or a ``numpy.random.Generator``.
     """
     if n < 1:
         raise DomainError("dimension must be >= 1")
+    if not np.isfinite(cond_max):
+        raise DomainError("cond_max must be finite")
     if cond_max < 1.0:
         raise DomainError("cond_max must be >= 1")
     rng = np.random.default_rng(seed)

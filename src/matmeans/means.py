@@ -26,6 +26,9 @@ from .linalg import (
     OperatorChain,
     SpdMatrix,
     _as_spd,
+    _congruence,
+    _eigh_array,
+    _hermitian_part,
     _power_stack,
     loewner_leq,
 )
@@ -42,30 +45,24 @@ from .scalar import (
 class _Transfer:
     """Spectral transfer context for a positive definite pair (A, B).
 
-    Holds the eigendecomposition of X = A^{-1/2} B A^{-1/2} and pushes scalar
-    functions of X back through congruence: push(f) = A^{1/2} f(X) A^{1/2}.
+    Holds X = A^{-1/2} B A^{-1/2} = Q diag(w) Q* and pushes scalar functions
+    of X back: push(f(w)) = A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with
+    M = A^{1/2} Q, Hermitian by construction and not re-validated.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         if a.n != b.n:
             raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
-        self.a = a
-        self.b = b
-        self.root = a.power(0.5).a
-        inv_root = a.power(-0.5).a
-        self.x = SpdMatrix(inv_root @ b.a @ inv_root)
-        self.w = self.x.eig.eigenvalues
-        self.q = self.x.eig.eigenvectors
+        self.root, self.inv_root = _power_stack(a, [0.5, -0.5])
+        self.w, self.q = _eigh_array(_hermitian_part(self.inv_root @ b.a @ self.inv_root))
+        if self.w[0] <= 0.0:
+            raise DomainError(
+                f"matrix is not positive definite: lambda_min = {self.w[0]:.6e}"
+            )
+        self.m = self.root @ self.q
 
-    def push(self, vals: np.ndarray) -> HermitianMatrix:
-        inner = (self.q * np.asarray(vals, dtype=np.float64)) @ self.q.conj().T
-        return HermitianMatrix(self.root @ inner @ self.root)
-
-    def push_spd(self, vals: np.ndarray) -> SpdMatrix:
-        if np.min(vals) <= 0.0:
-            raise DomainError("transferred spectrum must stay positive")
-        inner = (self.q * np.asarray(vals, dtype=np.float64)) @ self.q.conj().T
-        return SpdMatrix(self.root @ inner @ self.root)
+    def push(self, vals) -> HermitianMatrix:
+        return HermitianMatrix._exact(_congruence(self.m, np.asarray(vals, dtype=np.float64)))
 
 
 def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
@@ -77,19 +74,21 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
 def geometric_mean(a, b, nu: float) -> SpdMatrix:
     """A #_nu B for any real nu; always positive definite on SPD input."""
     t = _Transfer(_as_spd(a), _as_spd(b))
-    return t.push_spd(t.w ** nu)
+    vals = t.w ** nu
+    if np.min(vals) <= 0.0:
+        raise DomainError("transferred spectrum must stay positive")
+    return SpdMatrix._exact(_congruence(t.m, vals))
 
 
 def harmonic_mean(a, b, nu: float) -> SpdMatrix:
     """A !_nu B; raises DomainError when the resolvent is not positive definite."""
     a, b = _as_spd(a), _as_spd(b)
-    resolvent = HermitianMatrix((1.0 - nu) * a.power(-1.0).a + nu * b.power(-1.0).a)
-    w = resolvent.eig.eigenvalues
+    w, q = _eigh_array((1.0 - nu) * a.power(-1.0).a + nu * b.power(-1.0).a)
     if w[0] <= 0.0:
         raise DomainError(
             f"harmonic resolvent not positive definite (lambda_min = {w[0]:.6e})"
         )
-    return SpdMatrix(resolvent.a).power(-1.0)
+    return SpdMatrix._assemble(w ** -1.0, q)
 
 
 def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> None:
@@ -191,9 +190,9 @@ def kantorovich_hypothesis(a, b, rel_tol: float = 1e-10) -> tuple[bool, float]:
     """
     a, b = _as_spd(a), _as_spd(b)
     m = b.power(-1.0).a @ a.a + a.power(-1.0).a @ b.a
-    part = HermitianMatrix((m + m.conj().T) / 2.0)
-    witness = float(part.eig.eigenvalues[0])
-    return witness >= -rel_tol * max(1.0, part.spectral_norm), witness
+    w = _eigh_array(_hermitian_part(m))[0]
+    witness = float(w[0])
+    return witness >= -rel_tol * max(1.0, abs(w[0]), abs(w[-1])), witness
 
 
 def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
@@ -233,9 +232,7 @@ def kantorovich_operator_product(a, b, nu: float):
     a, b = _as_spd(a), _as_spd(b)
     t = _Transfer(a, b)
     inner_vals = (t.w + 1.0 / t.w + 2.0) / 4.0
-    inner_pow = (t.q * inner_vals ** nu) @ t.q.conj().T
-    inv_root = a.power(-0.5).a
-    middle_pow = inv_root @ inner_pow @ t.root
+    middle_pow = t.inv_root @ _congruence(t.q, inner_vals ** nu) @ t.root
     return geometric_mean(a, b, -nu).a @ middle_pow
 
 

@@ -41,15 +41,16 @@ from .scalar import (
 
 @dataclass(frozen=True)
 class NormKind:
-    """A unitarily invariant norm: family 'schatten' (p >= 1) or 'kyfan' (k >= 1)."""
+    """A unitarily invariant norm: family 'schatten' (finite p >= 1) or 'kyfan'
+    (k >= 1). The spectral norm is ``spectral()``, Ky Fan 1."""
 
     family: str
     param: float
 
     def __post_init__(self):
         if self.family == "schatten":
-            if not self.param >= 1.0:
-                raise DomainError(f"Schatten norm needs p >= 1, got {self.param}")
+            if not 1.0 <= self.param < np.inf:
+                raise DomainError(f"Schatten norm needs finite p >= 1, got {self.param}")
         elif self.family == "kyfan":
             if int(self.param) != self.param or self.param < 1:
                 raise DomainError(f"Ky Fan norm needs integer k >= 1, got {self.param}")
@@ -299,12 +300,6 @@ def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
         a, b, x, [p - q, p, 0.0, -q], [0.0, -q, p - q, p], kind
     ).tolist()
     return ScalarChain(("split", "full"), (split, full))
-
-
-def heinz_interpolated_value(a, b, x, p: float, q: float, r: float, kind: NormKind) -> float:
-    """||A^{p-r} X B^{-q+r} + A^{-q+r} X B^{p-r}||."""
-    a, b = _as_spd(a), _as_spd(b)
-    return float(_interpolated_values(a, b, x, p, q, [r], kind)[0])
 
 
 def heinz_interpolated_chain(a, b, x, p: float, q: float, r: float, kind: NormKind) -> ScalarChain:

@@ -60,11 +60,6 @@ class ScalarChain:
     def value(self, label: str) -> float:
         return self.values[self.labels.index(label)]
 
-    @property
-    def span(self) -> float:
-        """End-to-end gap, a tightness measure."""
-        return self.values[-1] - self.values[0]
-
 
 def _feval(f: RealFunction, t: float) -> float:
     v = float(f(t))

@@ -33,6 +33,19 @@ class TestGen:
         obj = json.loads(out.read_text())
         assert obj["n"] == 1 and obj["re"][0][0] > 0
 
+    def test_out_of_range_flags_are_usage_errors(self, capsys):
+        for flags in (
+            ("--n", "0"),
+            ("--cond", "0.5"),
+            ("--cond", "nan"),
+            ("--cond", "inf"),
+            ("--cond", "1e400"),
+            ("--seed", "-1"),
+        ):
+            # argparse keeps the last of a repeated flag.
+            code, stdout, stderr = run_cli(capsys, "gen", "--n", "2", "--seed", "1", *flags)
+            assert code == EXIT_USAGE and stdout == "" and "usage error" in stderr, flags
+
     def test_deterministic_files(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "gen", "--n", "3", "--seed", "42", "--out", str(f1))
@@ -122,6 +135,17 @@ class TestNorm:
         assert code == EXIT_OK and float(stdout) == pytest.approx(6.0)
         code, stdout, _ = run_cli(capsys, "norm", "--kind", "kyfan", "--k", "2", "--x", x)
         assert code == EXIT_OK and float(stdout) == pytest.approx(5.0)
+
+    def test_out_of_range_flags_are_usage_errors(self, capsys, tmp_path):
+        x = write_matrix(tmp_path / "x.json", [3, 2, 1])
+        for flags in (
+            ("--kind", "schatten", "--p", "0.5"),
+            ("--kind", "schatten", "--p", "inf"),
+            ("--kind", "schatten", "--p", "nan"),
+            ("--kind", "kyfan", "--k", "0"),
+        ):
+            code, stdout, stderr = run_cli(capsys, "norm", *flags, "--x", x)
+            assert code == EXIT_USAGE and stdout == "" and "usage error" in stderr, flags
 
     def test_missing_file_exits_2(self, capsys):
         code, stdout, stderr = run_cli(

@@ -275,10 +275,26 @@ class TestRandomGeneration:
             random_spd(0, 10, 1)
         with pytest.raises(DomainError):
             random_spd(3, 0.5, 1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite"):
+                random_spd(3, bad, 1)
 
     def test_random_unitary_is_unitary(self):
         q = random_unitary(5, 9)
         np.testing.assert_allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
+
+    def test_random_unitary_is_the_qr_factor_with_positive_diagonal(self):
+        # Q* G is the R of G = QR with a positive real diagonal: the one QR
+        # factor that makes Q Haar-distributed (Mezzadri 2007).
+        for n in range(1, 9):
+            for seed in range(5):
+                rng = np.random.default_rng(seed)
+                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                r = random_unitary(n, seed).conj().T @ g
+                tol = 1e-12 * np.linalg.norm(g)
+                assert np.max(np.abs(np.tril(r, -1)), initial=0.0) <= tol, (n, seed)
+                d = np.diagonal(r)
+                assert np.all(d.real > 0) and np.max(np.abs(d.imag)) <= tol, (n, seed)
 
 
 class TestJsonFormat:

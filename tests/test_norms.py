@@ -122,6 +122,9 @@ class TestUiNorm:
     def test_kind_validation(self):
         with pytest.raises(DomainError):
             NormKind.schatten(0.5)
+        for p in (np.inf, np.nan):  # the spectral norm is ky_fan(1)
+            with pytest.raises(DomainError, match="finite p"):
+                NormKind.schatten(p)
         with pytest.raises(DomainError):
             NormKind.ky_fan(0)
         with pytest.raises(DomainError):
