@@ -9,14 +9,16 @@ Subcommands::
     matmeans sweep   --case young_reverse_pos --param N --grid 1:8:1 [--csv f.csv]
 
 Standard output carries data only; diagnostics go to standard error. Exit
-codes: 0 success, 1 verification failures, 2 domain/precondition error,
-64 usage error (a bad flag, or a flag value out of its range).
+codes: 0 success, 1 verification failures, 2 domain/precondition error or
+a solver that did not converge, 64 usage error (a bad flag, or a flag value
+out of its range).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, means, norms
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .linalg import SpdMatrix, matrix_from_json, matrix_to_json, random_spd
 from .reporting import reports_to_csv
 
@@ -44,12 +46,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_spd(path: str) -> SpdMatrix:
+def _load_matrix(path: str):
     try:
-        obj = json.loads(Path(path).read_text())
+        return matrix_from_json(json.loads(Path(path).read_text()))
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read matrix file {path}: {exc}") from exc
-    return SpdMatrix(matrix_from_json(obj).a)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -69,8 +70,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_mean(args) -> int:
-    a = _load_spd(args.a)
-    b = _load_spd(args.b)
+    if not math.isfinite(args.nu):
+        raise _UsageError(f"--nu must be finite, got {args.nu}")
+    a, b = SpdMatrix(_load_matrix(args.a).a), SpdMatrix(_load_matrix(args.b).a)
     fn = {
         "arith": means.arithmetic_mean,
         "geom": means.geometric_mean,
@@ -100,11 +102,7 @@ def _parse_norm_kind(args) -> norms.NormKind:
 def _cmd_norm(args) -> int:
     with _usage_check():
         kind = _parse_norm_kind(args)
-    try:
-        obj = json.loads(Path(args.x).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read matrix file {args.x}: {exc}") from exc
-    value = norms.ui_norm(matrix_from_json(obj), kind)
+    value = norms.ui_norm(_load_matrix(args.x), kind)
     _emit(f"{value:.17g}", None)
     return EXIT_OK
 
@@ -245,10 +243,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (DomainError, ConvergenceError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .linalg import (
     HermitianMatrix,
     LOEWNER_REL_TOL,
@@ -38,6 +38,7 @@ from .scalar import (
     _check_depth,
     _convex_refinement,
     _logconvex_refinement,
+    _power_drop,
     weight_branch,
 )
 
@@ -47,14 +48,21 @@ class _Transfer:
 
     Holds X = A^{-1/2} B A^{-1/2} = Q diag(w) Q* and pushes scalar functions
     of X back: push(f(w)) = A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with
-    M = A^{1/2} Q, Hermitian by construction and not re-validated.
+    M = A^{1/2} Q, Hermitian by construction and not re-validated. As
+    X = G G* with G = A^{-1/2} B^{1/2} = P diag(s) V*, w = s^2 and Q = P: an
+    SVD keeps the small end of the spectrum accurate relative to itself,
+    where an eigensolver on X loses eps ||X|| (Golub & Van Loan, section 8.7).
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         if a.n != b.n:
             raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
         self.root, self.inv_root = _power_stack(a, [0.5, -0.5])
-        self.w, self.q = _eigh_array(_hermitian_part(self.inv_root @ b.a @ self.inv_root))
+        try:
+            p, s, _ = np.linalg.svd(self.inv_root @ b.power(0.5).a)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
+        self.w, self.q = s[::-1] ** 2, p[:, ::-1]
         if self.w[0] <= 0.0:
             raise DomainError(
                 f"matrix is not positive definite: lambda_min = {self.w[0]:.6e}"
@@ -99,6 +107,17 @@ def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> None:
         )
 
 
+def _power_refinement(t: _Transfer, nu: float, depth: int, shift: float = 0.0):
+    """The convex refinement of v |-> w^{shift+v} over the spectrum w of X,
+    anchored at 0 for nu >= 0 and at 1 for nu <= -1, with its closed-form drop."""
+    log_w, anchor = np.log(t.w), "a" if weight_branch(nu) > 0 else "b"
+    fe, log_r = (t.w ** shift, log_w) if anchor == "a" else (t.w ** (shift + 1.0), -log_w)
+    return _convex_refinement(
+        lambda vs: [t.w ** (shift + v) for v in vs], 0.0, 1.0, nu, depth, anchor,
+        _power_drop(fe, log_r, depth, np.expm1),
+    )
+
+
 def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
     """Operator version of the reverse Young refinement.
 
@@ -109,12 +128,9 @@ def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
     sum_j 2^{j-1} nu (A - 2 A#_{2^-j}B + A#_{2^{1-j}}B); for nu <= -1 it adds
     -sum_j 2^{j-1}(1+nu) (B - 2 A#_{1-2^-j}B + A#_{1-2^{1-j}}B).
     """
-    branch = weight_branch(nu)
     depth = _check_depth(depth)
     t = _Transfer(_as_spd(a), _as_spd(b))
-    values = _convex_refinement(
-        lambda vs: [t.w ** v for v in vs], 0.0, 1.0, nu, depth, "a" if branch > 0 else "b"
-    )
+    values = _power_refinement(t, nu, depth)
     return OperatorChain(("arith", "refined", "geom"), tuple(map(t.push, values)))
 
 
@@ -132,29 +148,21 @@ def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
 
         2(1+nu) B <= 2(1+nu) (B - sum_j 2^{j-1} S_j)
                   <= A#_{-2nu}B + (1+2nu) B A^{-1} B.
+
+    Each sum is twice the refinement term of a power functional of the
+    spectrum w of X: of w^v anchored at 0, or of w^{1+v} anchored at 1.
     """
     branch = weight_branch(nu)
     depth = _check_depth(depth)
     t = _Transfer(_as_spd(a), _as_spd(b))
     w = t.w
+    secant, refined, _ = _power_refinement(t, nu, depth, 0.0 if branch > 0 else 1.0)
     if branch > 0:
-        base = (1.0 + nu) * ((1.0 + nu) - nu * w)
-        total = np.zeros_like(w)
-        for j in range(1, depth + 1):
-            total += 2.0 ** j * nu * (1.0 + w ** (2.0 ** (1 - j)) - 2.0 * w ** (2.0 ** -j))
-        target = w ** (-2.0 * nu) + nu ** 2 * (1.0 - w) + nu * w
-        labels = ("scaled_arith", "refined", "target")
+        label, base, extra = "scaled_arith", (1.0 + nu) * secant, nu ** 2 * (1.0 - w) + nu * w
     else:
-        base = 2.0 * (1.0 + nu) * w
-        total = np.zeros_like(w)
-        for j in range(1, depth + 1):
-            s_j = w ** 2 - 2.0 * w ** (2.0 - 2.0 ** -j) + w ** (2.0 - 2.0 ** (1 - j))
-            total -= 2.0 * (1.0 + nu) * 2.0 ** (j - 1) * s_j
-        target = w ** (-2.0 * nu) + (1.0 + 2.0 * nu) * w ** 2
-        labels = ("scaled_b", "refined", "target")
-    return OperatorChain(
-        labels, (t.push(base), t.push(base + total), t.push(target))
-    )
+        label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
+    values = (base, base + 2.0 * (refined - secant), w ** (-2.0 * nu) + extra)
+    return OperatorChain((label, "refined", "target"), tuple(map(t.push, values)))
 
 
 def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -163,7 +171,8 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     Ascending chain [A nabla_{-nu} B, refined, A !_{-nu} B] for nu >= 0 with
     refinement sum_j 2^j nu (A nabla (A !_{2^{1-j}} B) - A !_{2^-j} B): the
     convex refinement, anchored at 0, of v |-> (1 - v + v/w)^{-1} on the
-    spectrum w of A^{-1/2} B A^{-1/2}, pushed back by congruence.
+    spectrum w of A^{-1/2} B A^{-1/2}, pushed back by congruence. That is
+    harm_mean(1, w, v), with the drop of ``scalar.harmonic_reverse_chain``.
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
@@ -178,7 +187,10 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
             raise DomainError("harmonic resolvent not positive on the spectrum")
         return 1.0 / d
 
-    values = _convex_refinement(lambda vs: [h(v) for v in vs], 0.0, 1.0, nu, depth, "a")
+    ch = (1.0 - t.w) / t.w / 2.0 ** depth
+    values = _convex_refinement(
+        lambda vs: [h(v) for v in vs], 0.0, 1.0, nu, depth, "a", ch / (1.0 + ch)
+    )
     return OperatorChain(("arith", "refined", "harm"), tuple(map(t.push, values)))
 
 

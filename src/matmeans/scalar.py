@@ -4,8 +4,10 @@ The central objects are ascending chains of real numbers: each operation
 returns a ``ScalarChain`` whose consecutive values realize a proved
 inequality, with a dyadic refinement term sandwiched between a classical
 bound and its target. Weights ``nu`` live in the two admissible branches
-``nu >= 0`` and ``nu <= -1``; the refinement depth counts dyadic levels and
-is capped at 32 so the coefficients 2**j stay exactly representable.
+``nu >= 0`` and ``nu <= -1``. The refinement depth N counts dyadic levels,
+but the sum over the levels telescopes, so every refinement is computed from
+four values of its functional; N is capped at 32 so 2**N and the last dyadic
+point stay exact.
 
 All powers x**p * y**q are evaluated as exp(p*log x + q*log y) to avoid
 overflow at large weights.
@@ -105,16 +107,28 @@ def line_through(f: RealFunction, a: float, b: float, x: float) -> float:
     return ((b - x) * fa + (x - a) * fb) / (b - a)
 
 
-def _convex_refinement(values, a, b, nu, depth, anchor):
+def _power_drop(fe, log_r, depth, expm1=math.expm1):
+    """f(e) - f(m_N) of v |-> f(e) r^{|v - e|} on [0, 1], without cancellation;
+    ``expm1=np.expm1`` for arrays."""
+    return -fe * expm1(log_r / 2.0 ** depth)
+
+
+def _convex_refinement(values, a, b, nu, depth, anchor, drop=None):
     """The paper's refinement for a convex f: ``(secant, refined, target)``.
 
-    ``values`` maps a list of points to f at each of them. It is called once,
-    on [a, b, (1+nu) a - nu b, m_1..m_depth], where the midpoint ladder
-    m_j = ((2^j - 1) e + o) / 2^j runs from m_0 = o to the anchor e: e = a
-    with weight w = nu, or e = b with w = -(1+nu). secant = (1+nu) f(a) -
-    nu f(b), refined = secant + sum_j 2^j w [(f(e) + f(m_{j-1}))/2 - f(m_j)]
-    and target = f((1+nu) a - nu b), returned as given. The values may be
-    floats or ndarrays of one shape; arrays are refined entry by entry.
+    With the anchor e = a and weight w = nu, or e = b and w = -(1+nu), the
+    points m_j = ((2^j - 1) e + o) / 2^j run from the other end m_0 = o
+    towards e, and secant = (1+nu) f(a) - nu f(b) is refined by the sum
+
+        sum_{j=1..N} 2^j w [(f(e) + f(m_{j-1}))/2 - f(m_j)]
+            = w [(f(o) - f(e)) + 2^N (f(e) - f(m_N))],
+
+    which telescopes. It is computed in that form, with 2^N = (o - e) /
+    (m_N - e) from the point actually evaluated. ``values`` maps a list of
+    points to f there; it is called once, on [a, b, (1+nu) a - nu b, m_N],
+    and target = f((1+nu) a - nu b) is returned as given. A functional with a
+    closed form passes ``drop`` = f(e) - f(m_N), which a difference of values
+    loses to cancellation. Values may be floats or ndarrays of one shape.
     """
     if anchor == "a":
         e, o, weight = a, b, nu
@@ -122,38 +136,32 @@ def _convex_refinement(values, a, b, nu, depth, anchor):
         e, o, weight = b, a, -(1.0 + nu)
     else:
         raise DomainError(f"anchor must be 'a' or 'b', got {anchor!r}")
-    points = [a, b, (1.0 + nu) * a - nu * b]
-    p = 1.0
-    for _ in range(depth):
-        p *= 2.0
-        points.append(((p - 1.0) * e + o) / p)
-    fa, fb, target, *ladder = values(points)
-    fe, prev = (fa, fb) if anchor == "a" else (fb, fa)
+    p = 2.0 ** depth
+    m = ((p - 1.0) * e + o) / p
+    fa, fb, target, fm = values([a, b, (1.0 + nu) * a - nu * b, m])
+    fe, fo = (fa, fb) if anchor == "a" else (fb, fa)
+    if drop is None:
+        drop = fe - fm
     secant = (1.0 + nu) * fa - nu * fb
-    total = 0.0
-    p = 1.0
-    for cur in ladder:
-        p *= 2.0
-        total += p * weight * ((fe + prev) / 2.0 - cur)
-        prev = cur
-    return secant, secant + total, target
+    return secant, secant + weight * ((fo - fe) + (o - e) / (m - e) * drop), target
 
 
-def _logconvex_refinement(values, a, b, nu, depth, anchor):
+def _logconvex_refinement(values, a, b, nu, depth, anchor, drop=None):
     """The paper's refinement for a positive log-convex f: ``(power, refined, target)``.
 
     The convex refinement of log f, exponentiated: power = f(a)^{1+nu}
     f(b)^{-nu} and refined = power * prod_j [sqrt(f(e) f(m_{j-1})) /
     f(m_j)]^{2^j w}; target = f((1+nu) a - nu b) as given. ``values`` is
-    called once, as in ``_convex_refinement``, and returns floats.
+    called once, as in ``_convex_refinement``, and returns floats; ``drop``
+    is log f(e) - log f(m_N).
     """
 
     def logs(points):
-        fa, fb, target, *ladder = values(points)
-        _positive("log-convex chain", fa, fb, *ladder)
-        return [math.log(fa), math.log(fb), target, *map(math.log, ladder)]
+        fa, fb, target, fm = values(points)
+        _positive("log-convex chain", fa, fb, fm)
+        return [math.log(fa), math.log(fb), target, math.log(fm)]
 
-    log_power, log_refined, target = _convex_refinement(logs, a, b, nu, depth, anchor)
+    log_power, log_refined, target = _convex_refinement(logs, a, b, nu, depth, anchor, drop)
     return math.exp(log_power), math.exp(log_refined), target
 
 
@@ -250,29 +258,18 @@ def young_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarChai
     Ascending chain [(1+nu)x - nu y, refined, x^{1+nu} y^{-nu}]: the convex
     refinement of v |-> x^{1-v} y^v on [0, 1], anchored at 0 for nu >= 0
     and at 1 for nu <= -1. For nu >= 0 the refinement adds
-    2^{j-1} nu (sqrt(x) - (x^{2^{j-1}-1} y)^{1/2^j})^2; for nu <= -1 it adds
-    -2^{j-1}(1+nu) (sqrt(y) - (x y^{2^{j-1}-1})^{1/2^j})^2.
-
-    The ladder is summed in this squared form, not by ``_convex_refinement``:
-    a second difference of values loses about 2^j eps x at level j (a
-    relative error of 6e-6 at depth 32), while a square never cancels.
+    sum_j 2^{j-1} nu (sqrt(x) - (x^{2^{j-1}-1} y)^{1/2^j})^2; for nu <= -1 it
+    adds -sum_j 2^{j-1}(1+nu) (sqrt(y) - (x y^{2^{j-1}-1})^{1/2^j})^2.
     """
     _positive("young_reverse_chain", x, y)
-    branch = weight_branch(nu)
     depth = _check_depth(depth)
     lx, ly = math.log(x), math.log(y)
-    base = (1.0 + nu) * x - nu * y
-    total = 0.0
-    for j in range(1, depth + 1):
-        p = 2.0 ** j
-        if branch > 0:
-            root = math.exp(((2.0 ** (j - 1) - 1.0) * lx + ly) / p)
-            total += 2.0 ** (j - 1) * nu * (math.sqrt(x) - root) ** 2
-        else:
-            root = math.exp((lx + (2.0 ** (j - 1) - 1.0) * ly) / p)
-            total -= 2.0 ** (j - 1) * (1.0 + nu) * (math.sqrt(y) - root) ** 2
-    target = math.exp((1.0 + nu) * lx - nu * ly)
-    return ScalarChain(("arith", "refined", "geom"), (base, base + total, target))
+    anchor, fe, log_r = ("a", x, ly - lx) if weight_branch(nu) > 0 else ("b", y, lx - ly)
+    values = _convex_refinement(
+        lambda vs: [math.exp((1.0 - v) * lx + v * ly) for v in vs],
+        0.0, 1.0, nu, depth, anchor, _power_drop(fe, log_r, depth),
+    )
+    return ScalarChain(("arith", "refined", "geom"), values)
 
 
 def young_squared_chain(x: float, y: float, nu: float, depth: int) -> ScalarChain:
@@ -282,43 +279,32 @@ def young_squared_chain(x: float, y: float, nu: float, depth: int) -> ScalarChai
               <= (x^{1+nu} y^{-nu})^2 + nu^2 (x-y)^2
     nu <= -1: mirrored with -2^j (1+nu) (y - (x y^{2^j-1})^{1/2^j})^2 on the
               left and (1+nu)^2 (x-y)^2 on the right.
+
+    The sum is twice the refinement term of v |-> x x^{1-v} y^v (of
+    y x^{1-v} y^v for nu <= -1): x (or y) times that of ``young_reverse_chain``.
     """
     _positive("young_squared_chain", x, y)
-    branch = weight_branch(nu)
-    depth = _check_depth(depth)
-    lx, ly = math.log(x), math.log(y)
-    lhs = ((1.0 + nu) * x - nu * y) ** 2
-    for j in range(1, depth + 1):
-        p = 2.0 ** j
-        if branch > 0:
-            root = math.exp(((p - 1.0) * lx + ly) / p)
-            lhs += p * nu * (x - root) ** 2
-        else:
-            root = math.exp((lx + (p - 1.0) * ly) / p)
-            lhs -= p * (1.0 + nu) * (y - root) ** 2
-    geom_sq = math.exp(2.0 * ((1.0 + nu) * lx - nu * ly))
-    extra = (nu if branch > 0 else (1.0 + nu)) ** 2 * (x - y) ** 2
-    return ScalarChain(("refined", "target"), (lhs, geom_sq + extra))
+    arith, refined, geom = young_reverse_chain(x, y, nu, depth).values
+    scale, coef = (x, nu) if nu >= 0.0 else (y, 1.0 + nu)
+    lhs = arith ** 2 + 2.0 * scale * (refined - arith)
+    return ScalarChain(("refined", "target"), (lhs, geom ** 2 + coef ** 2 * (x - y) ** 2))
 
 
 def young_refinement_chain(x: float, y: float, t: float, depth: int) -> ScalarChain:
     """Refinement of the forward Young inequality x^t y^{1-t} <= t x + (1-t) y.
 
     Two-element ascending chain [refined left side, t x + (1-t) y] for
-    0 < t <= 1. The j >= 2 part of the dyadic sum is empty at depth 1.
+    0 < t <= 1. With g = x^t y^{1-t} the left side is g + (1-t) y (1 -
+    (x/y)^{t/2})^2 + (1-t) g sum_{j=2..depth} 2^{j-1} (1 - (y/x)^{t/2^j})^2.
+    Its middle term is the j = 1 term of the sum, so the left side is g plus
+    the reverse Young refinement term of (g, y) at weight 1 - t.
     """
     _positive("young_refinement_chain", x, y)
     if not (0.0 < t <= 1.0):
         raise DomainError(f"need 0 < t <= 1, got t={t}")
-    depth = _check_depth(depth)
-    lx, ly = math.log(x), math.log(y)
-    g = math.exp(t * lx + (1.0 - t) * ly)
-    s = 0.0
-    for j in range(2, depth + 1):
-        s += 2.0 ** (j - 1) * (1.0 - math.exp(t * (ly - lx) / 2.0 ** j)) ** 2
-    lhs = g * (1.0 + (1.0 - t) * s)
-    lhs += (1.0 - t) * y * (1.0 - math.exp(0.5 * t * (lx - ly))) ** 2
-    return ScalarChain(("refined", "arith"), (lhs, t * x + (1.0 - t) * y))
+    g = math.exp(t * math.log(x) + (1.0 - t) * math.log(y))
+    arith, refined, _ = young_reverse_chain(g, y, 1.0 - t, depth).values
+    return ScalarChain(("refined", "arith"), (g + (refined - arith), t * x + (1.0 - t) * y))
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +324,17 @@ def harmonic_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarC
     v |-> harm_mean(x, y, v), which is convex on (-oo, 1]. It adds
 
         sum_j 2^j nu [ (x + harm(2^{1-j}))/2 - harm(2^{-j}) ].
+
+    With harm(v) = x / (1 + c v), c = (x - y)/y, the drop x - harm(h) at
+    h = 2^-depth is x c h / (1 + c h).
     """
     _check_ordered(x, y)
     if nu < 0.0:
         raise DomainError("harmonic_reverse_chain requires nu >= 0")
     depth = _check_depth(depth)
+    ch = (x - y) / y / 2.0 ** depth
     values = _convex_refinement(
-        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a"
+        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a", x * ch / (1.0 + ch)
     )
     return ScalarChain(("arith", "refined", "harm"), values)
 
@@ -355,14 +345,15 @@ def harmonic_geometric_chain(x: float, y: float, nu: float, depth: int) -> Scala
     Ascending chain [x^{1+nu} y^{-nu}, same * prod_j factor_j^{2^j nu},
     harm_mean(x, y, -nu)] with factor_j = sqrt(x * harm(2^{1-j})) / harm(2^{-j}):
     the log-convex refinement, anchored at 0, of v |-> harm_mean(x, y, v),
-    which is log-convex on (-oo, 1].
+    which is log-convex on (-oo, 1]; its log drop is log1p(c h).
     """
     _check_ordered(x, y)
     if nu < 0.0:
         raise DomainError("harmonic_geometric_chain requires nu >= 0")
     depth = _check_depth(depth)
     values = _logconvex_refinement(
-        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a"
+        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a",
+        math.log1p((x - y) / y / 2.0 ** depth),
     )
     return ScalarChain(("geom", "refined", "harm"), values)
 

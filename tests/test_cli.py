@@ -1,11 +1,12 @@
 """Tests for the command-line interface: commands, exit codes, stream discipline."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from matmeans import harness, random_spd
+from matmeans import ConvergenceError, harness, means, random_spd
 from matmeans.cli import EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
 from matmeans.harness import Built
 from matmeans.linalg import matrix_from_json, matrix_to_json
@@ -113,6 +114,32 @@ class TestMean:
             capsys, "mean", "--kind", "harm", "--nu", "-1", "--a", a, "--b", b
         )
         assert code == EXIT_DOMAIN and "resolvent" in stderr
+
+    def test_non_finite_weight_is_usage_error(self, capsys, tmp_path):
+        # Rejected as a flag before any matrix arithmetic: no numpy warning.
+        a = write_matrix(tmp_path / "a.json", [1, 4])
+        b = write_matrix(tmp_path / "b.json", [9, 16])
+        for kind in ("arith", "geom", "harm"):
+            for nu in ("nan", "inf"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, stdout, stderr = run_cli(
+                        capsys, "mean", "--kind", kind, "--nu", nu, "--a", a, "--b", b
+                    )
+                assert code == EXIT_USAGE and stdout == "", (kind, nu)
+                assert stderr.startswith("usage error") and "--nu" in stderr, (kind, nu)
+
+    def test_convergence_error_exits_2(self, capsys, tmp_path, monkeypatch):
+        def unconverged(a, b, nu):
+            raise ConvergenceError("LAPACK SVD did not converge")
+
+        monkeypatch.setattr(means, "geometric_mean", unconverged)
+        a = write_matrix(tmp_path / "a.json", [1, 4])
+        code, stdout, stderr = run_cli(
+            capsys, "mean", "--kind", "geom", "--nu", "0.5", "--a", a, "--b", a
+        )
+        assert code == EXIT_DOMAIN and stdout == ""
+        assert stderr == "error: LAPACK SVD did not converge\n"
 
 
 class TestNorm:

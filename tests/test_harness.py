@@ -173,10 +173,9 @@ class TestStress:
                     assert report.failures == 0, (name, cond, dim_min, report.min_slack)
 
     def test_operator_and_trace_cases_at_high_condition(self):
-        # The operator, harmonic, Kantorovich and trace cases at cond 1e8,
-        # with n = 1 and with n in 2..8: nothing raises, and no instance
-        # fails. (At cond 1e12 X = A^{-1/2} B A^{-1/2} can be beyond double
-        # precision, and some instances still fail its positivity check.)
+        # The operator, harmonic, Kantorovich and trace cases at cond 1e8 and
+        # 1e12, with n = 1 and with n in 2..8: nothing raises, and no
+        # instance fails.
         names = [
             n
             for n in harness.case_names()
@@ -184,12 +183,13 @@ class TestStress:
             or n in ("harmonic_operator", "kantorovich_operator")
         ]
         assert len(names) == 9
-        for dim_min, dim_max in ((1, 1), (2, 8)):
-            for name in names:
-                report = harness.run_case(
-                    name, instances=10, cond_max=1e8, dim_min=dim_min, dim_max=dim_max
-                )
-                assert report.failures == 0, (name, dim_min, report.min_slack)
+        for cond in (1e8, 1e12):
+            for dim_min, dim_max in ((1, 1), (2, 8)):
+                for name in names:
+                    report = harness.run_case(
+                        name, instances=10, cond_max=cond, dim_min=dim_min, dim_max=dim_max
+                    )
+                    assert report.failures == 0, (name, cond, dim_min, report.min_slack)
 
 
 class TestBuildInstance:

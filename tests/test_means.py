@@ -381,9 +381,9 @@ class TestTraceChains:
         assert chain.value("trace_power") == float(np.trace(prod).real)
 
     def test_each_weight_powered_once(self, monkeypatch):
-        # Levels j and j+1 share the point 2^-j; the chain powers A and B in
-        # one stack each, at each distinct weight once: 0, 1, 2^-1, ...,
-        # 2^-depth and the target, depth + 3 in all.
+        # The refinement telescopes to four weights: 0, 1, the target and
+        # 2^-depth. The chain powers A and B in one stack each, at each of
+        # them once.
         a, b = _pair(14)
         nu = 1.7
         target = float(np.trace(a.power(1.0 + nu).a @ b.power(-nu).a).real)
@@ -399,8 +399,8 @@ class TestTraceChains:
             for depth in (1, 4, 16):
                 stacks.clear()
                 chain = chain_fn(a, b, nu, depth)
-                assert [len(set(ts)) for ts in stacks] == [depth + 3] * 2, (chain_fn.__name__, depth)
-                assert sum(len(ts) for ts in stacks) == 2 * (depth + 3), (chain_fn.__name__, depth)
+                assert [len(set(ts)) for ts in stacks] == [4, 4], (chain_fn.__name__, depth)
+                assert sum(len(ts) for ts in stacks) == 8, (chain_fn.__name__, depth)
                 assert chain.value("target") == target
 
 
@@ -413,15 +413,25 @@ class TestGeneralRefinement:
             t = means._Transfer(a, b)
             power = lambda vs: [t.w ** v for v in vs]
             harm = lambda vs: [1.0 / ((1.0 - v) + v / t.w) for v in vs]
+            # Each chain passes its functional's closed-form drop f(e) - f(m_N),
+            # with h = 2^-depth: 1 - w^h, w - w^{1-h} and 1 - 1/(1 - h + h/w).
+            log_w = np.log(t.w)
+            drops = {
+                "power_a": lambda h: -np.expm1(log_w * h),
+                "power_b": lambda h: -t.w * np.expm1(-log_w * h),
+                "harm": lambda h: (1.0 - t.w) / t.w * h / (1.0 + (1.0 - t.w) / t.w * h),
+            }
             cases = [
-                (operator_reverse_chain, power, 1.3, "a"),
-                (operator_reverse_chain, power, -2.4, "b"),
-                (harmonic_operator_chain, harm, 1.3, "a"),
+                (operator_reverse_chain, power, 1.3, "a", "power_a"),
+                (operator_reverse_chain, power, -2.4, "b", "power_b"),
+                (harmonic_operator_chain, harm, 1.3, "a", "harm"),
             ]
-            for chain_fn, values, nu, anchor in cases:
+            for chain_fn, values, nu, anchor, drop in cases:
                 for depth in (1, 4, 16):
                     chain = chain_fn(a, b, nu, depth)
-                    expected = _convex_refinement(values, 0.0, 1.0, nu, depth, anchor)
+                    expected = _convex_refinement(
+                        values, 0.0, 1.0, nu, depth, anchor, drops[drop](2.0 ** -depth)
+                    )
                     for m, v in zip(chain.matrices, expected):
                         assert np.array_equal(m.a, t.push(v).a), (chain_fn.__name__, nu, depth)
 

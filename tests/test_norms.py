@@ -235,10 +235,10 @@ class TestNormChains:
                 assert _ascending(c3.values)
 
     def test_each_weight_evaluated_once(self, monkeypatch):
-        # Levels j and j+1 share the point 2^-j; each chain hands its kernel
-        # each distinct weight once: 0, 1, 2^-1, ..., 2^-depth (mirrored on
-        # the nu <= -1 branch) and the target weight, depth + 3 in all, and
-        # the kernel takes the norms of that stack with one SVD.
+        # The refinement telescopes to four weights: 0, 1, the target weight
+        # and 2^-depth (1 - 2^-depth on the nu <= -1 branch). Each chain hands
+        # its kernel each of them once, and the kernel takes the norms of
+        # that stack with one SVD.
         a, b, x = _instance(15)
         kind = NormKind.schatten(3.0)
         nu = 0.7
@@ -269,10 +269,10 @@ class TestNormChains:
                 stacks.clear()
                 chain = chain_fn(a, b, x, weight, depth, kind)
                 assert len(weights) == 1, (chain_fn.__name__, weight, depth)
-                assert len(set(weights[0])) == len(weights[0]) == depth + 3, (
+                assert len(set(weights[0])) == len(weights[0]) == 4, (
                     chain_fn.__name__, weight, depth
                 )
-                assert stacks == [depth + 3], (chain_fn.__name__, weight, depth)
+                assert stacks == [4], (chain_fn.__name__, weight, depth)
                 assert chain.value("target") == target, (chain_fn.__name__, weight, depth)
             monkeypatch.setattr(norms, name, fn)
 
