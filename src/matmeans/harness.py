@@ -171,12 +171,96 @@ def _config_for(case: CaseDef, cfg: CaseConfig | None, overrides: dict) -> CaseC
     return replace(base, **overrides) if overrides else base
 
 
+# numpy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier.
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK_128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The running hash constant before each of ``steps`` hashmix calls and
+    after the last, as a column that broadcasts over a block."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 pool words, 12 cross mixes
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 output words
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, count: int) -> np.ndarray:
+    """hashmix calls ``k .. k+count-1`` of one SeedSequence, one per row."""
+    v = (value ^ consts[k : k + count]) * consts[k + 1 : k + count + 1]
+    return v ^ (v >> _XSHIFT)
+
+
+def _seed_words(entropy: bytes) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, uint64)`` for each little-endian
+    64-bit entropy ``e`` in ``entropy``, one row each.
+
+    Reproduces SeedSequence's pool mixing on ``uint32`` arrays across the
+    whole block. An entropy below 2^32 is one word to numpy and two here;
+    the pool is the same, since a missing word hashes as 0.
+    """
+    pool = np.zeros((4, len(entropy) // 8), dtype=np.uint32)
+    pool[:2] = np.frombuffer(entropy, dtype="<u4").reshape(-1, 2).T
+    pool = _hashmix(pool, _HASH_A, 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        h = _hashmix(pool[src], _HASH_A, 4 + 3 * src, 3)
+        r = pool[dst] * _MIX_L - h * _MIX_R
+        pool[dst] = r ^ (r >> _XSHIFT)
+    words = _hashmix(np.concatenate([pool, pool]), _HASH_B, 0, 8)
+    return np.ascontiguousarray(words.T).view("<u8")
+
+
+def _stream_states(seed: int, case_name: str, indices) -> np.ndarray:
+    """The PCG64 seed words of each instance's stream, one row per index.
+
+    Instance ``i``'s entropy is the 64-bit blake2b digest of
+    ``"seed:case_name:i"``, read little-endian; its stream is
+    ``np.random.default_rng(entropy)``'s. ``_seat`` starts it from the row.
+    """
+    entropy = bytearray()
+    for i in indices:
+        entropy += hashlib.blake2b(f"{seed}:{case_name}:{i}".encode(), digest_size=8).digest()
+    return _seed_words(bytes(entropy))
+
+
+def _new_generator() -> np.random.Generator:
+    """A Generator for ``_seat`` to point at instance streams (fixed seed:
+    no OS entropy is drawn)."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _seat(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
+    """Point ``rng`` at the start of the PCG64 stream seeded by ``words``.
+
+    PCG64's seeding step, in Python ints: ``inc = (s2:s3) << 1 | 1`` and
+    ``state = ((s0:s1) + inc) * MULT + inc`` mod 2^128.
+    """
+    s0, s1, i0, i1 = words.tolist()
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK_128
+    state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK_128
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
-    """Independent, platform-stable stream for one instance of one case."""
-    digest = hashlib.blake2b(
-        f"{seed}:{case_name}:{index}".encode(), digest_size=8
-    ).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
+    """Independent, platform-stable stream for one instance of one case.
+
+    It is ``np.random.default_rng`` of the 64-bit blake2b digest of
+    ``"seed:case_name:index"``, seeded by ``_stream_states`` on one index:
+    the kernel ``_instances`` runs on a block of indices.
+    """
+    return _seat(_new_generator(), _stream_states(seed, case_name, [index])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -722,27 +806,34 @@ def _build_heinz_interp_grid(rng, cfg, forced):
 # Execution.
 
 def _build(
-    case: CaseDef, cfg: CaseConfig, index: int, forced: dict, memo: dict | None = None
+    case: CaseDef,
+    cfg: CaseConfig,
+    index: int,
+    forced: dict,
+    rng: np.random.Generator,
+    stream: Callable[[int], np.ndarray],
+    memo: dict | None = None,
 ) -> Built:
-    """Build instance ``index``.
+    """Build instance ``index`` on the shared Generator ``rng``.
 
+    ``stream(index)`` gives the instance's seed words from its block (see
+    ``_instances``), and ``rng`` is seated on them before the build draws.
     With ``memo``, a builder that has ``inputs`` draws them once per
     (index, forced cond): input draws read no other forced parameter. A
-    repeat resumes the instance's stream where the first draw left it, so
-    the draws that follow read the same numbers as after a fresh draw. Each
-    build gets its own copies of the args and payload dicts; the arrays
-    they share are read-only.
+    repeat seeds nothing: it resumes the instance's stream from the state
+    the first draw left, so the draws that follow read the same numbers as
+    after a fresh draw. Each build gets its own copies of the args and
+    payload dicts; the arrays they share are read-only.
     """
-    rng = instance_rng(cfg.seed, case.name, index)
     inputs = None if memo is None else getattr(case.build, "inputs", None)
     if inputs is None:
-        return case.build(rng, cfg, forced)
+        return case.build(_seat(rng, stream(index)), cfg, forced)
     key = (index, forced.get("cond"))
     if key in memo:
         args, payload, state = memo[key]
         rng.bit_generator.state = state
     else:
-        args, payload = inputs(rng, cfg, forced)
+        args, payload = inputs(_seat(rng, stream(index)), cfg, forced)
         for value in args.values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -750,14 +841,35 @@ def _build(
     return case.build(rng, cfg, forced, drawn=(dict(args), dict(payload)))
 
 
-def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, memo: dict | None = None):
+def _instances(
+    case: CaseDef,
+    cfg: CaseConfig,
+    forced: dict,
+    memo: dict | None = None,
+    rng: np.random.Generator | None = None,
+):
     """Yield (index, built) for the first ``cfg.instances`` instances that hold.
 
-    Instance ``index`` draws from ``instance_rng(seed, case, index)``. One
-    whose hypothesis fails (Resample) is skipped for the next index; more
-    than 100x ``cfg.instances`` skips raise RuntimeError. ``memo``, a
-    sweep's, is passed on to ``_build``.
+    Instance ``index`` draws from ``instance_rng(seed, case, index)``'s
+    stream, on one Generator (``rng``, or a new one) re-seated before each
+    build. The streams are seeded a block at a time by ``_stream_states``:
+    one block for the instances still needed, from the first index that
+    needs seeding, and a new block of the remaining count only when
+    resamples run past it. A memo hit seeds nothing. An instance whose
+    hypothesis fails (Resample) is skipped for the next index; more than
+    100x ``cfg.instances`` skips raise RuntimeError. ``memo``, a sweep's,
+    is passed on to ``_build``.
     """
+    rng = _new_generator() if rng is None else rng
+    start, block = 0, ()
+
+    def stream(i):
+        nonlocal start, block
+        if i - start >= len(block):
+            count = cfg.instances - produced
+            start, block = i, _stream_states(cfg.seed, case.name, range(i, i + count))
+        return block[i - start]
+
     index = produced = 0
     while produced < cfg.instances:
         if index - produced > _RESAMPLE_FACTOR * cfg.instances:
@@ -765,7 +877,7 @@ def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, memo: dict | None =
                 f"case {case.name}: resampling exceeded {_RESAMPLE_FACTOR}x instance budget"
             )
         try:
-            built = _build(case, cfg, index, forced, memo)
+            built = _build(case, cfg, index, forced, rng, stream, memo)
         except Resample:
             pass
         else:
@@ -779,7 +891,8 @@ def build_instance(
 ) -> Built:
     """Build one instance of a case (may raise Resample for hypothesis cases)."""
     case = _case(name)
-    return _build(case, _config_for(case, cfg, overrides), index, dict(forced or {}))
+    cfg = _config_for(case, cfg, overrides)
+    return case.build(instance_rng(cfg.seed, name, index), cfg, dict(forced or {}))
 
 
 def _write_failure(directory: Path, name: str, index: int, built: Built, row, cfg) -> None:
@@ -926,11 +1039,12 @@ def sweep(
     values = sweep_values(param, grid, case.nu_branch)
     cfg = _config_for(case, cfg, overrides)
     memo: dict = {}
+    rng = _new_generator()
     out = []
     for value in values:
         gaps = []
         gains = []
-        for _, built in _instances(case, cfg, {param: value}, memo):
+        for _, built in _instances(case, cfg, {param: value}, memo, rng):
             gaps.append(built.gap())
             gains.append(_gain(built))
         out.append(

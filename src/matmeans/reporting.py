@@ -146,14 +146,6 @@ def chain_gap(chain) -> float:
     raise DomainError(f"not a chain: {type(chain).__name__}")
 
 
-def _quantiles(columns: list[np.ndarray]) -> tuple[tuple[float, float, float], ...]:
-    out = []
-    for col in columns:
-        q10, q50, q90 = np.quantile(col, [0.1, 0.5, 0.9])
-        out.append((float(q10), float(q50), float(q90)))
-    return tuple(out)
-
-
 def aggregate_report(
     name: str,
     slack_rows: list[list[float]],
@@ -165,29 +157,34 @@ def aggregate_report(
     """Fold per-instance slack rows (lists or arrays) into a ChainReport.
 
     An instance fails when a link slack is below ``-rel_tol`` or is NaN,
-    and a NaN slack makes ``min_slack`` NaN. Rows may have different
-    lengths (margin-style cases); quantiles are taken per link position over
-    the instances that reach it.
+    and a NaN slack makes ``min_slack`` NaN. Rows of one width (every
+    registered case's) take their quantiles in one call over the block.
+    Rows may have different lengths; quantiles are then taken per link
+    position over the instances that reach it.
     """
     if not slack_rows:
         raise DomainError(f"case {name} produced no instances")
-    failures = 0
-    width = max(len(r) for r in slack_rows)
-    columns: list[list[float]] = [[] for _ in range(width)]
-    for row in slack_rows:
-        if _row_fails(row, rel_tol):
-            failures += 1
-        for col, s in zip(columns, row):
-            col.append(s)
-    arrays = [np.asarray(col, dtype=np.float64) for col in columns]
+    failures = sum(_row_fails(row, rel_tol) for row in slack_rows)
+    if len({len(row) for row in slack_rows}) == 1:
+        block = np.asarray(slack_rows, dtype=np.float64)
+        min_slack = block.min()
+        quantiles = np.quantile(block, [0.1, 0.5, 0.9], axis=0).T.tolist()
+    else:
+        columns: list[list[float]] = [[] for _ in range(max(map(len, slack_rows)))]
+        for row in slack_rows:
+            for col, s in zip(columns, row):
+                col.append(s)
+        arrays = [np.asarray(col, dtype=np.float64) for col in columns]
+        min_slack = np.min([a.min() for a in arrays])
+        quantiles = [np.quantile(a, [0.1, 0.5, 0.9]).tolist() for a in arrays]
     return ChainReport(
         name=name,
         instances=len(slack_rows),
         skipped=skipped,
         failures=failures,
-        min_slack=float(np.min([a.min() for a in arrays])),
+        min_slack=float(min_slack),
         max_gap=float(max(gaps)) if gaps else 0.0,
-        link_quantiles=_quantiles(arrays),
+        link_quantiles=tuple(map(tuple, quantiles)),
         notes=notes,
     )
 

@@ -1,6 +1,7 @@
 """Tests for the seeded verification harness: registry, reports, sweeps, repro files."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -229,6 +230,76 @@ class TestBuildInstance:
         assert a != c
 
 
+class TestStreamSeeding:
+    """Block seeding must reproduce numpy's own seeding of every stream."""
+
+    def test_block_states_match_default_rng(self):
+        rng = np.random.default_rng(5)
+        entropies = rng.integers(0, 2**64, size=10_000, dtype=np.uint64).tolist()
+        # Edges, and 0xDEADBEEF: a high word of zero, one word to numpy.
+        entropies += [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 0xDEADBEEF]
+        block = harness._seed_words(np.array(entropies, dtype="<u8").tobytes())
+        assert block.shape == (len(entropies), 4)
+        gen = harness._new_generator()
+        for entropy, words in zip(entropies, block):
+            want = np.random.default_rng(entropy).bit_generator.state
+            assert harness._seat(gen, words).bit_generator.state == want, entropy
+
+    def test_stream_states_keep_the_digest_streams(self):
+        # Instance i's stream is default_rng of the blake2b digest of
+        # "seed:case:i", as it was before streams were seeded in blocks.
+        gen = harness._new_generator()
+        for seed, name in ((harness.DEFAULT_SEED, "convex_refined_a"), (7, "case")):
+            block = harness._stream_states(seed, name, range(3, 203))
+            for i, words in zip(range(3, 203), block, strict=True):
+                digest = hashlib.blake2b(f"{seed}:{name}:{i}".encode(), digest_size=8).digest()
+                want = np.random.default_rng(int.from_bytes(digest, "little"))
+                assert harness._seat(gen, words).bit_generator.state == want.bit_generator.state
+
+    def test_instance_stream_pinned(self):
+        # Recorded with numpy's own seeding; fails if numpy changes it.
+        rng = harness.instance_rng(harness.DEFAULT_SEED, "convex_refined_a", 0)
+        assert rng.random().hex() == "0x1.c9b1b0aa0827ap-2"
+
+    def test_block_path_matches_per_instance_streams(self):
+        # kantorovich_operator resamples, so its first block runs out and
+        # the rest are seeded in further blocks.
+        name, n = "kantorovich_operator", 30
+        rel_tol = harness._config_for(harness.REGISTRY[name], None, {}).rel_tol
+        report = harness.run_case(name, instances=n)
+        assert report.skipped > 0
+        rows, gaps, index = [], [], 0
+        while len(rows) < n:
+            try:
+                built = harness.build_instance(name, index)
+            except Resample:
+                pass
+            else:
+                row, gap = built.verdict()
+                rows.append(row)
+                gaps.append(gap)
+            index += 1
+        want = aggregate_report(
+            name, rows, gaps, rel_tol, skipped=index - n, notes=report.notes
+        )
+        assert report == want
+
+    def test_sweep_seeds_once_on_one_generator(self, monkeypatch):
+        # A depth sweep of a table case draws each instance's inputs once:
+        # later grid values resume from the memo and seed nothing.
+        blocks, generators = [], []
+        stream_states, new_generator = harness._stream_states, harness._new_generator
+        monkeypatch.setattr(
+            harness, "_stream_states", lambda *a: blocks.append(a) or stream_states(*a)
+        )
+        monkeypatch.setattr(
+            harness, "_new_generator", lambda: generators.append(1) or new_generator()
+        )
+        harness.sweep("operator_reverse_pos", "depth", [1, 2, 3], instances=6)
+        assert [list(a[2]) for a in blocks] == [list(range(6))]
+        assert len(generators) == 1
+
+
 class TestSweep:
     def test_depth_sweep_gain_nondecreasing(self):
         rows = harness.sweep(
@@ -297,6 +368,39 @@ class TestReportAggregation:
             assert report.failures == 1
             assert math.isnan(report.min_slack)
         assert not chain_passes(ScalarChain(("a", "b"), (0.0, 1.0)), float("nan"))
+
+    def test_block_quantiles_match_per_column(self):
+        # Rows of one width take their quantiles in one call over the block;
+        # they must equal the per-column quantiles bit for bit, NaN included.
+        def per_column(rows):
+            cols = np.asarray(rows, dtype=np.float64).T
+            quantiles = tuple(
+                tuple(float(q) for q in np.quantile(c, [0.1, 0.5, 0.9])) for c in cols
+            )
+            return float(np.min([c.min() for c in cols])), quantiles
+
+        rng = np.random.default_rng(41)
+        shapes = zip(rng.integers(1, 30, size=300), rng.integers(1, 7, size=300))
+        blocks = [rng.standard_normal(shape) for shape in shapes]
+        nan_block = rng.uniform(0.0, 1.0, (12, 4))
+        nan_block[5, 2] = np.nan
+        blocks.append(nan_block)
+        for block in blocks:
+            rows = block.tolist()
+            report = aggregate_report("b", rows, [0.0], rel_tol=1e-9)
+            min_slack, quantiles = per_column(rows)
+            assert _bits(report.min_slack) == _bits(min_slack)
+            assert _bits(report.link_quantiles) == _bits(quantiles)
+        assert math.isnan(report.min_slack) and report.failures == 1
+        assert all(math.isnan(q) for q in report.link_quantiles[2])
+        assert not any(math.isnan(q) for q in report.link_quantiles[1])
+
+    def test_ragged_rows_quantiles_per_position(self):
+        rows = [[0.5, 0.1, 0.3], [0.2], [0.4, -0.2]]
+        report = aggregate_report("r", rows, [0.0], rel_tol=1e-9)
+        assert report.min_slack == -0.2 and report.failures == 1
+        assert report.link_quantiles[1] == tuple(np.quantile([0.1, -0.2], [0.1, 0.5, 0.9]).tolist())
+        assert report.link_quantiles[2] == (0.3, 0.3, 0.3)
 
     def test_quantiles_shape(self):
         rows = [np.array([float(i), float(i)]) for i in range(10)]
