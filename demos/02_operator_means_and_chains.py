@@ -21,7 +21,7 @@ from matmeans import (
     trace_additive_chain,
 )
 from matmeans.linalg import SpdMatrix
-from matmeans.reporting import operator_chain_slacks
+from matmeans.reporting import chain_slacks
 
 a = random_spd(4, cond_max=50.0, seed=7)
 b = random_spd(4, cond_max=50.0, seed=8)
@@ -47,7 +47,7 @@ print()
 
 print("Reverse operator chain at nu = 2 (extended weight), depth 4:")
 chain = operator_reverse_chain(a, b, 2.0, 4)
-slacks = operator_chain_slacks(chain)
+slacks = chain_slacks(chain)
 for (lo, hi), s in zip(zip(chain.labels, chain.labels[1:]), slacks):
     print(f"  {lo:>7s} <= {hi:<7s}  normalized witness eigenvalue = {s:.3e}")
 print()
@@ -55,9 +55,9 @@ print()
 print("Chains with an order hypothesis use pairs A <= B by construction:")
 bigger = SpdMatrix(a.a + random_spd(4, 10.0, 9).a)
 hchain = harmonic_operator_chain(a, bigger, 1.5, 3)
-print("  harmonic operator chain slacks:", np.round(operator_chain_slacks(hchain), 10))
+print("  harmonic operator chain slacks:", np.round(chain_slacks(hchain), 10))
 kchain = kantorovich_operator_chain(a, bigger, 1.5)
-print("  Kantorovich operator chain slacks:", np.round(operator_chain_slacks(kchain), 10))
+print("  Kantorovich operator chain slacks:", np.round(chain_slacks(kchain), 10))
 print()
 
 print("Trace chain (scalar-valued) at nu = 1, depth 3:")

@@ -12,8 +12,8 @@ import numpy as np
 from matmeans import (
     NormKind,
     heinz_norm,
-    heinz_shape_report,
     norm_reverse_chain,
+    norms,
     random_spd,
     singular_values,
     ui_norm,
@@ -48,8 +48,15 @@ print("Symmetry defect f(v) - f(1-v) =",
       "(guaranteed below 1e-10)")
 print()
 
-report = heinz_shape_report(a, b, x, kind, pairs=200, seed=5)
-print("shape report:", report.summary_line())
+# Convexity: (f(v1) + f(v2))/2 - f((v1+v2)/2) >= 0, normalized by max(1, both sides).
+pairs = np.random.default_rng(5).uniform(-3.0, 4.0, size=(200, 2)).tolist()
+mids = [norms.heinz_midpoint_margin(a, b, x, v1, v2, kind) for v1, v2 in pairs]
+print(f"smallest midpoint-convexity margin over 200 weight pairs in [-3, 4]: {min(mids):.3e}")
+# Monotonicity: f falls on [-3, 1/2] and rises on [1/2, 4], along an 81-point grid.
+steps, _ = norms.heinz_grid_margins(a, b, x, kind)
+print(f"smallest monotonicity margin over {len(steps)} grid steps: {steps.min():.3e}")
+print("(both are nonnegative up to round-off; the harness cases heinz_midpoint_convexity")
+print(" and heinz_monotonicity check them on random instances)")
 print()
 
 print("Norm-functional refinement chain at nu = 1.2, depth 3 (Frobenius):")

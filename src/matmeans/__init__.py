@@ -57,7 +57,6 @@ from .norms import (
     heinz_norm,
     heinz_pq_chain,
     heinz_reverse_chain,
-    heinz_shape_report,
     norm_functional,
     norm_heinz_chain,
     norm_reverse_chain,

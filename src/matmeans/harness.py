@@ -216,17 +216,16 @@ def _seed_words(entropy: bytes) -> np.ndarray:
     return np.ascontiguousarray(words.T).view("<u8")
 
 
-def _stream_states(seed: int, case_name: str, indices) -> np.ndarray:
-    """The PCG64 seed words of each instance's stream, one row per index.
+def _entropy(seed: int, case_name: str, index: int) -> bytes:
+    """Instance ``index``'s entropy: the 64-bit blake2b digest of
+    ``"seed:case_name:index"``, read little-endian."""
+    return hashlib.blake2b(f"{seed}:{case_name}:{index}".encode(), digest_size=8).digest()
 
-    Instance ``i``'s entropy is the 64-bit blake2b digest of
-    ``"seed:case_name:i"``, read little-endian; its stream is
-    ``np.random.default_rng(entropy)``'s. ``_seat`` starts it from the row.
-    """
-    entropy = bytearray()
-    for i in indices:
-        entropy += hashlib.blake2b(f"{seed}:{case_name}:{i}".encode(), digest_size=8).digest()
-    return _seed_words(bytes(entropy))
+
+def _stream_states(seed: int, case_name: str, indices) -> np.ndarray:
+    """The PCG64 seed words of each instance's stream, one row per index:
+    those of ``instance_rng``. ``_seat`` starts the stream from the row."""
+    return _seed_words(b"".join(_entropy(seed, case_name, i) for i in indices))
 
 
 def _new_generator() -> np.random.Generator:
@@ -254,13 +253,10 @@ def _seat(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
 
 
 def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
-    """Independent, platform-stable stream for one instance of one case.
-
-    It is ``np.random.default_rng`` of the 64-bit blake2b digest of
-    ``"seed:case_name:index"``, seeded by ``_stream_states`` on one index:
-    the kernel ``_instances`` runs on a block of indices.
-    """
-    return _seat(_new_generator(), _stream_states(seed, case_name, [index])[0])
+    """Independent, platform-stable stream for one instance of one case:
+    ``np.random.default_rng`` of the instance's ``_entropy``. ``_instances``
+    seeds the same streams a block at a time with ``_stream_states``."""
+    return np.random.default_rng(int.from_bytes(_entropy(seed, case_name, index), "little"))
 
 
 # ---------------------------------------------------------------------------

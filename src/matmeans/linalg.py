@@ -178,12 +178,9 @@ class SpdMatrix(HermitianMatrix):
         return super()._assemble(w, q)
 
     def power(self, t: float) -> "SpdMatrix":
-        """Real matrix power through the cached eigendecomposition."""
-        if t == 0.0:
-            n = self.n
-            return SpdMatrix._assemble(np.ones(n), np.eye(n, dtype=np.complex128))
-        w = self.eig.eigenvalues ** t
-        return SpdMatrix._assemble(w, self.eig.eigenvectors)
+        """Real matrix power through the cached eigendecomposition: the power
+        stack of one weight (``_power_stack``)."""
+        return SpdMatrix._exact(_power_stack(self, [t])[0])
 
 
 @dataclass(frozen=True)
@@ -209,13 +206,13 @@ class OperatorChain:
 
 
 def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
-    """``m.power(t).a`` for every weight t in ``ts``, as one (len(ts), n, n) array.
+    """m^t for every weight t in ``ts``, as one (len(ts), n, n) array.
 
-    Each slice is ``_congruence`` of the (w ** t, Q) that ``power`` hands to
-    ``_assemble``, in the same stable ascending order, so it equals
-    ``m.power(t).a`` bit for bit whatever else is in the stack, and m^0 is
+    Each slice is ``_congruence`` of (w ** t, Q), sorted stably ascending,
+    and does not depend on what else is in the stack; ``power`` is the stack
+    of one, so each slice equals ``m.power(t).a`` bit for bit. m^0 is
     exactly I. A powered spectrum that is not strictly positive, or a
-    non-finite entry, raises DomainError as ``power`` does.
+    non-finite entry, raises DomainError.
     """
     w, q = m.eig.eigenvalues, m.eig.eigenvectors
     ts = [float(t) for t in ts]

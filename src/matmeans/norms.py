@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .linalg import _arr, _as_spd, _power_stack
-from .reporting import ChainReport, aggregate_report
 from .scalar import (
     ScalarChain,
     _check_depth,
@@ -329,19 +328,9 @@ def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> floa
     because f is convex on the whole line.
     """
     a, b = _as_spd(a), _as_spd(b)
-    return _midpoint_margins(a, b, x, [v1], [v2], kind)[0]
-
-
-def _midpoint_margins(a, b, x, v1s, v2s, kind: NormKind) -> list[float]:
-    """``heinz_midpoint_margin`` for every pair (v1s[i], v2s[i]), one SVD."""
-    k = len(v1s)
-    mids = [(v1 + v2) / 2.0 for v1, v2 in zip(v1s, v2s)]
-    vals = _heinz_values(a, b, x, [*mids, *v1s, *v2s], kind).tolist()
-    margins = []
-    for mid, f1, f2 in zip(vals[:k], vals[k : 2 * k], vals[2 * k :]):
-        avg = (f1 + f2) / 2.0
-        margins.append((avg - mid) / max(1.0, avg, mid))
-    return margins
+    mid, f1, f2 = _heinz_values(a, b, x, [(v1 + v2) / 2.0, v1, v2], kind).tolist()
+    avg = (f1 + f2) / 2.0
+    return (avg - mid) / max(1.0, avg, mid)
 
 
 def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
@@ -360,32 +349,3 @@ def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     down = (vals[:split] - vals[1 : split + 1]) / scale
     up = (vals[split + 1 :] - vals[split:-1]) / scale
     return np.concatenate([down, up]), vals
-
-
-def heinz_shape_report(
-    a,
-    b,
-    x,
-    kind: NormKind,
-    pairs: int = 100,
-    seed: int = 0,
-    grid_points: int = 81,
-    rel_tol: float = 1e-8,
-) -> ChainReport:
-    """Sample-based convexity and monotonicity check of the Heinz functional.
-
-    Verifies midpoint convexity f((v1+v2)/2) <= (f(v1)+f(v2))/2 on ``pairs``
-    random weight pairs in [-3, 4], and that f is nonincreasing on [-3, 1/2]
-    and nondecreasing on [1/2, 4] along a fixed grid. Each check contributes
-    one normalized margin; the report counts margins below ``-rel_tol`` as
-    failures.
-    """
-    a, b = _as_spd(a), _as_spd(b)
-    v = np.random.default_rng(seed).uniform(-3.0, 4.0, size=(pairs, 2)).tolist()
-    v1s, v2s = [p[0] for p in v], [p[1] for p in v]
-    rows = [np.array([m]) for m in _midpoint_margins(a, b, x, v1s, v2s, kind)]
-    margins, vals = heinz_grid_margins(a, b, x, kind, grid_points)
-    rows.append(margins)
-    return aggregate_report(
-        "heinz_shape", rows, gaps=[float(vals.max() - vals.min())], rel_tol=rel_tol
-    )

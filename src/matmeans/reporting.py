@@ -9,8 +9,8 @@ below ``-rel_tol`` or is NaN.
 
 The harness takes each instance's slacks and gap from ``_chain_verdict`` in
 one pass: Python floats for a scalar chain, one stacked ``eigh`` for an
-operator chain. ``chain_slacks`` and its two variants share those helpers;
-``chain_gap`` (the sweep's path) returns the same gap on its own.
+operator chain. ``chain_slacks`` shares those helpers; ``chain_gap`` (the
+sweep's path) returns the same gap on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import HermitianMatrix, OperatorChain, _eigh_array
+from .linalg import OperatorChain, _eigh_array
 from .scalar import ScalarChain
 
 CSV_HEADER = "case,instances,skipped,failures,min_slack,max_gap"
@@ -117,17 +117,9 @@ def _row_fails(row, rel_tol: float) -> bool:
     return not all(s >= floor for s in row)
 
 
-def scalar_chain_slacks(chain: ScalarChain) -> np.ndarray:
-    """Normalized forward differences of a scalar chain."""
-    return np.asarray(_scalar_slacks(chain.values))
-
-
-def operator_chain_slacks(chain: OperatorChain) -> np.ndarray:
-    """Normalized Loewner witnesses for consecutive links of an operator chain."""
-    return np.asarray(_operator_verdict(chain)[0])
-
-
 def chain_slacks(chain) -> np.ndarray:
+    """Normalized link slacks: forward differences of a scalar chain, Loewner
+    witnesses of an operator chain."""
     return np.asarray(_chain_verdict(chain)[0])
 
 
@@ -141,8 +133,10 @@ def chain_gap(chain) -> float:
     if isinstance(chain, ScalarChain):
         return float(chain.values[-1] - chain.values[0])
     if isinstance(chain, OperatorChain):
-        diff = HermitianMatrix(chain.matrices[-1].a - chain.matrices[0].a)
-        return float(diff.eig.eigenvalues[-1])
+        diff = chain.matrices[-1].a - chain.matrices[0].a
+        if not np.isfinite(diff).all():
+            raise DomainError("matrix entries must be finite")
+        return float(_eigh_array(diff)[0][-1])
     raise DomainError(f"not a chain: {type(chain).__name__}")
 
 
@@ -157,32 +151,23 @@ def aggregate_report(
     """Fold per-instance slack rows (lists or arrays) into a ChainReport.
 
     An instance fails when a link slack is below ``-rel_tol`` or is NaN,
-    and a NaN slack makes ``min_slack`` NaN. Rows of one width (every
-    registered case's) take their quantiles in one call over the block.
-    Rows may have different lengths; quantiles are then taken per link
-    position over the instances that reach it.
+    and a NaN slack makes ``min_slack`` NaN. Every row has one width (one
+    slack per link position); quantiles are taken per position in one call
+    over the block. Rows of unequal width raise DomainError.
     """
     if not slack_rows:
         raise DomainError(f"case {name} produced no instances")
+    if len({len(row) for row in slack_rows}) != 1:
+        raise DomainError(f"case {name} produced slack rows of unequal width")
     failures = sum(_row_fails(row, rel_tol) for row in slack_rows)
-    if len({len(row) for row in slack_rows}) == 1:
-        block = np.asarray(slack_rows, dtype=np.float64)
-        min_slack = block.min()
-        quantiles = np.quantile(block, [0.1, 0.5, 0.9], axis=0).T.tolist()
-    else:
-        columns: list[list[float]] = [[] for _ in range(max(map(len, slack_rows)))]
-        for row in slack_rows:
-            for col, s in zip(columns, row):
-                col.append(s)
-        arrays = [np.asarray(col, dtype=np.float64) for col in columns]
-        min_slack = np.min([a.min() for a in arrays])
-        quantiles = [np.quantile(a, [0.1, 0.5, 0.9]).tolist() for a in arrays]
+    block = np.asarray(slack_rows, dtype=np.float64)
+    quantiles = np.quantile(block, [0.1, 0.5, 0.9], axis=0).T.tolist()
     return ChainReport(
         name=name,
         instances=len(slack_rows),
         skipped=skipped,
         failures=failures,
-        min_slack=float(min_slack),
+        min_slack=float(block.min()),
         max_gap=float(max(gaps)) if gaps else 0.0,
         link_quantiles=tuple(map(tuple, quantiles)),
         notes=notes,

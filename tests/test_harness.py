@@ -16,21 +16,19 @@ from matmeans.reporting import (
     chain_gap,
     chain_passes,
     chain_slacks,
-    operator_chain_slacks,
     reports_to_csv,
-    scalar_chain_slacks,
 )
 
 
 class TestChainChecking:
     def test_equal_chain_has_zero_slacks(self):
         chain = ScalarChain(("a", "b", "c"), (2.0, 2.0, 2.0))
-        np.testing.assert_array_equal(scalar_chain_slacks(chain), [0.0, 0.0])
+        np.testing.assert_array_equal(chain_slacks(chain), [0.0, 0.0])
 
     def test_normalized_slacks(self):
         # Differences divided by max(1, largest magnitude): (1,1)/2 here.
         chain = ScalarChain(("a", "b", "c"), (0.0, 1.0, 2.0))
-        np.testing.assert_allclose(scalar_chain_slacks(chain), [0.5, 0.5])
+        np.testing.assert_allclose(chain_slacks(chain), [0.5, 0.5])
 
     def test_violation_reported(self):
         chain = ScalarChain(("hi", "lo"), (1.0, 0.5))
@@ -395,12 +393,11 @@ class TestReportAggregation:
         assert all(math.isnan(q) for q in report.link_quantiles[2])
         assert not any(math.isnan(q) for q in report.link_quantiles[1])
 
-    def test_ragged_rows_quantiles_per_position(self):
-        rows = [[0.5, 0.1, 0.3], [0.2], [0.4, -0.2]]
-        report = aggregate_report("r", rows, [0.0], rel_tol=1e-9)
-        assert report.min_slack == -0.2 and report.failures == 1
-        assert report.link_quantiles[1] == tuple(np.quantile([0.1, -0.2], [0.1, 0.5, 0.9]).tolist())
-        assert report.link_quantiles[2] == (0.3, 0.3, 0.3)
+    def test_rows_of_unequal_width_raise(self):
+        # One slack per link position: a row of another width has no place.
+        for rows in ([[0.5, 0.1, 0.3], [0.2], [0.4, -0.2]], [[0.1], [0.2, 0.3]]):
+            with pytest.raises(DomainError, match="unequal width"):
+                aggregate_report("r", rows, [0.0], rel_tol=1e-9)
 
     def test_quantiles_shape(self):
         rows = [np.array([float(i), float(i)]) for i in range(10)]
@@ -444,7 +441,7 @@ class TestVerdictPath:
             expected = np.diff(v) / max(1.0, float(np.max(np.abs(v))))
             row, gap = Built(chain=chain).verdict()
             assert _bits(row) == _bits(expected)
-            assert _bits(scalar_chain_slacks(chain)) == _bits(expected)
+            assert _bits(chain_slacks(chain)) == _bits(expected)
             assert gap == chain_gap(chain)
 
     @staticmethod
@@ -469,7 +466,7 @@ class TestVerdictPath:
                     assert _bits(row) == _bits(self._per_link(chain)), (name, cond, index)
                     assert _bits([gap]) == _bits([chain_gap(chain)]), (name, cond, index)
                     # Now every spectrum is cached, and the result is the same.
-                    assert _bits(operator_chain_slacks(chain)) == _bits(row)
+                    assert _bits(chain_slacks(chain)) == _bits(row)
                     checked += 1
         assert checked >= 400
 
@@ -488,7 +485,7 @@ class TestVerdictPath:
 
     def test_overflowing_difference_raises(self):
         # Each matrix is valid, but hi - lo overflows to inf: the per-link
-        # HermitianMatrix(hi - lo) and the stacked path both reject it.
+        # HermitianMatrix(hi - lo), the stacked path and chain_gap reject it.
         lo = HermitianMatrix(-1e308 * np.eye(2))
         hi = HermitianMatrix(1e308 * np.eye(2))
         chain = OperatorChain(("lo", "hi"), (lo, hi))
@@ -497,6 +494,8 @@ class TestVerdictPath:
                 HermitianMatrix(hi.a - lo.a)
             with pytest.raises(DomainError, match="finite"):
                 chain_slacks(chain)
+            with pytest.raises(DomainError, match="finite"):
+                chain_gap(chain)
             with pytest.raises(DomainError, match="finite"):
                 Built(chain=chain).verdict()
 

@@ -38,7 +38,7 @@ from matmeans import (
 )
 from matmeans import means
 from matmeans.means import OperatorChain
-from matmeans.reporting import chain_passes, operator_chain_slacks
+from matmeans.reporting import chain_passes, chain_slacks
 from matmeans.scalar import _convex_refinement, _logconvex_refinement
 
 
@@ -468,26 +468,43 @@ class TestOperatorChainType:
         a = random_spd(3, 10, 2)
         bigger = SpdMatrix(a.a + np.eye(3))
         up = OperatorChain(("lo", "hi"), (a, bigger))
-        assert operator_chain_slacks(up)[0] > 0
+        assert chain_slacks(up)[0] > 0
         down = OperatorChain(("hi", "lo"), (bigger, a))
-        assert operator_chain_slacks(down)[0] < 0
+        assert chain_slacks(down)[0] < 0
 
 
 class TestImportOrder:
-    @pytest.mark.parametrize("first", ["means", "norms"])
-    def test_module_imports_without_a_cycle(self, first):
-        # Load the package without its __init__, so ``first`` really is the
-        # first matmeans module imported; means takes norms at module level.
+    @staticmethod
+    def _run_bare(body: str) -> None:
+        """Run ``body`` with the package loaded without its __init__, so the
+        modules it imports are the only matmeans modules loaded."""
         code = (
             "import importlib, sys, types\n"
             "pkg = types.ModuleType('matmeans')\n"
             f"pkg.__path__ = [{os.path.dirname(means.__file__)!r}]\n"
-            "sys.modules['matmeans'] = pkg\n"
-            f"importlib.import_module('matmeans.{first}')\n"
-            "import matmeans.means, matmeans.norms\n"
-            "assert matmeans.means.singular_values is matmeans.norms.singular_values\n"
+            "sys.modules['matmeans'] = pkg\n" + body
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("first", ["means", "norms"])
+    def test_module_imports_without_a_cycle(self, first):
+        # ``first`` really is the first matmeans module imported; means takes
+        # norms at module level.
+        self._run_bare(
+            f"importlib.import_module('matmeans.{first}')\n"
+            "import matmeans.means, matmeans.norms\n"
+            "assert matmeans.means.singular_values is matmeans.norms.singular_values\n"
+        )
+
+    def test_numerics_import_no_reporting_or_harness(self):
+        # The numerics layer computes; reporting and the harness verify it.
+        self._run_bare(
+            "for name in ('scalar', 'linalg', 'norms', 'means'):\n"
+            "    importlib.import_module('matmeans.' + name)\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('matmeans.'))\n"
+            "assert 'matmeans.reporting' not in loaded, loaded\n"
+            "assert 'matmeans.harness' not in loaded, loaded\n"
+        )

@@ -17,7 +17,6 @@ from matmeans import (
     heinz_norm,
     heinz_pq_chain,
     heinz_reverse_chain,
-    heinz_shape_report,
     norm_functional,
     norm_heinz_chain,
     norm_reverse_chain,
@@ -426,17 +425,26 @@ class TestHeinzFamily:
             for v, val in zip(grid, vals):
                 assert val == heinz_norm(a, b, x, float(v), kind), (str(kind), v)
 
-    def test_shape_report_identity_trivial(self):
+    @staticmethod
+    def _shape_margins(a, b, x, kind, pairs, seed):
+        """Midpoint margins on seeded weight pairs in [-3, 4], then the grid's."""
+        v = np.random.default_rng(seed).uniform(-3.0, 4.0, size=(pairs, 2)).tolist()
+        mids = [norms.heinz_midpoint_margin(a, b, x, v1, v2, kind) for v1, v2 in v]
+        grid, _ = norms.heinz_grid_margins(a, b, x, kind)
+        return mids, grid
+
+    def test_shape_margins_identity_trivial(self):
         i3 = SpdMatrix(np.eye(3))
         x = np.random.default_rng(27).standard_normal((3, 3))
-        report = heinz_shape_report(i3, i3, x, NormKind.trace_norm(), pairs=25, seed=1)
-        assert report.failures == 0
+        mids, grid = self._shape_margins(i3, i3, x, NormKind.trace_norm(), 25, seed=1)
+        assert len(mids) == 25 and len(grid) == 80
+        assert min(mids) >= -1e-8 and grid.min() >= -1e-8
 
-    def test_shape_report_random(self):
+    def test_shape_margins_random(self):
         a, b, x = _instance(28, n=3)
-        report = heinz_shape_report(a, b, x, NormKind.ky_fan(2), pairs=50, seed=2)
-        assert report.failures == 0
-        assert report.instances == 51  # 50 pairs + one grid row
+        mids, grid = self._shape_margins(a, b, x, NormKind.ky_fan(2), 50, seed=2)
+        assert len(mids) == 50 and len(grid) == 80
+        assert min(mids) >= -1e-8 and grid.min() >= -1e-8
 
     def test_commuting_diagonal_matches_scalar_heinz(self):
         # For diagonal A, B and X = I the trace-norm Heinz functional is the
