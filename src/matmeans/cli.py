@@ -35,6 +35,9 @@ EXIT_FAILURES = 1
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 
+# Most points a sweep grid may hold; a larger count is a usage error.
+MAX_GRID_POINTS = 10_000
+
 
 class _UsageError(Exception):
     pass
@@ -161,6 +164,9 @@ def _parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"empty grid {text!r}")
+    # np.arange's length is the ceiling of this; check it before allocating.
+    if not (stop + step * 0.5 - start) / step <= MAX_GRID_POINTS:
+        raise _UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     return np.arange(start, stop + step * 0.5, step)
 
 

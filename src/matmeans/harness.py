@@ -80,8 +80,8 @@ class CaseConfig:
     def __post_init__(self):
         if self.instances < 1:
             raise DomainError("instances must be >= 1")
-        if not self.rel_tol >= 0.0:  # NaN would make every check pass
-            raise DomainError("rel_tol must be >= 0")
+        if not 0.0 <= self.rel_tol < math.inf:  # NaN compares false; inf passes any non-NaN slack
+            raise DomainError("rel_tol must be finite and >= 0")
         if not (1 <= self.dim_min <= self.dim_max):
             raise DomainError(f"bad dimension range {self.dim_min}..{self.dim_max}")
         if not self.cond_max >= 1.0:  # NaN compares false
@@ -166,9 +166,8 @@ def _case(name: str) -> CaseDef:
         raise DomainError(f"unknown case {name!r}; known: {', '.join(REGISTRY)}") from None
 
 
-def _config_for(case: CaseDef, cfg: CaseConfig | None, overrides: dict) -> CaseConfig:
-    base = replace(CaseConfig(), **case.overrides) if cfg is None else cfg
-    return replace(base, **overrides) if overrides else base
+def _config_for(case: CaseDef, overrides: dict) -> CaseConfig:
+    return replace(CaseConfig(), **{**case.overrides, **overrides})
 
 
 # numpy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier.
@@ -882,12 +881,10 @@ def _instances(
         index += 1
 
 
-def build_instance(
-    name: str, index: int, cfg: CaseConfig | None = None, forced: dict | None = None, **overrides
-) -> Built:
+def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
     """Build one instance of a case (may raise Resample for hypothesis cases)."""
     case = _case(name)
-    cfg = _config_for(case, cfg, overrides)
+    cfg = _config_for(case, overrides)
     return case.build(instance_rng(cfg.seed, name, index), cfg, dict(forced or {}))
 
 
@@ -906,7 +903,6 @@ def _write_failure(directory: Path, name: str, index: int, built: Built, row, cf
 
 def run_case(
     name: str,
-    cfg: CaseConfig | None = None,
     failures_dir: str | Path | None = None,
     **overrides,
 ) -> ChainReport:
@@ -919,7 +915,7 @@ def run_case(
     ``failures_dir`` when given, capped per case.
     """
     case = _case(name)
-    cfg = _config_for(case, cfg, overrides)
+    cfg = _config_for(case, overrides)
     rows: list[list[float]] = []
     gaps: list[float] = []
     written = 0
@@ -942,7 +938,6 @@ def run_case(
 
 def run_suite(
     names=None,
-    cfg: CaseConfig | None = None,
     failures_dir: str | Path | None = None,
     progress: Callable[[ChainReport], None] | None = None,
     **overrides,
@@ -953,7 +948,7 @@ def run_suite(
         _case(name)  # validate before any work
     reports = []
     for name in selected:
-        report = run_case(name, cfg=cfg, failures_dir=failures_dir, **overrides)
+        report = run_case(name, failures_dir=failures_dir, **overrides)
         if progress is not None:
             progress(report)
         reports.append(report)
@@ -1013,7 +1008,6 @@ def sweep(
     name: str,
     param: str,
     grid,
-    cfg: CaseConfig | None = None,
     **overrides,
 ) -> list[SweepRow]:
     """Re-evaluate a case while pinning one parameter to each grid value.
@@ -1033,7 +1027,7 @@ def sweep(
             f"case {name!r} does not sweep {param!r}; supported: {case.sweep_params}"
         )
     values = sweep_values(param, grid, case.nu_branch)
-    cfg = _config_for(case, cfg, overrides)
+    cfg = _config_for(case, overrides)
     memo: dict = {}
     rng = _new_generator()
     out = []

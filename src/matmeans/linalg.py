@@ -8,7 +8,8 @@ verification harness) is built on the small toolkit in this module:
   ``OperatorChain``, the Loewner-ordered chain that ``means`` builds and
   ``reporting`` checks,
 * one assembly, ``_congruence``, of every matrix built from a spectrum:
-  Hermitian by construction, so it skips the validating constructors,
+  Hermitian by construction, and the one place that checks such a matrix is
+  finite; ``_exact`` then wraps it without the validating constructors,
 * a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``),
 * spectral functions ``apply_spectral`` / ``spd_pow``,
 * the semidefinite (Loewner) order check ``loewner_leq``,
@@ -60,8 +61,12 @@ def _hermitian_part(h: np.ndarray) -> np.ndarray:
 def _congruence(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M diag(v) M* for a matrix M and real vector v, or for a stack of each,
     made exactly Hermitian by ``_hermitian_part``. Every spectral matrix of
-    the package is assembled here."""
-    return _hermitian_part((m * v[..., None, :]) @ m.conj().swapaxes(-1, -2))
+    the package is assembled here, and checked here, once, to be finite: a
+    non-finite entry raises DomainError."""
+    s = _hermitian_part((m * v[..., None, :]) @ m.conj().swapaxes(-1, -2))
+    if not np.isfinite(s).all():
+        raise DomainError("matrix entries must be finite")
+    return s
 
 
 @dataclass(frozen=True)
@@ -133,15 +138,17 @@ class HermitianMatrix(ComplexMatrix):
 
     @classmethod
     def _exact(cls, a: np.ndarray):
-        """Wrap an exactly Hermitian array, checking only that it is finite."""
+        """Wrap and freeze a fresh complex128 array from ``_congruence``
+        (exactly Hermitian and finite) without copying or re-checking it."""
         obj = cls.__new__(cls)
-        ComplexMatrix.__init__(obj, a)
+        obj._a = _freeze(a)
         return obj
 
     @classmethod
     def _assemble(cls, w: np.ndarray, q: np.ndarray):
         """Q diag(w) Q* from a known factorization (Q unitary), with that
-        factorization recorded, so the solver never runs on it."""
+        factorization recorded, so the solver never runs on it. For an
+        ``SpdMatrix`` the caller passes a strictly positive ``w``."""
         order = np.argsort(w, kind="stable")
         w = np.ascontiguousarray(np.asarray(w, dtype=np.float64)[order])
         q = np.ascontiguousarray(np.asarray(q, dtype=np.complex128)[:, order])
@@ -171,16 +178,11 @@ class SpdMatrix(HermitianMatrix):
                 f"matrix is not positive definite: lambda_min = {self.eig.eigenvalues[0]:.6e}"
             )
 
-    @classmethod
-    def _assemble(cls, w: np.ndarray, q: np.ndarray) -> "SpdMatrix":
-        if np.min(w) <= 0.0:
-            raise DomainError("assembled spectrum must be strictly positive")
-        return super()._assemble(w, q)
-
     def power(self, t: float) -> "SpdMatrix":
         """Real matrix power through the cached eigendecomposition: the power
-        stack of one weight (``_power_stack``)."""
-        return SpdMatrix._exact(_power_stack(self, [t])[0])
+        stack of one weight (``_power_stack``), copied so that no writable
+        stack stays behind the frozen array."""
+        return SpdMatrix._exact(_power_stack(self, [t])[0].copy())
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,9 @@ def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
     Each slice is ``_congruence`` of (w ** t, Q), sorted stably ascending,
     and does not depend on what else is in the stack; ``power`` is the stack
     of one, so each slice equals ``m.power(t).a`` bit for bit. m^0 is
-    exactly I. A powered spectrum that is not strictly positive, or a
-    non-finite entry, raises DomainError.
+    exactly I. A powered spectrum that is not strictly positive (``w ** t``
+    can underflow) raises DomainError, and so does a non-finite entry
+    (``_congruence``).
     """
     w, q = m.eig.eigenvalues, m.eig.eigenvectors
     ts = [float(t) for t in ts]
@@ -231,10 +234,7 @@ def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
     qs = np.ascontiguousarray(q.T[order].swapaxes(-1, -2))
     if zero:
         qs[zero] = np.eye(n)
-    s = _congruence(qs, wts)
-    if not np.isfinite(s).all():
-        raise DomainError("matrix entries must be finite")
-    return s
+    return _congruence(qs, wts)
 
 
 @dataclass(frozen=True)

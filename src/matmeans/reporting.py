@@ -79,25 +79,21 @@ def _scalar_slacks(values) -> list[float]:
 def _operator_verdict(chain: OperatorChain) -> tuple[list[float], float]:
     """Link slacks and the gap of an operator chain from one stacked ``eigh``.
 
-    The stack holds every matrix whose spectrum is not cached yet, each
-    link's difference X_{i+1} - X_i and the end-to-end difference X_k - X_0.
-    The matrices are exactly Hermitian (every constructor symmetrizes), so
-    their differences are too and need no re-symmetrization: each slice's
-    spectrum is the one ``HermitianMatrix(y.a - x.a).eig`` gives. A
-    difference whose subtraction overflows raises DomainError, as that
-    constructor does.
+    The stack holds every matrix X_i of the chain, each link's difference
+    X_{i+1} - X_i and the end-to-end difference X_k - X_0. The matrices are
+    exactly Hermitian (every constructor symmetrizes), so their differences
+    are too and need no re-symmetrization: each slice's spectrum is the one
+    ``HermitianMatrix(y.a - x.a).eig`` gives. A difference whose subtraction
+    overflows raises DomainError, as that constructor does.
     """
-    mats = chain.matrices
-    xs = np.stack([m.a for m in mats])
+    k = len(chain.matrices)
+    xs = np.stack([m.a for m in chain.matrices])
     diffs = np.concatenate([xs[1:] - xs[:-1], xs[-1:] - xs[:1]])
     if not np.isfinite(diffs).all():
         raise DomainError("matrix entries must be finite")
-    fresh = [i for i, m in enumerate(mats) if "eig" not in m.__dict__]
-    w = _eigh_array(np.concatenate([xs[fresh], diffs]))[0].tolist()
-    solved = {i: max(abs(wi[0]), abs(wi[-1])) for i, wi in zip(fresh, w)}
-    norm2 = [solved[i] if i in solved else m.spectral_norm for i, m in enumerate(mats)]
-    links = w[len(fresh) : -1]
-    slacks = [d[0] / max(1.0, x, y) for d, x, y in zip(links, norm2, norm2[1:])]
+    w = _eigh_array(np.concatenate([xs, diffs]))[0].tolist()
+    norm2 = [max(abs(wi[0]), abs(wi[-1])) for wi in w[:k]]
+    slacks = [d[0] / max(1.0, x, y) for d, x, y in zip(w[k:-1], norm2, norm2[1:])]
     return slacks, w[-1][-1]
 
 

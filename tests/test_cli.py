@@ -194,6 +194,7 @@ class TestVerify:
             (("--case", "unknown_case"), "unknown"),
             (("--tol", "-1"), "rel_tol"),
             (("--tol", "nan"), "rel_tol"),
+            (("--tol", "inf"), "rel_tol"),
             (("--instances", "0"), "instances"),
             (("--dim-max", "0"), "dimension"),
         ):
@@ -279,6 +280,20 @@ class TestSweep:
                 capsys, "sweep", "--case", case, "--param", param, "--grid", grid,
             )
             assert code == EXIT_USAGE and stdout == "", grid
+
+    def test_oversized_grid_is_usage_error(self, capsys, monkeypatch):
+        # The point count is checked before any grid array is built.
+        def no_arange(*args, **kwargs):
+            raise AssertionError("grid array allocated")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        for grid in ("0:1e300:1", "0:1.7e308:1e-300", "0:10000:1"):
+            code, stdout, stderr = run_cli(
+                capsys, "sweep", "--case", "young_reverse_pos", "--param", "nu",
+                "--grid", grid,
+            )
+            assert code == EXIT_USAGE and stdout == "", grid
+            assert "points" in stderr, grid
 
     def test_nu_off_branch_is_usage_error(self, capsys):
         for case, grid in (

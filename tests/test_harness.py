@@ -263,7 +263,7 @@ class TestStreamSeeding:
         # kantorovich_operator resamples, so its first block runs out and
         # the rest are seeded in further blocks.
         name, n = "kantorovich_operator", 30
-        rel_tol = harness._config_for(harness.REGISTRY[name], None, {}).rel_tol
+        rel_tol = harness._config_for(harness.REGISTRY[name], {}).rel_tol
         report = harness.run_case(name, instances=n)
         assert report.skipped > 0
         rows, gaps, index = [], [], 0
@@ -414,6 +414,9 @@ class TestReportAggregation:
             CaseConfig(cond_max=float("nan"))
         with pytest.raises(DomainError, match="cond_max must be finite"):
             CaseConfig(cond_max=float("inf"))
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="rel_tol must be finite and >= 0"):
+                CaseConfig(rel_tol=bad)
 
 
 def _bits(values) -> list[int]:
@@ -547,7 +550,7 @@ class TestSweepReuse:
 
     def test_payload_not_changed_by_next_build(self):
         case = harness.REGISTRY["norm_heinz_power"]
-        cfg = harness._config_for(case, None, {"instances": 2})
+        cfg = harness._config_for(case, {"instances": 2})
         memo = {}
         first = [b for _, b in harness._instances(case, cfg, {"depth": 1}, memo)]
         saved = json.dumps([b.payload for b in first])

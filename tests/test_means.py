@@ -122,6 +122,31 @@ class TestMeans:
             harmonic_mean(_diag(2.0), _diag(1.0), -1.0)
 
 
+class TestAssembly:
+    """Every spectral matrix is assembled, and checked finite, in one place."""
+
+    def test_overflowing_assembly_raises(self):
+        eye = _diag(1.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for build in (
+                lambda: _diag(1e200, 1.0).power(2.0),
+                lambda: geometric_mean(eye, _diag(1e200, 1.0), 2.0),
+                lambda: harmonic_mean(_diag(1e-310, 1.0), _diag(1e-310, 1.0), 0.5),
+            ):
+                with pytest.raises(DomainError, match="matrix entries must be finite"):
+                    build()
+
+    def test_assembled_arrays_are_read_only(self):
+        a, b = _pair(3)
+        chain = operator_reverse_chain(a, b, 1.5, 3)
+        for m in (a, a.power(0.5), geometric_mean(a, b, 0.3), harmonic_mean(a, b, 0.3),
+                  *chain.matrices):
+            assert not m.a.flags.writeable
+            assert m.a.base is None or not m.a.base.flags.writeable
+            with pytest.raises(ValueError):
+                m.a[0, 0] = 0.0
+
+
 class TestOperatorReverseChain:
     def test_equal_matrices_collapse(self):
         a = random_spd(3, 20, 2)
