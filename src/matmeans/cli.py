@@ -164,6 +164,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"empty grid {text!r}")
+    if stop == start:  # at large magnitude stop + step / 2 rounds back to stop
+        return np.array([start])
     # np.arange's length is the ceiling of this; check it before allocating.
     if not (stop + step * 0.5 - start) / step <= MAX_GRID_POINTS:
         raise _UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +29,14 @@ import numpy as np
 
 from . import means, norms, scalar
 from .errors import DomainError
-from .linalg import HermitianMatrix, SpdMatrix, _power_stack, matrix_to_json, random_spd
+from .linalg import (
+    ComplexMatrix,
+    HermitianMatrix,
+    SpdMatrix,
+    _power_stack,
+    _random_spds,
+    matrix_to_json,
+)
 from .reporting import (
     ChainReport,
     _chain_verdict,
@@ -98,20 +105,33 @@ class Resample(Exception):
     """Raised by a builder when a hypothesis fails for the drawn instance."""
 
 
-@dataclass
 class Built:
     """One evaluated instance: a chain or a margins vector, plus replay data.
 
     Margin-style cases report normalized margins directly (pass at
     ``>= -rel_tol``); their "gap" is the largest margin, standing in for the
-    end-to-end chain gap as the tightness measure.
+    end-to-end chain gap as the tightness measure. ``refined`` is a float
+    or a HermitianMatrix.
+
+    A builder passes its drawn matrices in ``payload`` as they are; reading
+    ``payload`` serializes them with ``matrix_to_json``. Only failure files
+    read it, so an instance that passes never serializes its inputs.
     """
 
-    chain: object | None = None
-    margins: np.ndarray | None = None
-    refined: object | None = None  # float or HermitianMatrix
-    base: object | None = None
-    payload: dict = field(default_factory=dict)
+    def __init__(self, chain=None, margins=None, refined=None, base=None, payload=None):
+        self.chain = chain
+        self.margins = margins
+        self.refined = refined
+        self.base = base
+        self._drawn = {} if payload is None else payload
+
+    @property
+    def payload(self) -> dict:
+        """The replay parameters in the JSON form failure files carry."""
+        return {
+            key: matrix_to_json(v) if isinstance(v, (ComplexMatrix, np.ndarray)) else v
+            for key, v in self._drawn.items()
+        }
 
     def gap(self) -> float:
         if self.margins is not None:
@@ -290,19 +310,21 @@ def _spd_pair(rng, cfg, forced, cap=None, ordered=False):
     """Two random SPD matrices (A <= B when ``ordered``) and their payload."""
     n = _draw_dim(rng, cfg, cap)
     cond = float(forced.get("cond", cfg.cond_max))
-    a, b = random_spd(n, cond, rng), random_spd(n, cond, rng)
+    a, b = _random_spds(n, cond, rng, 2)
     if ordered:
         b = SpdMatrix(a.a + b.a)  # B = A + SPD
-    return a, b, {"a": matrix_to_json(a), "b": matrix_to_json(b), "cond": cond, "n": n}
+    return a, b, {"a": a, "b": b, "cond": cond, "n": n}
 
 
 def _norm_triple(rng, cfg, forced):
-    """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind."""
+    """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind.
+    X is read-only: the payload and a sweep's memo share it."""
     a, b, payload = _spd_pair(rng, cfg, forced, cap=6)
     n = payload["n"]
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x.setflags(write=False)
     kind = norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
-    payload.update(x=matrix_to_json(x), kind=str(kind))
+    payload.update(x=x, kind=str(kind))
     return a, b, x, kind, payload
 
 
@@ -829,9 +851,6 @@ def _build(
         rng.bit_generator.state = state
     else:
         args, payload = inputs(_seat(rng, stream(index)), cfg, forced)
-        for value in args.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
         memo[key] = args, payload, rng.bit_generator.state
     return case.build(rng, cfg, forced, drawn=(dict(args), dict(payload)))
 

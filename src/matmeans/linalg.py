@@ -146,15 +146,31 @@ class HermitianMatrix(ComplexMatrix):
 
     @classmethod
     def _assemble(cls, w: np.ndarray, q: np.ndarray):
-        """Q diag(w) Q* from a known factorization (Q unitary), with that
-        factorization recorded, so the solver never runs on it. For an
-        ``SpdMatrix`` the caller passes a strictly positive ``w``."""
-        order = np.argsort(w, kind="stable")
-        w = np.ascontiguousarray(np.asarray(w, dtype=np.float64)[order])
-        q = np.ascontiguousarray(np.asarray(q, dtype=np.complex128)[:, order])
-        obj = cls._exact(_congruence(q, w))
-        obj.__dict__["eig"] = EigenDecomposition(_freeze(w), _freeze(q))
-        return obj
+        """Q diag(w) Q* from a known factorization (Q unitary): the stack of
+        one of ``_assemble_stack``."""
+        return cls._assemble_stack(np.asarray(w)[None], np.asarray(q)[None])[0]
+
+    @classmethod
+    def _assemble_stack(cls, w: np.ndarray, q: np.ndarray) -> list:
+        """Q_i diag(w_i) Q_i* for a (k, n) stack of spectra and a (k, n, n)
+        stack of unitaries, each matrix with its factorization recorded, so
+        the solver never runs on it. Each spectrum is sorted stably
+        ascending; one ``_congruence`` assembles the stack. Every array is
+        frozen before it is sliced, so no writable base stays behind a
+        matrix. For an ``SpdMatrix`` the caller passes a strictly positive
+        ``w``."""
+        order = np.argsort(w, axis=-1, kind="stable")
+        rows = np.arange(len(order))[:, None]
+        w = _freeze(np.asarray(w, dtype=np.float64)[rows, order])
+        q = np.asarray(q, dtype=np.complex128).swapaxes(-1, -2)[rows, order]
+        q = _freeze(np.ascontiguousarray(q.swapaxes(-1, -2)))
+        s = _freeze(_congruence(q, w))
+        out = []
+        for i in range(len(s)):
+            obj = cls._exact(s[i])
+            obj.__dict__["eig"] = EigenDecomposition(w[i], q[i])
+            out.append(obj)
+        return out
 
     @cached_property
     def eig(self) -> EigenDecomposition:
@@ -320,31 +336,36 @@ def loewner_leq(x, y, rel_tol: float = LOEWNER_REL_TOL) -> LoewnerVerdict:
         y = HermitianMatrix(y)
     if x.n != y.n:
         raise DomainError(f"dimension mismatch: {x.n} vs {y.n}")
-    diff = HermitianMatrix(y.a - x.a)
-    witness = float(diff.eig.eigenvalues[0])
+    # Y - X of two exactly Hermitian matrices is exactly Hermitian: its
+    # spectrum is the one HermitianMatrix(Y - X).eig gives, without the copy.
+    diff = y.a - x.a
+    if not np.isfinite(diff).all():
+        raise DomainError("matrix entries must be finite")
+    witness = float(_eigh_array(diff)[0][0])
     tol = rel_tol * max(1.0, x.spectral_norm, y.spectral_norm)
     return LoewnerVerdict(holds=witness >= -tol, witness_eigenvalue=witness, tolerance_used=tol)
 
 
-def random_unitary(n: int, seed) -> np.ndarray:
-    """Seeded Haar unitary: the Q factor of a complex Gaussian matrix G = QR,
-    with its phases chosen so that R has a positive real diagonal (Mezzadri,
-    *Notices AMS* 54, 2007)."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _haar(g: np.ndarray) -> np.ndarray:
+    """The Q factor of G = QR, for a complex Gaussian matrix G or a stack of
+    them, with its phases chosen so that R has a positive real diagonal:
+    a Haar unitary (Mezzadri, *Notices AMS* 54, 2007)."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:
-    """Seeded random positive definite matrix with bounded condition number.
+def random_unitary(n: int, seed) -> np.ndarray:
+    """Seeded Haar unitary (``_haar`` of an n x n complex Gaussian matrix)."""
+    rng = np.random.default_rng(seed)
+    return _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
-    Draws a unitary Q with ``random_unitary`` and eigenvalues log-uniform in
-    [1/sqrt(cond_max), sqrt(cond_max)], so the spectral condition number
-    never exceeds ``cond_max``. Deterministic per seed; ``seed`` may be an
-    integer or a ``numpy.random.Generator``.
-    """
+
+def _random_spds(n: int, cond_max: float, seed, count: int) -> list[SpdMatrix]:
+    """``count`` matrices drawn as ``count`` sequential ``random_spd`` calls
+    would draw them, bit for bit and to the same stream position: each
+    matrix's Gaussian G and then its spectrum, in stream order. The stack
+    takes one QR and one ``_assemble_stack``."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
     if not np.isfinite(cond_max):
@@ -352,10 +373,25 @@ def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:
     if cond_max < 1.0:
         raise DomainError("cond_max must be >= 1")
     rng = np.random.default_rng(seed)
-    q = random_unitary(n, rng)
     half = 0.5 * np.log(cond_max)
-    lam = np.exp(rng.uniform(-half, half, size=n))
-    return SpdMatrix._assemble(lam, q)
+    g = np.empty((count, n, n), dtype=np.complex128)
+    lam = np.empty((count, n))
+    for i in range(count):
+        g[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lam[i] = np.exp(rng.uniform(-half, half, size=n))
+    return SpdMatrix._assemble_stack(lam, _haar(g))
+
+
+def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:
+    """Seeded random positive definite matrix with bounded condition number.
+
+    Draws a Haar unitary Q as ``random_unitary`` does and eigenvalues
+    log-uniform in [1/sqrt(cond_max), sqrt(cond_max)], so the spectral
+    condition number never exceeds ``cond_max``. Deterministic per seed;
+    ``seed`` may be an integer or a ``numpy.random.Generator``. The stack of
+    one of ``_random_spds``.
+    """
+    return _random_spds(n, cond_max, seed, 1)[0]
 
 
 # ---------------------------------------------------------------------------

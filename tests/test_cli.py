@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from matmeans import ConvergenceError, harness, means, random_spd
-from matmeans.cli import EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_USAGE, main
+from matmeans.cli import EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_USAGE, _parse_grid, main
 from matmeans.harness import Built
 from matmeans.linalg import matrix_from_json, matrix_to_json
 from matmeans.scalar import ScalarChain
@@ -264,6 +264,21 @@ class TestSweep:
         first = stdout.strip().split("\n")[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[2]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_grid_values(self, capsys):
+        # A one-point grid at any magnitude has its one point, although
+        # stop + step / 2 rounds back to stop at 1e300.
+        np.testing.assert_array_equal(_parse_grid("1e300:1e300:1"), [1e300])
+        np.testing.assert_array_equal(_parse_grid("0:1:0.25"), [0.0, 0.25, 0.5, 0.75, 1.0])
+        np.testing.assert_array_equal(_parse_grid("1:16:1"), np.arange(1.0, 17.0))
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "--case", "harmonic_reverse",
+            "--param", "nu", "--grid", "1e300:1e300:1", "--instances", "3",
+        )
+        assert code == EXIT_OK
+        lines = stdout.strip().split("\n")
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 1e300
 
     def test_empty_grid_is_usage_error(self, capsys):
         # So is a grid value no instance can take: a depth that is not an

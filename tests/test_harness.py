@@ -85,6 +85,39 @@ class TestRunCase:
         finally:
             harness.REGISTRY.pop("_synthetic_fail")
 
+    def test_failure_file_replays_the_drawn_matrices(self, tmp_path):
+        # The payload holds A, B and X as drawn and serializes them only for
+        # the failure file, which parses back to them exactly.
+        drawn = []
+
+        def descending(rng, cfg, forced):
+            a, b, x, kind, payload = harness._norm_triple(rng, cfg, forced)
+            drawn.append((a.a, b.a, x))
+            return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)), payload=payload)
+
+        harness.REGISTRY["_synthetic_norm"] = harness.CaseDef(
+            "_synthetic_norm", descending, {"instances": 4, "dim_min": 1}, (), "synthetic"
+        )
+        try:
+            report = harness.run_case("_synthetic_norm", failures_dir=tmp_path)
+            assert report.failures == 4
+            for index, arrays in enumerate(drawn):
+                data = json.loads((tmp_path / f"_synthetic_norm-{index:05d}.json").read_text())
+                for key, array in zip("abx", arrays):
+                    np.testing.assert_array_equal(
+                        linalg.matrix_from_json(data["params"][key]).a, array
+                    )
+        finally:
+            harness.REGISTRY.pop("_synthetic_norm")
+
+    def test_passing_instances_serialize_nothing(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("a passing instance serialized its payload")
+
+        monkeypatch.setattr(harness, "matrix_to_json", refuse)
+        for name in ("harmonic_operator", "norm_combined", "heinz_monotonicity"):
+            assert harness.run_case(name, instances=3).failures == 0
+
     def test_nan_slack_is_a_failure_with_a_repro_file(self, tmp_path):
         def nan_margin(rng, cfg, forced):
             return Built(margins=np.array([0.1, np.nan]), payload={"note": "nan"})
@@ -189,6 +222,14 @@ class TestStress:
                         name, instances=10, cond_max=cond, dim_min=dim_min, dim_max=dim_max
                     )
                     assert report.failures == 0, (name, cond, dim_min, report.min_slack)
+
+    def test_every_case_at_large_weights(self):
+        # |nu| in 8..9 on either branch, at each case's cond and at 1e12:
+        # nothing raises, and no instance fails.
+        for cond in ({}, {"cond_max": 1e12}):
+            for name in harness.case_names():
+                report = harness.run_case(name, instances=10, nu_range=(8.0, 9.0), **cond)
+                assert report.failures == 0, (name, cond, report.min_slack)
 
 
 class TestBuildInstance:
@@ -530,23 +571,24 @@ class TestSweepReuse:
                 assert _hex_rows(rows) == _hex_rows(expected), (name, param)
 
     def test_random_spd_calls(self, monkeypatch):
+        # Each instance draws A and B in one stacked draw of two.
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return linalg.random_spd(*args, **kwargs)
+        def counting(n, cond_max, rng, count):
+            calls.append(count)
+            return linalg._random_spds(n, cond_max, rng, count)
 
-        monkeypatch.setattr(harness, "random_spd", counting)
+        monkeypatch.setattr(harness, "_random_spds", counting)
         instances, grid = 3, [1, 2, 4, 8]
         harness.sweep("operator_reverse_pos", "depth", grid, instances=instances)
-        assert len(calls) == 2 * instances
+        assert calls == [2] * instances
         calls.clear()
         harness.sweep("norm_heinz_power", "nu", [0.0, 1.0, 2.0], instances=instances)
-        assert len(calls) == 2 * instances
+        assert calls == [2] * instances
         calls.clear()
         # A cond sweep redraws A and B at every value.
         harness.sweep("operator_reverse_pos", "cond", [2.0, 10.0, 50.0], instances=instances)
-        assert len(calls) == 2 * 3 * instances
+        assert calls == [2] * 3 * instances
 
     def test_payload_not_changed_by_next_build(self):
         case = harness.REGISTRY["norm_heinz_power"]

@@ -24,7 +24,7 @@ from matmeans import (
     spd_pow,
 )
 
-from matmeans.linalg import _power_stack
+from matmeans.linalg import _power_stack, _random_spds
 
 from jacobi_oracle import jacobi_eigenvalues
 
@@ -241,6 +241,17 @@ class TestLoewner:
         with pytest.raises(DomainError):
             loewner_leq(np.eye(2), np.eye(3))
 
+    def test_witness_is_the_least_eigenvalue_of_the_difference(self):
+        # The bits of HermitianMatrix(Y - X).eig; a difference that
+        # overflows is rejected as that constructor rejects it.
+        rng = np.random.default_rng(8)
+        for n in range(1, 7):
+            x, y = _rand_hermitian(rng, n), _rand_hermitian(rng, n)
+            expected = HermitianMatrix(y.a - x.a).eig.eigenvalues[0]
+            assert loewner_leq(x, y).witness_eigenvalue == expected
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite"):
+            loewner_leq(np.diag([1e308, 1.0]), np.diag([-1e308, 1.0]))
+
     def test_congruence_preserves_order(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
@@ -278,6 +289,29 @@ class TestRandomGeneration:
         for bad in (np.nan, np.inf):
             with pytest.raises(DomainError, match="finite"):
                 random_spd(3, bad, 1)
+
+    def test_stacked_draw_equals_sequential_draws(self):
+        # Each slice of a stacked draw has the bits of one random_spd call,
+        # and of the sequential construction (Haar Q, then its spectrum),
+        # and the stream ends where sequential calls leave it.
+        def sequential(n, cond, rng):
+            q = random_unitary(n, rng)
+            half = 0.5 * np.log(cond)
+            return SpdMatrix._assemble(np.exp(rng.uniform(-half, half, size=n)), q)
+
+        for n in range(1, 9):
+            for cond in (1.0, 1e3, 1e8, 1e12):
+                for seed in range(3):
+                    rngs = [np.random.default_rng(seed) for _ in range(3)]
+                    stacked = _random_spds(n, cond, rngs[0], 2)
+                    for draw, rng in ((random_spd, rngs[1]), (sequential, rngs[2])):
+                        for m, ref in zip(stacked, [draw(n, cond, rng) for _ in range(2)]):
+                            np.testing.assert_array_equal(m.a, ref.a)
+                            np.testing.assert_array_equal(m.eig.eigenvalues, ref.eig.eigenvalues)
+                            np.testing.assert_array_equal(
+                                m.eig.eigenvectors, ref.eig.eigenvectors
+                            )
+                        assert rng.bit_generator.state == rngs[0].bit_generator.state
 
     def test_random_unitary_is_unitary(self):
         q = random_unitary(5, 9)
