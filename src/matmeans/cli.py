@@ -164,12 +164,19 @@ def _parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"empty grid {text!r}")
-    if stop == start:  # at large magnitude stop + step / 2 rounds back to stop
-        return np.array([start])
-    # np.arange's length is the ceiling of this; check it before allocating.
-    if not (stop + step * 0.5 - start) / step <= MAX_GRID_POINTS:
+    # Points start + i * step up to the one nearest stop, counted from the
+    # span in steps: a padded stop + step / 2 can round back to stop.
+    span = (stop - start) / step
+    if not span + 0.5 <= MAX_GRID_POINTS:
         raise _UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    return np.arange(start, stop + step * 0.5, step)
+    # The values np.arange gives: start, start + step, then start + i * delta
+    # with delta = (start + step) - start.
+    grid = np.empty(math.ceil(span + 0.5))
+    grid[0] = start
+    if len(grid) > 1:
+        grid[1] = start + step
+        grid[2:] = start + np.arange(2, len(grid)) * (grid[1] - start)
+    return grid
 
 
 def _cmd_sweep(args) -> int:

@@ -14,6 +14,14 @@ draw, a chain function, a weight branch and a base label, made into a
 builder by ``_refinement``. Identities, shape checks and cases with
 hypotheses have builders of their own. Every builder records each drawn
 parameter in its payload, which failure files carry for replay.
+
+Every matrix case starts from a random SPD pair (A, B), and its builder
+declares the draw of its inputs (``inputs``). Such a case builds each block
+of instances whose streams are seeded together in three phases: draw (each
+stream draws its inputs, and its state after the draw is recorded), then
+assemble (one QR and one assembly per dimension n over the whole block),
+then build (each stream resumes from its recorded state). The scalar cases
+have nothing to stack and draw and build each instance in one pass.
 """
 
 from __future__ import annotations
@@ -33,8 +41,9 @@ from .linalg import (
     ComplexMatrix,
     HermitianMatrix,
     SpdMatrix,
+    _assemble_spds,
+    _draw_spds,
     _power_stack,
-    _random_spds,
     matrix_to_json,
 )
 from .reporting import (
@@ -158,10 +167,14 @@ class CaseDef:
 REGISTRY: dict[str, CaseDef] = {}
 
 
-def _register(name, *, overrides=None, sweep=(), description="", nu_branch=0):
-    """Register a builder; a ``_refinement`` builder brings its own nu branch."""
+def _register(name, *, overrides=None, sweep=(), description="", nu_branch=0, inputs=None):
+    """Register a builder; a ``_refinement`` builder brings its own nu branch
+    and input draw. A builder given ``inputs`` is called with ``drawn``, the
+    instance's drawn and assembled inputs (see ``_instances``)."""
 
     def deco(fn):
+        if inputs is not None:
+            fn.inputs = inputs
         branch = getattr(fn, "nu_branch", nu_branch)
         REGISTRY[name] = CaseDef(
             name, fn, dict(overrides or {}), tuple(sweep), description, branch
@@ -306,26 +319,48 @@ def _loguniform(rng, lo, hi) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
+# The key under which an input draw leaves its SPD pair, drawn but not yet
+# assembled, for ``_assemble_pairs``.
+_PAIR = "_pair"
+
+
 def _spd_pair(rng, cfg, forced, cap=None, ordered=False):
-    """Two random SPD matrices (A <= B when ``ordered``) and their payload."""
+    """Draw the inputs of two random SPD matrices: n, then each matrix's
+    Gaussian and spectrum. Returns the args and the payload, whose "a" and
+    "b" ``_assemble_pairs`` fills (A <= B when ``ordered``)."""
     n = _draw_dim(rng, cfg, cap)
     cond = float(forced.get("cond", cfg.cond_max))
-    a, b = _random_spds(n, cond, rng, 2)
-    if ordered:
-        b = SpdMatrix(a.a + b.a)  # B = A + SPD
-    return a, b, {"a": a, "b": b, "cond": cond, "n": n}
+    g, lam = _draw_spds(n, cond, rng, 2)
+    return {_PAIR: (g, lam, ordered)}, {"a": None, "b": None, "cond": cond, "n": n}
 
 
-def _norm_triple(rng, cfg, forced):
-    """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind.
-    X is read-only: the payload and a sweep's memo share it."""
-    a, b, payload = _spd_pair(rng, cfg, forced, cap=6)
-    n = payload["n"]
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x.setflags(write=False)
-    kind = norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
-    payload.update(x=x, kind=str(kind))
-    return a, b, x, kind, payload
+def _assemble_pairs(drawn) -> None:
+    """Assemble the SPD pairs of drawn ``(args, payload)`` inputs: one
+    ``_assemble_spds`` per n over all of them, then the ordered B = A + B'.
+    Puts A and B in the "a" and "b" entries of both dicts; inputs without a
+    pair are left as they are."""
+    groups: dict[int, list] = {}
+    for args, payload in drawn:
+        pair = args.pop(_PAIR, None)
+        if pair is not None:
+            groups.setdefault(pair[1].shape[-1], []).append((args, payload, pair))
+    for group in groups.values():
+        spds = _assemble_spds(
+            np.concatenate([g for _, _, (g, _, _) in group]),
+            np.concatenate([lam for _, _, (_, lam, _) in group]),
+        )
+        for (args, payload, (_, _, ordered)), a, b in zip(group, spds[::2], spds[1::2]):
+            if ordered:
+                b = SpdMatrix(a.a + b.a)  # B = A + SPD
+            args["a"] = payload["a"] = a
+            args["b"] = payload["b"] = b
+
+
+def _norm_triple(drawn):
+    """A, B, X, the norm kind and the payload of a norm case's ``drawn``
+    inputs (``_norm_inputs``)."""
+    args, payload = drawn
+    return args["a"], args["b"], args["x"], args["kind"], payload
 
 
 # Input draws of the refinement table: each returns the chain's keyword
@@ -365,18 +400,29 @@ def _ordered_xy_inputs(rng, cfg, forced):
 
 
 def _spd_inputs(rng, cfg, forced):
-    a, b, payload = _spd_pair(rng, cfg, forced)
-    return {"a": a, "b": b}, payload
+    return _spd_pair(rng, cfg, forced)
 
 
 def _ordered_spd_inputs(rng, cfg, forced):
-    a, b, payload = _spd_pair(rng, cfg, forced, ordered=True)
-    return {"a": a, "b": b}, payload
+    return _spd_pair(rng, cfg, forced, ordered=True)
 
 
 def _norm_inputs(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
-    return {"a": a, "b": b, "x": x, "kind": kind}, payload
+    """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind.
+    X is read-only: the payload and a sweep's table share it."""
+    args, payload = _spd_pair(rng, cfg, forced, cap=6)
+    n = payload["n"]
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x.setflags(write=False)
+    kind = norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
+    args.update(x=x, kind=kind)
+    payload.update(x=x, kind=str(kind))
+    return args, payload
+
+
+# The draws that leave an SPD pair: their cases build from a table (see
+# ``_instances``); the other cases draw and build in one pass.
+_PAIR_INPUTS = (_spd_inputs, _ordered_spd_inputs, _norm_inputs)
 
 
 def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
@@ -386,8 +432,9 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
     either), then the depth unless ``depth`` is false, and calls
     ``chain_fn(**inputs, nu=, depth=, **fixed)``. ``base`` names the chain's
     unrefined bound; with it the "refined" and ``base`` entries feed the
-    sweep gain. A sweep passes the inputs as ``drawn``, with ``rng`` already
-    past their draw (see ``_build``); the builder extends their dicts.
+    sweep gain. A build from a table gets the inputs as ``drawn``, with
+    ``rng`` already past their draw (see ``_build``); the builder extends
+    their dicts. Only inputs without an SPD pair are drawn here.
     """
 
     def build(rng, cfg, forced, drawn=None):
@@ -603,9 +650,11 @@ _register(
         "Kantorovich operator bound, A <= B; hypothesis read on the Hermitian "
         "part of B^{-1}A + A^{-1}B, failures skipped"
     ),
+    inputs=_ordered_spd_inputs,
 )
-def _build_kantorovich_operator(rng, cfg, forced):
-    a, b, payload = _spd_pair(rng, cfg, forced, ordered=True)
+def _build_kantorovich_operator(rng, cfg, forced, drawn):
+    args, payload = drawn
+    a, b = args["a"], args["b"]
     nu = _draw_nu(rng, cfg, forced, branch=1)
     holds, witness = means.kantorovich_hypothesis(a, b)
     if not holds:
@@ -672,9 +721,10 @@ _register(
     "norm_collapse_depth1",
     overrides={"instances": 500},
     description="depth-1 corollaries ||AX||^{1+2nu} and ||AXB||^{1+2nu}",
+    inputs=_norm_inputs,
 )
-def _build_norm_collapse(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_norm_collapse(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     nu = _draw_nu(rng, cfg, forced, branch=1)
     # f(1/2) = ||A^{1/2} X B^{1/2}||, f(-nu), ||AX||, ||AXB|| and
     # ||A^{1+nu} X B^{1+nu}||, from one SVD of the five products.
@@ -696,9 +746,10 @@ def _build_norm_collapse(rng, cfg, forced):
     "norm_logconvexity",
     overrides={"instances": 500, "rel_tol": 1e-9},
     description="log-convexity of v -> ||A^{1-v} X B^v|| on random combinations",
+    inputs=_norm_inputs,
 )
-def _build_norm_logconvexity(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_norm_logconvexity(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     v1, v2 = rng.uniform(-2.0, 3.0, size=2)
     alpha = float(rng.uniform(0.0, 1.0))
     weights = [float(v1), float(v2), float(alpha * v1 + (1 - alpha) * v2)]
@@ -715,9 +766,10 @@ def _build_norm_logconvexity(rng, cfg, forced):
     "heinz_symmetry",
     overrides={"instances": 500, "rel_tol": 0.0},
     description="Heinz functional symmetry f(nu) = f(1-nu) to 1e-10",
+    inputs=_norm_inputs,
 )
-def _build_heinz_symmetry(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_heinz_symmetry(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     nu = float(rng.uniform(-3.0, 4.0))
     f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu], kind).tolist()
     d = abs(f_nu - f_mirror)
@@ -728,9 +780,10 @@ def _build_heinz_symmetry(rng, cfg, forced):
     "heinz_midpoint_convexity",
     overrides={"instances": 500},
     description="midpoint convexity of the Heinz functional on [-3, 4]",
+    inputs=_norm_inputs,
 )
-def _build_heinz_midpoint(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_heinz_midpoint(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     v1, v2 = rng.uniform(-3.0, 4.0, size=2)
     margin = norms.heinz_midpoint_margin(a, b, x, float(v1), float(v2), kind)
     return Built(
@@ -743,9 +796,10 @@ def _build_heinz_midpoint(rng, cfg, forced):
     "heinz_monotonicity",
     overrides={"instances": 50},
     description="Heinz functional nonincreasing on [-3, 1/2], nondecreasing on [1/2, 4]",
+    inputs=_norm_inputs,
 )
-def _build_heinz_monotonicity(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_heinz_monotonicity(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     margins, _ = norms.heinz_grid_margins(a, b, x, kind)
     return Built(margins=margins, payload=payload)
 
@@ -762,9 +816,10 @@ _register(
     "heinz_reverse_outside",
     overrides={"instances": 200},
     description="||AX + XB|| <= f(nu) for weights outside [0, 1]",
+    inputs=_norm_inputs,
 )
-def _build_heinz_outside(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_heinz_outside(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     if rng.integers(2) == 0:
         nu = -float(rng.uniform(0.01, 3.0))
     else:
@@ -780,9 +835,10 @@ def _build_heinz_outside(rng, cfg, forced):
     "heinz_pq",
     overrides={"instances": 200},
     description="power-difference comparison for 0 < q < p",
+    inputs=_norm_inputs,
 )
-def _build_heinz_pq(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_heinz_pq(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     p = float(rng.uniform(0.2, 3.0))
     q = p * float(rng.uniform(0.05, 0.95))
     chain = norms.heinz_pq_chain(a, b, x, p, q, kind)
@@ -793,9 +849,10 @@ def _build_heinz_pq(rng, cfg, forced):
     "heinz_interpolated",
     overrides={"instances": 200},
     description="interpolated power-difference comparison for 0 < r < q < p",
+    inputs=_norm_inputs,
 )
-def _build_heinz_interpolated(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_heinz_interpolated(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     p = float(rng.uniform(0.2, 3.0))
     q = p * float(rng.uniform(0.05, 0.95))
     r = q * float(rng.uniform(0.02, 0.98))
@@ -807,9 +864,10 @@ def _build_heinz_interpolated(rng, cfg, forced):
     "heinz_interpolated_grid",
     overrides={"instances": 200},
     description="interpolated Heinz value nonincreasing in r on [0, q]",
+    inputs=_norm_inputs,
 )
-def _build_heinz_interp_grid(rng, cfg, forced):
-    a, b, x, kind, payload = _norm_triple(rng, cfg, forced)
+def _build_heinz_interp_grid(rng, cfg, forced, drawn):
+    a, b, x, kind, payload = _norm_triple(drawn)
     p = float(rng.uniform(0.2, 3.0))
     q = p * float(rng.uniform(0.05, 0.95))
     rs = np.linspace(0.0, q, 9)
@@ -822,36 +880,45 @@ def _build_heinz_interp_grid(rng, cfg, forced):
 # ---------------------------------------------------------------------------
 # Execution.
 
-def _build(
+def _draw_block(
     case: CaseDef,
     cfg: CaseConfig,
-    index: int,
     forced: dict,
+    indices: range,
+    table: dict,
     rng: np.random.Generator,
-    stream: Callable[[int], np.ndarray],
-    memo: dict | None = None,
-) -> Built:
-    """Build instance ``index`` on the shared Generator ``rng``.
+) -> None:
+    """Phases 1 and 2 for the instances of ``indices`` that ``table`` lacks,
+    keyed by (index, forced cond): input draws read no other forced
+    parameter.
 
-    ``stream(index)`` gives the instance's seed words from its block (see
-    ``_instances``), and ``rng`` is seated on them before the build draws.
-    With ``memo``, a builder that has ``inputs`` draws them once per
-    (index, forced cond): input draws read no other forced parameter. A
-    repeat seeds nothing: it resumes the instance's stream from the state
-    the first draw left, so the draws that follow read the same numbers as
-    after a fresh draw. Each build gets its own copies of the args and
-    payload dicts; the arrays they share are read-only.
+    Each stream is seated on ``rng`` from one ``_stream_states`` block and
+    draws its inputs; the table records the args, the payload and the
+    stream state after the draw. Then ``_assemble_pairs`` assembles every
+    SPD pair of the block, one stack per n.
     """
-    inputs = None if memo is None else getattr(case.build, "inputs", None)
-    if inputs is None:
-        return case.build(_seat(rng, stream(index)), cfg, forced)
-    key = (index, forced.get("cond"))
-    if key in memo:
-        args, payload, state = memo[key]
-        rng.bit_generator.state = state
-    else:
-        args, payload = inputs(_seat(rng, stream(index)), cfg, forced)
-        memo[key] = args, payload, rng.bit_generator.state
+    cond = forced.get("cond")
+    todo = [i for i in indices if (i, cond) not in table]
+    if not todo:
+        return
+    drawn = []
+    for i, words in zip(todo, _stream_states(cfg.seed, case.name, todo)):
+        args, payload = case.build.inputs(_seat(rng, words), cfg, forced)
+        table[i, cond] = args, payload, rng.bit_generator.state
+        drawn.append((args, payload))
+    _assemble_pairs(drawn)
+
+
+def _build(
+    case: CaseDef, cfg: CaseConfig, forced: dict, entry: tuple, rng: np.random.Generator
+) -> Built:
+    """Phase 3: build an instance from its table ``entry``, resuming its
+    stream on ``rng`` from the state after its input draw, so the draws
+    that follow read the same numbers as after a fresh draw. Each build
+    gets its own copies of the args and payload dicts; the arrays they
+    share are read-only."""
+    args, payload, state = entry
+    rng.bit_generator.state = state
     return case.build(rng, cfg, forced, drawn=(dict(args), dict(payload)))
 
 
@@ -859,52 +926,77 @@ def _instances(
     case: CaseDef,
     cfg: CaseConfig,
     forced: dict,
-    memo: dict | None = None,
+    table: dict | None = None,
     rng: np.random.Generator | None = None,
 ):
     """Yield (index, built) for the first ``cfg.instances`` instances that hold.
 
     Instance ``index`` draws from ``instance_rng(seed, case, index)``'s
-    stream, on one Generator (``rng``, or a new one) re-seated before each
-    build. The streams are seeded a block at a time by ``_stream_states``:
-    one block for the instances still needed, from the first index that
-    needs seeding, and a new block of the remaining count only when
-    resamples run past it. A memo hit seeds nothing. An instance whose
-    hypothesis fails (Resample) is skipped for the next index; more than
-    100x ``cfg.instances`` skips raise RuntimeError. ``memo``, a sweep's,
-    is passed on to ``_build``.
+    stream, on one Generator (``rng``, or a new one). The streams are seeded
+    a block at a time by ``_stream_states``: one block for the instances
+    still needed, from the first index that needs seeding, and a new block
+    of the remaining count only when resamples run past it.
+
+    A case whose declared ``inputs`` draw an SPD pair (every matrix case),
+    and in a sweep (``table`` given) every case with ``inputs``, builds each
+    block in three phases:
+
+    1. draw: seat each stream, draw its inputs and record them in the table
+       with the stream state after the draw (``_draw_block``);
+    2. assemble: one QR and one assembly per n over the whole block
+       (``_assemble_pairs``), then the ordered B = A + B';
+    3. build: resume each stream from its recorded state (``_build``).
+
+    ``run_case`` passes no table, and each block fills a fresh one. A
+    sweep keeps its table across grid values, so a repeat draws and seeds
+    nothing. The scalar cases draw and build each instance in one pass:
+    they have nothing to stack, and no stream state to save.
+
+    An instance whose hypothesis fails (Resample) is skipped for the next
+    index; more than 100x ``cfg.instances`` skips raise RuntimeError.
     """
     rng = _new_generator() if rng is None else rng
-    start, block = 0, ()
-
-    def stream(i):
-        nonlocal start, block
-        if i - start >= len(block):
-            count = cfg.instances - produced
-            start, block = i, _stream_states(cfg.seed, case.name, range(i, i + count))
-        return block[i - start]
-
+    inputs = getattr(case.build, "inputs", None)
+    tabled = inputs is not None and (table is not None or inputs in _PAIR_INPUTS)
+    cond = forced.get("cond")
     index = produced = 0
     while produced < cfg.instances:
-        if index - produced > _RESAMPLE_FACTOR * cfg.instances:
-            raise RuntimeError(
-                f"case {case.name}: resampling exceeded {_RESAMPLE_FACTOR}x instance budget"
-            )
-        try:
-            built = _build(case, cfg, index, forced, rng, stream, memo)
-        except Resample:
-            pass
+        indices = range(index, index + cfg.instances - produced)
+        if tabled:
+            block = {} if table is None else table
+            _draw_block(case, cfg, forced, indices, block, rng)
         else:
+            states = _stream_states(cfg.seed, case.name, indices)
+        for k, i in enumerate(indices):
+            if i - produced > _RESAMPLE_FACTOR * cfg.instances:
+                raise RuntimeError(
+                    f"case {case.name}: resampling exceeded {_RESAMPLE_FACTOR}x instance budget"
+                )
+            try:
+                if tabled:
+                    built = _build(case, cfg, forced, block[i, cond], rng)
+                else:
+                    built = case.build(_seat(rng, states[k]), cfg, forced)
+            except Resample:
+                continue
             produced += 1
-            yield index, built
-        index += 1
+            yield i, built
+        index = indices.stop
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
-    """Build one instance of a case (may raise Resample for hypothesis cases)."""
+    """Build one instance of a case alone, its inputs drawn and assembled as
+    a stack of one (may raise Resample for hypothesis cases)."""
     case = _case(name)
     cfg = _config_for(case, overrides)
-    return case.build(instance_rng(cfg.seed, name, index), cfg, dict(forced or {}))
+    forced = dict(forced or {})
+    rng = instance_rng(cfg.seed, name, index)
+    inputs = getattr(case.build, "inputs", None)
+    if inputs is None:
+        return case.build(rng, cfg, forced)
+    drawn = inputs(rng, cfg, forced)
+    _assemble_pairs([drawn])
+    return case.build(rng, cfg, forced, drawn=drawn)
 
 
 def _write_failure(directory: Path, name: str, index: int, built: Built, row, cfg) -> None:
@@ -1033,9 +1125,9 @@ def sweep(
 
     Instances keep their identity across the grid (same per-index draws with
     only ``param`` overridden), so columns are directly comparable. A
-    refinement-table case draws each instance's inputs (A, B, X, ...) once
-    per cond and re-evaluates only the chain at each grid value; the other
-    cases redraw. Returns one row per grid value with the mean end-to-end
+    case with declared inputs draws and assembles each instance's inputs
+    (A, B, X, ...) once per cond and re-evaluates only the rest at each grid
+    value; the other cases redraw. Returns one row per grid value with the mean end-to-end
     gap and mean refinement gain (refined bound minus unrefined bound; trace
     difference for operator chains). Every grid value is checked by
     ``sweep_values`` before any instance is built.
@@ -1047,13 +1139,13 @@ def sweep(
         )
     values = sweep_values(param, grid, case.nu_branch)
     cfg = _config_for(case, overrides)
-    memo: dict = {}
+    table: dict = {}
     rng = _new_generator()
     out = []
     for value in values:
         gaps = []
         gains = []
-        for _, built in _instances(case, cfg, {param: value}, memo, rng):
+        for _, built in _instances(case, cfg, {param: value}, table, rng):
             gaps.append(built.gap())
             gains.append(_gain(built))
         out.append(

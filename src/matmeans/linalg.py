@@ -13,7 +13,9 @@ verification harness) is built on the small toolkit in this module:
 * a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``),
 * spectral functions ``apply_spectral`` / ``spd_pow``,
 * the semidefinite (Loewner) order check ``loewner_leq``,
-* seeded random SPD and unitary generation.
+* seeded random SPD and unitary generation; an SPD draw (``_draw_spds``)
+  and its assembly (``_assemble_spds``) are separate steps, so the draws of
+  many instances share one QR and one assembly.
 
 All types are immutable after construction, all functions are pure, and the
 only randomness is explicit (seed in, value out), so everything here is safe
@@ -361,25 +363,39 @@ def random_unitary(n: int, seed) -> np.ndarray:
     return _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
-def _random_spds(n: int, cond_max: float, seed, count: int) -> list[SpdMatrix]:
-    """``count`` matrices drawn as ``count`` sequential ``random_spd`` calls
-    would draw them, bit for bit and to the same stream position: each
-    matrix's Gaussian G and then its spectrum, in stream order. The stack
-    takes one QR and one ``_assemble_stack``."""
+def _draw_spds(n: int, cond_max: float, rng: np.random.Generator, count: int):
+    """The inputs of ``count`` random SPD matrices, drawn from ``rng`` as
+    ``count`` sequential ``random_spd`` calls would draw them, bit for bit
+    and to the same stream position: each matrix's complex Gaussian G and
+    then its log-uniform spectrum. Returns the ``(count, n, n)`` stack of G
+    and the ``(count, n)`` stack of spectra, for ``_assemble_spds``."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
     if not np.isfinite(cond_max):
         raise DomainError("cond_max must be finite")
     if cond_max < 1.0:
         raise DomainError("cond_max must be >= 1")
-    rng = np.random.default_rng(seed)
     half = 0.5 * np.log(cond_max)
     g = np.empty((count, n, n), dtype=np.complex128)
     lam = np.empty((count, n))
     for i in range(count):
         g[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         lam[i] = np.exp(rng.uniform(-half, half, size=n))
+    return g, lam
+
+
+def _assemble_spds(g: np.ndarray, lam: np.ndarray) -> list[SpdMatrix]:
+    """The SPD matrices of stacked draws (``_draw_spds``, or several of them
+    of one n, concatenated): one QR of the whole stack (``_haar``) and one
+    ``_assemble_stack``. Each matrix does not depend on what else is in the
+    stack."""
     return SpdMatrix._assemble_stack(lam, _haar(g))
+
+
+def _random_spds(n: int, cond_max: float, seed, count: int) -> list[SpdMatrix]:
+    """``count`` matrices as ``count`` sequential ``random_spd`` calls would
+    give them: ``_draw_spds``, then ``_assemble_spds``."""
+    return _assemble_spds(*_draw_spds(n, cond_max, np.random.default_rng(seed), count))
 
 
 def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:

@@ -10,11 +10,14 @@ four values of its functional; N is capped at 32 so 2**N and the last dyadic
 point stay exact.
 
 All powers x**p * y**q are evaluated as exp(p*log x + q*log y) to avoid
-overflow at large weights.
+overflow at large weights. Where a value still leaves the float range (a
+weight of 1e300, say), the public functions raise DomainError, as they do
+for every other input they cannot evaluate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -63,6 +66,21 @@ class ScalarChain:
         return self.values[self.labels.index(label)]
 
 
+def _overflow_is_domain_error(fn):
+    """Raise DomainError where ``fn`` overflows: ``math.exp`` and float
+    powers raise OverflowError there (sums and products give inf, which
+    ``ScalarChain`` rejects)."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise DomainError(f"{fn.__name__}: a value overflows ({exc})") from exc
+
+    return checked
+
+
 def _feval(f: RealFunction, t: float) -> float:
     v = float(f(t))
     if not math.isfinite(v):
@@ -95,6 +113,7 @@ def _check_depth(depth: int) -> int:
     return int(depth)
 
 
+@_overflow_is_domain_error
 def line_through(f: RealFunction, a: float, b: float, x: float) -> float:
     """Value at ``x`` of the line through (a, f(a)) and (b, f(b)); requires a < b.
 
@@ -165,6 +184,7 @@ def _logconvex_refinement(values, a, b, nu, depth, anchor, drop=None):
     return math.exp(log_power), math.exp(log_refined), target
 
 
+@_overflow_is_domain_error
 def convex_refined_chain(
     f: RealFunction, a: float, b: float, nu: float, depth: int, anchor: str = "a"
 ) -> ScalarChain:
@@ -195,6 +215,7 @@ def convex_refined_chain(
     return ScalarChain(("secant", "refined", "target"), (secant, refined, target))
 
 
+@_overflow_is_domain_error
 def logconvex_refined_chain(
     f: RealFunction, a: float, b: float, nu: float, depth: int, anchor: str = "a"
 ) -> ScalarChain:
@@ -230,6 +251,7 @@ def arith_mean(x: float, y: float, nu: float) -> float:
     return (1.0 - nu) * x + nu * y
 
 
+@_overflow_is_domain_error
 def geom_mean(x: float, y: float, nu: float) -> float:
     """x^{1-nu} y^{nu}, evaluated as exp((1-nu) log x + nu log y)."""
     _positive("geom_mean", x, y)
@@ -252,6 +274,7 @@ def harm_mean(x: float, y: float, nu: float) -> float:
 # ---------------------------------------------------------------------------
 # Reverse Young family.
 
+@_overflow_is_domain_error
 def young_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarChain:
     """Refined reversal of the weighted arithmetic-geometric mean inequality.
 
@@ -272,6 +295,7 @@ def young_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarChai
     return ScalarChain(("arith", "refined", "geom"), values)
 
 
+@_overflow_is_domain_error
 def young_squared_chain(x: float, y: float, nu: float, depth: int) -> ScalarChain:
     """Squared version of the reverse Young refinement (two-element chain).
 
@@ -290,6 +314,7 @@ def young_squared_chain(x: float, y: float, nu: float, depth: int) -> ScalarChai
     return ScalarChain(("refined", "target"), (lhs, geom ** 2 + coef ** 2 * (x - y) ** 2))
 
 
+@_overflow_is_domain_error
 def young_refinement_chain(x: float, y: float, t: float, depth: int) -> ScalarChain:
     """Refinement of the forward Young inequality x^t y^{1-t} <= t x + (1-t) y.
 
@@ -339,6 +364,7 @@ def harmonic_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarC
     return ScalarChain(("arith", "refined", "harm"), values)
 
 
+@_overflow_is_domain_error
 def harmonic_geometric_chain(x: float, y: float, nu: float, depth: int) -> ScalarChain:
     """Refined reverse geometric-harmonic inequality for extended weights.
 
@@ -358,6 +384,7 @@ def harmonic_geometric_chain(x: float, y: float, nu: float, depth: int) -> Scala
     return ScalarChain(("geom", "refined", "harm"), values)
 
 
+@_overflow_is_domain_error
 def kantorovich_constant(t: float) -> float:
     """K(t) = (t+1)^2 / (4t) for t > 0; K(1) = 1 and K(t) = K(1/t)."""
     if not t > 0.0:
@@ -365,6 +392,7 @@ def kantorovich_constant(t: float) -> float:
     return (t + 1.0) ** 2 / (4.0 * t)
 
 
+@_overflow_is_domain_error
 def kantorovich_chain(x: float, y: float, nu: float) -> ScalarChain:
     """Kantorovich-weighted reverse geometric-harmonic bound.
 

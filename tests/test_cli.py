@@ -280,6 +280,41 @@ class TestSweep:
         lines = stdout.strip().split("\n")
         assert len(lines) == 2 and float(lines[1].split(",")[0]) == 1e300
 
+    def test_grid_counts_points_from_its_span(self, capsys):
+        # At 1e16 the doubles are 2 apart, so stop + step / 2 rounds back to
+        # stop; the grid still ends at stop, with all three points.
+        want = [1e16, 1e16 + 2.0, 1e16 + 4.0]
+        np.testing.assert_array_equal(_parse_grid("1e16:1.0000000000000004e16:2"), want)
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "--case", "harmonic_reverse",
+            "--param", "nu", "--grid", "1e16:1.0000000000000004e16:2", "--instances", "2",
+        )
+        assert code == EXIT_OK
+        assert [float(line.split(",")[0]) for line in stdout.strip().split("\n")[1:]] == want
+
+    @pytest.mark.parametrize(
+        "case, grid",
+        [
+            ("young_reverse_pos", "1e300:1e300:1"),
+            ("young_reverse_neg", "-1e300:-1e300:1"),
+            ("young_squared", "1e300:1e300:1"),
+            ("convex_refined_a", "1e300:1e300:1"),
+            ("convex_refined_b", "-1e30:-1e30:1"),
+            ("logconvex_refined_a", "1e30:1e30:1"),
+            ("logconvex_refined_b", "-1e30:-1e30:1"),
+        ],
+    )
+    def test_overflowing_scalar_chain_exits_2(self, capsys, case, grid):
+        # A weight so large that a value leaves the float range is a domain
+        # error of the chain, not an uncaught OverflowError.
+        code, stdout, stderr = run_cli(
+            capsys,
+            "sweep", "--case", case, "--param", "nu", f"--grid={grid}", "--instances", "3",
+        )
+        assert code == EXIT_DOMAIN and stdout == ""
+        assert stderr.startswith("error:") and "overflows" in stderr
+
     def test_empty_grid_is_usage_error(self, capsys):
         # So is a grid value no instance can take: a depth that is not an
         # integer in 1..32, or a cond below 1.

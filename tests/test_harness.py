@@ -88,20 +88,21 @@ class TestRunCase:
     def test_failure_file_replays_the_drawn_matrices(self, tmp_path):
         # The payload holds A, B and X as drawn and serializes them only for
         # the failure file, which parses back to them exactly.
-        drawn = []
+        seen = []
 
-        def descending(rng, cfg, forced):
-            a, b, x, kind, payload = harness._norm_triple(rng, cfg, forced)
-            drawn.append((a.a, b.a, x))
+        def descending(rng, cfg, forced, drawn):
+            a, b, x, kind, payload = harness._norm_triple(drawn)
+            seen.append((a.a, b.a, x))
             return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)), payload=payload)
 
+        descending.inputs = harness._norm_inputs
         harness.REGISTRY["_synthetic_norm"] = harness.CaseDef(
             "_synthetic_norm", descending, {"instances": 4, "dim_min": 1}, (), "synthetic"
         )
         try:
             report = harness.run_case("_synthetic_norm", failures_dir=tmp_path)
             assert report.failures == 4
-            for index, arrays in enumerate(drawn):
+            for index, arrays in enumerate(seen):
                 data = json.loads((tmp_path / f"_synthetic_norm-{index:05d}.json").read_text())
                 for key, array in zip("abx", arrays):
                     np.testing.assert_array_equal(
@@ -182,6 +183,26 @@ class TestRunSuite:
         assert csv1 == csv2
 
 
+def _fresh_report(name, instances, notes, **overrides):
+    """The report of ``instances`` instances of a case built one at a time
+    by ``build_instance``, each alone, skipping those that resample."""
+    rel_tol = harness._config_for(harness.REGISTRY[name], overrides).rel_tol
+    rows, gaps, index = [], [], 0
+    while len(rows) < instances:
+        try:
+            built = harness.build_instance(name, index, **overrides)
+        except Resample:
+            pass
+        else:
+            row, gap = built.verdict()
+            rows.append(row)
+            gaps.append(gap)
+        index += 1
+    return aggregate_report(
+        name, rows, gaps, rel_tol, skipped=index - instances, notes=notes
+    )
+
+
 def _builds(name, index):
     try:
         harness.build_instance(name, index)
@@ -222,6 +243,13 @@ class TestStress:
                         name, instances=10, cond_max=cond, dim_min=dim_min, dim_max=dim_max
                     )
                     assert report.failures == 0, (name, cond, dim_min, report.min_slack)
+
+    def test_every_case_at_dimension_one(self):
+        # n = 1, the smallest stack a block assembles: every case, 50
+        # instances, nothing raises and no instance fails.
+        for name in harness.case_names():
+            report = harness.run_case(name, instances=50, dim_min=1, dim_max=1)
+            assert report.failures == 0, (name, report.min_slack)
 
     def test_every_case_at_large_weights(self):
         # |nu| in 8..9 on either branch, at each case's cond and at 1e12:
@@ -304,24 +332,26 @@ class TestStreamSeeding:
         # kantorovich_operator resamples, so its first block runs out and
         # the rest are seeded in further blocks.
         name, n = "kantorovich_operator", 30
-        rel_tol = harness._config_for(harness.REGISTRY[name], {}).rel_tol
         report = harness.run_case(name, instances=n)
         assert report.skipped > 0
-        rows, gaps, index = [], [], 0
-        while len(rows) < n:
-            try:
-                built = harness.build_instance(name, index)
-            except Resample:
-                pass
-            else:
-                row, gap = built.verdict()
-                rows.append(row)
-                gaps.append(gap)
-            index += 1
-        want = aggregate_report(
-            name, rows, gaps, rel_tol, skipped=index - n, notes=report.notes
-        )
-        assert report == want
+        assert report == _fresh_report(name, n, report.notes)
+
+    def test_block_assembly_matches_fresh_builds(self):
+        # Every matrix case with n in 1..8, so that a block stacks several
+        # n, at its own cond and at 1e12: the report of the blocks equals
+        # the one of instances drawn and assembled alone.
+        names = [
+            name
+            for name in harness.case_names()
+            if getattr(harness.REGISTRY[name].build, "inputs", None) in harness._PAIR_INPUTS
+        ]
+        assert len(names) == 23
+        for cond in ({}, {"cond_max": 1e12}):
+            for name in names:
+                overrides = {"dim_min": 1, "dim_max": 8, **cond}
+                report = harness.run_case(name, instances=10, **overrides)
+                want = _fresh_report(name, 10, report.notes, **overrides)
+                assert report == want, (name, cond)
 
     def test_sweep_seeds_once_on_one_generator(self, monkeypatch):
         # A depth sweep of a table case draws each instance's inputs once:
@@ -570,25 +600,41 @@ class TestSweepReuse:
                     ))
                 assert _hex_rows(rows) == _hex_rows(expected), (name, param)
 
-    def test_random_spd_calls(self, monkeypatch):
-        # Each instance draws A and B in one stacked draw of two.
+    def test_one_assembly_per_dimension_per_block(self, monkeypatch):
+        # A block assembles its SPD pairs in one stack per distinct n, in
+        # the order the dimensions first appear. A sweep assembles once per
+        # cond value, and not again at later depth or nu values.
+        k = 12
+        stacks = {}
+        for name in ("operator_reverse_pos", "harmonic_operator", "norm_heinz_power"):
+            dims = [harness.build_instance(name, i).payload["n"] for i in range(k)]
+            assert len(set(dims)) > 1, name
+            stacks[name] = [(2 * dims.count(n), n) for n in dict.fromkeys(dims)]
         calls = []
 
-        def counting(n, cond_max, rng, count):
-            calls.append(count)
-            return linalg._random_spds(n, cond_max, rng, count)
+        def counting(g, lam):
+            calls.append(lam.shape)
+            return linalg._assemble_spds(g, lam)
 
-        monkeypatch.setattr(harness, "_random_spds", counting)
-        instances, grid = 3, [1, 2, 4, 8]
-        harness.sweep("operator_reverse_pos", "depth", grid, instances=instances)
-        assert calls == [2] * instances
+        monkeypatch.setattr(harness, "_assemble_spds", counting)
+        for name, want in stacks.items():
+            calls.clear()
+            harness.run_case(name, instances=k)
+            assert calls == want, name
         calls.clear()
-        harness.sweep("norm_heinz_power", "nu", [0.0, 1.0, 2.0], instances=instances)
-        assert calls == [2] * instances
+        harness.sweep("operator_reverse_pos", "depth", [1, 2, 4, 8], instances=k)
+        assert calls == stacks["operator_reverse_pos"]
         calls.clear()
-        # A cond sweep redraws A and B at every value.
-        harness.sweep("operator_reverse_pos", "cond", [2.0, 10.0, 50.0], instances=instances)
-        assert calls == [2] * 3 * instances
+        harness.sweep("norm_heinz_power", "nu", [0.0, 1.0, 2.0], instances=k)
+        assert calls == stacks["norm_heinz_power"]
+        calls.clear()
+        harness.sweep("operator_reverse_pos", "cond", [2.0, 10.0, 50.0], instances=k)
+        assert calls == stacks["operator_reverse_pos"] * 3
+        # A resampling case assembles every drawn index once, re-blocks too.
+        calls.clear()
+        report = harness.run_case("kantorovich_operator", instances=30)
+        assert report.skipped > 0
+        assert sum(count for count, _ in calls) == 2 * (30 + report.skipped)
 
     def test_payload_not_changed_by_next_build(self):
         case = harness.REGISTRY["norm_heinz_power"]

@@ -24,7 +24,7 @@ from matmeans import (
     spd_pow,
 )
 
-from matmeans.linalg import _power_stack, _random_spds
+from matmeans.linalg import _assemble_spds, _draw_spds, _power_stack, _random_spds
 
 from jacobi_oracle import jacobi_eigenvalues
 
@@ -312,6 +312,30 @@ class TestRandomGeneration:
                                 m.eig.eigenvectors, ref.eig.eigenvectors
                             )
                         assert rng.bit_generator.state == rngs[0].bit_generator.state
+
+    def test_stacks_of_several_draws_equal_random_spd(self):
+        # Pairs drawn at mixed n, concatenated per n and assembled in one
+        # stack each, give the bits of random_spd slice by slice; each
+        # draw leaves its stream where two random_spd calls leave it.
+        dims = [3, 1, 5, 3, 8, 1, 5, 5]
+        for cond in (1.0, 1e3, 1e12):
+            draws, refs = [], []
+            for seed, n in enumerate(dims):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                draws.append(_draw_spds(n, cond, rng, 2))
+                refs.append([random_spd(n, cond, ref_rng) for _ in range(2)])
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for n in dict.fromkeys(dims):
+                group = [k for k, m in enumerate(dims) if m == n]
+                stack = _assemble_spds(
+                    np.concatenate([draws[k][0] for k in group]),
+                    np.concatenate([draws[k][1] for k in group]),
+                )
+                want = [ref for k in group for ref in refs[k]]
+                for m, ref in zip(stack, want, strict=True):
+                    np.testing.assert_array_equal(m.a, ref.a)
+                    np.testing.assert_array_equal(m.eig.eigenvalues, ref.eig.eigenvalues)
+                    np.testing.assert_array_equal(m.eig.eigenvectors, ref.eig.eigenvectors)
 
     def test_random_unitary_is_unitary(self):
         q = random_unitary(5, 9)

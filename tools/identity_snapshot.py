@@ -14,6 +14,9 @@ The files:
   at the default config, and every report's ``link_quantiles``;
 * ``instances20.csv`` and ``instances20_quantiles.txt``: the same at
   ``instances=20``;
+* ``highcond.csv`` and ``highcond_quantiles.txt``: the same at
+  ``instances=20, cond_max=1e12``, so the matrix cases' stacks of mixed n
+  are compared at a high condition number too;
 * ``sweeps.txt``: every registered case x ``sweep_params`` series at 6
   instances, on nu {0, 1.5, 3} (or {-1, -2.5, -4} on the nu <= -1 branch),
   depth {1, 3, 6} and cond {2, 50};
@@ -32,8 +35,8 @@ count differs, or a series errors on one side only::
     python3 tools/identity_snapshot.py --src src --out /tmp/snap-change \
         --against /tmp/snap-parent
 
-The default suite takes most of the run time, about ten seconds on a
-2-core machine.
+The default suite takes most of the run time; the whole snapshot takes
+about five seconds on a 2-core x86-64 machine.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ NU_GRIDS = {1: (0.0, 1.5, 3.0), -1: (-1.0, -2.5, -4.0)}
 SWEEP_DEPTH_CASES = {"operator_reverse_pos": 8, "norm_heinz_power": 6, "heinz_reverse": 6}
 SWEEP_DEPTHS = tuple(range(1, 17))
 COUNTS = ("instances", "skipped", "failures")
+#: The suite runs: file stem -> ``run_suite`` overrides.
+SUITES = {
+    "default": {},
+    "instances20": {"instances": 20},
+    "highcond": {"instances": 20, "cond_max": 1e12},
+}
 
 
 def _hex(x: float) -> str:
@@ -78,7 +87,7 @@ def snapshot(out: Path) -> None:
     from matmeans import harness
 
     out.mkdir(parents=True, exist_ok=True)
-    for stem, overrides in (("default", {}), ("instances20", {"instances": 20})):
+    for stem, overrides in SUITES.items():
         reports = harness.run_suite(**overrides)
         (out / f"{stem}.csv").write_text(harness.reports_to_csv(reports))
         (out / f"{stem}_quantiles.txt").write_text(_quantile_lines(reports))
@@ -129,7 +138,7 @@ def compare(out: Path, against: Path) -> bool:
     Returns whether every verdict count is the same on both sides.
     """
     same = True
-    for stem in ("default", "instances20"):
+    for stem in SUITES:
         old, new = _csv_rows(against / f"{stem}.csv"), _csv_rows(out / f"{stem}.csv")
         for case in [*old, *(c for c in new if c not in old)]:
             o, n = old.get(case), new.get(case)
@@ -146,8 +155,7 @@ def compare(out: Path, against: Path) -> bool:
             )
             print(f"{stem}.csv {case}: {verdict}; "
                   f"{_shift(o, n, 'min_slack')}; {_shift(o, n, 'max_gap')}")
-    for name in ("default_quantiles.txt", "instances20_quantiles.txt",
-                 "sweeps.txt", "sweep_depth.txt"):
+    for name in (*(f"{stem}_quantiles.txt" for stem in SUITES), "sweeps.txt", "sweep_depth.txt"):
         old = (against / name).read_text().splitlines()
         new = (out / name).read_text().splitlines()
         if len(old) != len(new):
