@@ -11,7 +11,6 @@ from .errors import ConvergenceError, DomainError
 from .harness import (
     Built,
     CaseConfig,
-    Resample,
     build_instance,
     case_names,
     run_case,
@@ -39,9 +38,7 @@ from .means import (
     geometric_mean,
     harmonic_mean,
     harmonic_operator_chain,
-    kantorovich_hypothesis,
     kantorovich_operator_chain,
-    kantorovich_operator_product,
     operator_reverse_chain,
     operator_squared_chain,
     trace_additive_chain,

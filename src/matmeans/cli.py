@@ -164,14 +164,19 @@ def _parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise _UsageError(f"empty grid {text!r}")
-    # Points start + i * step up to the one nearest stop, counted from the
-    # span in steps: a padded stop + step / 2 can round back to stop.
+    # Points start + i * step up to the last one <= stop, counted from the
+    # span in steps. The allowance covers the rounding of the span and of
+    # the decimal start, stop and step (0:0.3:0.1 keeps 0.3), but stays
+    # below a quarter step where the grid is as fine as the doubles at
+    # start and stop.
     span = (stop - start) / step
-    if not span + 0.5 <= MAX_GRID_POINTS:
+    eps = sys.float_info.epsilon
+    allowance = min(0.25, 4.0 * eps * ((abs(start) + abs(stop)) / step + span))
+    if not span + allowance < MAX_GRID_POINTS:
         raise _UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     # The values np.arange gives: start, start + step, then start + i * delta
     # with delta = (start + step) - start.
-    grid = np.empty(math.ceil(span + 0.5))
+    grid = np.empty(math.floor(span + allowance) + 1)
     grid[0] = start
     if len(grid) > 1:
         grid[1] = start + step

@@ -5,19 +5,19 @@ producing either an inequality chain (checked link by link) or a vector of
 normalized margins (checked against ``-rel_tol``). Instances draw their
 randomness from a stream keyed by ``hash(seed, case name, instance index)``,
 so runs are deterministic, order-insensitive, and individual instances can
-be replayed. Precondition failures (for cases with hypotheses) resample
-rather than fail, with the skip count bounded and reported.
+be replayed. Every drawn instance is checked: a case of ``instances``
+instances builds indices ``0 .. instances - 1``, and none is skipped.
 
 Most cases follow the paper's pattern of a classical bound, a dyadic
 refinement of depth N, then the target. Each of them is one row: an input
 draw, a chain function, a weight branch and a base label, made into a
-builder by ``_refinement``. Identities, shape checks and cases with
-hypotheses have builders of their own. Every builder records each drawn
+builder by ``_refinement``. Identities, shape checks and the other margin
+cases have builders of their own. Every builder records each drawn
 parameter in its payload, which failure files carry for replay.
 
 Every matrix case starts from a random SPD pair (A, B), and its builder
-declares the draw of its inputs (``inputs``). Such a case builds each block
-of instances whose streams are seeded together in three phases: draw (each
+declares the draw of its inputs (``inputs``). Such a case builds its block
+of instances, whose streams are seeded together, in three phases: draw (each
 stream draws its inputs, and its state after the draw is recorded), then
 assemble (one QR and one assembly per dimension n over the whole block),
 then build (each stream resumes from its recorded state). The scalar cases
@@ -58,7 +58,6 @@ from .reporting import (
 __all__ = [
     "CaseConfig",
     "Built",
-    "Resample",
     "case_names",
     "case_description",
     "build_instance",
@@ -72,7 +71,6 @@ __all__ = [
 
 DEFAULT_SEED = 20240811
 MAX_FAILURE_FILES_PER_CASE = 25
-_RESAMPLE_FACTOR = 100
 
 
 @dataclass(frozen=True)
@@ -108,10 +106,6 @@ class CaseConfig:
             raise DomainError(f"bad weight magnitude range {self.nu_range}")
         if not (1 <= self.depth_min <= self.depth_max <= scalar.MAX_REFINE_DEPTH):
             raise DomainError(f"bad depth range {self.depth_min}..{self.depth_max}")
-
-
-class Resample(Exception):
-    """Raised by a builder when a hypothesis fails for the drawn instance."""
 
 
 class Built:
@@ -167,15 +161,16 @@ class CaseDef:
 REGISTRY: dict[str, CaseDef] = {}
 
 
-def _register(name, *, overrides=None, sweep=(), description="", nu_branch=0, inputs=None):
+def _register(name, *, overrides=None, sweep=(), description="", inputs=None):
     """Register a builder; a ``_refinement`` builder brings its own nu branch
-    and input draw. A builder given ``inputs`` is called with ``drawn``, the
-    instance's drawn and assembled inputs (see ``_instances``)."""
+    and input draw, and any other builder sweeps nu on either branch. A
+    builder given ``inputs`` is called with ``drawn``, the instance's drawn
+    and assembled inputs (see ``_instances``)."""
 
     def deco(fn):
         if inputs is not None:
             fn.inputs = inputs
-        branch = getattr(fn, "nu_branch", nu_branch)
+        branch = getattr(fn, "nu_branch", 0)
         REGISTRY[name] = CaseDef(
             name, fn, dict(overrides or {}), tuple(sweep), description, branch
         )
@@ -642,26 +637,13 @@ _register(
 )(_refinement(_ordered_spd_inputs, means.harmonic_operator_chain, branch=1, base="arith"))
 
 
-@_register(
+_register(
     "kantorovich_operator",
     sweep=("nu",),
-    nu_branch=1,
-    description=(
-        "Kantorovich operator bound, A <= B; hypothesis read on the Hermitian "
-        "part of B^{-1}A + A^{-1}B, failures skipped"
-    ),
-    inputs=_ordered_spd_inputs,
-)
-def _build_kantorovich_operator(rng, cfg, forced, drawn):
-    args, payload = drawn
-    a, b = args["a"], args["b"]
-    nu = _draw_nu(rng, cfg, forced, branch=1)
-    holds, witness = means.kantorovich_hypothesis(a, b)
-    if not holds:
-        raise Resample(f"hypothesis witness {witness:.3e}")
-    chain = means.kantorovich_operator_chain(a, b, nu)
-    return Built(chain=chain, payload={**payload, "nu": nu})
-
+    description="Kantorovich-weighted reverse geometric-harmonic operator bound, A <= B",
+)(_refinement(
+    _ordered_spd_inputs, means.kantorovich_operator_chain, branch=1, depth=False
+))
 
 _register(
     "trace_additive",
@@ -929,16 +911,14 @@ def _instances(
     table: dict | None = None,
     rng: np.random.Generator | None = None,
 ):
-    """Yield (index, built) for the first ``cfg.instances`` instances that hold.
+    """Yield (index, built) for every index ``0 .. cfg.instances - 1``.
 
     Instance ``index`` draws from ``instance_rng(seed, case, index)``'s
     stream, on one Generator (``rng``, or a new one). The streams are seeded
-    a block at a time by ``_stream_states``: one block for the instances
-    still needed, from the first index that needs seeding, and a new block
-    of the remaining count only when resamples run past it.
+    in one block by ``_stream_states``.
 
     A case whose declared ``inputs`` draw an SPD pair (every matrix case),
-    and in a sweep (``table`` given) every case with ``inputs``, builds each
+    and in a sweep (``table`` given) every case with ``inputs``, builds the
     block in three phases:
 
     1. draw: seat each stream, draw its inputs and record them in the table
@@ -947,46 +927,28 @@ def _instances(
        (``_assemble_pairs``), then the ordered B = A + B';
     3. build: resume each stream from its recorded state (``_build``).
 
-    ``run_case`` passes no table, and each block fills a fresh one. A
-    sweep keeps its table across grid values, so a repeat draws and seeds
-    nothing. The scalar cases draw and build each instance in one pass:
-    they have nothing to stack, and no stream state to save.
-
-    An instance whose hypothesis fails (Resample) is skipped for the next
-    index; more than 100x ``cfg.instances`` skips raise RuntimeError.
+    ``run_case`` passes no table and fills a fresh one. A sweep keeps its
+    table across grid values, so a repeat draws and seeds nothing. The
+    scalar cases draw and build each instance in one pass: they have
+    nothing to stack, and no stream state to save.
     """
     rng = _new_generator() if rng is None else rng
     inputs = getattr(case.build, "inputs", None)
-    tabled = inputs is not None and (table is not None or inputs in _PAIR_INPUTS)
+    indices = range(cfg.instances)
+    if inputs is None or (table is None and inputs not in _PAIR_INPUTS):
+        for i, words in zip(indices, _stream_states(cfg.seed, case.name, indices)):
+            yield i, case.build(_seat(rng, words), cfg, forced)
+        return
+    table = {} if table is None else table
+    _draw_block(case, cfg, forced, indices, table, rng)
     cond = forced.get("cond")
-    index = produced = 0
-    while produced < cfg.instances:
-        indices = range(index, index + cfg.instances - produced)
-        if tabled:
-            block = {} if table is None else table
-            _draw_block(case, cfg, forced, indices, block, rng)
-        else:
-            states = _stream_states(cfg.seed, case.name, indices)
-        for k, i in enumerate(indices):
-            if i - produced > _RESAMPLE_FACTOR * cfg.instances:
-                raise RuntimeError(
-                    f"case {case.name}: resampling exceeded {_RESAMPLE_FACTOR}x instance budget"
-                )
-            try:
-                if tabled:
-                    built = _build(case, cfg, forced, block[i, cond], rng)
-                else:
-                    built = case.build(_seat(rng, states[k]), cfg, forced)
-            except Resample:
-                continue
-            produced += 1
-            yield i, built
-        index = indices.stop
+    for i in indices:
+        yield i, _build(case, cfg, forced, table[i, cond], rng)
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
     """Build one instance of a case alone, its inputs drawn and assembled as
-    a stack of one (may raise Resample for hypothesis cases)."""
+    a stack of one."""
     case = _case(name)
     cfg = _config_for(case, overrides)
     forced = dict(forced or {})
@@ -1020,10 +982,9 @@ def run_case(
     """Run one registered case and aggregate its slack statistics.
 
     Deterministic for a fixed config: every instance derives its own RNG
-    stream from (seed, case, index). Instances whose hypotheses fail are
-    resampled (counted as skipped), with at most 100x the requested
-    instance count before erroring. Failing instances are serialized to
-    ``failures_dir`` when given, capped per case.
+    stream from (seed, case, index), and every index ``0 .. instances - 1``
+    is checked (the report's ``skipped`` is 0). Failing instances are
+    serialized to ``failures_dir`` when given, capped per case.
     """
     case = _case(name)
     cfg = _config_for(case, overrides)
@@ -1041,10 +1002,7 @@ def run_case(
         ):
             _write_failure(Path(failures_dir), name, index, built, row, cfg)
             written += 1
-    skipped = index + 1 - len(rows)  # every index up to the last one was drawn
-    return aggregate_report(
-        name, rows, gaps, cfg.rel_tol, skipped=skipped, notes=case.description
-    )
+    return aggregate_report(name, rows, gaps, cfg.rel_tol, notes=case.description)
 
 
 def run_suite(

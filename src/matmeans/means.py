@@ -28,7 +28,6 @@ from .linalg import (
     _as_spd,
     _congruence,
     _eigh_array,
-    _hermitian_part,
     _power_stack,
     loewner_leq,
 )
@@ -194,19 +193,6 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     return OperatorChain(("arith", "refined", "harm"), tuple(map(t.push, values)))
 
 
-def kantorovich_hypothesis(a, b, rel_tol: float = 1e-10) -> tuple[bool, float]:
-    """Check positivity of the Hermitian part of B^{-1}A + A^{-1}B.
-
-    The product itself is not Hermitian in general, so positivity is read on
-    its Hermitian part; returns (holds, smallest eigenvalue of that part).
-    """
-    a, b = _as_spd(a), _as_spd(b)
-    m = b.power(-1.0).a @ a.a + a.power(-1.0).a @ b.a
-    w = _eigh_array(_hermitian_part(m))[0]
-    witness = float(w[0])
-    return witness >= -rel_tol * max(1.0, abs(w[0]), abs(w[-1])), witness
-
-
 def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
     """Kantorovich-weighted reverse geometric-harmonic operator bound; A <= B.
 
@@ -216,8 +202,8 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
 
         L = A^{1/2} ((I + X^{-1})/2)^{2 nu} A^{1/2}.
 
-    ``kantorovich_operator_product`` returns the literal (non-Hermitian)
-    product, which equals L up to similarity bookkeeping.
+    B^{-1}A + A^{-1}B is similar to X + X^{-1}, which is positive definite,
+    so the chain needs no hypothesis beyond A <= B.
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
@@ -232,20 +218,6 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
     return OperatorChain(
         ("geom_kantorovich", "harm"), (t.push(lo), t.push(1.0 / d))
     )
-
-
-def kantorovich_operator_product(a, b, nu: float):
-    """The literal product (A #_{-nu} B) ((B^{-1}A + 2I + A^{-1}B)/4)^{nu}.
-
-    The middle factor is similar to the positive definite matrix
-    (X + X^{-1} + 2I)/4 via A^{1/2}, so its real power is defined by that
-    similarity. Returns the resulting (generally non-Hermitian) array.
-    """
-    a, b = _as_spd(a), _as_spd(b)
-    t = _Transfer(a, b)
-    inner_vals = (t.w + 1.0 / t.w + 2.0) / 4.0
-    middle_pow = t.inv_root @ _congruence(t.q, inner_vals ** nu) @ t.root
-    return geometric_mean(a, b, -nu).a @ middle_pow
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ class ChainReport:
     ``min_slack`` is the most negative normalized margin seen over all links
     and instances; ``max_gap`` is the largest end-to-end gap (a tightness
     measure); ``link_quantiles`` holds (q10, q50, q90) of the normalized
-    slack per link position.
+    slack per link position. ``skipped`` is 0, since every drawn instance
+    is checked; the CSV keeps its column.
     """
 
     name: str
@@ -141,7 +142,6 @@ def aggregate_report(
     slack_rows: list[list[float]],
     gaps: list[float],
     rel_tol: float,
-    skipped: int = 0,
     notes: str = "",
 ) -> ChainReport:
     """Fold per-instance slack rows (lists or arrays) into a ChainReport.
@@ -161,7 +161,7 @@ def aggregate_report(
     return ChainReport(
         name=name,
         instances=len(slack_rows),
-        skipped=skipped,
+        skipped=0,
         failures=failures,
         min_slack=float(block.min()),
         max_gap=float(max(gaps)) if gaps else 0.0,

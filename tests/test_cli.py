@@ -279,6 +279,21 @@ class TestSweep:
         assert code == EXIT_OK
         lines = stdout.strip().split("\n")
         assert len(lines) == 2 and float(lines[1].split(",")[0]) == 1e300
+        # A grid ends at its last point <= stop, not at a nearer one past
+        # it; round-off in the span keeps a point that lands on stop.
+        np.testing.assert_array_equal(_parse_grid("0:1:0.35"), [0.0, 0.35, 0.7])
+        np.testing.assert_array_equal(_parse_grid("1:32:4"), np.arange(1.0, 30.0, 4.0))
+        np.testing.assert_array_equal(
+            _parse_grid("0:0.3:0.1"), [0.0, 0.1, 0.2, 0.30000000000000004]
+        )
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "--case", "young_reverse_pos",
+            "--param", "N", "--grid", "1:32:4", "--instances", "3",
+        )
+        assert code == EXIT_OK
+        depths = [float(line.split(",")[0]) for line in stdout.strip().split("\n")[1:]]
+        assert depths == [1.0, 5.0, 9.0, 13.0, 17.0, 21.0, 25.0, 29.0]
 
     def test_grid_counts_points_from_its_span(self, capsys):
         # At 1e16 the doubles are 2 apart, so stop + step / 2 rounds back to

@@ -10,7 +10,7 @@ import pytest
 
 from matmeans import DomainError, HermitianMatrix, OperatorChain, ScalarChain
 from matmeans import harness, linalg
-from matmeans.harness import Built, CaseConfig, Resample
+from matmeans.harness import Built, CaseConfig
 from matmeans.reporting import (
     aggregate_report,
     chain_gap,
@@ -134,25 +134,6 @@ class TestRunCase:
         finally:
             harness.REGISTRY.pop("_synthetic_nan")
 
-    def test_resample_budget_enforced(self):
-        def always_skips(rng, cfg, forced):
-            raise Resample("never valid")
-
-        harness.REGISTRY["_synthetic_skip"] = harness.CaseDef(
-            "_synthetic_skip", always_skips, {"instances": 2}, (), "synthetic"
-        )
-        try:
-            with pytest.raises(RuntimeError):
-                harness.run_case("_synthetic_skip")
-        finally:
-            harness.REGISTRY.pop("_synthetic_skip")
-
-    def test_skip_accounting(self):
-        report = harness.run_case("kantorovich_operator", instances=40)
-        assert report.failures == 0
-        assert report.skipped >= 0
-        assert report.instances == 40
-
     def test_zero_weight_range_gives_zero_slack_ends(self):
         # Degenerate weight range: every chain collapses, slacks ~ 0.
         report = harness.run_case(
@@ -184,31 +165,14 @@ class TestRunSuite:
 
 
 def _fresh_report(name, instances, notes, **overrides):
-    """The report of ``instances`` instances of a case built one at a time
-    by ``build_instance``, each alone, skipping those that resample."""
+    """The report of instances ``0 .. instances - 1`` of a case, each built
+    alone by ``build_instance``."""
     rel_tol = harness._config_for(harness.REGISTRY[name], overrides).rel_tol
-    rows, gaps, index = [], [], 0
-    while len(rows) < instances:
-        try:
-            built = harness.build_instance(name, index, **overrides)
-        except Resample:
-            pass
-        else:
-            row, gap = built.verdict()
-            rows.append(row)
-            gaps.append(gap)
-        index += 1
-    return aggregate_report(
-        name, rows, gaps, rel_tol, skipped=index - instances, notes=notes
-    )
-
-
-def _builds(name, index):
-    try:
-        harness.build_instance(name, index)
-    except Resample:
-        return False
-    return True
+    verdicts = [
+        harness.build_instance(name, index, **overrides).verdict() for index in range(instances)
+    ]
+    rows, gaps = zip(*verdicts)
+    return aggregate_report(name, list(rows), list(gaps), rel_tol, notes=notes)
 
 
 class TestStress:
@@ -259,6 +223,37 @@ class TestStress:
                 report = harness.run_case(name, instances=10, nu_range=(8.0, 9.0), **cond)
                 assert report.failures == 0, (name, cond, report.min_slack)
 
+    def test_kantorovich_operator_checks_every_draw_at_high_condition(self):
+        # Every drawn pair is checked, the ill-conditioned ones included.
+        for cond in (1e8, 1e12):
+            report = harness.run_case("kantorovich_operator", instances=300, cond_max=cond)
+            assert (report.instances, report.skipped) == (300, 0), cond
+            assert report.failures == 0, (cond, report.min_slack)
+
+    def test_norm_and_heinz_cases_with_near_singular_x(self, monkeypatch):
+        # X's smallest singular value scaled by 1e-8, 1e-14 and 0: nothing
+        # raises, and no instance fails. The scaling draws nothing, so every
+        # stream keeps its position.
+        names = [n for n in harness.case_names() if n.startswith(("norm_", "heinz_"))]
+        assert len(names) == 14
+        for scale in (1e-8, 1e-14, 0.0):
+
+            def near_singular(rng, cfg, forced, scale=scale):
+                args, payload = harness._norm_inputs(rng, cfg, forced)
+                u, s, vh = np.linalg.svd(args["x"])
+                s[-1] *= scale
+                x = (u * s) @ vh
+                x.setflags(write=False)
+                args["x"] = payload["x"] = x
+                return args, payload
+
+            # A builder's inputs must be a tabled draw, or it gets no ``drawn``.
+            monkeypatch.setattr(harness, "_PAIR_INPUTS", (near_singular,))
+            for name in names:
+                monkeypatch.setattr(harness.REGISTRY[name].build, "inputs", near_singular)
+                report = harness.run_case(name, instances=50)
+                assert report.failures == 0, (name, scale, report.min_slack)
+
 
 class TestBuildInstance:
     def test_deterministic(self):
@@ -273,16 +268,13 @@ class TestBuildInstance:
         # (a forced cond rescales the spectra of A and B, nothing else).
         for name in harness.case_names():
             for param in harness.REGISTRY[name].sweep_params:
-                index = next(
-                    i for i in range(20) if _builds(name, i)
-                )  # first index whose hypotheses hold
-                drawn = harness.build_instance(name, index).payload
+                drawn = harness.build_instance(name, 0).payload
                 value = {
                     "depth": 3,
                     "nu": 2.0 if drawn.get("nu", 0.0) >= 0.0 else -2.5,
                     "cond": 10.0,
                 }[param]
-                forced = harness.build_instance(name, index, forced={param: value}).payload
+                forced = harness.build_instance(name, 0, forced={param: value}).payload
                 assert forced[param] == value, (name, param)
                 fed = {param, "a", "b"} if param == "cond" else {param}
                 assert set(forced) == set(drawn), (name, param)
@@ -329,11 +321,13 @@ class TestStreamSeeding:
         assert rng.random().hex() == "0x1.c9b1b0aa0827ap-2"
 
     def test_block_path_matches_per_instance_streams(self):
-        # kantorovich_operator resamples, so its first block runs out and
-        # the rest are seeded in further blocks.
+        # One block of 30 streams, whose pairs mix n: its report equals the
+        # one of instances 0..29 built alone, and no index is skipped.
         name, n = "kantorovich_operator", 30
+        dims = {harness.build_instance(name, i).payload["n"] for i in range(n)}
+        assert len(dims) > 1
         report = harness.run_case(name, instances=n)
-        assert report.skipped > 0
+        assert (report.instances, report.skipped) == (n, 0)
         assert report == _fresh_report(name, n, report.notes)
 
     def test_block_assembly_matches_fresh_builds(self):
@@ -527,14 +521,12 @@ class TestVerdictPath:
         return slacks
 
     def test_stacked_operator_verdict_matches_per_link(self):
+        # Every instance builds, at cond 1e8 too: 2 x 6 x 50 chains checked.
         checked = 0
         for cond in (100.0, 1e8):
             for name in OPERATOR_CASES:
                 for index in range(50):
-                    try:
-                        chain = harness.build_instance(name, index, cond_max=cond).chain
-                    except (Resample, DomainError):
-                        continue  # hypothesis miss, or an abort at 1e8 (ROADMAP item 2)
+                    chain = harness.build_instance(name, index, cond_max=cond).chain
                     # Stacked first, while no chain matrix has its spectrum cached.
                     row, gap = Built(chain=chain).verdict()
                     assert _bits(row) == _bits(self._per_link(chain)), (name, cond, index)
@@ -542,7 +534,7 @@ class TestVerdictPath:
                     # Now every spectrum is cached, and the result is the same.
                     assert _bits(chain_slacks(chain)) == _bits(row)
                     checked += 1
-        assert checked >= 400
+        assert checked == 600
 
     def test_large_finite_difference_verifies(self):
         # hi - lo = 1.2e308 I is finite; halving before the sum keeps its
@@ -630,11 +622,10 @@ class TestSweepReuse:
         calls.clear()
         harness.sweep("operator_reverse_pos", "cond", [2.0, 10.0, 50.0], instances=k)
         assert calls == stacks["operator_reverse_pos"] * 3
-        # A resampling case assembles every drawn index once, re-blocks too.
+        # Every index is drawn and assembled once, Kantorovich's included.
         calls.clear()
-        report = harness.run_case("kantorovich_operator", instances=30)
-        assert report.skipped > 0
-        assert sum(count for count, _ in calls) == 2 * (30 + report.skipped)
+        harness.run_case("kantorovich_operator", instances=30)
+        assert sum(count for count, _ in calls) == 2 * 30
 
     def test_payload_not_changed_by_next_build(self):
         case = harness.REGISTRY["norm_heinz_power"]
