@@ -19,7 +19,8 @@ from matmeans.means import OperatorChain
 def _kantorovich_exponent_lowered(a, b, nu):
     """``kantorovich_operator_chain`` with the exponent 2 nu of its lower
     bound made 2 nu - 0.1. The base (1 + 1/w)/2 is at most 1 for w >= 1, so
-    a smaller exponent raises the lower bound past A !_{-nu} B."""
+    a smaller exponent raises the lower bound, past A !_{-nu} B where the
+    true bound is tight."""
     chain = means.kantorovich_operator_chain(a, b, nu)
     t = means._Transfer(a, b)
     lower = t.push(((1.0 + 1.0 / t.w) / 2.0) ** (2.0 * nu - 0.1))
