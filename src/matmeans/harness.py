@@ -43,7 +43,6 @@ from .linalg import (
     SpdMatrix,
     _assemble_spds,
     _draw_spds,
-    _power_stack,
     matrix_to_json,
 )
 from .reporting import (
@@ -710,11 +709,10 @@ def _build_norm_collapse(rng, cfg, forced, drawn):
     nu = _draw_nu(rng, cfg, forced, branch=1)
     # f(1/2) = ||A^{1/2} X B^{1/2}||, f(-nu), ||AX||, ||AXB|| and
     # ||A^{1+nu} X B^{1+nu}||, from one SVD of the five products.
-    pa = _power_stack(a, [0.5, 1.0 + nu])
-    pb = _power_stack(b, [0.5, -nu, 1.0 + nu])
-    ax = a.a @ x
-    products = [pa[0] @ x @ pb[0], pa[1] @ x @ pb[1], ax, ax @ b.a, pa[1] @ x @ pb[2]]
-    half, f_end, f_ax, g0, g_end = norms._norms_of(np.stack(products), kind).tolist()
+    products = norms._products(
+        a, b, x, [0.5, 1.0 + nu, 1.0, 1.0, 1.0 + nu], [0.5, -nu, 0.0, 1.0, 1.0 + nu]
+    )
+    half, f_end, f_ax, g0, g_end = norms._norms_of(products, kind).tolist()
     lhs1 = math.exp((1.0 + 2.0 * nu) * math.log(f_ax))
     rhs1 = math.exp(math.log(f_end) + 2.0 * nu * math.log(half))
     lhs2 = math.exp((1.0 + 2.0 * nu) * math.log(g0))

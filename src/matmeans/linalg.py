@@ -197,10 +197,10 @@ class SpdMatrix(HermitianMatrix):
             )
 
     def power(self, t: float) -> "SpdMatrix":
-        """Real matrix power through the cached eigendecomposition: the power
-        stack of one weight (``_power_stack``), copied so that no writable
-        stack stays behind the frozen array."""
-        return SpdMatrix._exact(_power_stack(self, [t])[0].copy())
+        """Q diag(w ** t) Q* (``_spectrum_powers``), assembled by ``_assemble``
+        with that factorization recorded; m^0 is exactly I."""
+        wt = _spectrum_powers(self, [t])[0]
+        return SpdMatrix._assemble(wt, self.eig.eigenvectors if float(t) else np.eye(self.n))
 
 
 @dataclass(frozen=True)
@@ -225,34 +225,24 @@ class OperatorChain:
         return self.matrices[self.labels.index(label)]
 
 
-def _power_stack(m: SpdMatrix, ts) -> np.ndarray:
-    """m^t for every weight t in ``ts``, as one (len(ts), n, n) array.
-
-    Each slice is ``_congruence`` of (w ** t, Q), sorted stably ascending,
-    and does not depend on what else is in the stack; ``power`` is the stack
-    of one, so each slice equals ``m.power(t).a`` bit for bit. m^0 is
-    exactly I. A powered spectrum that is not strictly positive (``w ** t``
-    can underflow) raises DomainError, and so does a non-finite entry
-    (``_congruence``).
-    """
-    w, q = m.eig.eigenvalues, m.eig.eigenvectors
+def _spectrum_powers(m: SpdMatrix, ts) -> np.ndarray:
+    """Rows w ** t of m's cached spectrum, one per weight t, each computed alone
+    (a broadcast power can differ in the last bit); w ** 0 is exactly 1. Overflow
+    or underflow raises a DomainError that says which; numpy does not warn."""
     ts = [float(t) for t in ts]
-    n = m.n
-    wts = np.ones((len(ts), n))
-    zero = []
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            zero.append(i)
-        else:
-            wts[i] = w ** t  # row by row: a broadcast power can differ in the last bit
-    if not (wts > 0.0).all():
-        raise DomainError("assembled spectrum must be strictly positive")
-    order = np.argsort(wts, axis=-1, kind="stable")
-    wts = wts[np.arange(len(ts))[:, None], order]
-    qs = np.ascontiguousarray(q.T[order].swapaxes(-1, -2))
-    if zero:
-        qs[zero] = np.eye(n)
-    return _congruence(qs, wts)
+    out = np.ones((len(ts), m.n))
+    with np.errstate(over="ignore", under="ignore"):
+        for i, t in enumerate(ts):
+            if t:
+                out[i] = m.eig.eigenvalues ** t
+    if not (out.min(initial=1.0) > 0.0 and out.max(initial=1.0) < np.inf):
+        i = int(np.argmin(((out > 0.0) & (out < np.inf)).all(axis=1)))
+        if np.isinf(out[i]).any():
+            raise DomainError(f"w ** t overflows at t = {ts[i]:g}: matrix entries must be finite")
+        raise DomainError(
+            f"assembled spectrum must be strictly positive: w ** t underflows at t = {ts[i]:g}"
+        )
+    return out
 
 
 @dataclass(frozen=True)

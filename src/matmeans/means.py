@@ -28,10 +28,10 @@ from .linalg import (
     _as_spd,
     _congruence,
     _eigh_array,
-    _power_stack,
+    _spectrum_powers,
     loewner_leq,
 )
-from .norms import singular_values
+from .norms import _graded, singular_values
 from .scalar import (
     ScalarChain,
     _check_depth,
@@ -42,31 +42,37 @@ from .scalar import (
 )
 
 
+def _overlap(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
+    """C = Qa* Qb, the eigenbasis of B seen from that of A."""
+    return a.eig.eigenvectors.conj().T @ b.eig.eigenvectors
+
+
 class _Transfer:
     """Spectral transfer context for a positive definite pair (A, B).
 
     Holds X = A^{-1/2} B A^{-1/2} = Q diag(w) Q* and pushes scalar functions
     of X back: push(f(w)) = A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with
-    M = A^{1/2} Q, Hermitian by construction and not re-validated. As
-    X = G G* with G = A^{-1/2} B^{1/2} = P diag(s) V*, w = s^2 and Q = P: an
-    SVD keeps the small end of the spectrum accurate relative to itself,
-    where an eigensolver on X loses eps ||X|| (Golub & Van Loan, section 8.7).
+    M = A^{1/2} Q, Hermitian by construction and not re-validated. In the
+    recorded eigenbases of A and B, X = Qa G G* Qa* with the graded
+    G = diag(wa^{-1/2}) Qa* Qb diag(wb^{1/2}) = P diag(s) V*, so w = s^2 and
+    M = Qa diag(wa^{1/2}) P: no power of A or B is assembled, and the SVD of
+    the graded G keeps the small end of the spectrum accurate relative to
+    itself (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         if a.n != b.n:
             raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
-        self.root, self.inv_root = _power_stack(a, [0.5, -0.5])
         try:
-            p, s, _ = np.linalg.svd(self.inv_root @ b.power(0.5).a)
+            p, s, _ = np.linalg.svd(_graded(a, b, _overlap(a, b), [-0.5], [0.5])[0])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
-        self.w, self.q = s[::-1] ** 2, p[:, ::-1]
+        self.w = s[::-1] ** 2
         if self.w[0] <= 0.0:
             raise DomainError(
                 f"matrix is not positive definite: lambda_min = {self.w[0]:.6e}"
             )
-        self.m = self.root @ self.q
+        self.m = (a.eig.eigenvectors * _spectrum_powers(a, [0.5])[0]) @ p[:, ::-1]
 
     def push(self, vals) -> HermitianMatrix:
         return HermitianMatrix._exact(_congruence(self.m, np.asarray(vals, dtype=np.float64)))
@@ -228,14 +234,11 @@ def _tr(m: np.ndarray) -> float:
 
 
 def _traces(a: SpdMatrix, b: SpdMatrix):
-    """v |-> tr(A^{1-v} B^v) on a list of weights, from one power stack per
-    matrix; each value equals ``_tr(a.power(1-v).a @ b.power(v).a)``."""
-
-    def values(vs):
-        m = _power_stack(a, [1.0 - v for v in vs]) @ _power_stack(b, vs)
-        return np.trace(m, axis1=-2, axis2=-1).real.tolist()
-
-    return values
+    """v |-> tr(A^{1-v} B^v) = sum_jk wa_j^{1-v} |C_jk|^2 wb_k^v on a list of
+    weights, with C = Qa* Qb: a sum of nonnegative terms, free of
+    cancellation, and each value independent of the other weights."""
+    c2 = np.abs(_overlap(a, b)) ** 2
+    return lambda vs: _graded(a, b, c2, [1.0 - v for v in vs], vs).sum(axis=(1, 2)).tolist()
 
 
 def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
@@ -287,11 +290,10 @@ def trace_depth1_chain(a, b, nu: float) -> ScalarChain:
         raise DomainError("trace_depth1_chain requires nu >= 0")
     base = (1.0 + nu) * _tr(a.a) - nu * _tr(b.a)
     v0 = base + nu * (np.sqrt(_tr(a.a)) - np.sqrt(_tr(b.a))) ** 2
-    # sqrt(A) sqrt(B) and A^{1+nu} B^{-nu} as one stacked product.
-    roots, prod = _power_stack(a, [0.5, 1.0 + nu]) @ _power_stack(b, [0.5, -nu])
-    v1 = base + nu * (_tr(a.a) + _tr(b.a) - 2.0 * _tr(roots))
-    v2 = _tr(prod)
-    v3 = float(np.sum(singular_values(prod)))
+    roots, v2 = _traces(a, b)([0.5, -nu])
+    v1 = base + nu * (_tr(a.a) + _tr(b.a) - 2.0 * roots)
+    # The singular values of the unitarily equivalent diag(wa^{1+nu}) C diag(wb^{-nu}).
+    v3 = float(np.sum(singular_values(_graded(a, b, _overlap(a, b), [1.0 + nu], [-nu])[0])))
     return ScalarChain(
         ("trace_split", "sqrt_cross", "trace_power", "abs_trace_power"),
         (float(v0), float(v1), v2, v3),

@@ -13,11 +13,12 @@ convex on the whole line, decreasing left of 1/2 and increasing right of it.
 
 Singular values come from LAPACK's SVD, never from the spectrum of X*X,
 which would square the condition number. Every functional of the weight is
-evaluated on its whole set of weights at once: one power stack per matrix
-(``linalg._power_stack``), one stacked product and one SVD over the stack
-(``_norms_of``). Single values (``norm_functional``, ``heinz_norm``) are the
-same kernel on a stack of one, and a value does not depend on the stack it
-is computed in.
+evaluated on its whole set of weights at once, in the recorded eigenbases
+of A and B: ||A^l X B^r|| = ||diag(wa^l) Qa* X Qb diag(wb^r)|| by unitary
+invariance, so no power of A or B is assembled, and one SVD takes every
+norm of the stack (``_norms_of``). Single values (``norm_functional``,
+``heinz_norm``) are the same kernel on a stack of one, and a value does not
+depend on the stack it is computed in.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .linalg import _arr, _as_spd, _power_stack
+from .linalg import _arr, _as_spd, _spectrum_powers
 from .scalar import (
     ScalarChain,
     _check_depth,
@@ -142,11 +143,20 @@ def ui_norm(x, kind: NormKind) -> float:
 
 
 # Batched kernels: each evaluates a functional of the weight on a whole list
-# of weights, with one power stack per matrix and one SVD.
+# of weights, in the eigenbases of A and B, with one SVD.
+
+def _graded(a, b, y, left, right) -> np.ndarray:
+    """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
+    the eigenbases of A and B: each entry is Y_jk wa_j^l wb_k^r."""
+    pa, pb = _spectrum_powers(a, left), _spectrum_powers(b, right)
+    return y * pa[:, :, None] * pb[:, None, :]
+
 
 def _products(a, b, x, left, right) -> np.ndarray:
-    """The stack of A^{left_i} X B^{right_i}, multiplied left to right."""
-    return _power_stack(a, left) @ _arr(x) @ _power_stack(b, right)
+    """``_graded`` of Y = Qa* X Qb: each slice is unitarily equivalent to
+    A^{left_i} X B^{right_i}, so it has that product's norms."""
+    y = a.eig.eigenvectors.conj().T @ _arr(x) @ b.eig.eigenvectors
+    return _graded(a, b, y, left, right)
 
 
 def _paired_norms(a, b, x, left, right, kind: NormKind) -> np.ndarray:
@@ -238,8 +248,7 @@ def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("combined_norm_chain requires nu >= 0")
-    xa = _arr(x)
-    fa, fb = _norms_of(np.stack([a.a @ xa, xa @ b.a]), kind).tolist()
+    fa, fb = _norms_of(_products(a, b, x, [1.0, 0.0], [0.0, 1.0]), kind).tolist()
     scalar_part = young_reverse_chain(fa, fb, nu, depth)
     norm_part = norm_reverse_chain(a, b, x, nu, depth, kind)
     return ScalarChain(

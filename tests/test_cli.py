@@ -330,6 +330,23 @@ class TestSweep:
         assert code == EXIT_DOMAIN and stdout == ""
         assert stderr.startswith("error:") and "overflows" in stderr
 
+    @pytest.mark.parametrize("case", ["norm_reverse_pos", "heinz_reverse"])
+    def test_overflowing_power_exits_2_without_warning(self, capsys, case):
+        # A weight of 1e300 takes a power of the spectrum out of the float
+        # range: a domain error that names the overflow, with no numpy
+        # RuntimeWarning on stderr.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run_cli(
+                capsys,
+                "sweep", "--case", case, "--param", "nu", "--grid", "1e300:1e300:1",
+                "--instances", "3",
+            )
+        assert code == EXIT_DOMAIN and stdout == ""
+        assert stderr.startswith("error:") and "overflows" in stderr, stderr
+        assert "RuntimeWarning" not in stderr
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
     def test_empty_grid_is_usage_error(self, capsys):
         # So is a grid value no instance can take: a depth that is not an
         # integer in 1..32, or a cond below 1.

@@ -24,7 +24,7 @@ from matmeans import (
     spd_pow,
 )
 
-from matmeans.linalg import _assemble_spds, _draw_spds, _power_stack, _random_spds
+from matmeans.linalg import _assemble_spds, _draw_spds, _random_spds
 
 from jacobi_oracle import jacobi_eigenvalues
 
@@ -76,7 +76,7 @@ class TestConstruction:
         s = SpdMatrix(big)
         np.testing.assert_array_equal(s.eig.eigenvalues, [1e308, 1e308])
         np.testing.assert_array_equal(SpdMatrix._assemble(np.array([1e308, 1e308]), np.eye(2)).a, big)
-        np.testing.assert_array_equal(_power_stack(s, [1.0, 0.5])[0], big)
+        np.testing.assert_array_equal(s.power(1.0).a, big)
 
     def test_symmetrization_bits_unchanged_for_normal_numbers(self):
         rng = np.random.default_rng(11)
@@ -203,6 +203,15 @@ class TestSpdPow:
     def test_diagonal_square_root(self):
         out = spd_pow(SpdMatrix(np.diag([4.0, 9.0])), 0.5)
         np.testing.assert_allclose(out.a, np.diag([2.0, 3.0]), atol=1e-14)
+
+    def test_power_out_of_range_says_which(self):
+        # 1e200 ** 2 overflows and 1e-200 ** 2 underflows; either raises a
+        # DomainError that names it, and numpy warns of neither.
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match="overflows"):
+                spd_pow(SpdMatrix(np.diag([1.0, 1e200])), 2.0)
+            with pytest.raises(DomainError, match="strictly positive.*underflows"):
+                spd_pow(SpdMatrix(np.diag([1e-200, 1.0])), 2.0)
 
     def test_inverse_times_matrix_is_identity(self):
         a = random_spd(5, 100, 11)

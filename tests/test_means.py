@@ -34,7 +34,7 @@ from matmeans import (
     young_reverse_chain,
     young_squared_chain,
 )
-from matmeans import means
+from matmeans import means, norms
 from matmeans.means import OperatorChain
 from matmeans.reporting import chain_passes, chain_slacks
 from matmeans.scalar import _convex_refinement, _logconvex_refinement
@@ -403,37 +403,47 @@ class TestTraceChains:
 
     def test_abs_trace_power_from_svd(self):
         # The Schatten-1 term sums LAPACK's singular values (not square roots
-        # of the spectrum of P*P, which squares P's condition number).
+        # of the spectrum of P*P, which squares P's condition number) of
+        # diag(wa^{1+nu}) Qa* Qb diag(wb^{-nu}), which is unitarily
+        # equivalent to P = A^{1+nu} B^{-nu}. The literal product agrees.
         a, b = _pair(15)
         nu = 2.3
-        prod = a.power(1.0 + nu).a @ b.power(-nu).a
+        c = a.eig.eigenvectors.conj().T @ b.eig.eigenvectors
+        wa, wb = a.eig.eigenvalues, b.eig.eigenvalues
+        graded = c * (wa ** (1.0 + nu))[:, None] * wb ** -nu
         chain = trace_depth1_chain(a, b, nu)
-        sigma = np.linalg.svd(prod, compute_uv=False)
-        assert np.array_equal(singular_values(prod), sigma)
+        sigma = np.linalg.svd(graded, compute_uv=False)
+        assert np.array_equal(singular_values(graded), sigma)
         assert chain.value("abs_trace_power") == float(np.sum(sigma))
-        assert chain.value("trace_power") == float(np.trace(prod).real)
+        prod = a.power(1.0 + nu).a @ b.power(-nu).a
+        literal = np.linalg.svd(prod, compute_uv=False)
+        assert chain.value("abs_trace_power") == pytest.approx(np.sum(literal), rel=1e-12)
+        assert chain.value("trace_power") == pytest.approx(np.trace(prod).real, rel=1e-12)
 
     def test_each_weight_powered_once(self, monkeypatch):
         # The refinement telescopes to four weights: 0, 1, the target and
-        # 2^-depth. The chain powers A and B in one stack each, at each of
-        # them once.
+        # 2^-depth. The chain powers the spectra of A and B in one call
+        # each, at each of them once. Its target is the kernel's value at
+        # -nu, and agrees with the trace of the literal product.
         a, b = _pair(14)
         nu = 1.7
-        target = float(np.trace(a.power(1.0 + nu).a @ b.power(-nu).a).real)
-        power_stack = means._power_stack
-        stacks = []
+        target = means._traces(a, b)([-nu])[0]
+        literal = float(np.trace(a.power(1.0 + nu).a @ b.power(-nu).a).real)
+        assert target == pytest.approx(literal, rel=1e-12)
+        spectrum_powers = norms._spectrum_powers
+        powered = []
 
         def counted(m, ts):
-            stacks.append(list(ts))
-            return power_stack(m, ts)
+            powered.append(list(ts))
+            return spectrum_powers(m, ts)
 
-        monkeypatch.setattr(means, "_power_stack", counted)
+        monkeypatch.setattr(norms, "_spectrum_powers", counted)
         for chain_fn in (trace_additive_chain, trace_multiplicative_chain):
             for depth in (1, 4, 16):
-                stacks.clear()
+                powered.clear()
                 chain = chain_fn(a, b, nu, depth)
-                assert [len(set(ts)) for ts in stacks] == [4, 4], (chain_fn.__name__, depth)
-                assert sum(len(ts) for ts in stacks) == 8, (chain_fn.__name__, depth)
+                assert [len(set(ts)) for ts in powered] == [4, 4], (chain_fn.__name__, depth)
+                assert sum(len(ts) for ts in powered) == 8, (chain_fn.__name__, depth)
                 assert chain.value("target") == target
 
 
@@ -469,12 +479,17 @@ class TestGeneralRefinement:
                         assert np.array_equal(m.a, t.push(v).a), (chain_fn.__name__, nu, depth)
 
     def test_trace_chains(self):
+        # Bit for bit the refinement of the trace kernel on a stack of one,
+        # whose values agree with the traces of the literal products.
         for seed in range(4):
             a, b = _pair(40 + seed, n=2 + seed)
 
             def traces(vs):
-                return [float(np.trace(a.power(1.0 - v).a @ b.power(v).a).real) for v in vs]
+                return [means._traces(a, b)([v])[0] for v in vs]
 
+            for v in (-5.5, -0.8, 0.0, 0.5, 1.0):
+                literal = float(np.trace(a.power(1.0 - v).a @ b.power(v).a).real)
+                assert traces([v])[0] == pytest.approx(literal, rel=1e-12), (seed, v)
             for chain_fn, kernel in (
                 (trace_additive_chain, _convex_refinement),
                 (trace_multiplicative_chain, _logconvex_refinement),

@@ -236,26 +236,30 @@ class TestNormChains:
     def test_each_weight_evaluated_once(self, monkeypatch):
         # The refinement telescopes to four weights: 0, 1, the target weight
         # and 2^-depth (1 - 2^-depth on the nu <= -1 branch). Each chain hands
-        # its kernel each of them once, and the kernel takes the norms of
-        # that stack with one SVD.
+        # its kernel each of them once, the kernel powers the spectra of A
+        # and B in one call each (the Heinz kernel at the two exponents of
+        # each weight), and takes the norms of that stack with one SVD.
         a, b, x = _instance(15)
         kind = NormKind.schatten(3.0)
         nu = 0.7
+        two_sided = norms._two_sided_values(a, b, x, [-nu], kind)[0]
+        literal = ui_norm(a.power(1.0 + nu).a @ x @ b.power(1.0 + nu).a, kind)
+        assert two_sided == pytest.approx(literal, rel=1e-12)
         cases = (
             ("_functional_values", norm_reverse_chain, nu, norm_functional(a, b, x, -nu, kind)),
             ("_functional_values", norm_reverse_chain, -1.6, norm_functional(a, b, x, 1.6, kind)),
-            (
-                "_two_sided_values",
-                norm_heinz_chain,
-                nu,
-                ui_norm(a.power(1.0 + nu).a @ x @ b.power(1.0 + nu).a, kind),
-            ),
+            ("_two_sided_values", norm_heinz_chain, nu, two_sided),
             ("_heinz_values", heinz_reverse_chain, nu, heinz_norm(a, b, x, -nu, kind)),
         )
-        stacks = []
-        norms_of = norms._norms_of
+        stacks, powered = [], []
+        norms_of, spectrum_powers = norms._norms_of, norms._spectrum_powers
         monkeypatch.setattr(
             norms, "_norms_of", lambda s, k: stacks.append(s.shape[0]) or norms_of(s, k)
+        )
+        monkeypatch.setattr(
+            norms,
+            "_spectrum_powers",
+            lambda m, ts: powered.append(len(ts)) or spectrum_powers(m, ts),
         )
         for name, chain_fn, weight, target in cases:
             weights = []
@@ -263,29 +267,41 @@ class TestNormChains:
             monkeypatch.setattr(
                 norms, name, lambda a, b, x, vs, k, fn=fn: weights.append(list(vs)) or fn(a, b, x, vs, k)
             )
+            rows = 8 if name == "_heinz_values" else 4
             for depth in (1, 4, 16):
                 weights.clear()
                 stacks.clear()
+                powered.clear()
                 chain = chain_fn(a, b, x, weight, depth, kind)
                 assert len(weights) == 1, (chain_fn.__name__, weight, depth)
                 assert len(set(weights[0])) == len(weights[0]) == 4, (
                     chain_fn.__name__, weight, depth
                 )
                 assert stacks == [4], (chain_fn.__name__, weight, depth)
+                assert powered == [rows, rows], (chain_fn.__name__, weight, depth)
                 assert chain.value("target") == target, (chain_fn.__name__, weight, depth)
             monkeypatch.setattr(norms, name, fn)
 
     def test_chains_are_the_refinements_of_their_functionals(self):
-        # Each chain equals the general refinement applied to the public
-        # single-weight value of its functional, bit for bit.
+        # Each chain equals the general refinement applied to the
+        # single-weight value of its functional, bit for bit: the public
+        # function, or the kernel on a stack of one. That value agrees with
+        # the norm of the literal product.
         for seed in range(3):
             a, b, x = _instance(50 + seed, n=2 + seed)
             for kind in ALL_KINDS:
                 f = lambda vs: [norm_functional(a, b, x, v, kind) for v in vs]
-                g = lambda vs: [
-                    ui_norm(a.power(1.0 - v).a @ x @ b.power(1.0 - v).a, kind) for v in vs
-                ]
+                g = lambda vs: [norms._two_sided_values(a, b, x, [v], kind)[0] for v in vs]
                 h = lambda vs: [heinz_norm(a, b, x, v, kind) for v in vs]
+                for v in (-2.1, 0.3, 1.0):
+                    p, q = a.power(1.0 - v).a, b.power(v).a
+                    literal = (
+                        (f, ui_norm(p @ x @ q, kind)),
+                        (g, ui_norm(p @ x @ b.power(1.0 - v).a, kind)),
+                        (h, ui_norm(a.power(v).a @ x @ b.power(1.0 - v).a + p @ x @ q, kind)),
+                    )
+                    for values, want in literal:
+                        assert values([v])[0] == pytest.approx(want, rel=1e-12), (str(kind), v)
                 cases = (
                     (norm_reverse_chain, _logconvex_refinement, f, 1.2, "a"),
                     (norm_reverse_chain, _logconvex_refinement, f, -2.1, "b"),
