@@ -1,31 +1,32 @@
 """Randomized verification harness for every inequality chain in the package.
 
-Each registered case pairs a seeded instance generator with an evaluator
-producing either an inequality chain (checked link by link) or a vector of
-normalized margins (checked against ``-rel_tol``). Instances draw their
-randomness from a stream keyed by ``hash(seed, case name, instance index)``,
-so runs are deterministic, order-insensitive, and individual instances can
-be replayed. Every drawn instance is checked: a case of ``instances``
-instances builds indices ``0 .. instances - 1``, and none is skipped.
+Each registered case is a draw and a build. ``draw(rng, cfg, cond)`` reads
+every random number of one instance (its inputs, then nu, the depth or its
+other parameters) and returns the build's keyword arguments and a payload
+that replays them. The pure ``build(**args)`` evaluates an inequality chain
+(checked link by link) or a vector of normalized margins (checked against
+``-rel_tol``). Instances draw from a stream keyed by ``hash(seed, case
+name, instance index)``, so runs are deterministic, order-insensitive, and
+individual instances can be replayed. Every drawn instance is checked: a
+case of ``instances`` instances builds indices ``0 .. instances - 1``, and
+none is skipped.
 
 Most cases follow the paper's pattern of a classical bound, a dyadic
 refinement of depth N, then the target. Each of them is one row: an input
-draw, a chain function, a weight branch and a base label, made into a
-builder by ``_refinement``. Identities, shape checks and the other margin
-cases have builders of their own. Every builder records each drawn
-parameter in its payload, which failure files carry for replay.
+draw, a chain function, a weight branch and a base label (``_refinement``).
+Identities, shape checks and the other margin cases have a draw and a build
+of their own.
 
-Every matrix case starts from a random SPD pair (A, B), and its builder
-declares the draw of its inputs (``inputs``). Such a case builds its block
-of instances, whose streams are seeded together, in three phases: draw (each
-stream draws its inputs, and its state after the draw is recorded), then
-assemble (one QR and one assembly per dimension n over the whole block),
-then build (each stream resumes from its recorded state). The scalar cases
-have nothing to stack and draw and build each instance in one pass.
+``run_case``, ``sweep`` and ``build_instance`` share one path,
+``_instances``: draw each instance, assemble the SPD pairs of a block with
+one QR and one assembly per dimension n, then pin a swept parameter in
+copies of the drawn dicts and build. A build reads no random number, so a
+pin cannot move a stream, and no stream state is saved or restored.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -115,24 +116,25 @@ class Built:
     end-to-end chain gap as the tightness measure. ``refined`` is a float
     or a HermitianMatrix.
 
-    A builder passes its drawn matrices in ``payload`` as they are; reading
-    ``payload`` serializes them with ``matrix_to_json``. Only failure files
-    read it, so an instance that passes never serializes its inputs.
+    A case's build evaluates the instance; the harness then puts the drawn
+    parameters in ``drawn``, its matrices as they are. Reading ``payload``
+    serializes them with ``matrix_to_json``. Only failure files read it, so
+    an instance that passes never serializes its inputs.
     """
 
-    def __init__(self, chain=None, margins=None, refined=None, base=None, payload=None):
+    def __init__(self, chain=None, margins=None, refined=None, base=None):
         self.chain = chain
         self.margins = margins
         self.refined = refined
         self.base = base
-        self._drawn = {} if payload is None else payload
+        self.drawn: dict = {}
 
     @property
     def payload(self) -> dict:
         """The replay parameters in the JSON form failure files carry."""
         return {
             key: matrix_to_json(v) if isinstance(v, (ComplexMatrix, np.ndarray)) else v
-            for key, v in self._drawn.items()
+            for key, v in self.drawn.items()
         }
 
     def gap(self) -> float:
@@ -149,8 +151,13 @@ class Built:
 
 @dataclass(frozen=True)
 class CaseDef:
+    """A registered case: ``draw(rng, cfg, cond) -> (args, payload)`` reads
+    every random number of one instance, and the pure ``build(**args)``
+    evaluates it (see ``_instances``)."""
+
     name: str
-    build: Callable[[np.random.Generator, CaseConfig, dict], Built]
+    draw: Callable[[np.random.Generator, CaseConfig, float], tuple[dict, dict]]
+    build: Callable[..., Built]
     overrides: dict
     sweep_params: tuple[str, ...]
     description: str
@@ -160,22 +167,10 @@ class CaseDef:
 REGISTRY: dict[str, CaseDef] = {}
 
 
-def _register(name, *, overrides=None, sweep=(), description="", inputs=None):
-    """Register a builder; a ``_refinement`` builder brings its own nu branch
-    and input draw, and any other builder sweeps nu on either branch. A
-    builder given ``inputs`` is called with ``drawn``, the instance's drawn
-    and assembled inputs (see ``_instances``)."""
-
-    def deco(fn):
-        if inputs is not None:
-            fn.inputs = inputs
-        branch = getattr(fn, "nu_branch", 0)
-        REGISTRY[name] = CaseDef(
-            name, fn, dict(overrides or {}), tuple(sweep), description, branch
-        )
-        return fn
-
-    return deco
+def _register(name, *, draw, build, nu_branch=0, overrides=None, sweep=(), description=""):
+    REGISTRY[name] = CaseDef(
+        name, draw, build, dict(overrides or {}), tuple(sweep), description, nu_branch
+    )
 
 
 def case_names() -> tuple[str, ...]:
@@ -280,28 +275,26 @@ def _seat(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
 
 def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
     """Independent, platform-stable stream for one instance of one case:
-    ``np.random.default_rng`` of the instance's ``_entropy``. ``_instances``
-    seeds the same streams a block at a time with ``_stream_states``."""
+    ``np.random.default_rng`` of the instance's ``_entropy``. ``run_case``
+    and ``sweep`` seed the same streams a block at a time (``_seated``)."""
     return np.random.default_rng(int.from_bytes(_entropy(seed, case_name, index), "little"))
 
 
 # ---------------------------------------------------------------------------
-# Draw helpers. Builders draw every parameter unconditionally and only then
-# apply ``forced`` overrides, so the stream position is identical for a given
-# (seed, case, index) no matter which parameter a sweep pins.
+# Draws. A case's ``draw(rng, cfg, cond)`` reads every random number of one
+# instance and returns the build's keyword arguments and the payload that
+# replays them; ``cond`` bounds the condition number of its SPD matrices.
 
-def _draw_nu(rng, cfg, forced, branch) -> float:
+def _draw_nu(rng, cfg, branch) -> float:
     lo, hi = cfg.nu_range
     mag = float(rng.uniform(lo, hi))
     if branch == 0:
         branch = 1 if rng.integers(2) == 0 else -1
-    nu = mag if branch > 0 else -1.0 - mag
-    return float(forced.get("nu", nu))
+    return mag if branch > 0 else -1.0 - mag
 
 
-def _draw_depth(rng, cfg, forced) -> int:
-    d = int(rng.integers(cfg.depth_min, cfg.depth_max + 1))
-    return int(forced.get("depth", d))
+def _draw_depth(rng, cfg) -> int:
+    return int(rng.integers(cfg.depth_min, cfg.depth_max + 1))
 
 
 def _draw_dim(rng, cfg, cap=None) -> int:
@@ -313,17 +306,24 @@ def _loguniform(rng, lo, hi) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-# The key under which an input draw leaves its SPD pair, drawn but not yet
+def _with(drawn, **params):
+    """Drawn ``(args, payload)`` with ``params`` added to both dicts."""
+    args, payload = drawn
+    args.update(params)
+    payload.update(params)
+    return args, payload
+
+
+# The key under which a draw leaves its SPD pair, drawn but not yet
 # assembled, for ``_assemble_pairs``.
 _PAIR = "_pair"
 
 
-def _spd_pair(rng, cfg, forced, cap=None, ordered=False):
+def _spd_pair(rng, cfg, cond, cap=None, ordered=False):
     """Draw the inputs of two random SPD matrices: n, then each matrix's
     Gaussian and spectrum. Returns the args and the payload, whose "a" and
     "b" ``_assemble_pairs`` fills (A <= B when ``ordered``)."""
     n = _draw_dim(rng, cfg, cap)
-    cond = float(forced.get("cond", cfg.cond_max))
     g, lam = _draw_spds(n, cond, rng, 2)
     return {_PAIR: (g, lam, ordered)}, {"a": None, "b": None, "cond": cond, "n": n}
 
@@ -350,18 +350,8 @@ def _assemble_pairs(drawn) -> None:
             args["b"] = payload["b"] = b
 
 
-def _norm_triple(drawn):
-    """A, B, X, the norm kind and the payload of a norm case's ``drawn``
-    inputs (``_norm_inputs``)."""
-    args, payload = drawn
-    return args["a"], args["b"], args["x"], args["kind"], payload
-
-
-# Input draws of the refinement table: each returns the chain's keyword
-# arguments and the payload that replays them.
-
 def _catalog_inputs(catalog):
-    def draw(rng, cfg, forced):
+    def draw(rng, cfg, cond):
         fname, f = catalog[int(rng.integers(len(catalog)))]
         a = float(rng.uniform(-5.0, 5.0))
         b = float(rng.uniform(-5.0, 5.0))
@@ -377,13 +367,13 @@ _convex_inputs = _catalog_inputs(scalar.CONVEX_CATALOG)
 _logconvex_inputs = _catalog_inputs(scalar.LOGCONVEX_CATALOG)
 
 
-def _xy_inputs(rng, cfg, forced):
+def _xy_inputs(rng, cfg, cond):
     x = _loguniform(rng, 1e-3, 1e3)
     y = _loguniform(rng, 1e-3, 1e3)
     return {"x": x, "y": y}, {"x": x, "y": y}
 
 
-def _ordered_xy_inputs(rng, cfg, forced):
+def _ordered_xy_inputs(rng, cfg, cond):
     """0 < x < y, both log-uniform in [1e-3, 1e3]."""
     x = _loguniform(rng, 1e-3, 1e3)
     y = _loguniform(rng, 1e-3, 1e3)
@@ -393,18 +383,14 @@ def _ordered_xy_inputs(rng, cfg, forced):
     return {"x": x, "y": y}, {"x": x, "y": y}
 
 
-def _spd_inputs(rng, cfg, forced):
-    return _spd_pair(rng, cfg, forced)
+_spd_inputs = _spd_pair
+_ordered_spd_inputs = functools.partial(_spd_pair, ordered=True)
 
 
-def _ordered_spd_inputs(rng, cfg, forced):
-    return _spd_pair(rng, cfg, forced, ordered=True)
-
-
-def _norm_inputs(rng, cfg, forced):
+def _norm_inputs(rng, cfg, cond):
     """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind.
-    X is read-only: the payload and a sweep's table share it."""
-    args, payload = _spd_pair(rng, cfg, forced, cap=6)
+    X is read-only: the payload and a sweep's memo share it."""
+    args, payload = _spd_pair(rng, cfg, cond, cap=6)
     n = payload["n"]
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x.setflags(write=False)
@@ -414,37 +400,44 @@ def _norm_inputs(rng, cfg, forced):
     return args, payload
 
 
-# The draws that leave an SPD pair: their cases build from a table (see
-# ``_instances``); the other cases draw and build in one pass.
-_PAIR_INPUTS = (_spd_inputs, _ordered_spd_inputs, _norm_inputs)
+def _weighted(inputs, branch, depth=True):
+    """The draw of ``inputs``, then of nu on ``branch`` (+1: nu >= 0, -1:
+    nu <= -1, 0: either), then of the depth unless ``depth`` is false."""
+
+    def draw(rng, cfg, cond):
+        args, payload = inputs(rng, cfg, cond)
+        args["nu"] = payload["nu"] = _draw_nu(rng, cfg, branch)
+        if depth:
+            args["depth"] = payload["depth"] = _draw_depth(rng, cfg)
+        return args, payload
+
+    return draw
+
+
+def _chain_build(chain_fn, base=None, **fixed):
+    """The build that checks ``chain_fn(**args, **fixed)``. ``base`` names
+    the chain's unrefined bound; with it the "refined" and ``base`` entries
+    feed the sweep gain."""
+
+    def build(**args):
+        chain = chain_fn(**args, **fixed)
+        if base is None:
+            return Built(chain=chain)
+        pick = chain.matrix if isinstance(chain, means.OperatorChain) else chain.value
+        return Built(chain=chain, refined=pick("refined"), base=pick(base))
+
+    return build
 
 
 def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
-    """Builder of a case that checks ``chain_fn``: classical bound, refinement, target.
-
-    Draws the inputs, then nu on ``branch`` (+1: nu >= 0, -1: nu <= -1, 0:
-    either), then the depth unless ``depth`` is false, and calls
-    ``chain_fn(**inputs, nu=, depth=, **fixed)``. ``base`` names the chain's
-    unrefined bound; with it the "refined" and ``base`` entries feed the
-    sweep gain. A build from a table gets the inputs as ``drawn``, with
-    ``rng`` already past their draw (see ``_build``); the builder extends
-    their dicts. Only inputs without an SPD pair are drawn here.
-    """
-
-    def build(rng, cfg, forced, drawn=None):
-        args, payload = inputs(rng, cfg, forced) if drawn is None else drawn
-        args["nu"] = payload["nu"] = _draw_nu(rng, cfg, forced, branch)
-        if depth:
-            args["depth"] = payload["depth"] = _draw_depth(rng, cfg, forced)
-        chain = chain_fn(**args, **fixed)
-        if base is None:
-            return Built(chain=chain, payload=payload)
-        pick = chain.matrix if isinstance(chain, means.OperatorChain) else chain.value
-        return Built(chain=chain, refined=pick("refined"), base=pick(base), payload=payload)
-
-    build.nu_branch = branch
-    build.inputs = inputs
-    return build
+    """The ``draw``, ``build`` and ``nu_branch`` of a case that checks
+    ``chain_fn``: classical bound, refinement, target (see ``_weighted`` and
+    ``_chain_build``)."""
+    return {
+        "draw": _weighted(inputs, branch, depth),
+        "build": _chain_build(chain_fn, base, **fixed),
+        "nu_branch": branch,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -455,101 +448,98 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at a",
-)(_refinement(
-    _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="a"
-))
+    **_refinement(
+        _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="a"
+    ),
+)
 
 _register(
     "convex_refined_b",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at b",
-)(_refinement(
-    _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="b"
-))
+    **_refinement(
+        _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="b"
+    ),
+)
 
 _register(
     "logconvex_refined_a",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, nonnegative weights",
-)(_refinement(
-    _logconvex_inputs, scalar.logconvex_refined_chain, branch=1, base="power", anchor="a"
-))
+    **_refinement(
+        _logconvex_inputs, scalar.logconvex_refined_chain, branch=1, base="power", anchor="a"
+    ),
+)
 
 _register(
     "logconvex_refined_b",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, weights <= -1",
-)(_refinement(
-    _logconvex_inputs, scalar.logconvex_refined_chain, branch=-1, base="power", anchor="b"
-))
+    **_refinement(
+        _logconvex_inputs, scalar.logconvex_refined_chain, branch=-1, base="power", anchor="b"
+    ),
+)
 
 _register(
     "young_reverse_pos",
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu >= 0",
-)(_refinement(_xy_inputs, scalar.young_reverse_chain, branch=1, base="arith"))
+    **_refinement(_xy_inputs, scalar.young_reverse_chain, branch=1, base="arith"),
+)
 
 _register(
     "young_reverse_neg",
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu <= -1",
-)(_refinement(_xy_inputs, scalar.young_reverse_chain, branch=-1, base="arith"))
+    **_refinement(_xy_inputs, scalar.young_reverse_chain, branch=-1, base="arith"),
+)
 
 
-@_register(
+def _build_young_squared(x, y, nu, depth):
+    chain = scalar.young_squared_chain(x, y, nu, depth)
+    return Built(
+        chain=chain, refined=chain.value("refined"), base=((1.0 + nu) * x - nu * y) ** 2
+    )
+
+
+_register(
     "young_squared",
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="squared reverse Young refinement, both weight branches",
+    draw=_weighted(_xy_inputs, branch=0),
+    build=_build_young_squared,
 )
-def _build_young_squared(rng, cfg, forced):
-    x = _loguniform(rng, 1e-3, 1e3)
-    y = _loguniform(rng, 1e-3, 1e3)
-    nu = _draw_nu(rng, cfg, forced, branch=0)
-    depth = _draw_depth(rng, cfg, forced)
-    chain = scalar.young_squared_chain(x, y, nu, depth)
-    return Built(
-        chain=chain,
-        refined=chain.value("refined"),
-        base=((1.0 + nu) * x - nu * y) ** 2,
-        payload={"x": x, "y": y, "nu": nu, "depth": depth},
+
+
+def _draw_young_refined_t(rng, cfg, cond):
+    return _with(
+        _xy_inputs(rng, cfg, cond),
+        t=1.0 - float(rng.uniform(0.0, 1.0)),  # in (0, 1]
+        depth=_draw_depth(rng, cfg),
     )
 
 
-@_register(
+def _build_young_refined_t(x, y, t, depth):
+    chain = scalar.young_refinement_chain(x, y, t, depth)
+    return Built(chain=chain, refined=chain.value("refined"), base=scalar.geom_mean(x, y, 1.0 - t))
+
+
+_register(
     "young_refined_t",
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("depth",),
     description="forward Young refinement in the interpolation parameter t",
+    draw=_draw_young_refined_t, build=_build_young_refined_t,
 )
-def _build_young_refined_t(rng, cfg, forced):
-    x = _loguniform(rng, 1e-3, 1e3)
-    y = _loguniform(rng, 1e-3, 1e3)
-    t = 1.0 - float(rng.uniform(0.0, 1.0))  # in (0, 1]
-    depth = _draw_depth(rng, cfg, forced)
-    chain = scalar.young_refinement_chain(x, y, t, depth)
-    return Built(
-        chain=chain,
-        refined=chain.value("refined"),
-        base=scalar.geom_mean(x, y, 1.0 - t),
-        payload={"x": x, "y": y, "t": t, "depth": depth},
-    )
 
 
-@_register(
-    "young_collapse_depth1",
-    overrides={"instances": 1000, "rel_tol": 0.0},
-    description="depth-1 reverse Young equals its closed two-term form (1e-12)",
-)
-def _build_young_collapse(rng, cfg, forced):
-    x = _loguniform(rng, 1e-3, 1e3)
-    y = _loguniform(rng, 1e-3, 1e3)
-    nu = _draw_nu(rng, cfg, forced, branch=0)
+def _build_young_collapse(x, y, nu):
     chain = scalar.young_reverse_chain(x, y, nu, 1)
     base = (1.0 + nu) * x - nu * y
     if nu >= 0.0:
@@ -557,49 +547,62 @@ def _build_young_collapse(rng, cfg, forced):
     else:
         closed = base - (1.0 + nu) * (math.sqrt(y) - math.sqrt(x)) ** 2
     tol = 1e-12 * max(1.0, abs(closed), abs(chain.values[-1]))
-    margin = (tol - abs(chain.value("refined") - closed)) / tol
-    return Built(margins=np.array([margin]), payload={"x": x, "y": y, "nu": nu})
+    return Built(margins=np.array([(tol - abs(chain.value("refined") - closed)) / tol]))
 
+
+_register(
+    "young_collapse_depth1",
+    overrides={"instances": 1000, "rel_tol": 0.0},
+    description="depth-1 reverse Young equals its closed two-term form (1e-12)",
+    draw=_weighted(_xy_inputs, branch=0, depth=False),
+    build=_build_young_collapse,
+)
 
 _register(
     "harmonic_reverse",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse arithmetic-harmonic inequality, 0 < x < y",
-)(_refinement(_ordered_xy_inputs, scalar.harmonic_reverse_chain, branch=1, base="arith"))
+    **_refinement(_ordered_xy_inputs, scalar.harmonic_reverse_chain, branch=1, base="arith"),
+)
 
 _register(
     "harmonic_geometric",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse geometric-harmonic inequality, 0 < x < y",
-)(_refinement(_ordered_xy_inputs, scalar.harmonic_geometric_chain, branch=1, base="geom"))
+    **_refinement(_ordered_xy_inputs, scalar.harmonic_geometric_chain, branch=1, base="geom"),
+)
 
 _register(
     "kantorovich_scalar",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     description="Kantorovich-weighted reverse geometric-harmonic bound",
-)(_refinement(_ordered_xy_inputs, scalar.kantorovich_chain, branch=1, depth=False))
-
-
-@_register(
-    "harmonic_curvature",
-    overrides={"instances": 500, "rel_tol": 0.0},
-    description="second derivative of v -> x !_v y matches 2xy(x-y)^2/(v(x-y)+y)^3",
+    **_refinement(_ordered_xy_inputs, scalar.kantorovich_chain, branch=1, depth=False),
 )
-def _build_harmonic_curvature(rng, cfg, forced):
+
+
+def _draw_harmonic_curvature(rng, cfg, cond):
     x = _loguniform(rng, 0.5, 2.0)
-    y = x * float(rng.uniform(1.5, 4.0))
-    nu = float(rng.uniform(-2.9, 0.9))
+    params = {"x": x, "y": x * float(rng.uniform(1.5, 4.0)), "nu": float(rng.uniform(-2.9, 0.9))}
+    return params, dict(params)
+
+
+def _build_harmonic_curvature(x, y, nu):
     h = 1e-3
     f = lambda v: scalar.harm_mean(x, y, v)
     fd = (f(nu + h) - 2.0 * f(nu) + f(nu - h)) / h ** 2
     exact = 2.0 * x * (x - y) ** 2 * y / (nu * (x - y) + y) ** 3
     rel_err = abs(fd - exact) / abs(exact)
-    return Built(
-        margins=np.array([(1e-4 - rel_err) / 1e-4]),
-        payload={"x": x, "y": y, "nu": nu},
-    )
+    return Built(margins=np.array([(1e-4 - rel_err) / 1e-4]))
+
+
+_register(
+    "harmonic_curvature",
+    overrides={"instances": 500, "rel_tol": 0.0},
+    description="second derivative of v -> x !_v y matches 2xy(x-y)^2/(v(x-y)+y)^3",
+    draw=_draw_harmonic_curvature, build=_build_harmonic_curvature,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -609,61 +612,71 @@ _register(
     "operator_reverse_pos",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu >= 0",
-)(_refinement(_spd_inputs, means.operator_reverse_chain, branch=1, base="arith"))
+    **_refinement(_spd_inputs, means.operator_reverse_chain, branch=1, base="arith"),
+)
 
 _register(
     "operator_reverse_neg",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu <= -1",
-)(_refinement(_spd_inputs, means.operator_reverse_chain, branch=-1, base="arith"))
+    **_refinement(_spd_inputs, means.operator_reverse_chain, branch=-1, base="arith"),
+)
 
 _register(
     "operator_squared_pos",
     sweep=("nu", "depth", "cond"),
     description="squared operator reverse Young refinement, nu >= 0",
-)(_refinement(_spd_inputs, means.operator_squared_chain, branch=1, base="scaled_arith"))
+    **_refinement(_spd_inputs, means.operator_squared_chain, branch=1, base="scaled_arith"),
+)
 
 _register(
     "operator_squared_neg",
     sweep=("nu", "depth", "cond"),
     description="squared operator refinement, nu <= -1 (B A^{-1} B form)",
-)(_refinement(_spd_inputs, means.operator_squared_chain, branch=-1, base="scaled_b"))
+    **_refinement(_spd_inputs, means.operator_squared_chain, branch=-1, base="scaled_b"),
+)
 
 _register(
     "harmonic_operator",
     sweep=("nu", "depth", "cond"),
     description="refined reverse arithmetic-harmonic operator inequality, A <= B",
-)(_refinement(_ordered_spd_inputs, means.harmonic_operator_chain, branch=1, base="arith"))
-
+    **_refinement(
+        _ordered_spd_inputs, means.harmonic_operator_chain, branch=1, base="arith"
+    ),
+)
 
 _register(
     "kantorovich_operator",
     sweep=("nu",),
     description="Kantorovich-weighted reverse geometric-harmonic operator bound, A <= B",
-)(_refinement(
-    _ordered_spd_inputs, means.kantorovich_operator_chain, branch=1, depth=False
-))
+    **_refinement(
+        _ordered_spd_inputs, means.kantorovich_operator_chain, branch=1, depth=False
+    ),
+)
 
 _register(
     "trace_additive",
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="additive trace refinement chain",
-)(_refinement(_spd_inputs, means.trace_additive_chain, branch=1, base="arith"))
+    **_refinement(_spd_inputs, means.trace_additive_chain, branch=1, base="arith"),
+)
 
 _register(
     "trace_multiplicative",
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="multiplicative trace refinement chain",
-)(_refinement(_spd_inputs, means.trace_multiplicative_chain, branch=1, base="power"))
+    **_refinement(_spd_inputs, means.trace_multiplicative_chain, branch=1, base="power"),
+)
 
 _register(
     "trace_depth1",
     overrides={"rel_tol": 1e-9},
     sweep=("nu",),
     description="depth-1 trace specializations and the Schatten-1 comparison",
-)(_refinement(_spd_inputs, means.trace_depth1_chain, branch=1, depth=False))
+    **_refinement(_spd_inputs, means.trace_depth1_chain, branch=1, depth=False),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -674,39 +687,35 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu >= 0",
-)(_refinement(_norm_inputs, norms.norm_reverse_chain, branch=1, base="power"))
+    **_refinement(_norm_inputs, norms.norm_reverse_chain, branch=1, base="power"),
+)
 
 _register(
     "norm_reverse_neg",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu <= -1",
-)(_refinement(_norm_inputs, norms.norm_reverse_chain, branch=-1, base="power"))
+    **_refinement(_norm_inputs, norms.norm_reverse_chain, branch=-1, base="power"),
+)
 
 _register(
     "norm_heinz_power",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="two-sided power refinement ||A^{1+nu} X B^{1+nu}||",
-)(_refinement(_norm_inputs, norms.norm_heinz_chain, branch=1, base="power"))
+    **_refinement(_norm_inputs, norms.norm_heinz_chain, branch=1, base="power"),
+)
 
 _register(
     "norm_combined",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="five-term chain joining scalar and norm-functional refinements",
-)(_refinement(_norm_inputs, norms.combined_norm_chain, branch=1, base="power"))
-
-
-@_register(
-    "norm_collapse_depth1",
-    overrides={"instances": 500},
-    description="depth-1 corollaries ||AX||^{1+2nu} and ||AXB||^{1+2nu}",
-    inputs=_norm_inputs,
+    **_refinement(_norm_inputs, norms.combined_norm_chain, branch=1, base="power"),
 )
-def _build_norm_collapse(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    nu = _draw_nu(rng, cfg, forced, branch=1)
+
+
+def _build_norm_collapse(a, b, x, kind, nu):
     # f(1/2) = ||A^{1/2} X B^{1/2}||, f(-nu), ||AX||, ||AXB|| and
     # ||A^{1+nu} X B^{1+nu}||, from one SVD of the five products.
     products = norms._products(
@@ -719,244 +728,245 @@ def _build_norm_collapse(rng, cfg, forced, drawn):
     rhs2 = math.exp(math.log(g_end) + 2.0 * nu * math.log(half))
     m1 = (rhs1 - lhs1) / max(1.0, lhs1, rhs1)
     m2 = (rhs2 - lhs2) / max(1.0, lhs2, rhs2)
-    return Built(margins=np.array([m1, m2]), payload={**payload, "nu": nu})
+    return Built(margins=np.array([m1, m2]))
 
 
-@_register(
+_register(
+    "norm_collapse_depth1",
+    overrides={"instances": 500},
+    description="depth-1 corollaries ||AX||^{1+2nu} and ||AXB||^{1+2nu}",
+    draw=_weighted(_norm_inputs, branch=1, depth=False),
+    build=_build_norm_collapse,
+)
+
+
+def _draw_norm_logconvexity(rng, cfg, cond):
+    drawn = _norm_inputs(rng, cfg, cond)
+    v1, v2 = rng.uniform(-2.0, 3.0, size=2)
+    return _with(drawn, v1=float(v1), v2=float(v2), alpha=float(rng.uniform(0.0, 1.0)))
+
+
+def _build_norm_logconvexity(a, b, x, kind, v1, v2, alpha):
+    weights = [v1, v2, alpha * v1 + (1 - alpha) * v2]
+    fa, fb, fm = norms._functional_values(a, b, x, weights, kind).tolist()
+    bound = math.exp(alpha * math.log(fa) + (1 - alpha) * math.log(fb))
+    return Built(margins=np.array([(bound - fm) / max(1.0, bound, fm)]))
+
+
+_register(
     "norm_logconvexity",
     overrides={"instances": 500, "rel_tol": 1e-9},
     description="log-convexity of v -> ||A^{1-v} X B^v|| on random combinations",
-    inputs=_norm_inputs,
+    draw=_draw_norm_logconvexity, build=_build_norm_logconvexity,
 )
-def _build_norm_logconvexity(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    v1, v2 = rng.uniform(-2.0, 3.0, size=2)
-    alpha = float(rng.uniform(0.0, 1.0))
-    weights = [float(v1), float(v2), float(alpha * v1 + (1 - alpha) * v2)]
-    fa, fb, fm = norms._functional_values(a, b, x, weights, kind).tolist()
-    bound = math.exp(alpha * math.log(fa) + (1 - alpha) * math.log(fb))
-    margin = (bound - fm) / max(1.0, bound, fm)
-    return Built(
-        margins=np.array([margin]),
-        payload={**payload, "v1": float(v1), "v2": float(v2), "alpha": alpha},
-    )
 
 
-@_register(
+def _draw_heinz_symmetry(rng, cfg, cond):
+    return _with(_norm_inputs(rng, cfg, cond), nu=float(rng.uniform(-3.0, 4.0)))
+
+
+def _build_heinz_symmetry(a, b, x, kind, nu):
+    f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu], kind).tolist()
+    return Built(margins=np.array([(1e-10 - abs(f_nu - f_mirror)) / 1e-10]))
+
+
+_register(
     "heinz_symmetry",
     overrides={"instances": 500, "rel_tol": 0.0},
     description="Heinz functional symmetry f(nu) = f(1-nu) to 1e-10",
-    inputs=_norm_inputs,
+    draw=_draw_heinz_symmetry, build=_build_heinz_symmetry,
 )
-def _build_heinz_symmetry(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    nu = float(rng.uniform(-3.0, 4.0))
-    f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu], kind).tolist()
-    d = abs(f_nu - f_mirror)
-    return Built(margins=np.array([(1e-10 - d) / 1e-10]), payload={**payload, "nu": nu})
 
 
-@_register(
+def _draw_heinz_midpoint(rng, cfg, cond):
+    drawn = _norm_inputs(rng, cfg, cond)
+    v1, v2 = rng.uniform(-3.0, 4.0, size=2)
+    return _with(drawn, v1=float(v1), v2=float(v2))
+
+
+def _build_heinz_midpoint(a, b, x, kind, v1, v2):
+    return Built(margins=np.array([norms.heinz_midpoint_margin(a, b, x, v1, v2, kind)]))
+
+
+_register(
     "heinz_midpoint_convexity",
     overrides={"instances": 500},
     description="midpoint convexity of the Heinz functional on [-3, 4]",
-    inputs=_norm_inputs,
+    draw=_draw_heinz_midpoint, build=_build_heinz_midpoint,
 )
-def _build_heinz_midpoint(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    v1, v2 = rng.uniform(-3.0, 4.0, size=2)
-    margin = norms.heinz_midpoint_margin(a, b, x, float(v1), float(v2), kind)
-    return Built(
-        margins=np.array([margin]),
-        payload={**payload, "v1": float(v1), "v2": float(v2)},
-    )
 
 
-@_register(
+def _build_heinz_monotonicity(a, b, x, kind):
+    margins, _ = norms.heinz_grid_margins(a, b, x, kind)
+    return Built(margins=margins)
+
+
+_register(
     "heinz_monotonicity",
     overrides={"instances": 50},
     description="Heinz functional nonincreasing on [-3, 1/2], nondecreasing on [1/2, 4]",
-    inputs=_norm_inputs,
+    draw=_norm_inputs, build=_build_heinz_monotonicity,
 )
-def _build_heinz_monotonicity(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    margins, _ = norms.heinz_grid_margins(a, b, x, kind)
-    return Built(margins=margins, payload=payload)
-
 
 _register(
     "heinz_reverse",
     overrides={"nu_range": (0.0, 4.0)},
     sweep=("nu", "depth", "cond"),
     description="reversed Heinz inequality with dyadic refinement",
-)(_refinement(_norm_inputs, norms.heinz_reverse_chain, branch=1, base="sum_norm"))
+    **_refinement(_norm_inputs, norms.heinz_reverse_chain, branch=1, base="sum_norm"),
+)
 
 
-@_register(
+def _draw_heinz_outside(rng, cfg, cond):
+    drawn = _norm_inputs(rng, cfg, cond)
+    if rng.integers(2) == 0:
+        return _with(drawn, nu=-float(rng.uniform(0.01, 3.0)))
+    return _with(drawn, nu=1.0 + float(rng.uniform(0.01, 3.0)))
+
+
+def _build_heinz_outside(a, b, x, kind, nu):
+    f0, fv = norms._heinz_values(a, b, x, [0.0, nu], kind).tolist()
+    return Built(margins=np.array([(fv - f0) / max(1.0, f0, fv)]))
+
+
+_register(
     "heinz_reverse_outside",
     overrides={"instances": 200},
     description="||AX + XB|| <= f(nu) for weights outside [0, 1]",
-    inputs=_norm_inputs,
+    draw=_draw_heinz_outside, build=_build_heinz_outside,
 )
-def _build_heinz_outside(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    if rng.integers(2) == 0:
-        nu = -float(rng.uniform(0.01, 3.0))
-    else:
-        nu = 1.0 + float(rng.uniform(0.01, 3.0))
-    f0, fv = norms._heinz_values(a, b, x, [0.0, nu], kind).tolist()
-    return Built(
-        margins=np.array([(fv - f0) / max(1.0, f0, fv)]),
-        payload={**payload, "nu": nu},
-    )
 
 
-@_register(
+def _draw_heinz_pq(rng, cfg, cond):
+    """Norm inputs, then 0 < q < p < 3."""
+    drawn = _norm_inputs(rng, cfg, cond)
+    p = float(rng.uniform(0.2, 3.0))
+    return _with(drawn, p=p, q=p * float(rng.uniform(0.05, 0.95)))
+
+
+def _build_heinz_pq(a, b, x, kind, p, q):
+    return Built(chain=norms.heinz_pq_chain(a, b, x, p, q, kind))
+
+
+_register(
     "heinz_pq",
     overrides={"instances": 200},
     description="power-difference comparison for 0 < q < p",
-    inputs=_norm_inputs,
+    draw=_draw_heinz_pq, build=_build_heinz_pq,
 )
-def _build_heinz_pq(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    p = float(rng.uniform(0.2, 3.0))
-    q = p * float(rng.uniform(0.05, 0.95))
-    chain = norms.heinz_pq_chain(a, b, x, p, q, kind)
-    return Built(chain=chain, payload={**payload, "p": p, "q": q})
 
 
-@_register(
+def _draw_heinz_interpolated(rng, cfg, cond):
+    args, payload = _draw_heinz_pq(rng, cfg, cond)
+    return _with((args, payload), r=args["q"] * float(rng.uniform(0.02, 0.98)))
+
+
+def _build_heinz_interpolated(a, b, x, kind, p, q, r):
+    return Built(chain=norms.heinz_interpolated_chain(a, b, x, p, q, r, kind))
+
+
+_register(
     "heinz_interpolated",
     overrides={"instances": 200},
     description="interpolated power-difference comparison for 0 < r < q < p",
-    inputs=_norm_inputs,
+    draw=_draw_heinz_interpolated, build=_build_heinz_interpolated,
 )
-def _build_heinz_interpolated(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    p = float(rng.uniform(0.2, 3.0))
-    q = p * float(rng.uniform(0.05, 0.95))
-    r = q * float(rng.uniform(0.02, 0.98))
-    chain = norms.heinz_interpolated_chain(a, b, x, p, q, r, kind)
-    return Built(chain=chain, payload={**payload, "p": p, "q": q, "r": r})
 
 
-@_register(
+def _build_heinz_interp_grid(a, b, x, kind, p, q):
+    vals = norms.heinz_interpolation_values(a, b, x, p, q, np.linspace(0.0, q, 9), kind)
+    scale = max(1.0, float(np.max(vals)))
+    return Built(margins=(vals[:-1] - vals[1:]) / scale)
+
+
+_register(
     "heinz_interpolated_grid",
     overrides={"instances": 200},
     description="interpolated Heinz value nonincreasing in r on [0, q]",
-    inputs=_norm_inputs,
+    draw=_draw_heinz_pq, build=_build_heinz_interp_grid,
 )
-def _build_heinz_interp_grid(rng, cfg, forced, drawn):
-    a, b, x, kind, payload = _norm_triple(drawn)
-    p = float(rng.uniform(0.2, 3.0))
-    q = p * float(rng.uniform(0.05, 0.95))
-    rs = np.linspace(0.0, q, 9)
-    vals = norms.heinz_interpolation_values(a, b, x, p, q, rs, kind)
-    scale = max(1.0, float(np.max(vals)))
-    margins = (vals[:-1] - vals[1:]) / scale
-    return Built(margins=margins, payload={**payload, "p": p, "q": q})
 
 
 # ---------------------------------------------------------------------------
 # Execution.
 
-def _draw_block(
-    case: CaseDef,
-    cfg: CaseConfig,
-    forced: dict,
-    indices: range,
-    table: dict,
-    rng: np.random.Generator,
-) -> None:
-    """Phases 1 and 2 for the instances of ``indices`` that ``table`` lacks,
-    keyed by (index, forced cond): input draws read no other forced
-    parameter.
+def _seated(seed: int, case_name: str, rng: np.random.Generator):
+    """The ``streams`` of ``_instances`` for ``run_case`` and ``sweep``: seat
+    ``rng`` at the start of each given index's stream in turn, from one
+    ``_stream_states`` block (computed only once a stream is asked for)."""
 
-    Each stream is seated on ``rng`` from one ``_stream_states`` block and
-    draws its inputs; the table records the args, the payload and the
-    stream state after the draw. Then ``_assemble_pairs`` assembles every
-    SPD pair of the block, one stack per n.
+    def streams(indices):
+        for words in _stream_states(seed, case_name, indices):
+            yield _seat(rng, words)
+
+    return streams
+
+
+def _built(case: CaseDef, args: dict, payload: dict, pins: dict) -> Built:
+    """``case.build`` of drawn ``args``, with ``pins`` put in copies of both
+    dicts, and the payload recorded in ``Built.drawn``."""
+    if pins:
+        args, payload = {**args, **pins}, {**payload, **pins}
+    built = case.build(**args)
+    built.drawn = payload
+    return built
+
+
+def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, indices, streams, memo=None):
+    """Yield (index, built) for each of ``indices``, in order.
+
+    1. draw: ``streams(todo)`` gives a generator at the start of the stream
+       of each index that ``memo`` lacks, and ``case.draw`` reads every
+       random number of that instance from it, with the condition bound of
+       a pinned cond (``forced["cond"]``) or of ``cfg``. A draw without an
+       SPD pair (a scalar case) is built at once and not kept;
+    2. assemble: the SPD pairs of the new draws, one QR and one assembly per
+       n (``_assemble_pairs``), kept in ``memo`` under (index, cond);
+    3. pin and build: the other parameters of ``forced`` replace the drawn
+       ones in copies of the dicts (``_built``), so a pin cannot move the
+       stream, and the case's pure ``build`` evaluates the instance.
+
+    A case's draws either all hold an SPD pair or none does. A sweep passes
+    one ``memo`` across its grid, so a repeat draws and seeds nothing.
     """
-    cond = forced.get("cond")
-    todo = [i for i in indices if (i, cond) not in table]
-    if not todo:
-        return
-    drawn = []
-    for i, words in zip(todo, _stream_states(cfg.seed, case.name, todo)):
-        args, payload = case.build.inputs(_seat(rng, words), cfg, forced)
-        table[i, cond] = args, payload, rng.bit_generator.state
-        drawn.append((args, payload))
-    _assemble_pairs(drawn)
-
-
-def _build(
-    case: CaseDef, cfg: CaseConfig, forced: dict, entry: tuple, rng: np.random.Generator
-) -> Built:
-    """Phase 3: build an instance from its table ``entry``, resuming its
-    stream on ``rng`` from the state after its input draw, so the draws
-    that follow read the same numbers as after a fresh draw. Each build
-    gets its own copies of the args and payload dicts; the arrays they
-    share are read-only."""
-    args, payload, state = entry
-    rng.bit_generator.state = state
-    return case.build(rng, cfg, forced, drawn=(dict(args), dict(payload)))
-
-
-def _instances(
-    case: CaseDef,
-    cfg: CaseConfig,
-    forced: dict,
-    table: dict | None = None,
-    rng: np.random.Generator | None = None,
-):
-    """Yield (index, built) for every index ``0 .. cfg.instances - 1``.
-
-    Instance ``index`` draws from ``instance_rng(seed, case, index)``'s
-    stream, on one Generator (``rng``, or a new one). The streams are seeded
-    in one block by ``_stream_states``.
-
-    A case whose declared ``inputs`` draw an SPD pair (every matrix case),
-    and in a sweep (``table`` given) every case with ``inputs``, builds the
-    block in three phases:
-
-    1. draw: seat each stream, draw its inputs and record them in the table
-       with the stream state after the draw (``_draw_block``);
-    2. assemble: one QR and one assembly per n over the whole block
-       (``_assemble_pairs``), then the ordered B = A + B';
-    3. build: resume each stream from its recorded state (``_build``).
-
-    ``run_case`` passes no table and fills a fresh one. A sweep keeps its
-    table across grid values, so a repeat draws and seeds nothing. The
-    scalar cases draw and build each instance in one pass: they have
-    nothing to stack, and no stream state to save.
-    """
-    rng = _new_generator() if rng is None else rng
-    inputs = getattr(case.build, "inputs", None)
-    indices = range(cfg.instances)
-    if inputs is None or (table is None and inputs not in _PAIR_INPUTS):
-        for i, words in zip(indices, _stream_states(cfg.seed, case.name, indices)):
-            yield i, case.build(_seat(rng, words), cfg, forced)
-        return
-    table = {} if table is None else table
-    _draw_block(case, cfg, forced, indices, table, rng)
-    cond = forced.get("cond")
+    cond = float(forced.get("cond", cfg.cond_max))
+    pins = {param: value for param, value in forced.items() if param != "cond"}
+    memo = {} if memo is None else memo
+    todo = [i for i in indices if (i, cond) not in memo]
+    for i, rng in zip(todo, streams(todo)):
+        args, payload = case.draw(rng, cfg, cond)
+        if _PAIR in args:
+            memo[i, cond] = args, payload
+        else:
+            yield i, _built(case, args, payload, pins)
+    _assemble_pairs(memo[i, cond] for i in todo if (i, cond) in memo)
     for i in indices:
-        yield i, _build(case, cfg, forced, table[i, cond], rng)
+        if (i, cond) in memo:
+            yield i, _built(case, *memo[i, cond], pins)
+
+
+def _swept(case: CaseDef, param: str) -> str:
+    """``param``, if ``case`` sweeps it."""
+    if param not in case.sweep_params:
+        raise DomainError(
+            f"case {case.name!r} does not sweep {param!r}; supported: {case.sweep_params}"
+        )
+    return param
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
-    """Build one instance of a case alone, its inputs drawn and assembled as
-    a stack of one."""
+    """Build one instance of a case alone: its stream is ``instance_rng``'s,
+    and its SPD pair is assembled as a stack of one. ``forced`` pins sweep
+    parameters of the case to values that ``sweep_values`` accepts."""
     case = _case(name)
     cfg = _config_for(case, overrides)
-    forced = dict(forced or {})
-    rng = instance_rng(cfg.seed, name, index)
-    inputs = getattr(case.build, "inputs", None)
-    if inputs is None:
-        return case.build(rng, cfg, forced)
-    drawn = inputs(rng, cfg, forced)
-    _assemble_pairs([drawn])
-    return case.build(rng, cfg, forced, drawn=drawn)
+    forced = {
+        param: sweep_values(_swept(case, param), [value], case.nu_branch)[0]
+        for param, value in (forced or {}).items()
+    }
+    streams = lambda todo: (instance_rng(cfg.seed, name, i) for i in todo)
+    ((_, built),) = _instances(case, cfg, forced, [index], streams)
+    return built
 
 
 def _write_failure(directory: Path, name: str, index: int, built: Built, row, cfg) -> None:
@@ -972,11 +982,7 @@ def _write_failure(directory: Path, name: str, index: int, built: Built, row, cf
     (directory / f"{name}-{index:05d}.json").write_text(json.dumps(data, indent=1))
 
 
-def run_case(
-    name: str,
-    failures_dir: str | Path | None = None,
-    **overrides,
-) -> ChainReport:
+def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> ChainReport:
     """Run one registered case and aggregate its slack statistics.
 
     Deterministic for a fixed config: every instance derives its own RNG
@@ -989,7 +995,8 @@ def run_case(
     rows: list[list[float]] = []
     gaps: list[float] = []
     written = 0
-    for index, built in _instances(case, cfg, {}):
+    streams = _seated(cfg.seed, name, _new_generator())
+    for index, built in _instances(case, cfg, {}, range(cfg.instances), streams):
         row, gap = built.verdict()
         rows.append(row)
         gaps.append(gap)
@@ -1071,37 +1078,27 @@ def sweep_values(param: str, grid, nu_branch: int = 0) -> list:
     return values
 
 
-def sweep(
-    name: str,
-    param: str,
-    grid,
-    **overrides,
-) -> list[SweepRow]:
+def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     """Re-evaluate a case while pinning one parameter to each grid value.
 
-    Instances keep their identity across the grid (same per-index draws with
-    only ``param`` overridden), so columns are directly comparable. A
-    case with declared inputs draws and assembles each instance's inputs
-    (A, B, X, ...) once per cond and re-evaluates only the rest at each grid
-    value; the other cases redraw. Returns one row per grid value with the mean end-to-end
-    gap and mean refinement gain (refined bound minus unrefined bound; trace
-    difference for operator chains). Every grid value is checked by
-    ``sweep_values`` before any instance is built.
+    Instances keep their identity across the grid (the same draws, with only
+    ``param`` pinned), so columns are directly comparable. A matrix case
+    draws and assembles each instance once per cond and only rebuilds at
+    each grid value; a scalar case redraws. Returns one row per grid value
+    with the mean end-to-end gap and mean refinement gain (refined bound
+    minus unrefined bound; trace difference for operator chains). Every grid
+    value is checked by ``sweep_values`` before any instance is built.
     """
     case = _case(name)
-    if param not in case.sweep_params:
-        raise DomainError(
-            f"case {name!r} does not sweep {param!r}; supported: {case.sweep_params}"
-        )
-    values = sweep_values(param, grid, case.nu_branch)
+    values = sweep_values(_swept(case, param), grid, case.nu_branch)
     cfg = _config_for(case, overrides)
-    table: dict = {}
-    rng = _new_generator()
+    indices, memo = range(cfg.instances), {}
+    streams = _seated(cfg.seed, name, _new_generator())
     out = []
     for value in values:
         gaps = []
         gains = []
-        for _, built in _instances(case, cfg, {param: value}, table, rng):
+        for _, built in _instances(case, cfg, {param: value}, indices, streams, memo):
             gaps.append(built.gap())
             gains.append(_gain(built))
         out.append(

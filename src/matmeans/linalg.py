@@ -199,7 +199,7 @@ class SpdMatrix(HermitianMatrix):
     def power(self, t: float) -> "SpdMatrix":
         """Q diag(w ** t) Q* (``_spectrum_powers``), assembled by ``_assemble``
         with that factorization recorded; m^0 is exactly I."""
-        wt = _spectrum_powers(self, [t])[0]
+        wt = _spectrum_powers(self.eig.eigenvalues, [t])[0]
         return SpdMatrix._assemble(wt, self.eig.eigenvectors if float(t) else np.eye(self.n))
 
 
@@ -225,16 +225,17 @@ class OperatorChain:
         return self.matrices[self.labels.index(label)]
 
 
-def _spectrum_powers(m: SpdMatrix, ts) -> np.ndarray:
-    """Rows w ** t of m's cached spectrum, one per weight t, each computed alone
-    (a broadcast power can differ in the last bit); w ** 0 is exactly 1. Overflow
-    or underflow raises a DomainError that says which; numpy does not warn."""
+def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
+    """Rows w ** t of a positive spectrum w, one per weight t, each computed
+    alone (a broadcast power can differ in the last bit); w ** 0 is exactly 1.
+    Overflow or underflow raises a DomainError that says which; numpy does
+    not warn."""
     ts = [float(t) for t in ts]
-    out = np.ones((len(ts), m.n))
+    out = np.ones((len(ts), len(w)))
     with np.errstate(over="ignore", under="ignore"):
         for i, t in enumerate(ts):
             if t:
-                out[i] = m.eig.eigenvalues ** t
+                out[i] = w ** t
     if not (out.min(initial=1.0) > 0.0 and out.max(initial=1.0) < np.inf):
         i = int(np.argmin(((out > 0.0) & (out < np.inf)).all(axis=1)))
         if np.isinf(out[i]).any():

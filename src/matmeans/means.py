@@ -72,7 +72,7 @@ class _Transfer:
             raise DomainError(
                 f"matrix is not positive definite: lambda_min = {self.w[0]:.6e}"
             )
-        self.m = (a.eig.eigenvectors * _spectrum_powers(a, [0.5])[0]) @ p[:, ::-1]
+        self.m = (a.eig.eigenvectors * _spectrum_powers(a.eig.eigenvalues, [0.5])[0]) @ p[:, ::-1]
 
     def push(self, vals) -> HermitianMatrix:
         return HermitianMatrix._exact(_congruence(self.m, np.asarray(vals, dtype=np.float64)))
@@ -87,10 +87,7 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
 def geometric_mean(a, b, nu: float) -> SpdMatrix:
     """A #_nu B for any real nu; always positive definite on SPD input."""
     t = _Transfer(_as_spd(a), _as_spd(b))
-    vals = t.w ** nu
-    if np.min(vals) <= 0.0:
-        raise DomainError("transferred spectrum must stay positive")
-    return SpdMatrix._exact(_congruence(t.m, vals))
+    return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(t.w, [nu])[0]))
 
 
 def harmonic_mean(a, b, nu: float) -> SpdMatrix:
@@ -114,12 +111,14 @@ def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> None:
 
 def _power_refinement(t: _Transfer, nu: float, depth: int, shift: float = 0.0):
     """The convex refinement of v |-> w^{shift+v} over the spectrum w of X,
-    anchored at 0 for nu >= 0 and at 1 for nu <= -1, with its closed-form drop."""
+    anchored at 0 for nu >= 0 and at 1 for nu <= -1, with its closed-form
+    drop. Every power of w is checked by ``_spectrum_powers``."""
     log_w, anchor = np.log(t.w), "a" if weight_branch(nu) > 0 else "b"
-    fe, log_r = (t.w ** shift, log_w) if anchor == "a" else (t.w ** (shift + 1.0), -log_w)
+    e, log_r = (0.0, log_w) if anchor == "a" else (1.0, -log_w)
+    fe = _spectrum_powers(t.w, [shift + e])[0]
     return _convex_refinement(
-        lambda vs: [t.w ** (shift + v) for v in vs], 0.0, 1.0, nu, depth, anchor,
-        _power_drop(fe, log_r, depth, np.expm1),
+        lambda vs: list(_spectrum_powers(t.w, [shift + v for v in vs])), 0.0, 1.0, nu, depth,
+        anchor, _power_drop(fe, log_r, depth, np.expm1),
     )
 
 
@@ -166,7 +165,8 @@ def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
         label, base, extra = "scaled_arith", (1.0 + nu) * secant, nu ** 2 * (1.0 - w) + nu * w
     else:
         label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
-    values = (base, base + 2.0 * (refined - secant), w ** (-2.0 * nu) + extra)
+    target = _spectrum_powers(w, [-2.0 * nu])[0] + extra
+    values = (base, base + 2.0 * (refined - secant), target)
     return OperatorChain((label, "refined", "target"), tuple(map(t.push, values)))
 
 

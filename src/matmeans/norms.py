@@ -148,7 +148,8 @@ def ui_norm(x, kind: NormKind) -> float:
 def _graded(a, b, y, left, right) -> np.ndarray:
     """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
     the eigenbases of A and B: each entry is Y_jk wa_j^l wb_k^r."""
-    pa, pb = _spectrum_powers(a, left), _spectrum_powers(b, right)
+    pa = _spectrum_powers(a.eig.eigenvalues, left)
+    pb = _spectrum_powers(b.eig.eigenvalues, right)
     return y * pa[:, :, None] * pb[:, None, :]
 
 

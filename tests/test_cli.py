@@ -222,11 +222,12 @@ class TestVerify:
         assert "kantorovich_scalar" in out1 and "total:" in out1
 
     def test_failing_case_exits_1(self, capsys, tmp_path):
-        def always_fails(rng, cfg, forced):
-            return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)), payload={})
+        def always_fails():
+            return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
         harness.REGISTRY["_cli_fail"] = harness.CaseDef(
-            "_cli_fail", always_fails, {"instances": 3}, (), "synthetic"
+            "_cli_fail", lambda rng, cfg, cond: ({}, {}), always_fails, {"instances": 3}, (),
+            "synthetic",
         )
         try:
             code, stdout, _ = run_cli(
@@ -330,17 +331,29 @@ class TestSweep:
         assert code == EXIT_DOMAIN and stdout == ""
         assert stderr.startswith("error:") and "overflows" in stderr
 
-    @pytest.mark.parametrize("case", ["norm_reverse_pos", "heinz_reverse"])
-    def test_overflowing_power_exits_2_without_warning(self, capsys, case):
-        # A weight of 1e300 takes a power of the spectrum out of the float
-        # range: a domain error that names the overflow, with no numpy
-        # RuntimeWarning on stderr.
+    @pytest.mark.parametrize(
+        "case, grid",
+        [
+            pytest.param(case, grid, id=case)
+            for case, grid in (
+                ("norm_reverse_pos", "1e300:1e300:1"),
+                ("heinz_reverse", "1e300:1e300:1"),
+                ("operator_reverse_pos", "1e300:1e300:1"),
+                ("operator_squared_pos", "1e300:1e300:1"),
+                ("operator_reverse_neg", "-1e300:-1e300:1"),
+                ("operator_squared_neg", "-1e300:-1e300:1"),
+            )
+        ],
+    )
+    def test_overflowing_power_exits_2_without_warning(self, capsys, case, grid):
+        # A weight of +-1e300 takes a power of a spectrum (of A and B, or of
+        # X for the operator chains) out of the float range: a domain error
+        # that names the overflow, with no numpy RuntimeWarning on stderr.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, stdout, stderr = run_cli(
                 capsys,
-                "sweep", "--case", case, "--param", "nu", "--grid", "1e300:1e300:1",
-                "--instances", "3",
+                "sweep", "--case", case, "--param", "nu", f"--grid={grid}", "--instances", "3",
             )
         assert code == EXIT_DOMAIN and stdout == ""
         assert stderr.startswith("error:") and "overflows" in stderr, stderr

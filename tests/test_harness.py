@@ -62,14 +62,12 @@ class TestRunCase:
         assert r1.csv_row() == r2.csv_row()
 
     def test_failure_counting_and_repro_files(self, tmp_path):
-        def always_fails(rng, cfg, forced):
-            return Built(
-                chain=ScalarChain(("hi", "lo"), (1.0, 0.5)),
-                payload={"note": "synthetic"},
-            )
+        def always_fails():
+            return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
         harness.REGISTRY["_synthetic_fail"] = harness.CaseDef(
-            "_synthetic_fail", always_fails, {"instances": 5}, (), "synthetic"
+            "_synthetic_fail", lambda rng, cfg, cond: ({}, {"note": "synthetic"}), always_fails,
+            {"instances": 5}, (), "synthetic",
         )
         try:
             report = harness.run_case("_synthetic_fail", failures_dir=tmp_path)
@@ -90,14 +88,13 @@ class TestRunCase:
         # the failure file, which parses back to them exactly.
         seen = []
 
-        def descending(rng, cfg, forced, drawn):
-            a, b, x, kind, payload = harness._norm_triple(drawn)
+        def descending(a, b, x, kind):
             seen.append((a.a, b.a, x))
-            return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)), payload=payload)
+            return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
-        descending.inputs = harness._norm_inputs
         harness.REGISTRY["_synthetic_norm"] = harness.CaseDef(
-            "_synthetic_norm", descending, {"instances": 4, "dim_min": 1}, (), "synthetic"
+            "_synthetic_norm", harness._norm_inputs, descending,
+            {"instances": 4, "dim_min": 1}, (), "synthetic",
         )
         try:
             report = harness.run_case("_synthetic_norm", failures_dir=tmp_path)
@@ -120,11 +117,12 @@ class TestRunCase:
             assert harness.run_case(name, instances=3).failures == 0
 
     def test_nan_slack_is_a_failure_with_a_repro_file(self, tmp_path):
-        def nan_margin(rng, cfg, forced):
-            return Built(margins=np.array([0.1, np.nan]), payload={"note": "nan"})
+        def nan_margin():
+            return Built(margins=np.array([0.1, np.nan]))
 
         harness.REGISTRY["_synthetic_nan"] = harness.CaseDef(
-            "_synthetic_nan", nan_margin, {"instances": 3}, (), "synthetic"
+            "_synthetic_nan", lambda rng, cfg, cond: ({}, {"note": "nan"}), nan_margin,
+            {"instances": 3}, (), "synthetic",
         )
         try:
             report = harness.run_case("_synthetic_nan", failures_dir=tmp_path)
@@ -232,14 +230,14 @@ class TestStress:
 
     def test_norm_and_heinz_cases_with_near_singular_x(self, monkeypatch):
         # X's smallest singular value scaled by 1e-8, 1e-14 and 0: nothing
-        # raises, and no instance fails. The scaling draws nothing, so every
-        # stream keeps its position.
+        # raises, and no instance fails. Each case's own draw runs first and
+        # the scaling draws nothing, so every other parameter keeps its value.
         names = [n for n in harness.case_names() if n.startswith(("norm_", "heinz_"))]
         assert len(names) == 14
-        for scale in (1e-8, 1e-14, 0.0):
 
-            def near_singular(rng, cfg, forced, scale=scale):
-                args, payload = harness._norm_inputs(rng, cfg, forced)
+        def near_singular(draw, scale):
+            def scaled(rng, cfg, cond):
+                args, payload = draw(rng, cfg, cond)
                 u, s, vh = np.linalg.svd(args["x"])
                 s[-1] *= scale
                 x = (u * s) @ vh
@@ -247,10 +245,13 @@ class TestStress:
                 args["x"] = payload["x"] = x
                 return args, payload
 
-            # A builder's inputs must be a tabled draw, or it gets no ``drawn``.
-            monkeypatch.setattr(harness, "_PAIR_INPUTS", (near_singular,))
-            for name in names:
-                monkeypatch.setattr(harness.REGISTRY[name].build, "inputs", near_singular)
+            return scaled
+
+        cases = {name: harness.REGISTRY[name] for name in names}
+        for scale in (1e-8, 1e-14, 0.0):
+            for name, case in cases.items():
+                swapped = dataclasses.replace(case, draw=near_singular(case.draw, scale))
+                monkeypatch.setitem(harness.REGISTRY, name, swapped)
                 report = harness.run_case(name, instances=50)
                 assert report.failures == 0, (name, scale, report.min_slack)
 
@@ -280,6 +281,18 @@ class TestBuildInstance:
                 assert set(forced) == set(drawn), (name, param)
                 for key in set(drawn) - fed:
                     assert forced[key] == drawn[key], (name, param, key)
+
+    def test_forced_parameter_must_be_swept(self):
+        # A pin replaces a drawn sweep parameter; any other key, or a value
+        # that a sweep of the case would reject, is a domain error.
+        for name, forced in (
+            ("kantorovich_operator", {"depth": 3}),
+            ("heinz_symmetry", {"nu": 0.5}),
+            ("operator_reverse_pos", {"nu": -2.0}),
+            ("operator_reverse_pos", {"cond": 0.5}),
+        ):
+            with pytest.raises(DomainError):
+                harness.build_instance(name, 0, forced=forced)
 
     def test_instance_rng_stability(self):
         a = harness.instance_rng(7, "case", 0).integers(1 << 30)
@@ -335,9 +348,7 @@ class TestStreamSeeding:
         # n, at its own cond and at 1e12: the report of the blocks equals
         # the one of instances drawn and assembled alone.
         names = [
-            name
-            for name in harness.case_names()
-            if getattr(harness.REGISTRY[name].build, "inputs", None) in harness._PAIR_INPUTS
+            name for name in harness.case_names() if "n" in harness.build_instance(name, 0).drawn
         ]
         assert len(names) == 23
         for cond in ({}, {"cond_max": 1e12}):
@@ -348,8 +359,8 @@ class TestStreamSeeding:
                 assert report == want, (name, cond)
 
     def test_sweep_seeds_once_on_one_generator(self, monkeypatch):
-        # A depth sweep of a table case draws each instance's inputs once:
-        # later grid values resume from the memo and seed nothing.
+        # A depth sweep of a matrix case draws each instance once: later
+        # grid values rebuild from the memo and seed nothing.
         blocks, generators = [], []
         stream_states, new_generator = harness._stream_states, harness._new_generator
         monkeypatch.setattr(
@@ -630,14 +641,20 @@ class TestSweepReuse:
     def test_payload_not_changed_by_next_build(self):
         case = harness.REGISTRY["norm_heinz_power"]
         cfg = harness._config_for(case, {"instances": 2})
+        streams = harness._seated(cfg.seed, case.name, harness._new_generator())
         memo = {}
-        first = [b for _, b in harness._instances(case, cfg, {"depth": 1}, memo)]
+
+        def builds(forced):
+            return [b for _, b in harness._instances(case, cfg, forced, range(2), streams, memo)]
+
+        first = builds({"depth": 1})
         saved = json.dumps([b.payload for b in first])
-        second = [b for _, b in harness._instances(case, cfg, {"depth": 5}, memo)]
+        second = builds({"depth": 5})
+        assert len(first) == len(second) == len(memo) == 2
         assert json.dumps([b.payload for b in first]) == saved
         for b1, b2 in zip(first, second):
             assert (b1.payload["depth"], b2.payload["depth"]) == (1, 5)
             assert {**b2.payload, "depth": 1} == b1.payload
         # The X every grid value shares cannot be written through.
-        for args, _, _ in memo.values():
+        for args, _ in memo.values():
             assert not args["x"].flags.writeable

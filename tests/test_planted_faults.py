@@ -2,20 +2,23 @@
 must then report failures.
 
 A check that never fails on a wrong chain shows nothing. Each fault below
-swaps a case's chain function, or the builder of a case that is not a
+swaps a case's chain function, or the build of a case that is not a
 refinement row, for a copy with one deliberate error, and the test asserts
-that ``run_case`` catches it at a reduced instance count. The same test runs
-the case once more through the swapped-in builder with the true chain
-function or builder, to show that the failures come from the fault alone.
+that ``run_case`` catches it at a reduced instance count. A build is a pure
+function of the drawn parameters, so a copy draws nothing and every
+instance keeps its draws. The same test runs the case once more through the
+true chain function, or through the copy of the build with no fault, to
+show that the failures come from the fault alone.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from matmeans import harness, means, norms
+from matmeans import harness, means, norms, scalar
 from matmeans.harness import Built
 from matmeans.means import OperatorChain
 from matmeans.scalar import ScalarChain
@@ -43,11 +46,52 @@ def _trace_cross_term_raised(a, b, nu):
     return ScalarChain(chain.labels, tuple(values))
 
 
-def _norm_collapse_exponent_lowered(rng, cfg, forced, drawn):
+def _young_squared_term_scaled(x, y, nu, depth, fault):
+    """``young_squared`` with the refinement term of its left side (the
+    left side minus the unrefined ((1+nu) x - nu y)^2) scaled by 1 + fault."""
+    chain = scalar.young_squared_chain(x, y, nu, depth)
+    base = ((1.0 + nu) * x - nu * y) ** 2
+    lhs, target = chain.values
+    lhs += fault * (lhs - base)
+    return Built(chain=ScalarChain(chain.labels, (lhs, target)), refined=lhs, base=base)
+
+
+def _young_refined_t_term_scaled(x, y, t, depth, fault):
+    """``young_refined_t`` with the refinement term of its left side (the
+    left side minus x^t y^{1-t}) scaled by 1 + fault."""
+    chain = scalar.young_refinement_chain(x, y, t, depth)
+    base = scalar.geom_mean(x, y, 1.0 - t)
+    lhs, arith = chain.values
+    lhs += fault * (lhs - base)
+    return Built(chain=ScalarChain(chain.labels, (lhs, arith)), refined=lhs, base=base)
+
+
+def _young_collapse_square_scaled(x, y, nu, fault):
+    """``young_collapse_depth1`` with the square term of its closed form
+    scaled by 1 + fault."""
+    chain = scalar.young_reverse_chain(x, y, nu, 1)
+    base = (1.0 + nu) * x - nu * y
+    if nu >= 0.0:
+        closed = base + nu * (math.sqrt(x) - math.sqrt(y)) ** 2 * (1.0 + fault)
+    else:
+        closed = base - (1.0 + nu) * (math.sqrt(y) - math.sqrt(x)) ** 2 * (1.0 + fault)
+    tol = 1e-12 * max(1.0, abs(closed), abs(chain.values[-1]))
+    return Built(margins=np.array([(tol - abs(chain.value("refined") - closed)) / tol]))
+
+
+def _harmonic_curvature_scaled(x, y, nu, fault):
+    """``harmonic_curvature`` with the exact curvature scaled by 1 + fault."""
+    h = 1e-3
+    f = lambda v: scalar.harm_mean(x, y, v)
+    fd = (f(nu + h) - 2.0 * f(nu) + f(nu - h)) / h ** 2
+    exact = 2.0 * x * (x - y) ** 2 * y / (nu * (x - y) + y) ** 3 * (1.0 + fault)
+    rel_err = abs(fd - exact) / abs(exact)
+    return Built(margins=np.array([(1e-4 - rel_err) / 1e-4]))
+
+
+def _norm_collapse_exponent_lowered(a, b, x, kind, nu, fault):
     """``norm_collapse_depth1`` with the exponent 2 nu of f(1/2) on both
-    right-hand sides made 2 nu - 0.1."""
-    a, b, x, kind, payload = harness._norm_triple(drawn)
-    nu = harness._draw_nu(rng, cfg, forced, branch=1)
+    right-hand sides made 2 nu - fault."""
     products = norms._products(
         a, b, x, [0.5, 1.0 + nu, 1.0, 1.0, 1.0 + nu], [0.5, -nu, 0.0, 1.0, 1.0 + nu]
     )
@@ -55,96 +99,80 @@ def _norm_collapse_exponent_lowered(rng, cfg, forced, drawn):
     margins = []
     for lhs_base, end in ((f_ax, f_end), (g0, g_end)):
         lhs = math.exp((1.0 + 2.0 * nu) * math.log(lhs_base))
-        rhs = math.exp(math.log(end) + (2.0 * nu - 0.1) * math.log(half))
+        rhs = math.exp(math.log(end) + (2.0 * nu - fault) * math.log(half))
         margins.append((rhs - lhs) / max(1.0, lhs, rhs))
-    return Built(margins=np.array(margins), payload={**payload, "nu": nu})
+    return Built(margins=np.array(margins))
 
 
-def _norm_logconvexity_bound_lowered(rng, cfg, forced, drawn):
-    """``norm_logconvexity`` with its log-convex bound scaled by 0.99."""
-    a, b, x, kind, payload = harness._norm_triple(drawn)
-    v1, v2 = rng.uniform(-2.0, 3.0, size=2)
-    alpha = float(rng.uniform(0.0, 1.0))
-    weights = [float(v1), float(v2), float(alpha * v1 + (1 - alpha) * v2)]
+def _norm_logconvexity_bound_lowered(a, b, x, kind, v1, v2, alpha, fault):
+    """``norm_logconvexity`` with its log-convex bound scaled by 1 - fault."""
+    weights = [v1, v2, alpha * v1 + (1 - alpha) * v2]
     fa, fb, fm = norms._functional_values(a, b, x, weights, kind).tolist()
-    bound = 0.99 * math.exp(alpha * math.log(fa) + (1 - alpha) * math.log(fb))
-    return Built(margins=np.array([(bound - fm) / max(1.0, bound, fm)]), payload=payload)
+    bound = (1.0 - fault) * math.exp(alpha * math.log(fa) + (1 - alpha) * math.log(fb))
+    return Built(margins=np.array([(bound - fm) / max(1.0, bound, fm)]))
 
 
-def _heinz_mirror_shifted(rng, cfg, forced, drawn):
-    """``heinz_symmetry`` comparing f(nu) with f(1 - nu + 1e-6)."""
-    a, b, x, kind, payload = harness._norm_triple(drawn)
-    nu = float(rng.uniform(-3.0, 4.0))
-    f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu + 1e-6], kind).tolist()
-    d = abs(f_nu - f_mirror)
-    return Built(margins=np.array([(1e-10 - d) / 1e-10]), payload={**payload, "nu": nu})
+def _heinz_mirror_shifted(a, b, x, kind, nu, fault):
+    """``heinz_symmetry`` comparing f(nu) with f(1 - nu + fault)."""
+    f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu + fault], kind).tolist()
+    return Built(margins=np.array([(1e-10 - abs(f_nu - f_mirror)) / 1e-10]))
 
 
-def _heinz_grid_shifted(rng, cfg, forced, drawn):
-    """``heinz_monotonicity`` with the Heinz functional evaluated at v + 0.1
+def _heinz_grid_shifted(a, b, x, kind, fault):
+    """``heinz_monotonicity`` with the Heinz functional evaluated at v + fault
     on its grid, so its minimum no longer sits at the grid's split at 1/2."""
-    a, b, x, kind, payload = harness._norm_triple(drawn)
     grid = np.linspace(-3.0, 4.0, 81)
-    vals = norms._heinz_values(a, b, x, grid + 0.1, kind)
+    vals = norms._heinz_values(a, b, x, grid + fault, kind)
     scale = max(1.0, float(vals.max()))
     split = int(np.argmin(np.abs(grid - 0.5)))
     down = (vals[:split] - vals[1 : split + 1]) / scale
     up = (vals[split + 1 :] - vals[split:-1]) / scale
-    return Built(margins=np.concatenate([down, up]), payload=payload)
+    return Built(margins=np.concatenate([down, up]))
 
 
-# Refinement rows: case -> (the true chain function, its faulty copy, the
-# row's _refinement options).
+# Refinement rows: case -> (the true chain function, its faulty copy). Each
+# is checked through ``_chain_build``, as the registered row is.
 CHAIN_FAULTS = {
-    "kantorovich_operator": (
-        means.kantorovich_operator_chain,
-        _kantorovich_exponent_lowered,
-        {"depth": False},
-    ),
-    "trace_depth1": (means.trace_depth1_chain, _trace_cross_term_raised, {"depth": False}),
+    "kantorovich_operator": (means.kantorovich_operator_chain, _kantorovich_exponent_lowered),
+    "trace_depth1": (means.trace_depth1_chain, _trace_cross_term_raised),
 }
 
-# Cases with a builder of their own: case -> the builder's faulty copy.
-BUILDER_FAULTS = {
-    "norm_collapse_depth1": _norm_collapse_exponent_lowered,
-    "norm_logconvexity": _norm_logconvexity_bound_lowered,
-    "heinz_symmetry": _heinz_mirror_shifted,
-    "heinz_monotonicity": _heinz_grid_shifted,
+# Cases with a build of their own: case -> (a copy of the build that plants
+# a fault of size ``fault``, and that size). At ``fault=0`` the copy is the
+# build itself, bit for bit.
+BUILD_FAULTS = {
+    "young_squared": (_young_squared_term_scaled, 1.0),
+    "young_refined_t": (_young_refined_t_term_scaled, 1.0),
+    "young_collapse_depth1": (_young_collapse_square_scaled, 1e-6),
+    "harmonic_curvature": (_harmonic_curvature_scaled, 1e-3),
+    "norm_collapse_depth1": (_norm_collapse_exponent_lowered, 0.1),
+    "norm_logconvexity": (_norm_logconvexity_bound_lowered, 0.01),
+    "heinz_symmetry": (_heinz_mirror_shifted, 1e-6),
+    "heinz_monotonicity": (_heinz_grid_shifted, 0.1),
 }
 
 
-def _builders(name):
-    """The true and the faulty builder of ``name``, swapped in the same way:
-    a refinement row rebuilt on each chain function, or each builder given
-    the case's input draw as ``_register`` gives it."""
-    case = harness.REGISTRY[name]
+def _builds(name):
+    """The true and the faulty build of ``name``: ``_chain_build`` of each
+    chain function, or the copy of the case's build at no fault and at its
+    fault."""
     if name in CHAIN_FAULTS:
-        true_fn, faulty_fn, options = CHAIN_FAULTS[name]
-        return [
-            harness._refinement(case.build.inputs, fn, branch=case.nu_branch, **options)
-            for fn in (true_fn, faulty_fn)
-        ]
-
-    def wrap(fn):
-        def build(rng, cfg, forced, drawn=None):
-            return fn(rng, cfg, forced, drawn)
-
-        build.inputs = case.build.inputs
-        return build
-
-    return [wrap(case.build), wrap(BUILDER_FAULTS[name])]
+        return [harness._chain_build(fn) for fn in CHAIN_FAULTS[name]]
+    copy, fault = BUILD_FAULTS[name]
+    return [functools.partial(copy, fault=size) for size in (0.0, fault)]
 
 
 def _run_with(monkeypatch, name, build, instances):
-    """``run_case`` of ``name`` with its builder swapped for ``build``."""
+    """``run_case`` of ``name`` with its build swapped for ``build``; the
+    case's draw is kept, so every instance draws what it always did."""
     case = harness.REGISTRY[name]
     monkeypatch.setitem(harness.REGISTRY, name, dataclasses.replace(case, build=build))
     return harness.run_case(name, instances=instances)
 
 
-@pytest.mark.parametrize("name", sorted([*CHAIN_FAULTS, *BUILDER_FAULTS]))
+@pytest.mark.parametrize("name", sorted([*CHAIN_FAULTS, *BUILD_FAULTS]))
 def test_planted_fault_is_caught(monkeypatch, name):
-    true_build, faulty_build = _builders(name)
+    true_build, faulty_build = _builds(name)
     instances = min(100, harness.REGISTRY[name].overrides.get("instances", 100))
     want = harness.run_case(name, instances=instances)
     assert want.failures == 0

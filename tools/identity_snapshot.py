@@ -22,7 +22,11 @@ The files:
   depth {1, 3, 6} and cond {2, 50};
 * ``sweep_depth.txt``: the series of the ``sweep_depth`` benchmark workload
   (depth 1..16, one instance at each dimension n) on seeds 7,
-  ``DEFAULT_SEED`` and 11.
+  ``DEFAULT_SEED`` and 11;
+* ``payloads.txt``: ``json.dumps(build_instance(name, i, forced).payload)``
+  for every registered case and i = 0..3, once unforced and once with each
+  of its sweep parameters pinned (nu 2.0, or -2.5 on the nu <= -1 branch;
+  depth 3; cond 10). Failure files replay exactly these payloads.
 
 With ``--against DIR`` it then compares the new snapshot with the one in
 ``DIR`` and prints what moved: for each CSV row that differs, whether its
@@ -30,7 +34,7 @@ With ``--against DIR`` it then compares the new snapshot with the one in
 and ``max_gap`` shifted; for each other file, how many lines differ and the
 largest shift of a value relative to the largest value of its line. It
 exits 1 when a count differs, a case is missing on one side, a file's line
-count differs, or a series errors on one side only::
+count differs, a series errors on one side only, or a payload differs::
 
     python3 tools/identity_snapshot.py --src src --out /tmp/snap-change \
         --against /tmp/snap-parent
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import re
 import sys
 from pathlib import Path
@@ -50,6 +55,10 @@ from pathlib import Path
 SWEEP_INSTANCES = 6
 GRIDS = {"depth": (1, 3, 6), "cond": (2.0, 50.0)}
 NU_GRIDS = {1: (0.0, 1.5, 3.0), -1: (-1.0, -2.5, -4.0)}
+PAYLOAD_INSTANCES = 4
+#: The value ``payloads.txt`` pins each sweep parameter to (nu by branch).
+PINS = {"depth": 3, "cond": 10.0}
+NU_PINS = {1: 2.0, -1: -2.5}
 #: The ``sweep_depth`` workload of perfbench/workloads.py: case -> largest n.
 SWEEP_DEPTH_CASES = {"operator_reverse_pos": 8, "norm_heinz_power": 6, "heinz_reverse": 6}
 SWEEP_DEPTHS = tuple(range(1, 17))
@@ -112,6 +121,21 @@ def snapshot(out: Path) -> None:
                 lines.append(f"seed={seed} n={n} {series}")
     (out / "sweep_depth.txt").write_text("\n".join(lines) + "\n")
 
+    lines = []
+    for name in harness.case_names():
+        case = harness.REGISTRY[name]
+        for param in (None, *case.sweep_params):
+            if param is None:
+                forced = {}
+            elif param == "nu":
+                forced = {param: NU_PINS[-1 if case.nu_branch < 0 else 1]}
+            else:
+                forced = {param: PINS[param]}
+            for i in range(PAYLOAD_INSTANCES):
+                payload = harness.build_instance(name, i, forced).payload
+                lines.append(f"{name} {i} {json.dumps(forced)}: {json.dumps(payload)}")
+    (out / "payloads.txt").write_text("\n".join(lines) + "\n")
+
 
 def _csv_rows(path: Path) -> dict:
     with path.open(newline="") as fh:
@@ -155,12 +179,18 @@ def compare(out: Path, against: Path) -> bool:
             )
             print(f"{stem}.csv {case}: {verdict}; "
                   f"{_shift(o, n, 'min_slack')}; {_shift(o, n, 'max_gap')}")
-    for name in (*(f"{stem}_quantiles.txt" for stem in SUITES), "sweeps.txt", "sweep_depth.txt"):
+    names = (*(f"{stem}_quantiles.txt" for stem in SUITES), "sweeps.txt", "sweep_depth.txt")
+    for name in (*names, "payloads.txt"):
         old = (against / name).read_text().splitlines()
         new = (out / name).read_text().splitlines()
         if len(old) != len(new):
             same = False
             print(f"{name}: {len(old)} lines -> {len(new)} lines")
+            continue
+        if name == "payloads.txt":
+            moved = sum(o != n for o, n in zip(old, new))
+            same = same and not moved
+            print(f"{name}: {moved} of {len(new)} lines differ")
             continue
         moved, worst = 0, 0.0
         for o, n in zip(old, new):
