@@ -104,6 +104,8 @@ class CaseConfig:
             raise DomainError("cond_max must be finite")
         if not (0.0 <= self.nu_range[0] <= self.nu_range[1]):
             raise DomainError(f"bad weight magnitude range {self.nu_range}")
+        if self.nu_range[1] == math.inf:
+            raise DomainError(f"weight magnitude range must be finite, got {self.nu_range}")
         if not (1 <= self.depth_min <= self.depth_max <= scalar.MAX_REFINE_DEPTH):
             raise DomainError(f"bad depth range {self.depth_min}..{self.depth_max}")
 
@@ -285,9 +287,24 @@ def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
 # instance and returns the build's keyword arguments and the payload that
 # replays them; ``cond`` bounds the condition number of its SPD matrices.
 
+def _uniform(rng, lo, hi):
+    """``rng.uniform(lo, hi)`` for float bounds, bit for bit and to the same
+    stream position, without ``uniform``'s argument handling.
+
+    numpy computes ``low + (high - low) * next_double``, one uint64 per
+    value, and so does this from ``rng.random()``. The identity holds where
+    numpy's C code does not fuse that multiply and add (no FMA: the x86-64
+    wheels' baseline has none); ``tests/test_harness.py`` checks it on every
+    range the harness draws from. numpy also rejects a non-finite ``high -
+    low``; here ``CaseConfig`` keeps the weight range finite, and every
+    other range is a constant.
+    """
+    return lo + (hi - lo) * rng.random()
+
+
 def _draw_nu(rng, cfg, branch) -> float:
     lo, hi = cfg.nu_range
-    mag = float(rng.uniform(lo, hi))
+    mag = _uniform(rng, lo, hi)
     if branch == 0:
         branch = 1 if rng.integers(2) == 0 else -1
     return mag if branch > 0 else -1.0 - mag
@@ -302,8 +319,14 @@ def _draw_dim(rng, cfg, cap=None) -> int:
     return int(rng.integers(cfg.dim_min, hi + 1))
 
 
-def _loguniform(rng, lo, hi) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+def _loguniform(rng, log_lo, log_hi) -> float:
+    """Log-uniform between exp(log_lo) and exp(log_hi); the bounds' logs are
+    taken once, where the range is named (``_LOG_XY``)."""
+    return float(np.exp(_uniform(rng, log_lo, log_hi)))
+
+
+_LOG_XY = float(np.log(1e-3)), float(np.log(1e3))
+_LOG_CURVATURE = float(np.log(0.5)), float(np.log(2.0))
 
 
 def _with(drawn, **params):
@@ -353,10 +376,10 @@ def _assemble_pairs(drawn) -> None:
 def _catalog_inputs(catalog):
     def draw(rng, cfg, cond):
         fname, f = catalog[int(rng.integers(len(catalog)))]
-        a = float(rng.uniform(-5.0, 5.0))
-        b = float(rng.uniform(-5.0, 5.0))
+        a = _uniform(rng, -5.0, 5.0)
+        b = _uniform(rng, -5.0, 5.0)
         while abs(b - a) < 1e-3:
-            b = float(rng.uniform(-5.0, 5.0))
+            b = _uniform(rng, -5.0, 5.0)
         a, b = min(a, b), max(a, b)
         return {"f": f, "a": a, "b": b}, {"f": fname, "a": a, "b": b}
 
@@ -368,17 +391,17 @@ _logconvex_inputs = _catalog_inputs(scalar.LOGCONVEX_CATALOG)
 
 
 def _xy_inputs(rng, cfg, cond):
-    x = _loguniform(rng, 1e-3, 1e3)
-    y = _loguniform(rng, 1e-3, 1e3)
+    x = _loguniform(rng, *_LOG_XY)
+    y = _loguniform(rng, *_LOG_XY)
     return {"x": x, "y": y}, {"x": x, "y": y}
 
 
 def _ordered_xy_inputs(rng, cfg, cond):
     """0 < x < y, both log-uniform in [1e-3, 1e3]."""
-    x = _loguniform(rng, 1e-3, 1e3)
-    y = _loguniform(rng, 1e-3, 1e3)
+    x = _loguniform(rng, *_LOG_XY)
+    y = _loguniform(rng, *_LOG_XY)
     while y == x:  # pragma: no cover - measure zero
-        y = _loguniform(rng, 1e-3, 1e3)
+        y = _loguniform(rng, *_LOG_XY)
     x, y = min(x, y), max(x, y)
     return {"x": x, "y": y}, {"x": x, "y": y}
 
@@ -392,7 +415,8 @@ def _norm_inputs(rng, cfg, cond):
     X is read-only: the payload and a sweep's memo share it."""
     args, payload = _spd_pair(rng, cfg, cond, cap=6)
     n = payload["n"]
-    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = rng.standard_normal((2, n, n))
+    x = z[0] + 1j * z[1]
     x.setflags(write=False)
     kind = norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
     args.update(x=x, kind=kind)
@@ -520,7 +544,7 @@ _register(
 def _draw_young_refined_t(rng, cfg, cond):
     return _with(
         _xy_inputs(rng, cfg, cond),
-        t=1.0 - float(rng.uniform(0.0, 1.0)),  # in (0, 1]
+        t=1.0 - _uniform(rng, 0.0, 1.0),  # in (0, 1]
         depth=_draw_depth(rng, cfg),
     )
 
@@ -583,8 +607,8 @@ _register(
 
 
 def _draw_harmonic_curvature(rng, cfg, cond):
-    x = _loguniform(rng, 0.5, 2.0)
-    params = {"x": x, "y": x * float(rng.uniform(1.5, 4.0)), "nu": float(rng.uniform(-2.9, 0.9))}
+    x = _loguniform(rng, *_LOG_CURVATURE)
+    params = {"x": x, "y": x * _uniform(rng, 1.5, 4.0), "nu": _uniform(rng, -2.9, 0.9)}
     return params, dict(params)
 
 
@@ -742,8 +766,8 @@ _register(
 
 def _draw_norm_logconvexity(rng, cfg, cond):
     drawn = _norm_inputs(rng, cfg, cond)
-    v1, v2 = rng.uniform(-2.0, 3.0, size=2)
-    return _with(drawn, v1=float(v1), v2=float(v2), alpha=float(rng.uniform(0.0, 1.0)))
+    v1, v2 = _uniform(rng, -2.0, 3.0), _uniform(rng, -2.0, 3.0)
+    return _with(drawn, v1=v1, v2=v2, alpha=_uniform(rng, 0.0, 1.0))
 
 
 def _build_norm_logconvexity(a, b, x, kind, v1, v2, alpha):
@@ -762,7 +786,7 @@ _register(
 
 
 def _draw_heinz_symmetry(rng, cfg, cond):
-    return _with(_norm_inputs(rng, cfg, cond), nu=float(rng.uniform(-3.0, 4.0)))
+    return _with(_norm_inputs(rng, cfg, cond), nu=_uniform(rng, -3.0, 4.0))
 
 
 def _build_heinz_symmetry(a, b, x, kind, nu):
@@ -780,8 +804,8 @@ _register(
 
 def _draw_heinz_midpoint(rng, cfg, cond):
     drawn = _norm_inputs(rng, cfg, cond)
-    v1, v2 = rng.uniform(-3.0, 4.0, size=2)
-    return _with(drawn, v1=float(v1), v2=float(v2))
+    v1, v2 = _uniform(rng, -3.0, 4.0), _uniform(rng, -3.0, 4.0)
+    return _with(drawn, v1=v1, v2=v2)
 
 
 def _build_heinz_midpoint(a, b, x, kind, v1, v2):
@@ -820,8 +844,8 @@ _register(
 def _draw_heinz_outside(rng, cfg, cond):
     drawn = _norm_inputs(rng, cfg, cond)
     if rng.integers(2) == 0:
-        return _with(drawn, nu=-float(rng.uniform(0.01, 3.0)))
-    return _with(drawn, nu=1.0 + float(rng.uniform(0.01, 3.0)))
+        return _with(drawn, nu=-_uniform(rng, 0.01, 3.0))
+    return _with(drawn, nu=1.0 + _uniform(rng, 0.01, 3.0))
 
 
 def _build_heinz_outside(a, b, x, kind, nu):
@@ -840,8 +864,8 @@ _register(
 def _draw_heinz_pq(rng, cfg, cond):
     """Norm inputs, then 0 < q < p < 3."""
     drawn = _norm_inputs(rng, cfg, cond)
-    p = float(rng.uniform(0.2, 3.0))
-    return _with(drawn, p=p, q=p * float(rng.uniform(0.05, 0.95)))
+    p = _uniform(rng, 0.2, 3.0)
+    return _with(drawn, p=p, q=p * _uniform(rng, 0.05, 0.95))
 
 
 def _build_heinz_pq(a, b, x, kind, p, q):
@@ -858,7 +882,7 @@ _register(
 
 def _draw_heinz_interpolated(rng, cfg, cond):
     args, payload = _draw_heinz_pq(rng, cfg, cond)
-    return _with((args, payload), r=args["q"] * float(rng.uniform(0.02, 0.98)))
+    return _with((args, payload), r=args["q"] * _uniform(rng, 0.02, 0.98))
 
 
 def _build_heinz_interpolated(a, b, x, kind, p, q, r):

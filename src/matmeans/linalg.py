@@ -359,7 +359,15 @@ def _draw_spds(n: int, cond_max: float, rng: np.random.Generator, count: int):
     ``count`` sequential ``random_spd`` calls would draw them, bit for bit
     and to the same stream position: each matrix's complex Gaussian G and
     then its log-uniform spectrum. Returns the ``(count, n, n)`` stack of G
-    and the ``(count, n)`` stack of spectra, for ``_assemble_spds``."""
+    and the ``(count, n)`` stack of spectra, for ``_assemble_spds``.
+
+    Each matrix reads its real and imaginary Gaussians with one
+    ``standard_normal`` call and its spectrum's uniforms with one ``random``
+    call, in that order; G and the spectra are then formed over the whole
+    stack. numpy's ``uniform(-half, half)`` is ``-half + (half - -half) * u``
+    of the same uniforms u (its C code does not fuse the multiply and add),
+    and forming G with ``1j *`` rounds nothing, so every value is the one a
+    per-matrix draw gives."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
     if not np.isfinite(cond_max):
@@ -367,12 +375,12 @@ def _draw_spds(n: int, cond_max: float, rng: np.random.Generator, count: int):
     if cond_max < 1.0:
         raise DomainError("cond_max must be >= 1")
     half = 0.5 * np.log(cond_max)
-    g = np.empty((count, n, n), dtype=np.complex128)
-    lam = np.empty((count, n))
+    z = np.empty((count, 2, n, n))
+    u = np.empty((count, n))
     for i in range(count):
-        g[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lam[i] = np.exp(rng.uniform(-half, half, size=n))
-    return g, lam
+        rng.standard_normal(out=z[i])
+        rng.random(out=u[i])
+    return z[:, 0] + 1j * z[:, 1], np.exp(-half + (half - -half) * u)
 
 
 def _assemble_spds(g: np.ndarray, lam: np.ndarray) -> list[SpdMatrix]:

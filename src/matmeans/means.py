@@ -209,7 +209,9 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
         L = A^{1/2} ((I + X^{-1})/2)^{2 nu} A^{1/2}.
 
     B^{-1}A + A^{-1}B is similar to X + X^{-1}, which is positive definite,
-    so the chain needs no hypothesis beyond A <= B.
+    so the chain needs no hypothesis beyond A <= B. The base (1 + 1/w)/2
+    is at most 1, so at a large nu its power underflows: that raises a
+    DomainError (``_spectrum_powers``) rather than give a vacuous bound 0.
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
@@ -217,7 +219,7 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
     _require_loewner_leq(a, b)
     t = _Transfer(a, b)
     w = t.w
-    lo = ((1.0 + 1.0 / w) / 2.0) ** (2.0 * nu)
+    lo = _spectrum_powers((1.0 + 1.0 / w) / 2.0, [2.0 * nu])[0]
     d = (1.0 + nu) - nu / w
     if np.min(d) <= 0.0:
         raise DomainError("harmonic resolvent not positive on the spectrum")

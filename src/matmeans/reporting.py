@@ -15,7 +15,8 @@ sweep's path) returns the same gap on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +33,11 @@ class ChainReport:
 
     ``min_slack`` is the most negative normalized margin seen over all links
     and instances; ``max_gap`` is the largest end-to-end gap (a tightness
-    measure); ``link_quantiles`` holds (q10, q50, q90) of the normalized
-    slack per link position. ``skipped`` is 0, since every drawn instance
-    is checked; the CSV keeps its column.
+    measure); ``slacks`` is the read-only (instances, links) block of
+    normalized slacks, kept out of equality and ``repr``; ``link_quantiles``
+    holds (q10, q50, q90) of it per link position, computed when first
+    read. ``skipped`` is 0, since every drawn instance is checked; the CSV
+    keeps its column.
     """
 
     name: str
@@ -43,8 +46,13 @@ class ChainReport:
     failures: int
     min_slack: float
     max_gap: float
-    link_quantiles: tuple[tuple[float, float, float], ...]
+    slacks: np.ndarray = field(compare=False, repr=False)
     notes: str = ""
+
+    @cached_property
+    def link_quantiles(self) -> tuple[tuple[float, float, float], ...]:
+        quantiles = np.quantile(self.slacks, [0.1, 0.5, 0.9], axis=0).T.tolist()
+        return tuple(map(tuple, quantiles))
 
     def csv_row(self) -> str:
         return ",".join(
@@ -148,24 +156,24 @@ def aggregate_report(
 
     An instance fails when a link slack is below ``-rel_tol`` or is NaN,
     and a NaN slack makes ``min_slack`` NaN. Every row has one width (one
-    slack per link position); quantiles are taken per position in one call
-    over the block. Rows of unequal width raise DomainError.
+    slack per link position), so the rows form one block: failures are
+    counted over it at once, and the report keeps it for its
+    ``link_quantiles``. Rows of unequal width raise DomainError.
     """
     if not slack_rows:
         raise DomainError(f"case {name} produced no instances")
     if len({len(row) for row in slack_rows}) != 1:
         raise DomainError(f"case {name} produced slack rows of unequal width")
-    failures = sum(_row_fails(row, rel_tol) for row in slack_rows)
-    block = np.asarray(slack_rows, dtype=np.float64)
-    quantiles = np.quantile(block, [0.1, 0.5, 0.9], axis=0).T.tolist()
+    block = np.array(slack_rows, dtype=np.float64)
+    block.setflags(write=False)  # the report is frozen, and caches its quantiles
     return ChainReport(
         name=name,
         instances=len(slack_rows),
         skipped=0,
-        failures=failures,
+        failures=int(np.count_nonzero(~(block >= -rel_tol).all(axis=1))),
         min_slack=float(block.min()),
         max_gap=float(max(gaps)) if gaps else 0.0,
-        link_quantiles=tuple(map(tuple, quantiles)),
+        slacks=block,
         notes=notes,
     )
 

@@ -322,6 +322,36 @@ class TestRandomGeneration:
                             )
                         assert rng.bit_generator.state == rngs[0].bit_generator.state
 
+    def test_draw_matches_per_matrix_loop(self):
+        # The stacked draw (one standard_normal and one random call per
+        # matrix, then G and the spectra over the stack) against the loop
+        # it replaced, bit for bit and to the same stream position.
+        def per_matrix(n, cond_max, rng, count):
+            half = 0.5 * np.log(cond_max)
+            g = np.empty((count, n, n), dtype=np.complex128)
+            lam = np.empty((count, n))
+            for i in range(count):
+                g[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                lam[i] = np.exp(rng.uniform(-half, half, size=n))
+            return g, lam
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64).tolist()
+
+        for n in range(1, 9):
+            for cond in (1.0, 100.0, 1e12):
+                for count in range(1, 6):
+                    seed = 100 * n + count
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    ref_rng.integers(2)  # a buffered 32-bit half must survive
+                    rng.integers(2)
+                    g, lam = _draw_spds(n, cond, rng, count)
+                    want_g, want_lam = per_matrix(n, cond, ref_rng, count)
+                    assert g.shape == want_g.shape and lam.shape == want_lam.shape
+                    assert bits(g) == bits(want_g), (n, cond, count)
+                    assert bits(lam) == bits(want_lam), (n, cond, count)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_stacks_of_several_draws_equal_random_spd(self):
         # Pairs drawn at mixed n, concatenated per n and assembled in one
         # stack each, give the bits of random_spd slice by slice; each

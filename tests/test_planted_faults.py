@@ -46,6 +46,28 @@ def _trace_cross_term_raised(a, b, nu):
     return ScalarChain(chain.labels, tuple(values))
 
 
+def _young_reverse_term_scaled(x, y, nu, depth, fault):
+    """``young_reverse_pos`` and ``young_reverse_neg`` with the refinement
+    term (refined minus the unrefined (1+nu) x - nu y) scaled by 1 + fault."""
+    chain = scalar.young_reverse_chain(x, y, nu, depth)
+    arith, refined, geom = chain.values
+    refined += fault * (refined - arith)
+    return Built(
+        chain=ScalarChain(chain.labels, (arith, refined, geom)), refined=refined, base=arith
+    )
+
+
+def _kantorovich_scalar_exponent_raised(x, y, nu, fault):
+    """``kantorovich_scalar`` with the exponent nu of K(y/x) made nu + fault.
+    K >= 1, so a larger exponent raises the lower bound, past
+    harm_mean(x, y, -nu) where the true bound is tight."""
+    lx, ly = math.log(x), math.log(y)
+    k = scalar.kantorovich_constant(y / x)
+    lhs = math.exp((1.0 + nu) * lx - nu * ly + (nu + fault) * math.log(k))
+    harm = scalar.harm_mean(x, y, -nu)
+    return Built(chain=ScalarChain(("geom_kantorovich", "harm"), (lhs, harm)))
+
+
 def _young_squared_term_scaled(x, y, nu, depth, fault):
     """``young_squared`` with the refinement term of its left side (the
     left side minus the unrefined ((1+nu) x - nu y)^2) scaled by 1 + fault."""
@@ -141,6 +163,9 @@ CHAIN_FAULTS = {
 # a fault of size ``fault``, and that size). At ``fault=0`` the copy is the
 # build itself, bit for bit.
 BUILD_FAULTS = {
+    "young_reverse_pos": (_young_reverse_term_scaled, 1.0),
+    "young_reverse_neg": (_young_reverse_term_scaled, 1.0),
+    "kantorovich_scalar": (_kantorovich_scalar_exponent_raised, 0.1),
     "young_squared": (_young_squared_term_scaled, 1.0),
     "young_refined_t": (_young_refined_t_term_scaled, 1.0),
     "young_collapse_depth1": (_young_collapse_square_scaled, 1e-6),
@@ -176,6 +201,7 @@ def test_planted_fault_is_caught(monkeypatch, name):
     instances = min(100, harness.REGISTRY[name].overrides.get("instances", 100))
     want = harness.run_case(name, instances=instances)
     assert want.failures == 0
-    assert _run_with(monkeypatch, name, true_build, instances) == want
+    same = _run_with(monkeypatch, name, true_build, instances)
+    assert same == want and same.slacks.tobytes() == want.slacks.tobytes()
     report = _run_with(monkeypatch, name, faulty_build, instances)
     assert report.failures > 0, (name, report.failures, report.min_slack)
