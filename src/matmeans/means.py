@@ -13,9 +13,21 @@ transfer route: the underlying scalar inequality holds on the spectrum of
 X = A^{-1/2} B A^{-1/2}, is applied spectrally to X, and is transported back
 by congruence with A^{1/2}. Composing the public mean functions directly
 gives the same matrices up to round-off; the tests cross-check both routes.
+
+The geometric mean and every chain of a pair (A, B) here read one spectral
+context of the pair (``_pair``): C = Qa* Qb and |C|^2, the spectrum w of X
+with the transfer M = A^{1/2} Q, and, for the chains that need A <= B, the
+verdict of that check. Each field is computed on first use and kept on A for its last
+partner B, as ``eig`` is kept on a matrix; a call with another B replaces
+the context. So a sweep, which rebuilds the chains of one drawn pair at
+every grid value, pays the SVD and the Loewner check once per pair. The
+context holds B and arrays, never A: it makes no reference cycle, and it
+dies with A.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -42,40 +54,76 @@ from .scalar import (
 )
 
 
-def _overlap(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
-    """C = Qa* Qb, the eigenbasis of B seen from that of A."""
-    return a.eig.eigenvectors.conj().T @ b.eig.eigenvectors
+class _Pair:
+    """Spectral context of a positive definite pair (A, B), kept on A for
+    its last partner B (``_pair``). Each field is computed on first use; a
+    field whose computation raises is not kept, so it raises again.
 
-
-class _Transfer:
-    """Spectral transfer context for a positive definite pair (A, B).
-
-    Holds X = A^{-1/2} B A^{-1/2} = Q diag(w) Q* and pushes scalar functions
-    of X back: push(f(w)) = A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with
-    M = A^{1/2} Q, Hermitian by construction and not re-validated. In the
-    recorded eigenbases of A and B, X = Qa G G* Qa* with the graded
-    G = diag(wa^{-1/2}) Qa* Qb diag(wb^{1/2}) = P diag(s) V*, so w = s^2 and
-    M = Qa diag(wa^{1/2}) P: no power of A or B is assembled, and the SVD of
-    the graded G keeps the small end of the spectrum accurate relative to
-    itself (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992).
+    * ``c`` = Qa* Qb, the eigenbasis of B seen from that of A, and
+      ``c2`` = |C|^2 entrywise;
+    * ``w`` and ``m``: X = A^{-1/2} B A^{-1/2} = Q diag(w) Q*, pushed back by
+      push(f(w)) = A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with M = A^{1/2} Q,
+      Hermitian by construction and not re-validated. In the recorded
+      eigenbases of A and B, X = Qa G G* Qa* with the graded
+      G = diag(wa^{-1/2}) C diag(wb^{1/2}) = P diag(s) V*, so w = s^2 and
+      M = Qa diag(wa^{1/2}) P: no power of A or B is assembled, and the SVD
+      of the graded G keeps the small end of the spectrum accurate relative
+      to itself (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992);
+    * ``leq``: the verdict of A <= B, set by ``_require_loewner_leq``.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
-        if a.n != b.n:
-            raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
+        self.b, self.wa, self.qa = b, a.eig.eigenvalues, a.eig.eigenvectors
+        self.leq = None
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self.qa.conj().T @ self.b.eig.eigenvectors
+
+    @cached_property
+    def c2(self) -> np.ndarray:
+        return np.abs(self.c) ** 2
+
+    def graded(self, y: np.ndarray, left, right) -> np.ndarray:
+        """``norms._graded`` of Y in the eigenbases of A and B."""
+        return _graded(self.wa, self.b.eig.eigenvalues, y, left, right)
+
+    @cached_property
+    def _transfer(self) -> tuple[np.ndarray, np.ndarray]:
         try:
-            p, s, _ = np.linalg.svd(_graded(a, b, _overlap(a, b), [-0.5], [0.5])[0])
+            p, s, _ = np.linalg.svd(self.graded(self.c, [-0.5], [0.5])[0])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
-        self.w = s[::-1] ** 2
-        if self.w[0] <= 0.0:
-            raise DomainError(
-                f"matrix is not positive definite: lambda_min = {self.w[0]:.6e}"
-            )
-        self.m = (a.eig.eigenvectors * _spectrum_powers(a.eig.eigenvalues, [0.5])[0]) @ p[:, ::-1]
+        w = s[::-1] ** 2
+        if w[0] <= 0.0:
+            raise DomainError(f"matrix is not positive definite: lambda_min = {w[0]:.6e}")
+        return w, (self.qa * _spectrum_powers(self.wa, [0.5])[0]) @ p[:, ::-1]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._transfer[0]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self._transfer[1]
 
     def push(self, vals) -> HermitianMatrix:
         return HermitianMatrix._exact(_congruence(self.m, np.asarray(vals, dtype=np.float64)))
+
+
+def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
+    """The context of (A, B): the one kept on A if its partner is this B,
+    else a new one, which replaces it. A new context is not kept where it
+    would close a reference cycle: for B = A, or for a B that keeps a
+    context of A."""
+    pair = a.__dict__.get("_pair")
+    if pair is None or pair.b is not b:
+        if a.n != b.n:
+            raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
+        pair = _Pair(a, b)
+        if b is not a and getattr(b.__dict__.get("_pair"), "b", None) is not a:
+            a.__dict__["_pair"] = pair
+    return pair
 
 
 def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
@@ -86,7 +134,7 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
 
 def geometric_mean(a, b, nu: float) -> SpdMatrix:
     """A #_nu B for any real nu; always positive definite on SPD input."""
-    t = _Transfer(_as_spd(a), _as_spd(b))
+    t = _pair(_as_spd(a), _as_spd(b))
     return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(t.w, [nu])[0]))
 
 
@@ -101,15 +149,19 @@ def harmonic_mean(a, b, nu: float) -> SpdMatrix:
     return SpdMatrix._assemble(w ** -1.0, q)
 
 
-def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> None:
-    verdict = loewner_leq(a, b, LOEWNER_REL_TOL)
-    if not verdict.holds:
+def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:
+    """The context of (A, B), once A <= B holds; its verdict is kept there."""
+    pair = _pair(a, b)
+    if pair.leq is None:
+        pair.leq = loewner_leq(a, b, LOEWNER_REL_TOL)
+    if not pair.leq.holds:
         raise DomainError(
-            f"precondition A <= B fails (witness {verdict.witness_eigenvalue:.3e})"
+            f"precondition A <= B fails (witness {pair.leq.witness_eigenvalue:.3e})"
         )
+    return pair
 
 
-def _power_refinement(t: _Transfer, nu: float, depth: int, shift: float = 0.0):
+def _power_refinement(t: _Pair, nu: float, depth: int, shift: float = 0.0):
     """The convex refinement of v |-> w^{shift+v} over the spectrum w of X,
     anchored at 0 for nu >= 0 and at 1 for nu <= -1, with its closed-form
     drop. Every power of w is checked by ``_spectrum_powers``."""
@@ -133,7 +185,7 @@ def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
     -sum_j 2^{j-1}(1+nu) (B - 2 A#_{1-2^-j}B + A#_{1-2^{1-j}}B).
     """
     depth = _check_depth(depth)
-    t = _Transfer(_as_spd(a), _as_spd(b))
+    t = _pair(_as_spd(a), _as_spd(b))
     values = _power_refinement(t, nu, depth)
     return OperatorChain(("arith", "refined", "geom"), tuple(map(t.push, values)))
 
@@ -158,7 +210,7 @@ def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
     """
     branch = weight_branch(nu)
     depth = _check_depth(depth)
-    t = _Transfer(_as_spd(a), _as_spd(b))
+    t = _pair(_as_spd(a), _as_spd(b))
     w = t.w
     secant, refined, _ = _power_refinement(t, nu, depth, 0.0 if branch > 0 else 1.0)
     if branch > 0:
@@ -183,8 +235,7 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     if nu < 0.0:
         raise DomainError("harmonic_operator_chain requires nu >= 0")
     depth = _check_depth(depth)
-    _require_loewner_leq(a, b)
-    t = _Transfer(a, b)
+    t = _require_loewner_leq(a, b)
 
     def h(v):
         d = (1.0 - v) + v / t.w
@@ -216,8 +267,7 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("kantorovich_operator_chain requires nu >= 0")
-    _require_loewner_leq(a, b)
-    t = _Transfer(a, b)
+    t = _require_loewner_leq(a, b)
     w = t.w
     lo = _spectrum_powers((1.0 + 1.0 / w) / 2.0, [2.0 * nu])[0]
     d = (1.0 + nu) - nu / w
@@ -239,8 +289,8 @@ def _traces(a: SpdMatrix, b: SpdMatrix):
     """v |-> tr(A^{1-v} B^v) = sum_jk wa_j^{1-v} |C_jk|^2 wb_k^v on a list of
     weights, with C = Qa* Qb: a sum of nonnegative terms, free of
     cancellation, and each value independent of the other weights."""
-    c2 = np.abs(_overlap(a, b)) ** 2
-    return lambda vs: _graded(a, b, c2, [1.0 - v for v in vs], vs).sum(axis=(1, 2)).tolist()
+    pair = _pair(a, b)
+    return lambda vs: pair.graded(pair.c2, [1.0 - v for v in vs], vs).sum(axis=(1, 2)).tolist()
 
 
 def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
@@ -295,7 +345,8 @@ def trace_depth1_chain(a, b, nu: float) -> ScalarChain:
     roots, v2 = _traces(a, b)([0.5, -nu])
     v1 = base + nu * (_tr(a.a) + _tr(b.a) - 2.0 * roots)
     # The singular values of the unitarily equivalent diag(wa^{1+nu}) C diag(wb^{-nu}).
-    v3 = float(np.sum(singular_values(_graded(a, b, _overlap(a, b), [1.0 + nu], [-nu])[0])))
+    pair = _pair(a, b)
+    v3 = float(np.sum(singular_values(pair.graded(pair.c, [1.0 + nu], [-nu])[0])))
     return ScalarChain(
         ("trace_split", "sqrt_cross", "trace_power", "abs_trace_power"),
         (float(v0), float(v1), v2, v3),

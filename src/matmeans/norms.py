@@ -145,11 +145,12 @@ def ui_norm(x, kind: NormKind) -> float:
 # Batched kernels: each evaluates a functional of the weight on a whole list
 # of weights, in the eigenbases of A and B, with one SVD.
 
-def _graded(a, b, y, left, right) -> np.ndarray:
+def _graded(wa, wb, y, left, right) -> np.ndarray:
     """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
-    the eigenbases of A and B: each entry is Y_jk wa_j^l wb_k^r."""
-    pa = _spectrum_powers(a.eig.eigenvalues, left)
-    pb = _spectrum_powers(b.eig.eigenvalues, right)
+    the eigenbases of A and B, whose spectra are wa and wb: each entry is
+    Y_jk wa_j^l wb_k^r."""
+    pa = _spectrum_powers(wa, left)
+    pb = _spectrum_powers(wb, right)
     return y * pa[:, :, None] * pb[:, None, :]
 
 
@@ -157,7 +158,7 @@ def _products(a, b, x, left, right) -> np.ndarray:
     """``_graded`` of Y = Qa* X Qb: each slice is unitarily equivalent to
     A^{left_i} X B^{right_i}, so it has that product's norms."""
     y = a.eig.eigenvectors.conj().T @ _arr(x) @ b.eig.eigenvectors
-    return _graded(a, b, y, left, right)
+    return _graded(a.eig.eigenvalues, b.eig.eigenvalues, y, left, right)
 
 
 def _paired_norms(a, b, x, left, right, kind: NormKind) -> np.ndarray:

@@ -12,7 +12,8 @@ point stay exact.
 All powers x**p * y**q are evaluated as exp(p*log x + q*log y) to avoid
 overflow at large weights. Where a value still leaves the float range (a
 weight of 1e300, say), the public functions raise DomainError, as they do
-for every other input they cannot evaluate.
+for every other input they cannot evaluate; a log-domain value that
+underflows to 0 raises too, since it would make its bound vacuous.
 """
 
 from __future__ import annotations
@@ -181,7 +182,20 @@ def _logconvex_refinement(values, a, b, nu, depth, anchor, drop=None):
         return [math.log(fa), math.log(fb), target, math.log(fm)]
 
     log_power, log_refined, target = _convex_refinement(logs, a, b, nu, depth, anchor, drop)
-    return math.exp(log_power), math.exp(log_refined), target
+    return _exp_of_log(log_power), _exp_of_log(log_refined), target
+
+
+def _exp_of_log(log_value: float) -> float:
+    """exp of a value accumulated in the log domain. Where it leaves the
+    float range it raises DomainError, naming an overflow or an underflow:
+    a value that underflows to 0.0 would make its bound vacuous."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError as exc:
+        raise DomainError(f"exp({log_value:g}) overflows") from exc
+    if value == 0.0:
+        raise DomainError(f"exp({log_value:g}) underflows to 0")
+    return value
 
 
 @_overflow_is_domain_error

@@ -343,6 +343,7 @@ class TestSweep:
                 ("operator_reverse_neg", "-1e300:-1e300:1", "overflows"),
                 ("operator_squared_neg", "-1e300:-1e300:1", "overflows"),
                 ("kantorovich_operator", "1e300:1e300:1", "underflows"),
+                ("harmonic_geometric", "1e300:1e300:1", "underflows"),
             )
         ],
     )
@@ -352,7 +353,8 @@ class TestSweep:
         # that names the overflow, with no numpy RuntimeWarning on stderr.
         # The Kantorovich bound's base ((1 + 1/w)/2) is at most 1, so its
         # power underflows to 0, which would make the chain's lower bound
-        # vacuous.
+        # vacuous; so does the geometric-harmonic chain's x^{1+nu} y^{-nu}
+        # with x < y.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, stdout, stderr = run_cli(

@@ -77,7 +77,7 @@ def test_transfer_spectrum():
             pa, pb = mp_powers(a), mp_powers(b)
             x = pa(-0.5) * pb(1) * pa(-0.5)
             exact = sorted(mp.eighe((x + x.H) / 2, eigvals_only=True))
-            for i, (got, e) in enumerate(zip(means._Transfer(a, b).w.tolist(), exact)):
+            for i, (got, e) in enumerate(zip(means._pair(a, b).w.tolist(), exact)):
                 worst.see(got, e, f"{label}, eigenvalue {i}")
     worst.check(TRANSFER_TOL)
 

@@ -181,6 +181,20 @@ class TestScalarBuilders:
                     exact = kernel(mp_harm(x, y), 0, 1, nu, depth, "a")
                     assert_chain(chain_fn(x, y, nu, depth), exact, case, (x, y, nu, depth))
 
+    def test_harmonic_reverse_extreme_weight(self):
+        # At nu = 1e300 the chain spans about 600 decades, from -nu (y - x)
+        # to x y / (nu (y - x)). Each value of the first three instances that
+        # `matmeans sweep --case harmonic_reverse --param nu --grid
+        # 1e300:1e300:1` checks is right relative to itself.
+        for i in range(3):
+            built = harness.build_instance("harmonic_reverse", i, {"nu": 1e300})
+            x, y, nu, depth = (built.payload[k] for k in ("x", "y", "nu", "depth"))
+            with mp.workdps(60):
+                exact = ladder(mp_harm(x, y), 0, 1, nu, depth, "a")
+                for label, got, e in zip(built.chain.labels, built.chain.values, exact):
+                    rel = abs(mp.mpf(got) - e) / abs(e)
+                    assert rel <= 1e-13, (i, label, float(rel))
+
     def test_catalog_chains(self):
         rng = np.random.default_rng(105)
         for chain_fn, kernel, catalog, prefix in (
@@ -217,7 +231,7 @@ class TestOperatorBuilders:
                 harmonic = chain_fn is harmonic_operator_chain
                 a, b = spd_pair(rng, ordered=harmonic)
                 nu = weight(rng, branch)
-                t = means._Transfer(a, b)
+                t = means._pair(a, b)
                 with mp.workdps(DPS):
                     per_w = [
                         ladder(
@@ -238,7 +252,7 @@ class TestOperatorBuilders:
             for depth in depths(rng, True):
                 a, b = spd_pair(rng)
                 nu = weight(rng, branch)
-                t = means._Transfer(a, b)
+                t = means._pair(a, b)
                 with mp.workdps(DPS):
                     mnu, per_w = mp.mpf(nu), []
                     for w in map(mp.mpf, t.w.tolist()):

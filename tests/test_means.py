@@ -6,10 +6,12 @@ matrices from the public mean operations and compare, and reduce commuting
 (diagonal) instances to the scalar chains entrywise.
 """
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from matmeans import (
     young_reverse_chain,
     young_squared_chain,
 )
-from matmeans import means, norms
+from matmeans import harness, means, norms
 from matmeans.means import OperatorChain
 from matmeans.reporting import chain_passes, chain_slacks
 from matmeans.scalar import _convex_refinement, _logconvex_refinement
@@ -453,7 +455,7 @@ class TestGeneralRefinement:
     def test_operator_chains(self):
         for seed in range(4):
             a, b = _ordered_pair(30 + seed, n=2 + seed)
-            t = means._Transfer(a, b)
+            t = means._pair(a, b)
             power = lambda vs: [t.w ** v for v in vs]
             harm = lambda vs: [1.0 / ((1.0 - v) + v / t.w) for v in vs]
             # Each chain passes its functional's closed-form drop f(e) - f(m_N),
@@ -500,6 +502,83 @@ class TestGeneralRefinement:
                     assert [v.hex() for v in chain.values] == [v.hex() for v in expected], (
                         chain_fn.__name__, nu, depth
                     )
+
+
+class TestPairContext:
+    """Each pair's spectral context is computed once and kept on A for its
+    last partner B."""
+
+    def test_sweep_transfers_each_pair_once(self, monkeypatch):
+        # One SVD per drawn pair across the whole grid, as in one run_case.
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for param, grid in (("depth", range(1, 9)), ("nu", (0.0, 0.5, 2.0, 7.5))):
+            calls.clear()
+            rows = harness.sweep("operator_reverse_pos", param, grid, instances=5)
+            assert len(rows) == len(grid)
+            assert calls == [True] * 5, (param, calls)
+        calls.clear()
+        harness.run_case("operator_reverse_pos", instances=5)
+        assert calls == [True] * 5
+
+    def test_sweep_checks_each_ordered_pair_once(self, monkeypatch):
+        leq, checks = means.loewner_leq, []
+
+        def counted(*args, **kwargs):
+            checks.append(args)
+            return leq(*args, **kwargs)
+
+        monkeypatch.setattr(means, "loewner_leq", counted)
+        harness.sweep("harmonic_operator", "nu", (0.0, 1.0, 4.0), instances=4)
+        assert len(checks) == 4
+
+    def test_new_partner_gives_a_fresh_pairs_chain(self):
+        for seed, nu in ((3, 1.3), (4, -2.4)):
+            a, b1 = _pair(seed)
+            b2 = random_spd(4, 100.0, seed + 3000)
+            operator_reverse_chain(a, b1, nu, 5)
+            assert means._pair(a, b1) is means._pair(a, b1)
+            for chain_fn in (operator_reverse_chain, operator_squared_chain):
+                got = chain_fn(a, b2, nu, 5)
+                fresh = chain_fn(random_spd(4, 100.0, seed), b2, nu, 5)
+                for m, f in zip(got.matrices, fresh.matrices):
+                    assert m.a.tobytes() == f.a.tobytes(), (seed, chain_fn.__name__)
+            assert means._pair(a, b2).b is b2
+            got = trace_depth1_chain(a, b1, abs(nu)).values
+            fresh = trace_depth1_chain(random_spd(4, 100.0, seed), b1, abs(nu)).values
+            assert [v.hex() for v in got] == [v.hex() for v in fresh]
+
+    def test_unordered_pair_raises_on_every_call(self):
+        a, b = _diag(2.0, 1.0), _diag(1.0, 2.0)
+        operator_reverse_chain(a, b, 1.0, 3)  # the transfer is now kept on A
+        for _ in range(3):
+            with pytest.raises(DomainError, match="precondition A <= B"):
+                harmonic_operator_chain(a, b, 1.0, 3)
+            with pytest.raises(DomainError, match="precondition A <= B"):
+                kantorovich_operator_chain(a, b, 1.0)
+
+    def test_context_dies_with_its_matrix(self):
+        # No reference cycle: A is freed by its reference count alone, also
+        # after a pair used both ways round and a pair of A with itself.
+        gc.disable()
+        try:
+            a, b = _ordered_pair(5)
+            harmonic_operator_chain(a, b, 1.0, 4)
+            trace_depth1_chain(a, b, 1.0)
+            operator_reverse_chain(b, a, 1.0, 4)
+            geometric_mean(a, a, 0.3)
+            refs = weakref.ref(a), weakref.ref(b)
+            del a
+            assert refs[0]() is None
+            del b
+            assert refs[1]() is None
+        finally:
+            gc.enable()
 
 
 class TestOperatorChainType:

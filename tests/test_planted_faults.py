@@ -30,7 +30,7 @@ def _kantorovich_exponent_lowered(a, b, nu):
     a smaller exponent raises the lower bound, past A !_{-nu} B where the
     true bound is tight."""
     chain = means.kantorovich_operator_chain(a, b, nu)
-    t = means._Transfer(a, b)
+    t = means._pair(a, b)
     lower = t.push(((1.0 + 1.0 / t.w) / 2.0) ** (2.0 * nu - 0.1))
     return OperatorChain(chain.labels, (lower, chain.matrices[1]))
 
