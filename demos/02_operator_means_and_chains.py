@@ -4,7 +4,11 @@
 Every scalar chain has a matrix analog: the scalar inequality holds on the
 spectrum of A^{-1/2} B A^{-1/2} and transfers to the semidefinite (Loewner)
 order by congruence. This script builds random SPD pairs, evaluates the
-means, and shows per-link Loewner slacks of the operator chains.
+means, and shows the per-link slacks of the operator chains. A chain holds
+the congruence M = A^{1/2} Q and the values of each matrix on the spectrum
+of X, and each link's slack is the smallest relative step
+(hi - lo) / max(|lo|, |hi|) over the eigenvalues of X; the chain matrices
+M diag(v) M* are assembled only when read.
 """
 
 import numpy as np
@@ -49,7 +53,7 @@ print("Reverse operator chain at nu = 2 (extended weight), depth 4:")
 chain = operator_reverse_chain(a, b, 2.0, 4)
 slacks = chain_slacks(chain)
 for (lo, hi), s in zip(zip(chain.labels, chain.labels[1:]), slacks):
-    print(f"  {lo:>7s} <= {hi:<7s}  normalized witness eigenvalue = {s:.3e}")
+    print(f"  {lo:>7s} <= {hi:<7s}  per-eigenvalue slack = {s:.3e}")
 print()
 
 print("Chains with an order hypothesis use pairs A <= B by construction:")

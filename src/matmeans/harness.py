@@ -40,7 +40,6 @@ from . import means, norms, scalar
 from .errors import DomainError
 from .linalg import (
     ComplexMatrix,
-    HermitianMatrix,
     SpdMatrix,
     _assemble_spds,
     _draw_spds,
@@ -115,8 +114,8 @@ class Built:
 
     Margin-style cases report normalized margins directly (pass at
     ``>= -rel_tol``); their "gap" is the largest margin, standing in for the
-    end-to-end chain gap as the tightness measure. ``refined`` is a float
-    or a HermitianMatrix.
+    end-to-end chain gap as the tightness measure. ``refined`` and ``base``
+    are floats, or value rows of an ``OperatorChain``.
 
     A case's build evaluates the instance; the harness then puts the drawn
     parameters in ``drawn``, its matrices as they are. Reading ``payload``
@@ -447,8 +446,7 @@ def _chain_build(chain_fn, base=None, **fixed):
         chain = chain_fn(**args, **fixed)
         if base is None:
             return Built(chain=chain)
-        pick = chain.matrix if isinstance(chain, means.OperatorChain) else chain.value
-        return Built(chain=chain, refined=pick("refined"), base=pick(base))
+        return Built(chain=chain, refined=chain.value("refined"), base=chain.value(base))
 
     return build
 
@@ -1063,9 +1061,15 @@ class SweepRow:
 def _gain(built: Built) -> float:
     if built.refined is None or built.base is None:
         return 0.0
-    if isinstance(built.refined, HermitianMatrix):
-        return float(np.trace(built.refined.a - built.base.a).real)
+    if isinstance(built.chain, means.OperatorChain):
+        return built.chain.trace(built.refined - built.base)
     return float(built.refined - built.base)
+
+
+def _mean(xs: list) -> float:
+    """``np.mean(xs)`` bit for bit (the same pairwise sum, then the same
+    division), without its dispatch."""
+    return float(np.add.reduce(np.array(xs)) / len(xs))
 
 
 _BRANCH_TEXT = {1: "nu >= 0", -1: "nu <= -1", 0: "nu >= 0 or nu <= -1"}
@@ -1125,7 +1129,5 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
         for _, built in _instances(case, cfg, {param: value}, indices, streams, memo):
             gaps.append(built.gap())
             gains.append(_gain(built))
-        out.append(
-            SweepRow(float(value), float(np.mean(gaps)), float(np.mean(gains)))
-        )
+        out.append(SweepRow(float(value), _mean(gaps), _mean(gains)))
     return out

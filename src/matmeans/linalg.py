@@ -6,7 +6,9 @@ verification harness) is built on the small toolkit in this module:
 * value types ``ComplexMatrix`` -> ``HermitianMatrix`` -> ``SpdMatrix`` that
   validate their defining property when built from outside input, and
   ``OperatorChain``, the Loewner-ordered chain that ``means`` builds and
-  ``reporting`` checks,
+  ``reporting`` checks: one congruence M and a row of values per matrix
+  M diag(v) M*, so ``reporting`` decides each link by a per-eigenvalue
+  slack on the rows, and the chain matrices are assembled on first read,
 * one assembly, ``_congruence``, of every matrix built from a spectrum:
   Hermitian by construction, and the one place that checks such a matrix is
   finite; ``_exact`` then wraps it without the validating constructors,
@@ -203,46 +205,86 @@ class SpdMatrix(HermitianMatrix):
         return SpdMatrix._assemble(wt, self.eig.eigenvectors if float(t) else np.eye(self.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorChain:
-    """Labeled Hermitian matrices claimed ascending in the Loewner order."""
+    """Labeled Hermitian matrices X_i = M diag(v_i) M*, claimed ascending in
+    the Loewner order.
+
+    The chain holds one square transfer ``m`` and the read-only (k, n) block
+    ``values`` of real rows v_i; the operator chains of ``means`` pass the
+    pair's M = A^{1/2} Q and a scalar refinement on the spectrum of X. For
+    an invertible M, X_i <= X_{i+1} holds exactly when v_i <= v_{i+1}
+    entrywise (Sylvester's law of inertia), so ``reporting`` decides each
+    link on the rows. ``matrices`` assembles every X_i (``_congruence``)
+    when first read, and raises DomainError if one leaves the float range.
+    """
 
     labels: tuple[str, ...]
-    matrices: tuple[HermitianMatrix, ...]
+    m: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.labels) != len(self.matrices) or len(self.matrices) < 2:
-            raise DomainError("chain needs matching labels/matrices, length >= 2")
-        dims = {m.n for m in self.matrices}
-        if len(dims) != 1:
-            raise DomainError(f"chain matrices must share a dimension, got {dims}")
+        try:
+            values = np.array(self.values, dtype=np.float64)
+        except ValueError as exc:  # rows of unequal length
+            raise DomainError(f"chain value rows must share one length: {exc}") from exc
+        if values.ndim != 2 or len(self.labels) != len(values) or len(values) < 2:
+            raise DomainError("chain needs matching labels/value rows, length >= 2")
+        m = np.asarray(self.m, dtype=np.complex128)
+        if m.shape != (values.shape[1],) * 2:
+            raise DomainError(
+                f"chain value rows of length {values.shape[1]} need a square transfer of "
+                f"that size, got shape {m.shape}"
+            )
+        if not np.isfinite(values).all():
+            raise DomainError("chain values must be finite")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "values", _freeze(values))
 
     @property
     def n(self) -> int:
-        return self.matrices[0].n
+        return self.values.shape[1]
+
+    def value(self, label: str) -> np.ndarray:
+        return self.values[self.labels.index(label)]
+
+    @cached_property
+    def matrices(self) -> tuple[HermitianMatrix, ...]:
+        return tuple(HermitianMatrix._exact(_congruence(self.m, v)) for v in self.values)
 
     def matrix(self, label: str) -> HermitianMatrix:
         return self.matrices[self.labels.index(label)]
 
+    def trace(self, v: np.ndarray) -> float:
+        """tr(M diag(v) M*) = sum_j (M* M)_jj v_j, with no matrix assembled."""
+        return float((np.abs(self.m) ** 2).sum(axis=0) @ v)
+
 
 def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
     """Rows w ** t of a positive spectrum w, one per weight t, each computed
-    alone (a broadcast power can differ in the last bit); w ** 0 is exactly 1.
-    Overflow or underflow raises a DomainError that says which; numpy does
-    not warn."""
-    ts = [float(t) for t in ts]
-    out = np.ones((len(ts), len(w)))
-    with np.errstate(over="ignore", under="ignore"):
-        for i, t in enumerate(ts):
-            if t:
-                out[i] = w ** t
-    if not (out.min(initial=1.0) > 0.0 and out.max(initial=1.0) < np.inf):
-        i = int(np.argmin(((out > 0.0) & (out < np.inf)).all(axis=1)))
-        if np.isinf(out[i]).any():
-            raise DomainError(f"w ** t overflows at t = {ts[i]:g}: matrix entries must be finite")
-        raise DomainError(
-            f"assembled spectrum must be strictly positive: w ** t underflows at t = {ts[i]:g}"
-        )
+    alone (a broadcast power can differ in the last bit); w ** 0 is exactly
+    1. Overflow or underflow to 0 raises a DomainError that says which.
+
+    w must be monotone, ascending or descending: every caller passes sorted
+    eigenvalues, a pair's ``w`` or a monotone map of it. Then so is each
+    row, and its two ends decide: they are powered in Python floats first,
+    so numpy never computes a power that leaves the float range, and it
+    does not warn."""
+    lo, hi = float(w[0]), float(w[-1])
+    out = np.empty((len(ts), len(w)))
+    for i, t in enumerate(ts):
+        t = float(t)
+        try:
+            ends = lo ** t, hi ** t
+        except OverflowError:
+            raise DomainError(
+                f"w ** t overflows at t = {t:g}: matrix entries must be finite"
+            ) from None
+        if 0.0 in ends:
+            raise DomainError(
+                f"assembled spectrum must be strictly positive: w ** t underflows at t = {t:g}"
+            )
+        out[i] = w ** t
     return out
 
 

@@ -11,7 +11,9 @@ with extended weights (v outside [0, 1]) permitted whenever the expressions
 stay positive definite. Every chain below is constructed through the scalar
 transfer route: the underlying scalar inequality holds on the spectrum of
 X = A^{-1/2} B A^{-1/2}, is applied spectrally to X, and is transported back
-by congruence with A^{1/2}. Composing the public mean functions directly
+by congruence with A^{1/2}. A chain is returned as that congruence and the
+rows of values on the spectrum of X (``OperatorChain``); its matrices are
+assembled only when read. Composing the public mean functions directly
 gives the same matrices up to round-off; the tests cross-check both routes.
 
 The geometric mean and every chain of a pair (A, B) here read one spectral
@@ -40,6 +42,7 @@ from .linalg import (
     _as_spd,
     _congruence,
     _eigh_array,
+    _freeze,
     _spectrum_powers,
     loewner_leq,
 )
@@ -61,10 +64,10 @@ class _Pair:
 
     * ``c`` = Qa* Qb, the eigenbasis of B seen from that of A, and
       ``c2`` = |C|^2 entrywise;
-    * ``w`` and ``m``: X = A^{-1/2} B A^{-1/2} = Q diag(w) Q*, pushed back by
-      push(f(w)) = A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with M = A^{1/2} Q,
-      Hermitian by construction and not re-validated. In the recorded
-      eigenbases of A and B, X = Qa G G* Qa* with the graded
+    * ``w`` and ``m``: X = A^{-1/2} B A^{-1/2} = Q diag(w) Q*, pushed back as
+      A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with the read-only
+      M = A^{1/2} Q; an ``OperatorChain`` holds M and the rows f(w). In the
+      recorded eigenbases of A and B, X = Qa G G* Qa* with the graded
       G = diag(wa^{-1/2}) C diag(wb^{1/2}) = P diag(s) V*, so w = s^2 and
       M = Qa diag(wa^{1/2}) P: no power of A or B is assembled, and the SVD
       of the graded G keeps the small end of the spectrum accurate relative
@@ -97,7 +100,7 @@ class _Pair:
         w = s[::-1] ** 2
         if w[0] <= 0.0:
             raise DomainError(f"matrix is not positive definite: lambda_min = {w[0]:.6e}")
-        return w, (self.qa * _spectrum_powers(self.wa, [0.5])[0]) @ p[:, ::-1]
+        return w, _freeze((self.qa * _spectrum_powers(self.wa, [0.5])[0]) @ p[:, ::-1])
 
     @property
     def w(self) -> np.ndarray:
@@ -106,9 +109,6 @@ class _Pair:
     @property
     def m(self) -> np.ndarray:
         return self._transfer[1]
-
-    def push(self, vals) -> HermitianMatrix:
-        return HermitianMatrix._exact(_congruence(self.m, np.asarray(vals, dtype=np.float64)))
 
 
 def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
@@ -164,13 +164,13 @@ def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:
 def _power_refinement(t: _Pair, nu: float, depth: int, shift: float = 0.0):
     """The convex refinement of v |-> w^{shift+v} over the spectrum w of X,
     anchored at 0 for nu >= 0 and at 1 for nu <= -1, with its closed-form
-    drop. Every power of w is checked by ``_spectrum_powers``."""
-    log_w, anchor = np.log(t.w), "a" if weight_branch(nu) > 0 else "b"
-    e, log_r = (0.0, log_w) if anchor == "a" else (1.0, -log_w)
-    fe = _spectrum_powers(t.w, [shift + e])[0]
+    drop from the f(e) of its one ``_spectrum_powers`` call, which checks
+    every power of w."""
+    log_w = np.log(t.w)
+    anchor, log_r = ("a", log_w) if weight_branch(nu) > 0 else ("b", -log_w)
     return _convex_refinement(
         lambda vs: list(_spectrum_powers(t.w, [shift + v for v in vs])), 0.0, 1.0, nu, depth,
-        anchor, _power_drop(fe, log_r, depth, np.expm1),
+        anchor, lambda fe: _power_drop(fe, log_r, depth, np.expm1),
     )
 
 
@@ -186,8 +186,7 @@ def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
     """
     depth = _check_depth(depth)
     t = _pair(_as_spd(a), _as_spd(b))
-    values = _power_refinement(t, nu, depth)
-    return OperatorChain(("arith", "refined", "geom"), tuple(map(t.push, values)))
+    return OperatorChain(("arith", "refined", "geom"), t.m, _power_refinement(t, nu, depth))
 
 
 def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -219,7 +218,7 @@ def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
         label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
     target = _spectrum_powers(w, [-2.0 * nu])[0] + extra
     values = (base, base + 2.0 * (refined - secant), target)
-    return OperatorChain((label, "refined", "target"), tuple(map(t.push, values)))
+    return OperatorChain((label, "refined", "target"), t.m, values)
 
 
 def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -247,7 +246,7 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     values = _convex_refinement(
         lambda vs: [h(v) for v in vs], 0.0, 1.0, nu, depth, "a", ch / (1.0 + ch)
     )
-    return OperatorChain(("arith", "refined", "harm"), tuple(map(t.push, values)))
+    return OperatorChain(("arith", "refined", "harm"), t.m, values)
 
 
 def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
@@ -273,9 +272,7 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
     d = (1.0 + nu) - nu / w
     if np.min(d) <= 0.0:
         raise DomainError("harmonic resolvent not positive on the spectrum")
-    return OperatorChain(
-        ("geom_kantorovich", "harm"), (t.push(lo), t.push(1.0 / d))
-    )
+    return OperatorChain(("geom_kantorovich", "harm"), t.m, (lo, 1.0 / d))
 
 
 # ---------------------------------------------------------------------------

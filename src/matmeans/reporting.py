@@ -2,15 +2,21 @@
 
 A chain passes when every consecutive link holds within a relative
 tolerance. Scalar links report the normalized forward difference
-``(v[i+1] - v[i]) / scale`` with ``scale = max(1, max |v|)``; operator links
-report the smallest eigenvalue of the difference normalized by
-``max(1, ||X_i||_2, ||X_{i+1}||_2)``. A link fails when its slack drops
-below ``-rel_tol`` or is NaN.
+``(v[i+1] - v[i]) / scale`` with ``scale = max(1, max |v|)``. An operator
+chain holds one congruence M and a row of values per matrix
+X_i = M diag(v_i) M*, and its matrices are assembled only on first read.
+Link i holds exactly when v_{i+1} - v_i >= 0 on every eigenvalue
+(Sylvester's law of inertia), so it reports the per-eigenvalue slack
+``min_j (hi_j - lo_j) / max(|lo_j|, |hi_j|)`` of the rows lo = v_i and
+hi = v_{i+1}, which no large eigenvalue can scale down. A pair of exact
+zeros has slack 0. A link fails when its slack drops below ``-rel_tol`` or
+is NaN. A difference that overflows raises DomainError.
 
 The harness takes each instance's slacks and gap from ``_chain_verdict`` in
-one pass: Python floats for a scalar chain, one stacked ``eigh`` for an
-operator chain. ``chain_slacks`` shares those helpers; ``chain_gap`` (the
-sweep's path) returns the same gap on its own.
+one pass: Python floats for a scalar chain, the rows and one ``eigh`` of
+the end-to-end difference for an operator chain. ``chain_slacks`` and
+``chain_gap`` (the sweep's path) return the same slacks and gap on their
+own.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .linalg import OperatorChain, _eigh_array
+from .linalg import OperatorChain, _congruence, _eigh_array
 from .scalar import ScalarChain
 
 CSV_HEADER = "case,instances,skipped,failures,min_slack,max_gap"
@@ -85,25 +91,25 @@ def _scalar_slacks(values) -> list[float]:
     return [(hi - lo) / scale for lo, hi in zip(v, v[1:])]
 
 
-def _operator_verdict(chain: OperatorChain) -> tuple[list[float], float]:
-    """Link slacks and the gap of an operator chain from one stacked ``eigh``.
+def _operator_slacks(chain: OperatorChain) -> list[float]:
+    """Per-eigenvalue link slacks of an operator chain, from its rows."""
+    v = chain.values
+    d = v[1:] - v[:-1]
+    if np.isinf(d).any():
+        raise DomainError("chain link differences must be finite")
+    mag = np.abs(v)
+    scale = np.maximum(mag[:-1], mag[1:])
+    return np.divide(d, scale, out=np.zeros_like(d), where=scale > 0.0).min(axis=1).tolist()
 
-    The stack holds every matrix X_i of the chain, each link's difference
-    X_{i+1} - X_i and the end-to-end difference X_k - X_0. The matrices are
-    exactly Hermitian (every constructor symmetrizes), so their differences
-    are too and need no re-symmetrization: each slice's spectrum is the one
-    ``HermitianMatrix(y.a - x.a).eig`` gives. A difference whose subtraction
-    overflows raises DomainError, as that constructor does.
-    """
-    k = len(chain.matrices)
-    xs = np.stack([m.a for m in chain.matrices])
-    diffs = np.concatenate([xs[1:] - xs[:-1], xs[-1:] - xs[:1]])
-    if not np.isfinite(diffs).all():
+
+def _operator_gap(chain: OperatorChain) -> float:
+    """lambda_max(X_k - X_0) = lambda_max(M diag(v_k - v_0) M*): one
+    congruence and one ``eigh``. Congruence keeps inertia, not magnitudes,
+    so the gap cannot be read off the rows."""
+    d = chain.values[-1] - chain.values[0]
+    if np.isinf(d).any():
         raise DomainError("matrix entries must be finite")
-    w = _eigh_array(np.concatenate([xs, diffs]))[0].tolist()
-    norm2 = [max(abs(wi[0]), abs(wi[-1])) for wi in w[:k]]
-    slacks = [d[0] / max(1.0, x, y) for d, x, y in zip(w[k:-1], norm2, norm2[1:])]
-    return slacks, w[-1][-1]
+    return float(_eigh_array(_congruence(chain.m, d))[0][-1])
 
 
 def _chain_verdict(chain) -> tuple[list[float], float]:
@@ -112,7 +118,7 @@ def _chain_verdict(chain) -> tuple[list[float], float]:
         v = chain.values
         return _scalar_slacks(v), float(v[-1] - v[0])
     if isinstance(chain, OperatorChain):
-        return _operator_verdict(chain)
+        return _operator_slacks(chain), _operator_gap(chain)
     raise DomainError(f"not a chain: {type(chain).__name__}")
 
 
@@ -123,13 +129,15 @@ def _row_fails(row, rel_tol: float) -> bool:
 
 
 def chain_slacks(chain) -> np.ndarray:
-    """Normalized link slacks: forward differences of a scalar chain, Loewner
-    witnesses of an operator chain."""
+    """Normalized link slacks: forward differences of a scalar chain,
+    per-eigenvalue slacks of an operator chain."""
+    if isinstance(chain, OperatorChain):
+        return np.asarray(_operator_slacks(chain))
     return np.asarray(_chain_verdict(chain)[0])
 
 
 def chain_passes(chain, rel_tol: float) -> bool:
-    return not _row_fails(_chain_verdict(chain)[0], rel_tol)
+    return not _row_fails(chain_slacks(chain), rel_tol)
 
 
 def chain_gap(chain) -> float:
@@ -138,10 +146,7 @@ def chain_gap(chain) -> float:
     if isinstance(chain, ScalarChain):
         return float(chain.values[-1] - chain.values[0])
     if isinstance(chain, OperatorChain):
-        diff = chain.matrices[-1].a - chain.matrices[0].a
-        if not np.isfinite(diff).all():
-            raise DomainError("matrix entries must be finite")
-        return float(_eigh_array(diff)[0][-1])
+        return _operator_gap(chain)
     raise DomainError(f"not a chain: {type(chain).__name__}")
 
 

@@ -148,7 +148,8 @@ def _convex_refinement(values, a, b, nu, depth, anchor, drop=None):
     points to f there; it is called once, on [a, b, (1+nu) a - nu b, m_N],
     and target = f((1+nu) a - nu b) is returned as given. A functional with a
     closed form passes ``drop`` = f(e) - f(m_N), which a difference of values
-    loses to cancellation. Values may be floats or ndarrays of one shape.
+    loses to cancellation, or a function that gives it from the f(e) of that
+    one call. Values may be floats or ndarrays of one shape.
     """
     if anchor == "a":
         e, o, weight = a, b, nu
@@ -162,6 +163,8 @@ def _convex_refinement(values, a, b, nu, depth, anchor, drop=None):
     fe, fo = (fa, fb) if anchor == "a" else (fb, fa)
     if drop is None:
         drop = fe - fm
+    elif callable(drop):
+        drop = drop(fe)
     secant = (1.0 + nu) * fa - nu * fb
     return secant, secant + weight * ((fo - fe) + (o - e) / (m - e) * drop), target
 

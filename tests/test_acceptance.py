@@ -20,6 +20,7 @@ from matmeans import (
     kantorovich_operator_chain,
     operator_reverse_chain,
     operator_squared_chain,
+    OperatorChain,
     SpdMatrix,
     young_reverse_chain,
     young_squared_chain,
@@ -224,7 +225,12 @@ def test_criterion_7_refinement_monotone_in_depth():
                 built = harness.build_instance(
                     name, index, forced={**forced, "depth": depth}
                 )
-                cur = built.refined
+                chain = built.chain
+                cur = (
+                    chain.matrix("refined")
+                    if isinstance(chain, OperatorChain)
+                    else built.refined
+                )
                 if prev is not None:
                     if isinstance(cur, HermitianMatrix):
                         diff = HermitianMatrix(cur.a - prev.a)

@@ -8,7 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from matmeans import DomainError, HermitianMatrix, OperatorChain, ScalarChain
+from matmeans import (
+    DomainError,
+    HermitianMatrix,
+    OperatorChain,
+    ScalarChain,
+    arithmetic_mean,
+    harmonic_mean,
+)
 from matmeans import harness, linalg, reporting
 from matmeans.harness import Built, CaseConfig
 from matmeans.reporting import (
@@ -429,6 +436,14 @@ class TestStreamSeeding:
 
 
 class TestSweep:
+    def test_row_means_bit_identical_to_numpy(self):
+        # Lengths 1..300 cover pairwise summation's unrolled blocks; values
+        # of mixed sign over many decades make the summation order matter.
+        rng = np.random.default_rng(20261019)
+        for k in range(1, 301):
+            xs = (rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-8, 8, size=k)).tolist()
+            assert harness._mean(xs).hex() == float(np.mean(xs)).hex(), k
+
     def test_depth_sweep_gain_nondecreasing(self):
         rows = harness.sweep(
             "young_reverse_pos", "depth", range(1, 9), instances=25
@@ -611,34 +626,80 @@ class TestVerdictPath:
 
     @staticmethod
     def _per_link(chain):
+        """Each link's witness from its assembled difference, normalized by
+        the spectral norms of its two assembled matrices."""
         slacks = []
         for x, y in zip(chain.matrices, chain.matrices[1:]):
             witness = float(HermitianMatrix(y.a - x.a).eig.eigenvalues[0])
             slacks.append(witness / max(1.0, x.spectral_norm, y.spectral_norm))
         return slacks
 
+    @staticmethod
+    def _stacked(chain):
+        """The assembled verdict: one stacked ``eigh`` of every chain matrix
+        X_i, each link's difference and X_k - X_0. Returns the links'
+        normalized witnesses, the gap lambda_max(X_k - X_0) and the norm
+        max(1, ||X_0||, ||X_k||)."""
+        k = len(chain.matrices)
+        xs = np.stack([m.a for m in chain.matrices])
+        diffs = np.concatenate([xs[1:] - xs[:-1], xs[-1:] - xs[:1]])
+        w = np.linalg.eigh(np.concatenate([xs, diffs]))[0].tolist()
+        norm2 = [max(abs(wi[0]), abs(wi[-1])) for wi in w[:k]]
+        slacks = [d[0] / max(1.0, x, y) for d, x, y in zip(w[k:-1], norm2, norm2[1:])]
+        return slacks, w[-1][-1], max(1.0, norm2[0], norm2[-1])
+
+    @staticmethod
+    def _closed_form(name, drawn):
+        """One matrix of each operator case's chain, from A and B alone:
+        its position, the matrix and a tolerance relative to
+        (1 + |nu|)^2 max(||A||, ||B||). The harmonic mean goes through
+        inverses, so its tolerance grows with the condition number."""
+        a, b, nu = drawn["a"], drawn["b"], drawn["nu"]
+        position, tol = 0, 1e-13
+        if name == "kantorovich_operator":
+            position, want, tol = -1, harmonic_mean(a, b, -nu).a, 1e-13 * drawn["cond"]
+        elif name == "operator_squared_pos":
+            want = (1.0 + nu) * arithmetic_mean(a, b, -nu).a
+        elif name == "operator_squared_neg":
+            want = 2.0 * (1.0 + nu) * b.a
+        else:
+            want = arithmetic_mean(a, b, -nu).a
+        scale = (1.0 + abs(nu)) ** 2 * max(a.spectral_norm, b.spectral_norm)
+        return position, want, tol * scale
+
     def test_stacked_operator_verdict_matches_per_link(self):
-        # Every instance builds, at cond 1e8 too: 2 x 6 x 50 chains checked.
+        # The independent check of the assembly: every instance, at cond 1e8
+        # too, 2 x 6 x 50 chains. The stacked and the per-link assembled
+        # witnesses agree bit for bit; the spectral verdict on the rows
+        # passes or fails each link exactly as the assembled one does at the
+        # case's rel_tol; the spectral gap is the assembled one to round-off;
+        # and one matrix of each chain is its closed form in A and B, which
+        # a wrong transfer M would miss.
         checked = 0
         for cond in (100.0, 1e8):
             for name in OPERATOR_CASES:
+                rel_tol = harness._config_for(harness.REGISTRY[name], {}).rel_tol
                 for index in range(50):
-                    chain = harness.build_instance(name, index, cond_max=cond).chain
+                    built = harness.build_instance(name, index, cond_max=cond)
+                    chain, where = built.chain, (name, cond, index)
+                    row, gap = built.verdict()
                     # Stacked first, while no chain matrix has its spectrum cached.
-                    row, gap = Built(chain=chain).verdict()
-                    assert _bits(row) == _bits(self._per_link(chain)), (name, cond, index)
-                    assert _bits([gap]) == _bits([chain_gap(chain)]), (name, cond, index)
-                    # Now every spectrum is cached, and the result is the same.
-                    assert _bits(chain_slacks(chain)) == _bits(row)
+                    stacked, assembled_gap, norm = self._stacked(chain)
+                    assert _bits(stacked) == _bits(self._per_link(chain)), where
+                    assert [s >= -rel_tol for s in row] == [s >= -rel_tol for s in stacked], where
+                    assert abs(gap - assembled_gap) <= 1e-14 * norm, where
+                    assert _bits([gap]) == _bits([chain_gap(chain)]), where
+                    assert _bits(chain_slacks(chain)) == _bits(row), where
+                    position, want, tol = self._closed_form(name, {**built.drawn, "cond": cond})
+                    assert np.abs(chain.matrices[position].a - want).max() <= tol, where
                     checked += 1
         assert checked == 600
 
     def test_large_finite_difference_verifies(self):
-        # hi - lo = 1.2e308 I is finite; halving before the sum keeps its
-        # symmetrization finite on the per-link and the stacked path.
-        lo = HermitianMatrix(-6e307 * np.eye(2))
-        hi = HermitianMatrix(6e307 * np.eye(2))
-        chain = OperatorChain(("lo", "hi"), (lo, hi))
+        # hi - lo = 1.2e308 on every eigenvalue is finite: the slack is
+        # 1.2e308 / 6e307 = 2, and the assembled matrices, whose
+        # symmetrization halves before the sum, give the same witness.
+        chain = OperatorChain(("lo", "hi"), np.eye(2), [[-6e307, -6e307], [6e307, 6e307]])
         per_link = self._per_link(chain)
         assert per_link == [2.0]
         row, gap = Built(chain=chain).verdict()
@@ -647,11 +708,11 @@ class TestVerdictPath:
         assert _bits([gap]) == _bits([chain_gap(chain)]) == _bits([1.2e308])
 
     def test_overflowing_difference_raises(self):
-        # Each matrix is valid, but hi - lo overflows to inf: the per-link
-        # HermitianMatrix(hi - lo), the stacked path and chain_gap reject it.
-        lo = HermitianMatrix(-1e308 * np.eye(2))
-        hi = HermitianMatrix(1e308 * np.eye(2))
-        chain = OperatorChain(("lo", "hi"), (lo, hi))
+        # Each row is finite, but hi - lo overflows to inf: the spectral
+        # verdict, chain_gap and HermitianMatrix(hi - lo) of the assembled
+        # matrices reject it.
+        chain = OperatorChain(("lo", "hi"), np.eye(2), [[-1e308, -1e308], [1e308, 1e308]])
+        lo, hi = chain.matrices
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DomainError, match="finite"):
                 HermitianMatrix(hi.a - lo.a)
@@ -662,6 +723,17 @@ class TestVerdictPath:
             with pytest.raises(DomainError, match="finite"):
                 Built(chain=chain).verdict()
 
+    def test_per_eigenvalue_slack(self):
+        # Each link's slack is its smallest (hi - lo) / max(|lo|, |hi|) over
+        # the eigenvalues, whatever their magnitude; a pair of exact zeros
+        # has slack 0.
+        m = np.diag([1e-6, 1.0, 1e6]).astype(complex)
+        chain = OperatorChain(
+            ("x", "y", "z"), m, [[0.0, 1.0, -4.0], [0.0, 3.0, -2.0], [-1e-300, 3.0, 2.0]]
+        )
+        assert chain_slacks(chain).tolist() == [0.0, -1.0]
+        assert chain_passes(chain, 1e-8) is False
+        assert chain_gap(chain) == 6e12
 
 def _hex_rows(rows) -> list[tuple[str, str, str]]:
     return [(r.value.hex(), r.mean_gap.hex(), r.mean_gain.hex()) for r in rows]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from matmeans import (
     HermitianMatrix,
     SpdMatrix,
     apply_spectral,
+    geometric_mean,
     jacobi_eigh,
     loewner_leq,
     matrix_from_json,
@@ -24,7 +26,8 @@ from matmeans import (
     spd_pow,
 )
 
-from matmeans.linalg import _assemble_spds, _draw_spds, _random_spds
+from matmeans import harness, linalg, means, norms
+from matmeans.linalg import _assemble_spds, _draw_spds, _random_spds, _spectrum_powers
 
 from jacobi_oracle import jacobi_eigenvalues
 
@@ -229,6 +232,68 @@ class TestSpdPow:
         left = spd_pow(a, s).a @ spd_pow(a, t).a
         right = spd_pow(a, s + t).a
         assert np.linalg.norm(left - right) <= 1e-9 * max(1.0, np.linalg.norm(right))
+
+
+class TestSpectrumPowers:
+    def test_rows_are_each_power_alone(self):
+        # Each row has the bits of w ** t, on ascending and descending
+        # spectra; numpy takes its fast paths (t = 0, 0.5, 2, ...) as a
+        # plain power of the array does.
+        rng = np.random.default_rng(5)
+        ts = [0.0, 0.5, 1.0, 2.0, -1.0, -0.5, 3.7, -8.25]
+        for _ in range(50):
+            w = np.sort(np.exp(rng.uniform(-14.0, 14.0, int(rng.integers(1, 9)))))
+            for spectrum in (w, w[::-1]):
+                rows = _spectrum_powers(spectrum, ts)
+                assert rows.shape == (len(ts), len(w))
+                for row, t in zip(rows, ts):
+                    assert row.tobytes() == (spectrum ** t).tobytes(), t
+        assert _spectrum_powers(w, [0.0]).tolist() == [[1.0] * len(w)]
+
+    def test_first_weight_out_of_range_is_named(self):
+        # The first weight whose row leaves the float range raises, at either
+        # end of an ascending or a descending spectrum; an overflow is named
+        # before an underflow; numpy raises no floating-point error (so it
+        # would not warn).
+        big, small = np.array([0.5, 1.0, 1e2]), np.array([1e-2, 1.0, 2.0])
+        cases = [
+            (big, [1.0, 400.0, -200.0], r"overflows at t = 400: matrix entries must be finite"),
+            (small, [1.0, -400.0, 200.0], r"overflows at t = -400"),
+            (small, [2.0, 200.0], r"strictly positive: w \*\* t underflows at t = 200"),
+            (big, [-200.0, 400.0], r"strictly positive: w \*\* t underflows at t = -200"),
+            (np.array([1e-2, 1e2]), [200.0], r"overflows at t = 200"),
+        ]
+        with np.errstate(all="raise"):
+            for w, ts, message in cases:
+                for spectrum in (w, w[::-1]):
+                    with pytest.raises(DomainError, match=message):
+                        _spectrum_powers(spectrum, ts)
+        # A subnormal end is positive, so it passes; numpy ignores the
+        # underflow of a subnormal result by default, so nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _spectrum_powers(np.array([1e-160, 1.0]), [2.0])[0, 0] > 0.0
+
+    def test_every_caller_passes_a_monotone_spectrum(self, monkeypatch):
+        # The precondition that lets the two ends decide: every spectrum the
+        # package powers, in every registered case, in the means and in
+        # SpdMatrix.power, is sorted one way or the other.
+        seen = []
+
+        def checked(w, ts):
+            d = np.diff(w)
+            assert (d >= 0.0).all() or (d <= 0.0).all(), w
+            seen.append(len(w))
+            return _spectrum_powers(w, ts)
+
+        for module in (linalg, means, norms):
+            monkeypatch.setattr(module, "_spectrum_powers", checked)
+        for name in harness.case_names():
+            harness.run_case(name, instances=3, cond_max=1e8)
+        a, b = random_spd(4, 100.0, 1), random_spd(4, 100.0, 2)
+        geometric_mean(a, b, 0.3)
+        spd_pow(a, -1.5)
+        assert len(seen) > 100 and max(seen) > 1
 
 
 class TestLoewner:

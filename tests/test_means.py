@@ -26,6 +26,7 @@ from matmeans import (
     harmonic_reverse_chain,
     kantorovich_chain,
     kantorovich_operator_chain,
+    loewner_leq,
     operator_reverse_chain,
     operator_squared_chain,
     random_spd,
@@ -36,7 +37,7 @@ from matmeans import (
     young_reverse_chain,
     young_squared_chain,
 )
-from matmeans import harness, means, norms
+from matmeans import harness, linalg, means, norms
 from matmeans.means import OperatorChain
 from matmeans.reporting import chain_passes, chain_slacks
 from matmeans.scalar import _convex_refinement, _logconvex_refinement
@@ -477,8 +478,9 @@ class TestGeneralRefinement:
                     expected = _convex_refinement(
                         values, 0.0, 1.0, nu, depth, anchor, drops[drop](2.0 ** -depth)
                     )
-                    for m, v in zip(chain.matrices, expected):
-                        assert np.array_equal(m.a, t.push(v).a), (chain_fn.__name__, nu, depth)
+                    assert chain.m is t.m
+                    for row, v in zip(chain.values, expected):
+                        assert row.tobytes() == v.tobytes(), (chain_fn.__name__, nu, depth)
 
     def test_trace_chains(self):
         # Bit for bit the refinement of the trace kernel on a stack of one,
@@ -583,55 +585,50 @@ class TestPairContext:
 
 class TestOperatorChainType:
     def test_rejects_mismatched_lengths(self):
-        a = random_spd(2, 10, 1)
         with pytest.raises(DomainError):
-            OperatorChain(("one",), (a, a))
+            OperatorChain(("one",), np.eye(2), [[1.0, 2.0]])
+        with pytest.raises(DomainError):
+            OperatorChain(("x", "y", "z"), np.eye(2), [[1.0, 2.0], [2.0, 3.0]])
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DomainError):
-            OperatorChain(("x", "y"), (random_spd(2, 10, 1), random_spd(3, 10, 1)))
+            OperatorChain(("x", "y"), np.eye(2), [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+        with pytest.raises(DomainError):
+            OperatorChain(("x", "y"), np.eye(2), [[1.0, 2.0], [2.0, 3.0, 4.0]])
+        with pytest.raises(DomainError):
+            OperatorChain(("x", "y"), np.ones((2, 3)), [[1.0, 2.0], [2.0, 3.0]])
+
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(DomainError, match="finite"):
+            OperatorChain(("x", "y"), np.eye(2), [[1.0, 2.0], [np.inf, 3.0]])
+        with pytest.raises(DomainError, match="finite"):
+            OperatorChain(("x", "y"), np.eye(2), [[1.0, 2.0], [np.nan, 3.0]])
 
     def test_slacks_sign(self):
         a = random_spd(3, 10, 2)
-        bigger = SpdMatrix(a.a + np.eye(3))
-        up = OperatorChain(("lo", "hi"), (a, bigger))
-        assert chain_slacks(up)[0] > 0
-        down = OperatorChain(("hi", "lo"), (bigger, a))
-        assert chain_slacks(down)[0] < 0
+        low, high = [1.0, -2.0, 0.5], [1.5, -1.0, 0.5]
+        up = OperatorChain(("lo", "hi"), a.a, [low, high])
+        assert chain_slacks(up)[0] == 0.0  # the third eigenvalue does not move
+        assert loewner_leq(up.matrices[0], up.matrices[1]).holds
+        down = OperatorChain(("hi", "lo"), a.a, [high, low])
+        assert chain_slacks(down)[0] == -0.5
+        assert not loewner_leq(down.matrices[0], down.matrices[1]).holds
 
+    def test_matrices_assembled_on_first_read(self, monkeypatch):
+        a = random_spd(3, 10, 2)
+        congruence, assembled = linalg._congruence, []
 
-class TestImportOrder:
-    @staticmethod
-    def _run_bare(body: str) -> None:
-        """Run ``body`` with the package loaded without its __init__, so the
-        modules it imports are the only matmeans modules loaded."""
-        code = (
-            "import importlib, sys, types\n"
-            "pkg = types.ModuleType('matmeans')\n"
-            f"pkg.__path__ = [{os.path.dirname(means.__file__)!r}]\n"
-            "sys.modules['matmeans'] = pkg\n" + body
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
-        )
-        assert done.returncode == 0, done.stderr
+        def counted(m, v):
+            assembled.append(v.shape)
+            return congruence(m, v)
 
-    @pytest.mark.parametrize("first", ["means", "norms"])
-    def test_module_imports_without_a_cycle(self, first):
-        # ``first`` really is the first matmeans module imported; means takes
-        # norms at module level.
-        self._run_bare(
-            f"importlib.import_module('matmeans.{first}')\n"
-            "import matmeans.means, matmeans.norms\n"
-            "assert matmeans.means.singular_values is matmeans.norms.singular_values\n"
-        )
-
-    def test_numerics_import_no_reporting_or_harness(self):
-        # The numerics layer computes; reporting and the harness verify it.
-        self._run_bare(
-            "for name in ('scalar', 'linalg', 'norms', 'means'):\n"
-            "    importlib.import_module('matmeans.' + name)\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith('matmeans.'))\n"
-            "assert 'matmeans.reporting' not in loaded, loaded\n"
-            "assert 'matmeans.harness' not in loaded, loaded\n"
-        )
+        monkeypatch.setattr(linalg, "_congruence", counted)
+        chain = OperatorChain(("lo", "hi"), a.a, [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+        assert chain_slacks(chain).tolist() == [0.25]
+        assert assembled == []
+        first = chain.matrices
+        assert assembled == [(3,), (3,)]
+        assert chain.matrices is first and chain.matrix("hi") is first[1]
+        assert assembled == [(3,), (3,)]
+        np.testing.assert_allclose(first[1].a, (a.a * [2.0, 3.0, 4.0]) @ a.a, rtol=1e-14)
+        assert not chain.values.flags.writeable

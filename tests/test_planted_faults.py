@@ -30,9 +30,26 @@ def _kantorovich_exponent_lowered(a, b, nu):
     a smaller exponent raises the lower bound, past A !_{-nu} B where the
     true bound is tight."""
     chain = means.kantorovich_operator_chain(a, b, nu)
-    t = means._pair(a, b)
-    lower = t.push(((1.0 + 1.0 / t.w) / 2.0) ** (2.0 * nu - 0.1))
-    return OperatorChain(chain.labels, (lower, chain.matrices[1]))
+    w = means._pair(a, b).w
+    lower = ((1.0 + 1.0 / w) / 2.0) ** (2.0 * nu - 0.1)
+    return OperatorChain(chain.labels, chain.m, (lower, chain.value("harm")))
+
+
+def _operator_term_scaled(chain_fn, base):
+    """A copy of the build of an operator refinement row, whose refinement
+    term (the refined row minus the ``base`` row, on the spectrum of X) is
+    scaled by 1 + fault."""
+
+    def build(a, b, nu, depth, fault):
+        chain = chain_fn(a, b, nu, depth)
+        lo, refined = chain.value(base), chain.value("refined")
+        refined = refined + fault * (refined - lo)
+        values = [
+            refined if label == "refined" else row for label, row in zip(chain.labels, chain.values)
+        ]
+        return Built(chain=OperatorChain(chain.labels, chain.m, values), refined=refined, base=lo)
+
+    return build
 
 
 def _trace_cross_term_raised(a, b, nu):
@@ -174,6 +191,24 @@ BUILD_FAULTS = {
     "norm_logconvexity": (_norm_logconvexity_bound_lowered, 0.01),
     "heinz_symmetry": (_heinz_mirror_shifted, 1e-6),
     "heinz_monotonicity": (_heinz_grid_shifted, 0.1),
+    "operator_reverse_pos": (_operator_term_scaled(means.operator_reverse_chain, "arith"), 1.0),
+    "operator_reverse_neg": (_operator_term_scaled(means.operator_reverse_chain, "arith"), 1.0),
+    "operator_squared_pos": (
+        _operator_term_scaled(means.operator_squared_chain, "scaled_arith"), 1.0
+    ),
+    "operator_squared_neg": (_operator_term_scaled(means.operator_squared_chain, "scaled_b"), 1.0),
+    "harmonic_operator": (_operator_term_scaled(means.harmonic_operator_chain, "arith"), 1.0),
+}
+
+# Cases whose fault is also run at a high condition number, where A's small
+# eigenvalues would hide a violation from a check normalized by ||X||.
+HIGH_COND = {
+    "operator_reverse_pos",
+    "operator_reverse_neg",
+    "operator_squared_pos",
+    "operator_squared_neg",
+    "harmonic_operator",
+    "kantorovich_operator",
 }
 
 
@@ -187,21 +222,24 @@ def _builds(name):
     return [functools.partial(copy, fault=size) for size in (0.0, fault)]
 
 
-def _run_with(monkeypatch, name, build, instances):
+def _run_with(monkeypatch, name, build, **overrides):
     """``run_case`` of ``name`` with its build swapped for ``build``; the
     case's draw is kept, so every instance draws what it always did."""
     case = harness.REGISTRY[name]
     monkeypatch.setitem(harness.REGISTRY, name, dataclasses.replace(case, build=build))
-    return harness.run_case(name, instances=instances)
+    return harness.run_case(name, **overrides)
 
 
 @pytest.mark.parametrize("name", sorted([*CHAIN_FAULTS, *BUILD_FAULTS]))
 def test_planted_fault_is_caught(monkeypatch, name):
     true_build, faulty_build = _builds(name)
     instances = min(100, harness.REGISTRY[name].overrides.get("instances", 100))
-    want = harness.run_case(name, instances=instances)
-    assert want.failures == 0
-    same = _run_with(monkeypatch, name, true_build, instances)
-    assert same == want and same.slacks.tobytes() == want.slacks.tobytes()
-    report = _run_with(monkeypatch, name, faulty_build, instances)
-    assert report.failures > 0, (name, report.failures, report.min_slack)
+    for cond in ({}, {"cond_max": 1e12}) if name in HIGH_COND else ({},):
+        overrides = {"instances": instances, **cond}
+        want = harness.run_case(name, **overrides)
+        assert want.failures == 0, cond
+        with monkeypatch.context() as patch:
+            same = _run_with(patch, name, true_build, **overrides)
+            assert same == want and same.slacks.tobytes() == want.slacks.tobytes(), cond
+            report = _run_with(patch, name, faulty_build, **overrides)
+        assert report.failures > 0, (name, cond, report.failures, report.min_slack)
