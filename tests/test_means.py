@@ -632,3 +632,40 @@ class TestOperatorChainType:
         assert assembled == [(3,), (3,)]
         np.testing.assert_allclose(first[1].a, (a.a * [2.0, 3.0, 4.0]) @ a.a, rtol=1e-14)
         assert not chain.values.flags.writeable
+
+
+class TestImportOrder:
+    @staticmethod
+    def _run_bare(body: str) -> None:
+        """Run ``body`` with the package loaded without its __init__, so the
+        modules it imports are the only matmeans modules loaded."""
+        code = (
+            "import importlib, sys, types\n"
+            "pkg = types.ModuleType('matmeans')\n"
+            f"pkg.__path__ = [{os.path.dirname(means.__file__)!r}]\n"
+            "sys.modules['matmeans'] = pkg\n" + body
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("first", ["means", "norms"])
+    def test_module_imports_without_a_cycle(self, first):
+        # ``first`` really is the first matmeans module imported; means takes
+        # norms at module level.
+        self._run_bare(
+            f"importlib.import_module('matmeans.{first}')\n"
+            "import matmeans.means, matmeans.norms\n"
+            "assert matmeans.means.singular_values is matmeans.norms.singular_values\n"
+        )
+
+    def test_numerics_import_no_reporting_or_harness(self):
+        # The numerics layer computes; reporting and the harness verify it.
+        self._run_bare(
+            "for name in ('scalar', 'linalg', 'norms', 'means'):\n"
+            "    importlib.import_module('matmeans.' + name)\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('matmeans.'))\n"
+            "assert 'matmeans.reporting' not in loaded, loaded\n"
+            "assert 'matmeans.harness' not in loaded, loaded\n"
+        )
