@@ -740,10 +740,9 @@ _register(
 def _build_norm_collapse(a, b, x, kind, nu):
     # f(1/2) = ||A^{1/2} X B^{1/2}||, f(-nu), ||AX||, ||AXB|| and
     # ||A^{1+nu} X B^{1+nu}||, from one SVD of the five products.
-    products = norms._products(
-        a, b, x, [0.5, 1.0 + nu, 1.0, 1.0, 1.0 + nu], [0.5, -nu, 0.0, 1.0, 1.0 + nu]
-    )
-    half, f_end, f_ax, g0, g_end = norms._norms_of(products, kind).tolist()
+    half, f_end, f_ax, g0, g_end = norms._product_norms(
+        a, b, x, [0.5, 1.0 + nu, 1.0, 1.0, 1.0 + nu], [0.5, -nu, 0.0, 1.0, 1.0 + nu], kind
+    ).tolist()
     lhs1 = math.exp((1.0 + 2.0 * nu) * math.log(f_ax))
     rhs1 = math.exp(math.log(f_end) + 2.0 * nu * math.log(half))
     lhs2 = math.exp((1.0 + 2.0 * nu) * math.log(g0))
@@ -940,24 +939,28 @@ def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, indices, streams, m
     1. draw: ``streams(todo)`` gives a generator at the start of the stream
        of each index that ``memo`` lacks, and ``case.draw`` reads every
        random number of that instance from it, with the condition bound of
-       a pinned cond (``forced["cond"]``) or of ``cfg``. A draw without an
-       SPD pair (a scalar case) is built at once and not kept;
+       a pinned cond (``forced["cond"]``) or of ``cfg``. Without a ``memo``
+       (``run_case``, ``build_instance``), a draw without an SPD pair (a
+       scalar case) is built at once and not kept;
     2. assemble: the SPD pairs of the new draws, one QR and one assembly per
-       n (``_assemble_pairs``), kept in ``memo`` under (index, cond);
+       n (``_assemble_pairs``); the draws are kept in the memo under
+       (index, cond);
     3. pin and build: the other parameters of ``forced`` replace the drawn
        ones in copies of the dicts (``_built``), so a pin cannot move the
        stream, and the case's pure ``build`` evaluates the instance.
 
     A case's draws either all hold an SPD pair or none does. A sweep passes
-    one ``memo`` across its grid, so a repeat draws and seeds nothing.
+    one ``memo`` across its grid, scalar draws included, so a repeat draws
+    and seeds nothing.
     """
     cond = float(forced.get("cond", cfg.cond_max))
     pins = {param: value for param, value in forced.items() if param != "cond"}
+    keep = memo is not None
     memo = {} if memo is None else memo
     todo = [i for i in indices if (i, cond) not in memo]
     for i, rng in zip(todo, streams(todo)):
         args, payload = case.draw(rng, cfg, cond)
-        if _PAIR in args:
+        if keep or _PAIR in args:
             memo[i, cond] = args, payload
         else:
             yield i, _built(case, args, payload, pins)
@@ -1110,9 +1113,11 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     """Re-evaluate a case while pinning one parameter to each grid value.
 
     Instances keep their identity across the grid (the same draws, with only
-    ``param`` pinned), so columns are directly comparable. A matrix case
-    draws and assembles each instance once per cond and only rebuilds at
-    each grid value; a scalar case redraws. Returns one row per grid value
+    ``param`` pinned), so columns are directly comparable. Each instance is
+    drawn, and its SPD pair assembled, once per cond, and rebuilt at each
+    grid value. A rebuild computes only what the pin moves: the evaluation
+    contexts of ``means`` and ``norms`` keep the values of the instance's
+    last build. Returns one row per grid value
     with the mean end-to-end gap and mean refinement gain (refined bound
     minus unrefined bound; trace difference for operator chains). Every grid
     value is checked by ``sweep_values`` before any instance is built.

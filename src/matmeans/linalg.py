@@ -19,14 +19,21 @@ verification harness) is built on the small toolkit in this module:
   and its assembly (``_assemble_spds``) are separate steps, so the draws of
   many instances share one QR and one assembly.
 
-All types are immutable after construction, all functions are pure, and the
-only randomness is explicit (seed in, value out), so everything here is safe
-to share across threads.
+All value types are immutable after construction and the only randomness is
+explicit (seed in, value out). What a matrix keeps besides its entries is
+derived from them: its ``eig``, and the evaluation contexts of ``means``
+and ``norms``, each of which keeps only the keys and values of its last
+call (``_recall``). A context or a cached field is stored only once it is
+fully built, and a kept value has the bits a fresh evaluation would give,
+so a matrix can be shared across threads: two threads that race on one
+context both get the values they would get alone. (Two threads that keep
+contexts on A and on B at the same moment can close a reference cycle
+that ``_keep`` would have refused; the garbage collector frees it.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -62,13 +69,65 @@ def _hermitian_part(h: np.ndarray) -> np.ndarray:
     return h + h.conj().swapaxes(-1, -2)
 
 
+def _recall(last, keys: list, compute) -> np.ndarray:
+    """The values at ``keys``, one row per key, reusing the last call's.
+
+    ``last`` is the ``(keys, values)`` of the previous call, or None.
+    ``compute(todo)`` returns the rows at a list of distinct keys; it is
+    called once, on the keys of this call that ``last`` lacks, each once,
+    in the order they first appear, and on ``keys`` itself when that is
+    all of them. A value depends only on its key, so a reused row has the
+    bits a fresh one would. A first call stores its keys and values as
+    they are: only the next call indexes them, so a value that is never
+    asked for again costs no index.
+    """
+    if last is None:
+        found, todo = {}, dict.fromkeys(keys)
+    else:
+        found = dict(zip(*last))
+        todo = [key for key in dict.fromkeys(keys) if key not in found]
+    if len(todo) == len(keys):
+        return compute(keys)
+    todo = list(todo)
+    if todo:
+        found.update(zip(todo, compute(todo)))
+    return np.array([found[key] for key in keys])
+
+
+#: The names under which ``means`` and ``norms`` keep their evaluation
+#: contexts on a matrix (``_keep``).
+_CONTEXTS = ("_pair", "_norms")
+
+
+def _keep(owner, name: str, context) -> None:
+    """Store ``context`` on the matrix ``owner`` as ``name`` unless that
+    closes a reference cycle: an object the context holds (``context.held``)
+    is ``owner``, or is a matrix that keeps a context holding ``owner``."""
+    for obj in context.held:
+        if obj is owner:
+            return
+        if isinstance(obj, ComplexMatrix):
+            for other in _CONTEXTS:
+                kept = obj.__dict__.get(other)
+                if kept is not None and any(h is owner for h in kept.held):
+                    return
+    owner.__dict__[name] = context
+
+
+def _finite(a: np.ndarray):
+    """Whether every entry of ``a`` is finite: ``np.isfinite(a).all()``
+    without the method's dispatch, which costs more than the test itself on
+    the small arrays of this package."""
+    return np.logical_and.reduce(np.isfinite(a), axis=None)
+
+
 def _congruence(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M diag(v) M* for a matrix M and real vector v, or for a stack of each,
     made exactly Hermitian by ``_hermitian_part``. Every spectral matrix of
     the package is assembled here, and checked here, once, to be finite: a
     non-finite entry raises DomainError."""
     s = _hermitian_part((m * v[..., None, :]) @ m.conj().swapaxes(-1, -2))
-    if not np.isfinite(s).all():
+    if not _finite(s):
         raise DomainError("matrix entries must be finite")
     return s
 
@@ -205,14 +264,43 @@ class SpdMatrix(HermitianMatrix):
         return SpdMatrix._assemble(wt, self.eig.eigenvectors if float(t) else np.eye(self.n))
 
 
+class _Transfer:
+    """A square transfer M shared by operator chains, with what their
+    checks read of it kept: the column norms (M* M)_jj of
+    ``OperatorChain.trace``, and lambda_max(M diag(d) M*) for the last d
+    asked (``max_eig``; d is compared bit for bit). ``means._Pair`` keeps
+    one for every chain of its pair; a chain built from an array gets its
+    own."""
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+        self._last_max = None
+
+    @cached_property
+    def col_norms(self) -> np.ndarray:
+        return (np.abs(self.m) ** 2).sum(axis=0)
+
+    def max_eig(self, d: np.ndarray) -> float:
+        """The largest eigenvalue of M diag(d) M*: one congruence and one
+        ``eigh``, unless the last call asked for the same d."""
+        last = self._last_max
+        if last is not None and last[0].tobytes() == d.tobytes():
+            return last[1]
+        value = float(_eigh_array(_congruence(self.m, d))[0][-1])
+        self._last_max = d, value
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorChain:
     """Labeled Hermitian matrices X_i = M diag(v_i) M*, claimed ascending in
     the Loewner order.
 
-    The chain holds one square transfer ``m`` and the read-only (k, n) block
-    ``values`` of real rows v_i; the operator chains of ``means`` pass the
-    pair's M = A^{1/2} Q and a scalar refinement on the spectrum of X. For
+    The chain holds one read-only square transfer ``m`` and the read-only
+    (k, n) block ``values`` of real rows v_i. ``m`` is given as an array,
+    which the chain copies, or as the ``_Transfer`` of the chains of one
+    pair: the operator chains of ``means`` pass their pair's, for
+    M = A^{1/2} Q, with a scalar refinement on the spectrum of X. For
     an invertible M, X_i <= X_{i+1} holds exactly when v_i <= v_{i+1}
     entrywise (Sylvester's law of inertia), so ``reporting`` decides each
     link on the rows. ``matrices`` assembles every X_i (``_congruence``)
@@ -222,6 +310,7 @@ class OperatorChain:
     labels: tuple[str, ...]
     m: np.ndarray
     values: np.ndarray
+    transfer: _Transfer = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -230,15 +319,19 @@ class OperatorChain:
             raise DomainError(f"chain value rows must share one length: {exc}") from exc
         if values.ndim != 2 or len(self.labels) != len(values) or len(values) < 2:
             raise DomainError("chain needs matching labels/value rows, length >= 2")
-        m = np.asarray(self.m, dtype=np.complex128)
+        transfer = self.m
+        if not isinstance(transfer, _Transfer):
+            transfer = _Transfer(_freeze(np.array(transfer, dtype=np.complex128)))
+        m = transfer.m
         if m.shape != (values.shape[1],) * 2:
             raise DomainError(
                 f"chain value rows of length {values.shape[1]} need a square transfer of "
                 f"that size, got shape {m.shape}"
             )
-        if not np.isfinite(values).all():
+        if not _finite(values):
             raise DomainError("chain values must be finite")
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "transfer", transfer)
         object.__setattr__(self, "values", _freeze(values))
 
     @property
@@ -257,7 +350,7 @@ class OperatorChain:
 
     def trace(self, v: np.ndarray) -> float:
         """tr(M diag(v) M*) = sum_j (M* M)_jj v_j, with no matrix assembled."""
-        return float((np.abs(self.m) ** 2).sum(axis=0) @ v)
+        return float(self.transfer.col_norms @ v)
 
 
 def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:

@@ -19,12 +19,21 @@ gives the same matrices up to round-off; the tests cross-check both routes.
 The geometric mean and every chain of a pair (A, B) here read one spectral
 context of the pair (``_pair``): C = Qa* Qb and |C|^2, the spectrum w of X
 with the transfer M = A^{1/2} Q, and, for the chains that need A <= B, the
-verdict of that check. Each field is computed on first use and kept on A for its last
-partner B, as ``eig`` is kept on a matrix; a call with another B replaces
-the context. So a sweep, which rebuilds the chains of one drawn pair at
-every grid value, pays the SVD and the Loewner check once per pair. The
-context holds B and arrays, never A: it makes no reference cycle, and it
-dies with A.
+verdict of that check. Each field is computed on first use and kept on A
+for its last partner B, as ``eig`` is kept on a matrix; a call with another
+B replaces the context. So a sweep, which rebuilds the chains of one drawn
+pair at every grid value, pays the SVD and the Loewner check once per pair.
+
+The context also keeps, for its last call only, what a sweep asks again at
+the next grid value: the rows w^t of that call's exponents (``powers``:
+the refinement's four weights, with the squared chain's target), and,
+through M's ``linalg._Transfer``, the column norms of M that the sweep
+gain reads and the last v_k - v_0 -> lambda_max of the gap. A depth sweep
+moves only the refinement's last point, so it powers one new row per grid
+value, and the gap's congruence and ``eigh`` run once per pair. A kept
+value has the bits a fresh evaluation gives, and a context is stored only
+once it is fully built. It holds B and arrays, never A: it makes no
+reference cycle, and it dies with A.
 """
 
 from __future__ import annotations
@@ -40,9 +49,12 @@ from .linalg import (
     OperatorChain,
     SpdMatrix,
     _as_spd,
+    _Transfer,
     _congruence,
     _eigh_array,
     _freeze,
+    _keep,
+    _recall,
     _spectrum_powers,
     loewner_leq,
 )
@@ -66,18 +78,22 @@ class _Pair:
       ``c2`` = |C|^2 entrywise;
     * ``w`` and ``m``: X = A^{-1/2} B A^{-1/2} = Q diag(w) Q*, pushed back as
       A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with the read-only
-      M = A^{1/2} Q; an ``OperatorChain`` holds M and the rows f(w). In the
-      recorded eigenbases of A and B, X = Qa G G* Qa* with the graded
-      G = diag(wa^{-1/2}) C diag(wb^{1/2}) = P diag(s) V*, so w = s^2 and
-      M = Qa diag(wa^{1/2}) P: no power of A or B is assembled, and the SVD
-      of the graded G keeps the small end of the spectrum accurate relative
-      to itself (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992);
-    * ``leq``: the verdict of A <= B, set by ``_require_loewner_leq``.
+      M = A^{1/2} Q; an ``OperatorChain`` holds M's ``transfer`` and the
+      rows f(w). In the recorded eigenbases of A and B, X = Qa G G* Qa*
+      with the graded G = diag(wa^{-1/2}) C diag(wb^{1/2}) = P diag(s) V*,
+      so w = s^2 and M = Qa diag(wa^{1/2}) P: no power of A or B is
+      assembled, and the SVD of the graded G keeps the small end of the
+      spectrum accurate relative to itself (Demmel & Veselic, SIAM J.
+      Matrix Anal. Appl. 13(4), 1992);
+    * ``leq``: the verdict of A <= B, set by ``_require_loewner_leq``;
+    * the exponents and rows of the last ``powers`` call.
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         self.b, self.wa, self.qa = b, a.eig.eigenvalues, a.eig.eigenvectors
+        self.held = (b,)  # what the context refers to (``_keep``)
         self.leq = None
+        self._powers = None
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -92,7 +108,7 @@ class _Pair:
         return _graded(self.wa, self.b.eig.eigenvalues, y, left, right)
 
     @cached_property
-    def _transfer(self) -> tuple[np.ndarray, np.ndarray]:
+    def _spectrum(self) -> tuple[np.ndarray, _Transfer]:
         try:
             p, s, _ = np.linalg.svd(self.graded(self.c, [-0.5], [0.5])[0])
         except np.linalg.LinAlgError as exc:
@@ -100,29 +116,41 @@ class _Pair:
         w = s[::-1] ** 2
         if w[0] <= 0.0:
             raise DomainError(f"matrix is not positive definite: lambda_min = {w[0]:.6e}")
-        return w, _freeze((self.qa * _spectrum_powers(self.wa, [0.5])[0]) @ p[:, ::-1])
+        m = (self.qa * _spectrum_powers(self.wa, [0.5])[0]) @ p[:, ::-1]
+        return w, _Transfer(_freeze(m))
 
     @property
     def w(self) -> np.ndarray:
-        return self._transfer[0]
+        return self._spectrum[0]
+
+    @property
+    def transfer(self) -> _Transfer:
+        return self._spectrum[1]
 
     @property
     def m(self) -> np.ndarray:
-        return self._transfer[1]
+        return self.transfer.m
+
+    def powers(self, ts: list) -> np.ndarray:
+        """The read-only rows ``_spectrum_powers(w, ts)``, computing only the
+        exponents that the last call did not have (``_recall``); ``ts`` is
+        kept as given, so callers pass a list they do not change."""
+        rows = _freeze(_recall(self._powers, ts, lambda todo: _spectrum_powers(self.w, todo)))
+        self._powers = ts, rows
+        return rows
 
 
 def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
     """The context of (A, B): the one kept on A if its partner is this B,
     else a new one, which replaces it. A new context is not kept where it
-    would close a reference cycle: for B = A, or for a B that keeps a
-    context of A."""
+    would close a reference cycle (``_keep``): for B = A, or for a B that
+    keeps a context holding A."""
     pair = a.__dict__.get("_pair")
     if pair is None or pair.b is not b:
         if a.n != b.n:
             raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
         pair = _Pair(a, b)
-        if b is not a and getattr(b.__dict__.get("_pair"), "b", None) is not a:
-            a.__dict__["_pair"] = pair
+        _keep(a, "_pair", pair)
     return pair
 
 
@@ -135,7 +163,7 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
 def geometric_mean(a, b, nu: float) -> SpdMatrix:
     """A #_nu B for any real nu; always positive definite on SPD input."""
     t = _pair(_as_spd(a), _as_spd(b))
-    return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(t.w, [nu])[0]))
+    return SpdMatrix._exact(_congruence(t.m, t.powers([nu])[0]))
 
 
 def harmonic_mean(a, b, nu: float) -> SpdMatrix:
@@ -161,17 +189,24 @@ def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:
     return pair
 
 
-def _power_refinement(t: _Pair, nu: float, depth: int, shift: float = 0.0):
+def _power_refinement(t: _Pair, nu: float, depth: int, shift: float = 0.0, more=()):
     """The convex refinement of v |-> w^{shift+v} over the spectrum w of X,
     anchored at 0 for nu >= 0 and at 1 for nu <= -1, with its closed-form
-    drop from the f(e) of its one ``_spectrum_powers`` call, which checks
-    every power of w."""
+    drop from the f(e) of its one ``powers`` call, which checks every power
+    of w. The rows w^t at the exponents ``more`` come from the same call,
+    after the chain's three values."""
     log_w = np.log(t.w)
     anchor, log_r = ("a", log_w) if weight_branch(nu) > 0 else ("b", -log_w)
-    return _convex_refinement(
-        lambda vs: list(_spectrum_powers(t.w, [shift + v for v in vs])), 0.0, 1.0, nu, depth,
-        anchor, lambda fe: _power_drop(fe, log_r, depth, np.expm1),
+    rows = []
+
+    def values(vs):
+        rows.extend(t.powers([shift + v for v in vs] + list(more)))
+        return rows[:len(vs)]
+
+    chain = _convex_refinement(
+        values, 0.0, 1.0, nu, depth, anchor, lambda fe: _power_drop(fe, log_r, depth, np.expm1)
     )
+    return (*chain, *rows[4:])
 
 
 def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -186,7 +221,7 @@ def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
     """
     depth = _check_depth(depth)
     t = _pair(_as_spd(a), _as_spd(b))
-    return OperatorChain(("arith", "refined", "geom"), t.m, _power_refinement(t, nu, depth))
+    return OperatorChain(("arith", "refined", "geom"), t.transfer, _power_refinement(t, nu, depth))
 
 
 def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -211,14 +246,15 @@ def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
     depth = _check_depth(depth)
     t = _pair(_as_spd(a), _as_spd(b))
     w = t.w
-    secant, refined, _ = _power_refinement(t, nu, depth, 0.0 if branch > 0 else 1.0)
+    secant, refined, _, power = _power_refinement(
+        t, nu, depth, 0.0 if branch > 0 else 1.0, [-2.0 * nu]
+    )
     if branch > 0:
         label, base, extra = "scaled_arith", (1.0 + nu) * secant, nu ** 2 * (1.0 - w) + nu * w
     else:
         label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
-    target = _spectrum_powers(w, [-2.0 * nu])[0] + extra
-    values = (base, base + 2.0 * (refined - secant), target)
-    return OperatorChain((label, "refined", "target"), t.m, values)
+    values = (base, base + 2.0 * (refined - secant), power + extra)
+    return OperatorChain((label, "refined", "target"), t.transfer, values)
 
 
 def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -246,7 +282,7 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     values = _convex_refinement(
         lambda vs: [h(v) for v in vs], 0.0, 1.0, nu, depth, "a", ch / (1.0 + ch)
     )
-    return OperatorChain(("arith", "refined", "harm"), t.m, values)
+    return OperatorChain(("arith", "refined", "harm"), t.transfer, values)
 
 
 def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
@@ -272,7 +308,7 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
     d = (1.0 + nu) - nu / w
     if np.min(d) <= 0.0:
         raise DomainError("harmonic resolvent not positive on the spectrum")
-    return OperatorChain(("geom_kantorovich", "harm"), t.m, (lo, 1.0 / d))
+    return OperatorChain(("geom_kantorovich", "harm"), t.transfer, (lo, 1.0 / d))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,19 @@ invariance, so no power of A or B is assembled, and one SVD takes every
 norm of the stack (``_norms_of``). Single values (``norm_functional``,
 ``heinz_norm``) are the same kernel on a stack of one, and a value does not
 depend on the stack it is computed in.
+
+So a kernel call need not compute what it already knows. Each (A, B, X,
+kind) has an evaluation context (``_context``) that holds Y = Qa* X Qb and
+the norm at each exponent pair of its last kernel call, and a call powers
+and takes the SVD of only the pairs that call did not have, each pair once
+(the Heinz kernel's are canonical: weights 0 and 1 are one pair). The
+context is kept on A for its last (B, X, kind), and only the last call's
+values are kept, so a sweep of any length holds one call's worth per
+instance; a refinement chain reads four weights, and a depth sweep moves
+only one of them. Only an X that cannot change gets a kept context: a
+``ComplexMatrix``, or a read-only ndarray that owns its data (an array
+made writable again and changed in place is not seen). Any other X is
+evaluated afresh at every call, as the miss path of the same kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .linalg import _arr, _as_spd, _spectrum_powers
+from .linalg import (
+    ComplexMatrix,
+    _arr,
+    _as_spd,
+    _finite,
+    _freeze,
+    _keep,
+    _recall,
+    _spectrum_powers,
+)
 from .scalar import (
     ScalarChain,
     _check_depth,
@@ -81,19 +103,21 @@ class NormKind:
         """The norm of descending singular values along the last axis.
 
         A float for one vector, an array for a stack of them; each row's
-        value is the one its vector alone would give.
+        value is the one its vector alone would give. Sums are
+        ``np.add.reduce``: ``np.sum``'s bits without its dispatch.
         """
+        total = np.add.reduce
         if self.family == "kyfan":
-            out = np.sum(sigma[..., : int(self.param)], axis=-1)  # k > n clamps to n
+            out = total(sigma[..., : int(self.param)], axis=-1)  # k > n clamps to n
         elif self.param == 1.0:
-            out = np.sum(sigma, axis=-1)
+            out = total(sigma, axis=-1)
         elif self.param == 2.0:
-            out = np.sqrt(np.sum(sigma * sigma, axis=-1))
+            out = np.sqrt(total(sigma * sigma, axis=-1))
         else:
             # Row by row: a broadcast power can differ in the last bit.
             p = self.param
             rows = sigma.reshape(-1, sigma.shape[-1])
-            out = np.array([np.sum(r ** p) ** (1.0 / p) for r in rows])
+            out = np.array([total(r ** p) ** (1.0 / p) for r in rows])
             out = out.reshape(sigma.shape[:-1])
         return float(out) if out.ndim == 0 else out
 
@@ -116,7 +140,7 @@ DEFAULT_NORM_KINDS: tuple[NormKind, ...] = (
 def _singular_values(stack: np.ndarray) -> np.ndarray:
     """Singular values of a matrix or a stack of them, descending along the
     last axis, by LAPACK's SVD (``numpy.linalg.svd``)."""
-    if not np.isfinite(stack).all():
+    if not _finite(stack):
         raise DomainError("matrix entries must be finite")
     try:
         return np.linalg.svd(stack, compute_uv=False)
@@ -143,7 +167,8 @@ def ui_norm(x, kind: NormKind) -> float:
 
 
 # Batched kernels: each evaluates a functional of the weight on a whole list
-# of weights, in the eigenbases of A and B, with one SVD.
+# of weights, in the eigenbases of A and B, with one SVD, through the
+# context of (A, B, X, kind).
 
 def _graded(wa, wb, y, left, right) -> np.ndarray:
     """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
@@ -154,29 +179,102 @@ def _graded(wa, wb, y, left, right) -> np.ndarray:
     return y * pa[:, :, None] * pb[:, None, :]
 
 
-def _products(a, b, x, left, right) -> np.ndarray:
-    """``_graded`` of Y = Qa* X Qb: each slice is unitarily equivalent to
-    A^{left_i} X B^{right_i}, so it has that product's norms."""
-    y = a.eig.eigenvectors.conj().T @ _arr(x) @ b.eig.eigenvectors
-    return _graded(a.eig.eigenvalues, b.eig.eigenvalues, y, left, right)
+class _Context:
+    """The evaluation context of (A, B, X, kind): Y = Qa* X Qb in the
+    eigenbases of A and B, whose graded slices are unitarily equivalent to
+    A^l X B^r, and the exponents and norms of the last ``norms`` call."""
+
+    __slots__ = ("b", "x", "kind", "held", "wa", "wb", "y", "last")
+
+    def __init__(self, a, b, x, kind: NormKind):
+        self.b, self.x, self.kind, self.held = b, x, kind, (b, x)
+        self.wa, self.wb = a.eig.eigenvalues, b.eig.eigenvalues
+        self.y = a.eig.eigenvectors.conj().T @ _arr(x) @ b.eig.eigenvectors
+        self.last = None
+
+    def _stack(self, left, right, paired: bool) -> np.ndarray:
+        s = _graded(self.wa, self.wb, self.y, left, right)
+        if paired:
+            k = len(s) // 2
+            s = s[:k] + s[k:]
+        return s
+
+    def norms(self, left, right, paired: bool) -> np.ndarray:
+        """The norm of slice i of the exponent pairs (left_i, right_i), or,
+        ``paired``, of the sum of slices i and k + i of 2k pairs; one SVD.
+
+        A call stacks each distinct key (its exponents) once, and only the
+        keys that the last call lacked (``_recall``). A first call whose
+        left exponents are distinct has distinct keys: it stacks them as
+        given, and its exponents are kept as they are, to be made keys only
+        if another call comes. So callers pass exponent lists that they do
+        not change afterwards, and read the values without writing them.
+        """
+        last = self.last
+        if last is None and len(set(left)) == len(left):
+            values = _norms_of(self._stack(left, right, paired), self.kind)
+        else:
+            def compute(todo):
+                return _norms_of(self._stack(*_exponents(todo, paired), paired), self.kind)
+
+            if last is not None:
+                last = _keys(*last[:3]), last[3]
+            values = _recall(last, _keys(left, right, paired), compute)
+        self.last = left, right, paired, _freeze(values)
+        return values
+
+
+def _keys(left, right, paired: bool) -> list:
+    """The key of each norm: its exponent pair, or its two pairs."""
+    if paired:
+        k = len(left) // 2
+        return list(zip(left[:k], right[:k], left[k:], right[k:]))
+    return list(zip(left, right))
+
+
+def _exponents(keys, paired: bool) -> tuple[list, list]:
+    """The left and right exponent lists of ``keys`` (``_keys`` inverted)."""
+    if paired:
+        return ([q[0] for q in keys] + [q[2] for q in keys],
+                [q[1] for q in keys] + [q[3] for q in keys])
+    return [l for l, _ in keys], [r for _, r in keys]
+
+
+def _context(a, b, x, kind: NormKind) -> _Context:
+    """The context kept on A if it is for this (B, X, kind), else a new one.
+    A new one replaces the kept one only for an X that cannot change (see
+    the module docstring), and only where it closes no reference cycle
+    (``_keep``)."""
+    ctx = a.__dict__.get("_norms")
+    if ctx is not None and ctx.b is b and ctx.x is x and ctx.kind == kind:
+        return ctx
+    ctx = _Context(a, b, x, kind)
+    if isinstance(x, ComplexMatrix) or (
+        isinstance(x, np.ndarray) and x.base is None and not x.flags.writeable
+    ):
+        _keep(a, "_norms", ctx)
+    return ctx
+
+
+def _product_norms(a, b, x, left, right, kind: NormKind) -> np.ndarray:
+    """||A^{l_i} X B^{r_i}|| for each exponent pair (l_i, r_i)."""
+    return _context(a, b, x, kind).norms(left, right, False)
 
 
 def _paired_norms(a, b, x, left, right, kind: NormKind) -> np.ndarray:
     """||A^{l_i} X B^{r_i} + A^{l_{k+i}} X B^{r_{k+i}}|| for 2k exponent pairs."""
-    s = _products(a, b, x, left, right)
-    k = s.shape[0] // 2
-    return _norms_of(s[:k] + s[k:], kind)
+    return _context(a, b, x, kind).norms(left, right, True)
 
 
 def _functional_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
     """f(v) = ||A^{1-v} X B^v|| at every weight in ``vs``."""
-    return _norms_of(_products(a, b, x, [1.0 - v for v in vs], vs), kind)
+    return _product_norms(a, b, x, [1.0 - v for v in vs], list(vs), kind)
 
 
 def _two_sided_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
     """g(v) = ||A^{1-v} X B^{1-v}|| at every weight in ``vs``."""
     ws = [1.0 - v for v in vs]
-    return _norms_of(_products(a, b, x, ws, ws), kind)
+    return _product_norms(a, b, x, ws, ws, kind)
 
 
 def _heinz_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
@@ -250,7 +348,7 @@ def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("combined_norm_chain requires nu >= 0")
-    fa, fb = _norms_of(_products(a, b, x, [1.0, 0.0], [0.0, 1.0]), kind).tolist()
+    fa, fb = _product_norms(a, b, x, [1.0, 0.0], [0.0, 1.0], kind).tolist()
     scalar_part = young_reverse_chain(fa, fb, nu, depth)
     norm_part = norm_reverse_chain(a, b, x, nu, depth, kind)
     return ScalarChain(
@@ -329,7 +427,7 @@ def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) 
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
     a, b = _as_spd(a), _as_spd(b)
-    return _interpolated_values(a, b, x, p, q, rs, kind)
+    return _interpolated_values(a, b, x, p, q, rs, kind).copy()  # the context keeps the original
 
 
 def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> float:
@@ -359,4 +457,4 @@ def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     split = int(np.argmin(np.abs(grid - 0.5)))
     down = (vals[:split] - vals[1 : split + 1]) / scale
     up = (vals[split + 1 :] - vals[split:-1]) / scale
-    return np.concatenate([down, up]), vals
+    return np.concatenate([down, up]), vals.copy()  # the context keeps the original

@@ -14,7 +14,9 @@ is NaN. A difference that overflows raises DomainError.
 
 The harness takes each instance's slacks and gap from ``_chain_verdict`` in
 one pass: Python floats for a scalar chain, the rows and one ``eigh`` of
-the end-to-end difference for an operator chain. ``chain_slacks`` and
+the end-to-end difference for an operator chain (kept by the chain's
+transfer for its last difference, so the chains of one pair that share
+their ends, as a depth sweep's do, pay it once). ``chain_slacks`` and
 ``chain_gap`` (the sweep's path) return the same slacks and gap on their
 own.
 """
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .linalg import OperatorChain, _congruence, _eigh_array
+from .linalg import OperatorChain
 from .scalar import ScalarChain
 
 CSV_HEADER = "case,instances,skipped,failures,min_slack,max_gap"
@@ -95,21 +97,24 @@ def _operator_slacks(chain: OperatorChain) -> list[float]:
     """Per-eigenvalue link slacks of an operator chain, from its rows."""
     v = chain.values
     d = v[1:] - v[:-1]
-    if np.isinf(d).any():
+    if np.logical_or.reduce(np.isinf(d), axis=None):  # np.isinf(d).any(), without its dispatch
         raise DomainError("chain link differences must be finite")
     mag = np.abs(v)
     scale = np.maximum(mag[:-1], mag[1:])
-    return np.divide(d, scale, out=np.zeros_like(d), where=scale > 0.0).min(axis=1).tolist()
+    slacks = np.divide(d, scale, out=np.zeros_like(d), where=scale > 0.0)
+    return np.minimum.reduce(slacks, axis=1).tolist()
 
 
 def _operator_gap(chain: OperatorChain) -> float:
     """lambda_max(X_k - X_0) = lambda_max(M diag(v_k - v_0) M*): one
-    congruence and one ``eigh``. Congruence keeps inertia, not magnitudes,
-    so the gap cannot be read off the rows."""
+    congruence and one ``eigh``, which the chain's transfer skips when its
+    last gap had the same v_k - v_0 (a depth sweep moves neither end).
+    Congruence keeps inertia, not magnitudes, so the gap cannot be read off
+    the rows."""
     d = chain.values[-1] - chain.values[0]
-    if np.isinf(d).any():
+    if np.logical_or.reduce(np.isinf(d), axis=None):
         raise DomainError("matrix entries must be finite")
-    return float(_eigh_array(_congruence(chain.m, d))[0][-1])
+    return chain.transfer.max_eig(d)
 
 
 def _chain_verdict(chain) -> tuple[list[float], float]:

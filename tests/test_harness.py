@@ -16,7 +16,7 @@ from matmeans import (
     arithmetic_mean,
     harmonic_mean,
 )
-from matmeans import harness, linalg, reporting
+from matmeans import harness, linalg, norms, reporting
 from matmeans.harness import Built, CaseConfig
 from matmeans.reporting import (
     aggregate_report,
@@ -430,9 +430,33 @@ class TestStreamSeeding:
         monkeypatch.setattr(
             harness, "_new_generator", lambda: generators.append(1) or new_generator()
         )
-        harness.sweep("operator_reverse_pos", "depth", [1, 2, 3], instances=6)
-        assert [list(a[2]) for a in blocks] == [list(range(6))]
-        assert len(generators) == 1
+        # A scalar case's draws are kept in the sweep's memo too.
+        for name in ("operator_reverse_pos", "young_reverse_pos"):
+            blocks.clear()
+            generators.clear()
+            harness.sweep(name, "depth", [1, 2, 3], instances=6)
+            assert [list(a[2]) for a in blocks] == [list(range(6))], name
+            assert len(generators) == 1, name
+        # run_case builds each scalar draw at once, before the next draw,
+        # and keeps none; a sweep draws once and builds at every value.
+        case, events = harness.REGISTRY["young_reverse_pos"], []
+
+        def draw(rng, cfg, cond):
+            events.append("draw")
+            return case.draw(rng, cfg, cond)
+
+        def build(**args):
+            events.append("build")
+            return case.build(**args)
+
+        monkeypatch.setitem(
+            harness.REGISTRY, case.name, dataclasses.replace(case, draw=draw, build=build)
+        )
+        harness.run_case(case.name, instances=3)
+        assert events == ["draw", "build"] * 3
+        events.clear()
+        harness.sweep(case.name, "depth", [1, 2], instances=3)
+        assert events == ["draw"] * 3 + ["build"] * 6
 
 
 class TestSweep:
@@ -742,12 +766,31 @@ def _hex_rows(rows) -> list[tuple[str, str, str]]:
 class TestSweepReuse:
     """A sweep draws each instance's inputs once per cond, with unchanged results."""
 
-    SWEEPS = (("depth", [1, 3, 6]), ("nu", [0.0, 1.5, 3.0]), ("cond", [2.0, 50.0]))
+    # Grids that rise, that revisit a value and that reverse: a rebuild that
+    # reused a value its pin moved would show at the repeated or lower one.
+    SWEEPS = (
+        ("depth", [1, 3, 6]),
+        ("depth", [6, 1, 6, 3]),
+        ("nu", [0.0, 1.5, 3.0]),
+        ("nu", [3.0, 0.0, 3.0]),
+        ("cond", [2.0, 50.0]),
+    )
+    NEG_NU = {(0.0, 1.5, 3.0): [-1.0, -2.5, -4.0], (3.0, 0.0, 3.0): [-4.0, -1.0, -4.0]}
 
     def test_rows_equal_fresh_builds(self):
-        k = 4
-        for name in ("operator_reverse_pos", "norm_heinz_power", "heinz_reverse", "trace_additive"):
+        # Every sweepable case, scalar, operator, trace, norm and Heinz, on
+        # every grid of its parameters: the rows equal the means of the same
+        # instances built alone, each with nothing kept, bit for bit.
+        k = 3
+        names = [name for name in harness.case_names() if harness.REGISTRY[name].sweep_params]
+        assert len(names) == 24
+        for name in names:
+            case = harness.REGISTRY[name]
             for param, grid in self.SWEEPS:
+                if param not in case.sweep_params:
+                    continue
+                if param == "nu" and case.nu_branch < 0:
+                    grid = self.NEG_NU[tuple(grid)]
                 rows = harness.sweep(name, param, grid, instances=k)
                 expected = []
                 for value in grid:
@@ -760,6 +803,50 @@ class TestSweepReuse:
                         float(np.mean([harness._gain(b) for b in built])),
                     ))
                 assert _hex_rows(rows) == _hex_rows(expected), (name, param)
+
+    def test_contexts_keep_one_call_after_a_long_sweep(self):
+        # After a 32-value depth sweep, each instance's contexts hold the
+        # values of its last build's calls only: the four weights of the
+        # depth-32 chain, and one gap.
+        depths = range(1, 33)
+        m32 = 2.0 ** -32
+        for name in ("operator_reverse_pos", "operator_squared_neg", "norm_heinz_power",
+                     "norm_combined", "heinz_reverse"):
+            case = harness.REGISTRY[name]
+            cfg = harness._config_for(case, {"instances": 3})
+            streams = harness._seated(cfg.seed, name, harness._new_generator())
+            memo = {}
+            for depth in depths:  # each grid value as ``sweep`` reads it
+                for _, built in harness._instances(
+                    case, cfg, {"depth": depth}, range(3), streams, memo
+                ):
+                    built.gap()
+                    harness._gain(built)
+            assert len(memo) == 3
+            for args, _ in memo.values():
+                a, nu = args["a"], args["nu"]
+                if name.startswith("operator"):
+                    pair = a.__dict__["_pair"]
+                    ts, rows = pair._powers
+                    if name == "operator_reverse_pos":
+                        assert ts == [0.0, 1.0, -nu, m32]
+                    else:  # the nu <= -1 branch: shift 1, target exponent -2 nu
+                        assert ts == [1.0, 2.0, 1.0 - nu, 1.0 + (1.0 - m32), -2.0 * nu]
+                    assert rows.shape == (len(ts), pair.w.size)
+                    last_d, _ = pair.transfer._last_max
+                    assert last_d.shape == pair.w.shape
+                    continue
+                left, right, paired, values = a.__dict__["_norms"].last
+                keys = norms._keys(left, right, paired)
+                assert len(keys) == len(values), name
+                if name == "heinz_reverse":  # pairs canonical about 1/2
+                    ts = [abs(v - 0.5) for v in (0.0, 1.0, -nu, m32)]
+                    assert keys == [(0.5 - t, 0.5 + t, 0.5 + t, 0.5 - t) for t in ts]
+                elif name == "norm_heinz_power":
+                    assert keys == [(1.0, 1.0), (0.0, 0.0), (1.0 + nu, 1.0 + nu),
+                                    (1.0 - m32, 1.0 - m32)]
+                else:  # combined: the norm chain's call comes after ||AX||, ||XB||
+                    assert keys == [(1.0, 0.0), (0.0, 1.0), (1.0 + nu, -nu), (1.0 - m32, m32)]
 
     def test_one_assembly_per_dimension_per_block(self, monkeypatch):
         # A block assembles its SPD pairs in one stack per distinct n, in

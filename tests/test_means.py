@@ -39,7 +39,7 @@ from matmeans import (
 )
 from matmeans import harness, linalg, means, norms
 from matmeans.means import OperatorChain
-from matmeans.reporting import chain_passes, chain_slacks
+from matmeans.reporting import chain_gap, chain_passes, chain_slacks
 from matmeans.scalar import _convex_refinement, _logconvex_refinement
 
 
@@ -555,6 +555,42 @@ class TestPairContext:
             fresh = trace_depth1_chain(random_spd(4, 100.0, seed), b1, abs(nu)).values
             assert [v.hex() for v in got] == [v.hex() for v in fresh]
 
+    def test_depth_repeat_powers_only_the_new_point(self, monkeypatch):
+        # A chain powers each distinct exponent of the pair's spectrum once
+        # (the squared chain's target in the same call); a repeat at another
+        # depth powers only its new m_N. Its rows, gap and trace are those
+        # of a chain built on a fresh context, bit for bit.
+        powered, eighs = [], []
+        spectrum_powers, eigh = means._spectrum_powers, linalg._eigh_array
+        monkeypatch.setattr(
+            means, "_spectrum_powers", lambda w, ts: powered.append(len(ts)) or spectrum_powers(w, ts)
+        )
+        monkeypatch.setattr(linalg, "_eigh_array", lambda h: eighs.append(1) or eigh(h))
+        for chain_fn, nu, first in (
+            (operator_reverse_chain, 1.3, 4),
+            (operator_reverse_chain, -2.4, 4),
+            (operator_squared_chain, 0.6, 5),
+            (operator_squared_chain, -1.7, 5),
+        ):
+            a, b = _pair(7)
+            means._pair(a, b).w  # the transfer's own power of A is not counted
+            for depth, want in ((1, first), (4, 1), (16, 1)):
+                powered.clear()
+                eighs.clear()
+                chain = chain_fn(a, b, nu, depth)
+                gap = chain_gap(chain)
+                trace = chain.trace(chain.values[1] - chain.values[0])
+                where = (chain_fn.__name__, nu, depth)
+                assert powered == [want], where
+                assert eighs == ([1] if depth == 1 else []), where
+                kept = a.__dict__.pop("_pair")
+                fresh = chain_fn(a, b, nu, depth)
+                assert chain.values.tobytes() == fresh.values.tobytes(), where
+                assert chain.m.tobytes() == fresh.m.tobytes(), where
+                assert chain_gap(fresh).hex() == gap.hex(), where
+                assert fresh.trace(fresh.values[1] - fresh.values[0]).hex() == trace.hex()
+                a.__dict__["_pair"] = kept
+
     def test_unordered_pair_raises_on_every_call(self):
         a, b = _diag(2.0, 1.0), _diag(1.0, 2.0)
         operator_reverse_chain(a, b, 1.0, 3)  # the transfer is now kept on A
@@ -632,6 +668,20 @@ class TestOperatorChainType:
         assert assembled == [(3,), (3,)]
         np.testing.assert_allclose(first[1].a, (a.a * [2.0, 3.0, 4.0]) @ a.a, rtol=1e-14)
         assert not chain.values.flags.writeable
+
+    def test_transfer_from_an_array_is_a_copy(self):
+        # A chain keeps what it reads of M (the gap, the trace's column
+        # norms), so it holds its own read-only copy of an array M: a later
+        # change to the caller's array moves none of its values.
+        m = random_spd(3, 10, 4).a.copy()
+        rows = [[1.0, 2.0, 3.0], [2.0, 3.5, 4.0]]
+        chain = OperatorChain(("lo", "hi"), m, rows)
+        gap, trace = chain_gap(chain), chain.trace(np.ones(3))
+        m *= 2.0
+        fresh = OperatorChain(("lo", "hi"), m / 2.0, rows)
+        assert not chain.m.flags.writeable and chain.m is not m
+        assert chain_gap(chain) == gap == chain_gap(fresh)
+        assert chain.trace(np.ones(3)) == trace == fresh.trace(np.ones(3))
 
 
 class TestImportOrder:

@@ -1,12 +1,17 @@
 """Tests for singular values, unitarily invariant norms, and the Heinz family."""
 
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from matmeans import (
     DEFAULT_NORM_KINDS,
+    ComplexMatrix,
     ConvergenceError,
     DomainError,
     NormKind,
@@ -21,6 +26,7 @@ from matmeans import (
     norm_heinz_chain,
     norm_reverse_chain,
     norms,
+    operator_reverse_chain,
     random_spd,
     random_unitary,
     singular_values,
@@ -236,9 +242,13 @@ class TestNormChains:
     def test_each_weight_evaluated_once(self, monkeypatch):
         # The refinement telescopes to four weights: 0, 1, the target weight
         # and 2^-depth (1 - 2^-depth on the nu <= -1 branch). Each chain hands
-        # its kernel each of them once, the kernel powers the spectra of A
-        # and B in one call each (the Heinz kernel at the two exponents of
-        # each weight), and takes the norms of that stack with one SVD.
+        # its kernel each of them once. On a fresh (A, B, X, kind) the kernel
+        # stacks each distinct weight once (the Heinz kernel's 0 and 1 are one
+        # canonical pair, so 3 there), powers the spectra of A and B in one
+        # call each (the Heinz kernel at the two exponents of each weight),
+        # and takes the norms of that stack with one SVD. The context keeps
+        # the last call's norms, so a repeat at another depth stacks only its
+        # new m_N. Every target equals the fresh single-value function.
         a, b, x = _instance(15)
         kind = NormKind.schatten(3.0)
         nu = 0.7
@@ -251,6 +261,8 @@ class TestNormChains:
             ("_two_sided_values", norm_heinz_chain, nu, two_sided),
             ("_heinz_values", heinz_reverse_chain, nu, heinz_norm(a, b, x, -nu, kind)),
         )
+        # x is writable, so the targets above kept no context.
+        assert "_norms" not in a.__dict__
         stacks, powered = [], []
         norms_of, spectrum_powers = norms._norms_of, norms._spectrum_powers
         monkeypatch.setattr(
@@ -262,24 +274,28 @@ class TestNormChains:
             lambda m, ts: powered.append(len(ts)) or spectrum_powers(m, ts),
         )
         for name, chain_fn, weight, target in cases:
+            # A fresh read-only copy of X: a fresh context, with the same Y.
+            fresh_x = x.copy()
+            fresh_x.setflags(write=False)
             weights = []
             fn = getattr(norms, name)
             monkeypatch.setattr(
                 norms, name, lambda a, b, x, vs, k, fn=fn: weights.append(list(vs)) or fn(a, b, x, vs, k)
             )
-            rows = 8 if name == "_heinz_values" else 4
-            for depth in (1, 4, 16):
+            heinz = name == "_heinz_values"
+            for depth, stacked in ((1, 3 if heinz else 4), (4, 1), (16, 1)):
                 weights.clear()
                 stacks.clear()
                 powered.clear()
-                chain = chain_fn(a, b, x, weight, depth, kind)
-                assert len(weights) == 1, (chain_fn.__name__, weight, depth)
-                assert len(set(weights[0])) == len(weights[0]) == 4, (
-                    chain_fn.__name__, weight, depth
-                )
-                assert stacks == [4], (chain_fn.__name__, weight, depth)
-                assert powered == [rows, rows], (chain_fn.__name__, weight, depth)
-                assert chain.value("target") == target, (chain_fn.__name__, weight, depth)
+                chain = chain_fn(a, b, fresh_x, weight, depth, kind)
+                where = (chain_fn.__name__, weight, depth)
+                assert a.__dict__["_norms"].x is fresh_x, where
+                assert len(weights) == 1, where
+                assert len(set(weights[0])) == len(weights[0]) == 4, where
+                assert stacks == [stacked], where
+                rows = 2 * stacked if heinz else stacked
+                assert powered == [rows, rows], where
+                assert chain.value("target") == target, where
             monkeypatch.setattr(norms, name, fn)
 
     def test_chains_are_the_refinements_of_their_functionals(self):
@@ -475,3 +491,143 @@ class TestHeinzFamily:
             )
             got = heinz_norm(a, b, x, nu, NormKind.trace_norm())
             assert got == pytest.approx(expected, rel=1e-10)
+
+
+class TestEvaluationContext:
+    """Each (A, B, X, kind) keeps Y and the norms of its last kernel call on
+    A, for an X that cannot change; values never depend on what was kept."""
+
+    CHAINS = (norm_reverse_chain, norm_heinz_chain, heinz_reverse_chain, combined_norm_chain)
+
+    @staticmethod
+    def _frozen(x):
+        x = np.array(x)
+        x.setflags(write=False)
+        return x
+
+    def _values(self, a, b, x, kind):
+        # Every public chain at two depths, then the two single values.
+        out = []
+        for chain_fn in self.CHAINS:
+            for depth in (2, 5):
+                out.extend(chain_fn(a, b, x, 0.8, depth, kind).values)
+        out.append(norm_functional(a, b, x, 0.3, kind))
+        out.append(heinz_norm(a, b, x, -0.4, kind))
+        return [v.hex() for v in out]
+
+    def test_writable_x_changed_in_place_gives_the_fresh_value(self):
+        a, b, x = _instance(40)
+        kind = NormKind.frobenius()
+        base = x.copy()
+        view = base[:]  # read-only, but it does not own its data
+        view.setflags(write=False)
+        for arg, source in ((x, x), (view, base)):
+            before = self._values(a, b, arg, kind)
+            source[0, 1] += 0.5
+            after = self._values(a, b, arg, kind)
+            assert "_norms" not in a.__dict__
+            # A fresh copy of the changed X: nothing kept.
+            fresh = self._values(a, b, np.array(arg), kind)
+            assert after == fresh
+            assert after != before
+
+    def test_kept_context_gives_the_fresh_values(self):
+        # The same calls, in the same order, on a kept context and with a
+        # writable copy of X (a fresh evaluation at every call): bit for bit.
+        for seed, n in ((41, 2), (42, 4), (43, 6)):
+            a, b, x = _instance(seed, n=n)
+            for kind in ALL_KINDS:
+                kept = self._values(a, b, self._frozen(x), kind)
+                assert a.__dict__["_norms"].kind == kind
+                assert kept == self._values(a, b, x.copy(), kind), (seed, str(kind))
+
+    def test_change_of_b_x_or_kind_replaces_the_context(self):
+        a, b, x = _instance(44)
+        x = self._frozen(x)
+        b2 = random_spd(3, 50.0, np.random.default_rng(45))
+        x2 = self._frozen(x + 1.0)
+        kind, kind2 = NormKind.spectral(), NormKind.schatten(3.0)
+        first = self._values(a, b, x, kind)
+        ctx = a.__dict__["_norms"]
+        assert ctx.b is b and ctx.x is x and ctx.kind == kind
+        for bb, xx, kk in ((b2, x, kind), (b, x2, kind), (b, x, kind2), (b, x, kind)):
+            got = self._values(a, bb, xx, kk)
+            new = a.__dict__["_norms"]
+            assert new is not ctx and new.b is bb and new.x is xx and new.kind == kk
+            assert got == self._values(a, bb, np.array(xx), kk)
+            ctx = new
+        assert got == first
+        # A ComplexMatrix X keeps a context too; the same (B, X, kind) reuses it.
+        cm = ComplexMatrix(x)
+        heinz_norm(a, b, cm, 0.2, kind)
+        ctx = a.__dict__["_norms"]
+        assert ctx.x is cm
+        heinz_norm(a, b, cm, 0.7, kind)
+        assert a.__dict__["_norms"] is ctx
+
+    def test_context_dies_with_its_matrix(self):
+        # No reference cycle through the contexts of norms and means: A and
+        # B are freed by their reference counts alone, also where X is A,
+        # the pair is used both ways round, or B keeps a pair context of A.
+        gc.disable()
+        try:
+            a, b, x = _instance(46)
+            x = self._frozen(x)
+            norm_reverse_chain(a, b, x, 1.0, 3, NormKind.spectral())
+            heinz_reverse_chain(b, a, x, 1.0, 3, NormKind.spectral())
+            heinz_norm(a, b, a, 0.3, NormKind.spectral())
+            operator_reverse_chain(b, a, 1.0, 4)
+            norm_heinz_chain(a, b, x, 1.0, 3, NormKind.spectral())
+            refs = weakref.ref(a), weakref.ref(b)
+            del a
+            assert refs[0]() is None
+            del b
+            assert refs[1]() is None
+        finally:
+            gc.enable()
+
+    def test_threads_sharing_contexts_get_the_fresh_values(self):
+        # Threads that race on the contexts of shared matrices, through
+        # chains at different depths, weights and kinds, each get exactly the
+        # values of a fresh evaluation: a kept value never depends on which
+        # call or thread kept it.
+        a, b, x = _instance(47, n=4)
+        x = self._frozen(x)
+        jobs = [
+            (chain_fn, kind, nu, depth)
+            for chain_fn in (norm_reverse_chain, norm_heinz_chain, heinz_reverse_chain)
+            for kind in (NormKind.spectral(), NormKind.frobenius())
+            for nu in (0.4, 2.5)
+            for depth in (1, 3, 9)
+        ]
+        want = {job: job[0](a, b, np.array(x), job[2], job[3], job[1]).values for job in jobs}
+        assert "_norms" not in a.__dict__
+        errors = []
+
+        def work(seed):
+            order = np.random.default_rng(seed).permutation(len(jobs))
+            try:
+                for _ in range(3):
+                    for i in order:
+                        chain_fn, kind, nu, depth = job = jobs[i]
+                        got = chain_fn(a, b, x, nu, depth, kind).values
+                        if [v.hex() for v in got] != [v.hex() for v in want[job]]:
+                            errors.append(job)
+                            return
+                        operator_reverse_chain(a, b, nu, depth)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert "_norms" in a.__dict__

@@ -131,10 +131,9 @@ def _harmonic_curvature_scaled(x, y, nu, fault):
 def _norm_collapse_exponent_lowered(a, b, x, kind, nu, fault):
     """``norm_collapse_depth1`` with the exponent 2 nu of f(1/2) on both
     right-hand sides made 2 nu - fault."""
-    products = norms._products(
-        a, b, x, [0.5, 1.0 + nu, 1.0, 1.0, 1.0 + nu], [0.5, -nu, 0.0, 1.0, 1.0 + nu]
-    )
-    half, f_end, f_ax, g0, g_end = norms._norms_of(products, kind).tolist()
+    half, f_end, f_ax, g0, g_end = norms._product_norms(
+        a, b, x, [0.5, 1.0 + nu, 1.0, 1.0, 1.0 + nu], [0.5, -nu, 0.0, 1.0, 1.0 + nu], kind
+    ).tolist()
     margins = []
     for lhs_base, end in ((f_ax, f_end), (g0, g_end)):
         lhs = math.exp((1.0 + 2.0 * nu) * math.log(lhs_base))

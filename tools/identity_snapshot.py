@@ -19,7 +19,11 @@ The files:
   are compared at a high condition number too;
 * ``sweeps.txt``: every registered case x ``sweep_params`` series at 6
   instances, on nu {0, 1.5, 3} (or {-1, -2.5, -4} on the nu <= -1 branch),
-  depth {1, 3, 6} and cond {2, 50};
+  depth {1, 3, 6} and cond {2, 50}, and again on grids that revisit a
+  value and reverse: nu [3, 0, 3] (or [-4, -1, -4]) and depth
+  [6, 1, 6, 3]. A rebuild reuses what the evaluation contexts kept from
+  the previous grid value, so a value kept that its pin had moved would
+  show on these lines;
 * ``sweep_depth.txt``: the series of the ``sweep_depth`` benchmark workload
   (depth 1..16, one instance at each dimension n) on seeds 7,
   ``DEFAULT_SEED`` and 11;
@@ -53,8 +57,9 @@ import sys
 from pathlib import Path
 
 SWEEP_INSTANCES = 6
-GRIDS = {"depth": (1, 3, 6), "cond": (2.0, 50.0)}
-NU_GRIDS = {1: (0.0, 1.5, 3.0), -1: (-1.0, -2.5, -4.0)}
+#: Each parameter's grids: rising, then revisiting and reversing.
+GRIDS = {"depth": ((1, 3, 6), (6, 1, 6, 3)), "cond": ((2.0, 50.0),)}
+NU_GRIDS = {1: ((0.0, 1.5, 3.0), (3.0, 0.0, 3.0)), -1: ((-1.0, -2.5, -4.0), (-4.0, -1.0, -4.0))}
 PAYLOAD_INSTANCES = 4
 #: The value ``payloads.txt`` pins each sweep parameter to (nu by branch).
 PINS = {"depth": 3, "cond": 10.0}
@@ -105,8 +110,9 @@ def snapshot(out: Path) -> None:
     for name in harness.case_names():
         case = harness.REGISTRY[name]
         for param in case.sweep_params:
-            grid = NU_GRIDS[-1 if case.nu_branch < 0 else 1] if param == "nu" else GRIDS[param]
-            lines.append(_series(harness, name, param, grid, instances=SWEEP_INSTANCES))
+            grids = NU_GRIDS[-1 if case.nu_branch < 0 else 1] if param == "nu" else GRIDS[param]
+            for grid in grids:
+                lines.append(_series(harness, name, param, grid, instances=SWEEP_INSTANCES))
     (out / "sweeps.txt").write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} sweep series", file=sys.stderr)
 
