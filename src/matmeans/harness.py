@@ -47,9 +47,9 @@ from .linalg import (
 )
 from .reporting import (
     ChainReport,
-    _chain_verdict,
-    _row_fails,
-    aggregate_report,
+    _chain_row,
+    _margin_verdicts,
+    case_report,
     chain_gap,
     reports_to_csv,
 )
@@ -119,8 +119,8 @@ class Built:
 
     A case's build evaluates the instance; the harness then puts the drawn
     parameters in ``drawn``, its matrices as they are. Reading ``payload``
-    serializes them with ``matrix_to_json``. Only failure files read it, so
-    an instance that passes never serializes its inputs.
+    serializes them with ``matrix_to_json``. Only failure files serialize a
+    payload, so an instance that passes never serializes its inputs.
     """
 
     def __init__(self, chain=None, margins=None, refined=None, base=None):
@@ -133,21 +133,34 @@ class Built:
     @property
     def payload(self) -> dict:
         """The replay parameters in the JSON form failure files carry."""
-        return {
-            key: matrix_to_json(v) if isinstance(v, (ComplexMatrix, np.ndarray)) else v
-            for key, v in self.drawn.items()
-        }
+        return _payload_json(self.drawn)
 
     def gap(self) -> float:
         if self.margins is not None:
             return float(np.max(self.margins))
         return chain_gap(self.chain)
 
-    def verdict(self) -> tuple[list[float], float]:
-        """The slack row and the gap, from one pass over the chain."""
+    def value_row(self) -> tuple:
+        """``(decide, row)``: the instance's value row, its margins or its
+        chain's (``reporting._chain_row``), and the block verdict of
+        ``reporting`` that decides it with the other rows of its case."""
         if self.margins is not None:
-            return np.asarray(self.margins, dtype=np.float64).ravel().tolist(), self.gap()
-        return _chain_verdict(self.chain)
+            return _margin_verdicts, np.ravel(self.margins).tolist()
+        return _chain_row(self.chain)
+
+    def verdict(self) -> tuple[list[float], float]:
+        """The slack row and the gap: the block verdict of this row alone."""
+        decide, row = self.value_row()
+        slacks, gaps = decide(np.array([row], dtype=np.float64))
+        return slacks[0].tolist(), float(gaps[0])
+
+
+def _payload_json(drawn: dict) -> dict:
+    """Drawn parameters with their matrices serialized by ``matrix_to_json``."""
+    return {
+        key: matrix_to_json(v) if isinstance(v, (ComplexMatrix, np.ndarray)) else v
+        for key, v in drawn.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -238,16 +251,18 @@ def _seed_words(entropy: bytes) -> np.ndarray:
     return np.ascontiguousarray(words.T).view("<u8")
 
 
-def _entropy(seed: int, case_name: str, index: int) -> bytes:
-    """Instance ``index``'s entropy: the 64-bit blake2b digest of
+def _entropy(seed: int, case_name: str, indices) -> bytes:
+    """Each index's entropy, concatenated: the 64-bit blake2b digest of
     ``"seed:case_name:index"``, read little-endian."""
-    return hashlib.blake2b(f"{seed}:{case_name}:{index}".encode(), digest_size=8).digest()
+    prefix = f"{seed}:{case_name}:"
+    blake2b = hashlib.blake2b
+    return b"".join(blake2b(f"{prefix}{i}".encode(), digest_size=8).digest() for i in indices)
 
 
 def _stream_states(seed: int, case_name: str, indices) -> np.ndarray:
     """The PCG64 seed words of each instance's stream, one row per index:
     those of ``instance_rng``. ``_seat`` starts the stream from the row."""
-    return _seed_words(b"".join(_entropy(seed, case_name, i) for i in indices))
+    return _seed_words(_entropy(seed, case_name, indices))
 
 
 def _new_generator() -> np.random.Generator:
@@ -256,13 +271,13 @@ def _new_generator() -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _seat(rng: np.random.Generator, words: np.ndarray) -> np.random.Generator:
-    """Point ``rng`` at the start of the PCG64 stream seeded by ``words``.
+def _seat(rng: np.random.Generator, s0: int, s1: int, i0: int, i1: int):
+    """Point ``rng`` at the start of the PCG64 stream seeded by the four
+    words of a ``_stream_states`` row, as Python ints.
 
-    PCG64's seeding step, in Python ints: ``inc = (s2:s3) << 1 | 1`` and
+    PCG64's seeding step: ``inc = (i0:i1) << 1 | 1`` and
     ``state = ((s0:s1) + inc) * MULT + inc`` mod 2^128.
     """
-    s0, s1, i0, i1 = words.tolist()
     inc = ((i0 << 64 | i1) << 1 | 1) & _MASK_128
     state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK_128
     rng.bit_generator.state = {
@@ -278,7 +293,7 @@ def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
     """Independent, platform-stable stream for one instance of one case:
     ``np.random.default_rng`` of the instance's ``_entropy``. ``run_case``
     and ``sweep`` seed the same streams a block at a time (``_seated``)."""
-    return np.random.default_rng(int.from_bytes(_entropy(seed, case_name, index), "little"))
+    return np.random.default_rng(int.from_bytes(_entropy(seed, case_name, [index]), "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -911,14 +926,21 @@ _register(
 # ---------------------------------------------------------------------------
 # Execution.
 
+_SEAT_CHUNK = 64
+
+
 def _seated(seed: int, case_name: str, rng: np.random.Generator):
     """The ``streams`` of ``_instances`` for ``run_case`` and ``sweep``: seat
     ``rng`` at the start of each given index's stream in turn, from one
-    ``_stream_states`` block (computed only once a stream is asked for)."""
+    ``_stream_states`` block (computed only once a stream is asked for).
+    The block's words become Python ints ``_SEAT_CHUNK`` rows at a time:
+    one ``tolist`` each, and never the ints of a whole block at once."""
 
     def streams(indices):
-        for words in _stream_states(seed, case_name, indices):
-            yield _seat(rng, words)
+        block = _stream_states(seed, case_name, indices)
+        for start in range(0, len(block), _SEAT_CHUNK):
+            for words in block[start : start + _SEAT_CHUNK].tolist():
+                yield _seat(rng, *words)
 
     return streams
 
@@ -941,7 +963,8 @@ def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, indices, streams, m
        random number of that instance from it, with the condition bound of
        a pinned cond (``forced["cond"]``) or of ``cfg``. Without a ``memo``
        (``run_case``, ``build_instance``), a draw without an SPD pair (a
-       scalar case) is built at once and not kept;
+       scalar case) is built at once and not kept, and when no draw is kept
+       the memo is not read again;
     2. assemble: the SPD pairs of the new draws, one QR and one assembly per
        n (``_assemble_pairs``); the draws are kept in the memo under
        (index, cond);
@@ -957,17 +980,29 @@ def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, indices, streams, m
     pins = {param: value for param, value in forced.items() if param != "cond"}
     keep = memo is not None
     memo = {} if memo is None else memo
-    todo = [i for i in indices if (i, cond) not in memo]
+    todo = [i for i in indices if (i, cond) not in memo] if memo else indices
     for i, rng in zip(todo, streams(todo)):
         args, payload = case.draw(rng, cfg, cond)
         if keep or _PAIR in args:
             memo[i, cond] = args, payload
         else:
             yield i, _built(case, args, payload, pins)
+    if not memo:
+        return
     _assemble_pairs(memo[i, cond] for i in todo if (i, cond) in memo)
     for i in indices:
         if (i, cond) in memo:
             yield i, _built(case, *memo[i, cond], pins)
+
+
+def _payloads(case: CaseDef, cfg: CaseConfig, indices, streams) -> list[dict]:
+    """The payloads of ``indices``, drawn again from their streams with their
+    SPD pairs assembled as in ``_instances``; nothing is built. A pair
+    assembled without its block has the bits it had in it."""
+    cond = float(cfg.cond_max)
+    drawn = [case.draw(rng, cfg, cond) for rng in streams(indices)]
+    _assemble_pairs(drawn)
+    return [payload for _, payload in drawn]
 
 
 def _swept(case: CaseDef, param: str) -> str:
@@ -994,7 +1029,7 @@ def build_instance(name: str, index: int, forced: dict | None = None, **override
     return built
 
 
-def _write_failure(directory: Path, name: str, index: int, built: Built, row, cfg) -> None:
+def _write_failure(directory: Path, name: str, index: int, payload: dict, row, cfg) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     data = {
         "case": name,
@@ -1002,7 +1037,7 @@ def _write_failure(directory: Path, name: str, index: int, built: Built, row, cf
         "seed": cfg.seed,
         "rel_tol": cfg.rel_tol,
         "slacks": row,
-        "params": built.payload,
+        "params": _payload_json(payload),
     }
     (directory / f"{name}-{index:05d}.json").write_text(json.dumps(data, indent=1))
 
@@ -1012,27 +1047,30 @@ def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> 
 
     Deterministic for a fixed config: every instance derives its own RNG
     stream from (seed, case, index), and every index ``0 .. instances - 1``
-    is checked (the report's ``skipped`` is 0). Failing instances are
-    serialized to ``failures_dir`` when given, capped per case.
+    is checked (the report's ``skipped`` is 0). Each instance is built once
+    and leaves only its value row (``Built.value_row``); ``reporting``
+    decides the rows of the whole case in one array pass. When
+    ``failures_dir`` is given, the first failing instances in index order,
+    capped per case, are drawn again from their streams for their payloads
+    and serialized there.
     """
     case = _case(name)
     cfg = _config_for(case, overrides)
-    rows: list[list[float]] = []
-    gaps: list[float] = []
-    written = 0
     streams = _seated(cfg.seed, name, _new_generator())
-    for index, built in _instances(case, cfg, {}, range(cfg.instances), streams):
-        row, gap = built.verdict()
+    verdicts, rows = set(), []
+    for _, built in _instances(case, cfg, {}, range(cfg.instances), streams):
+        decide, row = built.value_row()
+        verdicts.add(decide)
         rows.append(row)
-        gaps.append(gap)
-        if (
-            failures_dir is not None
-            and written < MAX_FAILURE_FILES_PER_CASE
-            and _row_fails(row, cfg.rel_tol)
-        ):
-            _write_failure(Path(failures_dir), name, index, built, row, cfg)
-            written += 1
-    return aggregate_report(name, rows, gaps, cfg.rel_tol, notes=case.description)
+    if len(verdicts) > 1:
+        raise DomainError(f"case {name} produced value rows of more than one kind")
+    report, fails = case_report(name, verdicts.pop(), rows, cfg.rel_tol, notes=case.description)
+    if failures_dir is not None and report.failures:
+        failing = np.flatnonzero(fails)[:MAX_FAILURE_FILES_PER_CASE].tolist()
+        for index, payload in zip(failing, _payloads(case, cfg, failing, streams)):
+            row = report.slacks[index].tolist()
+            _write_failure(Path(failures_dir), name, index, payload, row, cfg)
+    return report
 
 
 def run_suite(

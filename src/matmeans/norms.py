@@ -344,22 +344,30 @@ def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
 
     [ (1+nu)||AX|| - nu||XB||, scalar refined, ||AX||^{1+nu}||XB||^{-nu},
       product refined, ||A^{1+nu} X B^{-nu}|| ].
+
+    One kernel call: ||AX|| and ||XB|| are f(0) and f(1) of the norm
+    functional's own refinement (``norm_reverse_chain``, anchored at 0).
     """
     a, b = _as_spd(a), _as_spd(b)
     if nu < 0.0:
         raise DomainError("combined_norm_chain requires nu >= 0")
-    fa, fb = _product_norms(a, b, x, [1.0, 0.0], [0.0, 1.0], kind).tolist()
-    scalar_part = young_reverse_chain(fa, fb, nu, depth)
-    norm_part = norm_reverse_chain(a, b, x, nu, depth, kind)
+    depth = _check_depth(depth)
+    scalar_part = []
+
+    def values(vs):
+        # vs = [0, 1, -nu, m_N]. The scalar chain is built before the
+        # refinement checks the values it is given back.
+        fs = _functional_values(a, b, x, vs, kind).tolist()
+        scalar_part.extend(young_reverse_chain(fs[0], fs[1], nu, depth).values[:2])
+        return fs
+
+    # The norm part is the chain norm_reverse_chain returns, checked as it is.
+    norm_part = ScalarChain(
+        ("power", "refined", "target"), _logconvex_refinement(values, 0.0, 1.0, nu, depth, "a")
+    )
     return ScalarChain(
         ("arith", "scalar_refined", "power", "refined", "target"),
-        (
-            scalar_part.values[0],
-            scalar_part.values[1],
-            norm_part.values[0],
-            norm_part.values[1],
-            norm_part.values[2],
-        ),
+        (*scalar_part, *norm_part.values),
     )
 
 

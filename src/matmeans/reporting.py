@@ -12,13 +12,16 @@ hi = v_{i+1}, which no large eigenvalue can scale down. A pair of exact
 zeros has slack 0. A link fails when its slack drops below ``-rel_tol`` or
 is NaN. A difference that overflows raises DomainError.
 
-The harness takes each instance's slacks and gap from ``_chain_verdict`` in
-one pass: Python floats for a scalar chain, the rows and one ``eigh`` of
-the end-to-end difference for an operator chain (kept by the chain's
-transfer for its last difference, so the chains of one pair that share
-their ends, as a depth sweep's do, pay it once). ``chain_slacks`` and
-``chain_gap`` (the sweep's path) return the same slacks and gap on their
-own.
+The harness keeps one value row per instance (``_chain_row``, or a margins
+vector) and ``case_report`` decides a whole case in one array pass over
+their block: the slacks, the gaps, the failures and ``min_slack``. A
+scalar chain's row is its values, decided by ``_scalar_verdicts``. An
+operator chain's row is its slack row followed by its gap, decided when
+the row is taken: the gap is one ``eigh`` of the end-to-end difference
+(kept by the chain's transfer for its last difference, so the chains of
+one pair that share their ends, as a depth sweep's do, pay it once).
+``chain_slacks`` decides a block of one chain; ``chain_gap`` (the sweep's
+path) returns the gap on its own.
 """
 
 from __future__ import annotations
@@ -86,11 +89,27 @@ class ChainReport:
         return line
 
 
-def _scalar_slacks(values) -> list[float]:
-    """``np.diff(v) / scale`` in Python floats: the same IEEE operations."""
-    v = [float(x) for x in values]
-    scale = max(1.0, max(abs(x) for x in v))
-    return [(hi - lo) / scale for lo, hi in zip(v, v[1:])]
+def _scalar_verdicts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slacks and gaps of a block of scalar chains, one chain's values
+    per row: ``(v[i+1] - v[i]) / max(1, max |v|)`` and ``v[-1] - v[0]``.
+    Chain values are finite, so no NaN reaches ``max``; a difference that
+    overflows gives an infinite slack, as a float difference does."""
+    with np.errstate(over="ignore"):
+        slacks = values[:, 1:] - values[:, :-1]
+        gaps = values[:, -1] - values[:, 0]
+    scale = np.maximum(values.max(axis=1), -values.min(axis=1))  # max |v|, no |values| block
+    slacks /= np.maximum(scale, 1.0, out=scale)[:, None]
+    return slacks, gaps
+
+
+def _margin_verdicts(margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Margins are slacks; a row's gap is its largest margin."""
+    return margins, margins.max(axis=1)
+
+
+def _decided_verdicts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows already decided one by one: each slack row followed by its gap."""
+    return rows[:, :-1], rows[:, -1]
 
 
 def _operator_slacks(chain: OperatorChain) -> list[float]:
@@ -117,20 +136,16 @@ def _operator_gap(chain: OperatorChain) -> float:
     return chain.transfer.max_eig(d)
 
 
-def _chain_verdict(chain) -> tuple[list[float], float]:
-    """``(chain_slacks(chain), chain_gap(chain))`` in one pass, as floats."""
+def _chain_row(chain) -> tuple:
+    """``(decide, row)``: the value row ``case_report`` keeps for a chain,
+    and the block verdict that decides it. A scalar chain's row is its
+    values. An operator chain's gap needs one ``eigh``, so its row is
+    decided here: its slack row, then its gap."""
     if isinstance(chain, ScalarChain):
-        v = chain.values
-        return _scalar_slacks(v), float(v[-1] - v[0])
+        return _scalar_verdicts, chain.values
     if isinstance(chain, OperatorChain):
-        return _operator_slacks(chain), _operator_gap(chain)
+        return _decided_verdicts, [*_operator_slacks(chain), _operator_gap(chain)]
     raise DomainError(f"not a chain: {type(chain).__name__}")
-
-
-def _row_fails(row, rel_tol: float) -> bool:
-    """A slack row fails when a slack is below ``-rel_tol`` or is NaN."""
-    floor = -rel_tol
-    return not all(s >= floor for s in row)
 
 
 def chain_slacks(chain) -> np.ndarray:
@@ -138,11 +153,12 @@ def chain_slacks(chain) -> np.ndarray:
     per-eigenvalue slacks of an operator chain."""
     if isinstance(chain, OperatorChain):
         return np.asarray(_operator_slacks(chain))
-    return np.asarray(_chain_verdict(chain)[0])
+    decide, row = _chain_row(chain)
+    return decide(np.array([row], dtype=np.float64))[0][0]
 
 
 def chain_passes(chain, rel_tol: float) -> bool:
-    return not _row_fails(chain_slacks(chain), rel_tol)
+    return bool((chain_slacks(chain) >= -rel_tol).all())
 
 
 def chain_gap(chain) -> float:
@@ -153,6 +169,42 @@ def chain_gap(chain) -> float:
     if isinstance(chain, OperatorChain):
         return _operator_gap(chain)
     raise DomainError(f"not a chain: {type(chain).__name__}")
+
+
+def _block(name: str, rows) -> np.ndarray:
+    """The rows of a case as one float block: one row per instance, all of
+    one width (rows of unequal width raise DomainError)."""
+    if not rows:
+        raise DomainError(f"case {name} produced no instances")
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:  # numpy: "inhomogeneous shape"
+        raise DomainError(f"case {name} produced slack rows of unequal width") from None
+
+
+def _report(name, slacks, gaps: list, rel_tol, notes) -> tuple[ChainReport, np.ndarray]:
+    """The report of a slack block and the gaps, and the block's failing
+    rows: a row fails when a slack is below ``-rel_tol`` or is NaN."""
+    fails = ~(slacks >= -rel_tol).all(axis=1)
+    slacks.setflags(write=False)  # the report is frozen, and caches its quantiles
+    report = ChainReport(
+        name=name,
+        instances=len(slacks),
+        skipped=0,
+        failures=int(np.count_nonzero(fails)),
+        min_slack=float(slacks.min()),
+        max_gap=float(max(gaps)) if gaps else 0.0,
+        slacks=slacks,
+        notes=notes,
+    )
+    return report, fails
+
+
+def case_report(name, decide, rows, rel_tol: float, notes: str = ""):
+    """Decide a case's value rows (see ``_chain_row``) in one pass over
+    their block. Returns the report and a mask of the failing instances."""
+    slacks, gaps = decide(_block(name, rows))
+    return _report(name, slacks, gaps.tolist(), rel_tol, notes)
 
 
 def aggregate_report(
@@ -170,22 +222,7 @@ def aggregate_report(
     counted over it at once, and the report keeps it for its
     ``link_quantiles``. Rows of unequal width raise DomainError.
     """
-    if not slack_rows:
-        raise DomainError(f"case {name} produced no instances")
-    if len({len(row) for row in slack_rows}) != 1:
-        raise DomainError(f"case {name} produced slack rows of unequal width")
-    block = np.array(slack_rows, dtype=np.float64)
-    block.setflags(write=False)  # the report is frozen, and caches its quantiles
-    return ChainReport(
-        name=name,
-        instances=len(slack_rows),
-        skipped=0,
-        failures=int(np.count_nonzero(~(block >= -rel_tol).all(axis=1))),
-        min_slack=float(block.min()),
-        max_gap=float(max(gaps)) if gaps else 0.0,
-        slacks=block,
-        notes=notes,
-    )
+    return _report(name, _block(name, slack_rows), list(gaps), rel_tol, notes)[0]
 
 
 def reports_to_csv(reports) -> str:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,8 +88,31 @@ class TestRunCase:
             assert data["case"] == "_synthetic_fail"
             assert data["slacks"] == [-0.5]
             assert data["params"] == {"note": "synthetic"}
+            # The cap keeps the first failing indices, in index order.
+            many = tmp_path / "many"
+            report = harness.run_case("_synthetic_fail", failures_dir=many, instances=40)
+            assert report.failures == 40
+            files = sorted(p.name for p in many.iterdir())
+            assert files == [f"_synthetic_fail-{i:05d}.json" for i in range(25)]
         finally:
             harness.REGISTRY.pop("_synthetic_fail")
+
+    def test_chains_and_margins_in_one_case_raise(self):
+        # A case's rows are decided in one block pass, by one kind of verdict.
+        def mixed(i):
+            if i % 2:
+                return Built(margins=np.array([0.1]))
+            return Built(chain=ScalarChain(("a", "b"), (0.0, 0.1)))
+
+        harness.REGISTRY["_synthetic_mixed"] = harness.CaseDef(
+            "_synthetic_mixed", lambda rng, cfg, cond: ({"i": int(rng.integers(2))}, {}), mixed,
+            {"instances": 8}, (), "synthetic",
+        )
+        try:
+            with pytest.raises(DomainError, match="more than one kind"):
+                harness.run_case("_synthetic_mixed")
+        finally:
+            harness.REGISTRY.pop("_synthetic_mixed")
 
     def test_failure_file_replays_the_drawn_matrices(self, tmp_path):
         # The payload holds A, B and X as drawn and serializes them only for
@@ -106,6 +130,8 @@ class TestRunCase:
         try:
             report = harness.run_case("_synthetic_norm", failures_dir=tmp_path)
             assert report.failures == 4
+            # Built once each: the failure files draw their payloads again.
+            assert len(seen) == 4
             for index, arrays in enumerate(seen):
                 data = json.loads((tmp_path / f"_synthetic_norm-{index:05d}.json").read_text())
                 for key, array in zip("abx", arrays):
@@ -374,9 +400,9 @@ class TestStreamSeeding:
         block = harness._seed_words(np.array(entropies, dtype="<u8").tobytes())
         assert block.shape == (len(entropies), 4)
         gen = harness._new_generator()
-        for entropy, words in zip(entropies, block):
+        for entropy, words in zip(entropies, block.tolist()):
             want = np.random.default_rng(entropy).bit_generator.state
-            assert harness._seat(gen, words).bit_generator.state == want, entropy
+            assert harness._seat(gen, *words).bit_generator.state == want, entropy
 
     def test_stream_states_keep_the_digest_streams(self):
         # Instance i's stream is default_rng of the blake2b digest of
@@ -384,10 +410,10 @@ class TestStreamSeeding:
         gen = harness._new_generator()
         for seed, name in ((harness.DEFAULT_SEED, "convex_refined_a"), (7, "case")):
             block = harness._stream_states(seed, name, range(3, 203))
-            for i, words in zip(range(3, 203), block, strict=True):
+            for i, words in zip(range(3, 203), block.tolist(), strict=True):
                 digest = hashlib.blake2b(f"{seed}:{name}:{i}".encode(), digest_size=8).digest()
                 want = np.random.default_rng(int.from_bytes(digest, "little"))
-                assert harness._seat(gen, words).bit_generator.state == want.bit_generator.state
+                assert harness._seat(gen, *words).bit_generator.state == want.bit_generator.state
 
     def test_instance_stream_pinned(self):
         # Recorded with numpy's own seeding; fails if numpy changes it.
@@ -564,16 +590,19 @@ class TestReportAggregation:
 
     def test_failures_counted_over_the_block(self):
         # One vectorized count over the block; it must agree with the row
-        # predicate that failure files and chain_passes use, NaN, -inf and
-        # slacks exactly at -rel_tol included.
+        # predicate "a slack below -rel_tol or NaN" taken row by row in
+        # Python floats, NaN, -inf and slacks exactly at -rel_tol included.
         rng = np.random.default_rng(8)
         for rel_tol in (0.0, 1e-9, 0.25):
             values = [0.3, 0.0, -rel_tol, -2 * rel_tol - 1e-12, np.nan, -np.inf, 5e-10]
             block = rng.choice(values, size=(400, 3))
             rows = block.tolist()
             report = aggregate_report("f", rows, [0.0], rel_tol=rel_tol)
-            want = sum(reporting._row_fails(row, rel_tol) for row in rows)
+            want = sum(not all(s >= -rel_tol for s in row) for row in rows)
             assert 0 < report.failures == want < len(rows), rel_tol
+            # The mask that picks the instances for failure files.
+            _, fails = reporting.case_report("f", reporting._margin_verdicts, rows, rel_tol)
+            assert fails.tolist() == [not all(s >= -rel_tol for s in row) for row in rows]
 
     def test_equality_and_repr_leave_out_the_block(self):
         report = aggregate_report("r", [[0.1, 0.2], [0.3, -0.4]], [0.0, 1.0], rel_tol=1e-9)
@@ -637,7 +666,10 @@ OPERATOR_CASES = (
 class TestVerdictPath:
     def test_scalar_slacks_bit_identical_to_numpy(self):
         # Magnitudes from 1e-300 to 1e300, both signs, mixed within a chain.
+        # Each chain alone, and the chains of each length as one block of
+        # reporting._scalar_verdicts, the pass run_case decides them in.
         rng = np.random.default_rng(20261018)
+        by_length = {}
         for _ in range(2000):
             k = int(rng.integers(2, 8))
             v = rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(-300, 300, size=k)
@@ -646,7 +678,54 @@ class TestVerdictPath:
             row, gap = Built(chain=chain).verdict()
             assert _bits(row) == _bits(expected)
             assert _bits(chain_slacks(chain)) == _bits(expected)
-            assert gap == chain_gap(chain)
+            assert gap == chain_gap(chain) == float(v[-1] - v[0])
+            by_length.setdefault(k, []).append((chain.values, expected, gap))
+        for k, chains in by_length.items():
+            values, expected, gaps = zip(*chains)
+            slacks, block_gaps = reporting._scalar_verdicts(np.array(values))
+            assert _bits(slacks) == _bits(np.array(expected)), k
+            assert _bits(block_gaps) == _bits(gaps), k
+
+    def test_overflowing_scalar_difference_is_an_infinite_slack(self):
+        # Finite values whose difference overflows: the slack is inf (or
+        # -inf, a failure), as in Python floats, and numpy warns nothing.
+        chain = ScalarChain(("lo", "hi"), (-1e308, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row, gap = Built(chain=chain).verdict()
+            down = chain_slacks(ScalarChain(("hi", "lo"), (1e308, -1e308)))
+        assert row == [math.inf] and gap == math.inf
+        assert down.tolist() == [-math.inf]
+
+    def test_every_case_report_matches_its_per_instance_verdicts(self):
+        # run_case decides a case's value rows in one block pass; its report
+        # equals the one of the same instances, each built alone and decided
+        # by Built.verdict, bit for bit, for every registered case.
+        names = harness.case_names()
+        assert len(names) == 36
+        for name in names:
+            report = harness.run_case(name, instances=8)
+            assert _same_report(report, _fresh_report(name, 8, report.notes)), name
+
+    def test_failing_rows_and_files_match_per_instance_verdicts(self, tmp_path):
+        # At depth 32 the catalog cases fail on some true instances (the
+        # round-off of the telescoped drop): their rows, and the failure
+        # files that run_case writes from payloads drawn again, are those of
+        # the instances built alone.
+        overrides = {"depth_min": 32, "depth_max": 32}
+        names = ("convex_refined_a", "convex_refined_b", "logconvex_refined_a",
+                 "logconvex_refined_b")
+        for name in names:
+            report = harness.run_case(name, failures_dir=tmp_path, instances=200, **overrides)
+            assert _same_report(report, _fresh_report(name, 200, report.notes, **overrides))
+            files = sorted(tmp_path.glob(f"{name}-*.json"))
+            assert 0 < len(files) == report.failures <= harness.MAX_FAILURE_FILES_PER_CASE
+            for path in files:
+                data = json.loads(path.read_text())
+                built = harness.build_instance(name, data["instance"], **overrides)
+                row, _ = built.verdict()
+                assert _bits(data["slacks"]) == _bits(row), path.name
+                assert data["params"] == json.loads(json.dumps(built.payload)), path.name
 
     @staticmethod
     def _per_link(chain):
@@ -845,7 +924,7 @@ class TestSweepReuse:
                 elif name == "norm_heinz_power":
                     assert keys == [(1.0, 1.0), (0.0, 0.0), (1.0 + nu, 1.0 + nu),
                                     (1.0 - m32, 1.0 - m32)]
-                else:  # combined: the norm chain's call comes after ||AX||, ||XB||
+                else:  # combined: one call, whose f(0), f(1) are ||AX||, ||XB||
                     assert keys == [(1.0, 0.0), (0.0, 1.0), (1.0 + nu, -nu), (1.0 - m32, m32)]
 
     def test_one_assembly_per_dimension_per_block(self, monkeypatch):

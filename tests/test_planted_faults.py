@@ -2,8 +2,8 @@
 must then report failures.
 
 A check that never fails on a wrong chain shows nothing. Each fault below
-swaps a case's chain function, or the build of a case that is not a
-refinement row, for a copy with one deliberate error, and the test asserts
+swaps a case's chain function, or its build, for a copy with one
+deliberate error, and the test asserts
 that ``run_case`` catches it at a reduced instance count. A build is a pure
 function of the drawn parameters, so a copy draws nothing and every
 instance keeps its draws. The same test runs the case once more through the
@@ -35,19 +35,23 @@ def _kantorovich_exponent_lowered(a, b, nu):
     return OperatorChain(chain.labels, chain.m, (lower, chain.value("harm")))
 
 
-def _operator_term_scaled(chain_fn, base):
-    """A copy of the build of an operator refinement row, whose refinement
-    term (the refined row minus the ``base`` row, on the spectrum of X) is
-    scaled by 1 + fault."""
+def _term_scaled(chain_fn, base, **fixed):
+    """A copy of the build of a refinement row, whose refinement term (the
+    refined value minus the ``base`` value, or those rows on the spectrum of
+    X for an operator chain) is scaled by 1 + fault."""
 
-    def build(a, b, nu, depth, fault):
-        chain = chain_fn(a, b, nu, depth)
+    def build(fault, **args):
+        chain = chain_fn(**args, **fixed)
         lo, refined = chain.value(base), chain.value("refined")
         refined = refined + fault * (refined - lo)
-        values = [
+        values = tuple(
             refined if label == "refined" else row for label, row in zip(chain.labels, chain.values)
-        ]
-        return Built(chain=OperatorChain(chain.labels, chain.m, values), refined=refined, base=lo)
+        )
+        if isinstance(chain, OperatorChain):
+            chain = OperatorChain(chain.labels, chain.m, values)
+        else:
+            chain = ScalarChain(chain.labels, values)
+        return Built(chain=chain, refined=refined, base=lo)
 
     return build
 
@@ -61,17 +65,6 @@ def _trace_cross_term_raised(a, b, nu):
     values = list(chain.values)
     values[1] -= 0.2 * nu * roots
     return ScalarChain(chain.labels, tuple(values))
-
-
-def _young_reverse_term_scaled(x, y, nu, depth, fault):
-    """``young_reverse_pos`` and ``young_reverse_neg`` with the refinement
-    term (refined minus the unrefined (1+nu) x - nu y) scaled by 1 + fault."""
-    chain = scalar.young_reverse_chain(x, y, nu, depth)
-    arith, refined, geom = chain.values
-    refined += fault * (refined - arith)
-    return Built(
-        chain=ScalarChain(chain.labels, (arith, refined, geom)), refined=refined, base=arith
-    )
 
 
 def _kantorovich_scalar_exponent_raised(x, y, nu, fault):
@@ -179,8 +172,14 @@ CHAIN_FAULTS = {
 # a fault of size ``fault``, and that size). At ``fault=0`` the copy is the
 # build itself, bit for bit.
 BUILD_FAULTS = {
-    "young_reverse_pos": (_young_reverse_term_scaled, 1.0),
-    "young_reverse_neg": (_young_reverse_term_scaled, 1.0),
+    "convex_refined_a": (_term_scaled(scalar.convex_refined_chain, "secant", anchor="a"), 1.0),
+    "convex_refined_b": (_term_scaled(scalar.convex_refined_chain, "secant", anchor="b"), 1.0),
+    "logconvex_refined_a": (_term_scaled(scalar.logconvex_refined_chain, "power", anchor="a"), 1.0),
+    "logconvex_refined_b": (_term_scaled(scalar.logconvex_refined_chain, "power", anchor="b"), 1.0),
+    "young_reverse_pos": (_term_scaled(scalar.young_reverse_chain, "arith"), 1.0),
+    "young_reverse_neg": (_term_scaled(scalar.young_reverse_chain, "arith"), 1.0),
+    "harmonic_reverse": (_term_scaled(scalar.harmonic_reverse_chain, "arith"), 1.0),
+    "harmonic_geometric": (_term_scaled(scalar.harmonic_geometric_chain, "geom"), 1.0),
     "kantorovich_scalar": (_kantorovich_scalar_exponent_raised, 0.1),
     "young_squared": (_young_squared_term_scaled, 1.0),
     "young_refined_t": (_young_refined_t_term_scaled, 1.0),
@@ -190,13 +189,11 @@ BUILD_FAULTS = {
     "norm_logconvexity": (_norm_logconvexity_bound_lowered, 0.01),
     "heinz_symmetry": (_heinz_mirror_shifted, 1e-6),
     "heinz_monotonicity": (_heinz_grid_shifted, 0.1),
-    "operator_reverse_pos": (_operator_term_scaled(means.operator_reverse_chain, "arith"), 1.0),
-    "operator_reverse_neg": (_operator_term_scaled(means.operator_reverse_chain, "arith"), 1.0),
-    "operator_squared_pos": (
-        _operator_term_scaled(means.operator_squared_chain, "scaled_arith"), 1.0
-    ),
-    "operator_squared_neg": (_operator_term_scaled(means.operator_squared_chain, "scaled_b"), 1.0),
-    "harmonic_operator": (_operator_term_scaled(means.harmonic_operator_chain, "arith"), 1.0),
+    "operator_reverse_pos": (_term_scaled(means.operator_reverse_chain, "arith"), 1.0),
+    "operator_reverse_neg": (_term_scaled(means.operator_reverse_chain, "arith"), 1.0),
+    "operator_squared_pos": (_term_scaled(means.operator_squared_chain, "scaled_arith"), 1.0),
+    "operator_squared_neg": (_term_scaled(means.operator_squared_chain, "scaled_b"), 1.0),
+    "harmonic_operator": (_term_scaled(means.harmonic_operator_chain, "arith"), 1.0),
 }
 
 # Cases whose fault is also run at a high condition number, where A's small

@@ -30,7 +30,12 @@ The files:
 * ``payloads.txt``: ``json.dumps(build_instance(name, i, forced).payload)``
   for every registered case and i = 0..3, once unforced and once with each
   of its sweep parameters pinned (nu 2.0, or -2.5 on the nu <= -1 branch;
-  depth 3; cond 10). Failure files replay exactly these payloads.
+  depth 3; cond 10). Failure files replay exactly these payloads;
+* ``failures/``: the failure files that ``run_case(name, instances=200,
+  depth_min=32, depth_max=32, failures_dir=...)`` writes for the four
+  catalog cases, whose telescoped drop loses enough to round-off at depth
+  32 that some true instances fail (17 files at the default seed). They
+  cover the path that picks the failing rows and draws their payloads.
 
 With ``--against DIR`` it then compares the new snapshot with the one in
 ``DIR`` and prints what moved: for each CSV row that differs, whether its
@@ -38,7 +43,8 @@ With ``--against DIR`` it then compares the new snapshot with the one in
 and ``max_gap`` shifted; for each other file, how many lines differ and the
 largest shift of a value relative to the largest value of its line. It
 exits 1 when a count differs, a case is missing on one side, a file's line
-count differs, a series errors on one side only, or a payload differs::
+count differs, a series errors on one side only, a payload differs, or a
+failure file differs or is missing on one side::
 
     python3 tools/identity_snapshot.py --src src --out /tmp/snap-change \
         --against /tmp/snap-parent
@@ -53,6 +59,7 @@ import argparse
 import csv
 import json
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -73,6 +80,12 @@ SUITES = {
     "default": {},
     "instances20": {"instances": 20},
     "highcond": {"instances": 20, "cond_max": 1e12},
+}
+#: The runs whose failure files go to ``failures/``: case -> overrides.
+FAILURE_RUNS = {
+    name: {"instances": 200, "depth_min": 32, "depth_max": 32}
+    for name in ("convex_refined_a", "convex_refined_b", "logconvex_refined_a",
+                 "logconvex_refined_b")
 }
 
 
@@ -141,6 +154,17 @@ def snapshot(out: Path) -> None:
                 payload = harness.build_instance(name, i, forced).payload
                 lines.append(f"{name} {i} {json.dumps(forced)}: {json.dumps(payload)}")
     (out / "payloads.txt").write_text("\n".join(lines) + "\n")
+
+    failures = out / "failures"
+    shutil.rmtree(failures, ignore_errors=True)  # only this run's files
+    failures.mkdir()
+    for name, overrides in FAILURE_RUNS.items():
+        harness.run_case(name, failures_dir=failures, **overrides)
+    print(f"{len(list(failures.iterdir()))} failure files", file=sys.stderr)
+
+
+def _failure_files(out: Path) -> dict:
+    return {p.name: p.read_text() for p in sorted((out / "failures").glob("*.json"))}
 
 
 def _csv_rows(path: Path) -> dict:
@@ -212,6 +236,12 @@ def compare(out: Path, against: Path) -> bool:
             worst = max(worst, max(abs(a - b) for a, b in zip(vo, vn)) / scale)
         print(f"{name}: {moved} of {len(new)} lines differ, largest shift "
               f"{worst:.3e} of its line's largest value")
+    old, new = _failure_files(against), _failure_files(out)
+    one_side = sorted(old.keys() ^ new.keys())
+    moved = sum(old[f] != new[f] for f in old.keys() & new.keys())
+    same = same and not one_side and not moved
+    print(f"failures/: {len(old)} files -> {len(new)} files, {moved} differ"
+          + (f", only on one side: {' '.join(one_side)}" if one_side else ""))
     return same
 
 
