@@ -23,14 +23,10 @@ from .linalg import (
     HermitianMatrix,
     LoewnerVerdict,
     SpdMatrix,
-    apply_spectral,
-    jacobi_eigh,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
     random_spd,
-    random_unitary,
-    spd_pow,
 )
 from .means import (
     OperatorChain,
@@ -54,13 +50,12 @@ from .norms import (
     heinz_norm,
     heinz_pq_chain,
     heinz_reverse_chain,
-    norm_functional,
     norm_heinz_chain,
     norm_reverse_chain,
     singular_values,
     ui_norm,
 )
-from .reporting import ChainReport, chain_gap, chain_passes, chain_slacks, reports_to_csv
+from .reporting import ChainReport, chain_gap, chain_slacks, reports_to_csv
 from .scalar import (
     CONVEX_CATALOG,
     LOGCONVEX_CATALOG,
@@ -73,7 +68,6 @@ from .scalar import (
     harmonic_reverse_chain,
     kantorovich_chain,
     kantorovich_constant,
-    line_through,
     logconvex_refined_chain,
     weight_branch,
     young_refinement_chain,

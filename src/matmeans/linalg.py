@@ -12,12 +12,16 @@ verification harness) is built on the small toolkit in this module:
 * one assembly, ``_congruence``, of every matrix built from a spectrum:
   Hermitian by construction, and the one place that checks such a matrix is
   finite; ``_exact`` then wraps it without the validating constructors,
-* a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``),
-* spectral functions ``apply_spectral`` / ``spd_pow``,
+* a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``), kept on
+  each matrix as ``HermitianMatrix.eig``,
+* the powers w ** t of a positive spectrum, ``_spectrum_powers``, which
+  name an overflow or an underflow; ``means`` and ``norms`` power the
+  spectra they push back by congruence, and no power of a matrix is
+  assembled,
 * the semidefinite (Loewner) order check ``loewner_leq``,
-* seeded random SPD and unitary generation; an SPD draw (``_draw_spds``)
-  and its assembly (``_assemble_spds``) are separate steps, so the draws of
-  many instances share one QR and one assembly.
+* seeded random SPD generation on Haar unitaries (``_haar``); an SPD draw
+  (``_draw_spds``) and its assembly (``_assemble_spds``) are separate
+  steps, so the draws of many instances share one QR and one assembly.
 
 All value types are immutable after construction and the only randomness is
 explicit (seed in, value out). What a matrix keeps besides its entries is
@@ -208,12 +212,6 @@ class HermitianMatrix(ComplexMatrix):
         return obj
 
     @classmethod
-    def _assemble(cls, w: np.ndarray, q: np.ndarray):
-        """Q diag(w) Q* from a known factorization (Q unitary): the stack of
-        one of ``_assemble_stack``."""
-        return cls._assemble_stack(np.asarray(w)[None], np.asarray(q)[None])[0]
-
-    @classmethod
     def _assemble_stack(cls, w: np.ndarray, q: np.ndarray) -> list:
         """Q_i diag(w_i) Q_i* for a (k, n) stack of spectra and a (k, n, n)
         stack of unitaries, each matrix with its factorization recorded, so
@@ -256,12 +254,6 @@ class SpdMatrix(HermitianMatrix):
             raise DomainError(
                 f"matrix is not positive definite: lambda_min = {self.eig.eigenvalues[0]:.6e}"
             )
-
-    def power(self, t: float) -> "SpdMatrix":
-        """Q diag(w ** t) Q* (``_spectrum_powers``), assembled by ``_assemble``
-        with that factorization recorded; m^0 is exactly I."""
-        wt = _spectrum_powers(self.eig.eigenvalues, [t])[0]
-        return SpdMatrix._assemble(wt, self.eig.eigenvectors if float(t) else np.eye(self.n))
 
 
 class _Transfer:
@@ -394,63 +386,6 @@ class LoewnerVerdict:
     tolerance_used: float
 
 
-def jacobi_eigh(h) -> EigenDecomposition:
-    """Eigendecomposition of a complex Hermitian matrix.
-
-    The name is historical: the factorization is computed by LAPACK's
-    Hermitian eigensolver through ``numpy.linalg.eigh``.
-
-    Parameters
-    ----------
-    h : HermitianMatrix or array_like
-        The matrix to factor. Arrays are validated/symmetrized first.
-
-    Returns
-    -------
-    EigenDecomposition
-        Eigenvalues ascending, eigenvector columns unitary. Deterministic
-        for identical input.
-
-    Raises
-    ------
-    ConvergenceError
-        If LAPACK reports that the eigensolver did not converge
-        (``numpy.linalg.LinAlgError``).
-    """
-    if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix(h)
-    return h.eig
-
-
-def apply_spectral(h, phi) -> HermitianMatrix:
-    """Apply a real scalar function to a Hermitian matrix through its spectrum.
-
-    Returns Q diag(phi(w_i)) Q*. This is the bridge by which a scalar
-    inequality that holds on the spectrum of ``h`` transfers to the
-    semidefinite order: if f >= g pointwise on the eigenvalues then
-    ``apply_spectral(h, f) >= apply_spectral(h, g)``.
-
-    ``phi`` is called once per eigenvalue and must return a finite float.
-    """
-    if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix(h)
-    dec = h.eig
-    try:
-        vals = np.array([float(phi(w)) for w in dec.eigenvalues])
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(f"spectral function undefined on the spectrum: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("spectral function returned a non-finite value")
-    return HermitianMatrix._assemble(vals, dec.eigenvectors)
-
-
-def spd_pow(a: SpdMatrix, t: float) -> SpdMatrix:
-    """A**t for positive definite ``a`` and real ``t`` (A**0 = I, A**1 = A)."""
-    if not isinstance(a, SpdMatrix):
-        a = SpdMatrix(a)
-    return a.power(float(t))
-
-
 def loewner_leq(x, y, rel_tol: float = LOEWNER_REL_TOL) -> LoewnerVerdict:
     """Decide X <= Y in the semidefinite order, with a relative tolerance.
 
@@ -481,12 +416,6 @@ def _haar(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def random_unitary(n: int, seed) -> np.ndarray:
-    """Seeded Haar unitary (``_haar`` of an n x n complex Gaussian matrix)."""
-    rng = np.random.default_rng(seed)
-    return _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def _draw_spds(n: int, cond_max: float, rng: np.random.Generator, count: int):
@@ -535,7 +464,7 @@ def _random_spds(n: int, cond_max: float, seed, count: int) -> list[SpdMatrix]:
 def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:
     """Seeded random positive definite matrix with bounded condition number.
 
-    Draws a Haar unitary Q as ``random_unitary`` does and eigenvalues
+    Draws a Haar unitary Q (``_haar``) and eigenvalues
     log-uniform in [1/sqrt(cond_max), sqrt(cond_max)], so the spectral
     condition number never exceeds ``cond_max``. Deterministic per seed;
     ``seed`` may be an integer or a ``numpy.random.Generator``. The stack of

@@ -16,13 +16,14 @@ rows of values on the spectrum of X (``OperatorChain``); its matrices are
 assembled only when read. Composing the public mean functions directly
 gives the same matrices up to round-off; the tests cross-check both routes.
 
-The geometric mean and every chain of a pair (A, B) here read one spectral
-context of the pair (``_pair``): C = Qa* Qb and |C|^2, the spectrum w of X
-with the transfer M = A^{1/2} Q, and, for the chains that need A <= B, the
-verdict of that check. Each field is computed on first use and kept on A
-for its last partner B, as ``eig`` is kept on a matrix; a call with another
-B replaces the context. So a sweep, which rebuilds the chains of one drawn
-pair at every grid value, pays the SVD and the Loewner check once per pair.
+The geometric and harmonic means and every chain of a pair (A, B) here
+read one spectral context of the pair (``_pair``): C = Qa* Qb and |C|^2,
+the spectrum w of X with the transfer M = A^{1/2} Q, and, for the chains
+that need A <= B, the verdict of that check. Each field is computed on
+first use and kept on A for its last partner B, as ``eig`` is kept on a
+matrix; a call with another B replaces the context. So a sweep, which
+rebuilds the chains of one drawn pair at every grid value, pays the SVD
+and the Loewner check once per pair.
 
 The context also keeps, for its last call only, what a sweep asks again at
 the next grid value: the rows w^t of that call's exponents (``powers``:
@@ -51,7 +52,7 @@ from .linalg import (
     _as_spd,
     _Transfer,
     _congruence,
-    _eigh_array,
+    _finite,
     _freeze,
     _keep,
     _recall,
@@ -157,6 +158,8 @@ def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
 def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
     """(1 - nu) A + nu B; may be indefinite for extended weights."""
     a, b = _as_spd(a), _as_spd(b)
+    if a.n != b.n:
+        raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
     return HermitianMatrix((1.0 - nu) * a.a + nu * b.a)
 
 
@@ -167,14 +170,22 @@ def geometric_mean(a, b, nu: float) -> SpdMatrix:
 
 
 def harmonic_mean(a, b, nu: float) -> SpdMatrix:
-    """A !_nu B; raises DomainError when the resolvent is not positive definite."""
-    a, b = _as_spd(a), _as_spd(b)
-    w, q = _eigh_array((1.0 - nu) * a.power(-1.0).a + nu * b.power(-1.0).a)
-    if w[0] <= 0.0:
-        raise DomainError(
-            f"harmonic resolvent not positive definite (lambda_min = {w[0]:.6e})"
-        )
-    return SpdMatrix._assemble(w ** -1.0, q)
+    """A !_nu B = M diag(1/r) M* with r = (1 - nu) + nu/w on the spectrum w
+    of X (``_pair``); r is the spectrum of A^{1/2} R A^{1/2} for the
+    resolvent R = (1 - nu) A^{-1} + nu B^{-1}. Raises DomainError when nu/w
+    leaves the float range, and when r is not above a few rounding errors
+    of its two terms (w carries one): there R is not positive definite, or
+    neither the sign of r nor 1/r has a correct digit. For 0 <= nu <= 1
+    both terms are positive and r always passes."""
+    t = _pair(_as_spd(a), _as_spd(b))
+    with np.errstate(over="ignore"):  # named below
+        ratio = nu / t.w
+    r = (1.0 - nu) + ratio
+    if not _finite(r):
+        raise DomainError(f"harmonic resolvent overflows at nu = {nu:g}: nu / w is out of range")
+    if not (r > 4.0 * np.finfo(float).eps * (abs(1.0 - nu) + np.abs(ratio))).all():
+        raise DomainError(f"harmonic resolvent not positive definite (min r = {r.min():.6e})")
+    return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(r, [-1.0])[0]))
 
 
 def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:

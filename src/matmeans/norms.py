@@ -16,9 +16,9 @@ which would square the condition number. Every functional of the weight is
 evaluated on its whole set of weights at once, in the recorded eigenbases
 of A and B: ||A^l X B^r|| = ||diag(wa^l) Qa* X Qb diag(wb^r)|| by unitary
 invariance, so no power of A or B is assembled, and one SVD takes every
-norm of the stack (``_norms_of``). Single values (``norm_functional``,
-``heinz_norm``) are the same kernel on a stack of one, and a value does not
-depend on the stack it is computed in.
+norm of the stack (``_norms_of``). A single value (``heinz_norm``) is the
+same kernel on a stack of one, and a value does not depend on the stack it
+is computed in.
 
 So a kernel call need not compute what it already knows. Each (A, B, X,
 kind) has an evaluation context (``_context``) that holds Y = Qa* X Qb and
@@ -293,12 +293,6 @@ def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
     left = [p - r for r in rs]
     right = [-q + r for r in rs]
     return _paired_norms(a, b, x, left + right, right + left, kind)
-
-
-def norm_functional(a, b, x, nu: float, kind: NormKind) -> float:
-    """||A^{1-nu} X B^{nu}||; log-convex as a function of nu."""
-    a, b = _as_spd(a), _as_spd(b)
-    return float(_functional_values(a, b, x, [float(nu)], kind)[0])
 
 
 def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:

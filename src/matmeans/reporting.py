@@ -157,10 +157,6 @@ def chain_slacks(chain) -> np.ndarray:
     return decide(np.array([row], dtype=np.float64))[0][0]
 
 
-def chain_passes(chain, rel_tol: float) -> bool:
-    return bool((chain_slacks(chain) >= -rel_tol).all())
-
-
 def chain_gap(chain) -> float:
     """End-to-end gap: plain difference for scalar chains, the largest
     eigenvalue of (last - first) for operator chains."""
@@ -182,9 +178,11 @@ def _block(name: str, rows) -> np.ndarray:
         raise DomainError(f"case {name} produced slack rows of unequal width") from None
 
 
-def _report(name, slacks, gaps: list, rel_tol, notes) -> tuple[ChainReport, np.ndarray]:
-    """The report of a slack block and the gaps, and the block's failing
-    rows: a row fails when a slack is below ``-rel_tol`` or is NaN."""
+def case_report(name, decide, rows, rel_tol: float, notes: str = ""):
+    """Decide a case's value rows (see ``_chain_row``) in one pass over
+    their block. Returns the report and a mask of the failing instances: a
+    row fails when a slack is below ``-rel_tol`` or is NaN."""
+    slacks, gaps = decide(_block(name, rows))
     fails = ~(slacks >= -rel_tol).all(axis=1)
     slacks.setflags(write=False)  # the report is frozen, and caches its quantiles
     report = ChainReport(
@@ -193,36 +191,11 @@ def _report(name, slacks, gaps: list, rel_tol, notes) -> tuple[ChainReport, np.n
         skipped=0,
         failures=int(np.count_nonzero(fails)),
         min_slack=float(slacks.min()),
-        max_gap=float(max(gaps)) if gaps else 0.0,
+        max_gap=max(gaps.tolist()),
         slacks=slacks,
         notes=notes,
     )
     return report, fails
-
-
-def case_report(name, decide, rows, rel_tol: float, notes: str = ""):
-    """Decide a case's value rows (see ``_chain_row``) in one pass over
-    their block. Returns the report and a mask of the failing instances."""
-    slacks, gaps = decide(_block(name, rows))
-    return _report(name, slacks, gaps.tolist(), rel_tol, notes)
-
-
-def aggregate_report(
-    name: str,
-    slack_rows: list[list[float]],
-    gaps: list[float],
-    rel_tol: float,
-    notes: str = "",
-) -> ChainReport:
-    """Fold per-instance slack rows (lists or arrays) into a ChainReport.
-
-    An instance fails when a link slack is below ``-rel_tol`` or is NaN,
-    and a NaN slack makes ``min_slack`` NaN. Every row has one width (one
-    slack per link position), so the rows form one block: failures are
-    counted over it at once, and the report keeps it for its
-    ``link_quantiles``. Rows of unequal width raise DomainError.
-    """
-    return _report(name, _block(name, slack_rows), list(gaps), rel_tol, notes)[0]
 
 
 def reports_to_csv(reports) -> str:

@@ -115,18 +115,6 @@ def _check_depth(depth: int) -> int:
 
 
 @_overflow_is_domain_error
-def line_through(f: RealFunction, a: float, b: float, x: float) -> float:
-    """Value at ``x`` of the line through (a, f(a)) and (b, f(b)); requires a < b.
-
-    For convex f the graph lies below this line on [a, b] and above it
-    outside (a, b).
-    """
-    if not a < b:
-        raise DomainError(f"need a < b, got a={a}, b={b}")
-    fa, fb = _feval(f, a), _feval(f, b)
-    return ((b - x) * fa + (x - a) * fb) / (b - a)
-
-
 def _power_drop(fe, log_r, depth, expm1=math.expm1):
     """f(e) - f(m_N) of v |-> f(e) r^{|v - e|} on [0, 1], without cancellation;
     ``expm1=np.expm1`` for arrays."""

@@ -1,9 +1,11 @@
-"""Pure-Python cyclic Jacobi eigenvalues: an oracle independent of LAPACK.
+"""References for the tests that share no code with the package.
 
-The package computes eigendecompositions with LAPACK through numpy, so the
-tests compare its eigenvalues against this separate algorithm instead of
-against LAPACK itself. It is slow (pure Python loops) and meant only for the
-small matrices the tests draw.
+``jacobi_eigenvalues`` is pure-Python cyclic Jacobi: the package computes
+eigendecompositions with LAPACK through numpy, so the tests compare its
+eigenvalues against this separate algorithm instead of against LAPACK
+itself. It is slow (pure Python loops) and meant only for the small
+matrices the tests draw. ``eigh_power`` is the literal matrix power that
+the tests compare the package's eigenbasis kernels with.
 """
 
 import numpy as np
@@ -47,3 +49,10 @@ def jacobi_eigenvalues(h) -> np.ndarray:
                 h[p, r] = 0.0
                 h[r, p] = 0.0
     raise AssertionError(f"Jacobi oracle did not converge in {MAX_SWEEPS} sweeps (n={n})")
+
+
+def eigh_power(m, t: float) -> np.ndarray:
+    """M^t of a positive definite matrix (an array or a package matrix) from
+    its own ``numpy.linalg.eigh``."""
+    w, q = np.linalg.eigh(getattr(m, "a", m))
+    return (q * w ** t) @ q.conj().T

@@ -141,6 +141,31 @@ class TestMean:
         assert code == EXIT_DOMAIN and stdout == ""
         assert stderr == "error: LAPACK SVD did not converge\n"
 
+    def test_mismatched_sizes_exit_2_for_every_kind(self, capsys, tmp_path):
+        a = write_matrix(tmp_path / "a.json", [1, 4])
+        b = write_matrix(tmp_path / "b.json", [9, 16, 25])
+        for kind in ("arith", "geom", "harm"):
+            code, stdout, stderr = run_cli(
+                capsys, "mean", "--kind", kind, "--nu", "0.5", "--a", a, "--b", b
+            )
+            assert code == EXIT_DOMAIN and stdout == "", kind
+            assert stderr == "error: dimension mismatch: 2 vs 3\n", kind
+
+    def test_harmonic_extreme_weight_names_its_overflow(self, capsys, tmp_path):
+        # On the pair of seeds 1 and 2 at cond 1e12, nu / w leaves the float
+        # range at |nu| = 1e308: a DomainError that says so, and no warning.
+        paths = [str(tmp_path / f"{seed}.json") for seed in (1, 2)]
+        for seed, path in zip((1, 2), paths):
+            run_cli(capsys, "gen", "--n", "3", "--cond", "1e12", "--seed", str(seed), "--out", path)
+        for nu in ("1e308", "-1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, stderr = run_cli(
+                    capsys, "mean", "--kind", "harm", f"--nu={nu}", "--a", paths[0], "--b", paths[1]
+                )
+            assert code == EXIT_DOMAIN and stdout == "", nu
+            assert stderr.startswith("error: harmonic resolvent overflows"), (nu, stderr)
+
 
 class TestNorm:
     def test_frobenius_hand_value(self, capsys, tmp_path):

@@ -19,13 +19,7 @@ from matmeans import (
 )
 from matmeans import harness, linalg, norms, reporting
 from matmeans.harness import Built, CaseConfig
-from matmeans.reporting import (
-    aggregate_report,
-    chain_gap,
-    chain_passes,
-    chain_slacks,
-    reports_to_csv,
-)
+from matmeans.reporting import chain_gap, chain_slacks, reports_to_csv
 
 
 class TestChainChecking:
@@ -217,8 +211,19 @@ def _fresh_report(name, instances, notes, **overrides):
     verdicts = [
         harness.build_instance(name, index, **overrides).verdict() for index in range(instances)
     ]
-    rows, gaps = zip(*verdicts)
-    return aggregate_report(name, list(rows), list(gaps), rel_tol, notes=notes)
+    return _report(name, *zip(*verdicts), rel_tol, notes=notes)
+
+
+def _report(name, rows, gaps, rel_tol, notes=""):
+    """The report of slack rows each decided with its gap, as an operator
+    chain's row is."""
+    decided = [[*row, gap] for row, gap in zip(rows, gaps, strict=True)]
+    return reporting.case_report(name, reporting._decided_verdicts, decided, rel_tol, notes)[0]
+
+
+def _margins_report(name, rows, rel_tol):
+    """The report of margin rows (each row's gap is its largest margin)."""
+    return reporting.case_report(name, reporting._margin_verdicts, rows, rel_tol)[0]
 
 
 class TestStress:
@@ -547,7 +552,7 @@ class TestSweep:
 class TestReportAggregation:
     def test_failure_threshold(self):
         rows = [np.array([0.1, -1e-3]), np.array([0.2, 0.3]), np.array([-1e-12, 0.0])]
-        report = aggregate_report("x", rows, [1.0, 2.0, 0.5], rel_tol=1e-9)
+        report = _report("x", rows, [1.0, 2.0, 0.5], rel_tol=1e-9)
         assert report.instances == 3
         assert report.failures == 1  # only the -1e-3 row breaches -1e-9
         assert report.min_slack == pytest.approx(-1e-3)
@@ -555,12 +560,11 @@ class TestReportAggregation:
 
     def test_nan_slack_counts_as_failure(self):
         # NaN compares false against -rel_tol; it must still fail the row,
-        # as chain_passes already does, and show in min_slack.
+        # and show in min_slack.
         for nan_row in (np.array([np.nan, 0.1]), [0.1, float("nan")]):
-            report = aggregate_report("x", [nan_row, [0.2, 0.3]], [0.0, 1.0], 1e-9)
+            report = _report("x", [nan_row, [0.2, 0.3]], [0.0, 1.0], 1e-9)
             assert report.failures == 1
             assert math.isnan(report.min_slack)
-        assert not chain_passes(ScalarChain(("a", "b"), (0.0, 1.0)), float("nan"))
 
     def test_block_quantiles_match_per_column(self):
         # Rows of one width take their quantiles in one call over the block;
@@ -580,7 +584,7 @@ class TestReportAggregation:
         blocks.append(nan_block)
         for block in blocks:
             rows = block.tolist()
-            report = aggregate_report("b", rows, [0.0], rel_tol=1e-9)
+            report = _margins_report("b", rows, rel_tol=1e-9)
             min_slack, quantiles = per_column(rows)
             assert _bits(report.min_slack) == _bits(min_slack)
             assert _bits(report.link_quantiles) == _bits(quantiles)
@@ -597,7 +601,7 @@ class TestReportAggregation:
             values = [0.3, 0.0, -rel_tol, -2 * rel_tol - 1e-12, np.nan, -np.inf, 5e-10]
             block = rng.choice(values, size=(400, 3))
             rows = block.tolist()
-            report = aggregate_report("f", rows, [0.0], rel_tol=rel_tol)
+            report = _margins_report("f", rows, rel_tol=rel_tol)
             want = sum(not all(s >= -rel_tol for s in row) for row in rows)
             assert 0 < report.failures == want < len(rows), rel_tol
             # The mask that picks the instances for failure files.
@@ -605,7 +609,7 @@ class TestReportAggregation:
             assert fails.tolist() == [not all(s >= -rel_tol for s in row) for row in rows]
 
     def test_equality_and_repr_leave_out_the_block(self):
-        report = aggregate_report("r", [[0.1, 0.2], [0.3, -0.4]], [0.0, 1.0], rel_tol=1e-9)
+        report = _report("r", [[0.1, 0.2], [0.3, -0.4]], [0.0, 1.0], rel_tol=1e-9)
         other = dataclasses.replace(report, slacks=np.full((2, 2), 9.0))
         assert other == report and hash(other) == hash(report)
         assert repr(other) == repr(report)
@@ -627,11 +631,11 @@ class TestReportAggregation:
         # One slack per link position: a row of another width has no place.
         for rows in ([[0.5, 0.1, 0.3], [0.2], [0.4, -0.2]], [[0.1], [0.2, 0.3]]):
             with pytest.raises(DomainError, match="unequal width"):
-                aggregate_report("r", rows, [0.0], rel_tol=1e-9)
+                _margins_report("r", rows, rel_tol=1e-9)
 
     def test_quantiles_shape(self):
         rows = [np.array([float(i), float(i)]) for i in range(10)]
-        report = aggregate_report("q", rows, [0.0], rel_tol=1e-9)
+        report = _margins_report("q", rows, rel_tol=1e-9)
         assert len(report.link_quantiles) == 2
         q10, q50, q90 = report.link_quantiles[0]
         assert q10 <= q50 <= q90
@@ -835,7 +839,6 @@ class TestVerdictPath:
             ("x", "y", "z"), m, [[0.0, 1.0, -4.0], [0.0, 3.0, -2.0], [-1e-300, 3.0, 2.0]]
         )
         assert chain_slacks(chain).tolist() == [0.0, -1.0]
-        assert chain_passes(chain, 1e-8) is False
         assert chain_gap(chain) == 6e12
 
 def _hex_rows(rows) -> list[tuple[str, str, str]]:

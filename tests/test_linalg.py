@@ -1,13 +1,10 @@
 """Tests for the matrix types, eigensolver, spectral calculus, and generators."""
 
 import json
-import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from matmeans import (
     ComplexMatrix,
@@ -15,19 +12,23 @@ from matmeans import (
     DomainError,
     HermitianMatrix,
     SpdMatrix,
-    apply_spectral,
     geometric_mean,
-    jacobi_eigh,
+    harmonic_mean,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
     random_spd,
-    random_unitary,
-    spd_pow,
 )
 
 from matmeans import harness, linalg, means, norms
-from matmeans.linalg import _assemble_spds, _draw_spds, _random_spds, _spectrum_powers
+from matmeans.linalg import (
+    EigenDecomposition,
+    _assemble_spds,
+    _draw_spds,
+    _haar,
+    _random_spds,
+    _spectrum_powers,
+)
 
 from jacobi_oracle import jacobi_eigenvalues
 
@@ -78,8 +79,8 @@ class TestConstruction:
         np.testing.assert_array_equal(HermitianMatrix(big).a, big)
         s = SpdMatrix(big)
         np.testing.assert_array_equal(s.eig.eigenvalues, [1e308, 1e308])
-        np.testing.assert_array_equal(SpdMatrix._assemble(np.array([1e308, 1e308]), np.eye(2)).a, big)
-        np.testing.assert_array_equal(s.power(1.0).a, big)
+        stack = SpdMatrix._assemble_stack(np.array([[1e308, 1e308]]), np.eye(2)[None])
+        np.testing.assert_array_equal(stack[0].a, big)
 
     def test_symmetrization_bits_unchanged_for_normal_numbers(self):
         rng = np.random.default_rng(11)
@@ -103,7 +104,7 @@ class TestConstruction:
 
 class TestEigh:
     def test_identity(self):
-        dec = jacobi_eigh(np.eye(2))
+        dec = HermitianMatrix(np.eye(2)).eig
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0])
         np.testing.assert_allclose(
             dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(2), atol=1e-12
@@ -111,13 +112,13 @@ class TestEigh:
         np.testing.assert_allclose(dec.reconstruct(), np.eye(2), atol=1e-12)
 
     def test_diagonal_sorted_ascending(self):
-        dec = jacobi_eigh(np.diag([3.0, 1.0]))
+        dec = HermitianMatrix(np.diag([3.0, 1.0])).eig
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0])
 
     def test_two_by_two_hand_solved(self):
         # [[2,1],[1,2]] has eigenpairs (1, (1,-1)/sqrt(2)) and (3, (1,1)/sqrt(2)),
         # from the characteristic polynomial (2-t)^2 - 1.
-        dec = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        dec = HermitianMatrix([[2.0, 1.0], [1.0, 2.0]]).eig
         np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0], rtol=1e-14)
         v_low = dec.eigenvectors[:, 0]
         v_high = dec.eigenvectors[:, 1]
@@ -153,8 +154,8 @@ class TestEigh:
 
     def test_deterministic(self):
         h = _rand_hermitian(np.random.default_rng(7), 5)
-        d1 = jacobi_eigh(h.a)
-        d2 = jacobi_eigh(h.a)
+        d1 = HermitianMatrix(h.a).eig
+        d2 = HermitianMatrix(h.a).eig
         np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
         np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
 
@@ -164,74 +165,43 @@ class TestEigh:
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         with pytest.raises(ConvergenceError):
-            jacobi_eigh(np.diag([1.0, 2.0]))
+            HermitianMatrix(np.diag([1.0, 2.0])).eig
+
+
+def _spectral(h, phi):
+    """phi(H) = Q diag(phi(w)) Q* from H's recorded factorization."""
+    dec = HermitianMatrix(h).eig
+    return EigenDecomposition(phi(dec.eigenvalues), dec.eigenvectors).reconstruct()
 
 
 class TestApplySpectral:
+    """A spectral function is assembled as every chain matrix is: one
+    ``_congruence`` of the eigenvectors with the function's values."""
+
     def test_identity_square(self):
-        out = apply_spectral(np.eye(2), lambda t: t * t)
-        np.testing.assert_allclose(out.a, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(_spectral(np.eye(2), np.square), np.eye(2), atol=1e-14)
 
     def test_diagonal_sqrt(self):
-        out = apply_spectral(np.diag([1.0, 4.0]), math.sqrt)
-        np.testing.assert_allclose(out.a, np.diag([1.0, 2.0]), atol=1e-14)
+        out = _spectral(np.diag([1.0, 4.0]), np.sqrt)
+        np.testing.assert_allclose(out, np.diag([1.0, 2.0]), atol=1e-14)
 
     def test_square_matches_matrix_product(self):
         h = np.array([[2.0, 1.0], [1.0, 2.0]])
-        out = apply_spectral(h, lambda t: t * t)
-        np.testing.assert_allclose(out.a, h @ h, atol=1e-12)
+        np.testing.assert_allclose(_spectral(h, np.square), h @ h, atol=1e-12)
 
     def test_rejects_non_finite_values(self):
-        with pytest.raises(DomainError):
-            apply_spectral(np.diag([1.0, -1.0]), math.sqrt)  # sqrt(-1) -> nan
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="finite"):
+            _spectral(np.diag([1.0, -1.0]), np.sqrt)  # sqrt(-1) -> nan
 
     def test_pointwise_dominance_transfers_to_loewner_order(self):
         # If f >= g on the spectrum then f(H) >= g(H) in the semidefinite
         # order; this is the bridge every operator chain is built on.
         rng = np.random.default_rng(61)
         for _ in range(50):
-            n = int(rng.integers(2, 7))
-            h = _rand_hermitian(rng, n)
-            f = lambda t: t * t + 1.0
-            g = lambda t: 2.0 * abs(t)  # t^2 + 1 >= 2|t| everywhere
-            verdict = loewner_leq(apply_spectral(h, g), apply_spectral(h, f))
-            assert verdict.holds
-
-
-class TestSpdPow:
-    def test_zeroth_power_is_identity(self):
-        a = random_spd(4, 50, 3)
-        np.testing.assert_array_equal(spd_pow(a, 0.0).a, np.eye(4))
-
-    def test_diagonal_square_root(self):
-        out = spd_pow(SpdMatrix(np.diag([4.0, 9.0])), 0.5)
-        np.testing.assert_allclose(out.a, np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_power_out_of_range_says_which(self):
-        # 1e200 ** 2 overflows and 1e-200 ** 2 underflows; either raises a
-        # DomainError that names it, and numpy warns of neither.
-        with np.errstate(all="raise"):
-            with pytest.raises(DomainError, match="overflows"):
-                spd_pow(SpdMatrix(np.diag([1.0, 1e200])), 2.0)
-            with pytest.raises(DomainError, match="strictly positive.*underflows"):
-                spd_pow(SpdMatrix(np.diag([1e-200, 1.0])), 2.0)
-
-    def test_inverse_times_matrix_is_identity(self):
-        a = random_spd(5, 100, 11)
-        prod = spd_pow(a, -1.0).a @ a.a
-        assert np.linalg.norm(prod - np.eye(5)) <= 1e-10 * np.linalg.norm(a.a)
-
-    @given(
-        s=st.floats(min_value=-2, max_value=2),
-        t=st.floats(min_value=-2, max_value=2),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_power_law(self, s, t, seed):
-        a = random_spd(4, 100, seed)
-        left = spd_pow(a, s).a @ spd_pow(a, t).a
-        right = spd_pow(a, s + t).a
-        assert np.linalg.norm(left - right) <= 1e-9 * max(1.0, np.linalg.norm(right))
+            h = _rand_hermitian(rng, int(rng.integers(2, 7))).a
+            f = _spectral(h, lambda t: t * t + 1.0)
+            g = _spectral(h, lambda t: 2.0 * np.abs(t))  # t^2 + 1 >= 2|t| everywhere
+            assert loewner_leq(g, f).holds
 
 
 class TestSpectrumPowers:
@@ -277,7 +247,7 @@ class TestSpectrumPowers:
     def test_every_caller_passes_a_monotone_spectrum(self, monkeypatch):
         # The precondition that lets the two ends decide: every spectrum the
         # package powers, in every registered case, in the means and in
-        # SpdMatrix.power, is sorted one way or the other.
+        # harmonic mean's r = (1 - v) + v/w, is sorted one way or the other.
         seen = []
 
         def checked(w, ts):
@@ -292,7 +262,7 @@ class TestSpectrumPowers:
             harness.run_case(name, instances=3, cond_max=1e8)
         a, b = random_spd(4, 100.0, 1), random_spd(4, 100.0, 2)
         geometric_mean(a, b, 0.3)
-        spd_pow(a, -1.5)
+        harmonic_mean(a, b, 0.3)
         assert len(seen) > 100 and max(seen) > 1
 
 
@@ -369,9 +339,10 @@ class TestRandomGeneration:
         # and of the sequential construction (Haar Q, then its spectrum),
         # and the stream ends where sequential calls leave it.
         def sequential(n, cond, rng):
-            q = random_unitary(n, rng)
+            q = _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             half = 0.5 * np.log(cond)
-            return SpdMatrix._assemble(np.exp(rng.uniform(-half, half, size=n)), q)
+            lam = np.exp(rng.uniform(-half, half, size=n))
+            return SpdMatrix._assemble_stack(lam[None], q[None])[0]
 
         for n in range(1, 9):
             for cond in (1.0, 1e3, 1e8, 1e12):
@@ -442,8 +413,12 @@ class TestRandomGeneration:
                     np.testing.assert_array_equal(m.eig.eigenvectors, ref.eig.eigenvectors)
 
     def test_random_unitary_is_unitary(self):
-        q = random_unitary(5, 9)
+        # The Q of every random_spd draw, and a stack of _haar unitaries.
+        q = random_spd(5, 100, 9).eig.eigenvectors
         np.testing.assert_allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
+        rng = np.random.default_rng(9)
+        for q in _haar(rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))):
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
 
     def test_random_unitary_is_the_qr_factor_with_positive_diagonal(self):
         # Q* G is the R of G = QR with a positive real diagonal: the one QR
@@ -452,7 +427,7 @@ class TestRandomGeneration:
             for seed in range(5):
                 rng = np.random.default_rng(seed)
                 g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                r = random_unitary(n, seed).conj().T @ g
+                r = _haar(g).conj().T @ g
                 tol = 1e-12 * np.linalg.norm(g)
                 assert np.max(np.abs(np.tril(r, -1)), initial=0.0) <= tol, (n, seed)
                 d = np.diagonal(r)

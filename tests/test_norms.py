@@ -22,21 +22,31 @@ from matmeans import (
     heinz_norm,
     heinz_pq_chain,
     heinz_reverse_chain,
-    norm_functional,
     norm_heinz_chain,
     norm_reverse_chain,
     norms,
     operator_reverse_chain,
     random_spd,
-    random_unitary,
     singular_values,
     ui_norm,
     young_reverse_chain,
 )
 
+from matmeans.linalg import _haar
 from matmeans.scalar import _convex_refinement, _logconvex_refinement
 
+from jacobi_oracle import eigh_power
+
 ALL_KINDS = DEFAULT_NORM_KINDS
+
+
+def _functional(a, b, x, v, kind):
+    """f(v) = ||A^{1-v} X B^v||: the kernel on a stack of one."""
+    return float(norms._functional_values(a, b, x, [v], kind)[0])
+
+
+def _unitary(n, rng):
+    return _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def _instance(seed, n=3, cond=50.0):
@@ -84,7 +94,8 @@ class TestSingularValues:
         # of X*X the small value is lost below sqrt(eps); the SVD keeps it to
         # the rounding of X's entries (about 1e-16 absolute).
         for seed in range(5):
-            u, v = random_unitary(2, seed), random_unitary(2, seed + 100)
+            u = _unitary(2, np.random.default_rng(seed))
+            v = _unitary(2, np.random.default_rng(seed + 100))
             s = singular_values(u @ np.diag([1.0, 1e-10]) @ v.conj().T)
             assert s[0] == pytest.approx(1.0, rel=1e-15, abs=0.0), seed
             assert s[1] == pytest.approx(1e-10, rel=1e-5, abs=0.0), seed
@@ -140,8 +151,8 @@ class TestUiNorm:
         for trial in range(100):
             n = int(rng.integers(2, 6))
             x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            u = random_unitary(n, rng)
-            v = random_unitary(n, rng)
+            u = _unitary(n, rng)
+            v = _unitary(n, rng)
             for kind in ALL_KINDS:
                 base = ui_norm(x, kind)
                 assert abs(ui_norm(u @ x @ v, kind) - base) <= 1e-9 * base
@@ -169,7 +180,7 @@ class TestNormFunctional:
     def test_zero_weight(self):
         a, b, x = _instance(7)
         k = NormKind.trace_norm()
-        assert norm_functional(a, b, x, 0.0, k) == pytest.approx(
+        assert _functional(a, b, x, 0.0, k) == pytest.approx(
             ui_norm(a.a @ x, k), rel=1e-12
         )
 
@@ -179,7 +190,7 @@ class TestNormFunctional:
         x = rng.standard_normal((3, 3))
         k = NormKind.frobenius()
         for nu in (-2.0, 0.0, 0.7, 3.0):
-            assert norm_functional(i3, i3, x, nu, k) == pytest.approx(
+            assert _functional(i3, i3, x, nu, k) == pytest.approx(
                 ui_norm(x, k), rel=1e-12
             )
 
@@ -188,9 +199,9 @@ class TestNormFunctional:
         for seed in range(60):
             a, b, x = _instance(seed, n=int(rng.integers(2, 6)))
             for kind in ALL_KINDS:
-                f0 = norm_functional(a, b, x, 0.0, kind)
-                f1 = norm_functional(a, b, x, 1.0, kind)
-                fm = norm_functional(a, b, x, 0.5, kind)
+                f0 = _functional(a, b, x, 0.0, kind)
+                f1 = _functional(a, b, x, 1.0, kind)
+                fm = _functional(a, b, x, 0.5, kind)
                 assert fm ** 2 <= f0 * f1 * (1 + 1e-9)
 
 
@@ -217,13 +228,13 @@ class TestNormChains:
             for kind in ALL_KINDS:
                 chain = norm_reverse_chain(a, b, x, nu, 1, kind)
                 fa = ui_norm(a.a @ x, kind)
-                cross = norm_functional(a, b, x, 0.5, kind)
+                cross = _functional(a, b, x, 0.5, kind)
                 expected_mid = math.exp(
                     (1 + 2 * nu) * math.log(fa) - 2 * nu * math.log(cross)
                 )
                 assert chain.value("refined") == pytest.approx(expected_mid, rel=1e-10)
                 assert fa ** (1 + 2 * nu) <= (
-                    norm_functional(a, b, x, -nu, kind) * cross ** (2 * nu)
+                    _functional(a, b, x, -nu, kind) * cross ** (2 * nu)
                 ) * (1 + 1e-8)
 
     def test_ascending_all_kinds_both_branches(self):
@@ -253,11 +264,11 @@ class TestNormChains:
         kind = NormKind.schatten(3.0)
         nu = 0.7
         two_sided = norms._two_sided_values(a, b, x, [-nu], kind)[0]
-        literal = ui_norm(a.power(1.0 + nu).a @ x @ b.power(1.0 + nu).a, kind)
+        literal = ui_norm(eigh_power(a, 1.0 + nu) @ x @ eigh_power(b, 1.0 + nu), kind)
         assert two_sided == pytest.approx(literal, rel=1e-12)
         cases = (
-            ("_functional_values", norm_reverse_chain, nu, norm_functional(a, b, x, -nu, kind)),
-            ("_functional_values", norm_reverse_chain, -1.6, norm_functional(a, b, x, 1.6, kind)),
+            ("_functional_values", norm_reverse_chain, nu, _functional(a, b, x, -nu, kind)),
+            ("_functional_values", norm_reverse_chain, -1.6, _functional(a, b, x, 1.6, kind)),
             ("_two_sided_values", norm_heinz_chain, nu, two_sided),
             ("_heinz_values", heinz_reverse_chain, nu, heinz_norm(a, b, x, -nu, kind)),
         )
@@ -306,15 +317,15 @@ class TestNormChains:
         for seed in range(3):
             a, b, x = _instance(50 + seed, n=2 + seed)
             for kind in ALL_KINDS:
-                f = lambda vs: [norm_functional(a, b, x, v, kind) for v in vs]
+                f = lambda vs: [_functional(a, b, x, v, kind) for v in vs]
                 g = lambda vs: [norms._two_sided_values(a, b, x, [v], kind)[0] for v in vs]
                 h = lambda vs: [heinz_norm(a, b, x, v, kind) for v in vs]
                 for v in (-2.1, 0.3, 1.0):
-                    p, q = a.power(1.0 - v).a, b.power(v).a
+                    p, q = eigh_power(a, 1.0 - v), eigh_power(b, v)
                     literal = (
                         (f, ui_norm(p @ x @ q, kind)),
-                        (g, ui_norm(p @ x @ b.power(1.0 - v).a, kind)),
-                        (h, ui_norm(a.power(v).a @ x @ b.power(1.0 - v).a + p @ x @ q, kind)),
+                        (g, ui_norm(p @ x @ eigh_power(b, 1.0 - v), kind)),
+                        (h, ui_norm(eigh_power(a, v) @ x @ eigh_power(b, 1.0 - v) + p @ x @ q, kind)),
                     )
                     for values, want in literal:
                         assert values([v])[0] == pytest.approx(want, rel=1e-12), (str(kind), v)
@@ -351,7 +362,7 @@ class TestHeinzFamily:
     def test_half_weight_value(self):
         a, b, x = _instance(15)
         k = NormKind.trace_norm()
-        two_cross = 2 * ui_norm(a.power(0.5).a @ x @ b.power(0.5).a, k)
+        two_cross = 2 * ui_norm(eigh_power(a, 0.5) @ x @ eigh_power(b, 0.5), k)
         assert heinz_norm(a, b, x, 0.5, k) == pytest.approx(two_cross, rel=1e-12)
 
     def test_identity_matrices_constant(self):
@@ -511,7 +522,7 @@ class TestEvaluationContext:
         for chain_fn in self.CHAINS:
             for depth in (2, 5):
                 out.extend(chain_fn(a, b, x, 0.8, depth, kind).values)
-        out.append(norm_functional(a, b, x, 0.3, kind))
+        out.append(_functional(a, b, x, 0.3, kind))
         out.append(heinz_norm(a, b, x, -0.4, kind))
         return [v.hex() for v in out]
 

@@ -194,6 +194,8 @@ BUILD_FAULTS = {
     "operator_squared_pos": (_term_scaled(means.operator_squared_chain, "scaled_arith"), 1.0),
     "operator_squared_neg": (_term_scaled(means.operator_squared_chain, "scaled_b"), 1.0),
     "harmonic_operator": (_term_scaled(means.harmonic_operator_chain, "arith"), 1.0),
+    "trace_additive": (_term_scaled(means.trace_additive_chain, "arith"), 1.0),
+    "trace_multiplicative": (_term_scaled(means.trace_multiplicative_chain, "power"), 1.0),
 }
 
 # Cases whose fault is also run at a high condition number, where A's small

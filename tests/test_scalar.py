@@ -24,7 +24,6 @@ from matmeans import (
     harmonic_reverse_chain,
     kantorovich_chain,
     kantorovich_constant,
-    line_through,
     logconvex_refined_chain,
     weight_branch,
     young_refinement_chain,
@@ -39,24 +38,6 @@ SQ = lambda t: t * t
 def ascending(chain: ScalarChain, rel_tol: float = 1e-9) -> bool:
     scale = max(1.0, max(abs(v) for v in chain.values))
     return all(b - a >= -rel_tol * scale for a, b in zip(chain.values, chain.values[1:]))
-
-
-class TestLine:
-    def test_exact_at_endpoints(self):
-        assert line_through(SQ, 0.0, 1.0, 0.0) == 0.0
-        assert line_through(SQ, 0.0, 1.0, 1.0) == 1.0
-
-    def test_extrapolation_hand_value(self):
-        # ((b-x) f(a) + (x-a) f(b)) / (b-a) at (0, 1, 2) with f = t^2 is 2.
-        assert line_through(SQ, 0.0, 1.0, 2.0) == pytest.approx(2.0)
-
-    def test_above_graph_inside_interval(self):
-        assert line_through(SQ, 0.0, 1.0, 0.5) == pytest.approx(0.5)
-        assert 0.5 >= SQ(0.5)
-
-    def test_requires_ordered_endpoints(self):
-        with pytest.raises(DomainError):
-            line_through(SQ, 1.0, 0.0, 0.5)
 
 
 class TestWeightBranch:
