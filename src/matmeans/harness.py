@@ -3,25 +3,27 @@
 Each registered case is a draw and a build. ``draw(rng, cfg, cond)`` reads
 every random number of one instance (its inputs, then nu, the depth or its
 other parameters) and returns the build's keyword arguments and a payload
-that replays them. The pure ``build(**args)`` evaluates an inequality chain
-(checked link by link) or a vector of normalized margins (checked against
-``-rel_tol``). Instances draw from a stream keyed by ``hash(seed, case
-name, instance index)``, so runs are deterministic, order-insensitive, and
-individual instances can be replayed. Every drawn instance is checked: a
-case of ``instances`` instances builds indices ``0 .. instances - 1``, and
-none is skipped.
+that replays them. The pure ``build(args, grid)`` evaluates, at each grid
+value (a dict of pins), an inequality chain (checked link by link) or a
+vector of normalized margins (checked against ``-rel_tol``). Instances
+draw from a stream keyed by ``hash(seed, case name, instance index)``, so
+runs are deterministic, order-insensitive, and individual instances can be
+replayed. Every drawn instance is checked: a case of ``instances``
+instances builds indices ``0 .. instances - 1``, and none is skipped.
 
 Most cases follow the paper's pattern of a classical bound, a dyadic
 refinement of depth N, then the target. Each of them is one row: an input
 draw, a chain function, a weight branch and a base label (``_refinement``).
-Identities, shape checks and the other margin cases have a draw and a build
-of their own.
+A row checks the chain's grid form (``means._operator_reverse_grid`` and so
+on, or ``_looped`` for a scalar chain). Identities, shape checks and the
+other margin cases have a one-value build of their own (``_each``).
 
 ``run_case``, ``sweep`` and ``build_instance`` share one path,
 ``_instances``: draw each instance, assemble the SPD pairs of a block with
-one QR and one assembly per dimension n, then pin a swept parameter in
-copies of the drawn dicts and build. A build reads no random number, so a
-pin cannot move a stream, and no stream state is saved or restored.
+one QR and one assembly per dimension n, then build each instance at every
+grid value in one call (a grid of one for ``run_case``). A build reads no
+random number, so a pin cannot move a stream, and no stream state is saved
+or restored.
 """
 
 from __future__ import annotations
@@ -166,12 +168,12 @@ def _payload_json(drawn: dict) -> dict:
 @dataclass(frozen=True)
 class CaseDef:
     """A registered case: ``draw(rng, cfg, cond) -> (args, payload)`` reads
-    every random number of one instance, and the pure ``build(**args)``
-    evaluates it (see ``_instances``)."""
+    every random number of one instance, and the pure ``build(args, grid)``
+    gives its ``Built`` at each grid value (see ``_instances``)."""
 
     name: str
     draw: Callable[[np.random.Generator, CaseConfig, float], tuple[dict, dict]]
-    build: Callable[..., Built]
+    build: Callable[[dict, list], list[Built]]
     overrides: dict
     sweep_params: tuple[str, ...]
     description: str
@@ -179,6 +181,12 @@ class CaseDef:
 
 
 REGISTRY: dict[str, CaseDef] = {}
+
+
+def _each(build):
+    """The grid build of a one-value ``build(**args) -> Built``: one call per
+    grid value, with its pins in a copy of the args."""
+    return lambda args, grid: [build(**{**args, **pins}) for pins in grid]
 
 
 def _register(name, *, draw, build, nu_branch=0, overrides=None, sweep=(), description=""):
@@ -426,7 +434,7 @@ _ordered_spd_inputs = functools.partial(_spd_pair, ordered=True)
 
 def _norm_inputs(rng, cfg, cond):
     """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind.
-    X is read-only: the payload and a sweep's memo share it."""
+    X is read-only: the payload and the build of every grid value share it."""
     args, payload = _spd_pair(rng, cfg, cond, cap=6)
     n = payload["n"]
     z = rng.standard_normal((2, n, n))
@@ -452,27 +460,42 @@ def _weighted(inputs, branch, depth=True):
     return draw
 
 
-def _chain_build(chain_fn, base=None, **fixed):
-    """The build that checks ``chain_fn(**args, **fixed)``. ``base`` names
-    the chain's unrefined bound; with it the "refined" and ``base`` entries
-    feed the sweep gain."""
+def _looped(chain_fn):
+    """The grid form of a one-value chain function (a scalar row's): one
+    call per (nu, depth) pair, or per nu for a chain without a depth."""
+    return lambda grid, **inputs: [
+        chain_fn(**inputs, nu=w[0], depth=w[1]) if isinstance(w, tuple)
+        else chain_fn(**inputs, nu=w)
+        for w in grid
+    ]
 
-    def build(**args):
-        chain = chain_fn(**args, **fixed)
-        if base is None:
-            return Built(chain=chain)
-        return Built(chain=chain, refined=chain.value("refined"), base=chain.value(base))
+
+def _chain_build(grid_form, base=None, **fixed):
+    """The grid build that checks a chain's ``grid_form`` in one call, on the
+    (nu, depth) pairs of the grid, or its nus for a chain without a depth.
+    ``base`` names the chain's unrefined bound; with it the "refined" and
+    ``base`` entries feed the sweep gain."""
+
+    def build(args, grid):
+        inputs = {k: v for k, v in args.items() if k not in ("nu", "depth")}
+        weights = [{**args, **pins} for pins in grid]
+        weights = [(w["nu"], w["depth"]) if "depth" in w else w["nu"] for w in weights]
+        return [
+            Built(chain=c) if base is None
+            else Built(chain=c, refined=c.value("refined"), base=c.value(base))
+            for c in grid_form(**inputs, grid=weights, **fixed)
+        ]
 
     return build
 
 
-def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
-    """The ``draw``, ``build`` and ``nu_branch`` of a case that checks
-    ``chain_fn``: classical bound, refinement, target (see ``_weighted`` and
-    ``_chain_build``)."""
+def _refinement(inputs, grid_form, *, branch, base=None, depth=True, **fixed):
+    """The ``draw``, ``build`` and ``nu_branch`` of a case that checks a
+    chain through its ``grid_form``: classical bound, refinement, target
+    (see ``_weighted`` and ``_chain_build``)."""
     return {
         "draw": _weighted(inputs, branch, depth),
-        "build": _chain_build(chain_fn, base, **fixed),
+        "build": _chain_build(grid_form, base, **fixed),
         "nu_branch": branch,
     }
 
@@ -486,7 +509,7 @@ _register(
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at a",
     **_refinement(
-        _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="a"
+        _convex_inputs, _looped(scalar.convex_refined_chain), branch=0, base="secant", anchor="a"
     ),
 )
 
@@ -496,7 +519,7 @@ _register(
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at b",
     **_refinement(
-        _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="b"
+        _convex_inputs, _looped(scalar.convex_refined_chain), branch=0, base="secant", anchor="b"
     ),
 )
 
@@ -506,7 +529,8 @@ _register(
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, nonnegative weights",
     **_refinement(
-        _logconvex_inputs, scalar.logconvex_refined_chain, branch=1, base="power", anchor="a"
+        _logconvex_inputs, _looped(scalar.logconvex_refined_chain), branch=1, base="power",
+        anchor="a",
     ),
 )
 
@@ -516,7 +540,8 @@ _register(
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, weights <= -1",
     **_refinement(
-        _logconvex_inputs, scalar.logconvex_refined_chain, branch=-1, base="power", anchor="b"
+        _logconvex_inputs, _looped(scalar.logconvex_refined_chain), branch=-1, base="power",
+        anchor="b",
     ),
 )
 
@@ -525,7 +550,7 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu >= 0",
-    **_refinement(_xy_inputs, scalar.young_reverse_chain, branch=1, base="arith"),
+    **_refinement(_xy_inputs, _looped(scalar.young_reverse_chain), branch=1, base="arith"),
 )
 
 _register(
@@ -533,7 +558,7 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu <= -1",
-    **_refinement(_xy_inputs, scalar.young_reverse_chain, branch=-1, base="arith"),
+    **_refinement(_xy_inputs, _looped(scalar.young_reverse_chain), branch=-1, base="arith"),
 )
 
 
@@ -550,7 +575,7 @@ _register(
     sweep=("nu", "depth"),
     description="squared reverse Young refinement, both weight branches",
     draw=_weighted(_xy_inputs, branch=0),
-    build=_build_young_squared,
+    build=_each(_build_young_squared),
 )
 
 
@@ -572,7 +597,7 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("depth",),
     description="forward Young refinement in the interpolation parameter t",
-    draw=_draw_young_refined_t, build=_build_young_refined_t,
+    draw=_draw_young_refined_t, build=_each(_build_young_refined_t),
 )
 
 
@@ -592,7 +617,7 @@ _register(
     overrides={"instances": 1000, "rel_tol": 0.0},
     description="depth-1 reverse Young equals its closed two-term form (1e-12)",
     draw=_weighted(_xy_inputs, branch=0, depth=False),
-    build=_build_young_collapse,
+    build=_each(_build_young_collapse),
 )
 
 _register(
@@ -600,7 +625,9 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse arithmetic-harmonic inequality, 0 < x < y",
-    **_refinement(_ordered_xy_inputs, scalar.harmonic_reverse_chain, branch=1, base="arith"),
+    **_refinement(
+        _ordered_xy_inputs, _looped(scalar.harmonic_reverse_chain), branch=1, base="arith"
+    ),
 )
 
 _register(
@@ -608,14 +635,16 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse geometric-harmonic inequality, 0 < x < y",
-    **_refinement(_ordered_xy_inputs, scalar.harmonic_geometric_chain, branch=1, base="geom"),
+    **_refinement(
+        _ordered_xy_inputs, _looped(scalar.harmonic_geometric_chain), branch=1, base="geom"
+    ),
 )
 
 _register(
     "kantorovich_scalar",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     description="Kantorovich-weighted reverse geometric-harmonic bound",
-    **_refinement(_ordered_xy_inputs, scalar.kantorovich_chain, branch=1, depth=False),
+    **_refinement(_ordered_xy_inputs, _looped(scalar.kantorovich_chain), branch=1, depth=False),
 )
 
 
@@ -638,7 +667,7 @@ _register(
     "harmonic_curvature",
     overrides={"instances": 500, "rel_tol": 0.0},
     description="second derivative of v -> x !_v y matches 2xy(x-y)^2/(v(x-y)+y)^3",
-    draw=_draw_harmonic_curvature, build=_build_harmonic_curvature,
+    draw=_draw_harmonic_curvature, build=_each(_build_harmonic_curvature),
 )
 
 
@@ -649,46 +678,42 @@ _register(
     "operator_reverse_pos",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu >= 0",
-    **_refinement(_spd_inputs, means.operator_reverse_chain, branch=1, base="arith"),
+    **_refinement(_spd_inputs, means._operator_reverse_grid, branch=1, base="arith"),
 )
 
 _register(
     "operator_reverse_neg",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu <= -1",
-    **_refinement(_spd_inputs, means.operator_reverse_chain, branch=-1, base="arith"),
+    **_refinement(_spd_inputs, means._operator_reverse_grid, branch=-1, base="arith"),
 )
 
 _register(
     "operator_squared_pos",
     sweep=("nu", "depth", "cond"),
     description="squared operator reverse Young refinement, nu >= 0",
-    **_refinement(_spd_inputs, means.operator_squared_chain, branch=1, base="scaled_arith"),
+    **_refinement(_spd_inputs, means._operator_squared_grid, branch=1, base="scaled_arith"),
 )
 
 _register(
     "operator_squared_neg",
     sweep=("nu", "depth", "cond"),
     description="squared operator refinement, nu <= -1 (B A^{-1} B form)",
-    **_refinement(_spd_inputs, means.operator_squared_chain, branch=-1, base="scaled_b"),
+    **_refinement(_spd_inputs, means._operator_squared_grid, branch=-1, base="scaled_b"),
 )
 
 _register(
     "harmonic_operator",
     sweep=("nu", "depth", "cond"),
     description="refined reverse arithmetic-harmonic operator inequality, A <= B",
-    **_refinement(
-        _ordered_spd_inputs, means.harmonic_operator_chain, branch=1, base="arith"
-    ),
+    **_refinement(_ordered_spd_inputs, means._harmonic_operator_grid, branch=1, base="arith"),
 )
 
 _register(
     "kantorovich_operator",
     sweep=("nu",),
     description="Kantorovich-weighted reverse geometric-harmonic operator bound, A <= B",
-    **_refinement(
-        _ordered_spd_inputs, means.kantorovich_operator_chain, branch=1, depth=False
-    ),
+    **_refinement(_ordered_spd_inputs, means._kantorovich_operator_grid, branch=1, depth=False),
 )
 
 _register(
@@ -696,7 +721,7 @@ _register(
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="additive trace refinement chain",
-    **_refinement(_spd_inputs, means.trace_additive_chain, branch=1, base="arith"),
+    **_refinement(_spd_inputs, means._trace_additive_grid, branch=1, base="arith"),
 )
 
 _register(
@@ -704,7 +729,7 @@ _register(
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="multiplicative trace refinement chain",
-    **_refinement(_spd_inputs, means.trace_multiplicative_chain, branch=1, base="power"),
+    **_refinement(_spd_inputs, means._trace_multiplicative_grid, branch=1, base="power"),
 )
 
 _register(
@@ -712,7 +737,7 @@ _register(
     overrides={"rel_tol": 1e-9},
     sweep=("nu",),
     description="depth-1 trace specializations and the Schatten-1 comparison",
-    **_refinement(_spd_inputs, means.trace_depth1_chain, branch=1, depth=False),
+    **_refinement(_spd_inputs, means._trace_depth1_grid, branch=1, depth=False),
 )
 
 
@@ -724,7 +749,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu >= 0",
-    **_refinement(_norm_inputs, norms.norm_reverse_chain, branch=1, base="power"),
+    **_refinement(_norm_inputs, norms._norm_reverse_grid, branch=1, base="power"),
 )
 
 _register(
@@ -732,7 +757,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu <= -1",
-    **_refinement(_norm_inputs, norms.norm_reverse_chain, branch=-1, base="power"),
+    **_refinement(_norm_inputs, norms._norm_reverse_grid, branch=-1, base="power"),
 )
 
 _register(
@@ -740,7 +765,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="two-sided power refinement ||A^{1+nu} X B^{1+nu}||",
-    **_refinement(_norm_inputs, norms.norm_heinz_chain, branch=1, base="power"),
+    **_refinement(_norm_inputs, norms._norm_heinz_grid, branch=1, base="power"),
 )
 
 _register(
@@ -748,7 +773,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="five-term chain joining scalar and norm-functional refinements",
-    **_refinement(_norm_inputs, norms.combined_norm_chain, branch=1, base="power"),
+    **_refinement(_norm_inputs, norms._combined_norm_grid, branch=1, base="power"),
 )
 
 
@@ -772,7 +797,7 @@ _register(
     overrides={"instances": 500},
     description="depth-1 corollaries ||AX||^{1+2nu} and ||AXB||^{1+2nu}",
     draw=_weighted(_norm_inputs, branch=1, depth=False),
-    build=_build_norm_collapse,
+    build=_each(_build_norm_collapse),
 )
 
 
@@ -793,7 +818,7 @@ _register(
     "norm_logconvexity",
     overrides={"instances": 500, "rel_tol": 1e-9},
     description="log-convexity of v -> ||A^{1-v} X B^v|| on random combinations",
-    draw=_draw_norm_logconvexity, build=_build_norm_logconvexity,
+    draw=_draw_norm_logconvexity, build=_each(_build_norm_logconvexity),
 )
 
 
@@ -810,7 +835,7 @@ _register(
     "heinz_symmetry",
     overrides={"instances": 500, "rel_tol": 0.0},
     description="Heinz functional symmetry f(nu) = f(1-nu) to 1e-10",
-    draw=_draw_heinz_symmetry, build=_build_heinz_symmetry,
+    draw=_draw_heinz_symmetry, build=_each(_build_heinz_symmetry),
 )
 
 
@@ -828,7 +853,7 @@ _register(
     "heinz_midpoint_convexity",
     overrides={"instances": 500},
     description="midpoint convexity of the Heinz functional on [-3, 4]",
-    draw=_draw_heinz_midpoint, build=_build_heinz_midpoint,
+    draw=_draw_heinz_midpoint, build=_each(_build_heinz_midpoint),
 )
 
 
@@ -841,7 +866,7 @@ _register(
     "heinz_monotonicity",
     overrides={"instances": 50},
     description="Heinz functional nonincreasing on [-3, 1/2], nondecreasing on [1/2, 4]",
-    draw=_norm_inputs, build=_build_heinz_monotonicity,
+    draw=_norm_inputs, build=_each(_build_heinz_monotonicity),
 )
 
 _register(
@@ -849,7 +874,7 @@ _register(
     overrides={"nu_range": (0.0, 4.0)},
     sweep=("nu", "depth", "cond"),
     description="reversed Heinz inequality with dyadic refinement",
-    **_refinement(_norm_inputs, norms.heinz_reverse_chain, branch=1, base="sum_norm"),
+    **_refinement(_norm_inputs, norms._heinz_reverse_grid, branch=1, base="sum_norm"),
 )
 
 
@@ -869,7 +894,7 @@ _register(
     "heinz_reverse_outside",
     overrides={"instances": 200},
     description="||AX + XB|| <= f(nu) for weights outside [0, 1]",
-    draw=_draw_heinz_outside, build=_build_heinz_outside,
+    draw=_draw_heinz_outside, build=_each(_build_heinz_outside),
 )
 
 
@@ -888,7 +913,7 @@ _register(
     "heinz_pq",
     overrides={"instances": 200},
     description="power-difference comparison for 0 < q < p",
-    draw=_draw_heinz_pq, build=_build_heinz_pq,
+    draw=_draw_heinz_pq, build=_each(_build_heinz_pq),
 )
 
 
@@ -905,7 +930,7 @@ _register(
     "heinz_interpolated",
     overrides={"instances": 200},
     description="interpolated power-difference comparison for 0 < r < q < p",
-    draw=_draw_heinz_interpolated, build=_build_heinz_interpolated,
+    draw=_draw_heinz_interpolated, build=_each(_build_heinz_interpolated),
 )
 
 
@@ -919,7 +944,7 @@ _register(
     "heinz_interpolated_grid",
     overrides={"instances": 200},
     description="interpolated Heinz value nonincreasing in r on [0, q]",
-    draw=_draw_heinz_pq, build=_build_heinz_interp_grid,
+    draw=_draw_heinz_pq, build=_each(_build_heinz_interp_grid),
 )
 
 
@@ -945,54 +970,38 @@ def _seated(seed: int, case_name: str, rng: np.random.Generator):
     return streams
 
 
-def _built(case: CaseDef, args: dict, payload: dict, pins: dict) -> Built:
-    """``case.build`` of drawn ``args``, with ``pins`` put in copies of both
-    dicts, and the payload recorded in ``Built.drawn``."""
-    if pins:
-        args, payload = {**args, **pins}, {**payload, **pins}
-    built = case.build(**args)
-    built.drawn = payload
-    return built
+def _instances(case: CaseDef, cfg: CaseConfig, cond: float, indices, streams, grid: list):
+    """Yield (index, builts) for each of ``indices``, in order: the
+    instance's ``Built`` at each value of ``grid``, a list of pin dicts.
 
-
-def _instances(case: CaseDef, cfg: CaseConfig, forced: dict, indices, streams, memo=None):
-    """Yield (index, built) for each of ``indices``, in order.
-
-    1. draw: ``streams(todo)`` gives a generator at the start of the stream
-       of each index that ``memo`` lacks, and ``case.draw`` reads every
-       random number of that instance from it, with the condition bound of
-       a pinned cond (``forced["cond"]``) or of ``cfg``. Without a ``memo``
-       (``run_case``, ``build_instance``), a draw without an SPD pair (a
-       scalar case) is built at once and not kept, and when no draw is kept
-       the memo is not read again;
-    2. assemble: the SPD pairs of the new draws, one QR and one assembly per
-       n (``_assemble_pairs``); the draws are kept in the memo under
-       (index, cond);
-    3. pin and build: the other parameters of ``forced`` replace the drawn
-       ones in copies of the dicts (``_built``), so a pin cannot move the
-       stream, and the case's pure ``build`` evaluates the instance.
-
-    A case's draws either all hold an SPD pair or none does. A sweep passes
-    one ``memo`` across its grid, scalar draws included, so a repeat draws
-    and seeds nothing.
+    1. draw: ``streams(indices)`` gives a generator at the start of the
+       stream of each index, and ``case.draw`` reads every random number of
+       that instance from it, with the condition bound ``cond``. A draw
+       without an SPD pair (a scalar case) is built at once;
+    2. assemble: the SPD pairs of the other draws, one QR and one assembly
+       per n (``_assemble_pairs``); a case's draws all hold one or none does;
+    3. build: ``case.build`` evaluates the instance at every grid value in
+       one call, a value's pins in copies of the drawn dicts, so a pin
+       cannot move the stream; each ``Built.drawn`` is the payload with its
+       value's pins.
     """
-    cond = float(forced.get("cond", cfg.cond_max))
-    pins = {param: value for param, value in forced.items() if param != "cond"}
-    keep = memo is not None
-    memo = {} if memo is None else memo
-    todo = [i for i in indices if (i, cond) not in memo] if memo else indices
-    for i, rng in zip(todo, streams(todo)):
+
+    def built(args, payload):
+        builts = case.build(args, grid)
+        for b, pins in zip(builts, grid):
+            b.drawn = {**payload, **pins} if pins else payload
+        return builts
+
+    pending = []
+    for i, rng in zip(indices, streams(indices)):
         args, payload = case.draw(rng, cfg, cond)
-        if keep or _PAIR in args:
-            memo[i, cond] = args, payload
+        if _PAIR in args:
+            pending.append((i, args, payload))
         else:
-            yield i, _built(case, args, payload, pins)
-    if not memo:
-        return
-    _assemble_pairs(memo[i, cond] for i in todo if (i, cond) in memo)
-    for i in indices:
-        if (i, cond) in memo:
-            yield i, _built(case, *memo[i, cond], pins)
+            yield i, built(args, payload)
+    _assemble_pairs((args, payload) for _, args, payload in pending)
+    for i, args, payload in pending:
+        yield i, built(args, payload)
 
 
 def _payloads(case: CaseDef, cfg: CaseConfig, indices, streams) -> list[dict]:
@@ -1024,8 +1033,9 @@ def build_instance(name: str, index: int, forced: dict | None = None, **override
         param: sweep_values(_swept(case, param), [value], case.nu_branch)[0]
         for param, value in (forced or {}).items()
     }
+    cond = float(forced.pop("cond", cfg.cond_max))
     streams = lambda todo: (instance_rng(cfg.seed, name, i) for i in todo)
-    ((_, built),) = _instances(case, cfg, forced, [index], streams)
+    ((_, (built,)),) = _instances(case, cfg, cond, [index], streams, [forced])
     return built
 
 
@@ -1058,7 +1068,8 @@ def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> 
     cfg = _config_for(case, overrides)
     streams = _seated(cfg.seed, name, _new_generator())
     verdicts, rows = set(), []
-    for _, built in _instances(case, cfg, {}, range(cfg.instances), streams):
+    cond = float(cfg.cond_max)
+    for _, (built,) in _instances(case, cfg, cond, range(cfg.instances), streams, [{}]):
         decide, row = built.value_row()
         verdicts.add(decide)
         rows.append(row)
@@ -1151,26 +1162,35 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     """Re-evaluate a case while pinning one parameter to each grid value.
 
     Instances keep their identity across the grid (the same draws, with only
-    ``param`` pinned), so columns are directly comparable. Each instance is
-    drawn, and its SPD pair assembled, once per cond, and rebuilt at each
-    grid value. A rebuild computes only what the pin moves: the evaluation
-    contexts of ``means`` and ``norms`` keep the values of the instance's
-    last build. Returns one row per grid value
-    with the mean end-to-end gap and mean refinement gain (refined bound
-    minus unrefined bound; trace difference for operator chains). Every grid
-    value is checked by ``sweep_values`` before any instance is built.
+    ``param`` pinned), so columns are directly comparable. A nu or depth
+    sweep draws each instance, and assembles its SPD pair, once, and builds
+    all its grid values in one call; a cond sweep draws it at each value.
+    Returns one row per grid value with the mean end-to-end gap and mean
+    refinement gain (refined bound minus unrefined bound; trace difference
+    for operator chains). Every grid value is checked by ``sweep_values``
+    before any instance is built. A sweep builds instance by instance, so
+    where several (instance, value) builds raise, the one it meets first,
+    and the (instance, value) its message names, may differ from a
+    value-by-value order; each is a DomainError or a ConvergenceError, so
+    ``matmeans sweep`` exits 2 either way.
     """
     case = _case(name)
     values = sweep_values(_swept(case, param), grid, case.nu_branch)
     cfg = _config_for(case, overrides)
-    indices, memo = range(cfg.instances), {}
+    if param == "cond":
+        blocks = [(value, [{}]) for value in values]
+    else:
+        blocks = [(float(cfg.cond_max), [{param: value} for value in values])] if values else []
     streams = _seated(cfg.seed, name, _new_generator())
-    out = []
-    for value in values:
-        gaps = []
-        gains = []
-        for _, built in _instances(case, cfg, {param: value}, indices, streams, memo):
-            gaps.append(built.gap())
-            gains.append(_gain(built))
-        out.append(SweepRow(float(value), _mean(gaps), _mean(gains)))
-    return out
+    columns = []
+    for cond, pins in blocks:
+        block = [([], []) for _ in pins]
+        for _, builts in _instances(case, cfg, cond, range(cfg.instances), streams, pins):
+            for (gaps, gains), built in zip(block, builts):
+                gaps.append(built.gap())
+                gains.append(_gain(built))
+        columns += block
+    return [
+        SweepRow(float(value), _mean(gaps), _mean(gains))
+        for value, (gaps, gains) in zip(values, columns)
+    ]

@@ -25,14 +25,10 @@ verification harness) is built on the small toolkit in this module:
 
 All value types are immutable after construction and the only randomness is
 explicit (seed in, value out). What a matrix keeps besides its entries is
-derived from them: its ``eig``, and the evaluation contexts of ``means``
-and ``norms``, each of which keeps only the keys and values of its last
-call (``_recall``). A context or a cached field is stored only once it is
-fully built, and a kept value has the bits a fresh evaluation would give,
-so a matrix can be shared across threads: two threads that race on one
-context both get the values they would get alone. (Two threads that keep
-contexts on A and on B at the same moment can close a reference cycle
-that ``_keep`` would have refused; the garbage collector frees it.)
+derived from its entries alone: its ``eig`` and its ``spectral_norm``. The
+evaluation contexts of ``means`` and ``norms`` live only as long as the
+call that builds them, so a matrix can be shared across threads, and a
+value never depends on an earlier call.
 """
 
 from __future__ import annotations
@@ -73,51 +69,6 @@ def _hermitian_part(h: np.ndarray) -> np.ndarray:
     return h + h.conj().swapaxes(-1, -2)
 
 
-def _recall(last, keys: list, compute) -> np.ndarray:
-    """The values at ``keys``, one row per key, reusing the last call's.
-
-    ``last`` is the ``(keys, values)`` of the previous call, or None.
-    ``compute(todo)`` returns the rows at a list of distinct keys; it is
-    called once, on the keys of this call that ``last`` lacks, each once,
-    in the order they first appear, and on ``keys`` itself when that is
-    all of them. A value depends only on its key, so a reused row has the
-    bits a fresh one would. A first call stores its keys and values as
-    they are: only the next call indexes them, so a value that is never
-    asked for again costs no index.
-    """
-    if last is None:
-        found, todo = {}, dict.fromkeys(keys)
-    else:
-        found = dict(zip(*last))
-        todo = [key for key in dict.fromkeys(keys) if key not in found]
-    if len(todo) == len(keys):
-        return compute(keys)
-    todo = list(todo)
-    if todo:
-        found.update(zip(todo, compute(todo)))
-    return np.array([found[key] for key in keys])
-
-
-#: The names under which ``means`` and ``norms`` keep their evaluation
-#: contexts on a matrix (``_keep``).
-_CONTEXTS = ("_pair", "_norms")
-
-
-def _keep(owner, name: str, context) -> None:
-    """Store ``context`` on the matrix ``owner`` as ``name`` unless that
-    closes a reference cycle: an object the context holds (``context.held``)
-    is ``owner``, or is a matrix that keeps a context holding ``owner``."""
-    for obj in context.held:
-        if obj is owner:
-            return
-        if isinstance(obj, ComplexMatrix):
-            for other in _CONTEXTS:
-                kept = obj.__dict__.get(other)
-                if kept is not None and any(h is owner for h in kept.held):
-                    return
-    owner.__dict__[name] = context
-
-
 def _finite(a: np.ndarray):
     """Whether every entry of ``a`` is finite: ``np.isfinite(a).all()``
     without the method's dispatch, which costs more than the test itself on
@@ -142,10 +93,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def reconstruct(self) -> np.ndarray:
         return _congruence(self.eigenvectors, self.eigenvalues)
@@ -260,9 +207,9 @@ class _Transfer:
     """A square transfer M shared by operator chains, with what their
     checks read of it kept: the column norms (M* M)_jj of
     ``OperatorChain.trace``, and lambda_max(M diag(d) M*) for the last d
-    asked (``max_eig``; d is compared bit for bit). ``means._Pair`` keeps
-    one for every chain of its pair; a chain built from an array gets its
-    own."""
+    asked (``max_eig``; d is compared bit for bit). ``means._Pair`` makes
+    one for every chain of its call, a grid form's whole grid; a chain built
+    from an array gets its own."""
 
     def __init__(self, m: np.ndarray):
         self.m = m

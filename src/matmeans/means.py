@@ -18,23 +18,16 @@ gives the same matrices up to round-off; the tests cross-check both routes.
 
 The geometric and harmonic means and every chain of a pair (A, B) here
 read one spectral context of the pair (``_pair``): C = Qa* Qb and |C|^2,
-the spectrum w of X with the transfer M = A^{1/2} Q, and, for the chains
-that need A <= B, the verdict of that check. Each field is computed on
-first use and kept on A for its last partner B, as ``eig`` is kept on a
-matrix; a call with another B replaces the context. So a sweep, which
-rebuilds the chains of one drawn pair at every grid value, pays the SVD
-and the Loewner check once per pair.
+the spectrum w of X with the transfer M = A^{1/2} Q, each computed on
+first use. A context lives only as long as its call.
 
-The context also keeps, for its last call only, what a sweep asks again at
-the next grid value: the rows w^t of that call's exponents (``powers``:
-the refinement's four weights, with the squared chain's target), and,
-through M's ``linalg._Transfer``, the column norms of M that the sweep
-gain reads and the last v_k - v_0 -> lambda_max of the gap. A depth sweep
-moves only the refinement's last point, so it powers one new row per grid
-value, and the gap's congruence and ``eigh`` run once per pair. A kept
-value has the bits a fresh evaluation gives, and a context is stored only
-once it is fully built. It holds B and arrays, never A: it makes no
-reference cycle, and it dies with A.
+Each chain that a sweep varies in nu or depth is the grid of one of a
+private grid form (``_operator_reverse_grid`` and so on): one context for
+the whole grid, every power w^t of the grid from one ``_spectrum_powers``
+call on its distinct exponents (the refinement telescopes to four weights:
+0, 1, the target and m_N), then the scalar refinement per grid value. Its
+chains share one ``linalg._Transfer``, so the gaps of a depth grid, whose
+ends do not move, run one ``eigh``.
 """
 
 from __future__ import annotations
@@ -54,26 +47,27 @@ from .linalg import (
     _congruence,
     _finite,
     _freeze,
-    _keep,
-    _recall,
     _spectrum_powers,
     loewner_leq,
 )
-from .norms import _graded, singular_values
+from .norms import _graded, _singular_values
 from .scalar import (
     ScalarChain,
     _check_depth,
     _convex_refinement,
+    _dyadic_points,
     _logconvex_refinement,
+    _nonnegative,
+    _on_ladders,
     _power_drop,
+    _refinements,
     weight_branch,
 )
 
 
 class _Pair:
-    """Spectral context of a positive definite pair (A, B), kept on A for
-    its last partner B (``_pair``). Each field is computed on first use; a
-    field whose computation raises is not kept, so it raises again.
+    """Spectral context of a positive definite pair (A, B) for one call
+    (``_pair``). Each field is computed on first use:
 
     * ``c`` = Qa* Qb, the eigenbasis of B seen from that of A, and
       ``c2`` = |C|^2 entrywise;
@@ -85,16 +79,11 @@ class _Pair:
       so w = s^2 and M = Qa diag(wa^{1/2}) P: no power of A or B is
       assembled, and the SVD of the graded G keeps the small end of the
       spectrum accurate relative to itself (Demmel & Veselic, SIAM J.
-      Matrix Anal. Appl. 13(4), 1992);
-    * ``leq``: the verdict of A <= B, set by ``_require_loewner_leq``;
-    * the exponents and rows of the last ``powers`` call.
+      Matrix Anal. Appl. 13(4), 1992).
     """
 
     def __init__(self, a: SpdMatrix, b: SpdMatrix):
         self.b, self.wa, self.qa = b, a.eig.eigenvalues, a.eig.eigenvectors
-        self.held = (b,)  # what the context refers to (``_keep``)
-        self.leq = None
-        self._powers = None
 
     @cached_property
     def c(self) -> np.ndarray:
@@ -132,27 +121,12 @@ class _Pair:
     def m(self) -> np.ndarray:
         return self.transfer.m
 
-    def powers(self, ts: list) -> np.ndarray:
-        """The read-only rows ``_spectrum_powers(w, ts)``, computing only the
-        exponents that the last call did not have (``_recall``); ``ts`` is
-        kept as given, so callers pass a list they do not change."""
-        rows = _freeze(_recall(self._powers, ts, lambda todo: _spectrum_powers(self.w, todo)))
-        self._powers = ts, rows
-        return rows
-
 
 def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
-    """The context of (A, B): the one kept on A if its partner is this B,
-    else a new one, which replaces it. A new context is not kept where it
-    would close a reference cycle (``_keep``): for B = A, or for a B that
-    keeps a context holding A."""
-    pair = a.__dict__.get("_pair")
-    if pair is None or pair.b is not b:
-        if a.n != b.n:
-            raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
-        pair = _Pair(a, b)
-        _keep(a, "_pair", pair)
-    return pair
+    """A new context of (A, B), once their dimensions match."""
+    if a.n != b.n:
+        raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
+    return _Pair(a, b)
 
 
 def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
@@ -166,7 +140,7 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
 def geometric_mean(a, b, nu: float) -> SpdMatrix:
     """A #_nu B for any real nu; always positive definite on SPD input."""
     t = _pair(_as_spd(a), _as_spd(b))
-    return SpdMatrix._exact(_congruence(t.m, t.powers([nu])[0]))
+    return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(t.w, [nu])[0]))
 
 
 def harmonic_mean(a, b, nu: float) -> SpdMatrix:
@@ -189,35 +163,40 @@ def harmonic_mean(a, b, nu: float) -> SpdMatrix:
 
 
 def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:
-    """The context of (A, B), once A <= B holds; its verdict is kept there."""
+    """The context of (A, B), once A <= B holds."""
     pair = _pair(a, b)
-    if pair.leq is None:
-        pair.leq = loewner_leq(a, b, LOEWNER_REL_TOL)
-    if not pair.leq.holds:
-        raise DomainError(
-            f"precondition A <= B fails (witness {pair.leq.witness_eigenvalue:.3e})"
-        )
+    verdict = loewner_leq(a, b, LOEWNER_REL_TOL)
+    if not verdict.holds:
+        raise DomainError(f"precondition A <= B fails (witness {verdict.witness_eigenvalue:.3e})")
     return pair
 
 
-def _power_refinement(t: _Pair, nu: float, depth: int, shift: float = 0.0, more=()):
-    """The convex refinement of v |-> w^{shift+v} over the spectrum w of X,
-    anchored at 0 for nu >= 0 and at 1 for nu <= -1, with its closed-form
-    drop from the f(e) of its one ``powers`` call, which checks every power
-    of w. The rows w^t at the exponents ``more`` come from the same call,
-    after the chain's three values."""
+def _power_refinements(t: _Pair, grid, squared: bool = False) -> list:
+    """The convex refinement of v |-> w^{shift+v} over the spectrum w of X
+    at each (nu, depth) of ``grid``, anchored at 0 for nu >= 0 and at 1 for
+    nu <= -1, with its closed-form drop. The shift is 0, or 1 on the
+    nu <= -1 branch of a ``squared`` chain, whose rows w^{-2 nu} follow its
+    three values. Every power of w comes from one ``_spectrum_powers``
+    call, which checks each."""
     log_w = np.log(t.w)
-    anchor, log_r = ("a", log_w) if weight_branch(nu) > 0 else ("b", -log_w)
-    rows = []
-
-    def values(vs):
-        rows.extend(t.powers([shift + v for v in vs] + list(more)))
-        return rows[:len(vs)]
-
-    chain = _convex_refinement(
-        values, 0.0, 1.0, nu, depth, anchor, lambda fe: _power_drop(fe, log_r, depth, np.expm1)
-    )
-    return (*chain, *rows[4:])
+    specs, ladders = [], []
+    for nu, depth in grid:
+        anchor = "a" if weight_branch(nu) > 0 else "b"
+        shift = 1.0 if squared and anchor == "b" else 0.0
+        extra = [-2.0 * nu] if squared else []
+        specs.append((nu, depth, anchor))
+        ladders.append([shift + v for v in _dyadic_points(nu, depth, anchor)] + extra)
+    out = []
+    for (nu, depth, anchor), rows in zip(
+        specs, _on_ladders(ladders, lambda ts: _spectrum_powers(t.w, ts))
+    ):
+        log_r = log_w if anchor == "a" else -log_w
+        chain = _convex_refinement(
+            lambda _: rows[:4], 0.0, 1.0, nu, depth, anchor,
+            lambda fe: _power_drop(fe, log_r, depth, np.expm1),
+        )
+        out.append((*chain, *rows[4:]))
+    return out
 
 
 def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -230,9 +209,17 @@ def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
     sum_j 2^{j-1} nu (A - 2 A#_{2^-j}B + A#_{2^{1-j}}B); for nu <= -1 it adds
     -sum_j 2^{j-1}(1+nu) (B - 2 A#_{1-2^-j}B + A#_{1-2^{1-j}}B).
     """
-    depth = _check_depth(depth)
+    return _operator_reverse_grid(a, b, [(nu, depth)])[0]
+
+
+def _operator_reverse_grid(a, b, grid) -> list[OperatorChain]:
+    """``operator_reverse_chain`` at each (nu, depth) of ``grid``."""
+    grid = [(nu, _check_depth(depth)) for nu, depth in grid]
     t = _pair(_as_spd(a), _as_spd(b))
-    return OperatorChain(("arith", "refined", "geom"), t.transfer, _power_refinement(t, nu, depth))
+    return [
+        OperatorChain(("arith", "refined", "geom"), t.transfer, values)
+        for values in _power_refinements(t, grid)
+    ]
 
 
 def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -253,19 +240,28 @@ def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
     Each sum is twice the refinement term of a power functional of the
     spectrum w of X: of w^v anchored at 0, or of w^{1+v} anchored at 1.
     """
-    branch = weight_branch(nu)
-    depth = _check_depth(depth)
+    return _operator_squared_grid(a, b, [(nu, depth)])[0]
+
+
+def _operator_squared_grid(a, b, grid) -> list[OperatorChain]:
+    """``operator_squared_chain`` at each (nu, depth) of ``grid``."""
+    checked = []
+    for nu, depth in grid:
+        weight_branch(nu)
+        checked.append((nu, _check_depth(depth)))
     t = _pair(_as_spd(a), _as_spd(b))
     w = t.w
-    secant, refined, _, power = _power_refinement(
-        t, nu, depth, 0.0 if branch > 0 else 1.0, [-2.0 * nu]
-    )
-    if branch > 0:
-        label, base, extra = "scaled_arith", (1.0 + nu) * secant, nu ** 2 * (1.0 - w) + nu * w
-    else:
-        label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
-    values = (base, base + 2.0 * (refined - secant), power + extra)
-    return OperatorChain((label, "refined", "target"), t.transfer, values)
+    chains = []
+    for (nu, _), (secant, refined, _, power) in zip(
+        checked, _power_refinements(t, checked, squared=True)
+    ):
+        if nu >= 0.0:
+            label, base, extra = "scaled_arith", (1.0 + nu) * secant, nu ** 2 * (1.0 - w) + nu * w
+        else:
+            label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
+        values = (base, base + 2.0 * (refined - secant), power + extra)
+        chains.append(OperatorChain((label, "refined", "target"), t.transfer, values))
+    return chains
 
 
 def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -277,10 +273,13 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
     spectrum w of A^{-1/2} B A^{-1/2}, pushed back by congruence. That is
     harm_mean(1, w, v), with the drop of ``scalar.harmonic_reverse_chain``.
     """
+    return _harmonic_operator_grid(a, b, [(nu, depth)])[0]
+
+
+def _harmonic_operator_grid(a, b, grid) -> list[OperatorChain]:
+    """``harmonic_operator_chain`` at each (nu, depth) of ``grid``."""
     a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
-        raise DomainError("harmonic_operator_chain requires nu >= 0")
-    depth = _check_depth(depth)
+    grid = _nonnegative(grid, "harmonic_operator_chain")
     t = _require_loewner_leq(a, b)
 
     def h(v):
@@ -289,11 +288,14 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
             raise DomainError("harmonic resolvent not positive on the spectrum")
         return 1.0 / d
 
-    ch = (1.0 - t.w) / t.w / 2.0 ** depth
-    values = _convex_refinement(
-        lambda vs: [h(v) for v in vs], 0.0, 1.0, nu, depth, "a", ch / (1.0 + ch)
-    )
-    return OperatorChain(("arith", "refined", "harm"), t.transfer, values)
+    def refine(values, *args):
+        ch = (1.0 - t.w) / t.w / 2.0 ** args[3]
+        return _convex_refinement(values, *args, ch / (1.0 + ch))
+
+    return [
+        OperatorChain(("arith", "refined", "harm"), t.transfer, values)
+        for values in _refinements(refine, lambda vs: [h(v) for v in vs], grid, "a")
+    ]
 
 
 def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
@@ -310,16 +312,24 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
     is at most 1, so at a large nu its power underflows: that raises a
     DomainError (``_spectrum_powers``) rather than give a vacuous bound 0.
     """
+    return _kantorovich_operator_grid(a, b, [nu])[0]
+
+
+def _kantorovich_operator_grid(a, b, grid) -> list[OperatorChain]:
+    """``kantorovich_operator_chain`` at each nu of ``grid``."""
     a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
+    if any(nu < 0.0 for nu in grid):
         raise DomainError("kantorovich_operator_chain requires nu >= 0")
     t = _require_loewner_leq(a, b)
     w = t.w
-    lo = _spectrum_powers((1.0 + 1.0 / w) / 2.0, [2.0 * nu])[0]
-    d = (1.0 + nu) - nu / w
-    if np.min(d) <= 0.0:
-        raise DomainError("harmonic resolvent not positive on the spectrum")
-    return OperatorChain(("geom_kantorovich", "harm"), t.transfer, (lo, 1.0 / d))
+    lows = _spectrum_powers((1.0 + 1.0 / w) / 2.0, [2.0 * nu for nu in grid])
+    chains = []
+    for nu, lo in zip(grid, lows):
+        d = (1.0 + nu) - nu / w
+        if np.min(d) <= 0.0:
+            raise DomainError("harmonic resolvent not positive on the spectrum")
+        chains.append(OperatorChain(("geom_kantorovich", "harm"), t.transfer, (lo, 1.0 / d)))
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +339,20 @@ def _tr(m: np.ndarray) -> float:
     return float(np.trace(m).real)
 
 
-def _traces(a: SpdMatrix, b: SpdMatrix):
+def _traces(pair: _Pair):
     """v |-> tr(A^{1-v} B^v) = sum_jk wa_j^{1-v} |C_jk|^2 wb_k^v on a list of
     weights, with C = Qa* Qb: a sum of nonnegative terms, free of
     cancellation, and each value independent of the other weights."""
-    pair = _pair(a, b)
     return lambda vs: pair.graded(pair.c2, [1.0 - v for v in vs], vs).sum(axis=(1, 2)).tolist()
+
+
+def _trace_grid(name: str, labels, refine, a, b, grid) -> list[ScalarChain]:
+    """The chain ``name`` at each (nu, depth) of ``grid``, nu >= 0:
+    ``refine`` of v |-> tr(A^{1-v} B^v), anchored at 0, from one
+    ``_traces`` call on the distinct weights of the whole grid."""
+    a, b = _as_spd(a), _as_spd(b)
+    grid = _nonnegative(grid, name)
+    return [ScalarChain(labels, v) for v in _refinements(refine, _traces(_pair(a, b)), grid, "a")]
 
 
 def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
@@ -345,12 +363,14 @@ def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:
      tr(A^{1+nu} B^{-nu})]: the convex refinement, anchored at 0, of
     v |-> tr(A^{1-v} B^v).
     """
-    a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
-        raise DomainError("trace_additive_chain requires nu >= 0")
-    depth = _check_depth(depth)
-    values = _convex_refinement(_traces(a, b), 0.0, 1.0, nu, depth, "a")
-    return ScalarChain(("arith", "refined", "target"), values)
+    return _trace_additive_grid(a, b, [(nu, depth)])[0]
+
+
+def _trace_additive_grid(a, b, grid) -> list[ScalarChain]:
+    """``trace_additive_chain`` at each (nu, depth) of ``grid``."""
+    return _trace_grid(
+        "trace_additive_chain", ("arith", "refined", "target"), _convex_refinement, a, b, grid
+    )
 
 
 def trace_multiplicative_chain(a, b, nu: float, depth: int) -> ScalarChain:
@@ -361,12 +381,15 @@ def trace_multiplicative_chain(a, b, nu: float, depth: int) -> ScalarChain:
     factors sqrt(tr(A) tr(A^{1-2^{1-j}} B^{2^{1-j}})) / tr(A^{1-2^-j} B^{2^-j})
     are all >= 1 and are accumulated in the log domain.
     """
-    a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
-        raise DomainError("trace_multiplicative_chain requires nu >= 0")
-    depth = _check_depth(depth)
-    values = _logconvex_refinement(_traces(a, b), 0.0, 1.0, nu, depth, "a")
-    return ScalarChain(("power", "refined", "target"), values)
+    return _trace_multiplicative_grid(a, b, [(nu, depth)])[0]
+
+
+def _trace_multiplicative_grid(a, b, grid) -> list[ScalarChain]:
+    """``trace_multiplicative_chain`` at each (nu, depth) of ``grid``."""
+    return _trace_grid(
+        "trace_multiplicative_chain", ("power", "refined", "target"), _logconvex_refinement,
+        a, b, grid,
+    )
 
 
 def trace_depth1_chain(a, b, nu: float) -> ScalarChain:
@@ -381,17 +404,27 @@ def trace_depth1_chain(a, b, nu: float) -> ScalarChain:
     second is the depth-1 additive chain, and the last is the triangle
     inequality for the trace against the Schatten-1 norm of the product.
     """
+    return _trace_depth1_grid(a, b, [nu])[0]
+
+
+def _trace_depth1_grid(a, b, grid) -> list[ScalarChain]:
+    """``trace_depth1_chain`` at each nu of ``grid``: one ``_traces`` call
+    and one SVD stack for the whole grid."""
     a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
+    if any(nu < 0.0 for nu in grid):
         raise DomainError("trace_depth1_chain requires nu >= 0")
-    base = (1.0 + nu) * _tr(a.a) - nu * _tr(b.a)
-    v0 = base + nu * (np.sqrt(_tr(a.a)) - np.sqrt(_tr(b.a))) ** 2
-    roots, v2 = _traces(a, b)([0.5, -nu])
-    v1 = base + nu * (_tr(a.a) + _tr(b.a) - 2.0 * roots)
-    # The singular values of the unitarily equivalent diag(wa^{1+nu}) C diag(wb^{-nu}).
     pair = _pair(a, b)
-    v3 = float(np.sum(singular_values(pair.graded(pair.c, [1.0 + nu], [-nu])[0])))
-    return ScalarChain(
-        ("trace_split", "sqrt_cross", "trace_power", "abs_trace_power"),
-        (float(v0), float(v1), v2, v3),
-    )
+    tr_a, tr_b = _tr(a.a), _tr(b.a)
+    roots, *targets = _traces(pair)([0.5] + [-nu for nu in grid])
+    # The singular values of the unitarily equivalent diag(wa^{1+nu}) C diag(wb^{-nu}).
+    sigma = _singular_values(pair.graded(pair.c, [1.0 + nu for nu in grid], [-nu for nu in grid]))
+    chains = []
+    for nu, v2, s in zip(grid, targets, sigma):
+        base = (1.0 + nu) * tr_a - nu * tr_b
+        v0 = base + nu * (np.sqrt(tr_a) - np.sqrt(tr_b)) ** 2
+        v1 = base + nu * (tr_a + tr_b - 2.0 * roots)
+        chains.append(ScalarChain(
+            ("trace_split", "sqrt_cross", "trace_power", "abs_trace_power"),
+            (float(v0), float(v1), v2, float(np.sum(s))),
+        ))
+    return chains

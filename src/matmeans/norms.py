@@ -20,18 +20,13 @@ norm of the stack (``_norms_of``). A single value (``heinz_norm``) is the
 same kernel on a stack of one, and a value does not depend on the stack it
 is computed in.
 
-So a kernel call need not compute what it already knows. Each (A, B, X,
-kind) has an evaluation context (``_context``) that holds Y = Qa* X Qb and
-the norm at each exponent pair of its last kernel call, and a call powers
-and takes the SVD of only the pairs that call did not have, each pair once
-(the Heinz kernel's are canonical: weights 0 and 1 are one pair). The
-context is kept on A for its last (B, X, kind), and only the last call's
-values are kept, so a sweep of any length holds one call's worth per
-instance; a refinement chain reads four weights, and a depth sweep moves
-only one of them. Only an X that cannot change gets a kept context: a
-``ComplexMatrix``, or a read-only ndarray that owns its data (an array
-made writable again and changed in place is not seen). Any other X is
-evaluated afresh at every call, as the miss path of the same kernel.
+Each chain function that a sweep varies in nu or depth is the grid of one
+of a private grid form (``_norm_reverse_grid`` and so on). A refinement at
+any depth telescopes to four weights (0, 1, the target and m_N), so the
+grid form evaluates its functional at the distinct weights of its whole
+grid in one kernel call (``scalar._on_ladders``), one SVD stack, and then
+runs the scalar refinement per grid value on those values. Nothing is kept
+between calls: each call computes Y = Qa* X Qb afresh.
 """
 
 from __future__ import annotations
@@ -41,22 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .linalg import (
-    ComplexMatrix,
-    _arr,
-    _as_spd,
-    _finite,
-    _freeze,
-    _keep,
-    _recall,
-    _spectrum_powers,
-)
+from .linalg import _arr, _as_spd, _finite, _spectrum_powers
 from .scalar import (
     ScalarChain,
     _check_depth,
     _convex_refinement,
     _logconvex_refinement,
-    weight_branch,
+    _nonnegative,
+    _refinements,
     young_reverse_chain,
 )
 
@@ -167,8 +154,7 @@ def ui_norm(x, kind: NormKind) -> float:
 
 
 # Batched kernels: each evaluates a functional of the weight on a whole list
-# of weights, in the eigenbases of A and B, with one SVD, through the
-# context of (A, B, X, kind).
+# of weights, in the eigenbases of A and B, with one SVD.
 
 def _graded(wa, wb, y, left, right) -> np.ndarray:
     """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
@@ -179,91 +165,17 @@ def _graded(wa, wb, y, left, right) -> np.ndarray:
     return y * pa[:, :, None] * pb[:, None, :]
 
 
-class _Context:
-    """The evaluation context of (A, B, X, kind): Y = Qa* X Qb in the
-    eigenbases of A and B, whose graded slices are unitarily equivalent to
-    A^l X B^r, and the exponents and norms of the last ``norms`` call."""
-
-    __slots__ = ("b", "x", "kind", "held", "wa", "wb", "y", "last")
-
-    def __init__(self, a, b, x, kind: NormKind):
-        self.b, self.x, self.kind, self.held = b, x, kind, (b, x)
-        self.wa, self.wb = a.eig.eigenvalues, b.eig.eigenvalues
-        self.y = a.eig.eigenvectors.conj().T @ _arr(x) @ b.eig.eigenvectors
-        self.last = None
-
-    def _stack(self, left, right, paired: bool) -> np.ndarray:
-        s = _graded(self.wa, self.wb, self.y, left, right)
-        if paired:
-            k = len(s) // 2
-            s = s[:k] + s[k:]
-        return s
-
-    def norms(self, left, right, paired: bool) -> np.ndarray:
-        """The norm of slice i of the exponent pairs (left_i, right_i), or,
-        ``paired``, of the sum of slices i and k + i of 2k pairs; one SVD.
-
-        A call stacks each distinct key (its exponents) once, and only the
-        keys that the last call lacked (``_recall``). A first call whose
-        left exponents are distinct has distinct keys: it stacks them as
-        given, and its exponents are kept as they are, to be made keys only
-        if another call comes. So callers pass exponent lists that they do
-        not change afterwards, and read the values without writing them.
-        """
-        last = self.last
-        if last is None and len(set(left)) == len(left):
-            values = _norms_of(self._stack(left, right, paired), self.kind)
-        else:
-            def compute(todo):
-                return _norms_of(self._stack(*_exponents(todo, paired), paired), self.kind)
-
-            if last is not None:
-                last = _keys(*last[:3]), last[3]
-            values = _recall(last, _keys(left, right, paired), compute)
-        self.last = left, right, paired, _freeze(values)
-        return values
-
-
-def _keys(left, right, paired: bool) -> list:
-    """The key of each norm: its exponent pair, or its two pairs."""
+def _product_norms(a, b, x, left, right, kind: NormKind, paired: bool = False) -> np.ndarray:
+    """||A^{l_i} X B^{r_i}|| for each exponent pair (l_i, r_i), or, ``paired``,
+    ||A^{l_i} X B^{r_i} + A^{l_{k+i}} X B^{r_{k+i}}|| for 2k pairs: graded
+    slices of Y = Qa* X Qb in the eigenbases of A and B, which are unitarily
+    equivalent to A^l X B^r, and one SVD of their stack."""
+    y = a.eig.eigenvectors.conj().T @ _arr(x) @ b.eig.eigenvectors
+    s = _graded(a.eig.eigenvalues, b.eig.eigenvalues, y, left, right)
     if paired:
-        k = len(left) // 2
-        return list(zip(left[:k], right[:k], left[k:], right[k:]))
-    return list(zip(left, right))
-
-
-def _exponents(keys, paired: bool) -> tuple[list, list]:
-    """The left and right exponent lists of ``keys`` (``_keys`` inverted)."""
-    if paired:
-        return ([q[0] for q in keys] + [q[2] for q in keys],
-                [q[1] for q in keys] + [q[3] for q in keys])
-    return [l for l, _ in keys], [r for _, r in keys]
-
-
-def _context(a, b, x, kind: NormKind) -> _Context:
-    """The context kept on A if it is for this (B, X, kind), else a new one.
-    A new one replaces the kept one only for an X that cannot change (see
-    the module docstring), and only where it closes no reference cycle
-    (``_keep``)."""
-    ctx = a.__dict__.get("_norms")
-    if ctx is not None and ctx.b is b and ctx.x is x and ctx.kind == kind:
-        return ctx
-    ctx = _Context(a, b, x, kind)
-    if isinstance(x, ComplexMatrix) or (
-        isinstance(x, np.ndarray) and x.base is None and not x.flags.writeable
-    ):
-        _keep(a, "_norms", ctx)
-    return ctx
-
-
-def _product_norms(a, b, x, left, right, kind: NormKind) -> np.ndarray:
-    """||A^{l_i} X B^{r_i}|| for each exponent pair (l_i, r_i)."""
-    return _context(a, b, x, kind).norms(left, right, False)
-
-
-def _paired_norms(a, b, x, left, right, kind: NormKind) -> np.ndarray:
-    """||A^{l_i} X B^{r_i} + A^{l_{k+i}} X B^{r_{k+i}}|| for 2k exponent pairs."""
-    return _context(a, b, x, kind).norms(left, right, True)
+        k = len(s) // 2
+        s = s[:k] + s[k:]
+    return _norms_of(s, kind)
 
 
 def _functional_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
@@ -278,13 +190,13 @@ def _two_sided_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
 
 
 def _heinz_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
-    """The Heinz functional at every weight in ``vs`` (see ``heinz_norm``)."""
-    lo, hi = [], []
-    for v in vs:
-        t = abs(float(v) - 0.5)
-        lo.append(0.5 - t)
-        hi.append(0.5 + t)
-    return _paired_norms(a, b, x, lo + hi, hi + lo, kind)
+    """The Heinz functional at every weight in ``vs`` (see ``heinz_norm``),
+    at each distinct |v - 1/2| once: v and 1 - v share their exponents."""
+    ts = [abs(float(v) - 0.5) for v in vs]
+    index = {t: i for i, t in enumerate(dict.fromkeys(ts))}
+    lo = [0.5 - t for t in index]
+    hi = [0.5 + t for t in index]
+    return _product_norms(a, b, x, lo + hi, hi + lo, kind, True)[[index[t] for t in ts]]
 
 
 def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
@@ -292,7 +204,23 @@ def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
     rs = [float(r) for r in rs]
     left = [p - r for r in rs]
     right = [-q + r for r in rs]
-    return _paired_norms(a, b, x, left + right, right + left, kind)
+    return _product_norms(a, b, x, left + right, right + left, kind, True)
+
+
+def _functional_grid(name, labels, refine, functional, a, b, x, grid, kind, anchor=None):
+    """The chain ``name`` at each (nu, depth) of ``grid``: ``refine`` of
+    ``functional``, read from one kernel call on the distinct weights of the
+    whole grid. With an ``anchor``, the chain needs nu >= 0; without one it
+    takes both weight branches (see ``scalar._refinements``)."""
+    a, b = _as_spd(a), _as_spd(b)
+    if anchor is None:
+        grid = [(nu, _check_depth(depth)) for nu, depth in grid]
+    else:
+        grid = _nonnegative(grid, name)
+    values = _refinements(
+        refine, lambda vs: functional(a, b, x, vs, kind).tolist(), grid, anchor
+    )
+    return [ScalarChain(labels, v) for v in values]
 
 
 def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -305,13 +233,15 @@ def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scalar
     the mirrored factors with exponents -2^j (nu + 1). Products are
     accumulated in the log domain.
     """
-    a, b = _as_spd(a), _as_spd(b)
-    depth = _check_depth(depth)
-    anchor = "a" if weight_branch(nu) > 0 else "b"
-    values = _logconvex_refinement(
-        lambda vs: _functional_values(a, b, x, vs, kind).tolist(), 0.0, 1.0, nu, depth, anchor
+    return _norm_reverse_grid(a, b, x, [(nu, depth)], kind)[0]
+
+
+def _norm_reverse_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
+    """``norm_reverse_chain`` at each (nu, depth) of ``grid``."""
+    return _functional_grid(
+        "norm_reverse_chain", ("power", "refined", "target"), _logconvex_refinement,
+        _functional_values, a, b, x, grid, kind,
     )
-    return ScalarChain(("power", "refined", "target"), values)
 
 
 def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -322,14 +252,15 @@ def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarCh
     anchored at 0, with factors
     (sqrt(||AXB|| ||A^{1-2^{1-j}} X B^{1-2^{1-j}}||) / ||A^{1-2^-j} X B^{1-2^-j}||)^{2^j nu}.
     """
-    a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
-        raise DomainError("norm_heinz_chain requires nu >= 0")
-    depth = _check_depth(depth)
-    values = _logconvex_refinement(
-        lambda vs: _two_sided_values(a, b, x, vs, kind).tolist(), 0.0, 1.0, nu, depth, "a"
+    return _norm_heinz_grid(a, b, x, [(nu, depth)], kind)[0]
+
+
+def _norm_heinz_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
+    """``norm_heinz_chain`` at each (nu, depth) of ``grid``."""
+    return _functional_grid(
+        "norm_heinz_chain", ("power", "refined", "target"), _logconvex_refinement,
+        _two_sided_values, a, b, x, grid, kind, "a",
     )
-    return ScalarChain(("power", "refined", "target"), values)
 
 
 def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -342,27 +273,32 @@ def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     One kernel call: ||AX|| and ||XB|| are f(0) and f(1) of the norm
     functional's own refinement (``norm_reverse_chain``, anchored at 0).
     """
-    a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
-        raise DomainError("combined_norm_chain requires nu >= 0")
-    depth = _check_depth(depth)
+    return _combined_norm_grid(a, b, x, [(nu, depth)], kind)[0]
+
+
+def _combined_norm_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
+    """``combined_norm_chain`` at each (nu, depth) of ``grid``."""
+    return _functional_grid(
+        "combined_norm_chain", ("arith", "scalar_refined", "power", "refined", "target"),
+        _combined_refinement, _functional_values, a, b, x, grid, kind, "a",
+    )
+
+
+def _combined_refinement(values, *args) -> tuple:
+    """The five values of ``combined_norm_chain``: the scalar reverse Young
+    chain of f(0) = ||AX|| and f(1) = ||XB||, built before the log-convex
+    refinement of f checks the values it is given back, then that
+    refinement, checked as the chain ``norm_reverse_chain`` returns."""
+    nu, depth = args[2:4]
     scalar_part = []
 
-    def values(vs):
-        # vs = [0, 1, -nu, m_N]. The scalar chain is built before the
-        # refinement checks the values it is given back.
-        fs = _functional_values(a, b, x, vs, kind).tolist()
+    def checked(vs):
+        fs = values(vs)  # f at [0, 1, -nu, m_N]
         scalar_part.extend(young_reverse_chain(fs[0], fs[1], nu, depth).values[:2])
         return fs
 
-    # The norm part is the chain norm_reverse_chain returns, checked as it is.
-    norm_part = ScalarChain(
-        ("power", "refined", "target"), _logconvex_refinement(values, 0.0, 1.0, nu, depth, "a")
-    )
-    return ScalarChain(
-        ("arith", "scalar_refined", "power", "refined", "target"),
-        (*scalar_part, *norm_part.values),
-    )
+    norm_part = ScalarChain(("power", "refined", "target"), _logconvex_refinement(checked, *args))
+    return (*scalar_part, *norm_part.values)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +326,15 @@ def heinz_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     the convex refinement of f on [0, 1], anchored at 0; its secant
     (1+nu) f(0) - nu f(1) is ||AX + XB||.
     """
-    a, b = _as_spd(a), _as_spd(b)
-    if nu < 0.0:
-        raise DomainError("heinz_reverse_chain requires nu >= 0")
-    depth = _check_depth(depth)
-    values = _convex_refinement(
-        lambda vs: _heinz_values(a, b, x, vs, kind).tolist(), 0.0, 1.0, nu, depth, "a"
+    return _heinz_reverse_grid(a, b, x, [(nu, depth)], kind)[0]
+
+
+def _heinz_reverse_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
+    """``heinz_reverse_chain`` at each (nu, depth) of ``grid``."""
+    return _functional_grid(
+        "heinz_reverse_chain", ("sum_norm", "refined", "target"), _convex_refinement,
+        _heinz_values, a, b, x, grid, kind, "a",
     )
-    return ScalarChain(("sum_norm", "refined", "target"), values)
 
 
 def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
@@ -406,8 +343,8 @@ def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
     # split = A^{p-q} X B^0 + A^0 X B^{p-q}; full = A^p X B^{-q} + A^{-q} X B^p.
-    split, full = _paired_norms(
-        a, b, x, [p - q, p, 0.0, -q], [0.0, -q, p - q, p], kind
+    split, full = _product_norms(
+        a, b, x, [p - q, p, 0.0, -q], [0.0, -q, p - q, p], kind, True
     ).tolist()
     return ScalarChain(("split", "full"), (split, full))
 
@@ -429,7 +366,7 @@ def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) 
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
     a, b = _as_spd(a), _as_spd(b)
-    return _interpolated_values(a, b, x, p, q, rs, kind).copy()  # the context keeps the original
+    return _interpolated_values(a, b, x, p, q, rs, kind)
 
 
 def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> float:
@@ -459,4 +396,4 @@ def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     split = int(np.argmin(np.abs(grid - 0.5)))
     down = (vals[:split] - vals[1 : split + 1]) / scale
     up = (vals[split + 1 :] - vals[split:-1]) / scale
-    return np.concatenate([down, up]), vals.copy()  # the context keeps the original
+    return np.concatenate([down, up]), vals

@@ -114,6 +114,17 @@ def _check_depth(depth: int) -> int:
     return int(depth)
 
 
+def _nonnegative(grid, name: str) -> list:
+    """The (nu, depth) pairs of ``grid``, each depth checked, once every nu
+    is >= 0, as the chain ``name`` requires."""
+    checked = []
+    for nu, depth in grid:
+        if nu < 0.0:
+            raise DomainError(f"{name} requires nu >= 0")
+        checked.append((nu, _check_depth(depth)))
+    return checked
+
+
 @_overflow_is_domain_error
 def _power_drop(fe, log_r, depth, expm1=math.expm1):
     """f(e) - f(m_N) of v |-> f(e) r^{|v - e|} on [0, 1], without cancellation;
@@ -174,6 +185,42 @@ def _logconvex_refinement(values, a, b, nu, depth, anchor, drop=None):
 
     log_power, log_refined, target = _convex_refinement(logs, a, b, nu, depth, anchor, drop)
     return _exp_of_log(log_power), _exp_of_log(log_refined), target
+
+
+def _dyadic_points(nu, depth, anchor):
+    """The points [0, 1, target, m_N] at which ``_convex_refinement`` on
+    [0, 1] reads its functional at (nu, depth, anchor), each computed as it
+    computes them, so they have its bits."""
+    e, o = (0.0, 1.0) if anchor == "a" else (1.0, 0.0)
+    p = 2.0 ** depth
+    return [0.0, 1.0, (1.0 + nu) * 0.0 - nu * 1.0, ((p - 1.0) * e + o) / p]
+
+
+def _on_ladders(ladders, evaluate) -> list:
+    """The values at each list of points in ``ladders``, from one
+    ``evaluate`` call on their distinct points, in the order they first
+    appear. A grid form of a chain function passes the ladders of all its
+    grid values (``_dyadic_points``), so each point is evaluated once; the
+    lookup is by the ladders' own point objects, so a NaN finds its value."""
+    index: dict = {}
+    for points in ladders:
+        for p in points:
+            index.setdefault(p, len(index))
+    values = evaluate(list(index))
+    return [[values[index[p]] for p in points] for points in ladders]
+
+
+def _refinements(refine, values, grid, anchor=None) -> list:
+    """``refine(values, 0, 1, nu, depth, anchor)`` of a functional at each
+    (nu, depth) of ``grid``, anchored at ``anchor``, or by the weight branch
+    (at 0 for nu >= 0, at 1 for nu <= -1), with its values read from one
+    ``values(points)`` call on the distinct points of the whole grid."""
+    specs = [(nu, depth, anchor or ("a" if weight_branch(nu) > 0 else "b")) for nu, depth in grid]
+    ladders = [_dyadic_points(*spec) for spec in specs]
+    return [
+        refine(lambda _: fs, 0.0, 1.0, *spec)
+        for spec, fs in zip(specs, _on_ladders(ladders, values))
+    ]
 
 
 def _exp_of_log(log_value: float) -> float:

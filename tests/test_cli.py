@@ -251,7 +251,8 @@ class TestVerify:
             return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
         harness.REGISTRY["_cli_fail"] = harness.CaseDef(
-            "_cli_fail", lambda rng, cfg, cond: ({}, {}), always_fails, {"instances": 3}, (),
+            "_cli_fail", lambda rng, cfg, cond: ({}, {}), harness._each(always_fails),
+            {"instances": 3}, (),
             "synthetic",
         )
         try:

@@ -95,7 +95,7 @@ def test_norm_and_trace_kernels():
     with mp.workdps(DPS):
         for label, a, b, x, _ in pairs():
             pa, pb, mx = mp_powers(a), mp_powers(b), mp.matrix(x.tolist())
-            got_t = means._traces(a, b)(list(WEIGHTS))
+            got_t = means._traces(means._pair(a, b))(list(WEIGHTS))
             got_f = [norms._functional_values(a, b, x, WEIGHTS, kind) for kind in kinds]
             got_h = [norms._heinz_values(a, b, x, WEIGHTS, kind) for kind in kinds]
             for i, v in enumerate(WEIGHTS):

@@ -68,8 +68,8 @@ class TestRunCase:
             return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
         harness.REGISTRY["_synthetic_fail"] = harness.CaseDef(
-            "_synthetic_fail", lambda rng, cfg, cond: ({}, {"note": "synthetic"}), always_fails,
-            {"instances": 5}, (), "synthetic",
+            "_synthetic_fail", lambda rng, cfg, cond: ({}, {"note": "synthetic"}),
+            harness._each(always_fails), {"instances": 5}, (), "synthetic",
         )
         try:
             report = harness.run_case("_synthetic_fail", failures_dir=tmp_path)
@@ -99,8 +99,8 @@ class TestRunCase:
             return Built(chain=ScalarChain(("a", "b"), (0.0, 0.1)))
 
         harness.REGISTRY["_synthetic_mixed"] = harness.CaseDef(
-            "_synthetic_mixed", lambda rng, cfg, cond: ({"i": int(rng.integers(2))}, {}), mixed,
-            {"instances": 8}, (), "synthetic",
+            "_synthetic_mixed", lambda rng, cfg, cond: ({"i": int(rng.integers(2))}, {}),
+            harness._each(mixed), {"instances": 8}, (), "synthetic",
         )
         try:
             with pytest.raises(DomainError, match="more than one kind"):
@@ -118,7 +118,7 @@ class TestRunCase:
             return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
         harness.REGISTRY["_synthetic_norm"] = harness.CaseDef(
-            "_synthetic_norm", harness._norm_inputs, descending,
+            "_synthetic_norm", harness._norm_inputs, harness._each(descending),
             {"instances": 4, "dim_min": 1}, (), "synthetic",
         )
         try:
@@ -148,7 +148,7 @@ class TestRunCase:
             return Built(margins=np.array([0.1, np.nan]))
 
         harness.REGISTRY["_synthetic_nan"] = harness.CaseDef(
-            "_synthetic_nan", lambda rng, cfg, cond: ({}, {"note": "nan"}), nan_margin,
+            "_synthetic_nan", lambda rng, cfg, cond: ({}, {"note": "nan"}), harness._each(nan_margin),
             {"instances": 3}, (), "synthetic",
         )
         try:
@@ -451,8 +451,8 @@ class TestStreamSeeding:
                 assert _same_report(report, want), (name, cond)
 
     def test_sweep_seeds_once_on_one_generator(self, monkeypatch):
-        # A depth sweep of a matrix case draws each instance once: later
-        # grid values rebuild from the memo and seed nothing.
+        # A depth sweep draws each instance once, from one seeding block on
+        # one generator, and builds all its grid values in one call.
         blocks, generators = [], []
         stream_states, new_generator = harness._stream_states, harness._new_generator
         monkeypatch.setattr(
@@ -461,33 +461,36 @@ class TestStreamSeeding:
         monkeypatch.setattr(
             harness, "_new_generator", lambda: generators.append(1) or new_generator()
         )
-        # A scalar case's draws are kept in the sweep's memo too.
         for name in ("operator_reverse_pos", "young_reverse_pos"):
             blocks.clear()
             generators.clear()
             harness.sweep(name, "depth", [1, 2, 3], instances=6)
             assert [list(a[2]) for a in blocks] == [list(range(6))], name
             assert len(generators) == 1, name
-        # run_case builds each scalar draw at once, before the next draw,
-        # and keeps none; a sweep draws once and builds at every value.
+        # A cond sweep seeds one block per cond value, a revisited one too.
+        blocks.clear()
+        harness.sweep("operator_reverse_pos", "cond", [50.0, 2.0, 50.0], instances=4)
+        assert [list(a[2]) for a in blocks] == [list(range(4))] * 3
+        # run_case and a sweep build each scalar draw at once, before the
+        # next draw: run_case at a grid of one, a sweep at its whole grid.
         case, events = harness.REGISTRY["young_reverse_pos"], []
 
         def draw(rng, cfg, cond):
             events.append("draw")
             return case.draw(rng, cfg, cond)
 
-        def build(**args):
-            events.append("build")
-            return case.build(**args)
+        def build(args, grid):
+            events.append(("build", len(grid)))
+            return case.build(args, grid)
 
         monkeypatch.setitem(
             harness.REGISTRY, case.name, dataclasses.replace(case, draw=draw, build=build)
         )
         harness.run_case(case.name, instances=3)
-        assert events == ["draw", "build"] * 3
+        assert events == ["draw", ("build", 1)] * 3
         events.clear()
         harness.sweep(case.name, "depth", [1, 2], instances=3)
-        assert events == ["draw"] * 3 + ["build"] * 6
+        assert events == ["draw", ("build", 2)] * 3
 
 
 class TestSweep:
@@ -886,49 +889,36 @@ class TestSweepReuse:
                     ))
                 assert _hex_rows(rows) == _hex_rows(expected), (name, param)
 
-    def test_contexts_keep_one_call_after_a_long_sweep(self):
-        # After a 32-value depth sweep, each instance's contexts hold the
-        # values of its last build's calls only: the four weights of the
-        # depth-32 chain, and one gap.
-        depths = range(1, 33)
-        m32 = 2.0 ** -32
-        for name in ("operator_reverse_pos", "operator_squared_neg", "norm_heinz_power",
-                     "norm_combined", "heinz_reverse"):
+    def test_drawn_matrices_keep_only_their_own_fields(self, monkeypatch):
+        # After run_case and every sweep of every matrix case, a drawn A or
+        # B holds its entries and what derives from them alone: nothing of a
+        # build outlives it.
+        drawn = []
+        assemble = harness._assemble_pairs
+
+        def recording(pairs):
+            pairs = list(pairs)
+            assemble(pairs)
+            drawn.extend(m for args, _ in pairs for m in (args["a"], args["b"]))
+
+        monkeypatch.setattr(harness, "_assemble_pairs", recording)
+        grids = {"nu": [3.0, 0.0, 3.0], "depth": [6, 1, 6, 3], "cond": [50.0, 2.0]}
+        names = [
+            name for name in harness.case_names() if "n" in harness.build_instance(name, 0).drawn
+        ]
+        assert len(names) == 23
+        for name in names:
             case = harness.REGISTRY[name]
-            cfg = harness._config_for(case, {"instances": 3})
-            streams = harness._seated(cfg.seed, name, harness._new_generator())
-            memo = {}
-            for depth in depths:  # each grid value as ``sweep`` reads it
-                for _, built in harness._instances(
-                    case, cfg, {"depth": depth}, range(3), streams, memo
-                ):
-                    built.gap()
-                    harness._gain(built)
-            assert len(memo) == 3
-            for args, _ in memo.values():
-                a, nu = args["a"], args["nu"]
-                if name.startswith("operator"):
-                    pair = a.__dict__["_pair"]
-                    ts, rows = pair._powers
-                    if name == "operator_reverse_pos":
-                        assert ts == [0.0, 1.0, -nu, m32]
-                    else:  # the nu <= -1 branch: shift 1, target exponent -2 nu
-                        assert ts == [1.0, 2.0, 1.0 - nu, 1.0 + (1.0 - m32), -2.0 * nu]
-                    assert rows.shape == (len(ts), pair.w.size)
-                    last_d, _ = pair.transfer._last_max
-                    assert last_d.shape == pair.w.shape
-                    continue
-                left, right, paired, values = a.__dict__["_norms"].last
-                keys = norms._keys(left, right, paired)
-                assert len(keys) == len(values), name
-                if name == "heinz_reverse":  # pairs canonical about 1/2
-                    ts = [abs(v - 0.5) for v in (0.0, 1.0, -nu, m32)]
-                    assert keys == [(0.5 - t, 0.5 + t, 0.5 + t, 0.5 - t) for t in ts]
-                elif name == "norm_heinz_power":
-                    assert keys == [(1.0, 1.0), (0.0, 0.0), (1.0 + nu, 1.0 + nu),
-                                    (1.0 - m32, 1.0 - m32)]
-                else:  # combined: one call, whose f(0), f(1) are ||AX||, ||XB||
-                    assert keys == [(1.0, 0.0), (0.0, 1.0), (1.0 + nu, -nu), (1.0 - m32, m32)]
+            drawn.clear()
+            harness.run_case(name, instances=3)
+            for param in case.sweep_params:
+                grid = grids[param]
+                if param == "nu" and case.nu_branch < 0:
+                    grid = [-1.0 - v for v in grid]
+                harness.sweep(name, param, grid, instances=3)
+            assert drawn, name
+            for m in drawn:
+                assert set(vars(m)) <= {"_a", "eig", "spectral_norm"}, (name, set(vars(m)))
 
     def test_one_assembly_per_dimension_per_block(self, monkeypatch):
         # A block assembles its SPD pairs in one stack per distinct n, in
@@ -966,22 +956,23 @@ class TestSweepReuse:
         assert sum(count for count, _ in calls) == 2 * 30
 
     def test_payload_not_changed_by_next_build(self):
+        # Each grid value's payload is its own copy: the drawn payload with
+        # that value's pins, unchanged by the values built after it.
         case = harness.REGISTRY["norm_heinz_power"]
         cfg = harness._config_for(case, {"instances": 2})
         streams = harness._seated(cfg.seed, case.name, harness._new_generator())
-        memo = {}
 
-        def builds(forced):
-            return [b for _, b in harness._instances(case, cfg, forced, range(2), streams, memo)]
+        def builds(grid):
+            blocks = harness._instances(case, cfg, cfg.cond_max, range(2), streams, grid)
+            return [builts for _, builts in blocks]
 
-        first = builds({"depth": 1})
-        saved = json.dumps([b.payload for b in first])
-        second = builds({"depth": 5})
-        assert len(first) == len(second) == len(memo) == 2
-        assert json.dumps([b.payload for b in first]) == saved
-        for b1, b2 in zip(first, second):
+        (first, second), (third, fourth) = builds([{"depth": 1}, {"depth": 5}])
+        saved = json.dumps([first.payload, third.payload])
+        builds([{"depth": 7}])
+        assert json.dumps([first.payload, third.payload]) == saved
+        for b1, b2 in ((first, second), (third, fourth)):
             assert (b1.payload["depth"], b2.payload["depth"]) == (1, 5)
             assert {**b2.payload, "depth": 1} == b1.payload
-        # The X every grid value shares cannot be written through.
-        for args, _ in memo.values():
-            assert not args["x"].flags.writeable
+            # The X every grid value shares cannot be written through.
+            assert b1.drawn["x"] is b2.drawn["x"]
+            assert not b1.drawn["x"].flags.writeable

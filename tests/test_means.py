@@ -454,7 +454,7 @@ class TestTraceChains:
         # -nu, and agrees with the trace of the literal product.
         a, b = _pair(14)
         nu = 1.7
-        target = means._traces(a, b)([-nu])[0]
+        target = means._traces(means._pair(a, b))([-nu])[0]
         literal = float(np.trace(eigh_power(a, 1.0 + nu) @ eigh_power(b, -nu)).real)
         assert target == pytest.approx(literal, rel=1e-12)
         spectrum_powers = norms._spectrum_powers
@@ -502,7 +502,7 @@ class TestGeneralRefinement:
                     expected = _convex_refinement(
                         values, 0.0, 1.0, nu, depth, anchor, drops[drop](2.0 ** -depth)
                     )
-                    assert chain.m is t.m
+                    assert chain.m.tobytes() == t.m.tobytes()
                     for row, v in zip(chain.values, expected):
                         assert row.tobytes() == v.tobytes(), (chain_fn.__name__, nu, depth)
 
@@ -513,7 +513,7 @@ class TestGeneralRefinement:
             a, b = _pair(40 + seed, n=2 + seed)
 
             def traces(vs):
-                return [means._traces(a, b)([v])[0] for v in vs]
+                return [means._traces(means._pair(a, b))([v])[0] for v in vs]
 
             for v in (-5.5, -0.8, 0.0, 0.5, 1.0):
                 literal = float(np.trace(eigh_power(a, 1.0 - v) @ eigh_power(b, v)).real)
@@ -531,8 +531,8 @@ class TestGeneralRefinement:
 
 
 class TestPairContext:
-    """Each pair's spectral context is computed once and kept on A for its
-    last partner B."""
+    """Each call computes its pair's spectral context once, for its whole
+    grid, and keeps nothing on the matrices."""
 
     def test_sweep_transfers_each_pair_once(self, monkeypatch):
         # One SVD per drawn pair across the whole grid, as in one run_case.
@@ -568,7 +568,6 @@ class TestPairContext:
             a, b1 = _pair(seed)
             b2 = random_spd(4, 100.0, seed + 3000)
             operator_reverse_chain(a, b1, nu, 5)
-            assert means._pair(a, b1) is means._pair(a, b1)
             for chain_fn in (operator_reverse_chain, operator_squared_chain):
                 got = chain_fn(a, b2, nu, 5)
                 fresh = chain_fn(random_spd(4, 100.0, seed), b2, nu, 5)
@@ -580,44 +579,54 @@ class TestPairContext:
             assert [v.hex() for v in got] == [v.hex() for v in fresh]
 
     def test_depth_repeat_powers_only_the_new_point(self, monkeypatch):
-        # A chain powers each distinct exponent of the pair's spectrum once
-        # (the squared chain's target in the same call); a repeat at another
-        # depth powers only its new m_N. Its rows, gap and trace are those
-        # of a chain built on a fresh context, bit for bit.
+        # A chain powers each distinct exponent of the pair's spectrum once,
+        # in one call (the squared chain's target in the same call). Its
+        # grid form over depths 1, 4 and 16 makes that one call for the
+        # whole grid, where each repeat adds only its new m_N, and the three
+        # gaps, which share one v_k - v_0, run one eigh. Its rows, gaps and
+        # traces are those of the chains built one at a time, bit for bit.
         powered, eighs = [], []
         spectrum_powers, eigh = means._spectrum_powers, linalg._eigh_array
         monkeypatch.setattr(
             means, "_spectrum_powers", lambda w, ts: powered.append(len(ts)) or spectrum_powers(w, ts)
         )
         monkeypatch.setattr(linalg, "_eigh_array", lambda h: eighs.append(1) or eigh(h))
-        for chain_fn, nu, first in (
-            (operator_reverse_chain, 1.3, 4),
-            (operator_reverse_chain, -2.4, 4),
-            (operator_squared_chain, 0.6, 5),
-            (operator_squared_chain, -1.7, 5),
+        depths = (1, 4, 16)
+        for chain_fn, grid_form, nu, first in (
+            (operator_reverse_chain, means._operator_reverse_grid, 1.3, 4),
+            (operator_reverse_chain, means._operator_reverse_grid, -2.4, 4),
+            (operator_squared_chain, means._operator_squared_grid, 0.6, 5),
+            (operator_squared_chain, means._operator_squared_grid, -1.7, 5),
         ):
             a, b = _pair(7)
-            means._pair(a, b).w  # the transfer's own power of A is not counted
-            for depth, want in ((1, first), (4, 1), (16, 1)):
+            a.eig, b.eig  # the pairs' own eigendecompositions are not counted
+            singles = []
+            for depth in depths:
                 powered.clear()
                 eighs.clear()
                 chain = chain_fn(a, b, nu, depth)
-                gap = chain_gap(chain)
+                singles.append((chain, chain_gap(chain)))
+                # The transfer's own power of A, then the chain's one call.
+                assert powered == [1, first], (chain_fn.__name__, nu, depth)
+                assert eighs == [1], (chain_fn.__name__, nu, depth)
+            powered.clear()
+            eighs.clear()
+            chains = grid_form(a, b, [(nu, depth) for depth in depths])
+            gaps = [chain_gap(chain) for chain in chains]
+            assert powered == [1, first + 2], (chain_fn.__name__, nu)
+            assert eighs == [1], (chain_fn.__name__, nu)
+            for chain, gap, (single, single_gap) in zip(chains, gaps, singles):
+                where = (chain_fn.__name__, nu)
+                assert chain.transfer is chains[0].transfer, where
+                assert chain.values.tobytes() == single.values.tobytes(), where
+                assert chain.m.tobytes() == single.m.tobytes(), where
+                assert gap.hex() == single_gap.hex(), where
                 trace = chain.trace(chain.values[1] - chain.values[0])
-                where = (chain_fn.__name__, nu, depth)
-                assert powered == [want], where
-                assert eighs == ([1] if depth == 1 else []), where
-                kept = a.__dict__.pop("_pair")
-                fresh = chain_fn(a, b, nu, depth)
-                assert chain.values.tobytes() == fresh.values.tobytes(), where
-                assert chain.m.tobytes() == fresh.m.tobytes(), where
-                assert chain_gap(fresh).hex() == gap.hex(), where
-                assert fresh.trace(fresh.values[1] - fresh.values[0]).hex() == trace.hex()
-                a.__dict__["_pair"] = kept
+                assert trace.hex() == single.trace(single.values[1] - single.values[0]).hex()
 
     def test_unordered_pair_raises_on_every_call(self):
         a, b = _diag(2.0, 1.0), _diag(1.0, 2.0)
-        operator_reverse_chain(a, b, 1.0, 3)  # the transfer is now kept on A
+        operator_reverse_chain(a, b, 1.0, 3)
         for _ in range(3):
             with pytest.raises(DomainError, match="precondition A <= B"):
                 harmonic_operator_chain(a, b, 1.0, 3)
@@ -731,7 +740,7 @@ class TestImportOrder:
         self._run_bare(
             f"importlib.import_module('matmeans.{first}')\n"
             "import matmeans.means, matmeans.norms\n"
-            "assert matmeans.means.singular_values is matmeans.norms.singular_values\n"
+            "assert matmeans.means._graded is matmeans.norms._graded\n"
         )
 
     def test_numerics_import_no_reporting_or_harness(self):

@@ -253,13 +253,13 @@ class TestNormChains:
     def test_each_weight_evaluated_once(self, monkeypatch):
         # The refinement telescopes to four weights: 0, 1, the target weight
         # and 2^-depth (1 - 2^-depth on the nu <= -1 branch). Each chain hands
-        # its kernel each of them once. On a fresh (A, B, X, kind) the kernel
-        # stacks each distinct weight once (the Heinz kernel's 0 and 1 are one
-        # canonical pair, so 3 there), powers the spectra of A and B in one
-        # call each (the Heinz kernel at the two exponents of each weight),
-        # and takes the norms of that stack with one SVD. The context keeps
-        # the last call's norms, so a repeat at another depth stacks only its
-        # new m_N. Every target equals the fresh single-value function.
+        # its kernel each of them once. The kernel stacks each distinct
+        # weight once (the Heinz kernel's 0 and 1 are one canonical pair, so
+        # 3 there), powers the spectra of A and B in one call each (the Heinz
+        # kernel at the two exponents of each weight), and takes the norms of
+        # that stack with one SVD. The chain's grid form over depths 1, 4 and
+        # 16 makes one kernel call for the whole grid, where each repeat adds
+        # only its new m_N. Every target equals the single-value function.
         a, b, x = _instance(15)
         kind = NormKind.schatten(3.0)
         nu = 0.7
@@ -267,13 +267,14 @@ class TestNormChains:
         literal = ui_norm(eigh_power(a, 1.0 + nu) @ x @ eigh_power(b, 1.0 + nu), kind)
         assert two_sided == pytest.approx(literal, rel=1e-12)
         cases = (
-            ("_functional_values", norm_reverse_chain, nu, _functional(a, b, x, -nu, kind)),
-            ("_functional_values", norm_reverse_chain, -1.6, _functional(a, b, x, 1.6, kind)),
-            ("_two_sided_values", norm_heinz_chain, nu, two_sided),
-            ("_heinz_values", heinz_reverse_chain, nu, heinz_norm(a, b, x, -nu, kind)),
+            ("_functional_values", norm_reverse_chain, norms._norm_reverse_grid, nu,
+             _functional(a, b, x, -nu, kind)),
+            ("_functional_values", norm_reverse_chain, norms._norm_reverse_grid, -1.6,
+             _functional(a, b, x, 1.6, kind)),
+            ("_two_sided_values", norm_heinz_chain, norms._norm_heinz_grid, nu, two_sided),
+            ("_heinz_values", heinz_reverse_chain, norms._heinz_reverse_grid, nu,
+             heinz_norm(a, b, x, -nu, kind)),
         )
-        # x is writable, so the targets above kept no context.
-        assert "_norms" not in a.__dict__
         stacks, powered = [], []
         norms_of, spectrum_powers = norms._norms_of, norms._spectrum_powers
         monkeypatch.setattr(
@@ -284,29 +285,34 @@ class TestNormChains:
             "_spectrum_powers",
             lambda m, ts: powered.append(len(ts)) or spectrum_powers(m, ts),
         )
-        for name, chain_fn, weight, target in cases:
-            # A fresh read-only copy of X: a fresh context, with the same Y.
-            fresh_x = x.copy()
-            fresh_x.setflags(write=False)
+        depths = (1, 4, 16)
+        for name, chain_fn, grid_form, weight, target in cases:
             weights = []
             fn = getattr(norms, name)
             monkeypatch.setattr(
                 norms, name, lambda a, b, x, vs, k, fn=fn: weights.append(list(vs)) or fn(a, b, x, vs, k)
             )
             heinz = name == "_heinz_values"
-            for depth, stacked in ((1, 3 if heinz else 4), (4, 1), (16, 1)):
+            singles = []
+            for depth in depths:
                 weights.clear()
                 stacks.clear()
                 powered.clear()
-                chain = chain_fn(a, b, fresh_x, weight, depth, kind)
+                chain = chain_fn(a, b, x, weight, depth, kind)
+                singles.append(chain.values)
                 where = (chain_fn.__name__, weight, depth)
-                assert a.__dict__["_norms"].x is fresh_x, where
                 assert len(weights) == 1, where
                 assert len(set(weights[0])) == len(weights[0]) == 4, where
-                assert stacks == [stacked], where
-                rows = 2 * stacked if heinz else stacked
+                assert stacks == [3 if heinz else 4], where
+                rows = 2 * stacks[0] if heinz else stacks[0]
                 assert powered == [rows, rows], where
                 assert chain.value("target") == target, where
+            weights.clear()
+            stacks.clear()
+            chains = grid_form(a, b, x, [(weight, depth) for depth in depths], kind)
+            assert len(weights) == 1 and len(set(weights[0])) == len(weights[0]) == 6
+            assert stacks == [5 if heinz else 6], (chain_fn.__name__, weight)
+            assert [c.values for c in chains] == singles, (chain_fn.__name__, weight)
             monkeypatch.setattr(norms, name, fn)
 
     def test_chains_are_the_refinements_of_their_functionals(self):
@@ -505,8 +511,8 @@ class TestHeinzFamily:
 
 
 class TestEvaluationContext:
-    """Each (A, B, X, kind) keeps Y and the norms of its last kernel call on
-    A, for an X that cannot change; values never depend on what was kept."""
+    """Each call evaluates (A, B, X, kind) afresh and keeps nothing on the
+    matrices: a value never depends on an earlier call or another thread."""
 
     CHAINS = (norm_reverse_chain, norm_heinz_chain, heinz_reverse_chain, combined_norm_chain)
 
@@ -536,50 +542,15 @@ class TestEvaluationContext:
             before = self._values(a, b, arg, kind)
             source[0, 1] += 0.5
             after = self._values(a, b, arg, kind)
-            assert "_norms" not in a.__dict__
             # A fresh copy of the changed X: nothing kept.
             fresh = self._values(a, b, np.array(arg), kind)
             assert after == fresh
             assert after != before
 
-    def test_kept_context_gives_the_fresh_values(self):
-        # The same calls, in the same order, on a kept context and with a
-        # writable copy of X (a fresh evaluation at every call): bit for bit.
-        for seed, n in ((41, 2), (42, 4), (43, 6)):
-            a, b, x = _instance(seed, n=n)
-            for kind in ALL_KINDS:
-                kept = self._values(a, b, self._frozen(x), kind)
-                assert a.__dict__["_norms"].kind == kind
-                assert kept == self._values(a, b, x.copy(), kind), (seed, str(kind))
-
-    def test_change_of_b_x_or_kind_replaces_the_context(self):
-        a, b, x = _instance(44)
-        x = self._frozen(x)
-        b2 = random_spd(3, 50.0, np.random.default_rng(45))
-        x2 = self._frozen(x + 1.0)
-        kind, kind2 = NormKind.spectral(), NormKind.schatten(3.0)
-        first = self._values(a, b, x, kind)
-        ctx = a.__dict__["_norms"]
-        assert ctx.b is b and ctx.x is x and ctx.kind == kind
-        for bb, xx, kk in ((b2, x, kind), (b, x2, kind), (b, x, kind2), (b, x, kind)):
-            got = self._values(a, bb, xx, kk)
-            new = a.__dict__["_norms"]
-            assert new is not ctx and new.b is bb and new.x is xx and new.kind == kk
-            assert got == self._values(a, bb, np.array(xx), kk)
-            ctx = new
-        assert got == first
-        # A ComplexMatrix X keeps a context too; the same (B, X, kind) reuses it.
-        cm = ComplexMatrix(x)
-        heinz_norm(a, b, cm, 0.2, kind)
-        ctx = a.__dict__["_norms"]
-        assert ctx.x is cm
-        heinz_norm(a, b, cm, 0.7, kind)
-        assert a.__dict__["_norms"] is ctx
-
     def test_context_dies_with_its_matrix(self):
         # No reference cycle through the contexts of norms and means: A and
-        # B are freed by their reference counts alone, also where X is A,
-        # the pair is used both ways round, or B keeps a pair context of A.
+        # B are freed by their reference counts alone, also where X is A or
+        # the pair is used both ways round.
         gc.disable()
         try:
             a, b, x = _instance(46)
@@ -598,10 +569,9 @@ class TestEvaluationContext:
             gc.enable()
 
     def test_threads_sharing_contexts_get_the_fresh_values(self):
-        # Threads that race on the contexts of shared matrices, through
-        # chains at different depths, weights and kinds, each get exactly the
-        # values of a fresh evaluation: a kept value never depends on which
-        # call or thread kept it.
+        # Threads that share matrices (and race on their cached ``eig``),
+        # through chains at different depths, weights and kinds, each get
+        # exactly the values of an evaluation on a copy of X.
         a, b, x = _instance(47, n=4)
         x = self._frozen(x)
         jobs = [
@@ -612,7 +582,6 @@ class TestEvaluationContext:
             for depth in (1, 3, 9)
         ]
         want = {job: job[0](a, b, np.array(x), job[2], job[3], job[1]).values for job in jobs}
-        assert "_norms" not in a.__dict__
         errors = []
 
         def work(seed):
@@ -641,4 +610,3 @@ class TestEvaluationContext:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert "_norms" in a.__dict__

@@ -61,7 +61,7 @@ def _trace_cross_term_raised(a, b, nu):
     -2 tr(sqrt(A) sqrt(B)) made 2.2, which can drop the second value below
     the first."""
     chain = means.trace_depth1_chain(a, b, nu)
-    roots = means._traces(a, b)([0.5])[0]
+    roots = means._traces(means._pair(a, b))([0.5])[0]
     values = list(chain.values)
     values[1] -= 0.2 * nu * roots
     return ScalarChain(chain.labels, tuple(values))
@@ -211,13 +211,13 @@ HIGH_COND = {
 
 
 def _builds(name):
-    """The true and the faulty build of ``name``: ``_chain_build`` of each
-    chain function, or the copy of the case's build at no fault and at its
-    fault."""
+    """The true and the faulty grid build of ``name``: ``_chain_build`` of
+    each chain function, or the copy of the case's one-value build at no
+    fault and at its fault, built once per grid value (``_each``)."""
     if name in CHAIN_FAULTS:
-        return [harness._chain_build(fn) for fn in CHAIN_FAULTS[name]]
+        return [harness._chain_build(harness._looped(fn)) for fn in CHAIN_FAULTS[name]]
     copy, fault = BUILD_FAULTS[name]
-    return [functools.partial(copy, fault=size) for size in (0.0, fault)]
+    return [harness._each(functools.partial(copy, fault=size)) for size in (0.0, fault)]
 
 
 def _run_with(monkeypatch, name, build, **overrides):

@@ -20,10 +20,12 @@ The files:
 * ``sweeps.txt``: every registered case x ``sweep_params`` series at 6
   instances, on nu {0, 1.5, 3} (or {-1, -2.5, -4} on the nu <= -1 branch),
   depth {1, 3, 6} and cond {2, 50}, and again on grids that revisit a
-  value and reverse: nu [3, 0, 3] (or [-4, -1, -4]) and depth
-  [6, 1, 6, 3]. A rebuild reuses what the evaluation contexts kept from
-  the previous grid value, so a value kept that its pin had moved would
-  show on these lines;
+  value and reverse: nu [3, 0, 3] (or [-4, -1, -4]), depth [6, 1, 6, 3]
+  and cond [50, 2, 50]. A nu or depth sweep builds each instance's whole
+  grid in one call, which evaluates each distinct weight once, and a cond
+  sweep draws each instance again at every value, a revisited one too; a
+  value read at the wrong grid point, or a redraw that differs, would show
+  on these lines;
 * ``sweep_depth.txt``: the series of the ``sweep_depth`` benchmark workload
   (depth 1..16, one instance at each dimension n) on seeds 7,
   ``DEFAULT_SEED`` and 11;
@@ -65,7 +67,7 @@ from pathlib import Path
 
 SWEEP_INSTANCES = 6
 #: Each parameter's grids: rising, then revisiting and reversing.
-GRIDS = {"depth": ((1, 3, 6), (6, 1, 6, 3)), "cond": ((2.0, 50.0),)}
+GRIDS = {"depth": ((1, 3, 6), (6, 1, 6, 3)), "cond": ((2.0, 50.0), (50.0, 2.0, 50.0))}
 NU_GRIDS = {1: ((0.0, 1.5, 3.0), (3.0, 0.0, 3.0)), -1: ((-1.0, -2.5, -4.0), (-4.0, -1.0, -4.0))}
 PAYLOAD_INSTANCES = 4
 #: The value ``payloads.txt`` pins each sweep parameter to (nu by branch).
