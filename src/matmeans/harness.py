@@ -827,14 +827,17 @@ def _draw_heinz_symmetry(rng, cfg, cond):
 
 
 def _build_heinz_symmetry(a, b, x, kind, nu):
+    # The kernel maps nu and 1 - nu to one canonical exponent pair, up to
+    # the rounding of 1 - nu: this checks that form, relative to the value.
     f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu], kind).tolist()
-    return Built(margins=np.array([(1e-10 - abs(f_nu - f_mirror)) / 1e-10]))
+    defect = abs(f_nu - f_mirror) / max(1.0, f_nu, f_mirror)
+    return Built(margins=np.array([(1e-10 - defect) / 1e-10]))
 
 
 _register(
     "heinz_symmetry",
     overrides={"instances": 500, "rel_tol": 0.0},
-    description="Heinz functional symmetry f(nu) = f(1-nu) to 1e-10",
+    description="Heinz functional symmetry f(nu) = f(1-nu) to 1e-10 of max(1, f)",
     draw=_draw_heinz_symmetry, build=_each(_build_heinz_symmetry),
 )
 

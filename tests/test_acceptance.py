@@ -174,7 +174,7 @@ def test_criterion_5_norm_suite(suite):
 
 def test_criterion_6_heinz_suite(suite):
     by_name, _ = suite
-    ok = by_name["heinz_symmetry"].failures == 0  # |f(nu)-f(1-nu)| <= 1e-10
+    ok = by_name["heinz_symmetry"].failures == 0  # |f(nu)-f(1-nu)| <= 1e-10 max(1, f)
     ok = ok and by_name["heinz_midpoint_convexity"].failures == 0
     ok = ok and by_name["heinz_midpoint_convexity"].instances == 500
     ok = ok and by_name["heinz_monotonicity"].failures == 0  # 81-point grid, 1e-8

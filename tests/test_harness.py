@@ -274,6 +274,13 @@ class TestStress:
                 report = harness.run_case(name, instances=10, nu_range=(8.0, 9.0), **cond)
                 assert report.failures == 0, (name, cond, report.min_slack)
 
+    def test_heinz_symmetry_relative_at_high_condition(self):
+        # The functional reaches 1e18 at cond 1e8, where one ulp of 1 - nu
+        # moves it far above an absolute 1e-10; relative to the value, the
+        # defect stays at round-off.
+        report = harness.run_case("heinz_symmetry", instances=500, cond_max=1e8)
+        assert report.failures == 0, report.min_slack
+
     def test_kantorovich_operator_checks_every_draw_at_high_condition(self):
         # Every drawn pair is checked, the ill-conditioned ones included.
         for cond in (1e8, 1e12):

@@ -146,7 +146,8 @@ def _norm_logconvexity_bound_lowered(a, b, x, kind, v1, v2, alpha, fault):
 def _heinz_mirror_shifted(a, b, x, kind, nu, fault):
     """``heinz_symmetry`` comparing f(nu) with f(1 - nu + fault)."""
     f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu + fault], kind).tolist()
-    return Built(margins=np.array([(1e-10 - abs(f_nu - f_mirror)) / 1e-10]))
+    defect = abs(f_nu - f_mirror) / max(1.0, f_nu, f_mirror)
+    return Built(margins=np.array([(1e-10 - defect) / 1e-10]))
 
 
 def _heinz_grid_shifted(a, b, x, kind, fault):
