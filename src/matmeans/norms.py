@@ -91,21 +91,33 @@ class NormKind:
 
         A float for one vector, an array for a stack of them; each row's
         value is the one its vector alone would give. Sums are
-        ``np.add.reduce``: ``np.sum``'s bits without its dispatch.
+        ``np.add.reduce``: ``np.sum``'s bits without its dispatch. A
+        Schatten row whose sigma_max^p, or n sigma_max^p, would leave the
+        normal float range is divided by sigma_max before the powers and
+        the norm multiplied back, so no power overflows or underflows where
+        the norm does not; every other row is divided and multiplied by 1,
+        which changes no bit.
         """
         total = np.add.reduce
         if self.family == "kyfan":
             out = total(sigma[..., : int(self.param)], axis=-1)  # k > n clamps to n
         elif self.param == 1.0:
             out = total(sigma, axis=-1)
-        elif self.param == 2.0:
-            out = np.sqrt(total(sigma * sigma, axis=-1))
         else:
-            # Row by row: a broadcast power can differ in the last bit.
             p = self.param
-            rows = sigma.reshape(-1, sigma.shape[-1])
-            out = np.array([total(r ** p) ** (1.0 / p) for r in rows])
-            out = out.reshape(sigma.shape[:-1])
+            top = sigma[..., :1]
+            hi = (np.finfo(float).max / sigma.shape[-1]) ** (1.0 / p)
+            lo = np.finfo(float).tiny ** (1.0 / p)
+            scale = np.where((top > hi) | ((top < lo) & (top > 0.0)), top, 1.0)
+            sigma = sigma / scale
+            if p == 2.0:
+                out = np.sqrt(total(sigma * sigma, axis=-1))
+            else:
+                # Row by row: a broadcast power can differ in the last bit.
+                rows = sigma.reshape(-1, sigma.shape[-1])
+                out = np.array([total(r ** p) ** (1.0 / p) for r in rows])
+                out = out.reshape(sigma.shape[:-1])
+            out = out * scale[..., 0]
         return float(out) if out.ndim == 0 else out
 
     def __str__(self) -> str:

@@ -281,6 +281,17 @@ class TestStress:
         report = harness.run_case("heinz_symmetry", instances=500, cond_max=1e8)
         assert report.failures == 0, report.min_slack
 
+    def test_schatten_norms_at_large_weights_do_not_overflow(self):
+        # |nu| in 8..9 at cond 1e12 takes sigma_max^3 past the float range
+        # while the norms stay near 1e100: with warnings as errors, no case
+        # warns, raises or fails.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("norm_heinz_power", "norm_combined", "heinz_reverse",
+                         "norm_collapse_depth1"):
+                report = harness.run_case(name, instances=300, cond_max=1e12, nu_range=(8.0, 9.0))
+                assert report.failures == 0, (name, report.min_slack)
+
     def test_kantorovich_operator_checks_every_draw_at_high_condition(self):
         # Every drawn pair is checked, the ill-conditioned ones included.
         for cond in (1e8, 1e12):
