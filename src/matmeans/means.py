@@ -130,11 +130,19 @@ def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
 
 
 def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
-    """(1 - nu) A + nu B; may be indefinite for extended weights."""
+    """(1 - nu) A + nu B; may be indefinite for extended weights. Raises
+    DomainError, with no numpy warning, where an entry leaves the float
+    range."""
     a, b = _as_spd(a), _as_spd(b)
     if a.n != b.n:
         raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
-    return HermitianMatrix((1.0 - nu) * a.a + nu * b.a)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        h = (1.0 - nu) * a.a + nu * b.a
+    if not _finite(h):
+        raise DomainError(
+            f"arithmetic mean overflows at nu = {nu:g}: (1 - nu) A + nu B is out of range"
+        )
+    return HermitianMatrix(h)
 
 
 def geometric_mean(a, b, nu: float) -> SpdMatrix:

@@ -166,6 +166,22 @@ class TestMean:
             assert code == EXIT_DOMAIN and stdout == "", nu
             assert stderr.startswith("error: harmonic resolvent overflows"), (nu, stderr)
 
+    def test_arithmetic_extreme_weight_names_its_overflow(self, capsys, tmp_path):
+        # On the pair of seeds 2 and 1 at cond 1e12, (1 - nu) A + nu B
+        # leaves the float range at |nu| = 1e308: a DomainError that says
+        # so, and no warning.
+        paths = [str(tmp_path / f"{seed}.json") for seed in (2, 1)]
+        for seed, path in zip((2, 1), paths):
+            run_cli(capsys, "gen", "--n", "3", "--cond", "1e12", "--seed", str(seed), "--out", path)
+        for nu in ("1e308", "-1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, stderr = run_cli(
+                    capsys, "mean", "--kind", "arith", f"--nu={nu}", "--a", paths[0], "--b", paths[1]
+                )
+            assert code == EXIT_DOMAIN and stdout == "", nu
+            assert stderr.startswith("error: arithmetic mean overflows"), (nu, stderr)
+
 
 class TestNorm:
     def test_frobenius_hand_value(self, capsys, tmp_path):
