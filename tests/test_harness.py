@@ -148,7 +148,8 @@ class TestRunCase:
             return Built(margins=np.array([0.1, np.nan]))
 
         harness.REGISTRY["_synthetic_nan"] = harness.CaseDef(
-            "_synthetic_nan", lambda rng, cfg, cond: ({}, {"note": "nan"}), harness._each(nan_margin),
+            "_synthetic_nan", lambda rng, cfg, cond: ({}, {"note": "nan"}),
+            harness._each(nan_margin),
             {"instances": 3}, (), "synthetic",
         )
         try:
