@@ -14,9 +14,10 @@ instances builds indices ``0 .. instances - 1``, and none is skipped.
 Most cases follow the paper's pattern of a classical bound, a dyadic
 refinement of depth N, then the target. Each of them is one row: an input
 draw, a chain function, a weight branch and a base label (``_refinement``).
-A row checks the chain's grid form (``means._operator_reverse_grid`` and so
-on, or ``_looped`` for a scalar chain). Identities, shape checks and the
-other margin cases have a one-value build of their own (``_each``).
+A scalar row builds one chain per grid value; a matrix row builds its whole
+grid in one call of the chain's grid form (``_grid_refinement``).
+Identities, shape checks and the other margin cases have a one-value build
+of their own (``_each``).
 
 ``run_case``, ``sweep`` and ``build_instance`` share one path,
 ``_instances``: draw each instance, assemble the SPD pairs of a block with
@@ -460,44 +461,47 @@ def _weighted(inputs, branch, depth=True):
     return draw
 
 
-def _looped(chain_fn):
-    """The grid form of a one-value chain function (a scalar row's): one
-    call per (nu, depth) pair, or per nu for a chain without a depth."""
-    return lambda grid, **inputs: [
-        chain_fn(**inputs, nu=w[0], depth=w[1]) if isinstance(w, tuple)
-        else chain_fn(**inputs, nu=w)
-        for w in grid
-    ]
+def _built(chain, base=None) -> Built:
+    """The ``Built`` of a chain. ``base`` names its unrefined bound; with it
+    the "refined" and ``base`` entries feed the sweep gain."""
+    if base is None:
+        return Built(chain=chain)
+    return Built(chain=chain, refined=chain.value("refined"), base=chain.value(base))
 
 
-def _chain_build(grid_form, base=None, **fixed):
-    """The grid build that checks a chain's ``grid_form`` in one call, on the
-    (nu, depth) pairs of the grid, or its nus for a chain without a depth.
-    ``base`` names the chain's unrefined bound; with it the "refined" and
-    ``base`` entries feed the sweep gain."""
+def _chain_build(chain_fn, base=None, **fixed):
+    """The build that checks ``chain_fn(**args, **fixed)`` at each grid
+    value, one call per value."""
 
     def build(args, grid):
-        inputs = {k: v for k, v in args.items() if k not in ("nu", "depth")}
-        weights = [{**args, **pins} for pins in grid]
-        weights = [(w["nu"], w["depth"]) if "depth" in w else w["nu"] for w in weights]
-        return [
-            Built(chain=c) if base is None
-            else Built(chain=c, refined=c.value("refined"), base=c.value(base))
-            for c in grid_form(**inputs, grid=weights, **fixed)
-        ]
+        return [_built(chain_fn(**{**args, **pins}, **fixed), base) for pins in grid]
 
     return build
 
 
-def _refinement(inputs, grid_form, *, branch, base=None, depth=True, **fixed):
-    """The ``draw``, ``build`` and ``nu_branch`` of a case that checks a
-    chain through its ``grid_form``: classical bound, refinement, target
-    (see ``_weighted`` and ``_chain_build``)."""
+def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
+    """The ``draw``, ``build`` and ``nu_branch`` of a case that checks
+    ``chain_fn``: classical bound, refinement, target (see ``_weighted`` and
+    ``_chain_build``)."""
     return {
         "draw": _weighted(inputs, branch, depth),
-        "build": _chain_build(grid_form, base, **fixed),
+        "build": _chain_build(chain_fn, base, **fixed),
         "nu_branch": branch,
     }
+
+
+def _grid_refinement(inputs, grid_form, *, branch, base=None, depth=True):
+    """``_refinement`` of a chain checked through its ``grid_form``: one
+    call per instance, on the (nu, depth) pairs of the whole grid, or its
+    nus for a chain without a depth."""
+
+    def build(args, grid):
+        kwargs = {k: v for k, v in args.items() if k not in ("nu", "depth")}
+        weights = [args | pins for pins in grid]
+        kwargs["grid"] = [(w["nu"], w["depth"]) if "depth" in w else w["nu"] for w in weights]
+        return [_built(chain, base) for chain in grid_form(**kwargs)]
+
+    return {"draw": _weighted(inputs, branch, depth), "build": build, "nu_branch": branch}
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +513,7 @@ _register(
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at a",
     **_refinement(
-        _convex_inputs, _looped(scalar.convex_refined_chain), branch=0, base="secant", anchor="a"
+        _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="a"
     ),
 )
 
@@ -519,7 +523,7 @@ _register(
     sweep=("nu", "depth"),
     description="refined secant bound, midpoint ladder anchored at b",
     **_refinement(
-        _convex_inputs, _looped(scalar.convex_refined_chain), branch=0, base="secant", anchor="b"
+        _convex_inputs, scalar.convex_refined_chain, branch=0, base="secant", anchor="b"
     ),
 )
 
@@ -529,8 +533,7 @@ _register(
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, nonnegative weights",
     **_refinement(
-        _logconvex_inputs, _looped(scalar.logconvex_refined_chain), branch=1, base="power",
-        anchor="a",
+        _logconvex_inputs, scalar.logconvex_refined_chain, branch=1, base="power", anchor="a"
     ),
 )
 
@@ -540,8 +543,7 @@ _register(
     sweep=("nu", "depth"),
     description="multiplicative log-convex refinement, weights <= -1",
     **_refinement(
-        _logconvex_inputs, _looped(scalar.logconvex_refined_chain), branch=-1, base="power",
-        anchor="b",
+        _logconvex_inputs, scalar.logconvex_refined_chain, branch=-1, base="power", anchor="b"
     ),
 )
 
@@ -550,7 +552,7 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu >= 0",
-    **_refinement(_xy_inputs, _looped(scalar.young_reverse_chain), branch=1, base="arith"),
+    **_refinement(_xy_inputs, scalar.young_reverse_chain, branch=1, base="arith"),
 )
 
 _register(
@@ -558,7 +560,7 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-10},
     sweep=("nu", "depth"),
     description="reverse Young refinement, nu <= -1",
-    **_refinement(_xy_inputs, _looped(scalar.young_reverse_chain), branch=-1, base="arith"),
+    **_refinement(_xy_inputs, scalar.young_reverse_chain, branch=-1, base="arith"),
 )
 
 
@@ -625,9 +627,7 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse arithmetic-harmonic inequality, 0 < x < y",
-    **_refinement(
-        _ordered_xy_inputs, _looped(scalar.harmonic_reverse_chain), branch=1, base="arith"
-    ),
+    **_refinement(_ordered_xy_inputs, scalar.harmonic_reverse_chain, branch=1, base="arith"),
 )
 
 _register(
@@ -635,16 +635,14 @@ _register(
     overrides={"instances": 1000, "rel_tol": 1e-9},
     sweep=("nu", "depth"),
     description="refined reverse geometric-harmonic inequality, 0 < x < y",
-    **_refinement(
-        _ordered_xy_inputs, _looped(scalar.harmonic_geometric_chain), branch=1, base="geom"
-    ),
+    **_refinement(_ordered_xy_inputs, scalar.harmonic_geometric_chain, branch=1, base="geom"),
 )
 
 _register(
     "kantorovich_scalar",
     overrides={"instances": 1000, "rel_tol": 1e-9},
     description="Kantorovich-weighted reverse geometric-harmonic bound",
-    **_refinement(_ordered_xy_inputs, _looped(scalar.kantorovich_chain), branch=1, depth=False),
+    **_refinement(_ordered_xy_inputs, scalar.kantorovich_chain, branch=1, depth=False),
 )
 
 
@@ -678,42 +676,44 @@ _register(
     "operator_reverse_pos",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu >= 0",
-    **_refinement(_spd_inputs, means._operator_reverse_grid, branch=1, base="arith"),
+    **_grid_refinement(_spd_inputs, means._operator_reverse_grid, branch=1, base="arith"),
 )
 
 _register(
     "operator_reverse_neg",
     sweep=("nu", "depth", "cond"),
     description="operator reverse Young refinement, nu <= -1",
-    **_refinement(_spd_inputs, means._operator_reverse_grid, branch=-1, base="arith"),
+    **_grid_refinement(_spd_inputs, means._operator_reverse_grid, branch=-1, base="arith"),
 )
 
 _register(
     "operator_squared_pos",
     sweep=("nu", "depth", "cond"),
     description="squared operator reverse Young refinement, nu >= 0",
-    **_refinement(_spd_inputs, means._operator_squared_grid, branch=1, base="scaled_arith"),
+    **_grid_refinement(_spd_inputs, means._operator_squared_grid, branch=1, base="scaled_arith"),
 )
 
 _register(
     "operator_squared_neg",
     sweep=("nu", "depth", "cond"),
     description="squared operator refinement, nu <= -1 (B A^{-1} B form)",
-    **_refinement(_spd_inputs, means._operator_squared_grid, branch=-1, base="scaled_b"),
+    **_grid_refinement(_spd_inputs, means._operator_squared_grid, branch=-1, base="scaled_b"),
 )
 
 _register(
     "harmonic_operator",
     sweep=("nu", "depth", "cond"),
     description="refined reverse arithmetic-harmonic operator inequality, A <= B",
-    **_refinement(_ordered_spd_inputs, means._harmonic_operator_grid, branch=1, base="arith"),
+    **_grid_refinement(_ordered_spd_inputs, means._harmonic_operator_grid, branch=1, base="arith"),
 )
 
 _register(
     "kantorovich_operator",
     sweep=("nu",),
     description="Kantorovich-weighted reverse geometric-harmonic operator bound, A <= B",
-    **_refinement(_ordered_spd_inputs, means._kantorovich_operator_grid, branch=1, depth=False),
+    **_grid_refinement(
+        _ordered_spd_inputs, means._kantorovich_operator_grid, branch=1, depth=False
+    ),
 )
 
 _register(
@@ -721,7 +721,7 @@ _register(
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="additive trace refinement chain",
-    **_refinement(_spd_inputs, means._trace_additive_grid, branch=1, base="arith"),
+    **_grid_refinement(_spd_inputs, means._trace_additive_grid, branch=1, base="arith"),
 )
 
 _register(
@@ -729,7 +729,7 @@ _register(
     overrides={"rel_tol": 1e-9},
     sweep=("nu", "depth", "cond"),
     description="multiplicative trace refinement chain",
-    **_refinement(_spd_inputs, means._trace_multiplicative_grid, branch=1, base="power"),
+    **_grid_refinement(_spd_inputs, means._trace_multiplicative_grid, branch=1, base="power"),
 )
 
 _register(
@@ -737,7 +737,7 @@ _register(
     overrides={"rel_tol": 1e-9},
     sweep=("nu",),
     description="depth-1 trace specializations and the Schatten-1 comparison",
-    **_refinement(_spd_inputs, means._trace_depth1_grid, branch=1, depth=False),
+    **_grid_refinement(_spd_inputs, means._trace_depth1_grid, branch=1, depth=False),
 )
 
 
@@ -749,7 +749,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu >= 0",
-    **_refinement(_norm_inputs, norms._norm_reverse_grid, branch=1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._norm_reverse_grid, branch=1, base="power"),
 )
 
 _register(
@@ -757,7 +757,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu <= -1",
-    **_refinement(_norm_inputs, norms._norm_reverse_grid, branch=-1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._norm_reverse_grid, branch=-1, base="power"),
 )
 
 _register(
@@ -765,7 +765,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="two-sided power refinement ||A^{1+nu} X B^{1+nu}||",
-    **_refinement(_norm_inputs, norms._norm_heinz_grid, branch=1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._norm_heinz_grid, branch=1, base="power"),
 )
 
 _register(
@@ -773,7 +773,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="five-term chain joining scalar and norm-functional refinements",
-    **_refinement(_norm_inputs, norms._combined_norm_grid, branch=1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._combined_norm_grid, branch=1, base="power"),
 )
 
 
@@ -877,7 +877,7 @@ _register(
     overrides={"nu_range": (0.0, 4.0)},
     sweep=("nu", "depth", "cond"),
     description="reversed Heinz inequality with dyadic refinement",
-    **_refinement(_norm_inputs, norms._heinz_reverse_grid, branch=1, base="sum_norm"),
+    **_grid_refinement(_norm_inputs, norms._heinz_reverse_grid, branch=1, base="sum_norm"),
 )
 
 
@@ -1166,16 +1166,14 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
 
     Instances keep their identity across the grid (the same draws, with only
     ``param`` pinned), so columns are directly comparable. A nu or depth
-    sweep draws each instance, and assembles its SPD pair, once, and builds
-    all its grid values in one call; a cond sweep draws it at each value.
-    Returns one row per grid value with the mean end-to-end gap and mean
-    refinement gain (refined bound minus unrefined bound; trace difference
-    for operator chains). Every grid value is checked by ``sweep_values``
-    before any instance is built. A sweep builds instance by instance, so
-    where several (instance, value) builds raise, the one it meets first,
-    and the (instance, value) its message names, may differ from a
-    value-by-value order; each is a DomainError or a ConvergenceError, so
-    ``matmeans sweep`` exits 2 either way.
+    sweep draws each instance once and builds all its grid values in one
+    call; a cond sweep draws it at each value. Returns one row per grid
+    value with the mean end-to-end gap and mean refinement gain (refined
+    bound minus unrefined bound; trace difference for operator chains).
+    Every grid value is checked by ``sweep_values`` before any instance is
+    built. Where several (instance, value) builds raise, the one met first,
+    named in the message, may differ from a value-by-value order; each is a
+    DomainError or ConvergenceError, so ``matmeans sweep`` exits 2 either way.
     """
     case = _case(name)
     values = sweep_values(_swept(case, param), grid, case.nu_branch)

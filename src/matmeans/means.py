@@ -17,9 +17,9 @@ assembled only when read. Composing the public mean functions directly
 gives the same matrices up to round-off; the tests cross-check both routes.
 
 The geometric and harmonic means and every chain of a pair (A, B) here
-read one spectral context of the pair (``_pair``): C = Qa* Qb and |C|^2,
-the spectrum w of X with the transfer M = A^{1/2} Q, each computed on
-first use. A context lives only as long as its call.
+read one spectral context of the pair (``_pair``): C = Qa* Qb and the
+spectrum w of X with the transfer M = A^{1/2} Q, each computed on first
+use. A context lives only as long as its call.
 
 Each chain that a sweep varies in nu or depth is the grid of one of a
 private grid form (``_operator_reverse_grid`` and so on): one context for
@@ -69,8 +69,7 @@ class _Pair:
     """Spectral context of a positive definite pair (A, B) for one call
     (``_pair``). Each field is computed on first use:
 
-    * ``c`` = Qa* Qb, the eigenbasis of B seen from that of A, and
-      ``c2`` = |C|^2 entrywise;
+    * ``c`` = Qa* Qb, the eigenbasis of B seen from that of A;
     * ``w`` and ``m``: X = A^{-1/2} B A^{-1/2} = Q diag(w) Q*, pushed back as
       A^{1/2} f(X) A^{1/2} = M diag(f(w)) M* with the read-only
       M = A^{1/2} Q; an ``OperatorChain`` holds M's ``transfer`` and the
@@ -88,10 +87,6 @@ class _Pair:
     @cached_property
     def c(self) -> np.ndarray:
         return self.qa.conj().T @ self.b.eig.eigenvectors
-
-    @cached_property
-    def c2(self) -> np.ndarray:
-        return np.abs(self.c) ** 2
 
     def graded(self, y: np.ndarray, left, right) -> np.ndarray:
         """``norms._graded`` of Y in the eigenbases of A and B."""
@@ -139,9 +134,7 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # named below
         h = (1.0 - nu) * a.a + nu * b.a
     if not _finite(h):
-        raise DomainError(
-            f"arithmetic mean overflows at nu = {nu:g}: (1 - nu) A + nu B is out of range"
-        )
+        raise DomainError(f"arithmetic mean overflows at nu = {nu:g}: an entry is out of range")
     return HermitianMatrix(h)
 
 
@@ -351,7 +344,8 @@ def _traces(pair: _Pair):
     """v |-> tr(A^{1-v} B^v) = sum_jk wa_j^{1-v} |C_jk|^2 wb_k^v on a list of
     weights, with C = Qa* Qb: a sum of nonnegative terms, free of
     cancellation, and each value independent of the other weights."""
-    return lambda vs: pair.graded(pair.c2, [1.0 - v for v in vs], vs).sum(axis=(1, 2)).tolist()
+    c2 = np.abs(pair.c) ** 2
+    return lambda vs: pair.graded(c2, [1.0 - v for v in vs], vs).sum(axis=(1, 2)).tolist()
 
 
 def _trace_grid(name: str, labels, refine, a, b, grid) -> list[ScalarChain]:

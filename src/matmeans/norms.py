@@ -20,13 +20,10 @@ norm of the stack (``_norms_of``). A single value (``heinz_norm``) is the
 same kernel on a stack of one, and a value does not depend on the stack it
 is computed in.
 
-Each chain function that a sweep varies in nu or depth is the grid of one
-of a private grid form (``_norm_reverse_grid`` and so on). A refinement at
-any depth telescopes to four weights (0, 1, the target and m_N), so the
-grid form evaluates its functional at the distinct weights of its whole
-grid in one kernel call (``scalar._on_ladders``), one SVD stack, and then
-runs the scalar refinement per grid value on those values. Nothing is kept
-between calls: each call computes Y = Qa* X Qb afresh.
+A chain that a sweep varies in nu or depth is the grid of one of a private
+grid form (``_norm_reverse_grid`` and so on), which evaluates the distinct
+weights of its whole grid (0, 1, each target and each m_N) in one kernel
+call, and then refines per grid value. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -92,11 +89,10 @@ class NormKind:
         A float for one vector, an array for a stack of them; each row's
         value is the one its vector alone would give. Sums are
         ``np.add.reduce``: ``np.sum``'s bits without its dispatch. A
-        Schatten row whose sigma_max^p, or n sigma_max^p, would leave the
-        normal float range is divided by sigma_max before the powers and
-        the norm multiplied back, so no power overflows or underflows where
-        the norm does not; every other row is divided and multiplied by 1,
-        which changes no bit.
+        Schatten row whose n sigma_max^p would leave the normal float range
+        is scaled by 1/sigma_max for the powers, any other by 1 (no bit
+        changes), so no power overflows or underflows where the norm does
+        not.
         """
         total = np.add.reduce
         if self.family == "kyfan":

@@ -198,9 +198,7 @@ def _dyadic_points(nu, depth, anchor):
 
 def _on_ladders(ladders, evaluate) -> list:
     """The values at each list of points in ``ladders``, from one
-    ``evaluate`` call on their distinct points, in the order they first
-    appear. A grid form of a chain function passes the ladders of all its
-    grid values (``_dyadic_points``), so each point is evaluated once; the
+    ``evaluate`` call on their distinct points in order of appearance; the
     lookup is by the ladders' own point objects, so a NaN finds its value."""
     index: dict = {}
     for points in ladders:

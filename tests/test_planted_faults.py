@@ -216,7 +216,7 @@ def _builds(name):
     each chain function, or the copy of the case's one-value build at no
     fault and at its fault, built once per grid value (``_each``)."""
     if name in CHAIN_FAULTS:
-        return [harness._chain_build(harness._looped(fn)) for fn in CHAIN_FAULTS[name]]
+        return [harness._chain_build(fn) for fn in CHAIN_FAULTS[name]]
     copy, fault = BUILD_FAULTS[name]
     return [harness._each(functools.partial(copy, fault=size)) for size in (0.0, fault)]
 
