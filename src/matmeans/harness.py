@@ -120,8 +120,8 @@ class Built:
     end-to-end chain gap as the tightness measure. ``refined`` and ``base``
     are floats, or value rows of an ``OperatorChain``.
 
-    A case's build evaluates the instance; the harness then puts the drawn
-    parameters in ``drawn``, its matrices as they are. Reading ``payload``
+    A case's build evaluates the instance; ``build_instance`` then puts the
+    drawn parameters in ``drawn``, its matrices as they are. Reading ``payload``
     serializes them with ``matrix_to_json``. Only failure files serialize a
     payload, so an instance that passes never serializes its inputs.
     """
@@ -974,8 +974,9 @@ def _seated(seed: int, case_name: str, rng: np.random.Generator):
 
 
 def _instances(case: CaseDef, cfg: CaseConfig, cond: float, indices, streams, grid: list):
-    """Yield (index, builts) for each of ``indices``, in order: the
-    instance's ``Built`` at each value of ``grid``, a list of pin dicts.
+    """Yield (index, payload, builts) for each of ``indices``, in order: the
+    instance's payload and its ``Built`` at each value of ``grid``, a list
+    of pin dicts.
 
     1. draw: ``streams(indices)`` gives a generator at the start of the
        stream of each index, and ``case.draw`` reads every random number of
@@ -985,26 +986,18 @@ def _instances(case: CaseDef, cfg: CaseConfig, cond: float, indices, streams, gr
        per n (``_assemble_pairs``); a case's draws all hold one or none does;
     3. build: ``case.build`` evaluates the instance at every grid value in
        one call, a value's pins in copies of the drawn dicts, so a pin
-       cannot move the stream; each ``Built.drawn`` is the payload with its
-       value's pins.
+       cannot move the stream.
     """
-
-    def built(args, payload):
-        builts = case.build(args, grid)
-        for b, pins in zip(builts, grid):
-            b.drawn = {**payload, **pins} if pins else payload
-        return builts
-
     pending = []
     for i, rng in zip(indices, streams(indices)):
         args, payload = case.draw(rng, cfg, cond)
         if _PAIR in args:
             pending.append((i, args, payload))
         else:
-            yield i, built(args, payload)
+            yield i, payload, case.build(args, grid)
     _assemble_pairs((args, payload) for _, args, payload in pending)
     for i, args, payload in pending:
-        yield i, built(args, payload)
+        yield i, payload, case.build(args, grid)
 
 
 def _payloads(case: CaseDef, cfg: CaseConfig, indices, streams) -> list[dict]:
@@ -1038,7 +1031,8 @@ def build_instance(name: str, index: int, forced: dict | None = None, **override
     }
     cond = float(forced.pop("cond", cfg.cond_max))
     streams = lambda todo: (instance_rng(cfg.seed, name, i) for i in todo)
-    ((_, (built,)),) = _instances(case, cfg, cond, [index], streams, [forced])
+    ((_, payload, (built,)),) = _instances(case, cfg, cond, [index], streams, [forced])
+    built.drawn = {**payload, **forced}
     return built
 
 
@@ -1072,7 +1066,7 @@ def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> 
     streams = _seated(cfg.seed, name, _new_generator())
     verdicts, rows = set(), []
     cond = float(cfg.cond_max)
-    for _, (built,) in _instances(case, cfg, cond, range(cfg.instances), streams, [{}]):
+    for _, _, (built,) in _instances(case, cfg, cond, range(cfg.instances), streams, [{}]):
         decide, row = built.value_row()
         verdicts.add(decide)
         rows.append(row)
@@ -1186,7 +1180,7 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     columns = []
     for cond, pins in blocks:
         block = [([], []) for _ in pins]
-        for _, builts in _instances(case, cfg, cond, range(cfg.instances), streams, pins):
+        for _, _, builts in _instances(case, cfg, cond, range(cfg.instances), streams, pins):
             for (gaps, gains), built in zip(block, builts):
                 gaps.append(built.gap())
                 gains.append(_gain(built))

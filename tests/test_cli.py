@@ -151,34 +151,31 @@ class TestMean:
             assert code == EXIT_DOMAIN and stdout == "", kind
             assert stderr == "error: dimension mismatch: 2 vs 3\n", kind
 
-    def test_harmonic_extreme_weight_names_its_overflow(self, capsys, tmp_path):
-        # On the pair of seeds 1 and 2 at cond 1e12, nu / w leaves the float
-        # range at |nu| = 1e308: a DomainError that says so, and no warning.
-        paths = [str(tmp_path / f"{seed}.json") for seed in (1, 2)]
-        for seed, path in zip((1, 2), paths):
+    @staticmethod
+    def _extreme_weights(capsys, tmp_path, kind, seeds):
+        """``mean --kind kind`` at nu = +-1e308 on the gen pair of ``seeds``
+        at cond 1e12, with warnings as errors: (nu, code, stdout, stderr)."""
+        paths = [str(tmp_path / f"{seed}.json") for seed in seeds]
+        for seed, path in zip(seeds, paths):
             run_cli(capsys, "gen", "--n", "3", "--cond", "1e12", "--seed", str(seed), "--out", path)
         for nu in ("1e308", "-1e308"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code, stdout, stderr = run_cli(
-                    capsys, "mean", "--kind", "harm", f"--nu={nu}", "--a", paths[0], "--b", paths[1]
+                yield nu, *run_cli(
+                    capsys, "mean", "--kind", kind, f"--nu={nu}", "--a", paths[0], "--b", paths[1]
                 )
+
+    def test_harmonic_extreme_weight_names_its_overflow(self, capsys, tmp_path):
+        # On the pair of seeds 1 and 2 at cond 1e12, nu / w leaves the float
+        # range at |nu| = 1e308: a DomainError that says so, and no warning.
+        for nu, code, stdout, stderr in self._extreme_weights(capsys, tmp_path, "harm", (1, 2)):
             assert code == EXIT_DOMAIN and stdout == "", nu
             assert stderr.startswith("error: harmonic resolvent overflows"), (nu, stderr)
 
     def test_arithmetic_extreme_weight_names_its_overflow(self, capsys, tmp_path):
-        # On the pair of seeds 2 and 1 at cond 1e12, (1 - nu) A + nu B
-        # leaves the float range at |nu| = 1e308: a DomainError that says
-        # so, and no warning.
-        paths = [str(tmp_path / f"{seed}.json") for seed in (2, 1)]
-        for seed, path in zip((2, 1), paths):
-            run_cli(capsys, "gen", "--n", "3", "--cond", "1e12", "--seed", str(seed), "--out", path)
-        for nu in ("1e308", "-1e308"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, stdout, stderr = run_cli(
-                    capsys, "mean", "--kind", "arith", f"--nu={nu}", "--a", paths[0], "--b", paths[1]
-                )
+        # On the pair of seeds 2 and 1, (1 - nu) A + nu B leaves the float
+        # range at |nu| = 1e308: a DomainError that says so, and no warning.
+        for nu, code, stdout, stderr in self._extreme_weights(capsys, tmp_path, "arith", (2, 1)):
             assert code == EXIT_DOMAIN and stdout == "", nu
             assert stderr.startswith("error: arithmetic mean overflows"), (nu, stderr)
 
