@@ -121,9 +121,10 @@ class Built:
     are floats, or value rows of an ``OperatorChain``.
 
     A case's build evaluates the instance; ``build_instance`` then puts the
-    drawn parameters in ``drawn``, its matrices as they are. Reading ``payload``
-    serializes them with ``matrix_to_json``. Only failure files serialize a
-    payload, so an instance that passes never serializes its inputs.
+    drawn parameters in ``drawn``, its matrices as they are. Reading
+    ``payload`` serializes them with ``matrix_to_json``. Only failure files
+    serialize a payload, so an instance that passes never serializes its
+    inputs.
     """
 
     def __init__(self, chain=None, margins=None, refined=None, base=None):
