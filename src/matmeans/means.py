@@ -289,9 +289,9 @@ def _harmonic_operator_grid(a, b, grid) -> list[OperatorChain]:
             raise DomainError("harmonic resolvent not positive on the spectrum")
         return 1.0 / d
 
-    def refine(values, *args):
-        ch = (1.0 - t.w) / t.w / 2.0 ** args[3]
-        return _convex_refinement(values, *args, ch / (1.0 + ch))
+    def refine(values, lo, hi, nu, depth, anchor):
+        ch = (1.0 - t.w) / t.w / 2.0 ** depth
+        return _convex_refinement(values, lo, hi, nu, depth, anchor, ch / (1.0 + ch))
 
     return [
         OperatorChain(("arith", "refined", "harm"), t.transfer, values)

@@ -204,7 +204,7 @@ def _heinz_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
     index = {t: i for i, t in enumerate(dict.fromkeys(ts))}
     lo = [0.5 - t for t in index]
     hi = [0.5 + t for t in index]
-    return _product_norms(a, b, x, lo + hi, hi + lo, kind, True)[[index[t] for t in ts]]
+    return _product_norms(a, b, x, lo + hi, hi + lo, kind, paired=True)[[index[t] for t in ts]]
 
 
 def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
@@ -212,7 +212,7 @@ def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
     rs = [float(r) for r in rs]
     left = [p - r for r in rs]
     right = [-q + r for r in rs]
-    return _product_norms(a, b, x, left + right, right + left, kind, True)
+    return _product_norms(a, b, x, left + right, right + left, kind, paired=True)
 
 
 def _functional_grid(name, labels, refine, functional, a, b, x, grid, kind, anchor=None):
@@ -292,12 +292,11 @@ def _combined_norm_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
     )
 
 
-def _combined_refinement(values, *args) -> tuple:
+def _combined_refinement(values, lo, hi, nu, depth, anchor) -> tuple:
     """The five values of ``combined_norm_chain``: the scalar reverse Young
     chain of f(0) = ||AX|| and f(1) = ||XB||, built before the log-convex
     refinement of f checks the values it is given back, then that
     refinement, checked as the chain ``norm_reverse_chain`` returns."""
-    nu, depth = args[2:4]
     scalar_part = []
 
     def checked(vs):
@@ -305,7 +304,10 @@ def _combined_refinement(values, *args) -> tuple:
         scalar_part.extend(young_reverse_chain(fs[0], fs[1], nu, depth).values[:2])
         return fs
 
-    norm_part = ScalarChain(("power", "refined", "target"), _logconvex_refinement(checked, *args))
+    norm_part = ScalarChain(
+        ("power", "refined", "target"),
+        _logconvex_refinement(checked, lo, hi, nu, depth, anchor),
+    )
     return (*scalar_part, *norm_part.values)
 
 
@@ -352,7 +354,7 @@ def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
     # split = A^{p-q} X B^0 + A^0 X B^{p-q}; full = A^p X B^{-q} + A^{-q} X B^p.
     split, full = _product_norms(
-        a, b, x, [p - q, p, 0.0, -q], [0.0, -q, p - q, p], kind, True
+        a, b, x, [p - q, p, 0.0, -q], [0.0, -q, p - q, p], kind, paired=True
     ).tolist()
     return ScalarChain(("split", "full"), (split, full))
 
