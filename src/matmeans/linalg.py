@@ -14,10 +14,11 @@ verification harness) is built on the small toolkit in this module:
   finite; ``_exact`` then wraps it without the validating constructors,
 * a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``), kept on
   each matrix as ``HermitianMatrix.eig``,
-* the powers w ** t of a positive spectrum, ``_spectrum_powers``, which
-  name an overflow or an underflow; ``means`` and ``norms`` power the
-  spectra they push back by congruence, and no power of a matrix is
-  assembled,
+* the spectral kernels that ``means`` and ``norms`` share: the powers
+  w ** t of a positive spectrum, ``_spectrum_powers``, which name an
+  overflow or an underflow; the graded stack diag(wa^l) Y diag(wb^r) of a
+  matrix Y in the eigenbases of A and B, ``_graded``; and the one LAPACK
+  SVD wrapper, ``_singular_values``. No power of a matrix is assembled,
 * the semidefinite (Loewner) order check ``loewner_leq``,
 * seeded random SPD generation on Haar unitaries (``_haar``); an SPD draw
   (``_draw_spds``) and its assembly (``_assemble_spds``) are separate
@@ -318,6 +319,27 @@ def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
             )
         out[i] = w ** t
     return out
+
+
+def _graded(wa, wb, y, left, right) -> np.ndarray:
+    """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
+    the eigenbases of A and B, whose spectra are wa and wb: each entry is
+    Y_jk wa_j^l wb_k^r."""
+    pa = _spectrum_powers(wa, left)
+    pb = _spectrum_powers(wb, right)
+    return y * pa[:, :, None] * pb[:, None, :]
+
+
+def _singular_values(stack: np.ndarray, compute_uv: bool = False):
+    """Singular values of a matrix or a stack of them, descending along the
+    last axis, by LAPACK's SVD (``numpy.linalg.svd``); with ``compute_uv``,
+    its triple (U, s, V*)."""
+    if not _finite(stack):
+        raise DomainError("matrix entries must be finite")
+    try:
+        return np.linalg.svd(stack, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,14 @@ spectrum w of X with the transfer M = A^{1/2} Q, each computed on first
 use. A context lives only as long as its call.
 
 Each chain that a sweep varies in nu or depth is the grid of one of a
-private grid form (``_operator_reverse_grid`` and so on): one context for
-the whole grid, every power w^t of the grid from one ``_spectrum_powers``
-call on its distinct exponents (the refinement telescopes to four weights:
-0, 1, the target and m_N), then the scalar refinement per grid value. Its
-chains share one ``linalg._Transfer``, so the gaps of a depth grid, whose
-ends do not move, run one ``eigh``.
+private grid form (``_operator_reverse_grid`` and so on). It builds one
+context for the whole grid and hands its functional to the one grid driver,
+``scalar._refinements``, which reads it at the grid's distinct weights in
+one call (the refinement telescopes to four: 0, 1, the target and m_N) and
+refines per grid value. Powers of w come from ``linalg._spectrum_powers``,
+the resolvent's 1/r from ``_harmonic``. No overflow warns: the chain's
+finiteness check names it. The chains share one ``linalg._Transfer``, so
+the gaps of a depth grid, whose ends do not move, run one ``eigh``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .linalg import (
     HermitianMatrix,
     LOEWNER_REL_TOL,
@@ -47,18 +49,17 @@ from .linalg import (
     _congruence,
     _finite,
     _freeze,
+    _graded,
+    _singular_values,
     _spectrum_powers,
     loewner_leq,
 )
-from .norms import _graded, _singular_values
 from .scalar import (
     ScalarChain,
     _check_depth,
     _convex_refinement,
-    _dyadic_points,
     _logconvex_refinement,
     _nonnegative,
-    _on_ladders,
     _power_drop,
     _refinements,
     weight_branch,
@@ -89,15 +90,12 @@ class _Pair:
         return self.qa.conj().T @ self.b.eig.eigenvectors
 
     def graded(self, y: np.ndarray, left, right) -> np.ndarray:
-        """``norms._graded`` of Y in the eigenbases of A and B."""
+        """``linalg._graded`` of Y in the eigenbases of A and B."""
         return _graded(self.wa, self.b.eig.eigenvalues, y, left, right)
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, _Transfer]:
-        try:
-            p, s, _ = np.linalg.svd(self.graded(self.c, [-0.5], [0.5])[0])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
+        p, s, _ = _singular_values(self.graded(self.c, [-0.5], [0.5])[0], compute_uv=True)
         w = s[::-1] ** 2
         if w[0] <= 0.0:
             raise DomainError(f"matrix is not positive definite: lambda_min = {w[0]:.6e}")
@@ -144,23 +142,30 @@ def geometric_mean(a, b, nu: float) -> SpdMatrix:
     return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(t.w, [nu])[0]))
 
 
-def harmonic_mean(a, b, nu: float) -> SpdMatrix:
-    """A !_nu B = M diag(1/r) M* with r = (1 - nu) + nu/w on the spectrum w
-    of X (``_pair``); r is the spectrum of A^{1/2} R A^{1/2} for the
-    resolvent R = (1 - nu) A^{-1} + nu B^{-1}. Raises DomainError when nu/w
-    leaves the float range, and when r is not above a few rounding errors
-    of its two terms (w carries one): there R is not positive definite, or
-    neither the sign of r nor 1/r has a correct digit. For 0 <= nu <= 1
-    both terms are positive and r always passes."""
-    t = _pair(_as_spd(a), _as_spd(b))
+def _harmonic(w: np.ndarray, nu: float) -> np.ndarray:
+    """1/r for r = (1 - nu) + nu/w on the spectrum w of X (``_pair``), the
+    spectrum of A^{1/2} R A^{1/2} for the resolvent R = (1 - nu) A^{-1} +
+    nu B^{-1}. Raises DomainError, with no numpy warning, when nu/w leaves
+    the float range, and when r is not above a few rounding errors of its
+    two terms (w carries one): there R is not positive definite, or neither
+    the sign of r nor 1/r has a correct digit. For 0 <= nu <= 1 it always
+    passes. Each term is scaled by 4 eps, a power of two, before the sum,
+    so the bound is finite wherever r is."""
     with np.errstate(over="ignore"):  # named below
-        ratio = nu / t.w
+        ratio = nu / w
     r = (1.0 - nu) + ratio
     if not _finite(r):
         raise DomainError(f"harmonic resolvent overflows at nu = {nu:g}: nu / w is out of range")
-    if not (r > 4.0 * np.finfo(float).eps * (abs(1.0 - nu) + np.abs(ratio))).all():
+    eps4 = 4.0 * np.finfo(float).eps
+    if not (r > eps4 * abs(1.0 - nu) + eps4 * np.abs(ratio)).all():
         raise DomainError(f"harmonic resolvent not positive definite (min r = {r.min():.6e})")
-    return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(r, [-1.0])[0]))
+    return 1.0 / r
+
+
+def harmonic_mean(a, b, nu: float) -> SpdMatrix:
+    """A !_nu B = M diag(1/r) M* (``_harmonic``)."""
+    t = _pair(_as_spd(a), _as_spd(b))
+    return SpdMatrix._exact(_congruence(t.m, _harmonic(t.w, nu)))
 
 
 def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:
@@ -172,32 +177,20 @@ def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:
     return pair
 
 
-def _power_refinements(t: _Pair, grid, squared: bool = False) -> list:
+def _power_refinements(t: _Pair, grid, shift: float = 0.0) -> list:
     """The convex refinement of v |-> w^{shift+v} over the spectrum w of X
     at each (nu, depth) of ``grid``, anchored at 0 for nu >= 0 and at 1 for
-    nu <= -1, with its closed-form drop. The shift is 0, or 1 on the
-    nu <= -1 branch of a ``squared`` chain, whose rows w^{-2 nu} follow its
-    three values. Every power of w comes from one ``_spectrum_powers``
-    call, which checks each."""
+    nu <= -1, with its closed-form drop (``scalar._refinements``). Every
+    power of w comes from one ``_spectrum_powers`` call, which checks each."""
     log_w = np.log(t.w)
-    specs, ladders = [], []
-    for nu, depth in grid:
-        anchor = "a" if weight_branch(nu) > 0 else "b"
-        shift = 1.0 if squared and anchor == "b" else 0.0
-        extra = [-2.0 * nu] if squared else []
-        specs.append((nu, depth, anchor))
-        ladders.append([shift + v for v in _dyadic_points(nu, depth, anchor)] + extra)
-    out = []
-    for (nu, depth, anchor), rows in zip(
-        specs, _on_ladders(ladders, lambda ts: _spectrum_powers(t.w, ts))
-    ):
+
+    def refine(values, lo, hi, nu, depth, anchor):
         log_r = log_w if anchor == "a" else -log_w
-        chain = _convex_refinement(
-            lambda _: rows[:4], 0.0, 1.0, nu, depth, anchor,
-            lambda fe: _power_drop(fe, log_r, depth, np.expm1),
+        return _convex_refinement(
+            values, lo, hi, nu, depth, anchor, lambda fe: _power_drop(fe, log_r, depth, np.expm1)
         )
-        out.append((*chain, *rows[4:]))
-    return out
+
+    return _refinements(refine, lambda vs: _spectrum_powers(t.w, [shift + v for v in vs]), grid)
 
 
 def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -245,23 +238,31 @@ def operator_squared_chain(a, b, nu: float, depth: int) -> OperatorChain:
 
 
 def _operator_squared_grid(a, b, grid) -> list[OperatorChain]:
-    """``operator_squared_chain`` at each (nu, depth) of ``grid``."""
-    checked = []
+    """``operator_squared_chain`` at each (nu, depth) of ``grid``, on one
+    weight branch: the refinement of w^v (of w^{1+v} for nu <= -1), then
+    the targets' w^{-2 nu} in one more call, with no overflow warning."""
+    checked, branches = [], set()
     for nu, depth in grid:
-        weight_branch(nu)
+        branches.add(weight_branch(nu))
         checked.append((nu, _check_depth(depth)))
+    if len(branches) > 1:
+        raise DomainError("operator_squared_chain grid mixes the branches nu >= 0 and nu <= -1")
     t = _pair(_as_spd(a), _as_spd(b))
     w = t.w
+    refinements = _power_refinements(t, checked, 1.0 if -1 in branches else 0.0)
+    nus = list(dict.fromkeys(nu for nu, _ in checked))
+    powers = dict(zip(nus, _spectrum_powers(w, [-2.0 * nu for nu in nus])))
     chains = []
-    for (nu, _), (secant, refined, _, power) in zip(
-        checked, _power_refinements(t, checked, squared=True)
-    ):
-        if nu >= 0.0:
-            label, base, extra = "scaled_arith", (1.0 + nu) * secant, nu ** 2 * (1.0 - w) + nu * w
-        else:
-            label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
-        values = (base, base + 2.0 * (refined - secant), power + extra)
-        chains.append(OperatorChain((label, "refined", "target"), t.transfer, values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (nu, _), (secant, refined, _) in zip(checked, refinements):
+            if nu >= 0.0:
+                # np.float64 powers with libm's bits of nu ** 2, but gives inf, not OverflowError.
+                label, base = "scaled_arith", (1.0 + nu) * secant
+                extra = np.float64(nu) ** 2 * (1.0 - w) + nu * w
+            else:
+                label, base, extra = "scaled_b", 2.0 * (1.0 + nu) * w, (1.0 + 2.0 * nu) * w ** 2
+            values = (base, base + 2.0 * (refined - secant), powers[nu] + extra)
+            chains.append(OperatorChain((label, "refined", "target"), t.transfer, values))
     return chains
 
 
@@ -283,19 +284,13 @@ def _harmonic_operator_grid(a, b, grid) -> list[OperatorChain]:
     grid = _nonnegative(grid, "harmonic_operator_chain")
     t = _require_loewner_leq(a, b)
 
-    def h(v):
-        d = (1.0 - v) + v / t.w
-        if np.min(d) <= 0.0:
-            raise DomainError("harmonic resolvent not positive on the spectrum")
-        return 1.0 / d
-
     def refine(values, lo, hi, nu, depth, anchor):
         ch = (1.0 - t.w) / t.w / 2.0 ** depth
         return _convex_refinement(values, lo, hi, nu, depth, anchor, ch / (1.0 + ch))
 
     return [
         OperatorChain(("arith", "refined", "harm"), t.transfer, values)
-        for values in _refinements(refine, lambda vs: [h(v) for v in vs], grid, "a")
+        for values in _refinements(refine, lambda vs: [_harmonic(t.w, v) for v in vs], grid, "a")
     ]
 
 
@@ -324,13 +319,10 @@ def _kantorovich_operator_grid(a, b, grid) -> list[OperatorChain]:
     t = _require_loewner_leq(a, b)
     w = t.w
     lows = _spectrum_powers((1.0 + 1.0 / w) / 2.0, [2.0 * nu for nu in grid])
-    chains = []
-    for nu, lo in zip(grid, lows):
-        d = (1.0 + nu) - nu / w
-        if np.min(d) <= 0.0:
-            raise DomainError("harmonic resolvent not positive on the spectrum")
-        chains.append(OperatorChain(("geom_kantorovich", "harm"), t.transfer, (lo, 1.0 / d)))
-    return chains
+    return [
+        OperatorChain(("geom_kantorovich", "harm"), t.transfer, (lo, _harmonic(w, -nu)))
+        for nu, lo in zip(grid, lows)
+    ]
 
 
 # ---------------------------------------------------------------------------

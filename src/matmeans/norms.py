@@ -16,7 +16,9 @@ which would square the condition number. Every functional of the weight is
 evaluated on its whole set of weights at once, in the recorded eigenbases
 of A and B: ||A^l X B^r|| = ||diag(wa^l) Qa* X Qb diag(wb^r)|| by unitary
 invariance, so no power of A or B is assembled, and one SVD takes every
-norm of the stack (``_norms_of``). A single value (``heinz_norm``) is the
+norm of the stack (``_norms_of``). The graded stack and the SVD are the
+spectral kernels of ``linalg`` (``_graded``, ``_singular_values``), which
+``means`` shares. A single value (``heinz_norm``) is the
 same kernel on a stack of one, and a value does not depend on the stack it
 is computed in.
 
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .linalg import _arr, _as_spd, _finite, _spectrum_powers
+from .errors import DomainError
+from .linalg import _arr, _as_spd, _graded, _singular_values
 from .scalar import (
     ScalarChain,
     _check_depth,
@@ -132,17 +134,6 @@ DEFAULT_NORM_KINDS: tuple[NormKind, ...] = (
 )
 
 
-def _singular_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix or a stack of them, descending along the
-    last axis, by LAPACK's SVD (``numpy.linalg.svd``)."""
-    if not _finite(stack):
-        raise DomainError("matrix entries must be finite")
-    try:
-        return np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
-
-
 def _norms_of(stack: np.ndarray, kind: NormKind) -> np.ndarray:
     """``kind`` of every matrix of a (k, n, n) stack, from one SVD."""
     return kind.of_sigma(_singular_values(stack))
@@ -163,15 +154,6 @@ def ui_norm(x, kind: NormKind) -> float:
 
 # Batched kernels: each evaluates a functional of the weight on a whole list
 # of weights, in the eigenbases of A and B, with one SVD.
-
-def _graded(wa, wb, y, left, right) -> np.ndarray:
-    """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
-    the eigenbases of A and B, whose spectra are wa and wb: each entry is
-    Y_jk wa_j^l wb_k^r."""
-    pa = _spectrum_powers(wa, left)
-    pb = _spectrum_powers(wb, right)
-    return y * pa[:, :, None] * pb[:, None, :]
-
 
 def _product_norms(a, b, x, left, right, kind: NormKind, paired: bool = False) -> np.ndarray:
     """||A^{l_i} X B^{r_i}|| for each exponent pair (l_i, r_i), or, ``paired``,
@@ -352,11 +334,9 @@ def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
     a, b = _as_spd(a), _as_spd(b)
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
-    # split = A^{p-q} X B^0 + A^0 X B^{p-q}; full = A^p X B^{-q} + A^{-q} X B^p.
-    split, full = _product_norms(
-        a, b, x, [p - q, p, 0.0, -q], [0.0, -q, p - q, p], kind, paired=True
-    ).tolist()
-    return ScalarChain(("split", "full"), (split, full))
+    # The interpolated values at r = q (-q + q is +0.0) and r = 0.
+    values = _interpolated_values(a, b, x, p, q, [q, 0.0], kind)
+    return ScalarChain(("split", "full"), tuple(values.tolist()))
 
 
 def heinz_interpolated_chain(a, b, x, p: float, q: float, r: float, kind: NormKind) -> ScalarChain:

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError
 
 RealFunction = Callable[[float], float]
@@ -212,13 +214,12 @@ def _refinements(refine, values, grid, anchor=None) -> list:
     """``refine(values, 0, 1, nu, depth, anchor)`` of a functional at each
     (nu, depth) of ``grid``, anchored at ``anchor``, or by the weight branch
     (at 0 for nu >= 0, at 1 for nu <= -1), with its values read from one
-    ``values(points)`` call on the distinct points of the whole grid."""
+    ``values(points)`` call on the distinct points of the whole grid; with
+    no overflow warning, since the chain's finiteness check names one."""
     specs = [(nu, depth, anchor or ("a" if weight_branch(nu) > 0 else "b")) for nu, depth in grid]
-    ladders = [_dyadic_points(*spec) for spec in specs]
-    return [
-        refine(lambda _: fs, 0.0, 1.0, *spec)
-        for spec, fs in zip(specs, _on_ladders(ladders, values))
-    ]
+    ladder_values = _on_ladders([_dyadic_points(*spec) for spec in specs], values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [refine(lambda _: fs, 0.0, 1.0, *spec) for spec, fs in zip(specs, ladder_values)]
 
 
 def _exp_of_log(log_value: float) -> float:

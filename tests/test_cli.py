@@ -172,6 +172,21 @@ class TestMean:
             assert code == EXIT_DOMAIN and stdout == "", nu
             assert stderr.startswith("error: harmonic resolvent overflows"), (nu, stderr)
 
+    def test_harmonic_extreme_weight_with_a_normal_mean(self, capsys, tmp_path):
+        # At nu = 1e308 on (1, 0.864) both terms of r = (1 - nu) + nu/w are
+        # near the largest double, but r = 1.57e307 is far above their
+        # rounding error, and so is the mean 1/r = 6.35e-308: no warning.
+        a = write_matrix(tmp_path / "a.json", [1.0])
+        b = write_matrix(tmp_path / "b.json", [0.864])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run_cli(
+                capsys, "mean", "--kind", "harm", "--nu=1e308", "--a", a, "--b", b
+            )
+        assert code == EXIT_OK and stderr == "", stderr
+        mean = matrix_from_json(json.loads(stdout)).a[0, 0].real
+        assert mean == pytest.approx(1.0 / ((1.0 - 1e308) + 1e308 / 0.864), rel=1e-13)
+
     def test_arithmetic_extreme_weight_names_its_overflow(self, capsys, tmp_path):
         # On the pair of seeds 2 and 1, (1 - nu) A + nu B leaves the float
         # range at |nu| = 1e308: a DomainError that says so, and no warning.
@@ -404,6 +419,20 @@ class TestSweep:
         assert stderr.startswith("error:") and flow in stderr, stderr
         assert "RuntimeWarning" not in stderr
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+    def test_overflowing_chain_arithmetic_exits_2_without_warning(self, capsys):
+        # At nu = 1e308 every value of the harmonic operator chain is finite,
+        # but its secant (1 + nu) f(0) - nu f(1) is not: the chain names it,
+        # and the refinement's array arithmetic warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run_cli(
+                capsys,
+                "sweep", "--case", "harmonic_operator", "--param", "nu",
+                "--grid=1e308:1e308:1", "--instances", "2",
+            )
+        assert code == EXIT_DOMAIN and stdout == ""
+        assert stderr == "error: chain values must be finite\n", stderr
 
     def test_empty_grid_is_usage_error(self, capsys):
         # So is a grid value no instance can take: a depth that is not an

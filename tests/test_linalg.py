@@ -20,7 +20,7 @@ from matmeans import (
     random_spd,
 )
 
-from matmeans import harness, linalg, means, norms
+from matmeans import harness, linalg, means
 from matmeans.linalg import (
     EigenDecomposition,
     _assemble_spds,
@@ -246,8 +246,9 @@ class TestSpectrumPowers:
 
     def test_every_caller_passes_a_monotone_spectrum(self, monkeypatch):
         # The precondition that lets the two ends decide: every spectrum the
-        # package powers, in every registered case, in the means and in
-        # harmonic mean's r = (1 - v) + v/w, is sorted one way or the other.
+        # package powers, in every registered case and in the means, is
+        # sorted one way or the other. The norms power theirs through
+        # ``linalg._graded``.
         seen = []
 
         def checked(w, ts):
@@ -256,7 +257,7 @@ class TestSpectrumPowers:
             seen.append(len(w))
             return _spectrum_powers(w, ts)
 
-        for module in (linalg, means, norms):
+        for module in (linalg, means):
             monkeypatch.setattr(module, "_spectrum_powers", checked)
         for name in harness.case_names():
             harness.run_case(name, instances=3, cond_max=1e8)

@@ -290,6 +290,25 @@ class TestOperatorSquaredChain:
             chain = operator_squared_chain(a, b, float(nu), int(rng.integers(1, 9)))
             assert (chain_slacks(chain) >= -1e-8).all()
 
+    def test_grid_takes_one_weight_branch(self):
+        # The grid refines one power functional: w^v for nu >= 0, or
+        # w^{1+v} for nu <= -1. A grid that mixes the branches is refused.
+        a, b = _pair(5)
+        for grid in ([(1.5, 2), (-1.5, 2)], [(-1.0, 3), (0.0, 3)]):
+            with pytest.raises(DomainError, match="mixes the branches"):
+                means._operator_squared_grid(a, b, grid)
+
+    def test_overflowing_square_is_a_domain_error_without_warning(self):
+        # On A = B = I the spectrum w is exactly 1, so every power of w is 1
+        # and nu^2 = inf reaches the target's arithmetic: the chain names
+        # its non-finite value, with no OverflowError and no numpy warning.
+        eye = _diag(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nu in (1e200, 1e308):
+                with pytest.raises(DomainError, match="chain values must be finite"):
+                    operator_squared_chain(eye, eye, nu, 1)
+
 
 class TestHarmonicOperatorChain:
     def test_requires_loewner_order(self):
@@ -457,14 +476,14 @@ class TestTraceChains:
         target = means._traces(means._pair(a, b))([-nu])[0]
         literal = float(np.trace(eigh_power(a, 1.0 + nu) @ eigh_power(b, -nu)).real)
         assert target == pytest.approx(literal, rel=1e-12)
-        spectrum_powers = norms._spectrum_powers
+        spectrum_powers = linalg._spectrum_powers
         powered = []
 
         def counted(m, ts):
             powered.append(list(ts))
             return spectrum_powers(m, ts)
 
-        monkeypatch.setattr(norms, "_spectrum_powers", counted)
+        monkeypatch.setattr(linalg, "_spectrum_powers", counted)
         for chain_fn in (trace_additive_chain, trace_multiplicative_chain):
             for depth in (1, 4, 16):
                 powered.clear()
@@ -579,12 +598,13 @@ class TestPairContext:
             assert [v.hex() for v in got] == [v.hex() for v in fresh]
 
     def test_depth_repeat_powers_only_the_new_point(self, monkeypatch):
-        # A chain powers each distinct exponent of the pair's spectrum once,
-        # in one call (the squared chain's target in the same call). Its
-        # grid form over depths 1, 4 and 16 makes that one call for the
-        # whole grid, where each repeat adds only its new m_N, and the three
-        # gaps, which share one v_k - v_0, run one eigh. Its rows, gaps and
-        # traces are those of the chains built one at a time, bit for bit.
+        # A chain powers each distinct exponent of its ladder on the pair's
+        # spectrum once, in one call, and the squared chain its target in a
+        # second. Its grid form over depths 1, 4 and 16 makes those calls
+        # for the whole grid, where each repeat adds only its new m_N to the
+        # ladder and no target, and the three gaps, which share one
+        # v_k - v_0, run one eigh. Its rows, gaps and traces are those of
+        # the chains built one at a time, bit for bit.
         powered, eighs = [], []
         spectrum_powers, eigh = means._spectrum_powers, linalg._eigh_array
         monkeypatch.setattr(
@@ -592,11 +612,11 @@ class TestPairContext:
         )
         monkeypatch.setattr(linalg, "_eigh_array", lambda h: eighs.append(1) or eigh(h))
         depths = (1, 4, 16)
-        for chain_fn, grid_form, nu, first in (
-            (operator_reverse_chain, means._operator_reverse_grid, 1.3, 4),
-            (operator_reverse_chain, means._operator_reverse_grid, -2.4, 4),
-            (operator_squared_chain, means._operator_squared_grid, 0.6, 5),
-            (operator_squared_chain, means._operator_squared_grid, -1.7, 5),
+        for chain_fn, grid_form, nu, targets in (
+            (operator_reverse_chain, means._operator_reverse_grid, 1.3, []),
+            (operator_reverse_chain, means._operator_reverse_grid, -2.4, []),
+            (operator_squared_chain, means._operator_squared_grid, 0.6, [1]),
+            (operator_squared_chain, means._operator_squared_grid, -1.7, [1]),
         ):
             a, b = _pair(7)
             a.eig, b.eig  # the pairs' own eigendecompositions are not counted
@@ -606,14 +626,14 @@ class TestPairContext:
                 eighs.clear()
                 chain = chain_fn(a, b, nu, depth)
                 singles.append((chain, chain_gap(chain)))
-                # The transfer's own power of A, then the chain's one call.
-                assert powered == [1, first], (chain_fn.__name__, nu, depth)
+                # The transfer's own power of A, then the chain's calls.
+                assert powered == [1, 4, *targets], (chain_fn.__name__, nu, depth)
                 assert eighs == [1], (chain_fn.__name__, nu, depth)
             powered.clear()
             eighs.clear()
             chains = grid_form(a, b, [(nu, depth) for depth in depths])
             gaps = [chain_gap(chain) for chain in chains]
-            assert powered == [1, first + 2], (chain_fn.__name__, nu)
+            assert powered == [1, 6, *targets], (chain_fn.__name__, nu)
             assert eighs == [1], (chain_fn.__name__, nu)
             for chain, gap, (single, single_gap) in zip(chains, gaps, singles):
                 where = (chain_fn.__name__, nu)
@@ -735,12 +755,14 @@ class TestImportOrder:
 
     @pytest.mark.parametrize("first", ["means", "norms"])
     def test_module_imports_without_a_cycle(self, first):
-        # ``first`` really is the first matmeans module imported; means takes
-        # norms at module level.
+        # ``first`` really is the first matmeans module imported; both take
+        # the spectral kernels from linalg at module level.
         self._run_bare(
             f"importlib.import_module('matmeans.{first}')\n"
-            "import matmeans.means, matmeans.norms\n"
-            "assert matmeans.means._graded is matmeans.norms._graded\n"
+            "import matmeans.linalg, matmeans.means, matmeans.norms\n"
+            "for module in (matmeans.means, matmeans.norms):\n"
+            "    assert module._graded is matmeans.linalg._graded\n"
+            "    assert module._singular_values is matmeans.linalg._singular_values\n"
         )
 
     def test_numerics_import_no_reporting_or_harness(self):

@@ -22,6 +22,7 @@ from matmeans import (
     heinz_norm,
     heinz_pq_chain,
     heinz_reverse_chain,
+    linalg,
     norm_heinz_chain,
     norm_reverse_chain,
     norms,
@@ -276,12 +277,12 @@ class TestNormChains:
              heinz_norm(a, b, x, -nu, kind)),
         )
         stacks, powered = [], []
-        norms_of, spectrum_powers = norms._norms_of, norms._spectrum_powers
+        norms_of, spectrum_powers = norms._norms_of, linalg._spectrum_powers
         monkeypatch.setattr(
             norms, "_norms_of", lambda s, k: stacks.append(s.shape[0]) or norms_of(s, k)
         )
         monkeypatch.setattr(
-            norms,
+            linalg,
             "_spectrum_powers",
             lambda m, ts: powered.append(len(ts)) or spectrum_powers(m, ts),
         )

@@ -33,6 +33,15 @@ The files:
   for every registered case and i = 0..3, once unforced and once with each
   of its sweep parameters pinned (nu 2.0, or -2.5 on the nu <= -1 branch;
   depth 3; cond 10). Failure files replay exactly these payloads;
+* ``means.txt``: ``arithmetic_mean``, ``geometric_mean`` and
+  ``harmonic_mean`` at nu {0, 0.3, 1, 1.3, -0.7, 5, -3, 1e308, -1e308},
+  with ``operator_reverse_chain``, ``operator_squared_chain`` (nu >= 0 and
+  nu <= -1), ``harmonic_operator_chain`` at depths 1 and 5 and
+  ``kantorovich_operator_chain`` at the same weights, on three seeded pairs
+  at each n in {1, 2, 3, 5} and cond 1e6 (the harmonic and Kantorovich
+  chains on (A, A + B), which needs no order); a mean's entries, a chain's
+  value rows, or the error a call raises. The harness reaches the matrix
+  chains only through their grid forms, and never calls the means;
 * ``failures/``: the failure files that ``run_case(name, instances=200,
   depth_min=32, depth_max=32, failures_dir=...)`` writes for the four
   catalog cases, whose telescoped drop loses enough to round-off at depth
@@ -43,7 +52,8 @@ With ``--against DIR`` it then compares the new snapshot with the one in
 ``DIR`` and prints what moved: for each CSV row that differs, whether its
 ``instances``, ``skipped`` and ``failures`` match and how far ``min_slack``
 and ``max_gap`` shifted; for each other file, how many lines differ and the
-largest shift of a value relative to the largest value of its line. It
+largest shift of a value relative to the largest value of its line, and
+each line of ``means.txt`` that differs. It
 exits 1 when a count differs, a case is missing on one side, a file's line
 count differs, a series errors on one side only, a payload differs, or a
 failure file differs or is missing on one side::
@@ -84,6 +94,12 @@ SUITES = {
     "highcond": {"instances": 20, "cond_max": 1e12},
 }
 #: The runs whose failure files go to ``failures/``: case -> overrides.
+#: ``means.txt``: the weights, the chains' depths, and the seeded pairs.
+MEAN_NUS = (0.0, 0.3, 1.0, 1.3, -0.7, 5.0, -3.0, 1e308, -1e308)
+MEAN_DEPTHS = (1, 5)
+MEAN_DIMS = (1, 2, 3, 5)
+MEAN_SEEDS = (0, 1, 2)
+MEAN_COND = 1e6
 FAILURE_RUNS = {
     name: {"instances": 200, "depth_min": 32, "depth_max": 32}
     for name in ("convex_refined_a", "convex_refined_b", "logconvex_refined_a",
@@ -110,6 +126,44 @@ def _series(harness, name: str, param: str, grid, **overrides) -> str:
         return f"{name} {param}: {type(exc).__name__}: {exc}"
     cells = " ".join(f"{_hex(r.value)},{_hex(r.mean_gap)},{_hex(r.mean_gain)}" for r in rows)
     return f"{name} {param}: {cells}"
+
+
+def _call(label: str, fn, *args) -> str:
+    """The line of ``fn(*args)``: a chain's value rows, a matrix's entries
+    (real and imaginary parts), or the error it raises."""
+    from matmeans.linalg import OperatorChain
+
+    try:
+        out = fn(*args)
+    except Exception as exc:  # any type, so a change of type shows too
+        return f"{label}: {type(exc).__name__}: {exc}"
+    if isinstance(out, OperatorChain):
+        return f"{label}: " + " | ".join(" ".join(_hex(v) for v in row) for row in out.values)
+    return f"{label}: " + " ".join(f"{_hex(z.real)},{_hex(z.imag)}" for z in out.a.ravel())
+
+
+def _means_lines() -> list:
+    from matmeans import means
+    from matmeans.linalg import SpdMatrix, random_spd
+
+    lines = []
+    for n in MEAN_DIMS:
+        for seed in MEAN_SEEDS:
+            a, b = random_spd(n, MEAN_COND, 2 * seed), random_spd(n, MEAN_COND, 2 * seed + 1)
+            ordered = SpdMatrix(a.a + b.a)  # A <= A + B
+            for nu in MEAN_NUS:
+                where = f"n={n} seed={seed} nu={nu!r}"
+                for fn in (means.arithmetic_mean, means.geometric_mean, means.harmonic_mean):
+                    lines.append(_call(f"{fn.__name__} {where}", fn, a, b, nu))
+                for depth in MEAN_DEPTHS:
+                    for fn, c in ((means.operator_reverse_chain, b),
+                                  (means.operator_squared_chain, b),
+                                  (means.harmonic_operator_chain, ordered)):
+                        lines.append(_call(f"{fn.__name__} {where} depth={depth}",
+                                           fn, a, c, nu, depth))
+                lines.append(_call(f"kantorovich_operator_chain {where}",
+                                   means.kantorovich_operator_chain, a, ordered, nu))
+    return lines
 
 
 def snapshot(out: Path) -> None:
@@ -156,6 +210,8 @@ def snapshot(out: Path) -> None:
                 payload = harness.build_instance(name, i, forced).payload
                 lines.append(f"{name} {i} {json.dumps(forced)}: {json.dumps(payload)}")
     (out / "payloads.txt").write_text("\n".join(lines) + "\n")
+
+    (out / "means.txt").write_text("\n".join(_means_lines()) + "\n")
 
     failures = out / "failures"
     shutil.rmtree(failures, ignore_errors=True)  # only this run's files
@@ -211,7 +267,8 @@ def compare(out: Path, against: Path) -> bool:
             )
             print(f"{stem}.csv {case}: {verdict}; "
                   f"{_shift(o, n, 'min_slack')}; {_shift(o, n, 'max_gap')}")
-    names = (*(f"{stem}_quantiles.txt" for stem in SUITES), "sweeps.txt", "sweep_depth.txt")
+    names = (*(f"{stem}_quantiles.txt" for stem in SUITES), "sweeps.txt", "sweep_depth.txt",
+             "means.txt")
     for name in (*names, "payloads.txt"):
         old = (against / name).read_text().splitlines()
         new = (out / name).read_text().splitlines()
@@ -230,9 +287,11 @@ def compare(out: Path, against: Path) -> bool:
                 continue
             moved += 1
             vo, vn = _values(o), _values(n)
-            if vo is None or vn is None or len(vo) != len(vn):
-                same = same and vo is None and vn is None  # raised on both sides
+            raised = vo is None or vn is None or len(vo) != len(vn)
+            if raised or name == "means.txt":
                 print(f"{name}: {o!r} -> {n!r}")
+            if raised:
+                same = same and vo is None and vn is None  # raised on both sides
                 continue
             scale = max(map(abs, vo + vn)) or 1.0
             worst = max(worst, max(abs(a - b) for a, b in zip(vo, vn)) / scale)
