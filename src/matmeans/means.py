@@ -163,7 +163,9 @@ def _harmonic(w: np.ndarray, nu: float) -> np.ndarray:
 
 
 def harmonic_mean(a, b, nu: float) -> SpdMatrix:
-    """A !_nu B = M diag(1/r) M* (``_harmonic``)."""
+    """A !_nu B = M diag(1/r) M* with r = (1 - nu) + nu/w; raises
+    DomainError where r overflows or R is not positive definite
+    (``_harmonic``)."""
     t = _pair(_as_spd(a), _as_spd(b))
     return SpdMatrix._exact(_congruence(t.m, _harmonic(t.w, nu)))
 

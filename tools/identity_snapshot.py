@@ -39,7 +39,7 @@ The files:
   nu <= -1), ``harmonic_operator_chain`` at depths 1 and 5 and
   ``kantorovich_operator_chain`` at the same weights, on three seeded pairs
   at each n in {1, 2, 3, 5} and cond 1e6 (the harmonic and Kantorovich
-  chains on (A, A + B), which needs no order); a mean's entries, a chain's
+  chains, which need A <= B, on (A, A + B)); a mean's entries, a chain's
   value rows, or the error a call raises. The harness reaches the matrix
   chains only through their grid forms, and never calls the means;
 * ``failures/``: the failure files that ``run_case(name, instances=200,
@@ -93,13 +93,13 @@ SUITES = {
     "instances20": {"instances": 20},
     "highcond": {"instances": 20, "cond_max": 1e12},
 }
-#: The runs whose failure files go to ``failures/``: case -> overrides.
 #: ``means.txt``: the weights, the chains' depths, and the seeded pairs.
 MEAN_NUS = (0.0, 0.3, 1.0, 1.3, -0.7, 5.0, -3.0, 1e308, -1e308)
 MEAN_DEPTHS = (1, 5)
 MEAN_DIMS = (1, 2, 3, 5)
 MEAN_SEEDS = (0, 1, 2)
 MEAN_COND = 1e6
+#: The runs whose failure files go to ``failures/``: case -> overrides.
 FAILURE_RUNS = {
     name: {"instances": 200, "depth_min": 32, "depth_max": 32}
     for name in ("convex_refined_a", "convex_refined_b", "logconvex_refined_a",
