@@ -42,6 +42,18 @@ The files:
   chains, which need A <= B, on (A, A + B)); a mean's entries, a chain's
   value rows, or the error a call raises. The harness reaches the matrix
   chains only through their grid forms, and never calls the means;
+* ``chains.txt``: every public chain that the refinement kernel serves,
+  called one value at a time, at nu {0, 0.7, 3, -1, -2.5, -0.5, 1e308,
+  -1e308} (both branches, the gap and the extremes) and depths {1, 5, 32}:
+  ``convex_refined_chain`` and ``logconvex_refined_chain`` with every
+  catalog function on both anchors, on two intervals; the Young, harmonic
+  and Kantorovich chains on three (x, y) pairs, one of them reversed; the
+  three trace chains on seeded pairs at n in {1, 2, 3} and cond 1e6; and
+  ``norm_reverse_chain``, ``norm_heinz_chain``, ``combined_norm_chain`` and
+  ``heinz_reverse_chain`` for each of the five ``DEFAULT_NORM_KINDS`` on
+  the same pairs with a seeded complex X. A line holds the chain's values
+  or the error the call raises. The CSV aggregates see these chains only
+  through the harness's draws;
 * ``failures/``: the failure files that ``run_case(name, instances=200,
   depth_min=32, depth_max=32, failures_dir=...)`` writes for the four
   catalog cases, whose telescoped drop loses enough to round-off at depth
@@ -53,10 +65,11 @@ With ``--against DIR`` it then compares the new snapshot with the one in
 ``instances``, ``skipped`` and ``failures`` match and how far ``min_slack``
 and ``max_gap`` shifted; for each other file, how many lines differ and the
 largest shift of a value relative to the largest value of its line, and
-each line of ``means.txt`` that differs. It
+each line of ``means.txt`` and ``chains.txt`` that differs. It
 exits 1 when a count differs, a case is missing on one side, a file's line
-count differs, a series errors on one side only, a payload differs, or a
-failure file differs or is missing on one side::
+count differs, a series errors on one side only, a payload or a line of
+``chains.txt`` differs, or a failure file differs or is missing on one
+side::
 
     python3 tools/identity_snapshot.py --src src --out /tmp/snap-change \
         --against /tmp/snap-parent
@@ -99,6 +112,13 @@ MEAN_DEPTHS = (1, 5)
 MEAN_DIMS = (1, 2, 3, 5)
 MEAN_SEEDS = (0, 1, 2)
 MEAN_COND = 1e6
+#: ``chains.txt``: the weights and depths, the scalar inputs, and the pairs.
+CHAIN_NUS = (0.0, 0.7, 3.0, -1.0, -2.5, -0.5, 1e308, -1e308)
+CHAIN_DEPTHS = (1, 5, 32)
+CHAIN_INTERVALS = ((-0.75, 1.5), (0.25, 2.0))
+CHAIN_XY = ((0.3, 2.5), (1e-3, 7.0), (2.5, 0.3))
+CHAIN_DIMS = (1, 2, 3)
+CHAIN_SEEDS = (0, 1)
 #: The runs whose failure files go to ``failures/``: case -> overrides.
 FAILURE_RUNS = {
     name: {"instances": 200, "depth_min": 32, "depth_max": 32}
@@ -132,6 +152,7 @@ def _call(label: str, fn, *args) -> str:
     """The line of ``fn(*args)``: a chain's value rows, a matrix's entries
     (real and imaginary parts), or the error it raises."""
     from matmeans.linalg import OperatorChain
+    from matmeans.scalar import ScalarChain
 
     try:
         out = fn(*args)
@@ -139,6 +160,8 @@ def _call(label: str, fn, *args) -> str:
         return f"{label}: {type(exc).__name__}: {exc}"
     if isinstance(out, OperatorChain):
         return f"{label}: " + " | ".join(" ".join(_hex(v) for v in row) for row in out.values)
+    if isinstance(out, ScalarChain):
+        return f"{label}: " + " ".join(_hex(v) for v in out.values)
     return f"{label}: " + " ".join(f"{_hex(z.real)},{_hex(z.imag)}" for z in out.a.ravel())
 
 
@@ -163,6 +186,61 @@ def _means_lines() -> list:
                                            fn, a, c, nu, depth))
                 lines.append(_call(f"kantorovich_operator_chain {where}",
                                    means.kantorovich_operator_chain, a, ordered, nu))
+    return lines
+
+
+def _chains_lines() -> list:
+    import numpy as np
+
+    from matmeans import means, norms, scalar
+    from matmeans.linalg import random_spd
+
+    lines = []
+    catalogs = ((scalar.convex_refined_chain, scalar.CONVEX_CATALOG),
+                (scalar.logconvex_refined_chain, scalar.LOGCONVEX_CATALOG))
+    xy_chains = (scalar.young_reverse_chain, scalar.young_squared_chain,
+                 scalar.young_refinement_chain, scalar.harmonic_reverse_chain,
+                 scalar.harmonic_geometric_chain)
+    for nu in CHAIN_NUS:
+        for depth in CHAIN_DEPTHS:
+            where = f"nu={nu!r} depth={depth}"
+            for chain_fn, catalog in catalogs:
+                for name, f in catalog:
+                    for lo, hi in CHAIN_INTERVALS:
+                        for anchor in ("a", "b"):
+                            lines.append(_call(
+                                f"{chain_fn.__name__} {name} [{lo!r}, {hi!r}] {anchor} {where}",
+                                chain_fn, f, lo, hi, nu, depth, anchor,
+                            ))
+            for x, y in CHAIN_XY:
+                for chain_fn in xy_chains:
+                    lines.append(_call(f"{chain_fn.__name__} x={x!r} y={y!r} {where}",
+                                       chain_fn, x, y, nu, depth))
+        for x, y in CHAIN_XY:
+            lines.append(_call(f"kantorovich_chain x={x!r} y={y!r} nu={nu!r}",
+                               scalar.kantorovich_chain, x, y, nu))
+
+    norm_chains = (norms.norm_reverse_chain, norms.norm_heinz_chain,
+                   norms.combined_norm_chain, norms.heinz_reverse_chain)
+    for n in CHAIN_DIMS:
+        for seed in CHAIN_SEEDS:
+            a, b = random_spd(n, MEAN_COND, 2 * seed), random_spd(n, MEAN_COND, 2 * seed + 1)
+            z = np.random.default_rng(seed).standard_normal((2, n, n))
+            x = z[0] + 1j * z[1]
+            for nu in CHAIN_NUS:
+                where = f"n={n} seed={seed} nu={nu!r}"
+                for depth in CHAIN_DEPTHS:
+                    for chain_fn in (means.trace_additive_chain, means.trace_multiplicative_chain):
+                        lines.append(_call(f"{chain_fn.__name__} {where} depth={depth}",
+                                           chain_fn, a, b, nu, depth))
+                    for kind in norms.DEFAULT_NORM_KINDS:
+                        for chain_fn in norm_chains:
+                            lines.append(_call(
+                                f"{chain_fn.__name__} {kind} {where} depth={depth}",
+                                chain_fn, a, b, x, nu, depth, kind,
+                            ))
+                lines.append(_call(f"trace_depth1_chain {where}",
+                                   means.trace_depth1_chain, a, b, nu))
     return lines
 
 
@@ -212,6 +290,7 @@ def snapshot(out: Path) -> None:
     (out / "payloads.txt").write_text("\n".join(lines) + "\n")
 
     (out / "means.txt").write_text("\n".join(_means_lines()) + "\n")
+    (out / "chains.txt").write_text("\n".join(_chains_lines()) + "\n")
 
     failures = out / "failures"
     shutil.rmtree(failures, ignore_errors=True)  # only this run's files
@@ -268,7 +347,7 @@ def compare(out: Path, against: Path) -> bool:
             print(f"{stem}.csv {case}: {verdict}; "
                   f"{_shift(o, n, 'min_slack')}; {_shift(o, n, 'max_gap')}")
     names = (*(f"{stem}_quantiles.txt" for stem in SUITES), "sweeps.txt", "sweep_depth.txt",
-             "means.txt")
+             "means.txt", "chains.txt")
     for name in (*names, "payloads.txt"):
         old = (against / name).read_text().splitlines()
         new = (out / name).read_text().splitlines()
@@ -288,8 +367,9 @@ def compare(out: Path, against: Path) -> bool:
             moved += 1
             vo, vn = _values(o), _values(n)
             raised = vo is None or vn is None or len(vo) != len(vn)
-            if raised or name == "means.txt":
+            if raised or name in ("means.txt", "chains.txt"):
                 print(f"{name}: {o!r} -> {n!r}")
+            same = same and name != "chains.txt"
             if raised:
                 same = same and vo is None and vn is None  # raised on both sides
                 continue
