@@ -24,12 +24,14 @@ use. A context lives only as long as its call.
 Each chain that a sweep varies in nu or depth is the grid of one of a
 private grid form (``_operator_reverse_grid`` and so on). It builds one
 context for the whole grid and hands its functional to the one grid driver,
-``scalar._refinements``, which reads it at the grid's distinct weights in
-one call (the refinement telescopes to four: 0, 1, the target and m_N) and
-refines per grid value. Powers of w come from ``linalg._spectrum_powers``,
-the resolvent's 1/r from ``_harmonic``. No overflow warns: the chain's
-finiteness check names it. The chains share one ``linalg._Transfer``, so
-the gaps of a depth grid, whose ends do not move, run one ``eigh``.
+``scalar._refinements``, which checks the grid's depths and weights, reads
+the functional at the grid's distinct weights in one call (the refinement
+telescopes to four: 0, 1, the target and m_N, from ``scalar._ladder``) and
+passes each grid value's four values to the refinement kernel. Powers of
+w come from ``linalg._spectrum_powers``, the resolvent's 1/r from
+``_harmonic``. No overflow warns: the chain's finiteness check names it.
+The chains share one ``linalg._Transfer``, so the gaps of a depth grid,
+whose ends do not move, run one ``eigh``.
 """
 
 from __future__ import annotations
@@ -56,10 +58,8 @@ from .linalg import (
 )
 from .scalar import (
     ScalarChain,
-    _check_depth,
     _convex_refinement,
     _logconvex_refinement,
-    _nonnegative,
     _power_drop,
     _refinements,
     weight_branch,
@@ -179,20 +179,22 @@ def _require_loewner_leq(a: SpdMatrix, b: SpdMatrix) -> _Pair:
     return pair
 
 
-def _power_refinements(t: _Pair, grid, shift: float = 0.0) -> list:
+def _power_refinements(name: str, t: _Pair, grid, shift: float = 0.0) -> list:
     """The convex refinement of v |-> w^{shift+v} over the spectrum w of X
     at each (nu, depth) of ``grid``, anchored at 0 for nu >= 0 and at 1 for
-    nu <= -1, with its closed-form drop (``scalar._refinements``). Every
-    power of w comes from one ``_spectrum_powers`` call, which checks each."""
+    nu <= -1, with its closed-form drop from f(e), the value at the anchor
+    (``scalar._refinements``, which checks the grid for the chain ``name``).
+    Every power of w comes from one ``_spectrum_powers`` call, which checks
+    each."""
     log_w = np.log(t.w)
 
-    def refine(values, lo, hi, nu, depth, anchor):
-        log_r = log_w if anchor == "a" else -log_w
-        return _convex_refinement(
-            values, lo, hi, nu, depth, anchor, lambda fe: _power_drop(fe, log_r, depth, np.expm1)
-        )
+    def refine(fs, lo, hi, nu, depth, anchor):
+        fe, log_r = (fs[0], log_w) if anchor == "a" else (fs[1], -log_w)
+        drop = _power_drop(fe, log_r, depth, np.expm1)
+        return _convex_refinement(fs, lo, hi, nu, depth, anchor, drop)
 
-    return _refinements(refine, lambda vs: _spectrum_powers(t.w, [shift + v for v in vs]), grid)
+    powers = lambda vs: _spectrum_powers(t.w, [shift + v for v in vs])
+    return _refinements(name, refine, powers, grid)
 
 
 def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
@@ -210,11 +212,10 @@ def operator_reverse_chain(a, b, nu: float, depth: int) -> OperatorChain:
 
 def _operator_reverse_grid(a, b, grid) -> list[OperatorChain]:
     """``operator_reverse_chain`` at each (nu, depth) of ``grid``."""
-    grid = [(nu, _check_depth(depth)) for nu, depth in grid]
     t = _pair(_as_spd(a), _as_spd(b))
     return [
         OperatorChain(("arith", "refined", "geom"), t.transfer, values)
-        for values in _power_refinements(t, grid)
+        for values in _power_refinements("operator_reverse_chain", t, grid)
     ]
 
 
@@ -243,20 +244,18 @@ def _operator_squared_grid(a, b, grid) -> list[OperatorChain]:
     """``operator_squared_chain`` at each (nu, depth) of ``grid``, on one
     weight branch: the refinement of w^v (of w^{1+v} for nu <= -1), then
     the targets' w^{-2 nu} in one more call, with no overflow warning."""
-    checked, branches = [], set()
-    for nu, depth in grid:
-        branches.add(weight_branch(nu))
-        checked.append((nu, _check_depth(depth)))
+    branches = {weight_branch(nu) for nu, _ in grid}
     if len(branches) > 1:
         raise DomainError("operator_squared_chain grid mixes the branches nu >= 0 and nu <= -1")
     t = _pair(_as_spd(a), _as_spd(b))
     w = t.w
-    refinements = _power_refinements(t, checked, 1.0 if -1 in branches else 0.0)
-    nus = list(dict.fromkeys(nu for nu, _ in checked))
+    shift = 1.0 if -1 in branches else 0.0
+    refinements = _power_refinements("operator_squared_chain", t, grid, shift)
+    nus = list(dict.fromkeys(nu for nu, _ in grid))
     powers = dict(zip(nus, _spectrum_powers(w, [-2.0 * nu for nu in nus])))
     chains = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for (nu, _), (secant, refined, _) in zip(checked, refinements):
+        for (nu, _), (secant, refined, _) in zip(grid, refinements):
             if nu >= 0.0:
                 # np.float64 powers with libm's bits of nu ** 2, but gives inf, not OverflowError.
                 label, base = "scaled_arith", (1.0 + nu) * secant
@@ -282,17 +281,16 @@ def harmonic_operator_chain(a, b, nu: float, depth: int) -> OperatorChain:
 
 def _harmonic_operator_grid(a, b, grid) -> list[OperatorChain]:
     """``harmonic_operator_chain`` at each (nu, depth) of ``grid``."""
-    a, b = _as_spd(a), _as_spd(b)
-    grid = _nonnegative(grid, "harmonic_operator_chain")
-    t = _require_loewner_leq(a, b)
+    t = _require_loewner_leq(_as_spd(a), _as_spd(b))
 
-    def refine(values, lo, hi, nu, depth, anchor):
+    def refine(fs, lo, hi, nu, depth, anchor):
         ch = (1.0 - t.w) / t.w / 2.0 ** depth
-        return _convex_refinement(values, lo, hi, nu, depth, anchor, ch / (1.0 + ch))
+        return _convex_refinement(fs, lo, hi, nu, depth, anchor, ch / (1.0 + ch))
 
+    harmonics = lambda vs: [_harmonic(t.w, v) for v in vs]
     return [
         OperatorChain(("arith", "refined", "harm"), t.transfer, values)
-        for values in _refinements(refine, lambda vs: [_harmonic(t.w, v) for v in vs], grid, "a")
+        for values in _refinements("harmonic_operator_chain", refine, harmonics, grid, "a")
     ]
 
 
@@ -346,9 +344,8 @@ def _trace_grid(name: str, labels, refine, a, b, grid) -> list[ScalarChain]:
     """The chain ``name`` at each (nu, depth) of ``grid``, nu >= 0:
     ``refine`` of v |-> tr(A^{1-v} B^v), anchored at 0, from one
     ``_traces`` call on the distinct weights of the whole grid."""
-    a, b = _as_spd(a), _as_spd(b)
-    grid = _nonnegative(grid, name)
-    return [ScalarChain(labels, v) for v in _refinements(refine, _traces(_pair(a, b)), grid, "a")]
+    traces = _traces(_pair(_as_spd(a), _as_spd(b)))
+    return [ScalarChain(labels, v) for v in _refinements(name, refine, traces, grid, "a")]
 
 
 def trace_additive_chain(a, b, nu: float, depth: int) -> ScalarChain:

@@ -23,9 +23,11 @@ same kernel on a stack of one, and a value does not depend on the stack it
 is computed in.
 
 A chain that a sweep varies in nu or depth is the grid of one of a private
-grid form (``_norm_reverse_grid`` and so on), which evaluates the distinct
-weights of its whole grid (0, 1, each target and each m_N) in one kernel
-call, and then refines per grid value. Nothing is kept between calls.
+grid form (``_norm_reverse_grid`` and so on). It hands its functional to the
+grid driver ``scalar._refinements``, which checks the grid, evaluates the
+distinct weights of the whole grid (0, 1, each target and each m_N) in one
+kernel call, and passes each grid value's four values to the refinement
+kernel. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -38,10 +40,8 @@ from .errors import DomainError
 from .linalg import _arr, _as_spd, _graded, _singular_values
 from .scalar import (
     ScalarChain,
-    _check_depth,
     _convex_refinement,
     _logconvex_refinement,
-    _nonnegative,
     _refinements,
     young_reverse_chain,
 )
@@ -201,16 +201,10 @@ def _functional_grid(name, labels, refine, functional, a, b, x, grid, kind, anch
     """The chain ``name`` at each (nu, depth) of ``grid``: ``refine`` of
     ``functional``, read from one kernel call on the distinct weights of the
     whole grid. With an ``anchor``, the chain needs nu >= 0; without one it
-    takes both weight branches (see ``scalar._refinements``)."""
+    takes both weight branches (``scalar._refinements`` checks the grid)."""
     a, b = _as_spd(a), _as_spd(b)
-    if anchor is None:
-        grid = [(nu, _check_depth(depth)) for nu, depth in grid]
-    else:
-        grid = _nonnegative(grid, name)
-    values = _refinements(
-        refine, lambda vs: functional(a, b, x, vs, kind).tolist(), grid, anchor
-    )
-    return [ScalarChain(labels, v) for v in values]
+    values = lambda vs: functional(a, b, x, vs, kind).tolist()
+    return [ScalarChain(labels, v) for v in _refinements(name, refine, values, grid, anchor)]
 
 
 def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -274,21 +268,14 @@ def _combined_norm_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
     )
 
 
-def _combined_refinement(values, lo, hi, nu, depth, anchor) -> tuple:
-    """The five values of ``combined_norm_chain``: the scalar reverse Young
-    chain of f(0) = ||AX|| and f(1) = ||XB||, built before the log-convex
-    refinement of f checks the values it is given back, then that
-    refinement, checked as the chain ``norm_reverse_chain`` returns."""
-    scalar_part = []
-
-    def checked(vs):
-        fs = values(vs)  # f at [0, 1, -nu, m_N]
-        scalar_part.extend(young_reverse_chain(fs[0], fs[1], nu, depth).values[:2])
-        return fs
-
+def _combined_refinement(fs, lo, hi, nu, depth, anchor) -> tuple:
+    """The five values of ``combined_norm_chain`` from f at [0, 1, -nu, m_N]:
+    the scalar reverse Young chain of f(0) = ||AX|| and f(1) = ||XB||, then
+    the log-convex refinement of f, checked as the chain
+    ``norm_reverse_chain`` returns."""
+    scalar_part = young_reverse_chain(fs[0], fs[1], nu, depth).values[:2]
     norm_part = ScalarChain(
-        ("power", "refined", "target"),
-        _logconvex_refinement(checked, lo, hi, nu, depth, anchor),
+        ("power", "refined", "target"), _logconvex_refinement(fs, lo, hi, nu, depth, anchor)
     )
     return (*scalar_part, *norm_part.values)
 

@@ -9,6 +9,15 @@ but the sum over the levels telescopes, so every refinement is computed from
 four values of its functional; N is capped at 32 so 2**N and the last dyadic
 point stay exact.
 
+The two refinements of the paper, for a convex and for a log-convex f
+(``_convex_refinement``, ``_logconvex_refinement``), are pure functions of
+those four values: the caller evaluates f at the points of ``_ladder``, the
+one place that computes them, and passes the values. Every chain here and
+every chain of ``means`` and ``norms`` that refines a functional does so; a
+grid of (nu, depth) values goes through ``_refinements``, which checks each
+depth and weight once, reads the functional at the grid's distinct points
+in one call and refines per grid value.
+
 All powers x**p * y**q are evaluated as exp(p*log x + q*log y) to avoid
 overflow at large weights. Where a value still leaves the float range (a
 weight of 1e300, say), the public functions raise DomainError, as they do
@@ -116,17 +125,6 @@ def _check_depth(depth: int) -> int:
     return int(depth)
 
 
-def _nonnegative(grid, name: str) -> list:
-    """The (nu, depth) pairs of ``grid``, each depth checked, once every nu
-    is >= 0, as the chain ``name`` requires."""
-    checked = []
-    for nu, depth in grid:
-        if nu < 0.0:
-            raise DomainError(f"{name} requires nu >= 0")
-        checked.append((nu, _check_depth(depth)))
-    return checked
-
-
 @_overflow_is_domain_error
 def _power_drop(fe, log_r, depth, expm1=math.expm1):
     """f(e) - f(m_N) of v |-> f(e) r^{|v - e|} on [0, 1], without cancellation;
@@ -134,7 +132,21 @@ def _power_drop(fe, log_r, depth, expm1=math.expm1):
     return -fe * expm1(log_r / 2.0 ** depth)
 
 
-def _convex_refinement(values, a, b, nu, depth, anchor, drop=None):
+def _ladder(a, b, nu, depth, anchor) -> list:
+    """The four points at which a refinement reads its functional:
+    [a, b, (1+nu) a - nu b, m_N], with m_N = ((2^N - 1) e + o) / 2^N for the
+    anchor e = a, o = b (``anchor='a'``) or e = b, o = a (``anchor='b'``)."""
+    if anchor == "a":
+        e, o = a, b
+    elif anchor == "b":
+        e, o = b, a
+    else:
+        raise DomainError(f"anchor must be 'a' or 'b', got {anchor!r}")
+    p = 2.0 ** depth
+    return [a, b, (1.0 + nu) * a - nu * b, ((p - 1.0) * e + o) / p]
+
+
+def _convex_refinement(fs, a, b, nu, depth, anchor, drop=None):
     """The paper's refinement for a convex f: ``(secant, refined, target)``.
 
     With the anchor e = a and weight w = nu, or e = b and w = -(1+nu), the
@@ -145,57 +157,39 @@ def _convex_refinement(values, a, b, nu, depth, anchor, drop=None):
             = w [(f(o) - f(e)) + 2^N (f(e) - f(m_N))],
 
     which telescopes. It is computed in that form, with 2^N = (o - e) /
-    (m_N - e) from the point actually evaluated. ``values`` maps a list of
-    points to f there; it is called once, on [a, b, (1+nu) a - nu b, m_N],
-    and target = f((1+nu) a - nu b) is returned as given. A functional with a
-    closed form passes ``drop`` = f(e) - f(m_N), which a difference of values
-    loses to cancellation, or a function that gives it from the f(e) of that
-    one call. Values may be floats or ndarrays of one shape.
+    (m_N - e) from the point m_N of ``_ladder``. ``fs`` holds f at the four
+    points of ``_ladder(a, b, nu, depth, anchor)``, and target = f((1+nu) a
+    - nu b) is returned as given. A functional with a closed form passes
+    ``drop`` = f(e) - f(m_N), which a difference of values loses to
+    cancellation. Values may be floats or ndarrays of one shape.
     """
+    m = _ladder(a, b, nu, depth, anchor)[3]
+    fa, fb, target, fm = fs
     if anchor == "a":
-        e, o, weight = a, b, nu
-    elif anchor == "b":
-        e, o, weight = b, a, -(1.0 + nu)
+        e, o, weight, fe, fo = a, b, nu, fa, fb
     else:
-        raise DomainError(f"anchor must be 'a' or 'b', got {anchor!r}")
-    p = 2.0 ** depth
-    m = ((p - 1.0) * e + o) / p
-    fa, fb, target, fm = values([a, b, (1.0 + nu) * a - nu * b, m])
-    fe, fo = (fa, fb) if anchor == "a" else (fb, fa)
+        e, o, weight, fe, fo = b, a, -(1.0 + nu), fb, fa
     if drop is None:
         drop = fe - fm
-    elif callable(drop):
-        drop = drop(fe)
     secant = (1.0 + nu) * fa - nu * fb
     return secant, secant + weight * ((fo - fe) + (o - e) / (m - e) * drop), target
 
 
-def _logconvex_refinement(values, a, b, nu, depth, anchor, drop=None):
+def _logconvex_refinement(fs, a, b, nu, depth, anchor, drop=None):
     """The paper's refinement for a positive log-convex f: ``(power, refined, target)``.
 
     The convex refinement of log f, exponentiated: power = f(a)^{1+nu}
     f(b)^{-nu} and refined = power * prod_j [sqrt(f(e) f(m_{j-1})) /
-    f(m_j)]^{2^j w}; target = f((1+nu) a - nu b) as given. ``values`` is
-    called once, as in ``_convex_refinement``, and returns floats; ``drop``
-    is log f(e) - log f(m_N).
+    f(m_j)]^{2^j w}; target = f((1+nu) a - nu b) as given. ``fs`` holds
+    floats at the four points of ``_ladder``, as in ``_convex_refinement``;
+    ``drop`` is log f(e) - log f(m_N).
     """
-
-    def logs(points):
-        fa, fb, target, fm = values(points)
-        _positive("log-convex chain", fa, fb, fm)
-        return [math.log(fa), math.log(fb), target, math.log(fm)]
-
-    log_power, log_refined, target = _convex_refinement(logs, a, b, nu, depth, anchor, drop)
+    fa, fb, target, fm = fs
+    _positive("log-convex chain", fa, fb, fm)
+    log_power, log_refined, target = _convex_refinement(
+        [math.log(fa), math.log(fb), target, math.log(fm)], a, b, nu, depth, anchor, drop
+    )
     return _exp_of_log(log_power), _exp_of_log(log_refined), target
-
-
-def _dyadic_points(nu, depth, anchor):
-    """The points [0, 1, target, m_N] at which ``_convex_refinement`` on
-    [0, 1] reads its functional at (nu, depth, anchor), each computed as it
-    computes them, so they have its bits."""
-    e, o = (0.0, 1.0) if anchor == "a" else (1.0, 0.0)
-    p = 2.0 ** depth
-    return [0.0, 1.0, (1.0 + nu) * 0.0 - nu * 1.0, ((p - 1.0) * e + o) / p]
 
 
 def _on_ladders(ladders, evaluate) -> list:
@@ -210,16 +204,24 @@ def _on_ladders(ladders, evaluate) -> list:
     return [[values[index[p]] for p in points] for points in ladders]
 
 
-def _refinements(refine, values, grid, anchor=None) -> list:
-    """``refine(values, 0, 1, nu, depth, anchor)`` of a functional at each
-    (nu, depth) of ``grid``, anchored at ``anchor``, or by the weight branch
-    (at 0 for nu >= 0, at 1 for nu <= -1), with its values read from one
-    ``values(points)`` call on the distinct points of the whole grid; with
-    no overflow warning, since the chain's finiteness check names one."""
-    specs = [(nu, depth, anchor or ("a" if weight_branch(nu) > 0 else "b")) for nu, depth in grid]
-    ladder_values = _on_ladders([_dyadic_points(*spec) for spec in specs], values)
+def _refinements(name, refine, values, grid, anchor=None) -> list:
+    """``refine(fs, 0, 1, nu, depth, anchor)`` of a functional at each
+    (nu, depth) of ``grid``, with ``fs`` its values at the four points of
+    ``_ladder``, read from one ``values(points)`` call on the distinct points
+    of the whole grid; with no overflow warning, since the chain's
+    finiteness check names one. Each grid value is checked here, once: its
+    depth, and its weight as the chain ``name`` requires: nu >= 0 for a
+    chain anchored at ``anchor``, else either branch, anchored at 0 for
+    nu >= 0 and at 1 for nu <= -1."""
+    specs = []
+    for nu, depth in grid:
+        if anchor is not None and nu < 0.0:
+            raise DomainError(f"{name} requires nu >= 0")
+        nu_anchor = anchor or ("a" if weight_branch(nu) > 0 else "b")
+        specs.append((nu, _check_depth(depth), nu_anchor))
+    ladder_values = _on_ladders([_ladder(0.0, 1.0, *spec) for spec in specs], values)
     with np.errstate(over="ignore", invalid="ignore"):
-        return [refine(lambda _: fs, 0.0, 1.0, *spec) for spec, fs in zip(specs, ladder_values)]
+        return [refine(fs, 0.0, 1.0, *spec) for spec, fs in zip(specs, ladder_values)]
 
 
 def _exp_of_log(log_value: float) -> float:
@@ -257,9 +259,8 @@ def convex_refined_chain(
         raise DomainError(f"need a < b, got a={a}, b={b}")
     branch = weight_branch(nu)
     depth = _check_depth(depth)
-    secant, refined, target = _convex_refinement(
-        lambda points: [_feval(f, p) for p in points], a, b, nu, depth, anchor
-    )
+    fs = [_feval(f, p) for p in _ladder(a, b, nu, depth, anchor)]
+    secant, refined, target = _convex_refinement(fs, a, b, nu, depth, anchor)
     refined_first = branch < 0 if anchor == "a" else branch > 0
     if refined_first:
         return ScalarChain(("refined", "secant", "target"), (refined, secant, target))
@@ -285,11 +286,9 @@ def logconvex_refined_chain(
         raise DomainError("anchor 'a' requires nu >= 0")
     if anchor == "b" and nu > -1.0:
         raise DomainError("anchor 'b' requires nu <= -1")
+    fs = [_feval(f, p) for p in _ladder(a, b, nu, depth, anchor)]
     return ScalarChain(
-        ("power", "refined", "target"),
-        _logconvex_refinement(
-            lambda points: [_feval(f, p) for p in points], a, b, nu, depth, anchor
-        ),
+        ("power", "refined", "target"), _logconvex_refinement(fs, a, b, nu, depth, anchor)
     )
 
 
@@ -339,10 +338,9 @@ def young_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarChai
     depth = _check_depth(depth)
     lx, ly = math.log(x), math.log(y)
     anchor, fe, log_r = ("a", x, ly - lx) if weight_branch(nu) > 0 else ("b", y, lx - ly)
-    values = _convex_refinement(
-        lambda vs: [math.exp((1.0 - v) * lx + v * ly) for v in vs],
-        0.0, 1.0, nu, depth, anchor, _power_drop(fe, log_r, depth),
-    )
+    drop = _power_drop(fe, log_r, depth)
+    fs = [math.exp((1.0 - v) * lx + v * ly) for v in _ladder(0.0, 1.0, nu, depth, anchor)]
+    values = _convex_refinement(fs, 0.0, 1.0, nu, depth, anchor, drop)
     return ScalarChain(("arith", "refined", "geom"), values)
 
 
@@ -409,9 +407,8 @@ def harmonic_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarC
         raise DomainError("harmonic_reverse_chain requires nu >= 0")
     depth = _check_depth(depth)
     ch = (x - y) / y / 2.0 ** depth
-    values = _convex_refinement(
-        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a", x * ch / (1.0 + ch)
-    )
+    fs = [harm_mean(x, y, v) for v in _ladder(0.0, 1.0, nu, depth, "a")]
+    values = _convex_refinement(fs, 0.0, 1.0, nu, depth, "a", x * ch / (1.0 + ch))
     return ScalarChain(("arith", "refined", "harm"), values)
 
 
@@ -428,9 +425,9 @@ def harmonic_geometric_chain(x: float, y: float, nu: float, depth: int) -> Scala
     if nu < 0.0:
         raise DomainError("harmonic_geometric_chain requires nu >= 0")
     depth = _check_depth(depth)
+    fs = [harm_mean(x, y, v) for v in _ladder(0.0, 1.0, nu, depth, "a")]
     values = _logconvex_refinement(
-        lambda vs: [harm_mean(x, y, v) for v in vs], 0.0, 1.0, nu, depth, "a",
-        math.log1p((x - y) / y / 2.0 ** depth),
+        fs, 0.0, 1.0, nu, depth, "a", math.log1p((x - y) / y / 2.0 ** depth)
     )
     return ScalarChain(("geom", "refined", "harm"), values)
 

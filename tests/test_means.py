@@ -41,7 +41,7 @@ from matmeans import (
 from matmeans import harness, linalg, means, norms
 from matmeans.means import OperatorChain
 from matmeans.reporting import chain_gap, chain_slacks
-from matmeans.scalar import _convex_refinement, _logconvex_refinement
+from matmeans.scalar import _convex_refinement, _ladder, _logconvex_refinement
 
 from jacobi_oracle import eigh_power
 
@@ -518,8 +518,9 @@ class TestGeneralRefinement:
             for chain_fn, values, nu, anchor, drop in cases:
                 for depth in (1, 4, 16):
                     chain = chain_fn(a, b, nu, depth)
+                    fs = values(_ladder(0.0, 1.0, nu, depth, anchor))
                     expected = _convex_refinement(
-                        values, 0.0, 1.0, nu, depth, anchor, drops[drop](2.0 ** -depth)
+                        fs, 0.0, 1.0, nu, depth, anchor, drops[drop](2.0 ** -depth)
                     )
                     assert chain.m.tobytes() == t.m.tobytes()
                     for row, v in zip(chain.values, expected):
@@ -543,7 +544,8 @@ class TestGeneralRefinement:
             ):
                 for nu, depth in ((0.0, 1), (0.8, 4), (5.5, 16)):
                     chain = chain_fn(a, b, nu, depth)
-                    expected = kernel(traces, 0.0, 1.0, nu, depth, "a")
+                    points = _ladder(0.0, 1.0, nu, depth, "a")
+                    expected = kernel(traces(points), 0.0, 1.0, nu, depth, "a")
                     assert [v.hex() for v in chain.values] == [v.hex() for v in expected], (
                         chain_fn.__name__, nu, depth
                     )

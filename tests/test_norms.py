@@ -34,7 +34,7 @@ from matmeans import (
 )
 
 from matmeans.linalg import _haar
-from matmeans.scalar import _convex_refinement, _logconvex_refinement
+from matmeans.scalar import _convex_refinement, _ladder, _logconvex_refinement
 
 from jacobi_oracle import eigh_power
 
@@ -345,7 +345,8 @@ class TestNormChains:
                 for chain_fn, kernel, values, nu, anchor in cases:
                     for depth in (1, 4, 16):
                         chain = chain_fn(a, b, x, nu, depth, kind)
-                        expected = kernel(values, 0.0, 1.0, nu, depth, anchor)
+                        points = _ladder(0.0, 1.0, nu, depth, anchor)
+                        expected = kernel(values(points), 0.0, 1.0, nu, depth, anchor)
                         assert [v.hex() for v in chain.values] == [
                             v.hex() for v in expected
                         ], (chain_fn.__name__, str(kind), nu, depth)

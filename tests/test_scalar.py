@@ -30,7 +30,9 @@ from matmeans import (
     young_reverse_chain,
     young_squared_chain,
 )
-from matmeans.scalar import _convex_refinement
+from matmeans import means, norms
+from matmeans.linalg import SpdMatrix, random_spd
+from matmeans.scalar import _convex_refinement, _ladder
 
 SQ = lambda t: t * t
 
@@ -117,17 +119,90 @@ class TestRefinementKernels:
         for anchor, nus in (("a", (0.0, 0.6, 4.0)), ("b", (-1.0, -2.2, -9.0))):
             for nu in nus:
                 for depth in (1, 5, 32):
+                    points = _ladder(-1.5, 2.0, nu, depth, anchor)
                     stacked = _convex_refinement(
-                        lambda vs: [(v - c) * (v - c) for v in vs], -1.5, 2.0, nu, depth, anchor
+                        [(v - c) * (v - c) for v in points], -1.5, 2.0, nu, depth, anchor
                     )
                     for i, ci in enumerate(c.tolist()):
                         single = _convex_refinement(
-                            lambda vs: [(v - ci) * (v - ci) for v in vs],
-                            -1.5, 2.0, nu, depth, anchor,
+                            [(v - ci) * (v - ci) for v in points], -1.5, 2.0, nu, depth, anchor
                         )
                         assert [float(s[i]).hex() for s in stacked] == [
                             float(s).hex() for s in single
                         ], (anchor, nu, depth, ci)
+
+
+    def test_ladder_points(self):
+        # [a, b, (1+nu) a - nu b, m_N], with m_N 2^-N of the way from the
+        # anchor towards the other end; any other anchor raises.
+        assert _ladder(0.0, 1.0, 2.0, 3, "a") == [0.0, 1.0, -2.0, 0.125]
+        assert _ladder(0.0, 1.0, -3.0, 3, "b") == [0.0, 1.0, 3.0, 0.875]
+        assert _ladder(-2.0, 6.0, 0.5, 32, "a")[3] == -2.0 + 8.0 / 2.0 ** 32
+        with pytest.raises(DomainError, match="anchor must be 'a' or 'b'"):
+            _ladder(0.0, 1.0, 1.0, 1, "c")
+
+
+_A = random_spd(3, 100.0, 5)
+_B = random_spd(3, 100.0, 6)
+_ORDERED = SpdMatrix(_A.a + _B.a)
+_X = np.random.default_rng(7).standard_normal((3, 3))
+_KIND = norms.NormKind.frobenius()
+_BRANCHES = "nu >= 0 or nu <= -1"
+
+#: The 16 public chains that the refinement kernels serve: name -> (the
+#: chain at (weight, depth), a weight on its branch, one off it, and what the
+#: error for the weight off it says). A chain that checks its weight itself
+#: names itself or the condition it tests; a grid form's check, in
+#: ``scalar._refinements``, names the chain, or the two branches for a chain
+#: that takes both.
+REFINEMENT_CHAINS = {
+    "convex_refined_chain": (
+        lambda nu, d: convex_refined_chain(SQ, 0.0, 1.0, nu, d), 1.0, -0.5, _BRANCHES),
+    "logconvex_refined_chain": (
+        lambda nu, d: logconvex_refined_chain(math.exp, 0.0, 1.0, nu, d), 1.0, -0.5,
+        "anchor 'a' requires nu >= 0"),
+    "young_reverse_chain": (
+        lambda nu, d: young_reverse_chain(0.5, 2.0, nu, d), 1.0, -0.5, _BRANCHES),
+    "young_squared_chain": (
+        lambda nu, d: young_squared_chain(0.5, 2.0, nu, d), 1.0, -0.5, _BRANCHES),
+    "young_refinement_chain": (
+        lambda t, d: young_refinement_chain(0.5, 2.0, t, d), 0.5, 1.5, "0 < t <= 1"),
+    "harmonic_reverse_chain": (
+        lambda nu, d: harmonic_reverse_chain(0.5, 2.0, nu, d), 1.0, -1.0, None),
+    "harmonic_geometric_chain": (
+        lambda nu, d: harmonic_geometric_chain(0.5, 2.0, nu, d), 1.0, -1.0, None),
+    "operator_reverse_chain": (
+        lambda nu, d: means.operator_reverse_chain(_A, _B, nu, d), 1.0, -0.5, _BRANCHES),
+    "operator_squared_chain": (
+        lambda nu, d: means.operator_squared_chain(_A, _B, nu, d), 1.0, -0.5, _BRANCHES),
+    "harmonic_operator_chain": (
+        lambda nu, d: means.harmonic_operator_chain(_A, _ORDERED, nu, d), 1.0, -1.0, None),
+    "trace_additive_chain": (
+        lambda nu, d: means.trace_additive_chain(_A, _B, nu, d), 1.0, -1.0, None),
+    "trace_multiplicative_chain": (
+        lambda nu, d: means.trace_multiplicative_chain(_A, _B, nu, d), 1.0, -1.0, None),
+    "norm_reverse_chain": (
+        lambda nu, d: norms.norm_reverse_chain(_A, _B, _X, nu, d, _KIND), 1.0, -0.5, _BRANCHES),
+    "norm_heinz_chain": (
+        lambda nu, d: norms.norm_heinz_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, None),
+    "combined_norm_chain": (
+        lambda nu, d: norms.combined_norm_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, None),
+    "heinz_reverse_chain": (
+        lambda nu, d: norms.heinz_reverse_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINEMENT_CHAINS))
+def test_refinement_chain_rejects_a_bad_depth_or_weight(name):
+    # A depth of 0 or 33 raises the depth message, and a weight off the
+    # chain's branch the chain's own name (None) or the condition it tests.
+    chain, on_branch, off_branch, weight_message = REFINEMENT_CHAINS[name]
+    chain(on_branch, 32)
+    for depth in (0, 33):
+        with pytest.raises(DomainError, match=r"depth must be in 1\.\.32"):
+            chain(on_branch, depth)
+    with pytest.raises(DomainError, match=weight_message or f"^{name} requires nu >= 0$"):
+        chain(off_branch, 1)
 
 
 class TestLogConvexChain:
