@@ -29,7 +29,8 @@ the functional at the grid's distinct weights in one call (the refinement
 telescopes to four: 0, 1, the target and m_N, from ``scalar._ladder``) and
 passes each grid value's four values to the refinement kernel. Powers of
 w come from ``linalg._spectrum_powers``, the resolvent's 1/r from
-``_harmonic``. No overflow warns: the chain's finiteness check names it.
+``_harmonic``. No overflow warns: the chain's finiteness check names it,
+and an eigenvalue of X out of the float range is named where w is formed.
 The chains share one ``linalg._Transfer``, so the gaps of a depth grid,
 whose ends do not move, run one ``eigh``.
 """
@@ -96,6 +97,13 @@ class _Pair:
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, _Transfer]:
         p, s, _ = _singular_values(self.graded(self.c, [-0.5], [0.5])[0], compute_uv=True)
+        # The ends of s, squared in Python floats, name a w = s^2 out of the
+        # float range before numpy squares (and warns).
+        top, low = float(s[0]), float(s[-1])
+        if top * top == np.inf:
+            raise DomainError(f"eigenvalue of X overflows: lambda_max = {top:.6e}^2")
+        if low * low == 0.0 < low:
+            raise DomainError(f"eigenvalue of X underflows to 0: lambda_min = {low:.6e}^2")
         w = s[::-1] ** 2
         if w[0] <= 0.0:
             raise DomainError(f"matrix is not positive definite: lambda_min = {w[0]:.6e}")

@@ -160,6 +160,20 @@ class TestMeans:
             with pytest.raises(DomainError, match="strictly positive.*underflows"):
                 geometric_mean(eye, _diag(1e-200, 1), 2.0)
 
+    def test_spectrum_of_x_out_of_range_says_which(self):
+        # X = A^-1/2 B A^-1/2 is 1e400 for (1e-200, 1e200) and 1e-400 the
+        # other way round: the squared singular value overflows or underflows
+        # to 0. Each call raises a DomainError that names which, and numpy
+        # warns of neither.
+        tiny, huge = _diag(1e-200), _diag(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b, word in ((tiny, huge, "overflows"), (huge, tiny, "underflows")):
+                for call in (lambda: geometric_mean(a, b, 0.5),
+                             lambda: operator_reverse_chain(a, b, 1.0, 2)):
+                    with pytest.raises(DomainError, match=f"eigenvalue of X {word}"):
+                        call()
+
 
 class TestAssembly:
     """Every spectral matrix is assembled, and checked finite, in one place."""
