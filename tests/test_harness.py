@@ -227,38 +227,50 @@ def _margins_report(name, rows, rel_tol):
     return reporting.case_report(name, reporting._margin_verdicts, rows, rel_tol)[0]
 
 
+#: The cases that draw matrices: operator, harmonic, Kantorovich, trace, norm
+#: and Heinz.
+MATRIX_CASES = [
+    n for n in harness.case_names()
+    if n.startswith(("operator_", "trace_", "norm_", "heinz_"))
+    or n in ("harmonic_operator", "kantorovich_operator")
+]
+
+#: The stress settings, each run at ``STRESS_INSTANCES``: enough to meet a
+#: defect that hits 1% of instances (300 draws miss it with probability 5%).
+HIGH_CONDITION = (
+    {"cond_max": 1e8},
+    {"cond_max": 1e12},
+    {"cond_max": 1e12, "dim_min": 1, "dim_max": 1},
+)
+LARGE_WEIGHTS = {"cond_max": 1e12, "nu_range": (8.0, 9.0)}
+STRESS_INSTANCES = 300
+
+
+def _stressed(names, settings):
+    """Run each case of ``names`` at each of ``settings`` with warnings as
+    errors: nothing warns or raises, and no instance fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for overrides in settings:
+            for name in names:
+                report = harness.run_case(name, instances=STRESS_INSTANCES, **overrides)
+                assert report.failures == 0, (name, overrides, report.min_slack)
+
+
 class TestStress:
     def test_norm_and_heinz_cases_at_high_condition(self):
-        # Every norm and Heinz case at cond 1e8 and 1e12, with n = 1 and
-        # with n in 2..6: nothing raises, and no instance fails.
-        names = [n for n in harness.case_names() if n.startswith(("norm_", "heinz_"))]
+        # Every norm and Heinz case at cond 1e8 and 1e12 with n in 2..6, and
+        # at n = 1.
+        names = [n for n in MATRIX_CASES if n.startswith(("norm_", "heinz_"))]
         assert len(names) == 14
-        for cond in (1e8, 1e12):
-            for dim_min, dim_max in ((1, 1), (2, 6)):
-                for name in names:
-                    report = harness.run_case(
-                        name, instances=10, cond_max=cond, dim_min=dim_min, dim_max=dim_max
-                    )
-                    assert report.failures == 0, (name, cond, dim_min, report.min_slack)
+        _stressed(names, HIGH_CONDITION)
 
     def test_operator_and_trace_cases_at_high_condition(self):
         # The operator, harmonic, Kantorovich and trace cases at cond 1e8 and
-        # 1e12, with n = 1 and with n in 2..8: nothing raises, and no
-        # instance fails.
-        names = [
-            n
-            for n in harness.case_names()
-            if n.startswith(("operator_", "trace_"))
-            or n in ("harmonic_operator", "kantorovich_operator")
-        ]
+        # 1e12 with n in 2..8, and at n = 1.
+        names = [n for n in MATRIX_CASES if not n.startswith(("norm_", "heinz_"))]
         assert len(names) == 9
-        for cond in (1e8, 1e12):
-            for dim_min, dim_max in ((1, 1), (2, 8)):
-                for name in names:
-                    report = harness.run_case(
-                        name, instances=10, cond_max=cond, dim_min=dim_min, dim_max=dim_max
-                    )
-                    assert report.failures == 0, (name, cond, dim_min, report.min_slack)
+        _stressed(names, HIGH_CONDITION)
 
     def test_every_case_at_dimension_one(self):
         # n = 1, the smallest stack a block assembles: every case, 50
@@ -269,11 +281,16 @@ class TestStress:
 
     def test_every_case_at_large_weights(self):
         # |nu| in 8..9 on either branch, at each case's cond and at 1e12:
-        # nothing raises, and no instance fails.
+        # nothing raises, and no instance fails. The matrix cases run at 1e12
+        # at the stress size, with warnings as errors.
         for cond in ({}, {"cond_max": 1e12}):
             for name in harness.case_names():
+                if cond and name in MATRIX_CASES:
+                    continue
                 report = harness.run_case(name, instances=10, nu_range=(8.0, 9.0), **cond)
                 assert report.failures == 0, (name, cond, report.min_slack)
+        assert len(MATRIX_CASES) == 23
+        _stressed(MATRIX_CASES, [LARGE_WEIGHTS])
 
     def test_heinz_symmetry_relative_at_high_condition(self):
         # The functional reaches 1e18 at cond 1e8, where one ulp of 1 - nu

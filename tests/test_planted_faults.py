@@ -197,6 +197,11 @@ BUILD_FAULTS = {
     "harmonic_operator": (_term_scaled(means.harmonic_operator_chain, "arith"), 1.0),
     "trace_additive": (_term_scaled(means.trace_additive_chain, "arith"), 1.0),
     "trace_multiplicative": (_term_scaled(means.trace_multiplicative_chain, "power"), 1.0),
+    "norm_reverse_pos": (_term_scaled(norms.norm_reverse_chain, "power"), 1.0),
+    "norm_reverse_neg": (_term_scaled(norms.norm_reverse_chain, "power"), 1.0),
+    "norm_heinz_power": (_term_scaled(norms.norm_heinz_chain, "power"), 1.0),
+    "norm_combined": (_term_scaled(norms.combined_norm_chain, "power"), 1.0),
+    "heinz_reverse": (_term_scaled(norms.heinz_reverse_chain, "sum_norm"), 1.0),
 }
 
 # Cases whose fault is also run at a high condition number, where A's small
