@@ -282,7 +282,8 @@ class TestStress:
     def test_every_case_at_large_weights(self):
         # |nu| in 8..9 on either branch, at each case's cond and at 1e12:
         # nothing raises, and no instance fails. The matrix cases run at 1e12
-        # at the stress size, with warnings as errors.
+        # at the stress size, with warnings as errors; there sigma_max^3
+        # passes the float range while the Schatten norms stay near 1e100.
         for cond in ({}, {"cond_max": 1e12}):
             for name in harness.case_names():
                 if cond and name in MATRIX_CASES:
@@ -298,17 +299,6 @@ class TestStress:
         # defect stays at round-off.
         report = harness.run_case("heinz_symmetry", instances=500, cond_max=1e8)
         assert report.failures == 0, report.min_slack
-
-    def test_schatten_norms_at_large_weights_do_not_overflow(self):
-        # |nu| in 8..9 at cond 1e12 takes sigma_max^3 past the float range
-        # while the norms stay near 1e100: with warnings as errors, no case
-        # warns, raises or fails.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for name in ("norm_heinz_power", "norm_combined", "heinz_reverse",
-                         "norm_collapse_depth1"):
-                report = harness.run_case(name, instances=300, cond_max=1e12, nu_range=(8.0, 9.0))
-                assert report.failures == 0, (name, report.min_slack)
 
     def test_kantorovich_operator_checks_every_draw_at_high_condition(self):
         # Every drawn pair is checked, the ill-conditioned ones included.
