@@ -131,7 +131,6 @@ class TestRefinementKernels:
                             float(s).hex() for s in single
                         ], (anchor, nu, depth, ci)
 
-
     def test_ladder_points(self):
         # [a, b, (1+nu) a - nu b, m_N], with m_N 2^-N of the way from the
         # anchor towards the other end; any other anchor raises.
