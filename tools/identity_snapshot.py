@@ -54,6 +54,11 @@ The files:
   the same pairs with a seeded complex X. A line holds the chain's values
   or the error the call raises. The CSV aggregates see these chains only
   through the harness's draws;
+* ``cli.txt``: for each bad request in ``CLI_REQUESTS`` (a ``verify`` or
+  ``sweep`` with an unknown case, a parameter the case does not sweep, a
+  flag or grid value out of range, a malformed grid, or a catalog function
+  taken outside its domain), the exit code and standard error of
+  ``cli.main``, or the type and text of an exception that escapes it;
 * ``failures/``: the failure files that ``run_case(name, instances=200,
   depth_min=32, depth_max=32, failures_dir=...)`` writes for the four
   catalog cases, whose telescoped drop loses enough to round-off at depth
@@ -65,10 +70,11 @@ With ``--against DIR`` it then compares the new snapshot with the one in
 ``instances``, ``skipped`` and ``failures`` match and how far ``min_slack``
 and ``max_gap`` shifted; for each other file, how many lines differ and the
 largest shift of a value relative to the largest value of its line, and
-each line of ``means.txt`` and ``chains.txt`` that differs. It
-exits 1 when a count differs, a case is missing on one side, a file's line
-count differs, a series errors on one side only, a payload or a line of
-``chains.txt`` differs, or a failure file differs or is missing on one
+each line of ``means.txt``, ``chains.txt`` and ``cli.txt`` that differs.
+It exits 1 when a count differs, a case is missing on one side, a file's
+line count differs, a series errors on one side only, a payload or a line
+of ``chains.txt`` differs, a request of ``cli.txt`` ends in another exit
+code or exception type, or a failure file differs or is missing on one
 side::
 
     python3 tools/identity_snapshot.py --src src --out /tmp/snap-change \
@@ -81,11 +87,14 @@ about five seconds on a 2-core x86-64 machine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 SWEEP_INSTANCES = 6
@@ -119,6 +128,21 @@ CHAIN_INTERVALS = ((-0.75, 1.5), (0.25, 2.0))
 CHAIN_XY = ((0.3, 2.5), (1e-3, 7.0), (2.5, 0.3))
 CHAIN_DIMS = (1, 2, 3)
 CHAIN_SEEDS = (0, 1)
+#: ``cli.txt``: bad ``verify`` and ``sweep`` requests. Each names one case,
+#: so a request that is wrongly accepted runs only that case.
+CLI_REQUESTS = (
+    ("verify", "--case", "no_such_case"),
+    ("verify", "--case", "kantorovich_scalar", "--instances", "0"),
+    ("verify", "--case", "kantorovich_scalar", "--tol", "-1"),
+    ("sweep", "--case", "no_such_case", "--param", "nu", "--grid", "0:1:1"),
+    ("sweep", "--case", "kantorovich_scalar", "--param", "N", "--grid", "1:2:1"),
+    ("sweep", "--case", "operator_reverse_neg", "--param", "nu", "--grid", "0:1:1"),
+    ("sweep", "--case", "young_reverse_pos", "--param", "N", "--grid", "2.5:2.5:1"),
+    ("sweep", "--case", "operator_reverse_pos", "--param", "cond", "--grid", "0.5:0.5:1"),
+    ("sweep", "--case", "young_reverse_pos", "--param", "nu", "--grid", "1:2"),
+    ("sweep", "--case", "convex_refined_a", "--param", "nu", "--grid", "500:500:1",
+     "--instances", "50"),
+)
 #: The runs whose failure files go to ``failures/``: case -> overrides.
 FAILURE_RUNS = {
     name: {"instances": 200, "depth_min": 32, "depth_max": 32}
@@ -244,6 +268,27 @@ def _chains_lines() -> list:
     return lines
 
 
+def _cli_lines(failures: Path) -> list:
+    """One line per request of ``CLI_REQUESTS``: its exit code and standard
+    error, or the exception that escapes ``cli.main``. A request that runs
+    writes its failure files to ``failures``."""
+    from matmeans import cli
+
+    lines = []
+    for argv in CLI_REQUESTS:
+        label = " ".join(argv)
+        argv = [*argv, "--failures-dir", str(failures)] if argv[0] == "verify" else list(argv)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except BaseException as exc:  # any type, SystemExit too, so a change of type shows
+            lines.append(f"{label}: raised {type(exc).__name__}: {exc}")
+        else:
+            lines.append(f"{label}: exit {code}: {err.getvalue().strip()}")
+    return lines
+
+
 def snapshot(out: Path) -> None:
     from matmeans import harness
 
@@ -291,6 +336,8 @@ def snapshot(out: Path) -> None:
 
     (out / "means.txt").write_text("\n".join(_means_lines()) + "\n")
     (out / "chains.txt").write_text("\n".join(_chains_lines()) + "\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        (out / "cli.txt").write_text("\n".join(_cli_lines(Path(scratch))) + "\n")
 
     failures = out / "failures"
     shutil.rmtree(failures, ignore_errors=True)  # only this run's files
@@ -348,12 +395,19 @@ def compare(out: Path, against: Path) -> bool:
                   f"{_shift(o, n, 'min_slack')}; {_shift(o, n, 'max_gap')}")
     names = (*(f"{stem}_quantiles.txt" for stem in SUITES), "sweeps.txt", "sweep_depth.txt",
              "means.txt", "chains.txt")
-    for name in (*names, "payloads.txt"):
+    for name in (*names, "payloads.txt", "cli.txt"):
         old = (against / name).read_text().splitlines()
         new = (out / name).read_text().splitlines()
         if len(old) != len(new):
             same = False
             print(f"{name}: {len(old)} lines -> {len(new)} lines")
+            continue
+        if name == "cli.txt":
+            # "request: exit N: stderr" or "request: raised Type: text".
+            for o, n in zip(old, new):
+                if o != n:
+                    print(f"{name}: {o!r} -> {n!r}")
+                    same = same and o.split(": ")[1] == n.split(": ")[1]
             continue
         if name == "payloads.txt":
             moved = sum(o != n for o, n in zip(old, new))
