@@ -12,6 +12,12 @@ Standard output carries data only; diagnostics go to standard error. Exit
 codes: 0 success, 1 verification failures, 2 domain/precondition error or
 a solver that did not converge, 64 usage error (a bad flag, or a flag value
 out of its range).
+
+``verify`` and ``sweep`` keep no request check of their own: the harness's
+one check (``harness._request``) decides, before any instance is drawn,
+whether each case exists, whether the config it runs is valid, and whether
+it sweeps the parameter at every grid value. What it rejects is a usage
+error; a DomainError met while the cases run exits 2.
 """
 
 from __future__ import annotations
@@ -120,26 +126,20 @@ def _usage_check():
 
 
 def _overrides(**flags) -> dict:
-    """Config overrides for the flags given explicitly; a value no config
-    accepts is a usage error. Per-case defaults apply to the other flags."""
-    overrides = {key: val for key, val in flags.items() if val is not None}
-    with _usage_check():
-        harness.CaseConfig(**overrides)
-    return overrides
+    """Config overrides for the flags given explicitly; per-case defaults
+    apply to the other flags."""
+    return {key: val for key, val in flags.items() if val is not None}
 
 
 def _cmd_verify(args) -> int:
-    names = args.case or None
-    if names:
-        unknown = [n for n in names if n not in harness.case_names()]
-        if unknown:
-            raise _UsageError(f"unknown case(s): {', '.join(unknown)}")
+    names = args.case or harness.case_names()
     overrides = _overrides(
         instances=args.instances, seed=args.seed, dim_max=args.dim_max, rel_tol=args.tol
     )
-    reports = harness.run_suite(
-        names=names, failures_dir=args.failures_dir, **overrides
-    )
+    with _usage_check():
+        for name in names:
+            harness._request(name, overrides)
+    reports = harness.run_suite(names=names, failures_dir=args.failures_dir, **overrides)
     for report in reports:
         sys.stdout.write(report.summary_line() + "\n")
     total_failures = sum(r.failures for r in reports)
@@ -185,15 +185,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    if args.case not in harness.case_names():
-        raise _UsageError(f"unknown case {args.case!r}")
     param = {"nu": "nu", "N": "depth", "cond": "cond"}[args.param]
-    if param not in harness.REGISTRY[args.case].sweep_params:
-        raise _UsageError(f"case {args.case!r} does not sweep {args.param}")
     grid = _parse_grid(args.grid)
-    with _usage_check():
-        harness.sweep_values(param, grid, harness.REGISTRY[args.case].nu_branch)
     overrides = _overrides(instances=args.instances, seed=args.seed)
+    with _usage_check():
+        harness._request(args.case, overrides, param, grid)
     rows = harness.sweep(args.case, param, grid, **overrides)
     lines = [f"{args.param},mean_gap,mean_gain"]
     lines.extend(

@@ -25,6 +25,13 @@ one QR and one assembly per dimension n, then build each instance at every
 grid value in one call (a grid of one for ``run_case``). A build reads no
 random number, so a pin cannot move a stream, and no stream state is saved
 or restored.
+
+Every request is checked once, by ``_request``, before any instance is
+drawn: the case must exist, the config it runs (its own overrides, then
+the caller's) must be valid, and a swept parameter must be one the case
+sweeps, at values ``sweep_values`` accepts. ``run_case``, ``run_suite``,
+``sweep`` and ``build_instance`` call it, and so does the CLI, which
+reports what it rejects as a usage error.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -212,8 +219,21 @@ def _case(name: str) -> CaseDef:
         raise DomainError(f"unknown case {name!r}; known: {', '.join(REGISTRY)}") from None
 
 
-def _config_for(case: CaseDef, overrides: dict) -> CaseConfig:
-    return replace(CaseConfig(), **{**case.overrides, **overrides})
+def _request(name: str, overrides: dict, param: str | None = None, grid=()) -> tuple:
+    """The one check of a request: ``(case, cfg, values)``. It looks up the
+    case ``name``, builds the config that case runs (its own overrides, then
+    the caller's), and, for a swept ``param``, checks that the case sweeps
+    it and gives ``sweep_values`` of ``grid``. Raises DomainError for a bad
+    request, before any instance is drawn."""
+    case = _case(name)
+    cfg = CaseConfig(**{**case.overrides, **overrides})
+    if param is None:
+        return case, cfg, []
+    if param not in case.sweep_params:
+        raise DomainError(
+            f"case {name!r} does not sweep {param!r}; supported: {case.sweep_params}"
+        )
+    return case, cfg, sweep_values(param, grid, case.nu_branch)
 
 
 # numpy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier.
@@ -1011,23 +1031,13 @@ def _payloads(case: CaseDef, cfg: CaseConfig, indices, streams) -> list[dict]:
     return [payload for _, payload in drawn]
 
 
-def _swept(case: CaseDef, param: str) -> str:
-    """``param``, if ``case`` sweeps it."""
-    if param not in case.sweep_params:
-        raise DomainError(
-            f"case {case.name!r} does not sweep {param!r}; supported: {case.sweep_params}"
-        )
-    return param
-
-
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
     """Build one instance of a case alone: its stream is ``instance_rng``'s,
     and its SPD pair is assembled as a stack of one. ``forced`` pins sweep
     parameters of the case to values that ``sweep_values`` accepts."""
-    case = _case(name)
-    cfg = _config_for(case, overrides)
+    case, cfg, _ = _request(name, overrides)
     forced = {
-        param: sweep_values(_swept(case, param), [value], case.nu_branch)[0]
+        param: _request(name, overrides, param, [value])[2][0]
         for param, value in (forced or {}).items()
     }
     cond = float(forced.pop("cond", cfg.cond_max))
@@ -1062,8 +1072,7 @@ def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> 
     capped per case, are drawn again from their streams for their payloads
     and serialized there.
     """
-    case = _case(name)
-    cfg = _config_for(case, overrides)
+    case, cfg, _ = _request(name, overrides)
     streams = _seated(cfg.seed, name, _new_generator())
     verdicts, rows = set(), []
     cond = float(cfg.cond_max)
@@ -1083,22 +1092,14 @@ def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> 
 
 
 def run_suite(
-    names=None,
-    failures_dir: str | Path | None = None,
-    progress: Callable[[ChainReport], None] | None = None,
-    **overrides,
+    names=None, failures_dir: str | Path | None = None, **overrides
 ) -> list[ChainReport]:
-    """Run every registered case (or the given subset) in registration order."""
+    """Run every registered case (or the given subset) in registration order,
+    once every name and every case's config has passed ``_request``."""
     selected = case_names() if names is None else tuple(names)
     for name in selected:
-        _case(name)  # validate before any work
-    reports = []
-    for name in selected:
-        report = run_case(name, failures_dir=failures_dir, **overrides)
-        if progress is not None:
-            progress(report)
-        reports.append(report)
-    return reports
+        _request(name, overrides)
+    return [run_case(name, failures_dir=failures_dir, **overrides) for name in selected]
 
 
 @dataclass(frozen=True)
@@ -1165,14 +1166,12 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     call; a cond sweep draws it at each value. Returns one row per grid
     value with the mean end-to-end gap and mean refinement gain (refined
     bound minus unrefined bound; trace difference for operator chains).
-    Every grid value is checked by ``sweep_values`` before any instance is
-    built. Where several (instance, value) builds raise, the one met first,
+    The request, every grid value included, is checked by ``_request``
+    before any instance is drawn. Where several (instance, value) builds raise, the one met first,
     named in the message, may differ from a value-by-value order; each is a
     DomainError or ConvergenceError, so ``matmeans sweep`` exits 2 either way.
     """
-    case = _case(name)
-    values = sweep_values(_swept(case, param), grid, case.nu_branch)
-    cfg = _config_for(case, overrides)
+    case, cfg, values = _request(name, overrides, param, grid)
     if param == "cond":
         blocks = [(value, [{}]) for value in values]
     else:

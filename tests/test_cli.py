@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matmeans import ConvergenceError, harness, means, random_spd
+from matmeans import ConvergenceError, DomainError, harness, means, random_spd
 from matmeans.cli import EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_USAGE, _parse_grid, main
 from matmeans.harness import Built
 from matmeans.linalg import matrix_from_json, matrix_to_json
@@ -500,6 +500,26 @@ class TestSweep:
 
 
 class TestUsage:
+    def test_harness_request_check_decides_usage_errors(self, capsys, monkeypatch):
+        # verify and sweep keep no check of their own: whatever the harness's
+        # request check rejects is a usage error, before any instance is drawn.
+        def reject(name, overrides, param=None, grid=()):
+            raise DomainError(f"rejected {name}")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("instance drawn")
+
+        monkeypatch.setattr(harness, "_request", reject)
+        monkeypatch.setattr(harness, "_instances", no_draw)
+        for argv in (
+            ("verify", "--case", "young_reverse_pos", "--instances", "2"),
+            ("verify", "--instances", "2"),
+            ("sweep", "--case", "young_reverse_pos", "--param", "N", "--grid", "1:2:1"),
+        ):
+            code, stdout, stderr = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and stdout == "", argv
+            assert stderr.startswith("usage error: rejected "), (argv, stderr)
+
     def test_no_arguments_is_usage_error(self, capsys):
         code, stdout, stderr = run_cli(capsys)
         assert code == EXIT_USAGE and stdout == ""

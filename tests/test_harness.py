@@ -208,7 +208,7 @@ def _same_report(report, want) -> bool:
 def _fresh_report(name, instances, notes, **overrides):
     """The report of instances ``0 .. instances - 1`` of a case, each built
     alone by ``build_instance``."""
-    rel_tol = harness._config_for(harness.REGISTRY[name], overrides).rel_tol
+    rel_tol = harness._request(name, overrides)[1].rel_tol
     verdicts = [
         harness.build_instance(name, index, **overrides).verdict() for index in range(instances)
     ]
@@ -396,7 +396,7 @@ class TestDraws:
 
         monkeypatch.setattr(harness, "_uniform", spy)
         for name, case in harness.REGISTRY.items():
-            cfg = harness._config_for(case, {})
+            cfg = harness._request(name, {})[1]
             for index in range(8):
                 case.draw(harness.instance_rng(cfg.seed, name, index), cfg, cfg.cond_max)
         monkeypatch.undo()
@@ -814,7 +814,7 @@ class TestVerdictPath:
         checked = 0
         for cond in (100.0, 1e8):
             for name in OPERATOR_CASES:
-                rel_tol = harness._config_for(harness.REGISTRY[name], {}).rel_tol
+                rel_tol = harness._request(name, {})[1].rel_tol
                 for index in range(50):
                     built = harness.build_instance(name, index, cond_max=cond)
                     chain, where = built.chain, (name, cond, index)
