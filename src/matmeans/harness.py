@@ -115,7 +115,7 @@ class CaseConfig:
             raise DomainError(f"bad weight magnitude range {self.nu_range}")
         if self.nu_range[1] == math.inf:
             raise DomainError(f"weight magnitude range must be finite, got {self.nu_range}")
-        if not (1 <= self.depth_min <= self.depth_max <= scalar.MAX_REFINE_DEPTH):
+        if not scalar._check_depth(self.depth_min) <= scalar._check_depth(self.depth_max):
             raise DomainError(f"bad depth range {self.depth_min}..{self.depth_max}")
 
 
@@ -1144,11 +1144,7 @@ def sweep_values(param: str, grid, nu_branch: int = 0) -> list:
                 )
             values.append(value)
         elif param == "depth":
-            if not (float(value).is_integer() and 1 <= value <= scalar.MAX_REFINE_DEPTH):
-                raise DomainError(
-                    f"depth must be an integer in 1..{scalar.MAX_REFINE_DEPTH}, got {value}"
-                )
-            values.append(int(value))
+            values.append(scalar._check_depth(value))
         else:
             value = float(value)
             if param == "cond" and not 1.0 <= value < math.inf:

@@ -120,8 +120,10 @@ def weight_branch(nu: float) -> int:
 
 
 def _check_depth(depth: int) -> int:
-    if not (1 <= int(depth) <= MAX_REFINE_DEPTH):
-        raise DomainError(f"depth must be in 1..{MAX_REFINE_DEPTH}, got {depth}")
+    """The one depth rule: an integer in 1..32, as an int. A NaN or an
+    infinite depth fails the range test before ``int`` sees it."""
+    if not (1 <= depth <= MAX_REFINE_DEPTH and depth == int(depth)):
+        raise DomainError(f"depth must be an integer in 1..{MAX_REFINE_DEPTH}, got {depth}")
     return int(depth)
 
 

@@ -177,6 +177,15 @@ class TestRunCase:
             with pytest.raises(DomainError, match="weight magnitude range"):
                 CaseConfig(nu_range=bad)
 
+    def test_depth_range_must_hold_integers(self):
+        # A depth the draw would truncate (rng.integers(1.5, 3.5)) is refused,
+        # with the chains' own depth message; so is an inverted range.
+        for lo, hi in ((1.5, 2.5), (1, 2.5), (math.nan, 3), (0, 3), (1, 33)):
+            with pytest.raises(DomainError, match=r"depth must be an integer in 1\.\.32"):
+                harness.run_case("young_reverse_pos", instances=3, depth_min=lo, depth_max=hi)
+        with pytest.raises(DomainError, match="bad depth range 3..2"):
+            CaseConfig(depth_min=3, depth_max=2)
+
 
 class TestRunSuite:
     def test_subset_and_csv(self):

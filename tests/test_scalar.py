@@ -193,12 +193,12 @@ REFINEMENT_CHAINS = {
 
 @pytest.mark.parametrize("name", sorted(REFINEMENT_CHAINS))
 def test_refinement_chain_rejects_a_bad_depth_or_weight(name):
-    # A depth of 0 or 33 raises the depth message, and a weight off the
-    # chain's branch the chain's own name (None) or the condition it tests.
+    # A depth of 0, 33, 2.5 or NaN raises the depth message, and a weight off
+    # the chain's branch the chain's own name (None) or the condition it tests.
     chain, on_branch, off_branch, weight_message = REFINEMENT_CHAINS[name]
     chain(on_branch, 32)
-    for depth in (0, 33):
-        with pytest.raises(DomainError, match=r"depth must be in 1\.\.32"):
+    for depth in (0, 33, 2.5, math.nan):
+        with pytest.raises(DomainError, match=r"depth must be an integer in 1\.\.32"):
             chain(on_branch, depth)
     with pytest.raises(DomainError, match=weight_message or f"^{name} requires nu >= 0$"):
         chain(off_branch, 1)
