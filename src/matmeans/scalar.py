@@ -94,7 +94,13 @@ def _overflow_is_domain_error(fn):
 
 
 def _feval(f: RealFunction, t: float) -> float:
-    v = float(f(t))
+    """f(t), which must be finite. A catalog function taken outside its
+    domain (``math.log`` of a negative number) raises ValueError: that is a
+    DomainError that names t."""
+    try:
+        v = float(f(t))
+    except ValueError as exc:
+        raise DomainError(f"function is undefined at t={t} ({exc})") from exc
     if not math.isfinite(v):
         raise DomainError(f"function evaluated to a non-finite value at t={t}")
     return v

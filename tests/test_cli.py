@@ -434,6 +434,18 @@ class TestSweep:
         assert code == EXIT_DOMAIN and stdout == ""
         assert stderr == "error: chain values must be finite\n", stderr
 
+    def test_function_outside_its_domain_exits_2(self, capsys):
+        # At nu = 500 the target point of neg_log_shifted's chain lies below
+        # -100, where -log(t + 100) is undefined: a domain error naming t.
+        code, stdout, stderr = run_cli(
+            capsys,
+            "sweep", "--case", "convex_refined_a", "--param", "nu",
+            "--grid", "500:500:1", "--instances", "50",
+        )
+        assert code == EXIT_DOMAIN and stdout == ""
+        assert stderr.startswith("error: function is undefined at t=-"), stderr
+        assert "Traceback" not in stderr
+
     def test_empty_grid_is_usage_error(self, capsys):
         # So is a grid value no instance can take: a depth that is not an
         # integer in 1..32, or a cond below 1.
