@@ -198,8 +198,9 @@ def _power_refinements(name: str, t: _Pair, grid, shift: float = 0.0) -> list:
 
     def refine(fs, lo, hi, nu, depth, anchor):
         fe, log_r = (fs[0], log_w) if anchor == "a" else (fs[1], -log_w)
-        drop = _power_drop(fe, log_r, depth, np.expm1)
-        return _convex_refinement(fs, lo, hi, nu, depth, anchor, drop)
+        with np.errstate(over="ignore", invalid="ignore"):  # the chain names an overflow
+            drop = _power_drop(fe, log_r, depth, np.expm1)
+            return _convex_refinement(fs, lo, hi, nu, depth, anchor, drop)
 
     powers = lambda vs: _spectrum_powers(t.w, [shift + v for v in vs])
     return _refinements(name, refine, powers, grid)
@@ -292,8 +293,9 @@ def _harmonic_operator_grid(a, b, grid) -> list[OperatorChain]:
     t = _require_loewner_leq(_as_spd(a), _as_spd(b))
 
     def refine(fs, lo, hi, nu, depth, anchor):
-        ch = (1.0 - t.w) / t.w / 2.0 ** depth
-        return _convex_refinement(fs, lo, hi, nu, depth, anchor, ch / (1.0 + ch))
+        with np.errstate(over="ignore", invalid="ignore"):  # the chain names an overflow
+            ch = (1.0 - t.w) / t.w / 2.0 ** depth
+            return _convex_refinement(fs, lo, hi, nu, depth, anchor, ch / (1.0 + ch))
 
     harmonics = lambda vs: [_harmonic(t.w, v) for v in vs]
     return [

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError
 
 RealFunction = Callable[[float], float]
@@ -216,8 +214,9 @@ def _refinements(name, refine, values, grid, anchor=None) -> list:
     """``refine(fs, 0, 1, nu, depth, anchor)`` of a functional at each
     (nu, depth) of ``grid``, with ``fs`` its values at the four points of
     ``_ladder``, read from one ``values(points)`` call on the distinct points
-    of the whole grid; with no overflow warning, since the chain's
-    finiteness check names one. Each grid value is checked here, once: its
+    of the whole grid. A ``refine`` of array values ignores numpy's overflow
+    warning itself, since the chain's finiteness check names one. Each grid
+    value is checked here, once: its
     depth, and its weight: nu >= 0 for a chain with an ``anchor`` (the
     error names the chain ``name``), else either branch, anchored at 0 for
     nu >= 0 and at 1 for nu <= -1."""
@@ -228,8 +227,7 @@ def _refinements(name, refine, values, grid, anchor=None) -> list:
         nu_anchor = anchor or ("a" if weight_branch(nu) > 0 else "b")
         specs.append((nu, _check_depth(depth), nu_anchor))
     ladder_values = _on_ladders([_ladder(0.0, 1.0, *spec) for spec in specs], values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [refine(fs, 0.0, 1.0, *spec) for spec, fs in zip(specs, ladder_values)]
+    return [refine(fs, 0.0, 1.0, *spec) for spec, fs in zip(specs, ladder_values)]
 
 
 def _exp_of_log(log_value: float) -> float:
