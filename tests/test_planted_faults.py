@@ -162,6 +162,42 @@ def _heinz_grid_shifted(a, b, x, kind, fault):
     return Built(margins=np.concatenate([down, up]))
 
 
+def _heinz_midpoint_scaled(a, b, x, kind, v1, v2, fault):
+    """``heinz_midpoint_convexity`` with f((v1 + v2)/2) scaled by 1 + fault."""
+    mid, f1, f2 = norms._heinz_values(a, b, x, [(v1 + v2) / 2.0, v1, v2], kind).tolist()
+    mid *= 1.0 + fault
+    avg = (f1 + f2) / 2.0
+    return Built(margins=np.array([(avg - mid) / max(1.0, avg, mid)]))
+
+
+def _heinz_outside_scaled(a, b, x, kind, nu, fault):
+    """``heinz_reverse_outside`` with f(0) = ||AX + XB|| scaled by 1 + fault."""
+    f0, fv = norms._heinz_values(a, b, x, [0.0, nu], kind).tolist()
+    f0 *= 1.0 + fault
+    return Built(margins=np.array([(fv - f0) / max(1.0, f0, fv)]))
+
+
+def _first_value_scaled(chain_fn):
+    """A copy of the build of a two-term chain case whose first value (the
+    split, or the interpolated, value) is scaled by 1 + fault."""
+
+    def build(fault, **args):
+        chain = chain_fn(**args)
+        first, full = chain.values
+        return Built(chain=ScalarChain(chain.labels, (first * (1.0 + fault), full)))
+
+    return build
+
+
+def _heinz_interp_grid_scaled(a, b, x, kind, p, q, fault):
+    """``heinz_interpolated_grid`` with the value at each r scaled by
+    1 + fault r / q, which makes the sequence rise in r."""
+    rs = np.linspace(0.0, q, 9)
+    vals = norms.heinz_interpolation_values(a, b, x, p, q, rs, kind) * (1.0 + fault * rs / q)
+    scale = max(1.0, float(np.max(vals)))
+    return Built(margins=(vals[:-1] - vals[1:]) / scale)
+
+
 # Refinement rows: case -> (the true chain function, its faulty copy). Each
 # is checked through ``_chain_build``, as the registered row is.
 CHAIN_FAULTS = {
@@ -202,6 +238,11 @@ BUILD_FAULTS = {
     "norm_heinz_power": (_term_scaled(norms.norm_heinz_chain, "power"), 1.0),
     "norm_combined": (_term_scaled(norms.combined_norm_chain, "power"), 1.0),
     "heinz_reverse": (_term_scaled(norms.heinz_reverse_chain, "sum_norm"), 1.0),
+    "heinz_midpoint_convexity": (_heinz_midpoint_scaled, 1.0),
+    "heinz_reverse_outside": (_heinz_outside_scaled, 1.0),
+    "heinz_pq": (_first_value_scaled(norms.heinz_pq_chain), 1.0),
+    "heinz_interpolated": (_first_value_scaled(norms.heinz_interpolated_chain), 1.0),
+    "heinz_interpolated_grid": (_heinz_interp_grid_scaled, 1.0),
 }
 
 # Cases whose fault is also run at a high condition number, where A's small
@@ -247,3 +288,9 @@ def test_planted_fault_is_caught(monkeypatch, name):
             assert same == want and same.slacks.tobytes() == want.slacks.tobytes(), cond
             report = _run_with(patch, name, faulty_build, **overrides)
         assert report.failures > 0, (name, cond, report.failures, report.min_slack)
+
+
+def test_every_registered_case_has_a_planted_fault():
+    # A case added without a fault would go unchecked against a vacuous check.
+    missing = set(harness.case_names()) - {*CHAIN_FAULTS, *BUILD_FAULTS}
+    assert not missing, sorted(missing)
