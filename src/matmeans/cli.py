@@ -13,11 +13,9 @@ codes: 0 success, 1 verification failures, 2 domain/precondition error or
 a solver that did not converge, 64 usage error (a bad flag, or a flag value
 out of its range).
 
-``verify`` and ``sweep`` keep no request check of their own: the harness's
-one check (``harness._request``) decides, before any instance is drawn,
-whether each case exists, whether the config it runs is valid, and whether
-it sweeps the parameter at every grid value. What it rejects is a usage
-error; a DomainError met while the cases run exits 2.
+``verify`` and ``sweep`` make no request check of their own: what the
+harness's one check (``harness._request``) rejects before any instance is
+drawn is a usage error, and a DomainError met while the cases run exits 2.
 """
 
 from __future__ import annotations

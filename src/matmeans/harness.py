@@ -1163,9 +1163,10 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     value with the mean end-to-end gap and mean refinement gain (refined
     bound minus unrefined bound; trace difference for operator chains).
     The request, every grid value included, is checked by ``_request``
-    before any instance is drawn. Where several (instance, value) builds raise, the one met first,
-    named in the message, may differ from a value-by-value order; each is a
-    DomainError or ConvergenceError, so ``matmeans sweep`` exits 2 either way.
+    before any instance is drawn. Where several (instance, value) builds
+    raise, the one met first, named in the message, may differ from a
+    value-by-value order; each is a DomainError or ConvergenceError, so
+    ``matmeans sweep`` exits 2 either way.
     """
     case, cfg, values = _request(name, overrides, param, grid)
     if param == "cond":

@@ -216,10 +216,9 @@ def _refinements(name, refine, values, grid, anchor=None) -> list:
     ``_ladder``, read from one ``values(points)`` call on the distinct points
     of the whole grid. A ``refine`` of array values ignores numpy's overflow
     warning itself, since the chain's finiteness check names one. Each grid
-    value is checked here, once: its
-    depth, and its weight: nu >= 0 for a chain with an ``anchor`` (the
-    error names the chain ``name``), else either branch, anchored at 0 for
-    nu >= 0 and at 1 for nu <= -1."""
+    value is checked here, once: its depth, and its weight: nu >= 0 for a
+    chain with an ``anchor`` (the error names the chain ``name``), else
+    either branch, anchored at 0 for nu >= 0 and at 1 for nu <= -1."""
     specs = []
     for nu, depth in grid:
         if anchor is not None and nu < 0.0:

@@ -282,7 +282,7 @@ def _cli_lines(failures: Path) -> list:
         try:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-        except BaseException as exc:  # any type, SystemExit too, so a change of type shows
+        except Exception as exc:  # any type, so a change of type shows
             lines.append(f"{label}: raised {type(exc).__name__}: {exc}")
         else:
             lines.append(f"{label}: exit {code}: {err.getvalue().strip()}")
