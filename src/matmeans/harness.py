@@ -19,19 +19,26 @@ grid in one call of the chain's grid form (``_grid_refinement``).
 Identities, shape checks and the other margin cases have a one-value build
 of their own (``_each``).
 
-``run_case``, ``sweep`` and ``build_instance`` share one path,
-``_instances``: draw each instance, assemble the SPD pairs of a block with
-one QR and one assembly per dimension n, then build each instance at every
-grid value in one call (a grid of one for ``run_case``). A build reads no
-random number, so a pin cannot move a stream, and no stream state is saved
-or restored.
+``run_suite``, ``sweep`` and ``build_instance`` share one loop,
+``_instances``, over a list of (case, cfg, cond, indices) slices; ``run_case``
+is ``run_suite`` of one name. The loop cuts a call's instances, in order,
+into blocks of at most ``_BLOCK`` across case boundaries. Each block is
+seeded with one ``_seed_words`` call (``_seated``) on the call's one
+generator, draws its instances, and assembles their SPD pairs with one QR
+and one assembly per dimension n across its cases; the caller builds each
+instance at every grid value in one call (a grid of one for ``run_suite``)
+as the loop yields it. The seeding works row by row
+and the assembly matrix by matrix, so no bit depends on the block. A build
+reads no random number, so a pin cannot move a stream, and no stream state
+is saved or restored. ``run_suite`` decides each case as soon as its last
+instance is built.
 
 Every request is checked once, by ``_request``, before any instance is
 drawn: the case must exist, the config it runs (its own overrides, then
 the caller's) must be valid, and a swept parameter must be one the case
-sweeps, at values ``sweep_values`` accepts. ``run_case``, ``run_suite``,
-``sweep`` and ``build_instance`` call it, and so does the CLI, which
-reports what it rejects as a usage error.
+sweeps, at values ``sweep_values`` accepts. ``run_suite``, ``sweep`` and
+``build_instance`` call it, and so does the CLI, which reports what it
+rejects as a usage error.
 """
 
 from __future__ import annotations
@@ -82,12 +89,22 @@ DEFAULT_SEED = 20240811
 MAX_FAILURE_FILES_PER_CASE = 25
 
 
+def _check_int(value, field: str) -> int:
+    """The one rule of a config's integer fields: a finite integral number,
+    as an int. A NaN or an infinite value fails before ``int`` sees it."""
+    if not (abs(value) < math.inf and value == int(value)):
+        raise DomainError(f"{field} must be an integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CaseConfig:
     """Knobs shared by every case; cases override defaults, callers override cases.
 
     ``nu_range`` is the magnitude range of the weight: the nonnegative branch
     draws nu in [lo, hi], the other branch draws nu in [-1-hi, -1-lo].
+    ``instances``, ``seed``, ``dim_min`` and ``dim_max`` pass ``_check_int``
+    and are kept as ints; the depths pass ``scalar._check_depth``.
     """
 
     instances: int = 200
@@ -101,6 +118,8 @@ class CaseConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
+        for field in ("instances", "seed", "dim_min", "dim_max"):
+            object.__setattr__(self, field, _check_int(getattr(self, field), field))
         if self.instances < 1:
             raise DomainError("instances must be >= 1")
         if not 0.0 <= self.rel_tol < math.inf:  # NaN compares false; inf passes any non-NaN slack
@@ -281,18 +300,12 @@ def _seed_words(entropy: bytes) -> np.ndarray:
     return np.ascontiguousarray(words.T).view("<u8")
 
 
-def _entropy(seed: int, case_name: str, indices) -> bytes:
-    """Each index's entropy, concatenated: the 64-bit blake2b digest of
+def _entropy(seed: int, case_name: str, indices) -> list[bytes]:
+    """Each index's entropy: the 64-bit blake2b digest of
     ``"seed:case_name:index"``, read little-endian."""
     prefix = f"{seed}:{case_name}:"
     blake2b = hashlib.blake2b
-    return b"".join(blake2b(f"{prefix}{i}".encode(), digest_size=8).digest() for i in indices)
-
-
-def _stream_states(seed: int, case_name: str, indices) -> np.ndarray:
-    """The PCG64 seed words of each instance's stream, one row per index:
-    those of ``instance_rng``. ``_seat`` starts the stream from the row."""
-    return _seed_words(_entropy(seed, case_name, indices))
+    return [blake2b(f"{prefix}{i}".encode(), digest_size=8).digest() for i in indices]
 
 
 def _new_generator() -> np.random.Generator:
@@ -303,7 +316,7 @@ def _new_generator() -> np.random.Generator:
 
 def _seat(rng: np.random.Generator, s0: int, s1: int, i0: int, i1: int):
     """Point ``rng`` at the start of the PCG64 stream seeded by the four
-    words of a ``_stream_states`` row, as Python ints.
+    words of a ``_seed_words`` row, as Python ints.
 
     PCG64's seeding step: ``inc = (i0:i1) << 1 | 1`` and
     ``state = ((s0:s1) + inc) * MULT + inc`` mod 2^128.
@@ -321,9 +334,9 @@ def _seat(rng: np.random.Generator, s0: int, s1: int, i0: int, i1: int):
 
 def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
     """Independent, platform-stable stream for one instance of one case:
-    ``np.random.default_rng`` of the instance's ``_entropy``. ``run_case``
-    and ``sweep`` seed the same streams a block at a time (``_seated``)."""
-    return np.random.default_rng(int.from_bytes(_entropy(seed, case_name, [index]), "little"))
+    ``np.random.default_rng`` of the instance's ``_entropy``. The harness
+    seeds the same streams a block at a time (``_seated``)."""
+    return np.random.default_rng(int.from_bytes(_entropy(seed, case_name, [index])[0], "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -975,74 +988,101 @@ _register(
 # ---------------------------------------------------------------------------
 # Execution.
 
-_SEAT_CHUNK = 64
+#: The most instances a block draws, assembles and builds at once. A call's
+#: slices are cut into blocks across case boundaries (``_blocks``), so the
+#: fixed cost of seeding and assembling is paid per block, not per case, and
+#: what a block holds does not grow with the largest case.
+_BLOCK = 256
 
 
-def _seated(seed: int, case_name: str, rng: np.random.Generator):
-    """The ``streams`` of ``_instances`` for ``run_case`` and ``sweep``: seat
-    ``rng`` at the start of each given index's stream in turn, from one
-    ``_stream_states`` block (computed only once a stream is asked for).
-    The block's words become Python ints ``_SEAT_CHUNK`` rows at a time:
-    one ``tolist`` each, and never the ints of a whole block at once."""
-
-    def streams(indices):
-        block = _stream_states(seed, case_name, indices)
-        for start in range(0, len(block), _SEAT_CHUNK):
-            for words in block[start : start + _SEAT_CHUNK].tolist():
-                yield _seat(rng, *words)
-
-    return streams
-
-
-def _instances(case: CaseDef, cfg: CaseConfig, cond: float, indices, streams, grid: list):
-    """Yield (index, payload, builts) for each of ``indices``, in order: the
-    instance's payload and its ``Built`` at each value of ``grid``, a list
-    of pin dicts.
-
-    1. draw: ``streams(indices)`` gives a generator at the start of the
-       stream of each index, and ``case.draw`` reads every random number of
-       that instance from it, with the condition bound ``cond``. A draw
-       without an SPD pair (a scalar case) is built at once;
-    2. assemble: the SPD pairs of the other draws, one QR and one assembly
-       per n (``_assemble_pairs``); a case's draws all hold one or none does;
-    3. build: ``case.build`` evaluates the instance at every grid value in
-       one call, a value's pins in copies of the drawn dicts, so a pin
-       cannot move the stream.
-    """
-    pending = []
-    for i, rng in zip(indices, streams(indices)):
-        args, payload = case.draw(rng, cfg, cond)
-        if _PAIR in args:
-            pending.append((i, args, payload))
-        else:
-            yield i, payload, case.build(args, grid)
-    _assemble_pairs((args, payload) for _, args, payload in pending)
-    for i, args, payload in pending:
-        yield i, payload, case.build(args, grid)
+def _blocks(slices):
+    """Cut ``slices``, a list of (case, cfg, cond, indices), in order, into
+    blocks of at most ``_BLOCK`` instances. A block is a list of (k,
+    indices) pieces, each a run of the indices of slice k; a slice may span
+    blocks."""
+    block, room = [], _BLOCK
+    for k, (_, _, _, indices) in enumerate(slices):
+        start = 0
+        while start < len(indices):
+            piece = indices[start : start + room]
+            block.append((k, piece))
+            start += len(piece)
+            room -= len(piece)
+            if not room:
+                yield block
+                block, room = [], _BLOCK
+    if block:
+        yield block
 
 
-def _payloads(case: CaseDef, cfg: CaseConfig, indices, streams) -> list[dict]:
-    """The payloads of ``indices``, drawn again from their streams with their
-    SPD pairs assembled as in ``_instances``; nothing is built. A pair
-    assembled without its block has the bits it had in it."""
-    cond = float(cfg.cond_max)
-    drawn = [case.draw(rng, cfg, cond) for rng in streams(indices)]
-    _assemble_pairs(drawn)
-    return [payload for _, payload in drawn]
+def _seated(slices, block) -> list:
+    """The PCG64 seed words of each instance of ``block`` (a block of
+    ``slices``), in order, as rows of Python ints for ``_seat``: those of
+    ``instance_rng``'s stream. One ``_seed_words`` call seeds the block's
+    distinct streams; a stream that a block draws more than once, as a cond
+    sweep does, is seeded once and its row repeated."""
+    entropy = []
+    for k, indices in block:
+        case, cfg = slices[k][:2]
+        entropy += _entropy(cfg.seed, case.name, indices)
+    streams = dict.fromkeys(entropy)
+    rows = _seed_words(b"".join(streams)).tolist()
+    if len(rows) < len(entropy):
+        seeded = dict(zip(streams, rows))
+        rows = [seeded[stream] for stream in entropy]
+    return rows
+
+
+def _instances(slices, rng: np.random.Generator):
+    """Yield (k, index, args, payload) for each instance of ``slices``, a
+    list of (case, cfg, cond, indices): the slice k it belongs to, and its
+    drawn build arguments and payload. Each block of ``_blocks`` is
+
+    1. seated: ``_seat`` points the one generator ``rng`` at the start of
+       each instance's stream, from its ``_seated`` row;
+    2. drawn: the slice's ``case.draw`` reads every random number of the
+       instance, with the slice's condition bound ``cond``. A draw without
+       an SPD pair (a scalar case) is yielded at once;
+    3. assembled: the SPD pairs of the block's other draws, across its
+       cases, with one QR and one assembly per n (``_assemble_pairs``). They
+       are yielded then.
+
+    The caller builds what it is given: ``case.build(args, grid)`` evaluates
+    the instance at every grid value in one call, a value's pins in copies
+    of the drawn dicts, so a pin cannot move a stream, and a scalar instance
+    is built before the next is drawn. ``run_suite``, ``sweep`` and
+    ``build_instance`` all run this loop. A case's draws all hold a pair or
+    none do, so the instances of a slice come in index order. The seeding
+    works row by row, and the QR and the assembly matrix by matrix, so a
+    draw does not depend on its block."""
+    for block in _blocks(slices):
+        rows = iter(_seated(slices, block))
+        pending = []
+        for k, indices in block:
+            case, cfg, cond, _ = slices[k]
+            for i in indices:
+                args, payload = case.draw(_seat(rng, *next(rows)), cfg, cond)
+                if _PAIR in args:
+                    pending.append((k, i, args, payload))
+                else:
+                    yield k, i, args, payload
+        _assemble_pairs((args, payload) for _, _, args, payload in pending)
+        yield from pending
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
-    """Build one instance of a case alone: its stream is ``instance_rng``'s,
-    and its SPD pair is assembled as a stack of one. ``forced`` pins sweep
-    parameters of the case to values that ``sweep_values`` accepts."""
+    """Build one instance of a case alone: a block of one, whose stream is
+    ``instance_rng``'s and whose SPD pair is assembled as a stack of one.
+    ``forced`` pins sweep parameters of the case to values that
+    ``sweep_values`` accepts."""
     case, cfg, _ = _request(name, overrides)
     forced = {
         param: _request(name, overrides, param, [value])[2][0]
         for param, value in (forced or {}).items()
     }
     cond = float(forced.pop("cond", cfg.cond_max))
-    streams = lambda todo: (instance_rng(cfg.seed, name, i) for i in todo)
-    ((_, payload, (built,)),) = _instances(case, cfg, cond, [index], streams, [forced])
+    ((_, _, args, payload),) = _instances([(case, cfg, cond, [index])], _new_generator())
+    (built,) = case.build(args, [forced])
     built.drawn = {**payload, **forced}
     return built
 
@@ -1060,46 +1100,68 @@ def _write_failure(directory: Path, name: str, index: int, payload: dict, row, c
     (directory / f"{name}-{index:05d}.json").write_text(json.dumps(data, indent=1))
 
 
-def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> ChainReport:
-    """Run one registered case and aggregate its slack statistics.
-
-    Deterministic for a fixed config: every instance derives its own RNG
-    stream from (seed, case, index), and every index ``0 .. instances - 1``
-    is checked (the report's ``skipped`` is 0). Each instance is built once
-    and leaves only its value row (``Built.value_row``); ``reporting``
-    decides the rows of the whole case in one array pass. When
-    ``failures_dir`` is given, the first failing instances in index order,
-    capped per case, are drawn again from their streams for their payloads
-    and serialized there.
-    """
-    case, cfg, _ = _request(name, overrides)
-    streams = _seated(cfg.seed, name, _new_generator())
-    verdicts, rows = set(), []
-    cond = float(cfg.cond_max)
-    for _, _, (built,) in _instances(case, cfg, cond, range(cfg.instances), streams, [{}]):
-        decide, row = built.value_row()
-        verdicts.add(decide)
-        rows.append(row)
-    if len(verdicts) > 1:
-        raise DomainError(f"case {name} produced value rows of more than one kind")
-    report, fails = case_report(name, verdicts.pop(), rows, cfg.rel_tol, notes=case.description)
+def _decide(case_slice, kinds: set, rows: list, failures_dir, rng) -> ChainReport:
+    """The report of the value rows of a ``run_suite`` slice, all of its
+    instances in index order: ``reporting.case_report`` decides them in one
+    array pass. When ``failures_dir`` is given, the first failing instances
+    in index order, capped per case, are drawn again from their streams
+    (``_instances``) for their payloads and serialized there."""
+    case, cfg, cond, _ = case_slice
+    if len(kinds) > 1:
+        raise DomainError(f"case {case.name} produced value rows of more than one kind")
+    report, fails = case_report(case.name, kinds.pop(), rows, cfg.rel_tol, notes=case.description)
     if failures_dir is not None and report.failures:
         failing = np.flatnonzero(fails)[:MAX_FAILURE_FILES_PER_CASE].tolist()
-        for index, payload in zip(failing, _payloads(case, cfg, failing, streams)):
+        for _, index, _, payload in _instances([(case, cfg, cond, failing)], rng):
             row = report.slacks[index].tolist()
-            _write_failure(Path(failures_dir), name, index, payload, row, cfg)
+            _write_failure(Path(failures_dir), case.name, index, payload, row, cfg)
     return report
+
+
+def run_case(name: str, failures_dir: str | Path | None = None, **overrides) -> ChainReport:
+    """Run one registered case and return its report: ``run_suite`` of the
+    one name. Its instances have the streams, the bits and the verdict they
+    have in any suite call, whatever cases share their blocks there."""
+    return run_suite([name], failures_dir, **overrides)[0]
 
 
 def run_suite(
     names=None, failures_dir: str | Path | None = None, **overrides
 ) -> list[ChainReport]:
-    """Run every registered case (or the given subset) in registration order,
-    once every name and every case's config has passed ``_request``."""
+    """Run every registered case (or the given subset), and return their
+    reports in that order.
+
+    Every name and its case's config pass ``_request`` once, before any
+    instance is drawn. Each case checks its instances ``0 .. instances -
+    1``, none skipped; their (case, index) instances run, in order, through
+    one ``_instances`` loop on one generator, in blocks of at most
+    ``_BLOCK`` instances across case boundaries. Deterministic for a fixed
+    config: every instance derives its own stream from (seed, case, index),
+    whatever its block. Each instance is built once and leaves only its
+    value row (``Built.value_row``). A case is decided, and its failure
+    files written to ``failures_dir``, as soon as its last instance is
+    built (``_decide``); its rows are dropped then, so the call holds the
+    rows of the cases it has not finished and the drawn inputs of at most
+    one block.
+    """
     selected = case_names() if names is None else tuple(names)
+    slices = []
     for name in selected:
-        _request(name, overrides)
-    return [run_case(name, failures_dir=failures_dir, **overrides) for name in selected]
+        case, cfg, _ = _request(name, overrides)
+        slices.append((case, cfg, float(cfg.cond_max), range(cfg.instances)))
+    rng = _new_generator()
+    kinds = [set() for _ in slices]
+    rows = [[] for _ in slices]
+    reports = [None] * len(slices)
+    unpinned = [{}]
+    for k, _, args, _ in _instances(slices, rng):
+        decide, row = slices[k][0].build(args, unpinned)[0].value_row()
+        kinds[k].add(decide)
+        rows[k].append(row)
+        if len(rows[k]) == len(slices[k][3]):
+            reports[k] = _decide(slices[k], kinds[k], rows[k], failures_dir, rng)
+            rows[k] = None
+    return reports
 
 
 @dataclass(frozen=True)
@@ -1159,29 +1221,40 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     Instances keep their identity across the grid (the same draws, with only
     ``param`` pinned), so columns are directly comparable. A nu or depth
     sweep draws each instance once and builds all its grid values in one
-    call; a cond sweep draws it at each value. Returns one row per grid
-    value with the mean end-to-end gap and mean refinement gain (refined
-    bound minus unrefined bound; trace difference for operator chains).
-    The request, every grid value included, is checked by ``_request``
-    before any instance is drawn. Where several (instance, value) builds
-    raise, the one met first, named in the message, may differ from a
-    value-by-value order; each is a DomainError or ConvergenceError, so
-    ``matmeans sweep`` exits 2 either way.
+    call; a cond sweep draws it at each value. Its slices put each run of
+    at most ``_BLOCK // len(grid)`` indices at every value side by side, and
+    a block seeds each of its streams once (``_seated``), so a stream is
+    seeded once for all its values, or twice where its run straddles two
+    blocks. Returns one row per grid value with the
+    mean end-to-end gap and mean refinement gain (refined bound minus
+    unrefined bound; trace difference for operator chains). The request,
+    every grid value included, is checked by ``_request`` before any
+    instance is drawn. Where several (instance, value) builds raise, the
+    one met first, named in the message, may differ from a value-by-value
+    order; each is a DomainError or ConvergenceError, so ``matmeans sweep``
+    exits 2 either way.
     """
     case, cfg, values = _request(name, overrides, param, grid)
+    if not values:
+        return []
+    indices = range(cfg.instances)
     if param == "cond":
-        blocks = [(value, [{}]) for value in values]
+        step = max(1, _BLOCK // len(values))
+        slices = [
+            (case, cfg, value, indices[start : start + step])
+            for start in range(0, len(indices), step)
+            for value in values
+        ]
+        pins, width = [{}], len(values)
     else:
-        blocks = [(float(cfg.cond_max), [{param: value} for value in values])] if values else []
-    streams = _seated(cfg.seed, name, _new_generator())
-    columns = []
-    for cond, pins in blocks:
-        block = [([], []) for _ in pins]
-        for _, _, builts in _instances(case, cfg, cond, range(cfg.instances), streams, pins):
-            for (gaps, gains), built in zip(block, builts):
-                gaps.append(built.gap())
-                gains.append(_gain(built))
-        columns += block
+        slices = [(case, cfg, float(cfg.cond_max), indices)]
+        pins, width = [{param: value} for value in values], 1
+    columns = [([], []) for _ in values]
+    for k, _, args, _ in _instances(slices, _new_generator()):
+        # Slice k holds the value k % width; its builts fill the columns from there.
+        for (gaps, gains), built in zip(columns[k % width :], case.build(args, pins)):
+            gaps.append(built.gap())
+            gains.append(_gain(built))
     return [
         SweepRow(float(value), _mean(gaps), _mean(gains))
         for value, (gaps, gains) in zip(values, columns)

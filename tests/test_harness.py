@@ -186,6 +186,20 @@ class TestRunCase:
         with pytest.raises(DomainError, match="bad depth range 3..2"):
             CaseConfig(depth_min=3, depth_max=2)
 
+    @pytest.mark.parametrize("field", ["instances", "dim_min", "dim_max", "seed"])
+    def test_integer_field_must_hold_an_integer(self, field):
+        # A value that range() would refuse, or that rng.integers or the
+        # stream key would take silently, is refused by the config's one
+        # integer rule, naming the field; an integral float runs as its int.
+        good = {"instances": 3, "dim_min": 2, "dim_max": 3, "seed": 7}
+        for bad in (good[field] + 0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"^{field} must be an integer, got"):
+                harness.run_case("operator_reverse_pos", **{**good, field: bad})
+        want = harness.run_case("operator_reverse_pos", **good)
+        same = harness.run_case("operator_reverse_pos", **{**good, field: float(good[field])})
+        assert _same_report(same, want)
+        assert type(getattr(CaseConfig(**{field: float(good[field])}), field)) is int
+
 
 class TestRunSuite:
     def test_subset_and_csv(self):
@@ -207,6 +221,30 @@ class TestRunSuite:
         csv2 = reports_to_csv(harness.run_suite(names=names, instances=15))
         assert csv1 == csv2
 
+    def test_blocks_across_cases_match_each_case_alone(self, monkeypatch, tmp_path):
+        # Each case's report equals the one of its instances built alone,
+        # and the failure files the call writes as it decides each case are
+        # those of run_case of that case.
+        _mixed_suite(monkeypatch)
+        reports = harness.run_suite(
+            MIXED_SUITE, tmp_path / "suite", instances=MIXED_INSTANCES, **MIXED_OVERRIDES
+        )
+        assert [r.name for r in reports] == list(MIXED_SUITE)
+        for name, report in zip(MIXED_SUITE, reports):
+            want = _fresh_report(name, MIXED_INSTANCES, report.notes, **MIXED_OVERRIDES)
+            assert _same_report(report, want), name
+            alone = tmp_path / "alone"
+            harness.run_case(name, alone, instances=MIXED_INSTANCES, **MIXED_OVERRIDES)
+        failing = {r.name: r.failures for r in reports if r.failures}
+        assert failing.keys() == {"logconvex_refined_a", "harmonic_operator"}, failing
+        assert failing["logconvex_refined_a"] == 3
+        files = {
+            side: {p.name: p.read_bytes() for p in (tmp_path / side).iterdir()}
+            for side in ("suite", "alone")
+        }
+        assert len(files["suite"]) == sum(failing.values())
+        assert files["suite"] == files["alone"]
+
 
 def _same_report(report, want) -> bool:
     """Equal reports whose slack blocks are equal bit for bit (equality
@@ -222,6 +260,28 @@ def _fresh_report(name, instances, notes, **overrides):
         harness.build_instance(name, index, **overrides).verdict() for index in range(instances)
     ]
     return _report(name, *zip(*verdicts), rel_tol, notes=notes)
+
+
+#: One run_suite call in blocks of MIXED_BLOCK instances: its blocks mix
+#: scalar and matrix cases and several n, and cases straddle block
+#: boundaries. At depth 32, logconvex_refined_a fails on round-off at
+#: instances 2, 12 and 14; ``_mixed_suite`` plants a harmonic_operator build
+#: that fails at every even n.
+MIXED_SUITE = (
+    "logconvex_refined_a", "operator_reverse_pos", "young_reverse_pos",
+    "harmonic_operator", "norm_heinz_power",
+)
+MIXED_INSTANCES = 15
+MIXED_OVERRIDES = {"depth_min": 32, "depth_max": 32}
+MIXED_BLOCK = 16
+
+
+def _mixed_suite(monkeypatch):
+    """Set the block size of a ``MIXED_SUITE`` run and plant its fault."""
+    monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
+    case = harness.REGISTRY["harmonic_operator"]
+    even_n_fails = harness._each(lambda a, b, nu, depth: Built(margins=np.array([a.n % 2 - 0.5])))
+    monkeypatch.setitem(harness.REGISTRY, case.name, dataclasses.replace(case, build=even_n_fails))
 
 
 def _report(name, rows, gaps, rel_tol, notes=""):
@@ -446,14 +506,25 @@ class TestStreamSeeding:
 
     def test_stream_states_keep_the_digest_streams(self):
         # Instance i's stream is default_rng of the blake2b digest of
-        # "seed:case:i", as it was before streams were seeded in blocks.
+        # "seed:case:i", as it was before streams were seeded in blocks, in
+        # every block of a call: two slices of 200 cut into blocks of at
+        # most _BLOCK, one of them straddling a block boundary.
+        case = harness.REGISTRY["convex_refined_a"]
+        slices = [
+            (case, CaseConfig(), 100.0, range(3, 203)),
+            (dataclasses.replace(case, name="case"), CaseConfig(seed=7), 100.0, range(3, 203)),
+        ]
+        blocks = list(harness._blocks(slices))
+        assert [sum(len(run) for _, run in block) for block in blocks] == [256, 144]
+        keys = [(k, i) for block in blocks for k, run in block for i in run]
+        assert keys == [(k, i) for k in (0, 1) for i in range(3, 203)]
+        rows = [row for block in blocks for row in harness._seated(slices, block)]
         gen = harness._new_generator()
-        for seed, name in ((harness.DEFAULT_SEED, "convex_refined_a"), (7, "case")):
-            block = harness._stream_states(seed, name, range(3, 203))
-            for i, words in zip(range(3, 203), block.tolist(), strict=True):
-                digest = hashlib.blake2b(f"{seed}:{name}:{i}".encode(), digest_size=8).digest()
-                want = np.random.default_rng(int.from_bytes(digest, "little"))
-                assert harness._seat(gen, *words).bit_generator.state == want.bit_generator.state
+        for (k, i), row in zip(keys, rows, strict=True):
+            seed, name = slices[k][1].seed, slices[k][0].name
+            digest = hashlib.blake2b(f"{seed}:{name}:{i}".encode(), digest_size=8).digest()
+            want = np.random.default_rng(int.from_bytes(digest, "little"))
+            assert harness._seat(gen, *row).bit_generator.state == want.bit_generator.state, (k, i)
 
     def test_instance_stream_pinned(self):
         # Recorded with numpy's own seeding; fails if numpy changes it.
@@ -488,24 +559,38 @@ class TestStreamSeeding:
     def test_sweep_seeds_once_on_one_generator(self, monkeypatch):
         # A depth sweep draws each instance once, from one seeding block on
         # one generator, and builds all its grid values in one call.
-        blocks, generators = [], []
-        stream_states, new_generator = harness._stream_states, harness._new_generator
+        seedings, generators = [], []
+        seed_words, new_generator = harness._seed_words, harness._new_generator
         monkeypatch.setattr(
-            harness, "_stream_states", lambda *a: blocks.append(a) or stream_states(*a)
+            harness, "_seed_words", lambda e: seedings.append(e) or seed_words(e)
         )
         monkeypatch.setattr(
             harness, "_new_generator", lambda: generators.append(1) or new_generator()
         )
+
+        def streams(name, count):
+            return b"".join(harness._entropy(harness.DEFAULT_SEED, name, range(count)))
+
         for name in ("operator_reverse_pos", "young_reverse_pos"):
-            blocks.clear()
+            seedings.clear()
             generators.clear()
             harness.sweep(name, "depth", [1, 2, 3], instances=6)
-            assert [list(a[2]) for a in blocks] == [list(range(6))], name
+            assert seedings == [streams(name, 6)], name
             assert len(generators) == 1, name
-        # A cond sweep seeds one block per cond value, a revisited one too.
-        blocks.clear()
-        harness.sweep("operator_reverse_pos", "cond", [50.0, 2.0, 50.0], instances=4)
-        assert [list(a[2]) for a in blocks] == [list(range(4))] * 3
+        # A cond sweep seeds each stream once, and draws it again at every
+        # value, a revisited one too.
+        seedings.clear()
+        name, case, conds = "operator_reverse_pos", harness.REGISTRY["operator_reverse_pos"], []
+
+        def draw_cond(rng, cfg, cond):
+            conds.append(cond)
+            return case.draw(rng, cfg, cond)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(harness.REGISTRY, name, dataclasses.replace(case, draw=draw_cond))
+            harness.sweep(name, "cond", [50.0, 2.0, 50.0], instances=4)
+        assert seedings == [streams(name, 4)]
+        assert sorted(conds) == [2.0] * 4 + [50.0] * 8
         # run_case and a sweep build each scalar draw at once, before the
         # next draw: run_case at a grid of one, a sweep at its whole grid.
         case, events = harness.REGISTRY["young_reverse_pos"], []
@@ -955,10 +1040,10 @@ class TestSweepReuse:
             for m in drawn:
                 assert set(vars(m)) <= {"_a", "eig", "spectral_norm"}, (name, set(vars(m)))
 
-    def test_one_assembly_per_dimension_per_block(self, monkeypatch):
+    def test_one_assembly_per_dimension_per_block(self, monkeypatch, tmp_path):
         # A block assembles its SPD pairs in one stack per distinct n, in
-        # the order the dimensions first appear. A sweep assembles once per
-        # cond value, and not again at later depth or nu values.
+        # the order the dimensions first appear, across its cases. A sweep
+        # assembles once per block, and not again at later grid values.
         k = 12
         stacks = {}
         for name in ("operator_reverse_pos", "harmonic_operator", "norm_heinz_power"):
@@ -982,13 +1067,53 @@ class TestSweepReuse:
         calls.clear()
         harness.sweep("norm_heinz_power", "nu", [0.0, 1.0, 2.0], instances=k)
         assert calls == stacks["norm_heinz_power"]
+        # A cond sweep's block draws each instance at every value, and
+        # assembles the pairs of all values in one stack per n.
         calls.clear()
         harness.sweep("operator_reverse_pos", "cond", [2.0, 10.0, 50.0], instances=k)
-        assert calls == stacks["operator_reverse_pos"] * 3
+        assert calls == [(3 * count, n) for count, n in stacks["operator_reverse_pos"]]
         # Every index is drawn and assembled once, Kantorovich's included.
         calls.clear()
         harness.run_case("kantorovich_operator", instances=30)
         assert sum(count for count, _ in calls) == 2 * 30
+        # One run_suite call over MIXED_SUITE: one generator for the call,
+        # one seeding per block of MIXED_BLOCK instances across its cases,
+        # and one assembly per distinct n per block, across cases. Writing
+        # the failure files adds one seeding per failing case.
+        _mixed_suite(monkeypatch)
+        layout = [(name, i) for name in MIXED_SUITE for i in range(MIXED_INSTANCES)]
+        blocks = [layout[s : s + MIXED_BLOCK] for s in range(0, len(layout), MIXED_BLOCK)]
+        dims = {
+            (name, i): harness.build_instance(name, i, **MIXED_OVERRIDES).drawn.get("n")
+            for name, i in layout
+        }
+        want = []
+        for block in blocks:
+            ns = [dims[key] for key in block if dims[key] is not None]
+            want.append([(2 * ns.count(n), n) for n in dict.fromkeys(ns)])
+        assert [len(b) for b in blocks] == [16, 16, 16, 16, 11]
+        assert want[0] and any(len(b) > 1 for b in want)  # a block mixes cases, and n
+        seedings, generators = [], []
+        seed_words, new_generator = harness._seed_words, harness._new_generator
+        monkeypatch.setattr(
+            harness, "_seed_words", lambda e: seedings.append(len(e) // 8) or seed_words(e)
+        )
+        monkeypatch.setattr(
+            harness, "_new_generator", lambda: generators.append(1) or new_generator()
+        )
+        calls.clear()
+        harness.run_suite(MIXED_SUITE, instances=MIXED_INSTANCES, **MIXED_OVERRIDES)
+        assert seedings == [len(b) for b in blocks]
+        assert len(generators) == 1
+        assert calls == [call for block in want for call in block]
+        seedings.clear()
+        generators.clear()
+        reports = harness.run_suite(
+            MIXED_SUITE, tmp_path, instances=MIXED_INSTANCES, **MIXED_OVERRIDES
+        )
+        failing = [r.failures for r in reports if r.failures]
+        assert sorted(seedings) == sorted([len(b) for b in blocks] + failing)
+        assert len(generators) == 1
 
     def test_payload_not_changed_by_next_build(self):
         # Each build's payload is its own copy: the drawn payload with that
