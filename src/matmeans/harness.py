@@ -1018,19 +1018,12 @@ def _blocks(slices):
 def _seated(slices, block) -> list:
     """The PCG64 seed words of each instance of ``block`` (a block of
     ``slices``), in order, as rows of Python ints for ``_seat``: those of
-    ``instance_rng``'s stream. One ``_seed_words`` call seeds the block's
-    distinct streams; a stream that a block draws more than once, as a cond
-    sweep does, is seeded once and its row repeated."""
+    ``instance_rng``'s stream, from one ``_seed_words`` call."""
     entropy = []
     for k, indices in block:
         case, cfg = slices[k][:2]
         entropy += _entropy(cfg.seed, case.name, indices)
-    streams = dict.fromkeys(entropy)
-    rows = _seed_words(b"".join(streams)).tolist()
-    if len(rows) < len(entropy):
-        seeded = dict(zip(streams, rows))
-        rows = [seeded[stream] for stream in entropy]
-    return rows
+    return _seed_words(b"".join(entropy)).tolist()
 
 
 def _instances(slices, rng: np.random.Generator):
@@ -1143,6 +1136,12 @@ def run_suite(
     built (``_decide``); its rows are dropped then, so the call holds the
     rows of the cases it has not finished and the drawn inputs of at most
     one block.
+
+    A draw or build that raises ends the call, and a case not yet decided
+    then writes no failure files, even one whose instances were all drawn:
+    a matrix case's SPD pairs are assembled and built at the end of their
+    block, after the scalar instances of later cases in that block, so an
+    exception from one of those keeps the earlier case from being decided.
     """
     selected = case_names() if names is None else tuple(names)
     slices = []
@@ -1221,38 +1220,27 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
     Instances keep their identity across the grid (the same draws, with only
     ``param`` pinned), so columns are directly comparable. A nu or depth
     sweep draws each instance once and builds all its grid values in one
-    call; a cond sweep draws it at each value. Its slices put each run of
-    at most ``_BLOCK // len(grid)`` indices at every value side by side, and
-    a block seeds each of its streams once (``_seated``), so a stream is
-    seeded once for all its values, or twice where its run straddles two
-    blocks. Returns one row per grid value with the
-    mean end-to-end gap and mean refinement gain (refined bound minus
-    unrefined bound; trace difference for operator chains). The request,
-    every grid value included, is checked by ``_request`` before any
-    instance is drawn. Where several (instance, value) builds raise, the
-    one met first, named in the message, may differ from a value-by-value
-    order; each is a DomainError or ConvergenceError, so ``matmeans sweep``
-    exits 2 either way.
+    call; a cond sweep draws it at each value, one slice per value, so a
+    stream is seeded again for each value it is drawn at. Returns one row
+    per grid value with the mean end-to-end gap and mean refinement gain
+    (refined bound minus unrefined bound; trace difference for operator
+    chains). The request, every grid value included, is checked by
+    ``_request`` before any instance is drawn. Where several (instance,
+    value) builds raise, the one met first, named in the message, may
+    differ from a value-by-value order; each is a DomainError or
+    ConvergenceError, so ``matmeans sweep`` exits 2 either way.
     """
     case, cfg, values = _request(name, overrides, param, grid)
-    if not values:
-        return []
     indices = range(cfg.instances)
     if param == "cond":
-        step = max(1, _BLOCK // len(values))
-        slices = [
-            (case, cfg, value, indices[start : start + step])
-            for start in range(0, len(indices), step)
-            for value in values
-        ]
-        pins, width = [{}], len(values)
+        slices, pins = [(case, cfg, value, indices) for value in values], [{}]
     else:
-        slices = [(case, cfg, float(cfg.cond_max), indices)]
-        pins, width = [{param: value} for value in values], 1
+        slices = [(case, cfg, float(cfg.cond_max), indices)] if values else []
+        pins = [{param: value} for value in values]
     columns = [([], []) for _ in values]
     for k, _, args, _ in _instances(slices, _new_generator()):
-        # Slice k holds the value k % width; its builts fill the columns from there.
-        for (gaps, gains), built in zip(columns[k % width :], case.build(args, pins)):
+        # Slice k holds the value k of a cond sweep; its builts fill the columns from there.
+        for (gaps, gains), built in zip(columns[k:], case.build(args, pins)):
             gaps.append(built.gap())
             gains.append(_gain(built))
     return [

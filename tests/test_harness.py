@@ -245,6 +245,31 @@ class TestRunSuite:
         assert len(files["suite"]) == sum(failing.values())
         assert files["suite"] == files["alone"]
 
+    def test_raise_mid_block_leaves_undecided_cases_unwritten(self, monkeypatch, tmp_path):
+        # A scalar case is decided at its last build and writes its files.
+        # A matrix case's pairs wait for the end of their block, so a later
+        # case of the block that raises first keeps it from being decided:
+        # the call writes none of its failure files.
+        _mixed_suite(monkeypatch)
+
+        def always_fails():
+            return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
+
+        def raises():
+            raise DomainError("planted")
+
+        for name, build in (("_synthetic_fail", always_fails), ("_synthetic_raise", raises)):
+            monkeypatch.setitem(harness.REGISTRY, name, harness.CaseDef(
+                name, lambda rng, cfg, cond: ({}, {}), harness._each(build), {}, (), "synthetic",
+            ))
+        suite = ("_synthetic_fail", "harmonic_operator", "_synthetic_raise")
+        with pytest.raises(DomainError, match="planted"):
+            harness.run_suite(suite, tmp_path / "suite", instances=3)
+        written = sorted(p.name for p in (tmp_path / "suite").iterdir())
+        assert written == [f"_synthetic_fail-{i:05d}.json" for i in range(3)]
+        report = harness.run_case("harmonic_operator", tmp_path / "alone", instances=3)
+        assert report.failures == len(list((tmp_path / "alone").iterdir())) > 0
+
 
 def _same_report(report, want) -> bool:
     """Equal reports whose slack blocks are equal bit for bit (equality
@@ -577,8 +602,8 @@ class TestStreamSeeding:
             harness.sweep(name, "depth", [1, 2, 3], instances=6)
             assert seedings == [streams(name, 6)], name
             assert len(generators) == 1, name
-        # A cond sweep seeds each stream once, and draws it again at every
-        # value, a revisited one too.
+        # A cond sweep runs one slice per value, a revisited one too, so its
+        # one block seeds each stream at every value and draws it there.
         seedings.clear()
         name, case, conds = "operator_reverse_pos", harness.REGISTRY["operator_reverse_pos"], []
 
@@ -589,7 +614,7 @@ class TestStreamSeeding:
         with monkeypatch.context() as patch:
             patch.setitem(harness.REGISTRY, name, dataclasses.replace(case, draw=draw_cond))
             harness.sweep(name, "cond", [50.0, 2.0, 50.0], instances=4)
-        assert seedings == [streams(name, 4)]
+        assert seedings == [streams(name, 4) * 3]
         assert sorted(conds) == [2.0] * 4 + [50.0] * 8
         # run_case and a sweep build each scalar draw at once, before the
         # next draw: run_case at a grid of one, a sweep at its whole grid.
