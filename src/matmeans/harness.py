@@ -59,6 +59,7 @@ from .linalg import (
     ComplexMatrix,
     SpdMatrix,
     _assemble_spds,
+    _check_cond,
     _draw_spds,
     matrix_to_json,
 )
@@ -89,22 +90,16 @@ DEFAULT_SEED = 20240811
 MAX_FAILURE_FILES_PER_CASE = 25
 
 
-def _check_int(value, field: str) -> int:
-    """The one rule of a config's integer fields: a finite integral number,
-    as an int. A NaN or an infinite value fails before ``int`` sees it."""
-    if not (abs(value) < math.inf and value == int(value)):
-        raise DomainError(f"{field} must be an integer, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class CaseConfig:
     """Knobs shared by every case; cases override defaults, callers override cases.
 
     ``nu_range`` is the magnitude range of the weight: the nonnegative branch
     draws nu in [lo, hi], the other branch draws nu in [-1-hi, -1-lo].
-    ``instances``, ``seed``, ``dim_min`` and ``dim_max`` pass ``_check_int``
-    and are kept as ints; the depths pass ``scalar._check_depth``.
+    ``instances``, ``seed``, ``dim_min`` and ``dim_max`` pass
+    ``scalar._check_int`` and are kept as ints; the depths pass
+    ``scalar._check_depth`` and ``cond_max`` the cond rule,
+    ``linalg._check_cond``.
     """
 
     instances: int = 200
@@ -119,17 +114,14 @@ class CaseConfig:
 
     def __post_init__(self):
         for field in ("instances", "seed", "dim_min", "dim_max"):
-            object.__setattr__(self, field, _check_int(getattr(self, field), field))
+            object.__setattr__(self, field, scalar._check_int(getattr(self, field), field))
         if self.instances < 1:
             raise DomainError("instances must be >= 1")
         if not 0.0 <= self.rel_tol < math.inf:  # NaN compares false; inf passes any non-NaN slack
             raise DomainError("rel_tol must be finite and >= 0")
         if not (1 <= self.dim_min <= self.dim_max):
             raise DomainError(f"bad dimension range {self.dim_min}..{self.dim_max}")
-        if not self.cond_max >= 1.0:  # NaN compares false
-            raise DomainError("cond_max must be >= 1")
-        if self.cond_max == math.inf:
-            raise DomainError("cond_max must be finite")
+        _check_cond("cond_max", self.cond_max)
         if not (0.0 <= self.nu_range[0] <= self.nu_range[1]):
             raise DomainError(f"bad weight magnitude range {self.nu_range}")
         if self.nu_range[1] == math.inf:
@@ -1184,33 +1176,24 @@ def _mean(xs: list) -> float:
     return float(np.add.reduce(np.array(xs)) / len(xs))
 
 
-_BRANCH_TEXT = {1: "nu >= 0", -1: "nu <= -1", 0: "nu >= 0 or nu <= -1"}
-
-
 def sweep_values(param: str, grid, nu_branch: int = 0) -> list:
     """The values ``sweep`` pins ``param`` to, one per grid value.
 
-    Raises DomainError for a value no instance can take: a depth that is
-    not an integer in 1..32, a cond that is not finite and >= 1, or a nu
-    off the case's weight branch ``nu_branch`` (+1: nu >= 0, -1: nu <= -1,
-    0: either; see ``CaseDef.nu_branch``).
+    Each value passes its parameter's one rule, which raises DomainError
+    for a value no instance can take: a nu off the case's weight branch
+    ``nu_branch`` (+1: nu >= 0, -1: nu <= -1, 0: either; see
+    ``CaseDef.nu_branch``), or NaN, fails ``scalar._check_weight``; a depth
+    that is not an integer in 1..32 fails ``scalar._check_depth``; a cond
+    that is not finite and >= 1 fails ``linalg._check_cond``.
     """
-    values = []
-    for value in grid:
+    if param == "depth":
+        return [scalar._check_depth(value) for value in grid]
+    values = [float(value) for value in grid]
+    for value in values:
         if param == "nu":
-            value = float(value)
-            if not ((nu_branch >= 0 and value >= 0.0) or (nu_branch <= 0 and value <= -1.0)):
-                raise DomainError(
-                    f"nu must satisfy {_BRANCH_TEXT[nu_branch]} for this case, got {value}"
-                )
-            values.append(value)
-        elif param == "depth":
-            values.append(scalar._check_depth(value))
-        else:
-            value = float(value)
-            if param == "cond" and not 1.0 <= value < math.inf:
-                raise DomainError(f"cond must be finite and >= 1, got {value}")
-            values.append(value)
+            scalar._check_weight("sweep_values", value, nu_branch)
+        elif param == "cond":
+            _check_cond("cond", value)
     return values
 
 

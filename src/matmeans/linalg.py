@@ -4,7 +4,8 @@ Everything downstream (operator means, unitarily invariant norms, the
 verification harness) is built on the small toolkit in this module:
 
 * value types ``ComplexMatrix`` -> ``HermitianMatrix`` -> ``SpdMatrix`` that
-  validate their defining property when built from outside input, and
+  validate their defining property when built from outside input, each
+  first reading it as a square array of numbers (``_square``), and
   ``OperatorChain``, the Loewner-ordered chain that ``means`` builds and
   ``reporting`` checks: one congruence M and a row of values per matrix
   M diag(v) M*, so ``reporting`` decides each link by a per-eigenvalue
@@ -22,7 +23,13 @@ verification harness) is built on the small toolkit in this module:
 * the semidefinite (Loewner) order check ``loewner_leq``,
 * seeded random SPD generation on Haar unitaries (``_haar``); an SPD draw
   (``_draw_spds``) and its assembly (``_assemble_spds``) are separate
-  steps, so the draws of many instances share one QR and one assembly.
+  steps, so the draws of many instances share one QR and one assembly,
+* the one rule of a condition bound, ``_check_cond`` (finite and >= 1,
+  which NaN fails), for ``random_spd``, a harness config's ``cond_max`` and
+  a sweep's cond, and the one dimension rule, ``_check_dims`` (A and B of
+  one n, and an X, where one is taken, an n x n matrix), for
+  ``loewner_leq``, every function of ``means`` and every functional of
+  ``norms`` on a pair. Each raises DomainError.
 
 All value types are immutable after construction and the only randomness is
 explicit (seed in, value out). What a matrix keeps besides its entries is
@@ -77,6 +84,18 @@ def _finite(a: np.ndarray):
     return np.logical_and.reduce(np.isfinite(a), axis=None)
 
 
+def _square(entries) -> np.ndarray:
+    """``entries`` as a square complex128 array of size n >= 1. Input that
+    is not one, a ragged list or a string too, raises DomainError."""
+    try:
+        a = np.asarray(entries, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected a square matrix: {exc}") from exc
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def _congruence(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M diag(v) M* for a matrix M and real vector v, or for a stack of each,
     made exactly Hermitian by ``_hermitian_part``. Every spectral matrix of
@@ -103,9 +122,7 @@ class ComplexMatrix:
     """Immutable square complex matrix with finite entries."""
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise DomainError(f"expected a square matrix, got shape {a.shape}")
+        a = _square(entries)
         if not np.all(np.isfinite(a)):
             raise DomainError("matrix entries must be finite")
         self._a = _freeze(a.copy())
@@ -134,9 +151,7 @@ class HermitianMatrix(ComplexMatrix):
     """
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError(f"expected a square matrix, got shape {a.shape}")
+        a = _square(entries)
         # Scale and defect of H/2 (half of 1 + max|H| and of max|H - H*|):
         # |H/2| stays finite for every finite H, where |H| can overflow.
         with np.errstate(invalid="ignore"):  # an inf entry is rejected below
@@ -366,8 +381,7 @@ def loewner_leq(x, y, rel_tol: float = LOEWNER_REL_TOL) -> LoewnerVerdict:
         x = HermitianMatrix(x)
     if not isinstance(y, HermitianMatrix):
         y = HermitianMatrix(y)
-    if x.n != y.n:
-        raise DomainError(f"dimension mismatch: {x.n} vs {y.n}")
+    _check_dims(x, y)
     # Y - X of two exactly Hermitian matrices is exactly Hermitian: its
     # spectrum is the one HermitianMatrix(Y - X).eig gives, without the copy.
     diff = y.a - x.a
@@ -403,10 +417,7 @@ def _draw_spds(n: int, cond_max: float, rng: np.random.Generator, count: int):
     per-matrix draw gives."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    if not np.isfinite(cond_max):
-        raise DomainError("cond_max must be finite")
-    if cond_max < 1.0:
-        raise DomainError("cond_max must be >= 1")
+    _check_cond("cond_max", cond_max)
     half = 0.5 * np.log(cond_max)
     z = np.empty((count, 2, n, n))
     u = np.empty((count, n))
@@ -443,7 +454,7 @@ def random_spd(n: int, cond_max: float, seed) -> SpdMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Argument coercion shared by the other modules.
+# Argument coercion and rules shared by the other modules.
 
 def _arr(x) -> np.ndarray:
     return x.a if isinstance(x, ComplexMatrix) else np.asarray(x, dtype=np.complex128)
@@ -451,6 +462,25 @@ def _arr(x) -> np.ndarray:
 
 def _as_spd(m) -> SpdMatrix:
     return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
+
+
+def _check_dims(a: ComplexMatrix, b: ComplexMatrix, x=None):
+    """The one dimension rule: A and B of one n and, when given, an X that
+    is an n x n matrix, returned as an array (None without one)."""
+    if a.n != b.n:
+        raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
+    if x is not None:
+        x = x.a if isinstance(x, ComplexMatrix) else _square(x)
+        if x.shape != (a.n, a.n):
+            raise DomainError(f"X must be {a.n} x {a.n}, got shape {x.shape}")
+    return x
+
+
+def _check_cond(name: str, cond: float) -> None:
+    """The one rule of a condition bound ``name``: finite and >= 1, which
+    NaN fails."""
+    if not 1.0 <= cond < np.inf:
+        raise DomainError(f"{name} must be finite and >= 1, got {cond}")
 
 
 # ---------------------------------------------------------------------------

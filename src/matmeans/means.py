@@ -48,6 +48,7 @@ from .linalg import (
     OperatorChain,
     SpdMatrix,
     _as_spd,
+    _check_dims,
     _Transfer,
     _congruence,
     _finite,
@@ -59,11 +60,11 @@ from .linalg import (
 )
 from .scalar import (
     ScalarChain,
+    _check_weight,
     _convex_refinement,
     _logconvex_refinement,
     _power_drop,
     _refinements,
-    weight_branch,
 )
 
 
@@ -124,9 +125,8 @@ class _Pair:
 
 
 def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
-    """A new context of (A, B), once their dimensions match."""
-    if a.n != b.n:
-        raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
+    """A new context of (A, B), once their dimensions match (``_check_dims``)."""
+    _check_dims(a, b)
     return _Pair(a, b)
 
 
@@ -135,8 +135,7 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
     DomainError, with no numpy warning, where an entry leaves the float
     range."""
     a, b = _as_spd(a), _as_spd(b)
-    if a.n != b.n:
-        raise DomainError(f"dimension mismatch: {a.n} vs {b.n}")
+    _check_dims(a, b)
     with np.errstate(over="ignore", invalid="ignore"):  # named below
         h = (1.0 - nu) * a.a + nu * b.a
     if not _finite(h):
@@ -253,7 +252,7 @@ def _operator_squared_grid(a, b, grid) -> list[OperatorChain]:
     """``operator_squared_chain`` at each (nu, depth) of ``grid``, on one
     weight branch: the refinement of w^v (of w^{1+v} for nu <= -1), then
     the targets' w^{-2 nu} in one more call, with no overflow warning."""
-    branches = {weight_branch(nu) for nu, _ in grid}
+    branches = {_check_weight("operator_squared_chain", nu) for nu, _ in grid}
     if len(branches) > 1:
         raise DomainError("operator_squared_chain grid mixes the branches nu >= 0 and nu <= -1")
     t = _pair(_as_spd(a), _as_spd(b))
@@ -323,10 +322,9 @@ def kantorovich_operator_chain(a, b, nu: float) -> OperatorChain:
 
 def _kantorovich_operator_grid(a, b, grid) -> list[OperatorChain]:
     """``kantorovich_operator_chain`` at each nu of ``grid``."""
-    a, b = _as_spd(a), _as_spd(b)
-    if any(nu < 0.0 for nu in grid):
-        raise DomainError("kantorovich_operator_chain requires nu >= 0")
-    t = _require_loewner_leq(a, b)
+    for nu in grid:
+        _check_weight("kantorovich_operator_chain", nu, 1)
+    t = _require_loewner_leq(_as_spd(a), _as_spd(b))
     w = t.w
     lows = _spectrum_powers((1.0 + 1.0 / w) / 2.0, [2.0 * nu for nu in grid])
     return [
@@ -413,9 +411,9 @@ def trace_depth1_chain(a, b, nu: float) -> ScalarChain:
 def _trace_depth1_grid(a, b, grid) -> list[ScalarChain]:
     """``trace_depth1_chain`` at each nu of ``grid``: one ``_traces`` call
     and one SVD stack for the whole grid."""
+    for nu in grid:
+        _check_weight("trace_depth1_chain", nu, 1)
     a, b = _as_spd(a), _as_spd(b)
-    if any(nu < 0.0 for nu in grid):
-        raise DomainError("trace_depth1_chain requires nu >= 0")
     pair = _pair(a, b)
     tr_a, tr_b = _tr(a.a), _tr(b.a)
     roots, *targets = _traces(pair)([0.5] + [-nu for nu in grid])

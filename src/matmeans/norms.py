@@ -20,7 +20,10 @@ norm of the stack (``_norms_of``). The graded stack and the SVD are the
 spectral kernels of ``linalg`` (``_graded``, ``_singular_values``), which
 ``means`` shares. A single value (``heinz_norm``) is the
 same kernel on a stack of one, and a value does not depend on the stack it
-is computed in.
+is computed in. Every public functional of (A, B, X) checks its operands
+once, on entry (``_operands``): A and B positive definite of one n, and
+X an n x n matrix (``linalg._check_dims``); the kernels below it do not
+check them again.
 
 A chain that a sweep varies in nu or depth is the grid of one of a private
 grid form (``_norm_reverse_grid`` and so on). It hands its functional to the
@@ -37,9 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _arr, _as_spd, _graded, _singular_values
+from .linalg import _arr, _as_spd, _check_dims, _graded, _singular_values
 from .scalar import (
     ScalarChain,
+    _check_int,
     _convex_refinement,
     _logconvex_refinement,
     _refinements,
@@ -50,7 +54,8 @@ from .scalar import (
 @dataclass(frozen=True)
 class NormKind:
     """A unitarily invariant norm: family 'schatten' (finite p >= 1) or 'kyfan'
-    (k >= 1). The spectral norm is ``spectral()``, Ky Fan 1."""
+    (an integer k >= 1 by ``scalar._check_int``, kept as an int). The
+    spectral norm is ``spectral()``, Ky Fan 1."""
 
     family: str
     param: float
@@ -60,7 +65,8 @@ class NormKind:
             if not 1.0 <= self.param < np.inf:
                 raise DomainError(f"Schatten norm needs finite p >= 1, got {self.param}")
         elif self.family == "kyfan":
-            if int(self.param) != self.param or self.param < 1:
+            object.__setattr__(self, "param", _check_int(self.param, "Ky Fan k"))
+            if self.param < 1:
                 raise DomainError(f"Ky Fan norm needs integer k >= 1, got {self.param}")
         else:
             raise DomainError(f"unknown norm family {self.family!r}")
@@ -71,7 +77,7 @@ class NormKind:
 
     @classmethod
     def ky_fan(cls, k: int) -> "NormKind":
-        return cls("kyfan", int(k))
+        return cls("kyfan", k)
 
     @classmethod
     def spectral(cls) -> "NormKind":
@@ -98,7 +104,7 @@ class NormKind:
         """
         total = np.add.reduce
         if self.family == "kyfan":
-            out = total(sigma[..., : int(self.param)], axis=-1)  # k > n clamps to n
+            out = total(sigma[..., : self.param], axis=-1)  # k > n clamps to n
         elif self.param == 1.0:
             out = total(sigma, axis=-1)
         else:
@@ -120,7 +126,7 @@ class NormKind:
 
     def __str__(self) -> str:
         if self.family == "kyfan":
-            return f"kyfan({int(self.param)})"
+            return f"kyfan({self.param})"
         return f"schatten({self.param:g})"
 
 
@@ -155,12 +161,19 @@ def ui_norm(x, kind: NormKind) -> float:
 # Batched kernels: each evaluates a functional of the weight on a whole list
 # of weights, in the eigenbases of A and B, with one SVD.
 
+def _operands(a, b, x) -> tuple:
+    """(A, B, X) of a public functional, checked once: A and B positive
+    definite, X an n x n array (``linalg._check_dims``)."""
+    a, b = _as_spd(a), _as_spd(b)
+    return a, b, _check_dims(a, b, x)
+
+
 def _product_norms(a, b, x, left, right, kind: NormKind, paired: bool = False) -> np.ndarray:
     """||A^{l_i} X B^{r_i}|| for each exponent pair (l_i, r_i), or, ``paired``,
     ||A^{l_i} X B^{r_i} + A^{l_{k+i}} X B^{r_{k+i}}|| for 2k pairs: graded
     slices of Y = Qa* X Qb in the eigenbases of A and B, which are unitarily
     equivalent to A^l X B^r, and one SVD of their stack."""
-    y = a.eig.eigenvectors.conj().T @ _arr(x) @ b.eig.eigenvectors
+    y = a.eig.eigenvectors.conj().T @ x @ b.eig.eigenvectors
     s = _graded(a.eig.eigenvalues, b.eig.eigenvalues, y, left, right)
     if paired:
         k = len(s) // 2
@@ -202,7 +215,7 @@ def _functional_grid(name, labels, refine, functional, a, b, x, grid, kind, anch
     ``functional``, read from one kernel call on the distinct weights of the
     whole grid. With an ``anchor``, the chain needs nu >= 0; without one it
     takes both weight branches (``scalar._refinements`` checks the grid)."""
-    a, b = _as_spd(a), _as_spd(b)
+    a, b, x = _operands(a, b, x)
     values = lambda vs: functional(a, b, x, vs, kind).tolist()
     return [ScalarChain(labels, v) for v in _refinements(name, refine, values, grid, anchor)]
 
@@ -292,7 +305,7 @@ def heinz_norm(a, b, x, nu: float, kind: NormKind) -> float:
     last-bit level; naive evaluation lets near-zero singular values amplify
     the exponent rounding far above the 1e-10 guarantee.
     """
-    a, b = _as_spd(a), _as_spd(b)
+    a, b, x = _operands(a, b, x)
     return float(_heinz_values(a, b, x, [nu], kind)[0])
 
 
@@ -318,7 +331,7 @@ def _heinz_reverse_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
 
 def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
     """||A^{p-q} X + X B^{p-q}|| <= ||A^p X B^{-q} + A^{-q} X B^p|| for 0 < q < p."""
-    a, b = _as_spd(a), _as_spd(b)
+    a, b, x = _operands(a, b, x)
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
     # The interpolated values at r = q (-q + q is +0.0) and r = 0.
@@ -330,7 +343,7 @@ def heinz_interpolated_chain(a, b, x, p: float, q: float, r: float, kind: NormKi
     """Interpolated comparison for 0 < r < q < p (ascending two-term chain)."""
     if not (0.0 < r < q < p):
         raise DomainError(f"need 0 < r < q < p, got p={p}, q={q}, r={r}")
-    a, b = _as_spd(a), _as_spd(b)
+    a, b, x = _operands(a, b, x)
     values = _interpolated_values(a, b, x, p, q, [r, 0.0], kind)
     return ScalarChain(("interpolated", "full"), tuple(values.tolist()))
 
@@ -342,7 +355,7 @@ def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) 
     """
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
-    a, b = _as_spd(a), _as_spd(b)
+    a, b, x = _operands(a, b, x)
     return _interpolated_values(a, b, x, p, q, rs, kind)
 
 
@@ -352,7 +365,7 @@ def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> floa
     ((f(v1) + f(v2))/2 - f((v1+v2)/2)) / max(1, both sides); nonnegative
     because f is convex on the whole line.
     """
-    a, b = _as_spd(a), _as_spd(b)
+    a, b, x = _operands(a, b, x)
     mid, f1, f2 = _heinz_values(a, b, x, [(v1 + v2) / 2.0, v1, v2], kind).tolist()
     avg = (f1 + f2) / 2.0
     return (avg - mid) / max(1.0, avg, mid)
@@ -366,7 +379,7 @@ def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     f(v_{i+1}) - f(v_i) right of it (f nondecreasing), divided by
     max(1, max f). Every margin is nonnegative.
     """
-    a, b = _as_spd(a), _as_spd(b)
+    a, b, x = _operands(a, b, x)
     grid = np.linspace(-3.0, 4.0, grid_points)
     vals = _heinz_values(a, b, x, grid, kind)
     scale = max(1.0, float(vals.max()))

@@ -9,6 +9,12 @@ but the sum over the levels telescopes, so every refinement is computed from
 four values of its functional; N is capped at 32 so 2**N and the last dyadic
 point stay exact.
 
+Each input has one rule, here, and a public function checks it once: a
+weight's branch (``_check_weight``, which NaN fails and whose message
+names the entry point, the branch and the weight), a depth (``_check_depth``)
+and an integer parameter, such as a config's counts or a Ky Fan k
+(``_check_int``). Each raises DomainError.
+
 The two refinements of the paper, for a convex and for a log-convex f
 (``_convex_refinement``, ``_logconvex_refinement``), are pure functions of
 those four values: the caller evaluates f at the points of ``_ladder``, the
@@ -110,17 +116,29 @@ def _positive(name: str, *vals: float) -> None:
             raise DomainError(f"{name} requires strictly positive finite arguments")
 
 
+#: What each weight branch of ``_check_weight`` requires.
+_BRANCH_TEXT = {1: "nu >= 0", -1: "nu <= -1", 0: "nu >= 0 or nu <= -1"}
+
+
+def _check_weight(name: str, nu: float, branch: int = 0) -> int:
+    """The one weight rule: nu on ``branch`` (+1: nu >= 0, -1: nu <= -1, 0:
+    either), else a DomainError naming the entry point ``name``, the branch
+    and nu. Returns the branch nu is on, +1 or -1. Each side is a test that
+    must hold, so a NaN fails both."""
+    if branch >= 0 and nu >= 0.0:
+        return 1
+    if branch <= 0 and nu <= -1.0:
+        return -1
+    raise DomainError(f"{name} requires {_BRANCH_TEXT[branch]}, got nu = {nu}")
+
+
 def weight_branch(nu: float) -> int:
     """Classify a weight: +1 for nu >= 0, -1 for nu <= -1.
 
-    Weights in the open gap (-1, 0) are outside every reversed inequality
-    here and raise DomainError.
+    A weight in the open gap (-1, 0), or NaN, is outside every reversed
+    inequality here and raises DomainError (``_check_weight``).
     """
-    if nu >= 0.0:
-        return 1
-    if nu <= -1.0:
-        return -1
-    raise DomainError(f"weight nu={nu} must satisfy nu >= 0 or nu <= -1")
+    return _check_weight("weight_branch", nu)
 
 
 def _check_depth(depth: int) -> int:
@@ -129,6 +147,14 @@ def _check_depth(depth: int) -> int:
     if not (1 <= depth <= MAX_REFINE_DEPTH and depth == int(depth)):
         raise DomainError(f"depth must be an integer in 1..{MAX_REFINE_DEPTH}, got {depth}")
     return int(depth)
+
+
+def _check_int(value, field: str) -> int:
+    """The one rule of an integer parameter: a finite integral number, as
+    an int. A NaN or an infinite value fails before ``int`` sees it."""
+    if not (abs(value) < math.inf and value == int(value)):
+        raise DomainError(f"{field} must be an integer, got {value}")
+    return int(value)
 
 
 @_overflow_is_domain_error
@@ -216,15 +242,14 @@ def _refinements(name, refine, values, grid, anchor=None) -> list:
     ``_ladder``, read from one ``values(points)`` call on the distinct points
     of the whole grid. A ``refine`` of array values ignores numpy's overflow
     warning itself, since the chain's finiteness check names one. Each grid
-    value is checked here, once: its depth, and its weight: nu >= 0 for a
-    chain with an ``anchor`` (the error names the chain ``name``), else
-    either branch, anchored at 0 for nu >= 0 and at 1 for nu <= -1."""
+    value is checked here, once, for the chain ``name``: its weight
+    (``_check_weight``: nu >= 0 for a chain with an ``anchor``, else either
+    branch, anchored at 0 for nu >= 0 and at 1 for nu <= -1), then its
+    depth."""
     specs = []
     for nu, depth in grid:
-        if anchor is not None and nu < 0.0:
-            raise DomainError(f"{name} requires nu >= 0")
-        nu_anchor = anchor or ("a" if weight_branch(nu) > 0 else "b")
-        specs.append((nu, _check_depth(depth), nu_anchor))
+        branch = _check_weight(name, nu, 1 if anchor else 0)
+        specs.append((nu, _check_depth(depth), anchor or ("a" if branch > 0 else "b")))
     ladder_values = _on_ladders([_ladder(0.0, 1.0, *spec) for spec in specs], values)
     return [refine(fs, 0.0, 1.0, *spec) for spec, fs in zip(specs, ladder_values)]
 
@@ -262,7 +287,7 @@ def convex_refined_chain(
     """
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
-    branch = weight_branch(nu)
+    branch = _check_weight("convex_refined_chain", nu)
     depth = _check_depth(depth)
     fs = [_feval(f, p) for p in _ladder(a, b, nu, depth, anchor)]
     secant, refined, target = _convex_refinement(fs, a, b, nu, depth, anchor)
@@ -287,10 +312,7 @@ def logconvex_refined_chain(
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     depth = _check_depth(depth)
-    if anchor == "a" and nu < 0.0:
-        raise DomainError("anchor 'a' requires nu >= 0")
-    if anchor == "b" and nu > -1.0:
-        raise DomainError("anchor 'b' requires nu <= -1")
+    _check_weight("logconvex_refined_chain", nu, {"a": 1, "b": -1}.get(anchor, 0))
     fs = [_feval(f, p) for p in _ladder(a, b, nu, depth, anchor)]
     return ScalarChain(
         ("power", "refined", "target"), _logconvex_refinement(fs, a, b, nu, depth, anchor)
@@ -342,7 +364,8 @@ def young_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarChai
     _positive("young_reverse_chain", x, y)
     depth = _check_depth(depth)
     lx, ly = math.log(x), math.log(y)
-    anchor, fe, log_r = ("a", x, ly - lx) if weight_branch(nu) > 0 else ("b", y, lx - ly)
+    branch = _check_weight("young_reverse_chain", nu)
+    anchor, fe, log_r = ("a", x, ly - lx) if branch > 0 else ("b", y, lx - ly)
     drop = _power_drop(fe, log_r, depth)
     fs = [math.exp((1.0 - v) * lx + v * ly) for v in _ladder(0.0, 1.0, nu, depth, anchor)]
     values = _convex_refinement(fs, 0.0, 1.0, nu, depth, anchor, drop)
@@ -362,8 +385,9 @@ def young_squared_chain(x: float, y: float, nu: float, depth: int) -> ScalarChai
     y x^{1-v} y^v for nu <= -1): x (or y) times that of ``young_reverse_chain``.
     """
     _positive("young_squared_chain", x, y)
+    branch = _check_weight("young_squared_chain", nu)
     arith, refined, geom = young_reverse_chain(x, y, nu, depth).values
-    scale, coef = (x, nu) if nu >= 0.0 else (y, 1.0 + nu)
+    scale, coef = (x, nu) if branch > 0 else (y, 1.0 + nu)
     lhs = arith ** 2 + 2.0 * scale * (refined - arith)
     return ScalarChain(("refined", "target"), (lhs, geom ** 2 + coef ** 2 * (x - y) ** 2))
 
@@ -408,8 +432,7 @@ def harmonic_reverse_chain(x: float, y: float, nu: float, depth: int) -> ScalarC
     h = 2^-depth is x c h / (1 + c h).
     """
     _check_ordered(x, y)
-    if nu < 0.0:
-        raise DomainError("harmonic_reverse_chain requires nu >= 0")
+    _check_weight("harmonic_reverse_chain", nu, 1)
     depth = _check_depth(depth)
     ch = (x - y) / y / 2.0 ** depth
     fs = [harm_mean(x, y, v) for v in _ladder(0.0, 1.0, nu, depth, "a")]
@@ -427,8 +450,7 @@ def harmonic_geometric_chain(x: float, y: float, nu: float, depth: int) -> Scala
     which is log-convex on (-oo, 1]; its log drop is log1p(c h).
     """
     _check_ordered(x, y)
-    if nu < 0.0:
-        raise DomainError("harmonic_geometric_chain requires nu >= 0")
+    _check_weight("harmonic_geometric_chain", nu, 1)
     depth = _check_depth(depth)
     fs = [harm_mean(x, y, v) for v in _ladder(0.0, 1.0, nu, depth, "a")]
     values = _logconvex_refinement(
@@ -455,8 +477,7 @@ def kantorovich_chain(x: float, y: float, nu: float) -> ScalarChain:
     ((x + y) / (2 sqrt(x y)))^2 = K(y/x).
     """
     _check_ordered(x, y)
-    if nu < 0.0:
-        raise DomainError("kantorovich_chain requires nu >= 0")
+    _check_weight("kantorovich_chain", nu, 1)
     lx, ly = math.log(x), math.log(y)
     lhs = math.exp((1.0 + nu) * lx - nu * ly + nu * math.log(kantorovich_constant(y / x)))
     return ScalarChain(("geom_kantorovich", "harm"), (lhs, harm_mean(x, y, -nu)))

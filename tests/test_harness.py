@@ -683,15 +683,15 @@ class TestSweep:
         # A nu on the other side of a case's weight branch, or in the gap
         # (-1, 0), is rejected before any instance is built.
         monkeypatch.setattr(harness, "_instances", None)
-        for name, grid in (
-            ("operator_squared_neg", [0.0, 1.5, 3.0]),
-            ("operator_squared_pos", [-2.0]),
-            ("norm_reverse_neg", [-2.0, -0.5]),
-            ("kantorovich_operator", [-1.0]),
-            ("young_squared", [-0.5]),
-            ("young_reverse_pos", [float("nan")]),
+        for name, grid, message in (
+            ("operator_squared_neg", [0.0, 1.5, 3.0], "nu <= -1, got nu = 0.0"),
+            ("operator_squared_pos", [-2.0], "nu >= 0, got nu = -2.0"),
+            ("norm_reverse_neg", [-2.0, -0.5], "nu <= -1, got nu = -0.5"),
+            ("kantorovich_operator", [-1.0], "nu >= 0, got nu = -1.0"),
+            ("young_squared", [-0.5], "nu >= 0 or nu <= -1, got nu = -0.5"),
+            ("young_reverse_pos", [float("nan")], "nu >= 0, got nu = nan"),
         ):
-            with pytest.raises(DomainError, match="nu must satisfy"):
+            with pytest.raises(DomainError, match=f"^sweep_values requires {message}$"):
                 harness.sweep(name, "nu", grid)
         assert harness.sweep_values("nu", [0.0, -1.0, 2.5]) == [0.0, -1.0, 2.5]
         assert harness.sweep_values("nu", [-1.0, -4.5], -1) == [-1.0, -4.5]
@@ -792,10 +792,6 @@ class TestReportAggregation:
         cfg = CaseConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.instances = 5
-        with pytest.raises(DomainError, match="cond_max must be >= 1"):
-            CaseConfig(cond_max=float("nan"))
-        with pytest.raises(DomainError, match="cond_max must be finite"):
-            CaseConfig(cond_max=float("inf"))
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError, match="rel_tol must be finite and >= 0"):
                 CaseConfig(rel_tol=bad)

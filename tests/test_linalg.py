@@ -1,5 +1,6 @@
 """Tests for the matrix types, eigensolver, spectral calculus, and generators."""
 
+import inspect
 import json
 import warnings
 
@@ -20,7 +21,7 @@ from matmeans import (
     random_spd,
 )
 
-from matmeans import harness, linalg, means
+from matmeans import cli, harness, linalg, means, norms
 from matmeans.linalg import (
     EigenDecomposition,
     _assemble_spds,
@@ -40,8 +41,12 @@ def _rand_hermitian(rng, n):
 
 class TestConstruction:
     def test_rejects_non_square(self):
-        with pytest.raises(DomainError):
-            ComplexMatrix(np.zeros((2, 3)))
+        # Non-square, empty, ragged or non-numeric input is a DomainError
+        # from every constructor, never numpy's bare ValueError.
+        for bad in (np.zeros((2, 3)), np.zeros((0, 0)), [[1.0, 2.0], [3.0]], "ab"):
+            for cls in (ComplexMatrix, HermitianMatrix, SpdMatrix):
+                with pytest.raises(DomainError, match="expected a square matrix"):
+                    cls(bad)
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -454,3 +459,77 @@ class TestJsonFormat:
             matrix_from_json({"n": 2, "re": [[1.0]]})
         with pytest.raises(DomainError):
             matrix_from_json({"n": 1, "re": [[1.0]], "im": [[0.0], [0.0]]})
+
+
+# ---------------------------------------------------------------------------
+# One rule per input: the condition bound and the matrix pair.
+
+#: Every entry point that takes a condition bound: the call, and the name
+#: of the bound in its message.
+COND_ENTRIES = {
+    "CaseConfig": (lambda c: harness.CaseConfig(cond_max=c), "cond_max"),
+    "sweep_values": (lambda c: harness.sweep_values("cond", [c]), "cond"),
+    "random_spd": (lambda c: random_spd(2, c, 0), "cond_max"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.5, float("inf")])
+@pytest.mark.parametrize("entry", [*COND_ENTRIES, "matmeans gen --cond"])
+def test_cond_rule_is_one_rule_at_every_entry(entry, value, capsys):
+    # ``linalg._check_cond``: finite and >= 1, NaN failing; one message. The
+    # CLI reports it as a usage error (exit 64).
+    if entry == "matmeans gen --cond":
+        assert cli.main(["gen", "--n", "2", "--seed", "1", "--cond", repr(value)]) == 64
+        message = f"usage error: cond_max must be finite and >= 1, got {value}\n"
+        assert capsys.readouterr() == ("", message)
+        return
+    call, name = COND_ENTRIES[entry]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite and >= 1, got {value}"
+
+
+def _pair_functions() -> dict:
+    """``loewner_leq`` and every public function of ``means`` and ``norms``
+    whose first two parameters are a matrix pair (A, B), by name."""
+    fns = {"loewner_leq": loewner_leq}
+    for module in (means, norms):
+        for name, fn in vars(module).items():
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__
+                    and list(inspect.signature(fn).parameters)[:2] == ["a", "b"]):
+                fns[name] = fn
+    return fns
+
+
+_PAIR_FUNCTIONS = _pair_functions()
+#: Valid values of the parameters that follow (A, B) and X.
+_PAIR_ARGS = {
+    "nu": 0.5, "depth": 2, "kind": norms.NormKind.frobenius(), "p": 2.0, "q": 1.0,
+    "r": 0.5, "rs": [0.0, 0.5], "v1": 0.2, "v2": 0.8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_FUNCTIONS))
+def test_pair_rule_at_every_public_function(name):
+    # ``linalg._check_dims``: A and B of one n, and X, where a functional
+    # takes one, an n x n matrix. A mismatch or a ragged X raises
+    # DomainError, never numpy's bare ValueError, and never gives a value.
+    fn = _PAIR_FUNCTIONS[name]
+    params = list(inspect.signature(fn).parameters)[2:]
+    kwargs = {p: _PAIR_ARGS[p] for p in params if p in _PAIR_ARGS}
+    takes_x = params[:1] == ["x"]
+    a = random_spd(3, 100.0, 1)
+    ordered = SpdMatrix(a.a + random_spd(3, 100.0, 2).a)  # A <= B for every chain
+    x = np.random.default_rng(3).standard_normal((3, 3))
+
+    def call(b, x):
+        return fn(a, b, x, **kwargs) if takes_x else fn(a, b, **kwargs)
+
+    assert call(ordered, x) is not None
+    bad = [(random_spd(4, 100.0, 4), x)]
+    if takes_x:
+        bad += [(ordered, x[0]), (ordered, np.eye(4)), (ordered, [[0.0] * 3, [0.0] * 2, [0.0] * 3])]
+    for b, bad_x in bad:
+        with pytest.raises(DomainError):
+            call(b, bad_x)

@@ -147,6 +147,17 @@ class TestUiNorm:
         with pytest.raises(DomainError):
             NormKind("kyfan", 1.5)
 
+    def test_ky_fan_k_passes_the_integer_rule(self):
+        # k is checked by ``scalar._check_int`` before any truncation, and
+        # kept as an int: 2.5 and NaN are errors, not the Ky Fan 2 norm or
+        # numpy's bare ValueError.
+        for bad in (2.5, np.nan):
+            for make in (NormKind.ky_fan, lambda k: NormKind("kyfan", k)):
+                with pytest.raises(DomainError, match=f"^Ky Fan k must be an integer, got {bad}$"):
+                    make(bad)
+        kind = NormKind("kyfan", 2.0)
+        assert type(kind.param) is int and kind == NormKind.ky_fan(2)
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(5)
         for trial in range(100):

@@ -5,6 +5,7 @@ defining formulas (independent of the implementation) and frozen here.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,8 +51,9 @@ class TestWeightBranch:
         assert weight_branch(-5.0) == -1
 
     def test_gap_rejected(self):
-        with pytest.raises(DomainError):
-            weight_branch(-0.5)
+        for nu in (-0.5, math.nan):
+            with pytest.raises(DomainError, match="^weight_branch requires nu >= 0 or nu <= -1"):
+                weight_branch(nu)
 
 
 class TestConvexRefinedChain:
@@ -146,62 +148,76 @@ _B = random_spd(3, 100.0, 6)
 _ORDERED = SpdMatrix(_A.a + _B.a)
 _X = np.random.default_rng(7).standard_normal((3, 3))
 _KIND = norms.NormKind.frobenius()
-_BRANCHES = "nu >= 0 or nu <= -1"
+_EITHER, _POS = "nu >= 0 or nu <= -1", "nu >= 0"
 
 #: The 16 public chains that the refinement kernels serve: name -> (the
-#: chain at (weight, depth), a weight on its branch, one off it, and what the
-#: error for the weight off it says). A chain that checks its weight itself
-#: names itself or the condition it tests; a grid form's check, in
-#: ``scalar._refinements``, names the chain, or the two branches for a chain
-#: that takes both.
+#: chain at (weight, depth), a weight on its branch, one off it, and what
+#: the branch requires). Every chain of a weight nu names itself in the one
+#: message of ``scalar._check_weight``; ``young_refinement_chain`` takes a
+#: t in (0, 1] instead (``None``).
 REFINEMENT_CHAINS = {
     "convex_refined_chain": (
-        lambda nu, d: convex_refined_chain(SQ, 0.0, 1.0, nu, d), 1.0, -0.5, _BRANCHES),
+        lambda nu, d: convex_refined_chain(SQ, 0.0, 1.0, nu, d), 1.0, -0.5, _EITHER),
     "logconvex_refined_chain": (
-        lambda nu, d: logconvex_refined_chain(math.exp, 0.0, 1.0, nu, d), 1.0, -0.5,
-        "anchor 'a' requires nu >= 0"),
+        lambda nu, d: logconvex_refined_chain(math.exp, 0.0, 1.0, nu, d), 1.0, -0.5, _POS),
     "young_reverse_chain": (
-        lambda nu, d: young_reverse_chain(0.5, 2.0, nu, d), 1.0, -0.5, _BRANCHES),
+        lambda nu, d: young_reverse_chain(0.5, 2.0, nu, d), 1.0, -0.5, _EITHER),
     "young_squared_chain": (
-        lambda nu, d: young_squared_chain(0.5, 2.0, nu, d), 1.0, -0.5, _BRANCHES),
+        lambda nu, d: young_squared_chain(0.5, 2.0, nu, d), 1.0, -0.5, _EITHER),
     "young_refinement_chain": (
-        lambda t, d: young_refinement_chain(0.5, 2.0, t, d), 0.5, 1.5, "0 < t <= 1"),
+        lambda t, d: young_refinement_chain(0.5, 2.0, t, d), 0.5, 1.5, None),
     "harmonic_reverse_chain": (
-        lambda nu, d: harmonic_reverse_chain(0.5, 2.0, nu, d), 1.0, -1.0, None),
+        lambda nu, d: harmonic_reverse_chain(0.5, 2.0, nu, d), 1.0, -1.0, _POS),
     "harmonic_geometric_chain": (
-        lambda nu, d: harmonic_geometric_chain(0.5, 2.0, nu, d), 1.0, -1.0, None),
+        lambda nu, d: harmonic_geometric_chain(0.5, 2.0, nu, d), 1.0, -1.0, _POS),
     "operator_reverse_chain": (
-        lambda nu, d: means.operator_reverse_chain(_A, _B, nu, d), 1.0, -0.5, _BRANCHES),
+        lambda nu, d: means.operator_reverse_chain(_A, _B, nu, d), 1.0, -0.5, _EITHER),
     "operator_squared_chain": (
-        lambda nu, d: means.operator_squared_chain(_A, _B, nu, d), 1.0, -0.5, _BRANCHES),
+        lambda nu, d: means.operator_squared_chain(_A, _B, nu, d), 1.0, -0.5, _EITHER),
     "harmonic_operator_chain": (
-        lambda nu, d: means.harmonic_operator_chain(_A, _ORDERED, nu, d), 1.0, -1.0, None),
+        lambda nu, d: means.harmonic_operator_chain(_A, _ORDERED, nu, d), 1.0, -1.0, _POS),
     "trace_additive_chain": (
-        lambda nu, d: means.trace_additive_chain(_A, _B, nu, d), 1.0, -1.0, None),
+        lambda nu, d: means.trace_additive_chain(_A, _B, nu, d), 1.0, -1.0, _POS),
     "trace_multiplicative_chain": (
-        lambda nu, d: means.trace_multiplicative_chain(_A, _B, nu, d), 1.0, -1.0, None),
+        lambda nu, d: means.trace_multiplicative_chain(_A, _B, nu, d), 1.0, -1.0, _POS),
     "norm_reverse_chain": (
-        lambda nu, d: norms.norm_reverse_chain(_A, _B, _X, nu, d, _KIND), 1.0, -0.5, _BRANCHES),
+        lambda nu, d: norms.norm_reverse_chain(_A, _B, _X, nu, d, _KIND), 1.0, -0.5, _EITHER),
     "norm_heinz_chain": (
-        lambda nu, d: norms.norm_heinz_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, None),
+        lambda nu, d: norms.norm_heinz_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, _POS),
     "combined_norm_chain": (
-        lambda nu, d: norms.combined_norm_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, None),
+        lambda nu, d: norms.combined_norm_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, _POS),
     "heinz_reverse_chain": (
-        lambda nu, d: norms.heinz_reverse_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, None),
+        lambda nu, d: norms.heinz_reverse_chain(_A, _B, _X, nu, d, _KIND), 1.0, -1.0, _POS),
+}
+
+#: The public chains of a weight and no depth, in the same form; the depth
+#: is ignored.
+DEPTHLESS_CHAINS = {
+    "kantorovich_chain": (
+        lambda nu, d: kantorovich_chain(0.5, 2.0, nu), 1.0, -0.5, _POS),
+    "kantorovich_operator_chain": (
+        lambda nu, d: means.kantorovich_operator_chain(_A, _ORDERED, nu), 1.0, -0.5, _POS),
+    "trace_depth1_chain": (
+        lambda nu, d: means.trace_depth1_chain(_A, _B, nu), 1.0, -0.5, _POS),
 }
 
 
-@pytest.mark.parametrize("name", sorted(REFINEMENT_CHAINS))
+@pytest.mark.parametrize("name", sorted(REFINEMENT_CHAINS) + sorted(DEPTHLESS_CHAINS))
 def test_refinement_chain_rejects_a_bad_depth_or_weight(name):
-    # A depth of 0, 33, 2.5 or NaN raises the depth message, and a weight off
-    # the chain's branch the chain's own name (None) or the condition it tests.
-    chain, on_branch, off_branch, weight_message = REFINEMENT_CHAINS[name]
+    # A depth of 0, 33, 2.5 or NaN raises the depth message; a weight off
+    # the chain's branch, or NaN, the weight rule's one message.
+    chain, on_branch, off_branch, requires = {**REFINEMENT_CHAINS, **DEPTHLESS_CHAINS}[name]
     chain(on_branch, 32)
-    for depth in (0, 33, 2.5, math.nan):
+    for depth in (0, 33, 2.5, math.nan) if name in REFINEMENT_CHAINS else ():
         with pytest.raises(DomainError, match=r"depth must be an integer in 1\.\.32"):
             chain(on_branch, depth)
-    with pytest.raises(DomainError, match=weight_message or f"^{name} requires nu >= 0$"):
-        chain(off_branch, 1)
+    for weight in (off_branch, math.nan):
+        if requires is None:
+            message = f"need 0 < t <= 1, got t={weight}"
+        else:
+            message = f"{name} requires {requires}, got nu = {weight}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            chain(weight, 1)
 
 
 class TestLogConvexChain:

@@ -34,9 +34,9 @@ The files:
   of its sweep parameters pinned (nu 2.0, or -2.5 on the nu <= -1 branch;
   depth 3; cond 10). Failure files replay exactly these payloads;
 * ``means.txt``: ``arithmetic_mean``, ``geometric_mean`` and
-  ``harmonic_mean`` at nu {0, 0.3, 1, 1.3, -0.7, 5, -3, 1e308, -1e308},
-  with ``operator_reverse_chain``, ``operator_squared_chain`` (nu >= 0 and
-  nu <= -1), ``harmonic_operator_chain`` at depths 1 and 5 and
+  ``harmonic_mean`` at nu {0, 0.3, 1, 1.3, -0.7, 5, -3, 1e308, -1e308,
+  nan}, with ``operator_reverse_chain``, ``operator_squared_chain`` (nu >=
+  0 and nu <= -1), ``harmonic_operator_chain`` at depths 1 and 5 and
   ``kantorovich_operator_chain`` at the same weights, on three seeded pairs
   at each n in {1, 2, 3, 5} and cond 1e6 (the harmonic and Kantorovich
   chains, which need A <= B, on (A, A + B)); a mean's entries, a chain's
@@ -44,7 +44,8 @@ The files:
   chains only through their grid forms, and never calls the means;
 * ``chains.txt``: every public chain that the refinement kernel serves,
   called one value at a time, at nu {0, 0.7, 3, -1, -2.5, -0.5, 1e308,
-  -1e308} (both branches, the gap and the extremes) and depths {1, 5, 32}:
+  -1e308, nan} (both branches, the gap, the extremes and NaN) and depths
+  {1, 5, 32}:
   ``convex_refined_chain`` and ``logconvex_refined_chain`` with every
   catalog function on both anchors, on two intervals; the Young, harmonic
   and Kantorovich chains on three (x, y) pairs, one of them reversed; the
@@ -91,6 +92,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import shutil
 import sys
@@ -116,13 +118,13 @@ SUITES = {
     "highcond": {"instances": 20, "cond_max": 1e12},
 }
 #: ``means.txt``: the weights, the chains' depths, and the seeded pairs.
-MEAN_NUS = (0.0, 0.3, 1.0, 1.3, -0.7, 5.0, -3.0, 1e308, -1e308)
+MEAN_NUS = (0.0, 0.3, 1.0, 1.3, -0.7, 5.0, -3.0, 1e308, -1e308, math.nan)
 MEAN_DEPTHS = (1, 5)
 MEAN_DIMS = (1, 2, 3, 5)
 MEAN_SEEDS = (0, 1, 2)
 MEAN_COND = 1e6
 #: ``chains.txt``: the weights and depths, the scalar inputs, and the pairs.
-CHAIN_NUS = (0.0, 0.7, 3.0, -1.0, -2.5, -0.5, 1e308, -1e308)
+CHAIN_NUS = (0.0, 0.7, 3.0, -1.0, -2.5, -0.5, 1e308, -1e308, math.nan)
 CHAIN_DEPTHS = (1, 5, 32)
 CHAIN_INTERVALS = ((-0.75, 1.5), (0.25, 2.0))
 CHAIN_XY = ((0.3, 2.5), (1e-3, 7.0), (2.5, 0.3))
