@@ -7,7 +7,7 @@ unitarily invariant norm functionals. A seeded verification harness checks
 every inequality chain on randomized instances and reports slack statistics.
 """
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RequestError
 from .harness import (
     Built,
     CaseConfig,

@@ -14,8 +14,9 @@ a solver that did not converge, 64 usage error (a bad flag, or a flag value
 out of its range).
 
 ``verify`` and ``sweep`` make no request check of their own: what the
-harness's one check (``harness._request``) rejects before any instance is
-drawn is a usage error, and a DomainError met while the cases run exits 2.
+harness's one check rejects before any instance is drawn raises
+``RequestError``, a usage error, and a DomainError met while the cases run
+exits 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, means, norms
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RequestError
 from .linalg import SpdMatrix, matrix_from_json, matrix_to_json, random_spd
 from .reporting import reports_to_csv
 
@@ -134,9 +135,6 @@ def _cmd_verify(args) -> int:
     overrides = _overrides(
         instances=args.instances, seed=args.seed, dim_max=args.dim_max, rel_tol=args.tol
     )
-    with _usage_check():
-        for name in names:
-            harness._request(name, overrides)
     reports = harness.run_suite(names=names, failures_dir=args.failures_dir, **overrides)
     for report in reports:
         sys.stdout.write(report.summary_line() + "\n")
@@ -186,8 +184,6 @@ def _cmd_sweep(args) -> int:
     param = {"nu": "nu", "N": "depth", "cond": "cond"}[args.param]
     grid = _parse_grid(args.grid)
     overrides = _overrides(instances=args.instances, seed=args.seed)
-    with _usage_check():
-        harness._request(args.case, overrides, param, grid)
     rows = harness.sweep(args.case, param, grid, **overrides)
     lines = [f"{args.param},mean_gap,mean_gain"]
     lines.extend(
@@ -254,7 +250,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, RequestError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except (DomainError, ConvergenceError, OSError) as exc:

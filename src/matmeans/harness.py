@@ -2,10 +2,12 @@
 
 Each registered case is a draw and a build. ``draw(rng, cfg, cond)`` reads
 every random number of one instance (its inputs, then nu, the depth or its
-other parameters) and returns the build's keyword arguments and a payload
-that replays them. The pure ``build(args, grid)`` evaluates, at each grid
-value (a dict of pins), an inequality chain (checked link by link) or a
-vector of normalized margins (checked against ``-rel_tol``). Instances
+other parameters) and returns only the build's keyword arguments. The
+payload that replays them is derived from them (``_replay``), only where a
+failure file or ``build_instance`` needs it. The pure ``build(args,
+grid)`` evaluates, at each grid value (a dict of pins), an inequality
+chain (checked link by link) or a vector of normalized margins (checked
+against ``-rel_tol``). Instances
 draw from a stream keyed by ``hash(seed, case name, instance index)``, so
 runs are deterministic, order-insensitive, and individual instances can be
 replayed. Every drawn instance is checked: a case of ``instances``
@@ -25,20 +27,20 @@ is ``run_suite`` of one name. The loop cuts a call's instances, in order,
 into blocks of at most ``_BLOCK`` across case boundaries. Each block is
 seeded with one ``_seed_words`` call (``_seated``) on the call's one
 generator, draws its instances, and assembles their SPD pairs with one QR
-and one assembly per dimension n across its cases; the caller builds each
-instance at every grid value in one call (a grid of one for ``run_suite``)
-as the loop yields it. The seeding works row by row
+and one assembly per dimension n across its cases; the loop then yields its
+instances in draw order, and the caller builds each at every grid value in
+one call (a grid of one for ``run_suite``). The seeding works row by row
 and the assembly matrix by matrix, so no bit depends on the block. A build
 reads no random number, so a pin cannot move a stream, and no stream state
 is saved or restored. ``run_suite`` decides each case as soon as its last
-instance is built.
+instance is built, before any later case is built.
 
 Every request is checked once, by ``_request``, before any instance is
 drawn: the case must exist, the config it runs (its own overrides, then
 the caller's) must be valid, and a swept parameter must be one the case
 sweeps, at values ``sweep_values`` accepts. ``run_suite``, ``sweep`` and
-``build_instance`` call it, and so does the CLI, which reports what it
-rejects as a usage error.
+``build_instance`` call it; what it rejects raises ``RequestError``, which
+the CLI reports as a usage error.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import means, norms, scalar
-from .errors import DomainError
+from .errors import DomainError, RequestError
 from .linalg import (
     ComplexMatrix,
     SpdMatrix,
@@ -139,10 +141,10 @@ class Built:
     are floats, or value rows of an ``OperatorChain``.
 
     A case's build evaluates the instance; ``build_instance`` then puts the
-    drawn parameters in ``drawn``, its matrices as they are. Reading
-    ``payload`` serializes them with ``matrix_to_json``. Only failure files
-    serialize a payload, so an instance that passes never serializes its
-    inputs.
+    replay payload derived from its build arguments (``_replay``) in
+    ``drawn``, its matrices as they are. Reading ``payload`` serializes
+    them with ``matrix_to_json``. Only failure files serialize a payload,
+    so an instance that passes never serializes its inputs.
     """
 
     def __init__(self, chain=None, margins=None, refined=None, base=None):
@@ -177,6 +179,22 @@ class Built:
         return slacks[0].tolist(), float(gaps[0])
 
 
+#: Each catalog function's name, the one a payload gives it by.
+_CATALOG_NAMES = {f: fname for fname, f in scalar.CONVEX_CATALOG + scalar.LOGCONVEX_CATALOG}
+
+
+def _replay(args: dict, cond: float) -> dict:
+    """The replay payload of an instance's build arguments ``args``, drawn
+    at the condition bound ``cond``. An SPD pair comes first: "a", "b",
+    then ``cond`` and "n". Every other argument follows in draw order, a
+    catalog function by its catalog name and a norm kind by ``str``."""
+    a = args.get("a")
+    payload = {"a": a, "b": args["b"], "cond": cond, "n": a.n} if isinstance(a, SpdMatrix) else {}
+    for key, v in args.items():
+        payload.setdefault(key, _CATALOG_NAMES[v] if key == "f" else str(v) if key == "kind" else v)
+    return payload
+
+
 def _payload_json(drawn: dict) -> dict:
     """Drawn parameters with their matrices serialized by ``matrix_to_json``."""
     return {
@@ -187,12 +205,14 @@ def _payload_json(drawn: dict) -> dict:
 
 @dataclass(frozen=True)
 class CaseDef:
-    """A registered case: ``draw(rng, cfg, cond) -> (args, payload)`` reads
-    every random number of one instance, and the pure ``build(args, grid)``
-    gives its ``Built`` at each grid value (see ``_instances``)."""
+    """A registered case: ``draw(rng, cfg, cond) -> args`` reads every
+    random number of one instance and returns the build's keyword
+    arguments, from which ``_replay`` derives its payload, and the pure
+    ``build(args, grid)`` gives its ``Built`` at each grid value (see
+    ``_instances``)."""
 
     name: str
-    draw: Callable[[np.random.Generator, CaseConfig, float], tuple[dict, dict]]
+    draw: Callable[[np.random.Generator, CaseConfig, float], dict]
     build: Callable[[dict, list], list[Built]]
     overrides: dict
     sweep_params: tuple[str, ...]
@@ -234,17 +254,20 @@ def _request(name: str, overrides: dict, param: str | None = None, grid=()) -> t
     """The one check of a request: ``(case, cfg, values)``. It looks up the
     case ``name``, builds the config that case runs (its own overrides, then
     the caller's), and, for a swept ``param``, checks that the case sweeps
-    it and gives ``sweep_values`` of ``grid``. Raises DomainError for a bad
-    request, before any instance is drawn."""
-    case = _case(name)
-    cfg = CaseConfig(**{**case.overrides, **overrides})
-    if param is None:
-        return case, cfg, []
-    if param not in case.sweep_params:
-        raise DomainError(
-            f"case {name!r} does not sweep {param!r}; supported: {case.sweep_params}"
-        )
-    return case, cfg, sweep_values(param, grid, case.nu_branch)
+    it and gives ``sweep_values`` of ``grid``. Raises RequestError, a
+    DomainError, for a bad request, before any instance is drawn."""
+    try:
+        case = _case(name)
+        cfg = CaseConfig(**{**case.overrides, **overrides})
+        if param is None:
+            return case, cfg, []
+        if param not in case.sweep_params:
+            raise DomainError(
+                f"case {name!r} does not sweep {param!r}; supported: {case.sweep_params}"
+            )
+        return case, cfg, sweep_values(param, grid, case.nu_branch)
+    except DomainError as exc:
+        raise RequestError(str(exc)) from exc
 
 
 # numpy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier.
@@ -333,8 +356,8 @@ def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # Draws. A case's ``draw(rng, cfg, cond)`` reads every random number of one
-# instance and returns the build's keyword arguments and the payload that
-# replays them; ``cond`` bounds the condition number of its SPD matrices.
+# instance and returns the build's keyword arguments, in one dict; ``cond``
+# bounds the condition number of its SPD matrices.
 
 def _uniform(rng, lo, hi):
     """``rng.uniform(lo, hi)`` for float bounds, bit for bit and to the same
@@ -378,14 +401,6 @@ _LOG_XY = float(np.log(1e-3)), float(np.log(1e3))
 _LOG_CURVATURE = float(np.log(0.5)), float(np.log(2.0))
 
 
-def _with(drawn, **params):
-    """Drawn ``(args, payload)`` with ``params`` added to both dicts."""
-    args, payload = drawn
-    args.update(params)
-    payload.update(params)
-    return args, payload
-
-
 # The key under which a draw leaves its SPD pair, drawn but not yet
 # assembled, for ``_assemble_pairs``.
 _PAIR = "_pair"
@@ -393,44 +408,43 @@ _PAIR = "_pair"
 
 def _spd_pair(rng, cfg, cond, cap=None, ordered=False):
     """Draw the inputs of two random SPD matrices: n, then each matrix's
-    Gaussian and spectrum. Returns the args and the payload, whose "a" and
-    "b" ``_assemble_pairs`` fills (A <= B when ``ordered``)."""
+    Gaussian and spectrum, left under ``_PAIR`` for ``_assemble_pairs``
+    (A <= B when ``ordered``)."""
     n = _draw_dim(rng, cfg, cap)
     g, lam = _draw_spds(n, cond, rng, 2)
-    return {_PAIR: (g, lam, ordered)}, {"a": None, "b": None, "cond": cond, "n": n}
+    return {_PAIR: (g, lam, ordered)}
 
 
 def _assemble_pairs(drawn) -> None:
-    """Assemble the SPD pairs of drawn ``(args, payload)`` inputs: one
-    ``_assemble_spds`` per n over all of them, then the ordered B = A + B'.
-    Puts A and B in the "a" and "b" entries of both dicts; inputs without a
-    pair are left as they are."""
+    """Assemble the SPD pairs of drawn args: one ``_assemble_spds`` per n
+    over all of them, then the ordered B = A + B'. Each pair's ``_PAIR``
+    entry gives way to A and B under "a" and "b"; args without a pair are
+    left as they are."""
     groups: dict[int, list] = {}
-    for args, payload in drawn:
+    for args in drawn:
         pair = args.pop(_PAIR, None)
         if pair is not None:
-            groups.setdefault(pair[1].shape[-1], []).append((args, payload, pair))
+            groups.setdefault(pair[1].shape[-1], []).append((args, pair))
     for group in groups.values():
         spds = _assemble_spds(
-            np.concatenate([g for _, _, (g, _, _) in group]),
-            np.concatenate([lam for _, _, (_, lam, _) in group]),
+            np.concatenate([g for _, (g, _, _) in group]),
+            np.concatenate([lam for _, (_, lam, _) in group]),
         )
-        for (args, payload, (_, _, ordered)), a, b in zip(group, spds[::2], spds[1::2]):
+        for (args, (_, _, ordered)), a, b in zip(group, spds[::2], spds[1::2]):
             if ordered:
                 b = SpdMatrix(a.a + b.a)  # B = A + SPD
-            args["a"] = payload["a"] = a
-            args["b"] = payload["b"] = b
+            args["a"] = a
+            args["b"] = b
 
 
 def _catalog_inputs(catalog):
     def draw(rng, cfg, cond):
-        fname, f = catalog[int(rng.integers(len(catalog)))]
+        _, f = catalog[int(rng.integers(len(catalog)))]
         a = _uniform(rng, -5.0, 5.0)
         b = _uniform(rng, -5.0, 5.0)
         while abs(b - a) < 1e-3:
             b = _uniform(rng, -5.0, 5.0)
-        a, b = min(a, b), max(a, b)
-        return {"f": f, "a": a, "b": b}, {"f": fname, "a": a, "b": b}
+        return {"f": f, "a": min(a, b), "b": max(a, b)}
 
     return draw
 
@@ -440,9 +454,7 @@ _logconvex_inputs = _catalog_inputs(scalar.LOGCONVEX_CATALOG)
 
 
 def _xy_inputs(rng, cfg, cond):
-    x = _loguniform(rng, *_LOG_XY)
-    y = _loguniform(rng, *_LOG_XY)
-    return {"x": x, "y": y}, {"x": x, "y": y}
+    return {"x": _loguniform(rng, *_LOG_XY), "y": _loguniform(rng, *_LOG_XY)}
 
 
 def _ordered_xy_inputs(rng, cfg, cond):
@@ -451,8 +463,7 @@ def _ordered_xy_inputs(rng, cfg, cond):
     y = _loguniform(rng, *_LOG_XY)
     while y == x:  # pragma: no cover - measure zero
         y = _loguniform(rng, *_LOG_XY)
-    x, y = min(x, y), max(x, y)
-    return {"x": x, "y": y}, {"x": x, "y": y}
+    return {"x": min(x, y), "y": max(x, y)}
 
 
 _spd_inputs = _spd_pair
@@ -462,15 +473,13 @@ _ordered_spd_inputs = functools.partial(_spd_pair, ordered=True)
 def _norm_inputs(rng, cfg, cond):
     """SPD A, B (n capped at 6), a complex Gaussian X and a rotating norm kind.
     X is read-only: the payload and the build of every grid value share it."""
-    args, payload = _spd_pair(rng, cfg, cond, cap=6)
-    n = payload["n"]
+    args = _spd_pair(rng, cfg, cond, cap=6)
+    n = args[_PAIR][1].shape[-1]
     z = rng.standard_normal((2, n, n))
-    x = z[0] + 1j * z[1]
-    x.setflags(write=False)
-    kind = norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
-    args.update(x=x, kind=kind)
-    payload.update(x=x, kind=str(kind))
-    return args, payload
+    args["x"] = z[0] + 1j * z[1]
+    args["x"].setflags(write=False)
+    args["kind"] = norms.DEFAULT_NORM_KINDS[int(rng.integers(len(norms.DEFAULT_NORM_KINDS)))]
+    return args
 
 
 def _weighted(inputs, branch, depth=True):
@@ -478,11 +487,11 @@ def _weighted(inputs, branch, depth=True):
     nu <= -1, 0: either), then of the depth unless ``depth`` is false."""
 
     def draw(rng, cfg, cond):
-        args, payload = inputs(rng, cfg, cond)
-        args["nu"] = payload["nu"] = _draw_nu(rng, cfg, branch)
+        args = inputs(rng, cfg, cond)
+        args["nu"] = _draw_nu(rng, cfg, branch)
         if depth:
-            args["depth"] = payload["depth"] = _draw_depth(rng, cfg)
-        return args, payload
+            args["depth"] = _draw_depth(rng, cfg)
+        return args
 
     return draw
 
@@ -608,11 +617,10 @@ _register(
 
 
 def _draw_young_refined_t(rng, cfg, cond):
-    return _with(
-        _xy_inputs(rng, cfg, cond),
-        t=1.0 - _uniform(rng, 0.0, 1.0),  # in (0, 1]
-        depth=_draw_depth(rng, cfg),
-    )
+    args = _xy_inputs(rng, cfg, cond)
+    args["t"] = 1.0 - _uniform(rng, 0.0, 1.0)  # in (0, 1]
+    args["depth"] = _draw_depth(rng, cfg)
+    return args
 
 
 def _build_young_refined_t(x, y, t, depth):
@@ -674,8 +682,7 @@ _register(
 
 def _draw_harmonic_curvature(rng, cfg, cond):
     x = _loguniform(rng, *_LOG_CURVATURE)
-    params = {"x": x, "y": x * _uniform(rng, 1.5, 4.0), "nu": _uniform(rng, -2.9, 0.9)}
-    return params, dict(params)
+    return {"x": x, "y": x * _uniform(rng, 1.5, 4.0), "nu": _uniform(rng, -2.9, 0.9)}
 
 
 def _build_harmonic_curvature(x, y, nu):
@@ -828,9 +835,10 @@ _register(
 
 
 def _draw_norm_logconvexity(rng, cfg, cond):
-    drawn = _norm_inputs(rng, cfg, cond)
-    v1, v2 = _uniform(rng, -2.0, 3.0), _uniform(rng, -2.0, 3.0)
-    return _with(drawn, v1=v1, v2=v2, alpha=_uniform(rng, 0.0, 1.0))
+    args = _norm_inputs(rng, cfg, cond)
+    args["v1"], args["v2"] = _uniform(rng, -2.0, 3.0), _uniform(rng, -2.0, 3.0)
+    args["alpha"] = _uniform(rng, 0.0, 1.0)
+    return args
 
 
 def _build_norm_logconvexity(a, b, x, kind, v1, v2, alpha):
@@ -849,7 +857,9 @@ _register(
 
 
 def _draw_heinz_symmetry(rng, cfg, cond):
-    return _with(_norm_inputs(rng, cfg, cond), nu=_uniform(rng, -3.0, 4.0))
+    args = _norm_inputs(rng, cfg, cond)
+    args["nu"] = _uniform(rng, -3.0, 4.0)
+    return args
 
 
 def _build_heinz_symmetry(a, b, x, kind, nu):
@@ -869,9 +879,9 @@ _register(
 
 
 def _draw_heinz_midpoint(rng, cfg, cond):
-    drawn = _norm_inputs(rng, cfg, cond)
-    v1, v2 = _uniform(rng, -3.0, 4.0), _uniform(rng, -3.0, 4.0)
-    return _with(drawn, v1=v1, v2=v2)
+    args = _norm_inputs(rng, cfg, cond)
+    args["v1"], args["v2"] = _uniform(rng, -3.0, 4.0), _uniform(rng, -3.0, 4.0)
+    return args
 
 
 def _build_heinz_midpoint(a, b, x, kind, v1, v2):
@@ -908,10 +918,10 @@ _register(
 
 
 def _draw_heinz_outside(rng, cfg, cond):
-    drawn = _norm_inputs(rng, cfg, cond)
-    if rng.integers(2) == 0:
-        return _with(drawn, nu=-_uniform(rng, 0.01, 3.0))
-    return _with(drawn, nu=1.0 + _uniform(rng, 0.01, 3.0))
+    args = _norm_inputs(rng, cfg, cond)
+    below = rng.integers(2) == 0
+    args["nu"] = -_uniform(rng, 0.01, 3.0) if below else 1.0 + _uniform(rng, 0.01, 3.0)
+    return args
 
 
 def _build_heinz_outside(a, b, x, kind, nu):
@@ -929,9 +939,10 @@ _register(
 
 def _draw_heinz_pq(rng, cfg, cond):
     """Norm inputs, then 0 < q < p < 3."""
-    drawn = _norm_inputs(rng, cfg, cond)
-    p = _uniform(rng, 0.2, 3.0)
-    return _with(drawn, p=p, q=p * _uniform(rng, 0.05, 0.95))
+    args = _norm_inputs(rng, cfg, cond)
+    args["p"] = _uniform(rng, 0.2, 3.0)
+    args["q"] = args["p"] * _uniform(rng, 0.05, 0.95)
+    return args
 
 
 def _build_heinz_pq(a, b, x, kind, p, q):
@@ -947,8 +958,9 @@ _register(
 
 
 def _draw_heinz_interpolated(rng, cfg, cond):
-    args, payload = _draw_heinz_pq(rng, cfg, cond)
-    return _with((args, payload), r=args["q"] * _uniform(rng, 0.02, 0.98))
+    args = _draw_heinz_pq(rng, cfg, cond)
+    args["r"] = args["q"] * _uniform(rng, 0.02, 0.98)
+    return args
 
 
 def _build_heinz_interpolated(a, b, x, kind, p, q, r):
@@ -1019,40 +1031,32 @@ def _seated(slices, block) -> list:
 
 
 def _instances(slices, rng: np.random.Generator):
-    """Yield (k, index, args, payload) for each instance of ``slices``, a
-    list of (case, cfg, cond, indices): the slice k it belongs to, and its
-    drawn build arguments and payload. Each block of ``_blocks`` is
+    """Yield (k, index, args) for each instance of ``slices``, a list of
+    (case, cfg, cond, indices), in draw order: the slice k it belongs to,
+    and its drawn build arguments. Each block of ``_blocks`` is
 
     1. seated: ``_seat`` points the one generator ``rng`` at the start of
        each instance's stream, from its ``_seated`` row;
     2. drawn: the slice's ``case.draw`` reads every random number of the
-       instance, with the slice's condition bound ``cond``. A draw without
-       an SPD pair (a scalar case) is yielded at once;
-    3. assembled: the SPD pairs of the block's other draws, across its
-       cases, with one QR and one assembly per n (``_assemble_pairs``). They
-       are yielded then.
+       instance, with the slice's condition bound ``cond``;
+    3. assembled: the SPD pairs of the block's draws, across its cases,
+       with one QR and one assembly per n (``_assemble_pairs``);
 
-    The caller builds what it is given: ``case.build(args, grid)`` evaluates
-    the instance at every grid value in one call, a value's pins in copies
-    of the drawn dicts, so a pin cannot move a stream, and a scalar instance
-    is built before the next is drawn. ``run_suite``, ``sweep`` and
-    ``build_instance`` all run this loop. A case's draws all hold a pair or
-    none do, so the instances of a slice come in index order. The seeding
-    works row by row, and the QR and the assembly matrix by matrix, so a
-    draw does not depend on its block."""
+    and then yielded, in the order it was drawn. The caller builds what it
+    is given: ``case.build(args, grid)`` evaluates the instance at every
+    grid value in one call, a value's pins in copies of the drawn dict, so
+    a pin cannot move a stream. ``run_suite``, ``sweep`` and
+    ``build_instance`` all run this loop. The seeding works row by row, and
+    the QR and the assembly matrix by matrix, so a draw does not depend on
+    its block."""
     for block in _blocks(slices):
         rows = iter(_seated(slices, block))
-        pending = []
+        drawn = []
         for k, indices in block:
             case, cfg, cond, _ = slices[k]
-            for i in indices:
-                args, payload = case.draw(_seat(rng, *next(rows)), cfg, cond)
-                if _PAIR in args:
-                    pending.append((k, i, args, payload))
-                else:
-                    yield k, i, args, payload
-        _assemble_pairs((args, payload) for _, _, args, payload in pending)
-        yield from pending
+            drawn += [(k, i, case.draw(_seat(rng, *next(rows)), cfg, cond)) for i in indices]
+        _assemble_pairs(args for _, _, args in drawn)
+        yield from drawn
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
@@ -1066,9 +1070,9 @@ def build_instance(name: str, index: int, forced: dict | None = None, **override
         for param, value in (forced or {}).items()
     }
     cond = float(forced.pop("cond", cfg.cond_max))
-    ((_, _, args, payload),) = _instances([(case, cfg, cond, [index])], _new_generator())
+    ((_, _, args),) = _instances([(case, cfg, cond, [index])], _new_generator())
     (built,) = case.build(args, [forced])
-    built.drawn = {**payload, **forced}
+    built.drawn = _replay({**args, **forced}, cond)
     return built
 
 
@@ -1090,16 +1094,16 @@ def _decide(case_slice, kinds: set, rows: list, failures_dir, rng) -> ChainRepor
     instances in index order: ``reporting.case_report`` decides them in one
     array pass. When ``failures_dir`` is given, the first failing instances
     in index order, capped per case, are drawn again from their streams
-    (``_instances``) for their payloads and serialized there."""
+    (``_instances``), and their payloads (``_replay``) serialized there."""
     case, cfg, cond, _ = case_slice
     if len(kinds) > 1:
         raise DomainError(f"case {case.name} produced value rows of more than one kind")
     report, fails = case_report(case.name, kinds.pop(), rows, cfg.rel_tol, notes=case.description)
     if failures_dir is not None and report.failures:
         failing = np.flatnonzero(fails)[:MAX_FAILURE_FILES_PER_CASE].tolist()
-        for _, index, _, payload in _instances([(case, cfg, cond, failing)], rng):
+        for _, index, args in _instances([(case, cfg, cond, failing)], rng):
             row = report.slacks[index].tolist()
-            _write_failure(Path(failures_dir), case.name, index, payload, row, cfg)
+            _write_failure(Path(failures_dir), case.name, index, _replay(args, cond), row, cfg)
     return report
 
 
@@ -1127,13 +1131,8 @@ def run_suite(
     files written to ``failures_dir``, as soon as its last instance is
     built (``_decide``); its rows are dropped then, so the call holds the
     rows of the cases it has not finished and the drawn inputs of at most
-    one block.
-
-    A draw or build that raises ends the call, and a case not yet decided
-    then writes no failure files, even one whose instances were all drawn:
-    a matrix case's SPD pairs are assembled and built at the end of their
-    block, after the scalar instances of later cases in that block, so an
-    exception from one of those keeps the earlier case from being decided.
+    one block. Instances are built in draw order, so every case is decided
+    before any later case is built.
     """
     selected = case_names() if names is None else tuple(names)
     slices = []
@@ -1145,7 +1144,7 @@ def run_suite(
     rows = [[] for _ in slices]
     reports = [None] * len(slices)
     unpinned = [{}]
-    for k, _, args, _ in _instances(slices, rng):
+    for k, _, args in _instances(slices, rng):
         decide, row = slices[k][0].build(args, unpinned)[0].value_row()
         kinds[k].add(decide)
         rows[k].append(row)
@@ -1182,9 +1181,10 @@ def sweep_values(param: str, grid, nu_branch: int = 0) -> list:
     Each value passes its parameter's one rule, which raises DomainError
     for a value no instance can take: a nu off the case's weight branch
     ``nu_branch`` (+1: nu >= 0, -1: nu <= -1, 0: either; see
-    ``CaseDef.nu_branch``), or NaN, fails ``scalar._check_weight``; a depth
-    that is not an integer in 1..32 fails ``scalar._check_depth``; a cond
-    that is not finite and >= 1 fails ``linalg._check_cond``.
+    ``CaseDef.nu_branch``), an infinite nu, or NaN, fails
+    ``scalar._check_weight``; a depth that is not an integer in 1..32 fails
+    ``scalar._check_depth``; a cond that is not finite and >= 1 fails
+    ``linalg._check_cond``.
     """
     if param == "depth":
         return [scalar._check_depth(value) for value in grid]
@@ -1221,7 +1221,7 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
         slices = [(case, cfg, float(cfg.cond_max), indices)] if values else []
         pins = [{param: value} for value in values]
     columns = [([], []) for _ in values]
-    for k, _, args, _ in _instances(slices, _new_generator()):
+    for k, _, args in _instances(slices, _new_generator()):
         # Slice k holds the value k of a cond sweep; its builts fill the columns from there.
         for (gaps, gains), built in zip(columns[k:], case.build(args, pins)):
             gaps.append(built.gap())

@@ -47,6 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .scalar import _check_int
 
 # Construction tolerances.
 HERMITIAN_DEFECT_TOL = 1e-12
@@ -500,12 +501,15 @@ def matrix_from_json(obj: dict) -> ComplexMatrix:
     """Parse the JSON wire format; raises DomainError on malformed input."""
     if not isinstance(obj, dict) or "n" not in obj or "re" not in obj:
         raise DomainError('matrix JSON must contain "n" and "re"')
-    n = int(obj["n"])
-    re = np.asarray(obj["re"], dtype=np.float64)
+    try:
+        n = _check_int(obj["n"], '"n"')
+        re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj["im"], dtype=np.float64) if "im" in obj else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != (n, n):
         raise DomainError(f'"re" must be {n}x{n}, got shape {re.shape}')
-    if "im" in obj:
-        im = np.asarray(obj["im"], dtype=np.float64)
+    if im is not None:
         if im.shape != (n, n):
             raise DomainError(f'"im" must be {n}x{n}, got shape {im.shape}')
         return ComplexMatrix(re + 1j * im)

@@ -10,10 +10,10 @@ four values of its functional; N is capped at 32 so 2**N and the last dyadic
 point stay exact.
 
 Each input has one rule, here, and a public function checks it once: a
-weight's branch (``_check_weight``, which NaN fails and whose message
-names the entry point, the branch and the weight), a depth (``_check_depth``)
-and an integer parameter, such as a config's counts or a Ky Fan k
-(``_check_int``). Each raises DomainError.
+weight's branch (``_check_weight``, which NaN and +-inf fail and whose
+message names the entry point, the branch and the weight), a depth
+(``_check_depth``) and an integer parameter, such as a config's counts or
+a Ky Fan k (``_check_int``). Each raises DomainError.
 
 The two refinements of the paper, for a convex and for a log-convex f
 (``_convex_refinement``, ``_logconvex_refinement``), are pure functions of
@@ -121,22 +121,24 @@ _BRANCH_TEXT = {1: "nu >= 0", -1: "nu <= -1", 0: "nu >= 0 or nu <= -1"}
 
 
 def _check_weight(name: str, nu: float, branch: int = 0) -> int:
-    """The one weight rule: nu on ``branch`` (+1: nu >= 0, -1: nu <= -1, 0:
-    either), else a DomainError naming the entry point ``name``, the branch
-    and nu. Returns the branch nu is on, +1 or -1. Each side is a test that
-    must hold, so a NaN fails both."""
-    if branch >= 0 and nu >= 0.0:
+    """The one weight rule: a finite nu on ``branch`` (+1: nu >= 0, -1: nu
+    <= -1, 0: either), else a DomainError naming the entry point ``name``,
+    the branch, or finiteness for an infinite nu, and nu. Returns the branch
+    nu is on, +1 or -1. Each side is a test that must hold, so a NaN fails
+    both."""
+    if branch >= 0 and 0.0 <= nu < math.inf:
         return 1
-    if branch <= 0 and nu <= -1.0:
+    if branch <= 0 and -math.inf < nu <= -1.0:
         return -1
-    raise DomainError(f"{name} requires {_BRANCH_TEXT[branch]}, got nu = {nu}")
+    need = "a finite nu" if abs(nu) == math.inf else _BRANCH_TEXT[branch]
+    raise DomainError(f"{name} requires {need}, got nu = {nu}")
 
 
 def weight_branch(nu: float) -> int:
     """Classify a weight: +1 for nu >= 0, -1 for nu <= -1.
 
-    A weight in the open gap (-1, 0), or NaN, is outside every reversed
-    inequality here and raises DomainError (``_check_weight``).
+    A weight in the open gap (-1, 0), an infinite one, or NaN, is outside
+    every reversed inequality here and raises DomainError (``_check_weight``).
     """
     return _check_weight("weight_branch", nu)
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matmeans import ConvergenceError, DomainError, harness, means, random_spd
+from matmeans import ConvergenceError, RequestError, harness, means, random_spd
 from matmeans.cli import EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_USAGE, _parse_grid, main
 from matmeans.harness import Built
 from matmeans.linalg import matrix_from_json, matrix_to_json
@@ -227,6 +227,24 @@ class TestNorm:
             code, stdout, stderr = run_cli(capsys, "norm", *flags, "--x", x)
             assert code == EXIT_USAGE and stdout == "" and "usage error" in stderr, flags
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 2, "re": [[1, 0], [0]]},
+            {"n": "x", "re": [[1]]},
+            {"n": 1, "re": [["a"]]},
+            {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0]]},
+            {"n": 2.5, "re": [[1, 0], [0, 1]]},
+        ],
+        ids=["ragged_re", "n_not_a_number", "entry_not_a_number", "ragged_im", "n_not_an_integer"],
+    )
+    def test_malformed_matrix_file_exits_2(self, capsys, tmp_path, obj):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(obj))
+        code, stdout, stderr = run_cli(capsys, "norm", "--kind", "spectral", "--x", str(path))
+        assert code == EXIT_DOMAIN and stdout == ""
+        assert stderr.startswith("error: malformed matrix JSON: ") and stderr.count("\n") == 1
+
     def test_missing_file_exits_2(self, capsys):
         code, stdout, stderr = run_cli(
             capsys, "norm", "--kind", "spectral", "--x", "/nonexistent/m.json"
@@ -279,7 +297,7 @@ class TestVerify:
             return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
         harness.REGISTRY["_cli_fail"] = harness.CaseDef(
-            "_cli_fail", lambda rng, cfg, cond: ({}, {}), harness._each(always_fails),
+            "_cli_fail", lambda rng, cfg, cond: {}, harness._each(always_fails),
             {"instances": 3}, (),
             "synthetic",
         )
@@ -514,9 +532,10 @@ class TestSweep:
 class TestUsage:
     def test_harness_request_check_decides_usage_errors(self, capsys, monkeypatch):
         # verify and sweep keep no check of their own: whatever the harness's
-        # request check rejects is a usage error, before any instance is drawn.
+        # request check rejects raises RequestError, a usage error, before
+        # any instance is drawn.
         def reject(name, overrides, param=None, grid=()):
-            raise DomainError(f"rejected {name}")
+            raise RequestError(f"rejected {name}")
 
         def no_draw(*args, **kwargs):
             raise AssertionError("instance drawn")

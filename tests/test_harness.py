@@ -17,7 +17,7 @@ from matmeans import (
     arithmetic_mean,
     harmonic_mean,
 )
-from matmeans import harness, linalg, norms, reporting
+from matmeans import harness, linalg, norms, reporting, scalar
 from matmeans.harness import Built, CaseConfig
 from matmeans.reporting import chain_gap, chain_slacks, reports_to_csv
 
@@ -64,11 +64,11 @@ class TestRunCase:
         assert r1.csv_row() == r2.csv_row()
 
     def test_failure_counting_and_repro_files(self, tmp_path):
-        def always_fails():
+        def always_fails(note):
             return Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))
 
         harness.REGISTRY["_synthetic_fail"] = harness.CaseDef(
-            "_synthetic_fail", lambda rng, cfg, cond: ({}, {"note": "synthetic"}),
+            "_synthetic_fail", lambda rng, cfg, cond: {"note": "synthetic"},
             harness._each(always_fails), {"instances": 5}, (), "synthetic",
         )
         try:
@@ -99,7 +99,7 @@ class TestRunCase:
             return Built(chain=ScalarChain(("a", "b"), (0.0, 0.1)))
 
         harness.REGISTRY["_synthetic_mixed"] = harness.CaseDef(
-            "_synthetic_mixed", lambda rng, cfg, cond: ({"i": int(rng.integers(2))}, {}),
+            "_synthetic_mixed", lambda rng, cfg, cond: {"i": int(rng.integers(2))},
             harness._each(mixed), {"instances": 8}, (), "synthetic",
         )
         try:
@@ -144,11 +144,11 @@ class TestRunCase:
             assert harness.run_case(name, instances=3).failures == 0
 
     def test_nan_slack_is_a_failure_with_a_repro_file(self, tmp_path):
-        def nan_margin():
+        def nan_margin(note):
             return Built(margins=np.array([0.1, np.nan]))
 
         harness.REGISTRY["_synthetic_nan"] = harness.CaseDef(
-            "_synthetic_nan", lambda rng, cfg, cond: ({}, {"note": "nan"}),
+            "_synthetic_nan", lambda rng, cfg, cond: {"note": "nan"},
             harness._each(nan_margin),
             {"instances": 3}, (), "synthetic",
         )
@@ -156,7 +156,9 @@ class TestRunCase:
             report = harness.run_case("_synthetic_nan", failures_dir=tmp_path)
             assert report.failures == 3
             assert math.isnan(report.min_slack)
-            assert len(list(tmp_path.glob("_synthetic_nan-*.json"))) == 3
+            files = sorted(tmp_path.glob("_synthetic_nan-*.json"))
+            assert len(files) == 3
+            assert json.loads(files[0].read_text())["params"] == {"note": "nan"}
         finally:
             harness.REGISTRY.pop("_synthetic_nan")
 
@@ -245,11 +247,11 @@ class TestRunSuite:
         assert len(files["suite"]) == sum(failing.values())
         assert files["suite"] == files["alone"]
 
-    def test_raise_mid_block_leaves_undecided_cases_unwritten(self, monkeypatch, tmp_path):
-        # A scalar case is decided at its last build and writes its files.
-        # A matrix case's pairs wait for the end of their block, so a later
-        # case of the block that raises first keeps it from being decided:
-        # the call writes none of its failure files.
+    def test_raise_mid_block_leaves_earlier_cases_decided(self, monkeypatch, tmp_path):
+        # One block holds all three cases. Its instances are built in draw
+        # order, so a later case that raises leaves every earlier case, the
+        # matrix case too, decided with its failure files written: those
+        # run_case of that case writes alone.
         _mixed_suite(monkeypatch)
 
         def always_fails():
@@ -260,15 +262,19 @@ class TestRunSuite:
 
         for name, build in (("_synthetic_fail", always_fails), ("_synthetic_raise", raises)):
             monkeypatch.setitem(harness.REGISTRY, name, harness.CaseDef(
-                name, lambda rng, cfg, cond: ({}, {}), harness._each(build), {}, (), "synthetic",
+                name, lambda rng, cfg, cond: {}, harness._each(build), {}, (), "synthetic",
             ))
         suite = ("_synthetic_fail", "harmonic_operator", "_synthetic_raise")
+        assert 3 * len(suite) <= MIXED_BLOCK
         with pytest.raises(DomainError, match="planted"):
             harness.run_suite(suite, tmp_path / "suite", instances=3)
-        written = sorted(p.name for p in (tmp_path / "suite").iterdir())
-        assert written == [f"_synthetic_fail-{i:05d}.json" for i in range(3)]
         report = harness.run_case("harmonic_operator", tmp_path / "alone", instances=3)
-        assert report.failures == len(list((tmp_path / "alone").iterdir())) > 0
+        alone = {p.name: p.read_bytes() for p in (tmp_path / "alone").iterdir()}
+        assert report.failures == len(alone) > 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "suite").iterdir()}
+        scalar_files = [f"_synthetic_fail-{i:05d}.json" for i in range(3)]
+        assert sorted(written) == sorted([*scalar_files, *alone])
+        assert {name: written[name] for name in alone} == alone
 
 
 def _same_report(report, want) -> bool:
@@ -410,13 +416,12 @@ class TestStress:
 
         def near_singular(draw, scale):
             def scaled(rng, cfg, cond):
-                args, payload = draw(rng, cfg, cond)
+                args = draw(rng, cfg, cond)
                 u, s, vh = np.linalg.svd(args["x"])
                 s[-1] *= scale
-                x = (u * s) @ vh
-                x.setflags(write=False)
-                args["x"] = payload["x"] = x
-                return args, payload
+                args["x"] = (u * s) @ vh
+                args["x"].setflags(write=False)
+                return args
 
             return scaled
 
@@ -454,6 +459,31 @@ class TestBuildInstance:
                 assert set(forced) == set(drawn), (name, param)
                 for key in set(drawn) - fed:
                     assert forced[key] == drawn[key], (name, param, key)
+
+    def test_payload_names_each_build_argument_once(self):
+        # For every registered case, the payload derived from a draw's build
+        # arguments holds each of them under its own name, and nothing else
+        # but an SPD pair's cond and n, which come first after A and B. The
+        # matrices are the drawn objects, f names its catalog function and
+        # kind is the norm kind's str.
+        catalog = dict(scalar.CONVEX_CATALOG + scalar.LOGCONVEX_CATALOG)
+        for name in harness.case_names():
+            case, cfg, _ = harness._request(name, {})
+            slices = [(case, cfg, float(cfg.cond_max), range(4))]
+            for _, _, args in harness._instances(slices, harness._new_generator()):
+                payload = harness._replay(args, float(cfg.cond_max))
+                head = []
+                if isinstance(args.get("a"), linalg.SpdMatrix):
+                    head = ["a", "b", "cond", "n"]
+                    assert (payload["cond"], payload["n"]) == (cfg.cond_max, args["a"].n), name
+                assert list(payload) == head + [key for key in args if key not in head], name
+                for key, value in args.items():
+                    if key == "f":
+                        assert catalog[payload["f"]] is value, name
+                    elif key == "kind":
+                        assert payload["kind"] == str(value), name
+                    else:
+                        assert payload[key] is value, (name, key)
 
     def test_forced_parameter_must_be_swept(self):
         # A pin replaces a drawn sweep parameter; any other key, or a value
@@ -616,8 +646,8 @@ class TestStreamSeeding:
             harness.sweep(name, "cond", [50.0, 2.0, 50.0], instances=4)
         assert seedings == [streams(name, 4) * 3]
         assert sorted(conds) == [2.0] * 4 + [50.0] * 8
-        # run_case and a sweep build each scalar draw at once, before the
-        # next draw: run_case at a grid of one, a sweep at its whole grid.
+        # run_case and a sweep draw a whole block, then build its draws in
+        # draw order: run_case at a grid of one, a sweep at its whole grid.
         case, events = harness.REGISTRY["young_reverse_pos"], []
 
         def draw(rng, cfg, cond):
@@ -632,10 +662,10 @@ class TestStreamSeeding:
             harness.REGISTRY, case.name, dataclasses.replace(case, draw=draw, build=build)
         )
         harness.run_case(case.name, instances=3)
-        assert events == ["draw", ("build", 1)] * 3
+        assert events == ["draw"] * 3 + [("build", 1)] * 3
         events.clear()
         harness.sweep(case.name, "depth", [1, 2], instances=3)
-        assert events == ["draw", ("build", 2)] * 3
+        assert events == ["draw"] * 3 + [("build", 2)] * 3
 
 
 class TestSweep:
@@ -1040,14 +1070,14 @@ class TestSweepReuse:
         def recording(pairs):
             pairs = list(pairs)
             assemble(pairs)
-            drawn.extend(m for args, _ in pairs for m in (args["a"], args["b"]))
+            drawn.extend(args[key] for args in pairs for key in "ab")
 
-        monkeypatch.setattr(harness, "_assemble_pairs", recording)
         grids = {"nu": [3.0, 0.0, 3.0], "depth": [6, 1, 6, 3], "cond": [50.0, 2.0]}
         names = [
             name for name in harness.case_names() if "n" in harness.build_instance(name, 0).drawn
         ]
         assert len(names) == 23
+        monkeypatch.setattr(harness, "_assemble_pairs", recording)
         for name in names:
             case = harness.REGISTRY[name]
             drawn.clear()

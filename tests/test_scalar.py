@@ -205,15 +205,18 @@ DEPTHLESS_CHAINS = {
 @pytest.mark.parametrize("name", sorted(REFINEMENT_CHAINS) + sorted(DEPTHLESS_CHAINS))
 def test_refinement_chain_rejects_a_bad_depth_or_weight(name):
     # A depth of 0, 33, 2.5 or NaN raises the depth message; a weight off
-    # the chain's branch, or NaN, the weight rule's one message.
+    # the chain's branch, or NaN, the weight rule's branch message, and an
+    # infinite weight its finiteness message.
     chain, on_branch, off_branch, requires = {**REFINEMENT_CHAINS, **DEPTHLESS_CHAINS}[name]
     chain(on_branch, 32)
     for depth in (0, 33, 2.5, math.nan) if name in REFINEMENT_CHAINS else ():
         with pytest.raises(DomainError, match=r"depth must be an integer in 1\.\.32"):
             chain(on_branch, depth)
-    for weight in (off_branch, math.nan):
+    for weight in (off_branch, math.nan, math.inf, -math.inf):
         if requires is None:
             message = f"need 0 < t <= 1, got t={weight}"
+        elif math.isinf(weight):
+            message = f"{name} requires a finite nu, got nu = {weight}"
         else:
             message = f"{name} requires {requires}, got nu = {weight}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
