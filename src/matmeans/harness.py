@@ -25,15 +25,25 @@ of their own (``_each``).
 ``_instances``, over a list of (case, cfg, cond, indices) slices; ``run_case``
 is ``run_suite`` of one name. The loop cuts a call's instances, in order,
 into blocks of at most ``_BLOCK`` across case boundaries. Each block is
-seeded with one ``_seed_words`` call (``_seated``) on the call's one
-generator, draws its instances, and assembles their SPD pairs with one QR
-and one assembly per dimension n across its cases; the loop then yields its
-instances in draw order, and the caller builds each at every grid value in
-one call (a grid of one for ``run_suite``). The seeding works row by row
-and the assembly matrix by matrix, so no bit depends on the block. A build
-reads no random number, so a pin cannot move a stream, and no stream state
-is saved or restored. ``run_suite`` decides each case as soon as its last
-instance is built, before any later case is built.
+seeded with one ``_seed_words`` call (``_seated``), draws its instances,
+and assembles their SPD pairs with one QR and one assembly per dimension n
+across its cases; the loop then yields its instances in draw order, and
+the caller builds each at every grid value in one call (a grid of one for
+``run_suite``). The seeding works row by row and the assembly matrix by
+matrix, so no bit depends on the block. A build reads no random number, so
+a pin cannot move a stream, and no stream state is saved or restored.
+``run_suite`` decides each case as soon as its last instance is built,
+before any later case is built.
+
+An instance draws from a ``_Stream``: its PCG64 stream, stepped in Python
+ints. ``random()`` and ``integers`` over fewer than 2^32 values, all that
+a scalar case draws, are read there, bit for bit as numpy's ``Generator``
+reads them. The first other call (a Gaussian, an ``out=`` fill, a wider
+range) seats the call's one Generator at the stream's state and sends
+that instance's later draws to numpy, so a matrix case is read in Python
+up to its dimension. ``test_instance_stream_pinned`` records values of
+numpy's own stream, so it fails if numpy changes PCG64's output or
+``integers``' reduction.
 
 Every request is checked once, by ``_request``, before any instance is
 drawn: the case must exist, the config it runs (its own overrides, then
@@ -273,7 +283,9 @@ def _request(name: str, overrides: dict, param: str | None = None, grid=()) -> t
 # numpy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier.
 _MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK_128 = (1 << 128) - 1
+_MASK_32, _MASK_64, _MASK_128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_TWO_M53 = 2.0**-53
+_INT64_MIN, _INT64_END = -(1 << 63), 1 << 63  # numpy's int64 bounds, high exclusive
 
 
 def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
@@ -324,27 +336,97 @@ def _entropy(seed: int, case_name: str, indices) -> list[bytes]:
 
 
 def _new_generator() -> np.random.Generator:
-    """A Generator for ``_seat`` to point at instance streams (fixed seed:
-    no OS entropy is drawn)."""
+    """The Generator that instance streams hand off to (``_Stream``; fixed
+    seed: no OS entropy is drawn)."""
     return np.random.Generator(np.random.PCG64(0))
 
 
-def _seat(rng: np.random.Generator, s0: int, s1: int, i0: int, i1: int):
-    """Point ``rng`` at the start of the PCG64 stream seeded by the four
-    words of a ``_seed_words`` row, as Python ints.
+class _Stream:
+    """One instance's PCG64 stream, read in Python ints until a draw needs
+    numpy: built from the four words of a ``_seed_words`` row and the call's
+    one Generator.
 
-    PCG64's seeding step: ``inc = (i0:i1) << 1 | 1`` and
-    ``state = ((s0:s1) + inc) * MULT + inc`` mod 2^128.
+    PCG64's seeding step is ``inc = (i0:i1) << 1 | 1`` and ``state =
+    ((s0:s1) + inc) * MULT + inc`` mod 2^128. Each 64-bit output steps the
+    state, then applies XSL-RR to it (O'Neill, "PCG", HMC-CS-2014-0905).
+    ``random()`` is ``(next64 >> 11) * 2^-53``, and ``integers(low, high)``
+    over fewer than 2^32 values is Lemire's method on PCG64's 32-bit halves,
+    the upper half of a 64-bit output buffered for the next one ("Fast
+    random integer generation in an interval", ACM TOMACS 29(1), 2019); a
+    range of one value reads nothing. Both are numpy's ``Generator`` calls
+    bit for bit and to the same stream position. Any other call (an
+    ``out`` or ``size`` argument, a wider range, ``standard_normal``)
+    first seats the Generator at the stream's current state, buffered half
+    included (``_handoff``), and from then on every draw of the instance
+    goes to numpy.
     """
-    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK_128
-    state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK_128
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+
+    __slots__ = ("_rng", "_inc", "_state", "_half", "_has_half")
+
+    def __init__(self, rng: np.random.Generator, s0: int, s1: int, i0: int, i1: int):
+        self._rng = rng
+        self._inc = inc = ((i0 << 64 | i1) << 1 | 1) & _MASK_128
+        self._state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK_128
+        # PCG64's buffer: the upper 32 bits of an output whose lower 32 bits
+        # were read, and whether they are unread (numpy keeps them once read).
+        self._half, self._has_half = 0, False
+
+    def _next32(self) -> int:
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        # One 64-bit output: step the LCG, then XSL-RR (xor the halves,
+        # rotate right by the top 6 bits).
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _MASK_128
+        x = (state ^ state >> 64) & _MASK_64
+        x = (x << 64 | x) >> (state >> 122) & _MASK_64
+        self._half, self._has_half = x >> 32, True
+        return x & _MASK_32
+
+    def random(self, *args, **kwargs):
+        state = self._state
+        if state is None or args or kwargs:
+            return self._handoff().random(*args, **kwargs)
+        # The 64-bit output of _next32, inlined: the hot path of a scalar draw.
+        self._state = state = (state * _PCG_MULT + self._inc) & _MASK_128
+        x = (state ^ state >> 64) & _MASK_64
+        return (((x << 64 | x) >> (state >> 122) & _MASK_64) >> 11) * _TWO_M53
+
+    def integers(self, low, high=None, *args, **kwargs):
+        if high is None:
+            low, high = 0, low
+        if (
+            self._state is None or args or kwargs or type(low) is not int
+            or type(high) is not int or not 0 < high - low < 1 << 32
+            or low < _INT64_MIN or high > _INT64_END
+        ):
+            return self._handoff().integers(low, high, *args, **kwargs)
+        width = high - low
+        if width == 1:
+            return low
+        m = self._next32() * width
+        if m & _MASK_32 < width:
+            threshold = (1 << 32) % width
+            while m & _MASK_32 < threshold:
+                m = self._next32() * width
+        return low + (m >> 32)
+
+    def __getattr__(self, name):
+        return getattr(self._handoff(), name)
+
+    def _handoff(self) -> np.random.Generator:
+        """The shared Generator, seated at this stream's current state on
+        the first call; every later draw of the stream goes to it."""
+        rng = self._rng
+        if self._state is not None:
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": int(self._has_half),
+                "uinteger": self._half,
+            }
+            self._state = None
+        return rng
 
 
 def instance_rng(seed: int, case_name: str, index: int) -> np.random.Generator:
@@ -364,7 +446,9 @@ def _uniform(rng, lo, hi):
     stream position, without ``uniform``'s argument handling.
 
     numpy computes ``low + (high - low) * next_double``, one uint64 per
-    value, and so does this from ``rng.random()``. The identity holds where
+    value, and so does this from ``rng.random()``, which a ``_Stream`` reads
+    in Python (``(next64 >> 11) * 2^-53``, numpy's ``next_double``) until
+    the instance hands off to numpy. The identity holds where
     numpy's C code does not fuse that multiply and add (no FMA: the x86-64
     wheels' baseline has none); ``tests/test_harness.py`` checks it on every
     range the harness draws from. numpy also rejects a non-finite ``high -
@@ -1021,7 +1105,7 @@ def _blocks(slices):
 
 def _seated(slices, block) -> list:
     """The PCG64 seed words of each instance of ``block`` (a block of
-    ``slices``), in order, as rows of Python ints for ``_seat``: those of
+    ``slices``), in order, as rows of Python ints for ``_Stream``: those of
     ``instance_rng``'s stream, from one ``_seed_words`` call."""
     entropy = []
     for k, indices in block:
@@ -1035,8 +1119,9 @@ def _instances(slices, rng: np.random.Generator):
     (case, cfg, cond, indices), in draw order: the slice k it belongs to,
     and its drawn build arguments. Each block of ``_blocks`` is
 
-    1. seated: ``_seat`` points the one generator ``rng`` at the start of
-       each instance's stream, from its ``_seated`` row;
+    1. seeded: each instance's stream is a ``_Stream`` of its ``_seated``
+       row, which hands off to the one generator ``rng`` at its first
+       draw that needs numpy;
     2. drawn: the slice's ``case.draw`` reads every random number of the
        instance, with the slice's condition bound ``cond``;
     3. assembled: the SPD pairs of the block's draws, across its cases,
@@ -1054,7 +1139,7 @@ def _instances(slices, rng: np.random.Generator):
         drawn = []
         for k, indices in block:
             case, cfg, cond, _ = slices[k]
-            drawn += [(k, i, case.draw(_seat(rng, *next(rows)), cfg, cond)) for i in indices]
+            drawn += [(k, i, case.draw(_Stream(rng, *next(rows)), cfg, cond)) for i in indices]
         _assemble_pairs(args for _, _, args in drawn)
         yield from drawn
 

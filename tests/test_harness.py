@@ -283,6 +283,21 @@ def _same_report(report, want) -> bool:
     return report == want and _bits(report.slacks) == _bits(want.slacks)
 
 
+def _same_draw(got, want) -> bool:
+    """Drawn args of the same types and values, floats and arrays bit for bit."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, dict):
+        return got.keys() == want.keys() and all(_same_draw(got[k], want[k]) for k in got)
+    if isinstance(got, tuple):
+        return len(got) == len(want) and all(map(_same_draw, got, want))
+    if isinstance(got, np.ndarray):
+        return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    if isinstance(got, float):
+        return got.hex() == want.hex()
+    return got == want
+
+
 def _fresh_report(name, instances, notes, **overrides):
     """The report of instances ``0 .. instances - 1`` of a case, each built
     alone by ``build_instance``."""
@@ -557,7 +572,7 @@ class TestStreamSeeding:
         gen = harness._new_generator()
         for entropy, words in zip(entropies, block.tolist()):
             want = np.random.default_rng(entropy).bit_generator.state
-            assert harness._seat(gen, *words).bit_generator.state == want, entropy
+            assert harness._Stream(gen, *words)._handoff().bit_generator.state == want, entropy
 
     def test_stream_states_keep_the_digest_streams(self):
         # Instance i's stream is default_rng of the blake2b digest of
@@ -579,12 +594,104 @@ class TestStreamSeeding:
             seed, name = slices[k][1].seed, slices[k][0].name
             digest = hashlib.blake2b(f"{seed}:{name}:{i}".encode(), digest_size=8).digest()
             want = np.random.default_rng(int.from_bytes(digest, "little"))
-            assert harness._seat(gen, *row).bit_generator.state == want.bit_generator.state, (k, i)
+            seated = harness._Stream(gen, *row)._handoff()
+            assert seated.bit_generator.state == want.bit_generator.state, (k, i)
 
     def test_instance_stream_pinned(self):
-        # Recorded with numpy's own seeding; fails if numpy changes it.
-        rng = harness.instance_rng(harness.DEFAULT_SEED, "convex_refined_a", 0)
-        assert rng.random().hex() == "0x1.c9b1b0aa0827ap-2"
+        # Recorded with numpy's own seeding, PCG64 output and bounded
+        # integers; fails if numpy changes any of them, since the harness's
+        # _Stream copies all three.
+        case = harness.REGISTRY["convex_refined_a"]
+        slices = [(case, CaseConfig(), 100.0, [0])]
+        (row,) = harness._seated(slices, [(0, [0])])
+        for rng in (
+            harness.instance_rng(harness.DEFAULT_SEED, "convex_refined_a", 0),
+            harness._Stream(harness._new_generator(), *row),
+        ):
+            assert rng.random().hex() == "0x1.c9b1b0aa0827ap-2"
+            assert (rng.integers(5), rng.integers(1, 9)) == (1, 8)
+
+
+class TestStream:
+    """``_Stream`` reads numpy's PCG64 stream in Python: every call it
+    serves returns numpy's value and leaves numpy's state, and every call it
+    hands off continues numpy's stream."""
+
+    #: (low, high) of the integers calls: one value (nothing read), 2, 5,
+    #: 33 values, 2^31 + 1 (Lemire's rejection taken about half the time),
+    #: 2^32 - 1, with low 0 and low != 0, and high omitted.
+    RANGES = [(1, None), (7, 8), (2, None), (-1, 1), (5, None), (3, 8), (33, None),
+              (-40, -7), (2**31 + 1, None), (-(2**30), 2**30 + 1), (2**32 - 1, None)]
+
+    @staticmethod
+    def _call(rng, op):
+        if op is None:
+            return float(rng.random()).hex()
+        return int(rng.integers(*[v for v in op if v is not None]))
+
+    def test_served_calls_match_numpy(self):
+        entropies = np.random.default_rng(8).integers(0, 2**64, size=10_000, dtype=np.uint64)
+        rows = harness._seed_words(entropies.astype("<u8").tobytes()).tolist()
+        ops = [None, None, *self.RANGES]
+        pattern = np.random.default_rng(9).integers(len(ops), size=(len(rows), 6)).tolist()
+        gen = harness._new_generator()
+        for entropy, row, picks in zip(entropies.tolist(), rows, pattern, strict=True):
+            ours, numpys = harness._Stream(gen, *row), np.random.default_rng(entropy)
+            for pick in picks:
+                assert self._call(ours, ops[pick]) == self._call(numpys, ops[pick]), entropy
+            assert ours._handoff().bit_generator.state == numpys.bit_generator.state, entropy
+
+    @pytest.mark.parametrize("handoff", [
+        lambda rng: rng.standard_normal(3).tobytes(),
+        lambda rng: rng.random(size=2).tobytes(),
+        lambda rng: rng.random(out=np.empty(3)).tobytes(),
+        lambda rng: int(rng.integers(2**32)),
+        lambda rng: int(rng.integers(-5, 2**40)),
+        lambda rng: rng.integers(7, size=4).tobytes(),
+    ])
+    def test_handoff_continues_numpys_stream(self, handoff):
+        # A call the stream does not serve seats the Generator at the
+        # stream's state, an unread buffered half included, and every
+        # later call, served ones too, goes to numpy.
+        entropies = np.random.default_rng(10).integers(0, 2**64, size=200, dtype=np.uint64)
+        rows = harness._seed_words(entropies.astype("<u8").tobytes()).tolist()
+        gen = harness._new_generator()
+        for j, (entropy, row) in enumerate(zip(entropies.tolist(), rows, strict=True)):
+            ours, numpys = harness._Stream(gen, *row), np.random.default_rng(entropy)
+            before = [None, (5, None)] if j % 2 else [(3, 8)]  # half buffered or not
+            for op in before:
+                assert self._call(ours, op) == self._call(numpys, op)
+            assert handoff(ours) == handoff(numpys), entropy
+            for op in [(5, None), None, (2**31 + 1, None)]:
+                assert self._call(ours, op) == self._call(numpys, op), entropy
+            assert ours.bit_generator.state == numpys.bit_generator.state, entropy
+
+    def test_bad_ranges_raise_as_numpy_does(self):
+        # Empty ranges, and narrow ones outside int64, go to numpy.
+        gen = harness._new_generator()
+        for args in [(0,), (-3,), (5, 5), (2**63 - 1, 2**63 + 1), (-(2**63) - 1, -(2**63) + 1)]:
+            with pytest.raises(Exception) as want:
+                np.random.default_rng(1).integers(*args)
+            with pytest.raises(want.type):
+                harness._Stream(gen, 1, 2, 3, 4).integers(*args)
+
+    @pytest.mark.parametrize("pins", [
+        {}, {"dim_min": 3, "dim_max": 3, "depth_min": 4, "depth_max": 4},
+    ])
+    def test_every_case_draws_its_instance_rng_values(self, pins):
+        # Each case's draw through the stream gives the args its draw through
+        # instance_rng gives: equal values, bit-equal arrays. With dim_min ==
+        # dim_max and depth_min == depth_max those draws read nothing.
+        gen = harness._new_generator()
+        indices = range(8)
+        for name, case in harness.REGISTRY.items():
+            _, cfg, _ = harness._request(name, pins)
+            cond = float(cfg.cond_max)
+            rows = harness._seated([(case, cfg, cond, indices)], [(0, indices)])
+            for i, row in zip(indices, rows, strict=True):
+                got = case.draw(harness._Stream(gen, *row), cfg, cond)
+                want = case.draw(harness.instance_rng(cfg.seed, name, i), cfg, cond)
+                assert _same_draw(got, want), (name, i)
 
     def test_block_path_matches_per_instance_streams(self):
         # One block of 30 streams, whose pairs mix n: its report equals the
