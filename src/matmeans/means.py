@@ -37,6 +37,7 @@ whose ends do not move, run one ``eigh``.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -130,10 +131,19 @@ def _pair(a: SpdMatrix, b: SpdMatrix) -> _Pair:
     return _Pair(a, b)
 
 
+def _check_mean_weight(name: str, nu: float) -> None:
+    """A mean's weight rule: any finite real nu, else a DomainError naming
+    the mean ``name`` and nu. The means take every real weight, so the
+    branch rule (``_check_weight``) does not apply."""
+    if not math.isfinite(nu):
+        raise DomainError(f"{name} requires a finite nu, got nu = {nu}")
+
+
 def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
     """(1 - nu) A + nu B; may be indefinite for extended weights. Raises
-    DomainError, with no numpy warning, where an entry leaves the float
-    range."""
+    DomainError, with no numpy warning, for a NaN or infinite nu and where
+    an entry leaves the float range."""
+    _check_mean_weight("arithmetic_mean", nu)
     a, b = _as_spd(a), _as_spd(b)
     _check_dims(a, b)
     with np.errstate(over="ignore", invalid="ignore"):  # named below
@@ -144,7 +154,9 @@ def arithmetic_mean(a, b, nu: float) -> HermitianMatrix:
 
 
 def geometric_mean(a, b, nu: float) -> SpdMatrix:
-    """A #_nu B for any real nu; always positive definite on SPD input."""
+    """A #_nu B for any finite real nu; always positive definite on SPD
+    input. Raises DomainError for a NaN or infinite nu."""
+    _check_mean_weight("geometric_mean", nu)
     t = _pair(_as_spd(a), _as_spd(b))
     return SpdMatrix._exact(_congruence(t.m, _spectrum_powers(t.w, [nu])[0]))
 
@@ -171,8 +183,9 @@ def _harmonic(w: np.ndarray, nu: float) -> np.ndarray:
 
 def harmonic_mean(a, b, nu: float) -> SpdMatrix:
     """A !_nu B = M diag(1/r) M* with r = (1 - nu) + nu/w; raises
-    DomainError where r overflows or R is not positive definite
-    (``_harmonic``)."""
+    DomainError, with no numpy warning, for a NaN or infinite nu, and
+    where r overflows or R is not positive definite (``_harmonic``)."""
+    _check_mean_weight("harmonic_mean", nu)
     t = _pair(_as_spd(a), _as_spd(b))
     return SpdMatrix._exact(_congruence(t.m, _harmonic(t.w, nu)))
 

@@ -150,6 +150,19 @@ class TestMeans:
                     with pytest.raises(DomainError, match="harmonic resolvent overflows"):
                         harmonic_mean(a, b, nu)
 
+    @pytest.mark.parametrize("mean", [arithmetic_mean, geometric_mean, harmonic_mean])
+    def test_non_finite_weight_is_named(self, mean):
+        # The means take every real weight; a NaN or infinite one is named
+        # as such, not as an overflow downstream of it, and nothing warns.
+        pairs = ((_diag(9, 16), _diag(1, 4)), _pair(3), (_diag(2.0), _diag(1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in pairs:
+                for nu in (math.nan, math.inf, -math.inf):
+                    want = f"{mean.__name__} requires a finite nu, got nu = {nu}"
+                    with pytest.raises(DomainError, match=f"^{want}$"):
+                        mean(a, b, nu)
+
     def test_geometric_power_out_of_range_says_which(self):
         # w ** 2 of diag(1, 1e200) overflows and of diag(1e-200, 1) underflows;
         # either raises a DomainError that names it, and numpy warns of neither.
