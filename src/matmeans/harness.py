@@ -358,10 +358,8 @@ class _Stream:
     ``out`` or ``size`` argument, a wider range, ``standard_normal``)
     first seats the Generator at the stream's current state, buffered half
     included (``_handoff``), and from then on every draw of the instance
-    goes to numpy.
+    goes to numpy. A draw reads only these three methods.
     """
-
-    __slots__ = ("_rng", "_inc", "_state", "_half", "_has_half")
 
     def __init__(self, rng: np.random.Generator, s0: int, s1: int, i0: int, i1: int):
         self._rng = rng
@@ -384,11 +382,10 @@ class _Stream:
         return x & _MASK_32
 
     def random(self, *args, **kwargs):
-        state = self._state
-        if state is None or args or kwargs:
+        if args or kwargs:
             return self._handoff().random(*args, **kwargs)
         # The 64-bit output of _next32, inlined: the hot path of a scalar draw.
-        self._state = state = (state * _PCG_MULT + self._inc) & _MASK_128
+        self._state = state = (self._state * _PCG_MULT + self._inc) & _MASK_128
         x = (state ^ state >> 64) & _MASK_64
         return (((x << 64 | x) >> (state >> 122) & _MASK_64) >> 11) * _TWO_M53
 
@@ -396,9 +393,8 @@ class _Stream:
         if high is None:
             low, high = 0, low
         if (
-            self._state is None or args or kwargs or type(low) is not int
-            or type(high) is not int or not 0 < high - low < 1 << 32
-            or low < _INT64_MIN or high > _INT64_END
+            args or kwargs or type(low) is not int or type(high) is not int
+            or not 0 < high - low < 1 << 32 or low < _INT64_MIN or high > _INT64_END
         ):
             return self._handoff().integers(low, high, *args, **kwargs)
         width = high - low
@@ -411,21 +407,23 @@ class _Stream:
                 m = self._next32() * width
         return low + (m >> 32)
 
-    def __getattr__(self, name):
-        return getattr(self._handoff(), name)
+    def standard_normal(self, *args, **kwargs):
+        return self._handoff().standard_normal(*args, **kwargs)
 
     def _handoff(self) -> np.random.Generator:
-        """The shared Generator, seated at this stream's current state on
-        the first call; every later draw of the stream goes to it."""
+        """Seat the shared Generator at this stream's current state and
+        return it. The stream's ``random``, ``integers`` and
+        ``standard_normal`` are the Generator's own from then on, so every
+        later draw goes straight to numpy and this runs once."""
         rng = self._rng
-        if self._state is not None:
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": self._state, "inc": self._inc},
-                "has_uint32": int(self._has_half),
-                "uinteger": self._half,
-            }
-            self._state = None
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self._state, "inc": self._inc},
+            "has_uint32": int(self._has_half),
+            "uinteger": self._half,
+        }
+        self.random, self.integers = rng.random, rng.integers
+        self.standard_normal = rng.standard_normal
         return rng
 
 

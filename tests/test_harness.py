@@ -664,7 +664,7 @@ class TestStream:
             assert handoff(ours) == handoff(numpys), entropy
             for op in [(5, None), None, (2**31 + 1, None)]:
                 assert self._call(ours, op) == self._call(numpys, op), entropy
-            assert ours.bit_generator.state == numpys.bit_generator.state, entropy
+            assert gen.bit_generator.state == numpys.bit_generator.state, entropy
 
     def test_bad_ranges_raise_as_numpy_does(self):
         # Empty ranges, and narrow ones outside int64, go to numpy.
