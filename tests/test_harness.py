@@ -611,6 +611,87 @@ class TestStreamSeeding:
             assert rng.random().hex() == "0x1.c9b1b0aa0827ap-2"
             assert (rng.integers(5), rng.integers(1, 9)) == (1, 8)
 
+    def test_block_path_matches_per_instance_streams(self):
+        # One block of 30 streams, whose pairs mix n: its report equals the
+        # one of instances 0..29 built alone, and no index is skipped.
+        name, n = "kantorovich_operator", 30
+        dims = {harness.build_instance(name, i).payload["n"] for i in range(n)}
+        assert len(dims) > 1
+        report = harness.run_case(name, instances=n)
+        assert (report.instances, report.skipped) == (n, 0)
+        assert _same_report(report, _fresh_report(name, n, report.notes))
+
+    def test_block_assembly_matches_fresh_builds(self):
+        # Every matrix case with n in 1..8, so that a block stacks several
+        # n, at its own cond and at 1e12: the report of the blocks equals
+        # the one of instances drawn and assembled alone.
+        names = [
+            name for name in harness.case_names() if "n" in harness.build_instance(name, 0).drawn
+        ]
+        assert len(names) == 23
+        for cond in ({}, {"cond_max": 1e12}):
+            for name in names:
+                overrides = {"dim_min": 1, "dim_max": 8, **cond}
+                report = harness.run_case(name, instances=10, **overrides)
+                want = _fresh_report(name, 10, report.notes, **overrides)
+                assert _same_report(report, want), (name, cond)
+
+    def test_sweep_seeds_once_on_one_generator(self, monkeypatch):
+        # A depth sweep draws each instance once, from one seeding block on
+        # one generator, and builds all its grid values in one call.
+        seedings, generators = [], []
+        seed_words, new_generator = harness._seed_words, harness._new_generator
+        monkeypatch.setattr(
+            harness, "_seed_words", lambda e: seedings.append(e) or seed_words(e)
+        )
+        monkeypatch.setattr(
+            harness, "_new_generator", lambda: generators.append(1) or new_generator()
+        )
+
+        def streams(name, count):
+            return b"".join(harness._entropy(harness.DEFAULT_SEED, name, range(count)))
+
+        for name in ("operator_reverse_pos", "young_reverse_pos"):
+            seedings.clear()
+            generators.clear()
+            harness.sweep(name, "depth", [1, 2, 3], instances=6)
+            assert seedings == [streams(name, 6)], name
+            assert len(generators) == 1, name
+        # A cond sweep runs one slice per value, a revisited one too, so its
+        # one block seeds each stream at every value and draws it there.
+        seedings.clear()
+        name, case, conds = "operator_reverse_pos", harness.REGISTRY["operator_reverse_pos"], []
+
+        def draw_cond(rng, cfg, cond):
+            conds.append(cond)
+            return case.draw(rng, cfg, cond)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(harness.REGISTRY, name, dataclasses.replace(case, draw=draw_cond))
+            harness.sweep(name, "cond", [50.0, 2.0, 50.0], instances=4)
+        assert seedings == [streams(name, 4) * 3]
+        assert sorted(conds) == [2.0] * 4 + [50.0] * 8
+        # run_case and a sweep draw a whole block, then build its draws in
+        # draw order: run_case at a grid of one, a sweep at its whole grid.
+        case, events = harness.REGISTRY["young_reverse_pos"], []
+
+        def draw(rng, cfg, cond):
+            events.append("draw")
+            return case.draw(rng, cfg, cond)
+
+        def build(args, grid):
+            events.append(("build", len(grid)))
+            return case.build(args, grid)
+
+        monkeypatch.setitem(
+            harness.REGISTRY, case.name, dataclasses.replace(case, draw=draw, build=build)
+        )
+        harness.run_case(case.name, instances=3)
+        assert events == ["draw"] * 3 + [("build", 1)] * 3
+        events.clear()
+        harness.sweep(case.name, "depth", [1, 2], instances=3)
+        assert events == ["draw"] * 3 + [("build", 2)] * 3
+
 
 class TestStream:
     """``_Stream`` reads numpy's PCG64 stream in Python: every call it
@@ -692,87 +773,6 @@ class TestStream:
                 got = case.draw(harness._Stream(gen, *row), cfg, cond)
                 want = case.draw(harness.instance_rng(cfg.seed, name, i), cfg, cond)
                 assert _same_draw(got, want), (name, i)
-
-    def test_block_path_matches_per_instance_streams(self):
-        # One block of 30 streams, whose pairs mix n: its report equals the
-        # one of instances 0..29 built alone, and no index is skipped.
-        name, n = "kantorovich_operator", 30
-        dims = {harness.build_instance(name, i).payload["n"] for i in range(n)}
-        assert len(dims) > 1
-        report = harness.run_case(name, instances=n)
-        assert (report.instances, report.skipped) == (n, 0)
-        assert _same_report(report, _fresh_report(name, n, report.notes))
-
-    def test_block_assembly_matches_fresh_builds(self):
-        # Every matrix case with n in 1..8, so that a block stacks several
-        # n, at its own cond and at 1e12: the report of the blocks equals
-        # the one of instances drawn and assembled alone.
-        names = [
-            name for name in harness.case_names() if "n" in harness.build_instance(name, 0).drawn
-        ]
-        assert len(names) == 23
-        for cond in ({}, {"cond_max": 1e12}):
-            for name in names:
-                overrides = {"dim_min": 1, "dim_max": 8, **cond}
-                report = harness.run_case(name, instances=10, **overrides)
-                want = _fresh_report(name, 10, report.notes, **overrides)
-                assert _same_report(report, want), (name, cond)
-
-    def test_sweep_seeds_once_on_one_generator(self, monkeypatch):
-        # A depth sweep draws each instance once, from one seeding block on
-        # one generator, and builds all its grid values in one call.
-        seedings, generators = [], []
-        seed_words, new_generator = harness._seed_words, harness._new_generator
-        monkeypatch.setattr(
-            harness, "_seed_words", lambda e: seedings.append(e) or seed_words(e)
-        )
-        monkeypatch.setattr(
-            harness, "_new_generator", lambda: generators.append(1) or new_generator()
-        )
-
-        def streams(name, count):
-            return b"".join(harness._entropy(harness.DEFAULT_SEED, name, range(count)))
-
-        for name in ("operator_reverse_pos", "young_reverse_pos"):
-            seedings.clear()
-            generators.clear()
-            harness.sweep(name, "depth", [1, 2, 3], instances=6)
-            assert seedings == [streams(name, 6)], name
-            assert len(generators) == 1, name
-        # A cond sweep runs one slice per value, a revisited one too, so its
-        # one block seeds each stream at every value and draws it there.
-        seedings.clear()
-        name, case, conds = "operator_reverse_pos", harness.REGISTRY["operator_reverse_pos"], []
-
-        def draw_cond(rng, cfg, cond):
-            conds.append(cond)
-            return case.draw(rng, cfg, cond)
-
-        with monkeypatch.context() as patch:
-            patch.setitem(harness.REGISTRY, name, dataclasses.replace(case, draw=draw_cond))
-            harness.sweep(name, "cond", [50.0, 2.0, 50.0], instances=4)
-        assert seedings == [streams(name, 4) * 3]
-        assert sorted(conds) == [2.0] * 4 + [50.0] * 8
-        # run_case and a sweep draw a whole block, then build its draws in
-        # draw order: run_case at a grid of one, a sweep at its whole grid.
-        case, events = harness.REGISTRY["young_reverse_pos"], []
-
-        def draw(rng, cfg, cond):
-            events.append("draw")
-            return case.draw(rng, cfg, cond)
-
-        def build(args, grid):
-            events.append(("build", len(grid)))
-            return case.build(args, grid)
-
-        monkeypatch.setitem(
-            harness.REGISTRY, case.name, dataclasses.replace(case, draw=draw, build=build)
-        )
-        harness.run_case(case.name, instances=3)
-        assert events == ["draw"] * 3 + [("build", 1)] * 3
-        events.clear()
-        harness.sweep(case.name, "depth", [1, 2], instances=3)
-        assert events == ["draw"] * 3 + [("build", 2)] * 3
 
 
 class TestSweep:
