@@ -22,18 +22,20 @@ Identities, shape checks and the other margin cases have a one-value build
 of their own (``_each``).
 
 ``run_suite``, ``sweep`` and ``build_instance`` share one loop,
-``_instances``, over a list of (case, cfg, cond, indices) slices; ``run_case``
+``_evaluated``, over a list of (case, cfg, cond, indices) slices; ``run_case``
 is ``run_suite`` of one name. The loop cuts a call's instances, in order,
-into blocks of at most ``_BLOCK`` across case boundaries. Each block is
-seeded with one ``_seed_words`` call (``_seated``), draws its instances,
-and assembles their SPD pairs with one QR and one assembly per dimension n
-across its cases; the loop then yields its instances in draw order, and
-the caller builds each at every grid value in one call (a grid of one for
-``run_suite``). The seeding works row by row and the assembly matrix by
-matrix, so no bit depends on the block. A build reads no random number, so
-a pin cannot move a stream, and no stream state is saved or restored.
-``run_suite`` decides each case as soon as its last instance is built,
-before any later case is built.
+into blocks of at most ``_BLOCK`` across case boundaries (``_instances``).
+Each block is seeded with one ``_seed_words`` call (``_seated``), draws its
+instances, and assembles their SPD pairs with one QR and one assembly per
+dimension n across its cases. The norm and Heinz builds of a block yield
+their norm kernel requests, which one ``norms._stacked_norms`` call
+evaluates, one SVD per n. The loop yields the instances in draw order,
+each built at every grid value in one call (a grid of one for
+``run_suite``). The seeding works row by row, the assembly matrix by
+matrix and the kernel request by request, so no bit depends on the block.
+A build reads no random number, so a pin cannot move a stream, and no
+stream state is saved or restored. ``run_suite`` decides each case as soon
+as its last instance is built, before any later instance raises.
 
 An instance draws from a ``_Stream``: its PCG64 stream, stepped in Python
 ints. ``random()`` and ``integers`` over fewer than 2^32 values, all that
@@ -57,6 +59,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -218,8 +222,8 @@ class CaseDef:
     """A registered case: ``draw(rng, cfg, cond) -> args`` reads every
     random number of one instance and returns the build's keyword
     arguments, from which ``_replay`` derives its payload, and the pure
-    ``build(args, grid)`` gives its ``Built`` at each grid value (see
-    ``_instances``)."""
+    ``build(args, grid)`` gives its ``Built`` at each grid value; it may be
+    a generator function that yields norm kernel requests (``_evaluated``)."""
 
     name: str
     draw: Callable[[np.random.Generator, CaseConfig, float], dict]
@@ -235,8 +239,18 @@ REGISTRY: dict[str, CaseDef] = {}
 
 def _each(build):
     """The grid build of a one-value ``build(**args) -> Built``: one call per
-    grid value, with its pins in a copy of the args."""
-    return lambda args, grid: [build(**{**args, **pins}) for pins in grid]
+    grid value, with its pins in a copy of the args; a generator function
+    for a ``build`` that is one (``_evaluated``)."""
+    if not inspect.isgeneratorfunction(build):
+        return lambda args, grid: [build(**{**args, **pins}) for pins in grid]
+
+    def grid_build(args, grid):
+        builts = []
+        for pins in grid:
+            builts.append((yield from build(**{**args, **pins})))
+        return builts
+
+    return grid_build
 
 
 def _register(name, *, draw, build, nu_branch=0, overrides=None, sweep=(), description=""):
@@ -610,13 +624,22 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
 def _grid_refinement(inputs, grid_form, *, branch, base=None, depth=True):
     """``_refinement`` of a chain checked through its ``grid_form``: one
     call per instance, on the (nu, depth) pairs of the whole grid, or its
-    nus for a chain without a depth."""
+    nus for a chain without a depth; a generator function for a grid form
+    that is one, a norm grid form's ``steps`` (``_evaluated``)."""
 
-    def build(args, grid):
+    def grid_args(args, grid):
         kwargs = {k: v for k, v in args.items() if k not in ("nu", "depth")}
         weights = [args | pins for pins in grid]
         kwargs["grid"] = [(w["nu"], w["depth"]) if "depth" in w else w["nu"] for w in weights]
-        return [_built(chain, base) for chain in grid_form(**kwargs)]
+        return kwargs
+
+    if inspect.isgeneratorfunction(grid_form):
+        def build(args, grid):
+            chains = yield from grid_form(**grid_args(args, grid))
+            return [_built(chain, base) for chain in chains]
+    else:
+        def build(args, grid):
+            return [_built(chain, base) for chain in grid_form(**grid_args(args, grid))]
 
     return {"draw": _weighted(inputs, branch, depth), "build": build, "nu_branch": branch}
 
@@ -858,13 +881,14 @@ _register(
 
 # ---------------------------------------------------------------------------
 # Norm and Heinz cases (dimension capped at 6, all five norm kinds in rotation).
+# Each build yields its norm kernel request (``norms._batchable``).
 
 _register(
     "norm_reverse_pos",
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu >= 0",
-    **_grid_refinement(_norm_inputs, norms._norm_reverse_grid, branch=1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._norm_reverse_grid.steps, branch=1, base="power"),
 )
 
 _register(
@@ -872,7 +896,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="norm-functional reverse refinement, nu <= -1",
-    **_grid_refinement(_norm_inputs, norms._norm_reverse_grid, branch=-1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._norm_reverse_grid.steps, branch=-1, base="power"),
 )
 
 _register(
@@ -880,7 +904,7 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="two-sided power refinement ||A^{1+nu} X B^{1+nu}||",
-    **_grid_refinement(_norm_inputs, norms._norm_heinz_grid, branch=1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._norm_heinz_grid.steps, branch=1, base="power"),
 )
 
 _register(
@@ -888,16 +912,16 @@ _register(
     overrides={"instances": 500},
     sweep=("nu", "depth", "cond"),
     description="five-term chain joining scalar and norm-functional refinements",
-    **_grid_refinement(_norm_inputs, norms._combined_norm_grid, branch=1, base="power"),
+    **_grid_refinement(_norm_inputs, norms._combined_norm_grid.steps, branch=1, base="power"),
 )
 
 
 def _build_norm_collapse(a, b, x, kind, nu):
     # f(1/2) = ||A^{1/2} X B^{1/2}||, f(-nu), ||AX||, ||AXB|| and
     # ||A^{1+nu} X B^{1+nu}||, from one SVD of the five products.
-    half, f_end, f_ax, g0, g_end = norms._product_norms(
+    half, f_end, f_ax, g0, g_end = (yield from norms._product_norms.steps(
         a, b, x, [0.5, 1.0 + nu, 1.0, 1.0, 1.0 + nu], [0.5, -nu, 0.0, 1.0, 1.0 + nu], kind
-    ).tolist()
+    )).tolist()
     lhs1 = math.exp((1.0 + 2.0 * nu) * math.log(f_ax))
     rhs1 = math.exp(math.log(f_end) + 2.0 * nu * math.log(half))
     lhs2 = math.exp((1.0 + 2.0 * nu) * math.log(g0))
@@ -925,7 +949,7 @@ def _draw_norm_logconvexity(rng, cfg, cond):
 
 def _build_norm_logconvexity(a, b, x, kind, v1, v2, alpha):
     weights = [v1, v2, alpha * v1 + (1 - alpha) * v2]
-    fa, fb, fm = norms._functional_values(a, b, x, weights, kind).tolist()
+    fa, fb, fm = (yield from norms._functional_values.steps(a, b, x, weights, kind)).tolist()
     bound = math.exp(alpha * math.log(fa) + (1 - alpha) * math.log(fb))
     return Built(margins=np.array([(bound - fm) / max(1.0, bound, fm)]))
 
@@ -947,7 +971,7 @@ def _draw_heinz_symmetry(rng, cfg, cond):
 def _build_heinz_symmetry(a, b, x, kind, nu):
     # The kernel maps nu and 1 - nu to one canonical exponent pair, up to
     # the rounding of 1 - nu: this checks that form, relative to the value.
-    f_nu, f_mirror = norms._heinz_values(a, b, x, [nu, 1.0 - nu], kind).tolist()
+    f_nu, f_mirror = (yield from norms._heinz_values.steps(a, b, x, [nu, 1.0 - nu], kind)).tolist()
     defect = abs(f_nu - f_mirror) / max(1.0, f_nu, f_mirror)
     return Built(margins=np.array([(1e-10 - defect) / 1e-10]))
 
@@ -967,7 +991,8 @@ def _draw_heinz_midpoint(rng, cfg, cond):
 
 
 def _build_heinz_midpoint(a, b, x, kind, v1, v2):
-    return Built(margins=np.array([norms.heinz_midpoint_margin(a, b, x, v1, v2, kind)]))
+    margin = yield from norms.heinz_midpoint_margin.steps(a, b, x, v1, v2, kind)
+    return Built(margins=np.array([margin]))
 
 
 _register(
@@ -979,7 +1004,7 @@ _register(
 
 
 def _build_heinz_monotonicity(a, b, x, kind):
-    margins, _ = norms.heinz_grid_margins(a, b, x, kind)
+    margins, _ = yield from norms.heinz_grid_margins.steps(a, b, x, kind)
     return Built(margins=margins)
 
 
@@ -995,7 +1020,7 @@ _register(
     overrides={"nu_range": (0.0, 4.0)},
     sweep=("nu", "depth", "cond"),
     description="reversed Heinz inequality with dyadic refinement",
-    **_grid_refinement(_norm_inputs, norms._heinz_reverse_grid, branch=1, base="sum_norm"),
+    **_grid_refinement(_norm_inputs, norms._heinz_reverse_grid.steps, branch=1, base="sum_norm"),
 )
 
 
@@ -1007,7 +1032,7 @@ def _draw_heinz_outside(rng, cfg, cond):
 
 
 def _build_heinz_outside(a, b, x, kind, nu):
-    f0, fv = norms._heinz_values(a, b, x, [0.0, nu], kind).tolist()
+    f0, fv = (yield from norms._heinz_values.steps(a, b, x, [0.0, nu], kind)).tolist()
     return Built(margins=np.array([(fv - f0) / max(1.0, f0, fv)]))
 
 
@@ -1028,7 +1053,7 @@ def _draw_heinz_pq(rng, cfg, cond):
 
 
 def _build_heinz_pq(a, b, x, kind, p, q):
-    return Built(chain=norms.heinz_pq_chain(a, b, x, p, q, kind))
+    return Built(chain=(yield from norms.heinz_pq_chain.steps(a, b, x, p, q, kind)))
 
 
 _register(
@@ -1046,7 +1071,7 @@ def _draw_heinz_interpolated(rng, cfg, cond):
 
 
 def _build_heinz_interpolated(a, b, x, kind, p, q, r):
-    return Built(chain=norms.heinz_interpolated_chain(a, b, x, p, q, r, kind))
+    return Built(chain=(yield from norms.heinz_interpolated_chain.steps(a, b, x, p, q, r, kind)))
 
 
 _register(
@@ -1058,7 +1083,8 @@ _register(
 
 
 def _build_heinz_interp_grid(a, b, x, kind, p, q):
-    vals = norms.heinz_interpolation_values(a, b, x, p, q, np.linspace(0.0, q, 9), kind)
+    rs = np.linspace(0.0, q, 9)
+    vals = yield from norms.heinz_interpolation_values.steps(a, b, x, p, q, rs, kind)
     scale = max(1.0, float(np.max(vals)))
     return Built(margins=(vals[:-1] - vals[1:]) / scale)
 
@@ -1125,13 +1151,10 @@ def _instances(slices, rng: np.random.Generator):
     3. assembled: the SPD pairs of the block's draws, across its cases,
        with one QR and one assembly per n (``_assemble_pairs``);
 
-    and then yielded, in the order it was drawn. The caller builds what it
-    is given: ``case.build(args, grid)`` evaluates the instance at every
-    grid value in one call, a value's pins in copies of the drawn dict, so
-    a pin cannot move a stream. ``run_suite``, ``sweep`` and
-    ``build_instance`` all run this loop. The seeding works row by row, and
-    the QR and the assembly matrix by matrix, so a draw does not depend on
-    its block."""
+    and then yielded, in the order it was drawn, before the next block is
+    seeded, so ``_BLOCK`` records at a time are one block, which
+    ``_evaluated`` builds. The seeding works row by row, and the QR and the
+    assembly matrix by matrix, so a draw does not depend on its block."""
     for block in _blocks(slices):
         rows = iter(_seated(slices, block))
         drawn = []
@@ -1140,6 +1163,77 @@ def _instances(slices, rng: np.random.Generator):
             drawn += [(k, i, case.draw(_Stream(rng, *next(rows)), cfg, cond)) for i in indices]
         _assemble_pairs(args for _, _, args in drawn)
         yield from drawn
+
+
+def _evaluated(slices, rng: np.random.Generator, pins: list):
+    """Yield (k, index, args, builts) for each instance of ``slices``, in
+    draw order: the records of ``_instances`` with the ``Built`` at each
+    grid value of ``pins``, from one ``case.build(args, pins)`` call, a
+    value's pins in copies of the drawn dict, so a pin cannot move a stream.
+
+    The generator builds of a block (the norm and Heinz cases) run
+    together, their norm kernel requests evaluated in one call
+    (``_batched_builds``); a plain build runs as its instance is reached.
+    An instance whose build raised raises as it is reached, after every
+    earlier instance of the call has been yielded."""
+    batched = [inspect.isgeneratorfunction(case.build) for case, *_ in slices]
+    records = _instances(slices, rng)
+    while block := list(itertools.islice(records, _BLOCK)):
+        started = [slices[k][0].build(args, pins) for k, _, args in block if batched[k]]
+        outcomes = iter(_batched_builds(started))
+        for k, index, args in block:
+            if not batched[k]:
+                yield k, index, args, slices[k][0].build(args, pins)
+                continue
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield k, index, args, outcome
+
+
+def _batched_builds(started: list) -> list:
+    """The builts of each started generator build, or the exception it
+    raised, in order. Each round sends every pending build the values of
+    its last request (at first None) and evaluates the requests they yield
+    together (``_kernel_values``), until every build has returned."""
+    outcomes = [None] * len(started)
+    pending = [(at, steps, None) for at, steps in enumerate(started)]
+    while pending:
+        asked = []
+        for at, steps, values in pending:
+            try:
+                if isinstance(values, Exception):
+                    request = steps.throw(values)
+                else:
+                    request = steps.send(values)
+            except StopIteration as done:
+                outcomes[at] = done.value
+            except Exception as exc:  # raised where its instance is reached
+                outcomes[at] = exc
+            else:
+                asked.append((at, steps, request))
+        answers = _kernel_values([request for _, _, request in asked])
+        pending = [(at, steps, values) for (at, steps, _), values in zip(asked, answers)]
+    return outcomes
+
+
+def _kernel_values(requests) -> list:
+    """The values of each norm kernel request, from one
+    ``norms._stacked_norms`` call. Where that call raises, each request is
+    evaluated alone, and one that raises gets its exception in place of its
+    values: the one its instance raises when built alone."""
+    if not requests:
+        return []
+    try:
+        return norms._stacked_norms(requests)
+    except Exception:
+        answers = []
+        for request in requests:
+            try:
+                answers.append(norms._stacked_norms([request])[0])
+            except Exception as exc:
+                answers.append(exc)
+        return answers
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
@@ -1153,8 +1247,7 @@ def build_instance(name: str, index: int, forced: dict | None = None, **override
         for param, value in (forced or {}).items()
     }
     cond = float(forced.pop("cond", cfg.cond_max))
-    ((_, _, args),) = _instances([(case, cfg, cond, [index])], _new_generator())
-    (built,) = case.build(args, [forced])
+    ((_, _, args, (built,)),) = _evaluated([(case, cfg, cond, [index])], _new_generator(), [forced])
     built.drawn = _replay({**args, **forced}, cond)
     return built
 
@@ -1206,16 +1299,17 @@ def run_suite(
     Every name and its case's config pass ``_request`` once, before any
     instance is drawn. Each case checks its instances ``0 .. instances -
     1``, none skipped; their (case, index) instances run, in order, through
-    one ``_instances`` loop on one generator, in blocks of at most
-    ``_BLOCK`` instances across case boundaries. Deterministic for a fixed
-    config: every instance derives its own stream from (seed, case, index),
-    whatever its block. Each instance is built once and leaves only its
-    value row (``Built.value_row``). A case is decided, and its failure
-    files written to ``failures_dir``, as soon as its last instance is
-    built (``_decide``); its rows are dropped then, so the call holds the
-    rows of the cases it has not finished and the drawn inputs of at most
-    one block. Instances are built in draw order, so every case is decided
-    before any later case is built.
+    one ``_evaluated`` loop on one generator, in blocks of at most
+    ``_BLOCK`` instances across case boundaries, whose norm and Heinz
+    instances share one norm kernel call. Deterministic for a fixed config:
+    every instance derives its stream from (seed, case, index), and its
+    values from its draw, whatever its block. Each instance is built once
+    and leaves only its value row (``Built.value_row``). A case is decided,
+    and its failure files written to ``failures_dir``, as soon as its last
+    instance is reached (``_decide``); its rows are dropped then, so the
+    call holds the rows of the cases it has not finished and the drawn
+    inputs and builts of at most one block. Every case is decided before
+    any later instance raises.
     """
     selected = case_names() if names is None else tuple(names)
     slices = []
@@ -1226,9 +1320,8 @@ def run_suite(
     kinds = [set() for _ in slices]
     rows = [[] for _ in slices]
     reports = [None] * len(slices)
-    unpinned = [{}]
-    for k, _, args in _instances(slices, rng):
-        decide, row = slices[k][0].build(args, unpinned)[0].value_row()
+    for k, _, _, (built,) in _evaluated(slices, rng, [{}]):
+        decide, row = built.value_row()
         kinds[k].add(decide)
         rows[k].append(row)
         if len(rows[k]) == len(slices[k][3]):
@@ -1304,9 +1397,9 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
         slices = [(case, cfg, float(cfg.cond_max), indices)] if values else []
         pins = [{param: value} for value in values]
     columns = [([], []) for _ in values]
-    for k, _, args in _instances(slices, _new_generator()):
+    for k, _, _, builts in _evaluated(slices, _new_generator(), pins):
         # Slice k holds the value k of a cond sweep; its builts fill the columns from there.
-        for (gaps, gains), built in zip(columns[k:], case.build(args, pins)):
+        for (gaps, gains), built in zip(columns[k:], builts):
             gaps.append(built.gap())
             gains.append(_gain(built))
     return [

@@ -16,10 +16,11 @@ verification harness) is built on the small toolkit in this module:
 * a Hermitian eigensolver (LAPACK through ``numpy.linalg.eigh``), kept on
   each matrix as ``HermitianMatrix.eig``,
 * the spectral kernels that ``means`` and ``norms`` share: the powers
-  w ** t of a positive spectrum, ``_spectrum_powers``, which name an
-  overflow or an underflow; the graded stack diag(wa^l) Y diag(wb^r) of a
-  matrix Y in the eigenbases of A and B, ``_graded``; and the one LAPACK
-  SVD wrapper, ``_singular_values``. No power of a matrix is assembled,
+  w ** t of a positive spectrum or of a stack of them, ``_spectrum_powers``,
+  which name an overflow or an underflow; the graded stack
+  diag(wa^l) Y diag(wb^r) of a matrix Y in the eigenbases of A and B, or
+  of a stack of such Y, ``_graded``; and the one LAPACK SVD wrapper,
+  ``_singular_values``. No power of a matrix is assembled,
 * the semidefinite (Loewner) order check ``loewner_leq``,
 * seeded random SPD generation on Haar unitaries (``_haar``); an SPD draw
   (``_draw_spds``) and its assembly (``_assemble_spds``) are separate
@@ -309,41 +310,59 @@ class OperatorChain:
         return float(self.transfer.col_norms @ v)
 
 
-def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
-    """Rows w ** t of a positive spectrum w, one per weight t, each computed
-    alone (a broadcast power can differ in the last bit); w ** 0 is exactly
-    1. Overflow or underflow to 0 raises a DomainError that says which.
+#: numpy's ufunc for ``w ** t`` at a scalar t of 0.5, 2 or -1, correctly
+#: rounded where a general power can miss in the last bit. At t = 0 and 1
+#: any faithful power is exact, as numpy's ``ones_like`` and ``positive``.
+_SCALAR_EXPONENTS = {0.5: np.sqrt, 2.0: np.square, -1.0: np.reciprocal}
 
-    w must be monotone, ascending or descending: every caller passes sorted
-    eigenvalues, a pair's ``w`` or a monotone map of it. Then so is each
-    row, and its two ends decide: they are powered in Python floats first,
-    so numpy never computes a power that leaves the float range, and it
-    does not warn."""
-    lo, hi = float(w[0]), float(w[-1])
-    out = np.empty((len(ts), len(w)))
-    for i, t in enumerate(ts):
-        t = float(t)
-        try:
-            ends = lo ** t, hi ** t
-        except OverflowError:
+
+def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
+    """Rows w ** t of a positive spectrum w, one per weight t of the
+    sequence ``ts``, or of a (k, n) stack of spectra, row i powered by
+    ts[i]: one array power, each row bit for bit the ``w ** t`` of its
+    spectrum alone (``_SCALAR_EXPONENTS`` keeps numpy's scalar-exponent
+    path). numpy powers a view with a negative stride in another loop, with
+    other last bits, so w is read as a fresh copy.
+
+    The rows decide, and numpy does not warn: the first row that holds an
+    inf raises a DomainError that names an overflow at its t, and one that
+    holds a 0, an underflow."""
+    w = np.array(w, dtype=np.float64)
+    t = np.array(ts, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.power(w, t[:, None])
+        for s in _SCALAR_EXPONENTS.keys() & ts:
+            _SCALAR_EXPONENTS[s](w, out=out, where=(t == s)[:, None])
+    if not 0.0 < np.minimum.reduce(out, axis=None) <= np.maximum.reduce(out, axis=None) < np.inf:
+        over, zero = np.isinf(out).any(axis=1), (out == 0.0).any(axis=1)
+        bad = np.flatnonzero(over | zero)
+        if bad.size:  # else a NaN weight: its NaN row is returned as it is
+            i = bad[0]
+            if over[i]:
+                raise DomainError(
+                    f"w ** t overflows at t = {t[i]:g}: matrix entries must be finite"
+                )
             raise DomainError(
-                f"w ** t overflows at t = {t:g}: matrix entries must be finite"
-            ) from None
-        if 0.0 in ends:
-            raise DomainError(
-                f"assembled spectrum must be strictly positive: w ** t underflows at t = {t:g}"
+                "assembled spectrum must be strictly positive: "
+                f"w ** t underflows at t = {t[i]:g}"
             )
-        out[i] = w ** t
     return out
 
 
-def _graded(wa, wb, y, left, right) -> np.ndarray:
+def _graded(wa, wb, y, left, right, rows=None) -> np.ndarray:
     """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
     the eigenbases of A and B, whose spectra are wa and wb: each entry is
-    Y_jk wa_j^l wb_k^r."""
-    pa = _spectrum_powers(wa, left)
-    pb = _spectrum_powers(wb, right)
-    return y * pa[:, :, None] * pb[:, None, :]
+    Y_jk wa_j^l wb_k^r. With ``rows``, wa, wb and Y are stacks, and graded
+    matrix i takes its spectra and Y from their row rows[i]: each has the
+    bits of its own call."""
+    if rows is None:
+        graded = y * _spectrum_powers(wa, left)[:, :, None]
+    else:
+        graded = y[rows]  # a fresh stack, scaled in place: the bits of y[rows] * pa
+        graded *= _spectrum_powers(wa[rows], left)[:, :, None]
+        wb = wb[rows]
+    graded *= _spectrum_powers(wb, right)[:, None, :]
+    return graded
 
 
 def _singular_values(stack: np.ndarray, compute_uv: bool = False):

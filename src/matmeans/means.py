@@ -98,7 +98,11 @@ class _Pair:
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, _Transfer]:
-        p, s, _ = _singular_values(self.graded(self.c, [-0.5], [0.5])[0], compute_uv=True)
+        # wa^{-1/2} and wb^{1/2} of G, then wa^{1/2} of M, from one call.
+        left, right, root = _spectrum_powers(
+            np.array([self.wa, self.b.eig.eigenvalues, self.wa]), [-0.5, 0.5, 0.5]
+        )
+        p, s, _ = _singular_values(self.c * left[:, None] * right, compute_uv=True)
         # The ends of s, squared in Python floats, name a w = s^2 out of the
         # float range before numpy squares (and warns).
         top, low = float(s[0]), float(s[-1])
@@ -109,7 +113,7 @@ class _Pair:
         w = s[::-1] ** 2
         if w[0] <= 0.0:
             raise DomainError(f"matrix is not positive definite: lambda_min = {w[0]:.6e}")
-        m = (self.qa * _spectrum_powers(self.wa, [0.5])[0]) @ p[:, ::-1]
+        m = (self.qa * root) @ p[:, ::-1]
         return w, _Transfer(_freeze(m))
 
     @property

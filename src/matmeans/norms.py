@@ -15,26 +15,34 @@ Singular values come from LAPACK's SVD, never from the spectrum of X*X,
 which would square the condition number. Every functional of the weight is
 evaluated on its whole set of weights at once, in the recorded eigenbases
 of A and B: ||A^l X B^r|| = ||diag(wa^l) Qa* X Qb diag(wb^r)|| by unitary
-invariance, so no power of A or B is assembled, and one SVD takes every
-norm of the stack (``_norms_of``). The graded stack and the SVD are the
+invariance, so no power of A or B is assembled. A functional's weights
+make one kernel request (a, b, x, left, right, kind, paired), and the
+kernel, ``_stacked_norms``, evaluates a list of them: per n, one stacked
+Y = Qa* X Qb, one stacked power of the spectra, one SVD and one
+``NormKind.of_sigma`` call per kind. The graded stack and the SVD are the
 spectral kernels of ``linalg`` (``_graded``, ``_singular_values``), which
-``means`` shares. A single value (``heinz_norm``) is the
-same kernel on a stack of one, and a value does not depend on the stack it
-is computed in. Every public functional of (A, B, X) checks its operands
-once, on entry (``_operands``): A and B positive definite of one n, and
-X an n x n matrix (``linalg._check_dims``); the kernels below it do not
-check them again.
+``means`` shares. Every step works matrix by matrix or row by row, so a
+value does not depend on the other weights or requests of its stack.
+
+A function that needs norms yields its request and is sent the values
+(``_batchable``): called, it evaluates its one request alone, as
+``heinz_norm`` does; its ``steps`` form lets the harness evaluate the
+requests of a block of instances in one kernel call. Every public
+functional of (A, B, X) checks its operands once, on entry
+(``_operands``): A and B positive definite of one n, and X an n x n
+matrix (``linalg._check_dims``); the kernel does not check them again.
 
 A chain that a sweep varies in nu or depth is the grid of one of a private
-grid form (``_norm_reverse_grid`` and so on). It hands its functional to the
-grid driver ``scalar._refinements``, which checks the grid, evaluates the
-distinct weights of the whole grid (0, 1, each target and each m_N) in one
-kernel call, and passes each grid value's four values to the refinement
-kernel. Nothing is kept between calls.
+grid form (``_norm_reverse_grid`` and so on). It reads the grid's
+distinct weights (0, 1, each target and each m_N) from
+``scalar._refinement_points``, which checks the grid, makes one kernel
+request for them, and passes each grid value's four values to the
+refinement kernel. Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +54,7 @@ from .scalar import (
     _check_int,
     _convex_refinement,
     _logconvex_refinement,
-    _refinements,
+    _refinement_points,
     young_reverse_chain,
 )
 
@@ -117,10 +125,14 @@ class NormKind:
             if p == 2.0:
                 out = np.sqrt(total(sigma * sigma, axis=-1))
             else:
-                # Row by row: a broadcast power can differ in the last bit.
-                rows = sigma.reshape(-1, sigma.shape[-1])
-                out = np.array([total(r ** p) ** (1.0 / p) for r in rows])
-                out = out.reshape(sigma.shape[:-1])
+                # The power and the sums work element by element and row by
+                # row, so they have each row's own bits. The 1/p roots are
+                # taken per row in Python floats, by libm's pow, as numpy's
+                # float64 scalar power takes them: numpy's array power can
+                # differ from that in the last bit.
+                sums = total(sigma ** p, axis=-1)
+                root = 1.0 / p
+                out = np.array([s ** root for s in sums.ravel().tolist()]).reshape(sums.shape)
             out = out * scale[..., 0]
         return float(out) if out.ndim == 0 else out
 
@@ -140,11 +152,6 @@ DEFAULT_NORM_KINDS: tuple[NormKind, ...] = (
 )
 
 
-def _norms_of(stack: np.ndarray, kind: NormKind) -> np.ndarray:
-    """``kind`` of every matrix of a (k, n, n) stack, from one SVD."""
-    return kind.of_sigma(_singular_values(stack))
-
-
 def singular_values(x) -> np.ndarray:
     """Singular values, descending, by LAPACK's SVD."""
     a = _arr(x)
@@ -158,8 +165,10 @@ def ui_norm(x, kind: NormKind) -> float:
     return kind.of_sigma(singular_values(x))
 
 
-# Batched kernels: each evaluates a functional of the weight on a whole list
-# of weights, in the eigenbases of A and B, with one SVD.
+# The kernel. A request is a tuple (a, b, x, left, right, kind, paired): A
+# and B positive definite and X an n x n array, checked once (``_operands``),
+# two lists of exponents of one length, a norm kind, and whether the
+# exponent pairs come in two halves to sum.
 
 def _operands(a, b, x) -> tuple:
     """(A, B, X) of a public functional, checked once: A and B positive
@@ -168,30 +177,106 @@ def _operands(a, b, x) -> tuple:
     return a, b, _check_dims(a, b, x)
 
 
+def _stacked_norms(requests) -> list[np.ndarray]:
+    """The values of each request, in order: ||A^{l_i} X B^{r_i}|| for each
+    exponent pair (l_i, r_i) or, ``paired``, ||A^{l_i} X B^{r_i} +
+    A^{l_{k+i}} X B^{r_{k+i}}|| for 2k pairs.
+
+    The requests of one n share one stacked Y = Qa* X Qb in the eigenbases
+    of their A and B, one graded stack (``linalg._graded``, whose slices are
+    unitarily equivalent to the products A^l X B^r), one SVD and one
+    ``NormKind.of_sigma`` call per kind. Every step works matrix by matrix
+    or row by row, so a request's values are the ones it gets alone, bit
+    for bit."""
+    out = [None] * len(requests)
+    by_n: dict[int, list[int]] = {}
+    for i, request in enumerate(requests):
+        by_n.setdefault(len(request[2]), []).append(i)
+    for members in by_n.values():
+        for i, values in zip(members, _norms_at_n([requests[i] for i in members])):
+            out[i] = values
+    return out
+
+
+def _norms_at_n(group) -> list[np.ndarray]:
+    """``_stacked_norms`` of requests of one n. The graded stack holds the
+    slices of the unpaired requests, then the first halves of the paired
+    ones, then their second halves, which are added onto the first halves
+    in place."""
+    a, b, x, left, right, kinds, paired = zip(*group)
+    qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
+    y = qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b])
+    order = sorted(range(len(group)), key=paired.__getitem__)
+    halves = [len(left[i]) // 2 if paired[i] else len(left[i]) for i in order]
+    parts = [(i, 0, k) for i, k in zip(order, halves)]
+    parts += [(i, k, 2 * k) for i, k in zip(order, halves) if paired[i]]
+    rows = None  # one request's Y and spectra broadcast over its rows
+    if len(group) > 1:
+        rows = np.repeat([i for i, _, _ in parts], [hi - lo for _, lo, hi in parts])
+    s = _graded(
+        np.array([m.eig.eigenvalues for m in a]),
+        np.array([m.eig.eigenvalues for m in b]),
+        y,
+        [t for i, lo, hi in parts for t in left[i][lo:hi]],
+        [t for i, lo, hi in parts for t in right[i][lo:hi]],
+        rows,
+    )
+    ends = np.cumsum([0, *halves]).tolist()
+    spans = dict(zip(order, zip(ends, ends[1:])))
+    stack = s[: ends[-1]]
+    stack[ends[len(group) - sum(paired)] :] += s[ends[-1] :]
+    sigma = _singular_values(stack)
+    distinct = dict.fromkeys(kinds)
+    if len(distinct) == 1:
+        values = kinds[0].of_sigma(sigma)
+    else:
+        values = np.empty(len(stack))
+        for kind in distinct:
+            at = [j for i in order if kinds[i] == kind for j in range(*spans[i])]
+            values[at] = kind.of_sigma(sigma[at])
+    return [values[slice(*spans[i])] for i in range(len(group))]
+
+
+def _batchable(steps):
+    """The function that runs the generator function ``steps``, sends it
+    the values of each request it yields, evaluated alone by
+    ``_stacked_norms``, and returns its result. Its ``steps`` attribute is
+    the generator form, whose requests the harness evaluates with those of
+    a whole block, to the same bits."""
+
+    @functools.wraps(steps)
+    def run(*args, **kwargs):
+        generator, values = steps(*args, **kwargs), None
+        try:
+            while True:
+                values = _stacked_norms([generator.send(values)])[0]
+        except StopIteration as done:
+            return done.value
+
+    run.steps = steps
+    return run
+
+
+@_batchable
 def _product_norms(a, b, x, left, right, kind: NormKind, paired: bool = False) -> np.ndarray:
-    """||A^{l_i} X B^{r_i}|| for each exponent pair (l_i, r_i), or, ``paired``,
-    ||A^{l_i} X B^{r_i} + A^{l_{k+i}} X B^{r_{k+i}}|| for 2k pairs: graded
-    slices of Y = Qa* X Qb in the eigenbases of A and B, which are unitarily
-    equivalent to A^l X B^r, and one SVD of their stack."""
-    y = a.eig.eigenvectors.conj().T @ x @ b.eig.eigenvectors
-    s = _graded(a.eig.eigenvalues, b.eig.eigenvalues, y, left, right)
-    if paired:
-        k = len(s) // 2
-        s = s[:k] + s[k:]
-    return _norms_of(s, kind)
+    """The values of the one request (a, b, x, left, right, kind, paired)."""
+    return (yield (a, b, x, left, right, kind, paired))
 
 
+@_batchable
 def _functional_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
     """f(v) = ||A^{1-v} X B^v|| at every weight in ``vs``."""
-    return _product_norms(a, b, x, [1.0 - v for v in vs], list(vs), kind)
+    return (yield (a, b, x, [1.0 - v for v in vs], list(vs), kind, False))
 
 
+@_batchable
 def _two_sided_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
     """g(v) = ||A^{1-v} X B^{1-v}|| at every weight in ``vs``."""
     ws = [1.0 - v for v in vs]
-    return _product_norms(a, b, x, ws, ws, kind)
+    return (yield (a, b, x, ws, ws, kind, False))
 
 
+@_batchable
 def _heinz_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
     """The Heinz functional at every weight in ``vs`` (see ``heinz_norm``),
     at each distinct |v - 1/2| once: v and 1 - v share their exponents."""
@@ -199,25 +284,29 @@ def _heinz_values(a, b, x, vs, kind: NormKind) -> np.ndarray:
     index = {t: i for i, t in enumerate(dict.fromkeys(ts))}
     lo = [0.5 - t for t in index]
     hi = [0.5 + t for t in index]
-    return _product_norms(a, b, x, lo + hi, hi + lo, kind, paired=True)[[index[t] for t in ts]]
+    values = yield (a, b, x, lo + hi, hi + lo, kind, True)
+    return values[[index[t] for t in ts]]
 
 
+@_batchable
 def _interpolated_values(a, b, x, p, q, rs, kind: NormKind) -> np.ndarray:
     """||A^{p-r} X B^{-q+r} + A^{-q+r} X B^{p-r}|| at every r in ``rs``."""
     rs = [float(r) for r in rs]
     left = [p - r for r in rs]
     right = [-q + r for r in rs]
-    return _product_norms(a, b, x, left + right, right + left, kind, paired=True)
+    return (yield (a, b, x, left + right, right + left, kind, True))
 
 
 def _functional_grid(name, labels, refine, functional, a, b, x, grid, kind, anchor=None):
-    """The chain ``name`` at each (nu, depth) of ``grid``: ``refine`` of
-    ``functional``, read from one kernel call on the distinct weights of the
-    whole grid. With an ``anchor``, the chain needs nu >= 0; without one it
-    takes both weight branches (``scalar._refinements`` checks the grid)."""
+    """The chain ``name`` at each (nu, depth) of ``grid``: ``refine`` of the
+    ``_batchable`` ``functional``, read from one kernel request on the
+    distinct weights of the whole grid; a generator, as ``functional.steps``
+    is. With an ``anchor``, the chain needs nu >= 0; without one it takes
+    both weight branches (``scalar._refinement_points`` checks the grid)."""
     a, b, x = _operands(a, b, x)
-    values = lambda vs: functional(a, b, x, vs, kind).tolist()
-    return [ScalarChain(labels, v) for v in _refinements(name, refine, values, grid, anchor)]
+    points, refinements = _refinement_points(name, grid, anchor)
+    values = yield from functional.steps(a, b, x, points, kind)
+    return [ScalarChain(labels, v) for v in refinements(refine, values.tolist())]
 
 
 def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -233,12 +322,13 @@ def norm_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scalar
     return _norm_reverse_grid(a, b, x, [(nu, depth)], kind)[0]
 
 
+@_batchable
 def _norm_reverse_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
     """``norm_reverse_chain`` at each (nu, depth) of ``grid``."""
-    return _functional_grid(
+    return (yield from _functional_grid(
         "norm_reverse_chain", ("power", "refined", "target"), _logconvex_refinement,
         _functional_values, a, b, x, grid, kind,
-    )
+    ))
 
 
 def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -252,12 +342,13 @@ def norm_heinz_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarCh
     return _norm_heinz_grid(a, b, x, [(nu, depth)], kind)[0]
 
 
+@_batchable
 def _norm_heinz_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
     """``norm_heinz_chain`` at each (nu, depth) of ``grid``."""
-    return _functional_grid(
+    return (yield from _functional_grid(
         "norm_heinz_chain", ("power", "refined", "target"), _logconvex_refinement,
         _two_sided_values, a, b, x, grid, kind, "a",
-    )
+    ))
 
 
 def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> ScalarChain:
@@ -273,12 +364,13 @@ def combined_norm_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     return _combined_norm_grid(a, b, x, [(nu, depth)], kind)[0]
 
 
+@_batchable
 def _combined_norm_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
     """``combined_norm_chain`` at each (nu, depth) of ``grid``."""
-    return _functional_grid(
+    return (yield from _functional_grid(
         "combined_norm_chain", ("arith", "scalar_refined", "power", "refined", "target"),
         _combined_refinement, _functional_values, a, b, x, grid, kind, "a",
-    )
+    ))
 
 
 def _combined_refinement(fs, lo, hi, nu, depth, anchor) -> tuple:
@@ -321,33 +413,37 @@ def heinz_reverse_chain(a, b, x, nu: float, depth: int, kind: NormKind) -> Scala
     return _heinz_reverse_grid(a, b, x, [(nu, depth)], kind)[0]
 
 
+@_batchable
 def _heinz_reverse_grid(a, b, x, grid, kind: NormKind) -> list[ScalarChain]:
     """``heinz_reverse_chain`` at each (nu, depth) of ``grid``."""
-    return _functional_grid(
+    return (yield from _functional_grid(
         "heinz_reverse_chain", ("sum_norm", "refined", "target"), _convex_refinement,
         _heinz_values, a, b, x, grid, kind, "a",
-    )
+    ))
 
 
+@_batchable
 def heinz_pq_chain(a, b, x, p: float, q: float, kind: NormKind) -> ScalarChain:
     """||A^{p-q} X + X B^{p-q}|| <= ||A^p X B^{-q} + A^{-q} X B^p|| for 0 < q < p."""
     a, b, x = _operands(a, b, x)
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
     # The interpolated values at r = q (-q + q is +0.0) and r = 0.
-    values = _interpolated_values(a, b, x, p, q, [q, 0.0], kind)
+    values = yield from _interpolated_values.steps(a, b, x, p, q, [q, 0.0], kind)
     return ScalarChain(("split", "full"), tuple(values.tolist()))
 
 
+@_batchable
 def heinz_interpolated_chain(a, b, x, p: float, q: float, r: float, kind: NormKind) -> ScalarChain:
     """Interpolated comparison for 0 < r < q < p (ascending two-term chain)."""
     if not (0.0 < r < q < p):
         raise DomainError(f"need 0 < r < q < p, got p={p}, q={q}, r={r}")
     a, b, x = _operands(a, b, x)
-    values = _interpolated_values(a, b, x, p, q, [r, 0.0], kind)
+    values = yield from _interpolated_values.steps(a, b, x, p, q, [r, 0.0], kind)
     return ScalarChain(("interpolated", "full"), tuple(values.tolist()))
 
 
+@_batchable
 def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) -> np.ndarray:
     """Evaluate r |-> ||A^{p-r} X B^{-q+r} + A^{-q+r} X B^{p-r}|| on a grid.
 
@@ -356,9 +452,10 @@ def heinz_interpolation_values(a, b, x, p: float, q: float, rs, kind: NormKind) 
     if not (0.0 < q < p):
         raise DomainError(f"need 0 < q < p, got p={p}, q={q}")
     a, b, x = _operands(a, b, x)
-    return _interpolated_values(a, b, x, p, q, rs, kind)
+    return (yield from _interpolated_values.steps(a, b, x, p, q, rs, kind))
 
 
+@_batchable
 def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> float:
     """Normalized midpoint-convexity margin of the Heinz functional f.
 
@@ -366,11 +463,12 @@ def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> floa
     because f is convex on the whole line.
     """
     a, b, x = _operands(a, b, x)
-    mid, f1, f2 = _heinz_values(a, b, x, [(v1 + v2) / 2.0, v1, v2], kind).tolist()
+    mid, f1, f2 = (yield from _heinz_values.steps(a, b, x, [(v1 + v2) / 2.0, v1, v2], kind)).tolist()
     avg = (f1 + f2) / 2.0
     return (avg - mid) / max(1.0, avg, mid)
 
 
+@_batchable
 def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     """Monotonicity margins of the Heinz functional f on an even grid over [-3, 4].
 
@@ -381,7 +479,7 @@ def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     """
     a, b, x = _operands(a, b, x)
     grid = np.linspace(-3.0, 4.0, grid_points)
-    vals = _heinz_values(a, b, x, grid, kind)
+    vals = yield from _heinz_values.steps(a, b, x, grid, kind)
     scale = max(1.0, float(vals.max()))
     split = int(np.argmin(np.abs(grid - 0.5)))
     down = (vals[:split] - vals[1 : split + 1]) / scale

@@ -20,9 +20,10 @@ The two refinements of the paper, for a convex and for a log-convex f
 those four values: the caller evaluates f at the points of ``_ladder``, the
 one place that computes them, and passes the values. Every chain here and
 every chain of ``means`` and ``norms`` that refines a functional does so; a
-grid of (nu, depth) values goes through ``_refinements``, which checks each
-depth and weight once, reads the functional at the grid's distinct points
-in one call and refines per grid value.
+grid of (nu, depth) values goes through ``_refinement_points`` (through
+``_refinements``, for a functional given as a callback), which checks each
+depth and weight once, gives the grid's distinct points to read in one call
+and refines per grid value.
 
 All powers x**p * y**q are evaluated as exp(p*log x + q*log y) to avoid
 overflow at large weights. Where a value still leaves the float range (a
@@ -226,34 +227,44 @@ def _logconvex_refinement(fs, a, b, nu, depth, anchor, drop=None):
     return _exp_of_log(log_power), _exp_of_log(log_refined), target
 
 
-def _on_ladders(ladders, evaluate) -> list:
-    """The values at each list of points in ``ladders``, from one
-    ``evaluate`` call on their distinct points in order of appearance; the
-    lookup is by the ladders' own point objects, so a NaN finds its value."""
+def _refinement_points(name, grid, anchor=None) -> tuple:
+    """``(points, refinements)`` of the chain ``name`` at each (nu, depth) of
+    ``grid``: the distinct points of the grid's ladders (``_ladder``), in
+    order of appearance, and ``refinements(refine, values)``, which gives
+    ``refine(fs, 0, 1, nu, depth, anchor)`` at each grid value, ``fs`` read
+    from the ``values`` at those points. The lookup is by the ladders' own
+    point objects, so a NaN finds its value. Each grid value is checked
+    here, once, for the chain ``name``: its weight (``_check_weight``: nu >=
+    0 for a chain with an ``anchor``, else either branch, anchored at 0 for
+    nu >= 0 and at 1 for nu <= -1), then its depth."""
+    specs = []
+    for nu, depth in grid:
+        branch = _check_weight(name, nu, 1 if anchor else 0)
+        specs.append((nu, _check_depth(depth), anchor or ("a" if branch > 0 else "b")))
+    ladders = [_ladder(0.0, 1.0, *spec) for spec in specs]
     index: dict = {}
     for points in ladders:
         for p in points:
             index.setdefault(p, len(index))
-    values = evaluate(list(index))
-    return [[values[index[p]] for p in points] for points in ladders]
+
+    def refinements(refine, values) -> list:
+        return [
+            refine([values[index[p]] for p in points], 0.0, 1.0, *spec)
+            for spec, points in zip(specs, ladders)
+        ]
+
+    return list(index), refinements
 
 
 def _refinements(name, refine, values, grid, anchor=None) -> list:
     """``refine(fs, 0, 1, nu, depth, anchor)`` of a functional at each
     (nu, depth) of ``grid``, with ``fs`` its values at the four points of
     ``_ladder``, read from one ``values(points)`` call on the distinct points
-    of the whole grid. A ``refine`` of array values ignores numpy's overflow
-    warning itself, since the chain's finiteness check names one. Each grid
-    value is checked here, once, for the chain ``name``: its weight
-    (``_check_weight``: nu >= 0 for a chain with an ``anchor``, else either
-    branch, anchored at 0 for nu >= 0 and at 1 for nu <= -1), then its
-    depth."""
-    specs = []
-    for nu, depth in grid:
-        branch = _check_weight(name, nu, 1 if anchor else 0)
-        specs.append((nu, _check_depth(depth), anchor or ("a" if branch > 0 else "b")))
-    ladder_values = _on_ladders([_ladder(0.0, 1.0, *spec) for spec in specs], values)
-    return [refine(fs, 0.0, 1.0, *spec) for spec, fs in zip(specs, ladder_values)]
+    of the whole grid (``_refinement_points``, which checks the grid). A
+    ``refine`` of array values ignores numpy's overflow warning itself,
+    since the chain's finiteness check names one."""
+    points, refinements = _refinement_points(name, grid, anchor)
+    return refinements(refine, values(points))
 
 
 def _exp_of_log(log_value: float) -> float:

@@ -1,6 +1,7 @@
 """Tests for the seeded verification harness: registry, reports, sweeps, repro files."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -275,6 +276,97 @@ class TestRunSuite:
         scalar_files = [f"_synthetic_fail-{i:05d}.json" for i in range(3)]
         assert sorted(written) == sorted([*scalar_files, *alone])
         assert {name: written[name] for name in alone} == alone
+
+
+    def test_kernel_error_mid_block_raises_as_its_case_alone(self, monkeypatch, tmp_path):
+        # A norm instance whose X holds a NaN fails inside the stacked norm
+        # kernel, in the one call that holds every norm request of the
+        # block. The block raises the text run_case of that case raises
+        # alone, after every earlier case, norm case included, is decided
+        # with its failure files written: those run_case of that case
+        # writes alone.
+        _mixed_suite(monkeypatch)
+        instances = 3
+        name, case = "norm_reverse_pos", harness.REGISTRY["norm_reverse_pos"]
+        planted = harness.build_instance(name, 1, **MIXED_OVERRIDES).drawn["x"].tobytes()
+
+        def nan_x(rng, cfg, cond):
+            args = case.draw(rng, cfg, cond)
+            if args["x"].tobytes() == planted:
+                args["x"] = args["x"].copy()
+                args["x"][0, 0] = np.nan
+            return args
+
+        monkeypatch.setitem(harness.REGISTRY, name, dataclasses.replace(case, draw=nan_x))
+        monkeypatch.setitem(harness.REGISTRY, "_synthetic_fail", harness.CaseDef(
+            "_synthetic_fail", lambda rng, cfg, cond: {},
+            harness._each(lambda: Built(chain=ScalarChain(("hi", "lo"), (1.0, 0.5)))),
+            {}, (), "synthetic",
+        ))
+        stacks = []
+        stacked_norms = norms._stacked_norms
+
+        def recording(requests):
+            stacks.append(len(requests))
+            return stacked_norms(requests)
+
+        monkeypatch.setattr(norms, "_stacked_norms", recording)
+        decided, decide = [], harness._decide
+        monkeypatch.setattr(
+            harness, "_decide", lambda piece, *rest: decided.append(piece[0].name) or decide(piece, *rest)
+        )
+        suite = ("_synthetic_fail", "harmonic_operator", "norm_heinz_power", name)
+        assert instances * len(suite) <= MIXED_BLOCK
+        with pytest.raises(DomainError) as alone:
+            harness.run_case(name, tmp_path / "raised", instances=instances, **MIXED_OVERRIDES)
+        assert str(alone.value) == "matrix entries must be finite"
+        stacks.clear()
+        decided.clear()
+        with pytest.raises(DomainError) as raised:
+            harness.run_suite(suite, tmp_path / "suite", instances=instances, **MIXED_OVERRIDES)
+        assert str(raised.value) == str(alone.value)
+        assert decided == list(suite[:3])
+        # The block's one call held all six norm requests and raised; each
+        # was then evaluated alone.
+        assert stacks == [2 * instances] + [1] * (2 * instances)
+        written = {p.name: p.read_bytes() for p in (tmp_path / "suite").iterdir()}
+        want = {f"_synthetic_fail-{i:05d}.json" for i in range(instances)}
+        for earlier in suite[1:3]:
+            directory = tmp_path / earlier
+            harness.run_case(earlier, directory, instances=instances, **MIXED_OVERRIDES)
+            files = {p.name: p.read_bytes() for p in directory.glob("*.json")}
+            assert {key: written[key] for key in files} == files, earlier
+            want |= files.keys()
+        assert set(written) == want and len(want) > instances  # harmonic_operator wrote some
+
+    def test_block_mixes_plain_and_batched_builds(self, monkeypatch):
+        # One block holds batched norm builds and a plain planted-fault copy
+        # of a norm case's build. Every report equals the one of its case
+        # alone, bit for bit; with no fault the plain copy reports what the
+        # batched build does, and the fault is caught.
+        monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
+        instances = 5
+        suite = ("norm_heinz_power", "norm_reverse_pos", "heinz_symmetry")
+        assert instances * len(suite) <= MIXED_BLOCK
+        alone = {name: harness.run_case(name, instances=instances) for name in suite}
+        case = harness.REGISTRY["norm_reverse_pos"]
+        for fault in (0.0, 50.0):
+            plain = harness._each(functools.partial(_norm_reverse_term_scaled, fault=fault))
+            monkeypatch.setitem(harness.REGISTRY, case.name, dataclasses.replace(case, build=plain))
+            reports = harness.run_suite(suite, instances=instances)
+            assert _same_report(reports[1], harness.run_case(case.name, instances=instances))
+            for name, report in zip(suite, reports):
+                if name != case.name or fault == 0.0:
+                    assert _same_report(report, alone[name]), (name, fault)
+        assert reports[1].failures > 0
+
+def _norm_reverse_term_scaled(a, b, x, kind, nu, depth, fault):
+    """A plain build of ``norm_reverse_pos``: the public chain, evaluated
+    alone, with its refinement term scaled by 1 + fault."""
+    chain = norms.norm_reverse_chain(a, b, x, nu, depth, kind)
+    power, refined, target = chain.values
+    refined += fault * (refined - power)
+    return Built(chain=ScalarChain(chain.labels, (power, refined, target)), refined=refined, base=power)
 
 
 def _same_report(report, want) -> bool:

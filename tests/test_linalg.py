@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import warnings
 
 import numpy as np
@@ -213,17 +214,85 @@ class TestSpectrumPowers:
     def test_rows_are_each_power_alone(self):
         # Each row has the bits of w ** t, on ascending and descending
         # spectra; numpy takes its fast paths (t = 0, 0.5, 2, ...) as a
-        # plain power of the array does.
+        # plain power of the array does. A reversed view has the rows of
+        # its contiguous copy: numpy powers a negative stride in another
+        # loop, with other last bits.
         rng = np.random.default_rng(5)
         ts = [0.0, 0.5, 1.0, 2.0, -1.0, -0.5, 3.7, -8.25]
         for _ in range(50):
             w = np.sort(np.exp(rng.uniform(-14.0, 14.0, int(rng.integers(1, 9)))))
-            for spectrum in (w, w[::-1]):
+            for spectrum in (w, w[::-1].copy()):
                 rows = _spectrum_powers(spectrum, ts)
                 assert rows.shape == (len(ts), len(w))
                 for row, t in zip(rows, ts):
                     assert row.tobytes() == (spectrum ** t).tobytes(), t
+            view = _spectrum_powers(w[::-1], ts)
+            assert view.tobytes() == _spectrum_powers(w[::-1].copy(), ts).tobytes()
         assert _spectrum_powers(w, [0.0]).tolist() == [[1.0] * len(w)]
+
+    def test_stacked_rows_are_each_power_alone(self):
+        # A (k, n) stack of ascending or descending spectra, row i powered
+        # by ts[i], has in each row the bits of that spectrum's own w ** t,
+        # at numpy's fast-path exponents and at random ones.
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            w = np.sort(np.exp(rng.uniform(-14.0, 14.0, (k, n))), axis=1)
+            fast = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], k)
+            ts = np.where(rng.random(k) < 0.5, fast, rng.uniform(-9.0, 9.0, k)).tolist()
+            for stack in (w, w[:, ::-1].copy()):
+                rows = _spectrum_powers(stack, ts)
+                for row, spectrum, t in zip(rows, stack, ts):
+                    assert row.tobytes() == (spectrum ** t).tobytes(), t
+
+    def test_range_is_decided_on_the_computed_rows(self):
+        # Python's pow and numpy's array power can differ in the last bit,
+        # so near the float range's edges they could disagree on whether
+        # x ** t overflows or underflows to 0. The error follows the row
+        # numpy computes: an overflow exactly when the row holds inf, an
+        # underflow exactly when it holds 0, else the row comes back. The
+        # search runs seeded pairs at and around both edges (x a few ulps,
+        # or up to 1.5 in log(x ** t), away from the edge), at generic t and
+        # at numpy's fast-path exponents 2 and -1. A pair where Python's pow
+        # and numpy's row disagree would be among them; on numpy 2.4.6
+        # (x86-64) the search meets none, so no test can pin that case.
+        rng = np.random.default_rng(64)
+        edges = (np.log(np.finfo(float).max), np.log(5e-324), np.log(2.5e-324))
+        seen = {"inf": 0, "zero": 0, "finite": 0}
+        for _ in range(300):
+            t = float(rng.choice([2.0, -1.0, float(rng.uniform(1.5, 30.0))]))
+            t *= 1.0 if rng.random() < 0.5 else -1.0
+            log_x = float(rng.choice(edges)) / t
+            if not -700.0 < log_x < 700.0:
+                continue
+            ulps = math.exp(log_x) * (1.0 + np.arange(-6, 7) * 2.0**-52)
+            steps = np.exp(log_x + np.linspace(-1.5, 1.5, 7) / abs(t))
+            for x in [*ulps.tolist(), *steps.tolist()]:
+                with np.errstate(all="ignore"):
+                    row = np.array([x]) ** t
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if row[0] == math.inf:
+                        seen["inf"] += 1
+                        with pytest.raises(DomainError, match=f"overflows at t = {t:g}:"):
+                            _spectrum_powers(np.array([x]), [t])
+                    elif row[0] == 0.0:
+                        seen["zero"] += 1
+                        with pytest.raises(DomainError, match=f"underflows at t = {t:g}$"):
+                            _spectrum_powers(np.array([x]), [t])
+                    else:
+                        seen["finite"] += 1
+                        assert _spectrum_powers(np.array([x]), [t])[0, 0] == row[0]
+        assert min(seen.values()) > 200, seen
+
+    def test_every_entry_of_a_row_decides(self):
+        # Not only the ends: an unsorted spectrum whose middle entry leaves
+        # the float range raises, where its ends stay in range.
+        w = np.array([1.0, 1e200, 2.0])
+        with pytest.raises(DomainError, match="overflows at t = 2"):
+            _spectrum_powers(w, [1.0, 2.0])
+        with pytest.raises(DomainError, match="underflows at t = -2"):
+            _spectrum_powers(w, [-2.0])
 
     def test_first_weight_out_of_range_is_named(self):
         # The first weight whose row leaves the float range raises, at either

@@ -655,14 +655,15 @@ class TestPairContext:
                 eighs.clear()
                 chain = chain_fn(a, b, nu, depth)
                 singles.append((chain, chain_gap(chain)))
-                # The transfer's own power of A, then the chain's calls.
-                assert powered == [1, 4, *targets], (chain_fn.__name__, nu, depth)
+                # The pair's one call (A's two powers and B's), then the
+                # chain's calls.
+                assert powered == [3, 4, *targets], (chain_fn.__name__, nu, depth)
                 assert eighs == [1], (chain_fn.__name__, nu, depth)
             powered.clear()
             eighs.clear()
             chains = grid_form(a, b, [(nu, depth) for depth in depths])
             gaps = [chain_gap(chain) for chain in chains]
-            assert powered == [1, 6, *targets], (chain_fn.__name__, nu)
+            assert powered == [3, 6, *targets], (chain_fn.__name__, nu)
             assert eighs == [1], (chain_fn.__name__, nu)
             for chain, gap, (single, single_gap) in zip(chains, gaps, singles):
                 where = (chain_fn.__name__, nu)

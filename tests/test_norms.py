@@ -46,6 +46,18 @@ def _functional(a, b, x, v, kind):
     return float(norms._functional_values(a, b, x, [v], kind)[0])
 
 
+def _per_row_norms(a, b, x, left, right, kind, paired):
+    """A kernel request's values computed one graded matrix at a time, each
+    power a plain ``w ** t`` and each norm from its own SVD."""
+    y = a.eig.eigenvectors.conj().T @ x @ b.eig.eigenvectors
+    wa, wb = a.eig.eigenvalues, b.eig.eigenvalues
+    s = [y * (wa ** l)[:, None] * (wb ** r)[None, :] for l, r in zip(left, right)]
+    if paired:
+        k = len(s) // 2
+        s = [s[i] + s[k + i] for i in range(k)]
+    return np.array([kind.of_sigma(np.linalg.svd(m, compute_uv=False)) for m in s])
+
+
 def _unitary(n, rng):
     return _haar(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
@@ -182,6 +194,20 @@ class TestUiNorm:
                     abs(c) * ui_norm(x, kind), rel=1e-11, abs=1e-12
                 )
 
+    def test_schatten_rows_are_their_own_sums(self):
+        # A Schatten p not in {1, 2} powers and sums the whole stack at once
+        # and takes each row's 1/p root alone: every row has the bits of the
+        # numpy float64 computation on that row by itself.
+        rng = np.random.default_rng(8)
+        for p in (1.5, 3.0, 4.0):
+            kind = NormKind.schatten(p)
+            for n in range(1, 9):
+                sigma = -np.sort(-np.exp(rng.uniform(-20.0, 20.0, (200, n))), axis=1)
+                rows = kind.of_sigma(sigma)
+                want = [np.add.reduce(r ** p) ** (1.0 / p) for r in sigma]
+                assert rows.tobytes() == np.array(want).tobytes(), (p, n)
+                assert kind.of_sigma(sigma[0]) == want[0]
+
     def test_five_default_kinds(self):
         assert len(DEFAULT_NORM_KINDS) == 5
         assert str(NormKind.schatten(3)) == "schatten(3)"
@@ -288,9 +314,9 @@ class TestNormChains:
              heinz_norm(a, b, x, -nu, kind)),
         )
         stacks, powered = [], []
-        norms_of, spectrum_powers = norms._norms_of, linalg._spectrum_powers
+        svd, spectrum_powers = norms._singular_values, linalg._spectrum_powers
         monkeypatch.setattr(
-            norms, "_norms_of", lambda s, k: stacks.append(s.shape[0]) or norms_of(s, k)
+            norms, "_singular_values", lambda s: stacks.append(s.shape[0]) or svd(s)
         )
         monkeypatch.setattr(
             linalg,
@@ -301,9 +327,13 @@ class TestNormChains:
         for name, chain_fn, grid_form, weight, target in cases:
             weights = []
             fn = getattr(norms, name)
-            monkeypatch.setattr(
-                norms, name, lambda a, b, x, vs, k, fn=fn: weights.append(list(vs)) or fn(a, b, x, vs, k)
-            )
+
+            @norms._batchable
+            def recording(a, b, x, vs, k, fn=fn):
+                weights.append(list(vs))
+                return (yield from fn.steps(a, b, x, vs, k))
+
+            monkeypatch.setattr(norms, name, recording)
             heinz = name == "_heinz_values"
             singles = []
             for depth in depths:
@@ -486,6 +516,53 @@ class TestHeinzFamily:
             grid = np.linspace(-3.0, 4.0, 81)
             for v, val in zip(grid, vals):
                 assert val == heinz_norm(a, b, x, float(v), kind), (str(kind), v)
+
+    def test_stacked_kernel_matches_each_request_alone(self):
+        # Shuffled stacks that mix n = 1..6, the five default kinds, paired
+        # and unpaired requests, and exponents at numpy's scalar-power fast
+        # paths (-1, 0, 0.5, 1, 2) and at random, at cond 1e2 and 1e12: each
+        # request's values from one kernel call equal the values it gets
+        # alone, and those of its graded matrices taken one at a time, bit
+        # for bit.
+        rng = np.random.default_rng(35)
+        special = [-1.0, 0.0, 0.5, 1.0, 2.0]
+        for cond in (1e2, 1e12):
+            requests = []
+            for i in range(120):
+                n = 1 + i % 6
+                a, b = random_spd(n, cond, rng), random_spd(n, cond, rng)
+                x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                k = int(rng.integers(1, 6))
+                paired = bool(rng.integers(2))
+                exponents = [
+                    float(rng.choice(special)) if rng.random() < 0.5 else float(rng.uniform(-2.0, 3.0))
+                    for _ in range(4 * k if paired else 2 * k)
+                ]
+                half = len(exponents) // 2
+                kind = ALL_KINDS[int(rng.integers(len(ALL_KINDS)))]
+                requests.append((a, b, x, exponents[:half], exponents[half:], kind, paired))
+            order = rng.permutation(len(requests))
+            stacked = norms._stacked_norms([requests[i] for i in order])
+            assert len({len(r[2]) for r in requests}) == 6
+            assert {r[6] for r in requests} == {False, True}
+            for values, i in zip(stacked, order):
+                alone = norms._product_norms(*requests[i])
+                assert values.tobytes() == alone.tobytes(), (cond, i)
+                assert alone.tobytes() == _per_row_norms(*requests[i]).tobytes(), (cond, i)
+                assert len(values) == len(requests[i][3]) // (2 if requests[i][6] else 1)
+
+    def test_kernel_request_order_keeps_each_error(self):
+        # A stack whose request powers past the float range raises the
+        # error that request raises alone.
+        a, b, x = _instance(36)
+        kind = NormKind.frobenius()
+        good = (a, b, x, [0.5, 1.0], [0.5, 0.0], kind, False)
+        bad = (a, b, x, [1.0, 1000.0], [0.0, 0.0], kind, False)
+        with pytest.raises(DomainError, match="overflows at t = 1000") as alone:
+            norms._product_norms(*bad)
+        with pytest.raises(DomainError) as stacked:
+            norms._stacked_norms([good, bad])
+        assert str(stacked.value) == str(alone.value)
 
     @staticmethod
     def _shape_margins(a, b, x, kind, pairs, seed):
