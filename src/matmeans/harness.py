@@ -1173,10 +1173,15 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
 
     The generator builds of a block (the norm and Heinz cases) run
     together, their norm kernel requests evaluated in one call
-    (``_batched_builds``); a plain build runs as its instance is reached.
-    An instance whose build raised raises as it is reached, after every
+    (``_batched_builds``); a plain build runs as its instance is reached,
+    and a call of plain builds only is ``_instances``' loop itself. An
+    instance whose build raised raises as it is reached, after every
     earlier instance of the call has been yielded."""
     batched = [inspect.isgeneratorfunction(case.build) for case, *_ in slices]
+    if not any(batched):  # every build is plain: nothing to run together
+        for k, index, args in _instances(slices, rng):
+            yield k, index, args, slices[k][0].build(args, pins)
+        return
     records = _instances(slices, rng)
     while block := list(itertools.islice(records, _BLOCK)):
         started = [slices[k][0].build(args, pins) for k, _, args in block if batched[k]]

@@ -43,6 +43,7 @@ refinement kernel. Nothing is kept between calls.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,10 +207,12 @@ def _norms_at_n(group) -> list[np.ndarray]:
     a, b, x, left, right, kinds, paired = zip(*group)
     qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
     y = qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b])
-    order = sorted(range(len(group)), key=paired.__getitem__)
+    order = [i for i, pair in enumerate(paired) if not pair]
+    summed = len(order)  # the first paired request's place in ``order``
+    order += [i for i, pair in enumerate(paired) if pair]
     halves = [len(left[i]) // 2 if paired[i] else len(left[i]) for i in order]
     parts = [(i, 0, k) for i, k in zip(order, halves)]
-    parts += [(i, k, 2 * k) for i, k in zip(order, halves) if paired[i]]
+    parts += [(i, k, 2 * k) for i, k in zip(order[summed:], halves[summed:])]
     rows = None  # one request's Y and spectra broadcast over its rows
     if len(group) > 1:
         rows = np.repeat([i for i, _, _ in parts], [hi - lo for _, lo, hi in parts])
@@ -221,20 +224,23 @@ def _norms_at_n(group) -> list[np.ndarray]:
         [t for i, lo, hi in parts for t in right[i][lo:hi]],
         rows,
     )
-    ends = np.cumsum([0, *halves]).tolist()
-    spans = dict(zip(order, zip(ends, ends[1:])))
+    ends = list(itertools.accumulate(halves, initial=0))
     stack = s[: ends[-1]]
-    stack[ends[len(group) - sum(paired)] :] += s[ends[-1] :]
+    if summed < len(order):
+        stack[ends[summed] :] += s[ends[-1] :]
     sigma = _singular_values(stack)
+    spans = [None] * len(group)
+    for i, lo, hi in zip(order, ends, ends[1:]):
+        spans[i] = slice(lo, hi)
     distinct = dict.fromkeys(kinds)
     if len(distinct) == 1:
         values = kinds[0].of_sigma(sigma)
     else:
         values = np.empty(len(stack))
         for kind in distinct:
-            at = [j for i in order if kinds[i] == kind for j in range(*spans[i])]
+            at = np.r_[tuple(spans[i] for i in order if kinds[i] == kind)]
             values[at] = kind.of_sigma(sigma[at])
-    return [values[slice(*spans[i])] for i in range(len(group))]
+    return [values[span] for span in spans]
 
 
 def _batchable(steps):
