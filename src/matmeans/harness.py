@@ -24,18 +24,16 @@ of their own (``_each``).
 ``run_suite``, ``sweep`` and ``build_instance`` share one loop,
 ``_evaluated``, over a list of (case, cfg, cond, indices) slices; ``run_case``
 is ``run_suite`` of one name. The loop cuts a call's instances, in order,
-into blocks of at most ``_BLOCK`` across case boundaries (``_instances``).
-Each block is seeded with one ``_seed_words`` call (``_seated``), draws its
-instances, and assembles their SPD pairs with one QR and one assembly per
-dimension n across its cases. The norm and Heinz builds of a block yield
-their norm kernel requests, which one ``norms._stacked_norms`` call
-evaluates, one SVD per n. The loop yields the instances in draw order,
-each built at every grid value in one call (a grid of one for
-``run_suite``). The seeding works row by row, the assembly matrix by
-matrix and the kernel request by request, so no bit depends on the block.
-A build reads no random number, so a pin cannot move a stream, and no
-stream state is saved or restored. ``run_suite`` decides each case as soon
-as its last instance is built, before any later instance raises.
+into blocks of at most ``_BLOCK`` across case boundaries. Each block is
+seeded with one ``_seed_words`` call (``_seated``), draws its instances,
+assembles their SPD pairs with one QR and one assembly per dimension n
+across its cases, and evaluates the norm kernel requests of its norm and
+Heinz builds in one call; the loop then yields its instances in draw
+order, each built at every grid value in one call (a grid of one for
+``run_suite``). No bit depends on the block. A build reads no random
+number, so a pin cannot move a stream, and no stream state is saved or
+restored. ``run_suite`` decides each case as soon as its last instance is
+built, before any later case is built.
 
 An instance draws from a ``_Stream``: its PCG64 stream, stepped in Python
 ints. ``random()`` and ``integers`` over fewer than 2^32 values, all that
@@ -222,8 +220,8 @@ class CaseDef:
     """A registered case: ``draw(rng, cfg, cond) -> args`` reads every
     random number of one instance and returns the build's keyword
     arguments, from which ``_replay`` derives its payload, and the pure
-    ``build(args, grid)`` gives its ``Built`` at each grid value; it may be
-    a generator function that yields norm kernel requests (``_evaluated``)."""
+    ``build(args, grid)`` gives its ``Built`` at each grid value (see
+    ``_evaluated``)."""
 
     name: str
     draw: Callable[[np.random.Generator, CaseConfig, float], dict]
@@ -239,8 +237,8 @@ REGISTRY: dict[str, CaseDef] = {}
 
 def _each(build):
     """The grid build of a one-value ``build(**args) -> Built``: one call per
-    grid value, with its pins in a copy of the args; a generator function
-    for a ``build`` that is one (``_evaluated``)."""
+    grid value, with its pins in a copy of the args; a generator for a
+    generator ``build``."""
     if not inspect.isgeneratorfunction(build):
         return lambda args, grid: [build(**{**args, **pins}) for pins in grid]
 
@@ -624,8 +622,8 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
 def _grid_refinement(inputs, grid_form, *, branch, base=None, depth=True):
     """``_refinement`` of a chain checked through its ``grid_form``: one
     call per instance, on the (nu, depth) pairs of the whole grid, or its
-    nus for a chain without a depth; a generator function for a grid form
-    that is one, a norm grid form's ``steps`` (``_evaluated``)."""
+    nus for a chain without a depth; a generator for a generator
+    ``grid_form``, a norm grid form's ``steps``."""
 
     def grid_args(args, grid):
         kwargs = {k: v for k, v in args.items() if k not in ("nu", "depth")}
@@ -881,7 +879,6 @@ _register(
 
 # ---------------------------------------------------------------------------
 # Norm and Heinz cases (dimension capped at 6, all five norm kinds in rotation).
-# Each build yields its norm kernel request (``norms._batchable``).
 
 _register(
     "norm_reverse_pos",
@@ -1152,9 +1149,8 @@ def _instances(slices, rng: np.random.Generator):
        with one QR and one assembly per n (``_assemble_pairs``);
 
     and then yielded, in the order it was drawn, before the next block is
-    seeded, so ``_BLOCK`` records at a time are one block, which
-    ``_evaluated`` builds. The seeding works row by row, and the QR and the
-    assembly matrix by matrix, so a draw does not depend on its block."""
+    seeded. The seeding works row by row, and the QR and the assembly
+    matrix by matrix, so a draw does not depend on its block."""
     for block in _blocks(slices):
         rows = iter(_seated(slices, block))
         drawn = []
@@ -1166,26 +1162,22 @@ def _instances(slices, rng: np.random.Generator):
 
 
 def _evaluated(slices, rng: np.random.Generator, pins: list):
-    """Yield (k, index, args, builts) for each instance of ``slices``, in
-    draw order: the records of ``_instances`` with the ``Built`` at each
-    grid value of ``pins``, from one ``case.build(args, pins)`` call, a
-    value's pins in copies of the drawn dict, so a pin cannot move a stream.
-
-    The generator builds of a block (the norm and Heinz cases) run
-    together, their norm kernel requests evaluated in one call
-    (``_batched_builds``); a plain build runs as its instance is reached,
-    and a call of plain builds only is ``_instances``' loop itself. An
-    instance whose build raised raises as it is reached, after every
-    earlier instance of the call has been yielded."""
+    """Yield (k, index, args, builts) for each record of ``_instances``:
+    the ``Built`` at each grid value of ``pins``, from one ``case.build(args,
+    pins)``, a value's pins in copies of the drawn dict. A block's generator
+    builds, those of the norm and Heinz cases, run together
+    (``norms._run_all``, one kernel call per round); a plain build runs as
+    its instance is reached. A build that raised raises as its instance is
+    reached, after every earlier instance has been yielded."""
     batched = [inspect.isgeneratorfunction(case.build) for case, *_ in slices]
-    if not any(batched):  # every build is plain: nothing to run together
+    if not any(batched):
         for k, index, args in _instances(slices, rng):
             yield k, index, args, slices[k][0].build(args, pins)
         return
     records = _instances(slices, rng)
     while block := list(itertools.islice(records, _BLOCK)):
         started = [slices[k][0].build(args, pins) for k, _, args in block if batched[k]]
-        outcomes = iter(_batched_builds(started))
+        outcomes = iter(norms._run_all(started))
         for k, index, args in block:
             if not batched[k]:
                 yield k, index, args, slices[k][0].build(args, pins)
@@ -1194,51 +1186,6 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
             if isinstance(outcome, Exception):
                 raise outcome
             yield k, index, args, outcome
-
-
-def _batched_builds(started: list) -> list:
-    """The builts of each started generator build, or the exception it
-    raised, in order. Each round sends every pending build the values of
-    its last request (at first None) and evaluates the requests they yield
-    together (``_kernel_values``), until every build has returned."""
-    outcomes = [None] * len(started)
-    pending = [(at, steps, None) for at, steps in enumerate(started)]
-    while pending:
-        asked = []
-        for at, steps, values in pending:
-            try:
-                if isinstance(values, Exception):
-                    request = steps.throw(values)
-                else:
-                    request = steps.send(values)
-            except StopIteration as done:
-                outcomes[at] = done.value
-            except Exception as exc:  # raised where its instance is reached
-                outcomes[at] = exc
-            else:
-                asked.append((at, steps, request))
-        answers = _kernel_values([request for _, _, request in asked])
-        pending = [(at, steps, values) for (at, steps, _), values in zip(asked, answers)]
-    return outcomes
-
-
-def _kernel_values(requests) -> list:
-    """The values of each norm kernel request, from one
-    ``norms._stacked_norms`` call. Where that call raises, each request is
-    evaluated alone, and one that raises gets its exception in place of its
-    values: the one its instance raises when built alone."""
-    if not requests:
-        return []
-    try:
-        return norms._stacked_norms(requests)
-    except Exception:
-        answers = []
-        for request in requests:
-            try:
-                answers.append(norms._stacked_norms([request])[0])
-            except Exception as exc:
-                answers.append(exc)
-        return answers
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
@@ -1305,16 +1252,15 @@ def run_suite(
     instance is drawn. Each case checks its instances ``0 .. instances -
     1``, none skipped; their (case, index) instances run, in order, through
     one ``_evaluated`` loop on one generator, in blocks of at most
-    ``_BLOCK`` instances across case boundaries, whose norm and Heinz
-    instances share one norm kernel call. Deterministic for a fixed config:
-    every instance derives its stream from (seed, case, index), and its
-    values from its draw, whatever its block. Each instance is built once
-    and leaves only its value row (``Built.value_row``). A case is decided,
-    and its failure files written to ``failures_dir``, as soon as its last
-    instance is reached (``_decide``); its rows are dropped then, so the
-    call holds the rows of the cases it has not finished and the drawn
-    inputs and builts of at most one block. Every case is decided before
-    any later instance raises.
+    ``_BLOCK`` instances across case boundaries. Deterministic for a fixed
+    config: every instance derives its own stream from (seed, case, index),
+    whatever its block. Each instance is built once and leaves only its
+    value row (``Built.value_row``). A case is decided, and its failure
+    files written to ``failures_dir``, as soon as its last instance is
+    built (``_decide``); its rows are dropped then, so the call holds the
+    rows of the cases it has not finished and the drawn inputs of at most
+    one block. Instances are built in draw order, so every case is decided
+    before any later instance raises.
     """
     selected = case_names() if names is None else tuple(names)
     slices = []

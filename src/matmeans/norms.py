@@ -243,21 +243,57 @@ def _norms_at_n(group) -> list[np.ndarray]:
     return [values[span] for span in spans]
 
 
+def _run_all(runs: list) -> list:
+    """The result of each generator in ``runs``, or the exception it
+    raised, in order. Each round sends every pending generator the values
+    of its last request (at first None) and evaluates the requests they
+    yield in one ``_stacked_norms`` call. Where that call raises, each
+    request is evaluated alone, and the error of one that raises is thrown
+    into its generator, where evaluating it alone raises it."""
+    results = [None] * len(runs)
+    pending = [(at, run, None) for at, run in enumerate(runs)]
+    while pending:
+        asked = []
+        for at, run, values in pending:
+            try:
+                request = run.throw(values) if isinstance(values, Exception) else run.send(values)
+            except StopIteration as done:
+                results[at] = done.value
+            except Exception as exc:  # the caller raises it in its run's place
+                results[at] = exc
+            else:
+                asked.append((at, run, request))
+        if not asked:
+            break
+        requests = [request for _, _, request in asked]
+        try:
+            answers = _stacked_norms(requests)
+        except Exception:
+            answers = [_alone(request) for request in requests]
+        pending = [(at, run, values) for (at, run, _), values in zip(asked, answers)]
+    return results
+
+
+def _alone(request):
+    """The values of one kernel request, or the exception it raises."""
+    try:
+        return _stacked_norms([request])[0]
+    except Exception as exc:
+        return exc
+
+
 def _batchable(steps):
-    """The function that runs the generator function ``steps``, sends it
-    the values of each request it yields, evaluated alone by
-    ``_stacked_norms``, and returns its result. Its ``steps`` attribute is
-    the generator form, whose requests the harness evaluates with those of
-    a whole block, to the same bits."""
+    """The function that runs the generator function ``steps`` alone
+    (``_run_all``) and returns its result. Its ``steps`` attribute is the
+    generator form, which the harness runs with those of the other
+    instances of a block, to the same bits."""
 
     @functools.wraps(steps)
     def run(*args, **kwargs):
-        generator, values = steps(*args, **kwargs), None
-        try:
-            while True:
-                values = _stacked_norms([generator.send(values)])[0]
-        except StopIteration as done:
-            return done.value
+        (result,) = _run_all([steps(*args, **kwargs)])
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     run.steps = steps
     return run
