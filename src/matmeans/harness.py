@@ -1136,9 +1136,10 @@ def _seated(slices, block) -> list:
 
 
 def _instances(slices, rng: np.random.Generator):
-    """Yield (k, index, args) for each instance of ``slices``, a list of
-    (case, cfg, cond, indices), in draw order: the slice k it belongs to,
-    and its drawn build arguments. Each block of ``_blocks`` is
+    """Yield, block by block, the list of (k, index, args) of each instance
+    of ``slices``, a list of (case, cfg, cond, indices), in draw order: the
+    slice k it belongs to, and its drawn build arguments. Each block of
+    ``_blocks`` is
 
     1. seeded: each instance's stream is a ``_Stream`` of its ``_seated``
        row, which hands off to the one generator ``rng`` at its first
@@ -1148,9 +1149,9 @@ def _instances(slices, rng: np.random.Generator):
     3. assembled: the SPD pairs of the block's draws, across its cases,
        with one QR and one assembly per n (``_assemble_pairs``);
 
-    and then yielded, in the order it was drawn, before the next block is
-    seeded. The seeding works row by row, and the QR and the assembly
-    matrix by matrix, so a draw does not depend on its block."""
+    and then yielded, in the order it was drawn. The seeding works row by
+    row, and the QR and the assembly matrix by matrix, so a draw does not
+    depend on its block."""
     for block in _blocks(slices):
         rows = iter(_seated(slices, block))
         drawn = []
@@ -1158,7 +1159,7 @@ def _instances(slices, rng: np.random.Generator):
             case, cfg, cond, _ = slices[k]
             drawn += [(k, i, case.draw(_Stream(rng, *next(rows)), cfg, cond)) for i in indices]
         _assemble_pairs(args for _, _, args in drawn)
-        yield from drawn
+        yield drawn
 
 
 def _evaluated(slices, rng: np.random.Generator, pins: list):
@@ -1170,12 +1171,7 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
     its instance is reached. A build that raised raises as its instance is
     reached, after every earlier instance has been yielded."""
     batched = [inspect.isgeneratorfunction(case.build) for case, *_ in slices]
-    if not any(batched):
-        for k, index, args in _instances(slices, rng):
-            yield k, index, args, slices[k][0].build(args, pins)
-        return
-    records = _instances(slices, rng)
-    while block := list(itertools.islice(records, _BLOCK)):
+    for block in _instances(slices, rng):
         started = [slices[k][0].build(args, pins) for k, _, args in block if batched[k]]
         outcomes = iter(norms._run_all(started))
         for k, index, args in block:
@@ -1229,7 +1225,9 @@ def _decide(case_slice, kinds: set, rows: list, failures_dir, rng) -> ChainRepor
     report, fails = case_report(case.name, kinds.pop(), rows, cfg.rel_tol, notes=case.description)
     if failures_dir is not None and report.failures:
         failing = np.flatnonzero(fails)[:MAX_FAILURE_FILES_PER_CASE].tolist()
-        for _, index, args in _instances([(case, cfg, cond, failing)], rng):
+        for _, index, args in itertools.chain.from_iterable(
+            _instances([(case, cfg, cond, failing)], rng)
+        ):
             row = report.slacks[index].tolist()
             _write_failure(Path(failures_dir), case.name, index, _replay(args, cond), row, cfg)
     return report

@@ -577,7 +577,8 @@ class TestBuildInstance:
         for name in harness.case_names():
             case, cfg, _ = harness._request(name, {})
             slices = [(case, cfg, float(cfg.cond_max), range(4))]
-            for _, _, args in harness._instances(slices, harness._new_generator()):
+            blocks = harness._instances(slices, harness._new_generator())
+            for _, _, args in (record for block in blocks for record in block):
                 payload = harness._replay(args, float(cfg.cond_max))
                 head = []
                 if isinstance(args.get("a"), linalg.SpdMatrix):
