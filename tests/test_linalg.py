@@ -319,10 +319,10 @@ class TestSpectrumPowers:
             assert _spectrum_powers(np.array([1e-160, 1.0]), [2.0])[0, 0] > 0.0
 
     def test_every_caller_passes_a_monotone_spectrum(self, monkeypatch):
-        # The precondition that lets the two ends decide: every spectrum the
-        # package powers, in every registered case and in the means, is
-        # sorted one way or the other. The norms power theirs through
-        # ``linalg._graded``.
+        # Every spectrum the package powers, in every registered case and in
+        # the means, is sorted one way or the other, row by row for a
+        # stack. The range check no longer rests on it (every entry of a
+        # row decides). The norms power theirs through ``linalg._graded``.
         seen = []
 
         def checked(w, ts):
