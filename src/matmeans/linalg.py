@@ -321,19 +321,28 @@ def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
     sequence ``ts``, or of a (k, n) stack of spectra, row i powered by
     ts[i]: one array power, each row bit for bit the ``w ** t`` of its
     spectrum alone (``_SCALAR_EXPONENTS`` keeps numpy's scalar-exponent
-    path). numpy powers a view with a negative stride in another loop, with
-    other last bits, so w is read as a fresh copy.
+    path).
 
     The rows decide, and numpy does not warn: the first row that holds an
     inf raises a DomainError that names an overflow at its t, and one that
     holds a 0, an underflow."""
-    w = np.array(w, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     t = np.array(ts, dtype=np.float64)
+    k, n = len(t), w.shape[-1]
     with np.errstate(over="ignore", under="ignore"):
-        out = np.power(w, t[:, None])
+        if w.strides[-1] < 0:
+            # numpy powers a negative stride with libm's pow and a positive
+            # one with its SIMD pow, which can differ in the last bit, and a
+            # stacked call takes the SIMD pow on either. A flat call keeps
+            # the stride: the rows go end to end into a reversed buffer.
+            flat = np.empty(k * n)[::-1]
+            flat.reshape(k, n)[...] = w
+            out = np.power(flat, t.repeat(n)).reshape(k, n)
+        else:
+            out = np.power(w, t[:, None])
         for s in _SCALAR_EXPONENTS.keys() & ts:
             _SCALAR_EXPONENTS[s](w, out=out, where=(t == s)[:, None])
-    if not 0.0 < np.minimum.reduce(out, axis=None) <= np.maximum.reduce(out, axis=None) < np.inf:
+    if out.size and not 0.0 < np.minimum.reduce(out, axis=None) <= np.maximum.reduce(out, axis=None) < np.inf:
         over, zero = np.isinf(out).any(axis=1), (out == 0.0).any(axis=1)
         bad = np.flatnonzero(over | zero)
         if bad.size:  # else a NaN weight: its NaN row is returned as it is
@@ -353,15 +362,18 @@ def _graded(wa, wb, y, left, right, rows=None) -> np.ndarray:
     """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
     the eigenbases of A and B, whose spectra are wa and wb: each entry is
     Y_jk wa_j^l wb_k^r. With ``rows``, wa, wb and Y are stacks, and graded
-    matrix i takes its spectra and Y from their row rows[i]: each has the
-    bits of its own call."""
+    matrix i takes its spectra and Y from their row rows[i]. The powers of
+    both sides come from one ``_spectrum_powers`` call, A's rows first, and
+    each graded matrix has the bits of its own call."""
+    k = len(left)
     if rows is None:
-        graded = y * _spectrum_powers(wa, left)[:, :, None]
+        spectra = np.array([wa, wb]).repeat(k, axis=0)
     else:
-        graded = y[rows]  # a fresh stack, scaled in place: the bits of y[rows] * pa
-        graded *= _spectrum_powers(wa[rows], left)[:, :, None]
-        wb = wb[rows]
-    graded *= _spectrum_powers(wb, right)[:, None, :]
+        spectra = np.concatenate((wa[rows], wb[rows]))
+        y = y[rows]
+    powers = _spectrum_powers(spectra, [*left, *right])
+    graded = y * powers[:k, :, None]
+    graded *= powers[k:, None, :]
     return graded
 
 
