@@ -57,12 +57,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import GeneratorType
 from typing import Callable
 
 import numpy as np
@@ -236,19 +236,39 @@ REGISTRY: dict[str, CaseDef] = {}
 
 
 def _each(build):
-    """The grid build of a one-value ``build(**args) -> Built``: one call per
-    grid value, with its pins in a copy of the args; a generator for a
-    generator ``build``."""
-    if not inspect.isgeneratorfunction(build):
-        return lambda args, grid: [build(**{**args, **pins}) for pins in grid]
+    """The grid build of a one-value ``build(**args)``: one call per grid
+    value, with its pins in a copy of the args. A norm build returns a
+    generator run (``norms._batchable``), and the grid's run in turn
+    (``_in_turn``)."""
+    return lambda args, grid: _in_turn([build(**{**args, **pins}) for pins in grid])
 
-    def grid_build(args, grid):
-        builts = []
-        for pins in grid:
-            builts.append((yield from build(**{**args, **pins})))
-        return builts
 
-    return grid_build
+def _in_turn(runs: list):
+    """``runs`` as one run (``norms._run_all``): the list of their results,
+    at once if none is a generator, else from a generator that runs each
+    in turn."""
+    if GeneratorType not in map(type, runs):
+        return runs
+
+    def each():
+        results = []
+        for run in runs:
+            results.append((yield from run) if type(run) is GeneratorType else run)
+        return results
+
+    return each()
+
+
+def _then(run, finish):
+    """``finish`` of the result of a run (``norms._run_all``): at once for a
+    result, or from a generator that runs a generator run first."""
+    if type(run) is not GeneratorType:
+        return finish(run)
+
+    def finishing():
+        return finish((yield from run))
+
+    return finishing()
 
 
 def _register(name, *, draw, build, nu_branch=0, overrides=None, sweep=(), description=""):
@@ -622,22 +642,14 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
 def _grid_refinement(inputs, grid_form, *, branch, base=None, depth=True):
     """``_refinement`` of a chain checked through its ``grid_form``: one
     call per instance, on the (nu, depth) pairs of the whole grid, or its
-    nus for a chain without a depth; a generator for a generator
-    ``grid_form``, a norm grid form's ``steps``."""
+    nus for a chain without a depth. A norm grid form's ``steps`` returns a
+    generator run (``_then``)."""
 
-    def grid_args(args, grid):
+    def build(args, grid):
         kwargs = {k: v for k, v in args.items() if k not in ("nu", "depth")}
         weights = [args | pins for pins in grid]
         kwargs["grid"] = [(w["nu"], w["depth"]) if "depth" in w else w["nu"] for w in weights]
-        return kwargs
-
-    if inspect.isgeneratorfunction(grid_form):
-        def build(args, grid):
-            chains = yield from grid_form(**grid_args(args, grid))
-            return [_built(chain, base) for chain in chains]
-    else:
-        def build(args, grid):
-            return [_built(chain, base) for chain in grid_form(**grid_args(args, grid))]
+        return _then(grid_form(**kwargs), lambda chains: [_built(chain, base) for chain in chains])
 
     return {"draw": _weighted(inputs, branch, depth), "build": build, "nu_branch": branch}
 
@@ -1165,23 +1177,25 @@ def _instances(slices, rng: np.random.Generator):
 def _evaluated(slices, rng: np.random.Generator, pins: list):
     """Yield (k, index, args, builts) for each record of ``_instances``:
     the ``Built`` at each grid value of ``pins``, from one ``case.build(args,
-    pins)``, a value's pins in copies of the drawn dict. A block's generator
-    builds, those of the norm and Heinz cases, run together
-    (``norms._run_all``, one kernel call per round); a plain build runs as
-    its instance is reached. A build that raised raises as its instance is
-    reached, after every earlier instance has been yielded."""
-    batched = [inspect.isgeneratorfunction(case.build) for case, *_ in slices]
+    pins)``, a value's pins in copies of the drawn dict. A block's builds
+    run in parts of at most ``_BLOCK`` grid values in all, each part's
+    through one ``norms._run_all``: a norm or Heinz build is a generator
+    run, and the kernel requests of a part's go in one call per round. A
+    build that raised raises as its instance is reached, after every
+    earlier instance has been yielded."""
+    step = max(1, _BLOCK // max(1, len(pins)))
     for block in _instances(slices, rng):
-        started = [slices[k][0].build(args, pins) for k, _, args in block if batched[k]]
-        outcomes = iter(norms._run_all(started))
-        for k, index, args in block:
-            if not batched[k]:
-                yield k, index, args, slices[k][0].build(args, pins)
-                continue
-            outcome = next(outcomes)
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield k, index, args, outcome
+        for at in range(0, len(block), step):
+            part, runs = block[at : at + step], []
+            for k, _, args in part:
+                try:
+                    runs.append(slices[k][0].build(args, pins))
+                except Exception as exc:  # raised in its instance's place
+                    runs.append(exc)
+            for (k, index, args), outcome in zip(part, norms._run_all(runs)):
+                if isinstance(outcome, Exception):
+                    raise outcome
+                yield k, index, args, outcome
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import GeneratorType
 
 import numpy as np
 
@@ -178,52 +179,69 @@ def _operands(a, b, x) -> tuple:
     return a, b, _check_dims(a, b, x)
 
 
+#: The most graded matrices one kernel call stacks: the requests of one n go
+#: in runs of at most this many rows (a longer request alone), so a call's
+#: memory stays bounded whatever its block and its grid.
+_MAX_ROWS = 512
+
+
 def _stacked_norms(requests) -> list[np.ndarray]:
     """The values of each request, in order: ||A^{l_i} X B^{r_i}|| for each
     exponent pair (l_i, r_i) or, ``paired``, ||A^{l_i} X B^{r_i} +
     A^{l_{k+i}} X B^{r_{k+i}}|| for 2k pairs.
 
-    The requests of one n share one stacked Y = Qa* X Qb in the eigenbases
-    of their A and B, one graded stack (``linalg._graded``, whose slices are
+    The requests of one n go in runs of at most ``_MAX_ROWS`` rows, and
+    those of a run share one stacked Y = Qa* X Qb in the eigenbases of their
+    A and B, one graded stack (``linalg._graded``, whose slices are
     unitarily equivalent to the products A^l X B^r), one SVD and one
     ``NormKind.of_sigma`` call per kind. Every step works matrix by matrix
     or row by row, so a request's values are the ones it gets alone, bit
     for bit."""
+    if len(requests) == 1:
+        return _norms_of_run(requests)
     out = [None] * len(requests)
-    by_n: dict[int, list[int]] = {}
+    runs: dict[int, tuple[int, list]] = {}  # n: (rows of its last run, its runs)
     for i, request in enumerate(requests):
-        by_n.setdefault(len(request[2]), []).append(i)
-    for members in by_n.values():
-        for i, values in zip(members, _norms_at_n([requests[i] for i in members])):
-            out[i] = values
+        n, size = len(request[2]), len(request[3])
+        rows, chunks = runs.get(n, (0, []))
+        if not chunks or rows + size > _MAX_ROWS:
+            chunks.append([])
+            rows = 0
+        chunks[-1].append(i)
+        runs[n] = (rows + size, chunks)
+    for _, chunks in runs.values():
+        for chunk in chunks:
+            for i, values in zip(chunk, _norms_of_run([requests[i] for i in chunk])):
+                out[i] = values
     return out
 
 
-def _norms_at_n(group) -> list[np.ndarray]:
-    """``_stacked_norms`` of requests of one n. The graded stack holds the
-    slices of the unpaired requests, then the first halves of the paired
-    ones, then their second halves, which are added onto the first halves
-    in place."""
+def _norms_of_run(group) -> list[np.ndarray]:
+    """``_stacked_norms`` of one run of requests of one n. The graded stack
+    holds the slices of the unpaired requests, then the first halves of the
+    paired ones, then their second halves, which are added onto the first
+    halves in place. A run of one request broadcasts its Y and spectra over
+    its rows."""
     a, b, x, left, right, kinds, paired = zip(*group)
-    qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
-    y = qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b])
-    order = [i for i, pair in enumerate(paired) if not pair]
-    summed = len(order)  # the first paired request's place in ``order``
-    order += [i for i, pair in enumerate(paired) if pair]
+    order = sorted(range(len(group)), key=paired.__getitem__)  # unpaired first
+    summed = paired.count(False)  # the first paired request's place in ``order``
     halves = [len(left[i]) // 2 if paired[i] else len(left[i]) for i in order]
-    parts = [(i, 0, k) for i, k in zip(order, halves)]
-    parts += [(i, k, 2 * k) for i, k in zip(order[summed:], halves[summed:])]
-    rows = None  # one request's Y and spectra broadcast over its rows
-    if len(group) > 1:
-        rows = np.repeat([i for i, _, _ in parts], [hi - lo for _, lo, hi in parts])
-    s = _graded(
-        np.array([m.eig.eigenvalues for m in a]),
-        np.array([m.eig.eigenvalues for m in b]),
-        y,
-        [t for i, lo, hi in parts for t in left[i][lo:hi]],
-        [t for i, lo, hi in parts for t in right[i][lo:hi]],
-        rows,
-    )
+    if len(group) == 1:
+        ea, eb = a[0].eig, b[0].eig
+        y = ea.eigenvectors.conj().T @ x[0] @ eb.eigenvectors
+        s = _graded(ea.eigenvalues, eb.eigenvalues, y, left[0], right[0])
+    else:
+        parts = [(i, 0, k) for i, k in zip(order, halves)]
+        parts += [(i, k, 2 * k) for i, k in zip(order[summed:], halves[summed:])]
+        qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
+        s = _graded(
+            np.array([m.eig.eigenvalues for m in a]),
+            np.array([m.eig.eigenvalues for m in b]),
+            qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b]),
+            [t for i, lo, hi in parts for t in left[i][lo:hi]],
+            [t for i, lo, hi in parts for t in right[i][lo:hi]],
+            np.repeat([i for i, _, _ in parts], [hi - lo for _, lo, hi in parts]),
+        )
     ends = list(itertools.accumulate(halves, initial=0))
     stack = s[: ends[-1]]
     if summed < len(order):
@@ -244,14 +262,17 @@ def _norms_at_n(group) -> list[np.ndarray]:
 
 
 def _run_all(runs: list) -> list:
-    """The result of each generator in ``runs``, or the exception it
-    raised, in order. Each round sends every pending generator the values
-    of its last request (at first None) and evaluates the requests they
-    yield in one ``_stacked_norms`` call. Where that call raises, each
-    request is evaluated alone, and the error of one that raises is thrown
-    into its generator, where evaluating it alone raises it."""
-    results = [None] * len(runs)
-    pending = [(at, run, None) for at, run in enumerate(runs)]
+    """The result of each run in ``runs``, in order. A run is a generator
+    that yields kernel requests and returns its result, or, a build that
+    needs no norm, its result already, which is kept as it is, as is an
+    exception. Each round sends every pending generator the values of its
+    last request (at first None) and evaluates the requests they yield in
+    one ``_stacked_norms`` call; a generator that raises leaves its
+    exception as its result. Where the kernel call raises, each request is
+    evaluated alone, and the error of one that raises is thrown into its
+    generator, where evaluating it alone raises it."""
+    results = list(runs)
+    pending = [(at, run, None) for at, run in enumerate(runs) if type(run) is GeneratorType]
     while pending:
         asked = []
         for at, run, values in pending:
@@ -283,17 +304,21 @@ def _alone(request):
 
 
 def _batchable(steps):
-    """The function that runs the generator function ``steps`` alone
-    (``_run_all``) and returns its result. Its ``steps`` attribute is the
-    generator form, which the harness runs with those of the other
-    instances of a block, to the same bits."""
+    """The function that runs the generator function ``steps`` alone, each
+    request it yields a kernel call of one request, and returns its result.
+    Its ``steps`` attribute is the generator form, which the harness runs
+    with those of the other instances of a block (``_run_all``), to the
+    same bits."""
 
     @functools.wraps(steps)
     def run(*args, **kwargs):
-        (result,) = _run_all([steps(*args, **kwargs)])
-        if isinstance(result, Exception):
-            raise result
-        return result
+        run_steps, values = steps(*args, **kwargs), None
+        while True:
+            try:
+                request = run_steps.send(values)
+            except StopIteration as done:
+                return done.value
+            values = _stacked_norms([request])[0]
 
     run.steps = steps
     return run

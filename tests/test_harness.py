@@ -1222,6 +1222,23 @@ def _hex_rows(rows) -> list[tuple[str, str, str]]:
 class TestSweepReuse:
     """A sweep draws each instance's inputs once per cond, with unchanged results."""
 
+    def test_long_grid_runs_in_bounded_parts(self, monkeypatch):
+        # A block's builds run in parts of at most _BLOCK grid values in
+        # all, so a long grid holds the builds of few instances at once; the
+        # rows equal those of the same sweep run one instance per part.
+        monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
+        grid = list(range(1, 7))
+        parts, run_all = [], norms._run_all
+        monkeypatch.setattr(norms, "_run_all", lambda runs: parts.append(len(runs)) or run_all(runs))
+        for name in ("heinz_reverse", "operator_reverse_pos"):
+            parts.clear()
+            rows = harness.sweep(name, "depth", grid, instances=7)
+            assert parts == [2, 2, 2, 1], name  # 16 // 6 instances a part
+            monkeypatch.setattr(harness, "_BLOCK", 1)
+            alone = harness.sweep(name, "depth", grid, instances=7)
+            monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
+            assert rows == alone, name
+
     # Grids that rise, that revisit a value and that reverse: a rebuild that
     # reused a value its pin moved would show at the repeated or lower one.
     SWEEPS = (

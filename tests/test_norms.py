@@ -347,7 +347,7 @@ class TestNormChains:
                 assert len(set(weights[0])) == len(weights[0]) == 4, where
                 assert stacks == [3 if heinz else 4], where
                 rows = 2 * stacks[0] if heinz else stacks[0]
-                assert powered == [rows, rows], where
+                assert powered == [2 * rows], where  # A's rows, then B's
                 assert chain.value("target") == target, where
             weights.clear()
             stacks.clear()
@@ -563,6 +563,49 @@ class TestHeinzFamily:
         with pytest.raises(DomainError) as stacked:
             norms._stacked_norms([good, bad])
         assert str(stacked.value) == str(alone.value)
+
+    def test_request_with_no_exponents_is_empty_in_any_stack(self):
+        # A request with no exponent pairs gives no values: alone, beside
+        # another request in one kernel call, and in a call of only such
+        # requests.
+        a, b, x = _instance(37)
+        kind = NormKind.frobenius()
+        steps = heinz_interpolation_values.steps
+        alone = heinz_interpolation_values(a, b, x, 2.0, 1.0, [], kind)
+        assert alone.shape == (0,) and alone.dtype == np.float64
+        empty, full = norms._run_all(
+            [steps(a, b, x, 2.0, 1.0, [], kind), steps(a, b, x, 2.0, 1.0, [0.1, 0.5], kind)]
+        )
+        assert empty.shape == (0,)
+        assert full.tobytes() == heinz_interpolation_values(a, b, x, 2.0, 1.0, [0.1, 0.5], kind).tobytes()
+        both = norms._run_all([steps(a, b, x, 2.0, 1.0, [], kind) for _ in range(2)])
+        assert [v.shape for v in both] == [(0,), (0,)]
+
+    def test_row_cap_splits_a_run(self, monkeypatch):
+        # The requests of one n go in runs of at most _MAX_ROWS graded
+        # matrices, a longer request alone; the values stay those of each
+        # request alone.
+        rng = np.random.default_rng(38)
+        requests = []
+        for i in range(12):
+            a, b, x = _instance(200 + i, n=2 + i % 2)
+            k = int(rng.integers(1, 5))
+            ts = rng.uniform(-1.0, 2.0, 2 * k).tolist()
+            requests.append((a, b, x, ts[:k], ts[k:], ALL_KINDS[i % 5], False))
+        alone = [norms._product_norms(*r) for r in requests]
+        stacks = []
+        svd = norms._singular_values
+        monkeypatch.setattr(norms, "_singular_values", lambda s: stacks.append(len(s)) or svd(s))
+        monkeypatch.setattr(norms, "_MAX_ROWS", 5)
+        stacked = norms._stacked_norms(requests)
+        assert max(stacks) <= 5 and len(stacks) > 2
+        assert sum(stacks) == sum(len(r[3]) for r in requests)
+        for values, want in zip(stacked, alone):
+            assert values.tobytes() == want.tobytes()
+        stacks.clear()
+        long = (*requests[0][:3], [0.5] * 7, [0.25] * 7, requests[0][5], False)
+        norms._stacked_norms([requests[1], long, requests[2]])
+        assert 7 in stacks
 
     @staticmethod
     def _shape_margins(a, b, x, kind, pairs, seed):
