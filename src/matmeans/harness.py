@@ -1178,24 +1178,33 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
     """Yield (k, index, args, builts) for each record of ``_instances``:
     the ``Built`` at each grid value of ``pins``, from one ``case.build(args,
     pins)``, a value's pins in copies of the drawn dict. A block's builds
-    run in parts of at most ``_BLOCK`` grid values in all, each part's
-    through one ``norms._run_all``: a norm or Heinz build is a generator
-    run, and the kernel requests of a part's go in one call per round. A
-    build that raised raises as its instance is reached, after every
-    earlier instance has been yielded."""
+    run in parts of at most ``_BLOCK`` grid values in all. A norm or Heinz
+    build is a generator run (``norms._batchable``): it and every later
+    build of its part wait for one ``norms._run_all`` of them, whose kernel
+    call per round takes the requests of the part's norm and Heinz builds;
+    a build that no generator run precedes in its part is yielded as soon
+    as it is built. A build that raised raises as its instance is
+    reached, after every earlier instance has been yielded."""
     step = max(1, _BLOCK // max(1, len(pins)))
     for block in _instances(slices, rng):
         for at in range(0, len(block), step):
-            part, runs = block[at : at + step], []
-            for k, _, args in part:
+            waiting, runs = [], []
+            for record in block[at : at + step]:
                 try:
-                    runs.append(slices[k][0].build(args, pins))
+                    run = slices[record[0]][0].build(record[2], pins)
                 except Exception as exc:  # raised in its instance's place
-                    runs.append(exc)
-            for (k, index, args), outcome in zip(part, norms._run_all(runs)):
+                    run = exc
+                if runs or type(run) is GeneratorType:
+                    waiting.append(record)
+                    runs.append(run)
+                elif isinstance(run, Exception):
+                    raise run
+                else:
+                    yield *record, run
+            for record, outcome in zip(waiting, norms._run_all(runs)):
                 if isinstance(outcome, Exception):
                     raise outcome
-                yield k, index, args, outcome
+                yield *record, outcome
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:

@@ -1224,16 +1224,17 @@ class TestSweepReuse:
 
     def test_long_grid_runs_in_bounded_parts(self, monkeypatch):
         # A block's builds run in parts of at most _BLOCK grid values in
-        # all, so a long grid holds the builds of few instances at once; the
-        # rows equal those of the same sweep run one instance per part.
+        # all, so a long grid holds the builds of few instances at once; an
+        # operator build, which needs no kernel, is yielded as it is built.
+        # The rows equal those of the same sweep run one instance per part.
         monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
         grid = list(range(1, 7))
         parts, run_all = [], norms._run_all
         monkeypatch.setattr(norms, "_run_all", lambda runs: parts.append(len(runs)) or run_all(runs))
-        for name in ("heinz_reverse", "operator_reverse_pos"):
+        for name, waiting in (("heinz_reverse", [2, 2, 2, 1]), ("operator_reverse_pos", [0] * 4)):
             parts.clear()
             rows = harness.sweep(name, "depth", grid, instances=7)
-            assert parts == [2, 2, 2, 1], name  # 16 // 6 instances a part
+            assert parts == waiting, name  # 16 // 6 instances a part
             monkeypatch.setattr(harness, "_BLOCK", 1)
             alone = harness.sweep(name, "depth", grid, instances=7)
             monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
