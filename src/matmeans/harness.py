@@ -62,8 +62,8 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from types import GeneratorType
-from typing import Callable
+from types import GeneratorType, MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -156,15 +156,17 @@ class Built:
     replay payload derived from its build arguments (``_replay``) in
     ``drawn``, its matrices as they are. Reading ``payload`` serializes
     them with ``matrix_to_json``. Only failure files serialize a payload,
-    so an instance that passes never serializes its inputs.
+    so an instance that passes never serializes its inputs, and until then
+    ``drawn`` is an empty read-only mapping shared by every ``Built``.
     """
+
+    drawn: Mapping = MappingProxyType({})
 
     def __init__(self, chain=None, margins=None, refined=None, base=None):
         self.chain = chain
         self.margins = margins
         self.refined = refined
         self.base = base
-        self.drawn: dict = {}
 
     @property
     def payload(self) -> dict:
@@ -240,23 +242,21 @@ def _each(build):
     value, with its pins in a copy of the args. A norm build returns a
     generator run (``norms._batchable``), and the grid's run in turn
     (``_in_turn``)."""
-    return lambda args, grid: _in_turn([build(**{**args, **pins}) for pins in grid])
+
+    def grid_build(args, grid):
+        runs = [build(**{**args, **pins}) for pins in grid]
+        return _in_turn(runs) if runs and type(runs[0]) is GeneratorType else runs
+
+    return grid_build
 
 
 def _in_turn(runs: list):
-    """``runs`` as one run (``norms._run_all``): the list of their results,
-    at once if none is a generator, else from a generator that runs each
-    in turn."""
-    if GeneratorType not in map(type, runs):
-        return runs
-
-    def each():
-        results = []
-        for run in runs:
-            results.append((yield from run) if type(run) is GeneratorType else run)
-        return results
-
-    return each()
+    """A generator run (``norms._run_all``) of a list of generator runs:
+    each in turn, then the list of their results."""
+    results = []
+    for run in runs:
+        results.append((yield from run))
+    return results
 
 
 def _then(run, finish):
@@ -530,12 +530,12 @@ def _spd_pair(rng, cfg, cond, cap=None, ordered=False):
 
 
 def _assemble_pairs(drawn) -> None:
-    """Assemble the SPD pairs of drawn args: one ``_assemble_spds`` per n
-    over all of them, then the ordered B = A + B'. Each pair's ``_PAIR``
-    entry gives way to A and B under "a" and "b"; args without a pair are
-    left as they are."""
+    """Assemble the SPD pairs of the drawn args of (k, index, args)
+    records: one ``_assemble_spds`` per n over all of them, then the
+    ordered B = A + B'. Each pair's ``_PAIR`` entry gives way to A and B
+    under "a" and "b"; args without a pair are left as they are."""
     groups: dict[int, list] = {}
-    for args in drawn:
+    for _, _, args in drawn:
         pair = args.pop(_PAIR, None)
         if pair is not None:
             groups.setdefault(pair[1].shape[-1], []).append((args, pair))
@@ -1169,13 +1169,14 @@ def _instances(slices, rng: np.random.Generator):
         drawn = []
         for k, indices in block:
             case, cfg, cond, _ = slices[k]
-            drawn += [(k, i, case.draw(_Stream(rng, *next(rows)), cfg, cond)) for i in indices]
-        _assemble_pairs(args for _, _, args in drawn)
+            draw = case.draw
+            drawn += [(k, i, draw(_Stream(rng, *row), cfg, cond)) for i, row in zip(indices, rows)]
+        _assemble_pairs(drawn)
         yield drawn
 
 
 def _evaluated(slices, rng: np.random.Generator, pins: list):
-    """Yield (k, index, args, builts) for each record of ``_instances``:
+    """Yield ((k, index, args), builts) for each record of ``_instances``:
     the ``Built`` at each grid value of ``pins``, from one ``case.build(args,
     pins)``, a value's pins in copies of the drawn dict. A block's builds
     run in parts of at most ``_BLOCK`` grid values in all. A norm or Heinz
@@ -1186,25 +1187,26 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
     as it is built. A build that raised raises as its instance is
     reached, after every earlier instance has been yielded."""
     step = max(1, _BLOCK // max(1, len(pins)))
+    builds = [case.build for case, *_ in slices]
     for block in _instances(slices, rng):
         for at in range(0, len(block), step):
             waiting, runs = [], []
             for record in block[at : at + step]:
                 try:
-                    run = slices[record[0]][0].build(record[2], pins)
-                except Exception as exc:  # raised in its instance's place
-                    run = exc
+                    run = builds[record[0]](record[2], pins)
+                except Exception as exc:
+                    if not runs:
+                        raise
+                    run = exc  # raised in its instance's place
                 if runs or type(run) is GeneratorType:
                     waiting.append(record)
                     runs.append(run)
-                elif isinstance(run, Exception):
-                    raise run
                 else:
-                    yield *record, run
+                    yield record, run
             for record, outcome in zip(waiting, norms._run_all(runs)):
                 if isinstance(outcome, Exception):
                     raise outcome
-                yield *record, outcome
+                yield record, outcome
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:
@@ -1218,7 +1220,7 @@ def build_instance(name: str, index: int, forced: dict | None = None, **override
         for param, value in (forced or {}).items()
     }
     cond = float(forced.pop("cond", cfg.cond_max))
-    ((_, _, args, (built,)),) = _evaluated([(case, cfg, cond, [index])], _new_generator(), [forced])
+    (((_, _, args), (built,)),) = _evaluated([(case, cfg, cond, [index])], _new_generator(), [forced])
     built.drawn = _replay({**args, **forced}, cond)
     return built
 
@@ -1291,13 +1293,15 @@ def run_suite(
     rng = _new_generator()
     kinds = [set() for _ in slices]
     rows = [[] for _ in slices]
+    counts = [len(indices) for *_, indices in slices]
     reports = [None] * len(slices)
-    for k, _, _, (built,) in _evaluated(slices, rng, [{}]):
+    for (k, _, _), (built,) in _evaluated(slices, rng, [{}]):
         decide, row = built.value_row()
         kinds[k].add(decide)
-        rows[k].append(row)
-        if len(rows[k]) == len(slices[k][3]):
-            reports[k] = _decide(slices[k], kinds[k], rows[k], failures_dir, rng)
+        case_rows = rows[k]
+        case_rows.append(row)
+        if len(case_rows) == counts[k]:
+            reports[k] = _decide(slices[k], kinds[k], case_rows, failures_dir, rng)
             rows[k] = None
     return reports
 
@@ -1369,7 +1373,7 @@ def sweep(name: str, param: str, grid, **overrides) -> list[SweepRow]:
         slices = [(case, cfg, float(cfg.cond_max), indices)] if values else []
         pins = [{param: value} for value in values]
     columns = [([], []) for _ in values]
-    for k, _, _, builts in _evaluated(slices, _new_generator(), pins):
+    for (k, _, _), builts in _evaluated(slices, _new_generator(), pins):
         # Slice k holds the value k of a cond sweep; its builts fill the columns from there.
         for (gaps, gains), built in zip(columns[k:], builts):
             gaps.append(built.gap())

@@ -220,28 +220,31 @@ def _norms_of_run(group) -> list[np.ndarray]:
     """``_stacked_norms`` of one run of requests of one n. The graded stack
     holds the slices of the unpaired requests, then the first halves of the
     paired ones, then their second halves, which are added onto the first
-    halves in place. A run of one request broadcasts its Y and spectra over
-    its rows."""
+    halves in place. A run of one request is its own graded stack."""
+    if len(group) == 1:
+        ((a, b, x, left, right, kind, paired),) = group
+        ea, eb = a.eig, b.eig
+        y = ea.eigenvectors.conj().T @ x @ eb.eigenvectors
+        stack = _graded(ea.eigenvalues, eb.eigenvalues, y, left, right)
+        if paired:
+            k = len(stack) // 2
+            stack = stack[:k] + stack[k:]
+        return [kind.of_sigma(_singular_values(stack))]
     a, b, x, left, right, kinds, paired = zip(*group)
     order = sorted(range(len(group)), key=paired.__getitem__)  # unpaired first
     summed = paired.count(False)  # the first paired request's place in ``order``
     halves = [len(left[i]) // 2 if paired[i] else len(left[i]) for i in order]
-    if len(group) == 1:
-        ea, eb = a[0].eig, b[0].eig
-        y = ea.eigenvectors.conj().T @ x[0] @ eb.eigenvectors
-        s = _graded(ea.eigenvalues, eb.eigenvalues, y, left[0], right[0])
-    else:
-        parts = [(i, 0, k) for i, k in zip(order, halves)]
-        parts += [(i, k, 2 * k) for i, k in zip(order[summed:], halves[summed:])]
-        qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
-        s = _graded(
-            np.array([m.eig.eigenvalues for m in a]),
-            np.array([m.eig.eigenvalues for m in b]),
-            qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b]),
-            [t for i, lo, hi in parts for t in left[i][lo:hi]],
-            [t for i, lo, hi in parts for t in right[i][lo:hi]],
-            np.repeat([i for i, _, _ in parts], [hi - lo for _, lo, hi in parts]),
-        )
+    parts = [(i, 0, k) for i, k in zip(order, halves)]
+    parts += [(i, k, 2 * k) for i, k in zip(order[summed:], halves[summed:])]
+    qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
+    s = _graded(
+        np.array([m.eig.eigenvalues for m in a]),
+        np.array([m.eig.eigenvalues for m in b]),
+        qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b]),
+        [t for i, lo, hi in parts for t in left[i][lo:hi]],
+        [t for i, lo, hi in parts for t in right[i][lo:hi]],
+        np.repeat([i for i, _, _ in parts], [hi - lo for _, lo, hi in parts]),
+    )
     ends = list(itertools.accumulate(halves, initial=0))
     stack = s[: ends[-1]]
     if summed < len(order):
@@ -312,13 +315,13 @@ def _batchable(steps):
 
     @functools.wraps(steps)
     def run(*args, **kwargs):
-        run_steps, values = steps(*args, **kwargs), None
-        while True:
-            try:
-                request = run_steps.send(values)
-            except StopIteration as done:
-                return done.value
-            values = _stacked_norms([request])[0]
+        run_steps = steps(*args, **kwargs)
+        try:
+            request = run_steps.send(None)
+            while True:
+                request = run_steps.send(_stacked_norms([request])[0])
+        except StopIteration as done:
+            return done.value
 
     run.steps = steps
     return run

@@ -1285,10 +1285,9 @@ class TestSweepReuse:
         drawn = []
         assemble = harness._assemble_pairs
 
-        def recording(pairs):
-            pairs = list(pairs)
-            assemble(pairs)
-            drawn.extend(args[key] for args in pairs for key in "ab")
+        def recording(records):
+            assemble(records)
+            drawn.extend(args[key] for _, _, args in records for key in "ab")
 
         grids = {"nu": [3.0, 0.0, 3.0], "depth": [6, 1, 6, 3], "cond": [50.0, 2.0]}
         names = [
