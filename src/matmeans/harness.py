@@ -27,13 +27,14 @@ is ``run_suite`` of one name. The loop cuts a call's instances, in order,
 into blocks of at most ``_BLOCK`` across case boundaries. Each block is
 seeded with one ``_seed_words`` call (``_seated``), draws its instances,
 assembles their SPD pairs with one QR and one assembly per dimension n
-across its cases, and evaluates the norm kernel requests of its norm and
-Heinz builds in one call; the loop then yields its instances in draw
-order, each built at every grid value in one call (a grid of one for
-``run_suite``). No bit depends on the block. A build reads no random
-number, so a pin cannot move a stream, and no stream state is saved or
-restored. ``run_suite`` decides each case as soon as its last instance is
-built, before any later case is built.
+across its cases, and builds them in parts of at most ``_BLOCK`` grid
+values, the norm kernel requests of a part's norm and Heinz builds in one
+kernel call; the loop then yields its instances in draw order, each built
+at every grid value in one call (a grid of one for ``run_suite``). No bit
+depends on the block. A build reads no random number, so a pin cannot
+move a stream, and no stream state is saved or restored. ``run_suite``
+decides each case as soon as its last instance is built, before any
+later case is built.
 
 An instance draws from a ``_Stream``: its PCG64 stream, stepped in Python
 ints. ``random()`` and ``integers`` over fewer than 2^32 values, all that
@@ -62,8 +63,8 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from types import GeneratorType, MappingProxyType
-from typing import Callable, Mapping
+from types import GeneratorType
+from typing import Callable
 
 import numpy as np
 
@@ -156,17 +157,15 @@ class Built:
     replay payload derived from its build arguments (``_replay``) in
     ``drawn``, its matrices as they are. Reading ``payload`` serializes
     them with ``matrix_to_json``. Only failure files serialize a payload,
-    so an instance that passes never serializes its inputs, and until then
-    ``drawn`` is an empty read-only mapping shared by every ``Built``.
+    so an instance that passes never serializes its inputs.
     """
-
-    drawn: Mapping = MappingProxyType({})
 
     def __init__(self, chain=None, margins=None, refined=None, base=None):
         self.chain = chain
         self.margins = margins
         self.refined = refined
         self.base = base
+        self.drawn: dict = {}
 
     @property
     def payload(self) -> dict:

@@ -17,9 +17,9 @@ evaluated on its whole set of weights at once, in the recorded eigenbases
 of A and B: ||A^l X B^r|| = ||diag(wa^l) Qa* X Qb diag(wb^r)|| by unitary
 invariance, so no power of A or B is assembled. A functional's weights
 make one kernel request (a, b, x, left, right, kind, paired), and the
-kernel, ``_stacked_norms``, evaluates a list of them: per n, one stacked
-Y = Qa* X Qb, one stacked power of the spectra, one SVD and one
-``NormKind.of_sigma`` call per kind. The graded stack and the SVD are the
+kernel, ``_stacked_norms``, evaluates a list of them: per n and run of at
+most ``_MAX_ROWS`` graded matrices, one stacked Y = Qa* X Qb, one stacked
+power of the spectra, one SVD and one ``NormKind.of_sigma`` call per kind. The graded stack and the SVD are the
 spectral kernels of ``linalg`` (``_graded``, ``_singular_values``), which
 ``means`` shares. Every step works matrix by matrix or row by row, so a
 value does not depend on the other weights or requests of its stack.
@@ -27,7 +27,8 @@ value does not depend on the other weights or requests of its stack.
 A function that needs norms yields its request and is sent the values
 (``_batchable``): called, it evaluates its one request alone, as
 ``heinz_norm`` does; its ``steps`` form lets the harness evaluate the
-requests of a block of instances in one kernel call. Every public
+requests of a block of instances in one kernel call (``_run_all``, which
+runs every build of the block, a plain one's result as it is). Every public
 functional of (A, B, X) checks its operands once, on entry
 (``_operands``): A and B positive definite of one n, and X an n x n
 matrix (``linalg._check_dims``); the kernel does not check them again.
@@ -265,10 +266,10 @@ def _norms_of_run(group) -> list[np.ndarray]:
 
 
 def _run_all(runs: list) -> list:
-    """The result of each run in ``runs``, in order. A run is a generator
-    that yields kernel requests and returns its result, or, a build that
-    needs no norm, its result already, which is kept as it is, as is an
-    exception. Each round sends every pending generator the values of its
+    """The result of each run in ``runs``, in order. A run is either a
+    generator that yields kernel requests and returns its result, or a
+    result already (a build that needs no norm, or an exception), kept as
+    it is. Each round sends every pending generator the values of its
     last request (at first None) and evaluates the requests they yield in
     one ``_stacked_norms`` call; a generator that raises leaves its
     exception as its result. Where the kernel call raises, each request is
