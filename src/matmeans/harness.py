@@ -1189,19 +1189,21 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
     builds = [case.build for case, *_ in slices]
     for block in _instances(slices, rng):
         for at in range(0, len(block), step):
-            waiting, runs = [], []
-            for record in block[at : at + step]:
+            part = iter(block[at : at + step])
+            for record in part:  # plain builds, up to the part's first generator run
+                run = builds[record[0]](record[2], pins)
+                if type(run) is GeneratorType:
+                    break
+                yield record, run
+            else:
+                continue
+            waiting, runs = [record], [run]
+            for record in part:
+                waiting.append(record)
                 try:
-                    run = builds[record[0]](record[2], pins)
-                except Exception as exc:
-                    if not runs:
-                        raise
-                    run = exc  # raised in its instance's place
-                if runs or type(run) is GeneratorType:
-                    waiting.append(record)
-                    runs.append(run)
-                else:
-                    yield record, run
+                    runs.append(builds[record[0]](record[2], pins))
+                except Exception as exc:  # raised in its instance's place
+                    runs.append(exc)
             for record, outcome in zip(waiting, norms._run_all(runs)):
                 if isinstance(outcome, Exception):
                     raise outcome

@@ -1231,7 +1231,7 @@ class TestSweepReuse:
         grid = list(range(1, 7))
         parts, run_all = [], norms._run_all
         monkeypatch.setattr(norms, "_run_all", lambda runs: parts.append(len(runs)) or run_all(runs))
-        for name, waiting in (("heinz_reverse", [2, 2, 2, 1]), ("operator_reverse_pos", [0] * 4)):
+        for name, waiting in (("heinz_reverse", [2, 2, 2, 1]), ("operator_reverse_pos", [])):
             parts.clear()
             rows = harness.sweep(name, "depth", grid, instances=7)
             assert parts == waiting, name  # 16 // 6 instances a part
