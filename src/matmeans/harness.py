@@ -1195,6 +1195,7 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
                 if type(run) is GeneratorType:
                     break
                 yield record, run
+                del run  # freed before the next build, which can reuse its memory
             else:
                 continue
             waiting, runs = [record], [run]
@@ -1298,6 +1299,7 @@ def run_suite(
     reports = [None] * len(slices)
     for (k, _, _), (built,) in _evaluated(slices, rng, [{}]):
         decide, row = built.value_row()
+        del built  # freed before the next build (see ``_evaluated``)
         kinds[k].add(decide)
         case_rows = rows[k]
         case_rows.append(row)
