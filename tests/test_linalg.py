@@ -229,8 +229,9 @@ class TestSpectrumPowers:
     def test_stacked_rows_are_each_power_alone(self):
         # A (k, n) stack of ascending or descending spectra, row i powered
         # by ts[i], has in each row the bits of that spectrum's own w ** t,
-        # at numpy's fast-path exponents and at random ones; a reversed
-        # view's rows are its views' own powers, as a 1-D view's are.
+        # at numpy's fast-path exponents and at random ones; each row of a
+        # stack of reversed views is that view's own power, as a 1-D
+        # view's rows are.
         rng = np.random.default_rng(6)
         for _ in range(40):
             n, k = int(rng.integers(1, 9)), int(rng.integers(1, 40))
