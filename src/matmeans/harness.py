@@ -28,13 +28,14 @@ into blocks of at most ``_BLOCK`` across case boundaries. Each block is
 seeded with one ``_seed_words`` call (``_seated``), draws its instances,
 assembles their SPD pairs with one QR and one assembly per dimension n
 across its cases, and builds them in parts of at most ``_BLOCK`` grid
-values, the norm kernel requests of a part's norm and Heinz builds in one
-kernel call; the loop then yields its instances in draw order, each built
-at every grid value in one call (a grid of one for ``run_suite``). No bit
-depends on the block. A build reads no random number, so a pin cannot
-move a stream, and no stream state is saved or restored. ``run_suite``
-decides each case as soon as its last instance is built, before any
-later case is built.
+values. Every build of a part, plain or not, goes through one
+``norms._run_all`` call, whose kernel call per round takes the norm
+requests of the part's norm and Heinz builds; the loop then yields its
+instances in draw order, each built at every grid value in one call (a
+grid of one for ``run_suite``). No bit depends on the block. A build
+reads no random number, so a pin cannot move a stream, and no stream
+state is saved or restored. ``run_suite`` decides each case as soon as
+its last instance is built, before any later case is built.
 
 An instance draws from a ``_Stream``: its PCG64 stream, stepped in Python
 ints. ``random()`` and ``integers`` over fewer than 2^32 values, all that
@@ -1178,34 +1179,26 @@ def _evaluated(slices, rng: np.random.Generator, pins: list):
     """Yield ((k, index, args), builts) for each record of ``_instances``:
     the ``Built`` at each grid value of ``pins``, from one ``case.build(args,
     pins)``, a value's pins in copies of the drawn dict. A block's builds
-    run in parts of at most ``_BLOCK`` grid values in all. A norm or Heinz
-    build is a generator run (``norms._batchable``): it and every later
-    build of its part wait for one ``norms._run_all`` of them, whose kernel
-    call per round takes the requests of the part's norm and Heinz builds;
-    a build that no generator run precedes in its part is yielded as soon
-    as it is built. A build that raised raises as its instance is
+    run in parts of at most ``_BLOCK`` grid values in all. Each part builds
+    every record, a build that raises leaving its error in the record's
+    place, and makes one ``norms._run_all`` call of them: a norm or Heinz
+    build is a generator run (``norms._batchable``), and each round's one
+    kernel call takes the requests of the part's norm and Heinz builds; any
+    other build's result is kept as it is. The part's records are then
+    yielded in draw order; a build that raised raises as its instance is
     reached, after every earlier instance has been yielded."""
     step = max(1, _BLOCK // max(1, len(pins)))
     builds = [case.build for case, *_ in slices]
     for block in _instances(slices, rng):
         for at in range(0, len(block), step):
-            part = iter(block[at : at + step])
-            for record in part:  # plain builds, up to the part's first generator run
-                run = builds[record[0]](record[2], pins)
-                if type(run) is GeneratorType:
-                    break
-                yield record, run
-                del run  # freed before the next build, which can reuse its memory
-            else:
-                continue
-            waiting, runs = [record], [run]
-            for record in part:
-                waiting.append(record)
+            part = block[at : at + step]
+            runs = []
+            for k, _, args in part:
                 try:
-                    runs.append(builds[record[0]](record[2], pins))
+                    runs.append(builds[k](args, pins))
                 except Exception as exc:  # raised in its instance's place
                     runs.append(exc)
-            for record, outcome in zip(waiting, norms._run_all(runs)):
+            for record, outcome in zip(part, norms._run_all(runs)):
                 if isinstance(outcome, Exception):
                     raise outcome
                 yield record, outcome
@@ -1299,7 +1292,6 @@ def run_suite(
     reports = [None] * len(slices)
     for (k, _, _), (built,) in _evaluated(slices, rng, [{}]):
         decide, row = built.value_row()
-        del built  # freed before the next build (see ``_evaluated``)
         kinds[k].add(decide)
         case_rows = rows[k]
         case_rows.append(row)

@@ -125,7 +125,7 @@ class ComplexMatrix:
 
     def __init__(self, entries):
         a = _square(entries)
-        if not np.all(np.isfinite(a)):
+        if not _finite(a):
             raise DomainError("matrix entries must be finite")
         self._a = _freeze(a.copy())
 
@@ -417,7 +417,7 @@ def loewner_leq(x, y, rel_tol: float = LOEWNER_REL_TOL) -> LoewnerVerdict:
     # Y - X of two exactly Hermitian matrices is exactly Hermitian: its
     # spectrum is the one HermitianMatrix(Y - X).eig gives, without the copy.
     diff = y.a - x.a
-    if not np.isfinite(diff).all():
+    if not _finite(diff):
         raise DomainError("matrix entries must be finite")
     witness = float(_eigh_array(diff)[0][0])
     tol = rel_tol * max(1.0, x.spectral_norm, y.spectral_norm)

@@ -25,11 +25,12 @@ spectral kernels of ``linalg`` (``_graded``, ``_singular_values``), which
 value does not depend on the other weights or requests of its stack.
 
 A function that needs norms yields its request and is sent the values
-(``_batchable``): called, it evaluates its one request alone, as
-``heinz_norm`` does; its ``steps`` form lets the harness evaluate the
-requests of a block of instances in one kernel call (``_run_all``, which
-runs every build of the block, a plain one's result as it is). Every public
-functional of (A, B, X) checks its operands once, on entry
+(``_batchable``). Every request goes through one runner, ``_run_all``:
+called, such a function is the one run of a ``_run_all`` call, as
+``heinz_norm`` is; its ``steps`` form lets the harness run the builds of
+a part of a block in one ``_run_all`` call, whose kernel call per round
+evaluates all their requests (a plain build's result is kept as it is).
+Every public functional of (A, B, X) checks its operands once, on entry
 (``_operands``): A and B positive definite of one n, and X an n x n
 matrix (``linalg._check_dims``); the kernel does not check them again.
 
@@ -198,8 +199,6 @@ def _stacked_norms(requests) -> list[np.ndarray]:
     ``NormKind.of_sigma`` call per kind. Every step works matrix by matrix
     or row by row, so a request's values are the ones it gets alone, bit
     for bit."""
-    if len(requests) == 1:
-        return _norms_of_run(requests)
     out = [None] * len(requests)
     runs: dict[int, tuple[int, list]] = {}  # n: (rows of its last run, its runs)
     for i, request in enumerate(requests):
@@ -221,16 +220,8 @@ def _norms_of_run(group) -> list[np.ndarray]:
     """``_stacked_norms`` of one run of requests of one n. The graded stack
     holds the slices of the unpaired requests, then the first halves of the
     paired ones, then their second halves, which are added onto the first
-    halves in place. A run of one request is its own graded stack."""
-    if len(group) == 1:
-        ((a, b, x, left, right, kind, paired),) = group
-        ea, eb = a.eig, b.eig
-        y = ea.eigenvectors.conj().T @ x @ eb.eigenvectors
-        stack = _graded(ea.eigenvalues, eb.eigenvalues, y, left, right)
-        if paired:
-            k = len(stack) // 2
-            stack = stack[:k] + stack[k:]
-        return [kind.of_sigma(_singular_values(stack))]
+    halves in place. Each row's norm is its own, so the rows of each
+    distinct kind take one ``NormKind.of_sigma`` call, whatever the run."""
     a, b, x, left, right, kinds, paired = zip(*group)
     order = sorted(range(len(group)), key=paired.__getitem__)  # unpaired first
     summed = paired.count(False)  # the first paired request's place in ``order``
@@ -254,14 +245,10 @@ def _norms_of_run(group) -> list[np.ndarray]:
     spans = [None] * len(group)
     for i, lo, hi in zip(order, ends, ends[1:]):
         spans[i] = slice(lo, hi)
-    distinct = dict.fromkeys(kinds)
-    if len(distinct) == 1:
-        values = kinds[0].of_sigma(sigma)
-    else:
-        values = np.empty(len(stack))
-        for kind in distinct:
-            at = np.r_[tuple(spans[i] for i in order if kinds[i] == kind)]
-            values[at] = kind.of_sigma(sigma[at])
+    values = np.empty(len(stack))
+    for kind in dict.fromkeys(kinds):
+        at = np.r_[tuple(spans[i] for i in order if kinds[i] == kind)]
+        values[at] = kind.of_sigma(sigma[at])
     return [values[span] for span in spans]
 
 
@@ -308,21 +295,18 @@ def _alone(request):
 
 
 def _batchable(steps):
-    """The function that runs the generator function ``steps`` alone, each
-    request it yields a kernel call of one request, and returns its result.
-    Its ``steps`` attribute is the generator form, which the harness runs
-    with those of the other instances of a block (``_run_all``), to the
-    same bits."""
+    """The function that runs the generator function ``steps`` alone, as
+    the one run of a ``_run_all`` call, and returns its result or raises
+    its error. Its ``steps`` attribute is the generator form, which the
+    harness runs with those of the other instances of a block in one
+    ``_run_all`` call, to the same bits."""
 
     @functools.wraps(steps)
     def run(*args, **kwargs):
-        run_steps = steps(*args, **kwargs)
-        try:
-            request = run_steps.send(None)
-            while True:
-                request = run_steps.send(_stacked_norms([request])[0])
-        except StopIteration as done:
-            return done.value
+        (result,) = _run_all([steps(*args, **kwargs)])
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     run.steps = steps
     return run

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .linalg import OperatorChain
+from .linalg import OperatorChain, _finite
 from .scalar import ScalarChain
 
 CSV_HEADER = "case,instances,skipped,failures,min_slack,max_gap"
@@ -116,7 +116,7 @@ def _operator_slacks(chain: OperatorChain) -> list[float]:
     """Per-eigenvalue link slacks of an operator chain, from its rows."""
     v = chain.values
     d = v[1:] - v[:-1]
-    if np.logical_or.reduce(np.isinf(d), axis=None):  # np.isinf(d).any(), without its dispatch
+    if not _finite(d):  # rows are finite, so a difference is finite or +-inf
         raise DomainError("chain link differences must be finite")
     mag = np.abs(v)
     scale = np.maximum(mag[:-1], mag[1:])
@@ -131,7 +131,7 @@ def _operator_gap(chain: OperatorChain) -> float:
     Congruence keeps inertia, not magnitudes, so the gap cannot be read off
     the rows."""
     d = chain.values[-1] - chain.values[0]
-    if np.logical_or.reduce(np.isinf(d), axis=None):
+    if not _finite(d):
         raise DomainError("matrix entries must be finite")
     return chain.transfer.max_eig(d)
 

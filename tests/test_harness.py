@@ -278,6 +278,31 @@ class TestRunSuite:
         assert {name: written[name] for name in alone} == alone
 
 
+    def test_plain_raise_between_norm_builds_of_one_part(self, monkeypatch):
+        # One part holds the builds of a norm case, of a plain case whose
+        # build raises, and of a later norm case. The part's one runner call
+        # evaluates both norm cases, and the raise comes in its instance's
+        # place: the earlier norm case is decided, the later one is not.
+        monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
+
+        def raises():
+            raise DomainError("planted between norm builds")
+
+        monkeypatch.setitem(harness.REGISTRY, "_synthetic_raise", harness.CaseDef(
+            "_synthetic_raise", lambda rng, cfg, cond: {}, harness._each(raises), {}, (), "synthetic",
+        ))
+        decided, decide = [], harness._decide
+        monkeypatch.setattr(
+            harness, "_decide", lambda piece, *rest: decided.append(piece[0].name) or decide(piece, *rest)
+        )
+        instances = 3
+        suite = ("norm_heinz_power", "_synthetic_raise", "norm_reverse_pos")
+        assert instances * len(suite) <= MIXED_BLOCK
+        with pytest.raises(DomainError) as raised:
+            harness.run_suite(suite, instances=instances)
+        assert str(raised.value) == "planted between norm builds"
+        assert decided == ["norm_heinz_power"]
+
     def test_kernel_error_mid_block_raises_as_its_case_alone(self, monkeypatch, tmp_path):
         # A norm instance whose X holds a NaN fails inside the stacked norm
         # kernel, in the one call that holds every norm request of the
@@ -1224,17 +1249,18 @@ class TestSweepReuse:
 
     def test_long_grid_runs_in_bounded_parts(self, monkeypatch):
         # A block's builds run in parts of at most _BLOCK grid values in
-        # all, so a long grid holds the builds of few instances at once; an
-        # operator build, which needs no kernel, is yielded as it is built.
-        # The rows equal those of the same sweep run one instance per part.
+        # all, so a long grid holds the builds of few instances at once;
+        # each part, a norm case's or an operator case's that needs no
+        # kernel, makes one _run_all call. The rows equal those of the same
+        # sweep run one instance per part.
         monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
         grid = list(range(1, 7))
         parts, run_all = [], norms._run_all
         monkeypatch.setattr(norms, "_run_all", lambda runs: parts.append(len(runs)) or run_all(runs))
-        for name, waiting in (("heinz_reverse", [2, 2, 2, 1]), ("operator_reverse_pos", [])):
+        for name in ("heinz_reverse", "operator_reverse_pos"):
             parts.clear()
             rows = harness.sweep(name, "depth", grid, instances=7)
-            assert parts == waiting, name  # 16 // 6 instances a part
+            assert parts == [2, 2, 2, 1], name  # 16 // 6 instances a part
             monkeypatch.setattr(harness, "_BLOCK", 1)
             alone = harness.sweep(name, "depth", grid, instances=7)
             monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
