@@ -24,18 +24,20 @@ of their own (``_each``).
 ``run_suite``, ``sweep`` and ``build_instance`` share one loop,
 ``_evaluated``, over a list of (case, cfg, cond, indices) slices; ``run_case``
 is ``run_suite`` of one name. The loop cuts a call's instances, in order,
-into blocks of at most ``_BLOCK`` across case boundaries. Each block is
-seeded with one ``_seed_words`` call (``_seated``), draws its instances,
-assembles their SPD pairs with one QR and one assembly per dimension n
-across its cases, and builds them in parts of at most ``_BLOCK`` grid
-values. Every build of a part, plain or not, goes through one
+across case boundaries, into blocks of ``_BLOCK`` // g instances (at
+least one) at a grid of g values: ``_BLOCK`` instances at the grid of
+one that ``run_suite`` passes. Each block is seeded with one
+``_seed_words`` call (``_seated``), draws its instances, assembles their
+SPD pairs with one QR and one assembly per dimension n across its cases,
+and builds them. Every build of a block, plain or not, goes through one
 ``norms._run_all`` call, whose kernel call per round takes the norm
-requests of the part's norm and Heinz builds; the loop then yields its
-instances in draw order, each built at every grid value in one call (a
-grid of one for ``run_suite``). No bit depends on the block. A build
-reads no random number, so a pin cannot move a stream, and no stream
-state is saved or restored. ``run_suite`` decides each case as soon as
-its last instance is built, before any later case is built.
+requests of the block's norm and Heinz builds; an operator or trace grid
+build runs its grid form in that call's first round. The loop then
+yields the block's instances in draw order, each built at every grid
+value in one call. No bit depends on the block. A build reads no random
+number, so a pin cannot move a stream, and no stream state is saved or
+restored. ``run_suite`` decides each case as soon as its last instance
+is built, before any later case is built.
 
 An instance draws from a ``_Stream``: its PCG64 stream, stepped in Python
 ints. ``random()`` and ``integers`` over fewer than 2^32 values, all that
@@ -257,18 +259,6 @@ def _in_turn(runs: list):
     for run in runs:
         results.append((yield from run))
     return results
-
-
-def _then(run, finish):
-    """``finish`` of the result of a run (``norms._run_all``): at once for a
-    result, or from a generator that runs a generator run first."""
-    if type(run) is not GeneratorType:
-        return finish(run)
-
-    def finishing():
-        return finish((yield from run))
-
-    return finishing()
 
 
 def _register(name, *, draw, build, nu_branch=0, overrides=None, sweep=(), description=""):
@@ -642,14 +632,19 @@ def _refinement(inputs, chain_fn, *, branch, base=None, depth=True, **fixed):
 def _grid_refinement(inputs, grid_form, *, branch, base=None, depth=True):
     """``_refinement`` of a chain checked through its ``grid_form``: one
     call per instance, on the (nu, depth) pairs of the whole grid, or its
-    nus for a chain without a depth. A norm grid form's ``steps`` returns a
-    generator run (``_then``)."""
+    nus for a chain without a depth. The build is a generator run
+    (``norms._run_all``): a norm grid form's ``steps`` runs in it with
+    ``yield from``, and a ``means`` grid form, which needs no kernel, in
+    its first round."""
 
     def build(args, grid):
         kwargs = {k: v for k, v in args.items() if k not in ("nu", "depth")}
         weights = [args | pins for pins in grid]
         kwargs["grid"] = [(w["nu"], w["depth"]) if "depth" in w else w["nu"] for w in weights]
-        return _then(grid_form(**kwargs), lambda chains: [_built(chain, base) for chain in chains])
+        chains = grid_form(**kwargs)
+        if type(chains) is GeneratorType:
+            chains = yield from chains
+        return [_built(chain, base) for chain in chains]
 
     return {"draw": _weighted(inputs, branch, depth), "build": build, "nu_branch": branch}
 
@@ -1116,12 +1111,12 @@ _register(
 _BLOCK = 256
 
 
-def _blocks(slices):
+def _blocks(slices, size=_BLOCK):
     """Cut ``slices``, a list of (case, cfg, cond, indices), in order, into
-    blocks of at most ``_BLOCK`` instances. A block is a list of (k,
-    indices) pieces, each a run of the indices of slice k; a slice may span
+    blocks of at most ``size`` instances. A block is a list of (k, indices)
+    pieces, each a run of the indices of slice k; a slice may span
     blocks."""
-    block, room = [], _BLOCK
+    block, room = [], size
     for k, (_, _, _, indices) in enumerate(slices):
         start = 0
         while start < len(indices):
@@ -1131,7 +1126,7 @@ def _blocks(slices):
             room -= len(piece)
             if not room:
                 yield block
-                block, room = [], _BLOCK
+                block, room = [], size
     if block:
         yield block
 
@@ -1147,11 +1142,11 @@ def _seated(slices, block) -> list:
     return _seed_words(b"".join(entropy)).tolist()
 
 
-def _instances(slices, rng: np.random.Generator):
+def _instances(slices, rng: np.random.Generator, size=_BLOCK):
     """Yield, block by block, the list of (k, index, args) of each instance
     of ``slices``, a list of (case, cfg, cond, indices), in draw order: the
-    slice k it belongs to, and its drawn build arguments. Each block of
-    ``_blocks`` is
+    slice k it belongs to, and its drawn build arguments. Each block of at
+    most ``size`` instances (``_blocks``) is
 
     1. seeded: each instance's stream is a ``_Stream`` of its ``_seated``
        row, which hands off to the one generator ``rng`` at its first
@@ -1164,7 +1159,7 @@ def _instances(slices, rng: np.random.Generator):
     and then yielded, in the order it was drawn. The seeding works row by
     row, and the QR and the assembly matrix by matrix, so a draw does not
     depend on its block."""
-    for block in _blocks(slices):
+    for block in _blocks(slices, size):
         rows = iter(_seated(slices, block))
         drawn = []
         for k, indices in block:
@@ -1178,30 +1173,30 @@ def _instances(slices, rng: np.random.Generator):
 def _evaluated(slices, rng: np.random.Generator, pins: list):
     """Yield ((k, index, args), builts) for each record of ``_instances``:
     the ``Built`` at each grid value of ``pins``, from one ``case.build(args,
-    pins)``, a value's pins in copies of the drawn dict. A block's builds
-    run in parts of at most ``_BLOCK`` grid values in all. Each part builds
-    every record, a build that raises leaving its error in the record's
-    place, and makes one ``norms._run_all`` call of them: a norm or Heinz
-    build is a generator run (``norms._batchable``), and each round's one
-    kernel call takes the requests of the part's norm and Heinz builds; any
-    other build's result is kept as it is. The part's records are then
-    yielded in draw order; a build that raised raises as its instance is
-    reached, after every earlier instance has been yielded."""
-    step = max(1, _BLOCK // max(1, len(pins)))
+    pins)``, a value's pins in copies of the drawn dict. Its blocks hold
+    ``_BLOCK // len(pins)`` instances, and at least one: at most ``_BLOCK``
+    grid values in all, unless one instance's grid is longer. Each block builds every record, a build that raises
+    leaving its error in the record's place, and makes one
+    ``norms._run_all`` call of them: a norm or Heinz build, and any grid
+    build of ``_grid_refinement``, is a generator run
+    (``norms._batchable``), and each round's one kernel call takes the
+    requests of the block's norm and Heinz builds; the runner keeps the
+    error of a run that raises in its place, and any other build's result
+    as it is. The block's records are then yielded in draw order; a build
+    that raised raises as its instance is reached, after every earlier
+    instance has been yielded."""
     builds = [case.build for case, *_ in slices]
-    for block in _instances(slices, rng):
-        for at in range(0, len(block), step):
-            part = block[at : at + step]
-            runs = []
-            for k, _, args in part:
-                try:
-                    runs.append(builds[k](args, pins))
-                except Exception as exc:  # raised in its instance's place
-                    runs.append(exc)
-            for record, outcome in zip(part, norms._run_all(runs)):
-                if isinstance(outcome, Exception):
-                    raise outcome
-                yield record, outcome
+    for block in _instances(slices, rng, max(1, _BLOCK // max(1, len(pins)))):
+        runs = []
+        for k, _, args in block:
+            try:
+                runs.append(builds[k](args, pins))
+            except Exception as exc:  # raised in its instance's place
+                runs.append(exc)
+        for record, outcome in zip(block, norms._run_all(runs)):
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield record, outcome
 
 
 def build_instance(name: str, index: int, forced: dict | None = None, **overrides) -> Built:

@@ -18,8 +18,8 @@ verification harness) is built on the small toolkit in this module:
 * the spectral kernels that ``means`` and ``norms`` share: the powers
   w ** t of a positive spectrum or of a stack of them, ``_spectrum_powers``,
   which name an overflow or an underflow; the graded stack
-  diag(wa^l) Y diag(wb^r) of a matrix Y in the eigenbases of A and B, or
-  of a stack of such Y, ``_graded``; and the one LAPACK SVD wrapper,
+  diag(wa^l) Y diag(wb^r) of a stack of matrices Y in the eigenbases of
+  their A and B, ``_graded``; and the one LAPACK SVD wrapper,
   ``_singular_values``. No power of a matrix is assembled,
 * the semidefinite (Loewner) order check ``loewner_leq``,
 * seeded random SPD generation on Haar unitaries (``_haar``); an SPD draw
@@ -319,27 +319,17 @@ _SCALAR_EXPONENTS = {0.5: np.sqrt, 2.0: np.square, -1.0: np.reciprocal}
 def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
     """Rows w ** t of a positive spectrum w, one per weight t of the
     sequence ``ts``, or of a (k, n) stack of spectra, row i powered by
-    ts[i]: one array power, each row bit for bit the ``w ** t`` of its
-    spectrum alone (``_SCALAR_EXPONENTS`` keeps numpy's scalar-exponent
-    path).
+    ts[i]: one array power of w's contiguous copy, each row bit for bit the
+    ``w ** t`` of its contiguous spectrum alone (``_SCALAR_EXPONENTS``
+    keeps numpy's scalar-exponent path).
 
     The rows decide, and numpy does not warn: the first row that holds an
     inf raises a DomainError that names an overflow at its t, and one that
     holds a 0, an underflow."""
-    w = np.asarray(w, dtype=np.float64)
+    w = np.ascontiguousarray(w, dtype=np.float64)
     t = np.array(ts, dtype=np.float64)
-    k, n = len(t), w.shape[-1]
     with np.errstate(over="ignore", under="ignore"):
-        if w.strides[-1] < 0:
-            # numpy powers a negative stride with libm's pow and a positive
-            # one with its SIMD pow, which can differ in the last bit, and a
-            # stacked call takes the SIMD pow on either. A flat call keeps
-            # the stride: the rows go end to end into a reversed buffer.
-            flat = np.empty(k * n)[::-1]
-            flat.reshape(k, n)[...] = w
-            out = np.power(flat, t.repeat(n)).reshape(k, n)
-        else:
-            out = np.power(w, t[:, None])
+        out = np.power(w, t[:, None])
         for s in _SCALAR_EXPONENTS.keys() & ts:
             _SCALAR_EXPONENTS[s](w, out=out, where=(t == s)[:, None])
     if out.size and not 0.0 < np.minimum.reduce(out, axis=None) <= np.maximum.reduce(out, axis=None) < np.inf:
@@ -358,21 +348,16 @@ def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
     return out
 
 
-def _graded(wa, wb, y, left, right, rows=None) -> np.ndarray:
-    """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for a matrix Y in
-    the eigenbases of A and B, whose spectra are wa and wb: each entry is
-    Y_jk wa_j^l wb_k^r. With ``rows``, wa, wb and Y are stacks, and graded
-    matrix i takes its spectra and Y from their row rows[i]. The powers of
-    both sides come from one ``_spectrum_powers`` call, A's rows first, and
-    each graded matrix has the bits of its own call."""
+def _graded(wa, wb, y, left, right, rows) -> np.ndarray:
+    """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for matrices Y
+    in the eigenbases of A and B, whose spectra are wa and wb: each entry is
+    Y_jk wa_j^l wb_k^r. wa, wb and Y are stacks, and graded matrix i takes
+    its spectra and Y from their row rows[i]. The powers of both sides come
+    from one ``_spectrum_powers`` call, A's rows first, and each graded
+    matrix has the bits of its own call."""
     k = len(left)
-    if rows is None:
-        spectra = np.array([wa, wb]).repeat(k, axis=0)
-    else:
-        spectra = np.concatenate((wa[rows], wb[rows]))
-        y = y[rows]
-    powers = _spectrum_powers(spectra, [*left, *right])
-    graded = y * powers[:k, :, None]
+    powers = _spectrum_powers(np.concatenate((wa[rows], wb[rows])), [*left, *right])
+    graded = y[rows] * powers[:k, :, None]
     graded *= powers[k:, None, :]
     return graded
 

@@ -17,9 +17,11 @@ evaluated on its whole set of weights at once, in the recorded eigenbases
 of A and B: ||A^l X B^r|| = ||diag(wa^l) Qa* X Qb diag(wb^r)|| by unitary
 invariance, so no power of A or B is assembled. A functional's weights
 make one kernel request (a, b, x, left, right, kind, paired), and the
-kernel, ``_stacked_norms``, evaluates a list of them: per n and run of at
-most ``_MAX_ROWS`` graded matrices, one stacked Y = Qa* X Qb, one stacked
-power of the spectra, one SVD and one ``NormKind.of_sigma`` call per kind. The graded stack and the SVD are the
+kernel, ``_stacked_norms``, evaluates a list of them: per n, pairing and
+run of at most ``_MAX_ROWS`` graded matrices, one stacked Y = Qa* X Qb,
+one stacked power of the spectra, one in-place add of a paired run's
+second halves onto its first halves, one SVD and one
+``NormKind.of_sigma`` call per kind. The graded stack and the SVD are the
 spectral kernels of ``linalg`` (``_graded``, ``_singular_values``), which
 ``means`` shares. Every step works matrix by matrix or row by row, so a
 value does not depend on the other weights or requests of its stack.
@@ -28,8 +30,8 @@ A function that needs norms yields its request and is sent the values
 (``_batchable``). Every request goes through one runner, ``_run_all``:
 called, such a function is the one run of a ``_run_all`` call, as
 ``heinz_norm`` is; its ``steps`` form lets the harness run the builds of
-a part of a block in one ``_run_all`` call, whose kernel call per round
-evaluates all their requests (a plain build's result is kept as it is).
+a block in one ``_run_all`` call, whose kernel call per round evaluates
+all their requests (a plain build's result is kept as it is).
 Every public functional of (A, B, X) checks its operands once, on entry
 (``_operands``): A and B positive definite of one n, and X an n x n
 matrix (``linalg._check_dims``); the kernel does not check them again.
@@ -192,23 +194,23 @@ def _stacked_norms(requests) -> list[np.ndarray]:
     exponent pair (l_i, r_i) or, ``paired``, ||A^{l_i} X B^{r_i} +
     A^{l_{k+i}} X B^{r_{k+i}}|| for 2k pairs.
 
-    The requests of one n go in runs of at most ``_MAX_ROWS`` rows, and
-    those of a run share one stacked Y = Qa* X Qb in the eigenbases of their
-    A and B, one graded stack (``linalg._graded``, whose slices are
-    unitarily equivalent to the products A^l X B^r), one SVD and one
-    ``NormKind.of_sigma`` call per kind. Every step works matrix by matrix
-    or row by row, so a request's values are the ones it gets alone, bit
-    for bit."""
+    The requests of one n and one pairing go in runs of at most
+    ``_MAX_ROWS`` rows, and those of a run share one stacked Y = Qa* X Qb in
+    the eigenbases of their A and B, one graded stack (``linalg._graded``,
+    whose slices are unitarily equivalent to the products A^l X B^r), one
+    SVD and one ``NormKind.of_sigma`` call per kind. Every step works matrix
+    by matrix or row by row, so a request's values are the ones it gets
+    alone, bit for bit."""
     out = [None] * len(requests)
-    runs: dict[int, tuple[int, list]] = {}  # n: (rows of its last run, its runs)
+    runs: dict[tuple, tuple[int, list]] = {}  # (n, paired): (rows of its last run, its runs)
     for i, request in enumerate(requests):
-        n, size = len(request[2]), len(request[3])
-        rows, chunks = runs.get(n, (0, []))
+        key, size = (len(request[2]), request[6]), len(request[3])
+        rows, chunks = runs.get(key, (0, []))
         if not chunks or rows + size > _MAX_ROWS:
             chunks.append([])
             rows = 0
         chunks[-1].append(i)
-        runs[n] = (rows + size, chunks)
+        runs[key] = (rows + size, chunks)
     for _, chunks in runs.values():
         for chunk in chunks:
             for i, values in zip(chunk, _norms_of_run([requests[i] for i in chunk])):
@@ -217,37 +219,34 @@ def _stacked_norms(requests) -> list[np.ndarray]:
 
 
 def _norms_of_run(group) -> list[np.ndarray]:
-    """``_stacked_norms`` of one run of requests of one n. The graded stack
-    holds the slices of the unpaired requests, then the first halves of the
-    paired ones, then their second halves, which are added onto the first
-    halves in place. Each row's norm is its own, so the rows of each
-    distinct kind take one ``NormKind.of_sigma`` call, whatever the run."""
+    """``_stacked_norms`` of one run of requests of one n and one pairing,
+    in order. The graded stack holds the slices of each request in turn;
+    in a paired run, the first halves of every request, then their second
+    halves, which one in-place add sums onto the first halves. Each row's
+    norm is its own, so the rows of each distinct kind take one
+    ``NormKind.of_sigma`` call, whatever the run."""
     a, b, x, left, right, kinds, paired = zip(*group)
-    order = sorted(range(len(group)), key=paired.__getitem__)  # unpaired first
-    summed = paired.count(False)  # the first paired request's place in ``order``
-    halves = [len(left[i]) // 2 if paired[i] else len(left[i]) for i in order]
-    parts = [(i, 0, k) for i, k in zip(order, halves)]
-    parts += [(i, k, 2 * k) for i, k in zip(order[summed:], halves[summed:])]
+    halves = 2 if paired[0] else 1
+    sizes = [len(ts) // halves for ts in left]
+    picks = [(i, h * k, (h + 1) * k) for h in range(halves) for i, k in enumerate(sizes)]
     qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
     s = _graded(
         np.array([m.eig.eigenvalues for m in a]),
         np.array([m.eig.eigenvalues for m in b]),
         qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b]),
-        [t for i, lo, hi in parts for t in left[i][lo:hi]],
-        [t for i, lo, hi in parts for t in right[i][lo:hi]],
-        np.repeat([i for i, _, _ in parts], [hi - lo for _, lo, hi in parts]),
+        [t for i, lo, hi in picks for t in left[i][lo:hi]],
+        [t for i, lo, hi in picks for t in right[i][lo:hi]],
+        np.repeat([i for i, _, _ in picks], [hi - lo for _, lo, hi in picks]),
     )
-    ends = list(itertools.accumulate(halves, initial=0))
+    ends = list(itertools.accumulate(sizes, initial=0))
     stack = s[: ends[-1]]
-    if summed < len(order):
-        stack[ends[summed] :] += s[ends[-1] :]
+    if halves == 2:
+        stack += s[ends[-1] :]
     sigma = _singular_values(stack)
-    spans = [None] * len(group)
-    for i, lo, hi in zip(order, ends, ends[1:]):
-        spans[i] = slice(lo, hi)
+    spans = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     values = np.empty(len(stack))
     for kind in dict.fromkeys(kinds):
-        at = np.r_[tuple(spans[i] for i in order if kinds[i] == kind)]
+        at = np.r_[tuple(span for span, k in zip(spans, kinds) if k == kind)]
         values[at] = kind.of_sigma(sigma[at])
     return [values[span] for span in spans]
 
@@ -259,9 +258,10 @@ def _run_all(runs: list) -> list:
     it is. Each round sends every pending generator the values of its
     last request (at first None) and evaluates the requests they yield in
     one ``_stacked_norms`` call; a generator that raises leaves its
-    exception as its result. Where the kernel call raises, each request is
-    evaluated alone, and the error of one that raises is thrown into its
-    generator, where evaluating it alone raises it."""
+    exception as its result. Where the kernel call raises, the error of a
+    call of one request is that request's; in a call of several, each
+    request is evaluated alone. A request's error is thrown into its
+    generator."""
     results = list(runs)
     pending = [(at, run, None) for at, run in enumerate(runs) if type(run) is GeneratorType]
     while pending:
@@ -280,8 +280,8 @@ def _run_all(runs: list) -> list:
         requests = [request for _, _, request in asked]
         try:
             answers = _stacked_norms(requests)
-        except Exception:
-            answers = [_alone(request) for request in requests]
+        except Exception as exc:
+            answers = [exc] if len(requests) == 1 else [_alone(request) for request in requests]
         pending = [(at, run, values) for (at, run, _), values in zip(asked, answers)]
     return results
 
@@ -523,9 +523,14 @@ def heinz_midpoint_margin(a, b, x, v1: float, v2: float, kind: NormKind) -> floa
     return (avg - mid) / max(1.0, avg, mid)
 
 
+#: The number of even weights over [-3, 4] of ``heinz_grid_margins``.
+_HEINZ_GRID_POINTS = 81
+
+
 @_batchable
-def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
-    """Monotonicity margins of the Heinz functional f on an even grid over [-3, 4].
+def heinz_grid_margins(a, b, x, kind: NormKind):
+    """Monotonicity margins of the Heinz functional f on the even grid of
+    ``_HEINZ_GRID_POINTS`` weights over [-3, 4].
 
     Returns ``(margins, vals)``: ``vals`` is f on the grid, and ``margins``
     holds the steps f(v_i) - f(v_{i+1}) left of 1/2 (f nonincreasing) then
@@ -533,7 +538,7 @@ def heinz_grid_margins(a, b, x, kind: NormKind, grid_points: int = 81):
     max(1, max f). Every margin is nonnegative.
     """
     a, b, x = _operands(a, b, x)
-    grid = np.linspace(-3.0, 4.0, grid_points)
+    grid = np.linspace(-3.0, 4.0, _HEINZ_GRID_POINTS)
     vals = yield from _heinz_values.steps(a, b, x, grid, kind)
     scale = max(1.0, float(vals.max()))
     split = int(np.argmin(np.abs(grid - 0.5)))

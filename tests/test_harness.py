@@ -303,6 +303,39 @@ class TestRunSuite:
         assert str(raised.value) == "planted between norm builds"
         assert decided == ["norm_heinz_power"]
 
+    def test_means_grid_form_raise_mid_block(self, monkeypatch):
+        # One block holds a scalar case, an operator case one of whose
+        # instances draws a weight whose power of w overflows, and a norm
+        # case. The operator grid form raises inside the block's one runner
+        # call, and the raise comes in its instance's place, with the text
+        # that instance raises alone: the scalar case is decided, the norm
+        # case is not.
+        monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
+        name, case = "operator_reverse_pos", harness.REGISTRY["operator_reverse_pos"]
+        planted = harness.build_instance(name, 1).drawn["nu"]
+
+        def huge_nu(rng, cfg, cond):
+            args = case.draw(rng, cfg, cond)
+            if args["nu"] == planted:
+                args["nu"] = 1e300
+            return args
+
+        monkeypatch.setitem(harness.REGISTRY, name, dataclasses.replace(case, draw=huge_nu))
+        with pytest.raises(DomainError) as alone:
+            harness.build_instance(name, 1)
+        assert str(alone.value) == "w ** t overflows at t = -1e+300: matrix entries must be finite"
+        decided, decide = [], harness._decide
+        monkeypatch.setattr(
+            harness, "_decide", lambda piece, *rest: decided.append(piece[0].name) or decide(piece, *rest)
+        )
+        instances = 3
+        suite = ("convex_refined_a", name, "norm_reverse_pos")
+        assert instances * len(suite) <= MIXED_BLOCK
+        with pytest.raises(DomainError) as raised:
+            harness.run_suite(suite, instances=instances)
+        assert str(raised.value) == str(alone.value)
+        assert decided == ["convex_refined_a"]
+
     def test_kernel_error_mid_block_raises_as_its_case_alone(self, monkeypatch, tmp_path):
         # A norm instance whose X holds a NaN fails inside the stacked norm
         # kernel, in the one call that holds every norm request of the
@@ -702,7 +735,7 @@ class TestStreamSeeding:
             (case, CaseConfig(), 100.0, range(3, 203)),
             (dataclasses.replace(case, name="case"), CaseConfig(seed=7), 100.0, range(3, 203)),
         ]
-        blocks = list(harness._blocks(slices))
+        blocks = list(harness._blocks(slices, harness._BLOCK))
         assert [sum(len(run) for _, run in block) for block in blocks] == [256, 144]
         keys = [(k, i) for block in blocks for k, run in block for i in run]
         assert keys == [(k, i) for k in (0, 1) for i in range(3, 203)]
@@ -1248,11 +1281,11 @@ class TestSweepReuse:
     """A sweep draws each instance's inputs once per cond, with unchanged results."""
 
     def test_long_grid_runs_in_bounded_parts(self, monkeypatch):
-        # A block's builds run in parts of at most _BLOCK grid values in
-        # all, so a long grid holds the builds of few instances at once;
-        # each part, a norm case's or an operator case's that needs no
-        # kernel, makes one _run_all call. The rows equal those of the same
-        # sweep run one instance per part.
+        # A block holds at most _BLOCK grid values in all, so a long grid
+        # holds the builds of few instances at once; each block, a norm
+        # case's or an operator case's that needs no kernel, makes one
+        # _run_all call. The rows equal those of the same sweep run one
+        # instance per block.
         monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
         grid = list(range(1, 7))
         parts, run_all = [], norms._run_all
@@ -1260,7 +1293,7 @@ class TestSweepReuse:
         for name in ("heinz_reverse", "operator_reverse_pos"):
             parts.clear()
             rows = harness.sweep(name, "depth", grid, instances=7)
-            assert parts == [2, 2, 2, 1], name  # 16 // 6 instances a part
+            assert parts == [2, 2, 2, 1], name  # 16 // 6 instances a block
             monkeypatch.setattr(harness, "_BLOCK", 1)
             alone = harness.sweep(name, "depth", grid, instances=7)
             monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)

@@ -214,34 +214,40 @@ class TestSpectrumPowers:
     def test_rows_are_each_power_alone(self):
         # Each row has the bits of w ** t, on ascending and descending
         # spectra; numpy takes its fast paths (t = 0, 0.5, 2, ...) as a
-        # plain power of the array does.
+        # plain power of the array does. A reversed view has the rows of
+        # its contiguous copy: numpy powers a negative stride in another
+        # loop, with other last bits.
         rng = np.random.default_rng(5)
         ts = [0.0, 0.5, 1.0, 2.0, -1.0, -0.5, 3.7, -8.25]
         for _ in range(50):
             w = np.sort(np.exp(rng.uniform(-14.0, 14.0, int(rng.integers(1, 9)))))
-            for spectrum in (w, w[::-1]):
+            for spectrum in (w, w[::-1].copy()):
                 rows = _spectrum_powers(spectrum, ts)
                 assert rows.shape == (len(ts), len(w))
                 for row, t in zip(rows, ts):
                     assert row.tobytes() == (spectrum ** t).tobytes(), t
+            view = _spectrum_powers(w[::-1], ts)
+            assert view.tobytes() == _spectrum_powers(w[::-1].copy(), ts).tobytes()
         assert _spectrum_powers(w, [0.0]).tolist() == [[1.0] * len(w)]
 
     def test_stacked_rows_are_each_power_alone(self):
         # A (k, n) stack of ascending or descending spectra, row i powered
         # by ts[i], has in each row the bits of that spectrum's own w ** t,
-        # at numpy's fast-path exponents and at random ones; each row of a
-        # stack of reversed views is that view's own power, as a 1-D
-        # view's rows are.
+        # at numpy's fast-path exponents and at random ones; a stack of
+        # reversed views has the rows of its contiguous copy, as a 1-D
+        # view has.
         rng = np.random.default_rng(6)
         for _ in range(40):
             n, k = int(rng.integers(1, 9)), int(rng.integers(1, 40))
             w = np.sort(np.exp(rng.uniform(-14.0, 14.0, (k, n))), axis=1)
             fast = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], k)
             ts = np.where(rng.random(k) < 0.5, fast, rng.uniform(-9.0, 9.0, k)).tolist()
-            for stack in (w, w[:, ::-1], w[:, ::-1].copy()):
+            for stack in (w, w[:, ::-1].copy()):
                 rows = _spectrum_powers(stack, ts)
                 for row, spectrum, t in zip(rows, stack, ts):
                     assert row.tobytes() == (spectrum ** t).tobytes(), t
+            view = _spectrum_powers(w[:, ::-1], ts)
+            assert view.tobytes() == _spectrum_powers(w[:, ::-1].copy(), ts).tobytes()
 
     def test_range_is_decided_on_the_computed_rows(self):
         # Python's pow and numpy's array power can differ in the last bit,

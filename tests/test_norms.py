@@ -564,6 +564,19 @@ class TestHeinzFamily:
             norms._stacked_norms([good, bad])
         assert str(stacked.value) == str(alone.value)
 
+    def test_kernel_error_of_a_lone_request_is_its_answer(self, monkeypatch):
+        # A public call makes one request. Where the kernel call that holds
+        # it alone raises, that error is raised, and the request is not
+        # evaluated again.
+        a, _, _ = _instance(36)
+        calls, stacked_norms = [], norms._stacked_norms
+        monkeypatch.setattr(
+            norms, "_stacked_norms", lambda requests: calls.append(len(requests)) or stacked_norms(requests)
+        )
+        with pytest.raises(DomainError, match="overflows at t = 1999.5"):
+            heinz_interpolation_values(a, a, np.eye(3), 2000.0, 1.0, [0.5], NormKind.frobenius())
+        assert calls == [1]
+
     def test_request_with_no_exponents_is_empty_in_any_stack(self):
         # A request with no exponent pairs gives no values: alone, beside
         # another request in one kernel call, and in a call of only such
