@@ -24,20 +24,21 @@ of their own (``_each``).
 ``run_suite``, ``sweep`` and ``build_instance`` share one loop,
 ``_evaluated``, over a list of (case, cfg, cond, indices) slices; ``run_case``
 is ``run_suite`` of one name. The loop cuts a call's instances, in order,
-across case boundaries, into blocks of ``_BLOCK`` // g instances (at
-least one) at a grid of g values: ``_BLOCK`` instances at the grid of
-one that ``run_suite`` passes. Each block is seeded with one
-``_seed_words`` call (``_seated``), draws its instances, assembles their
-SPD pairs with one QR and one assembly per dimension n across its cases,
-and builds them. Every build of a block, plain or not, goes through one
+into blocks of at most ``_BLOCK`` across case boundaries. Each block is
+seeded with one ``_seed_words`` call (``_seated``), draws its instances,
+and assembles their SPD pairs with one QR and one assembly per dimension
+n across its cases. The drawn instances, in order, are built in parts of
+at most ``_BLOCK`` grid values: ``_BLOCK`` // g instances (at least one)
+at a grid of g values, ``_BLOCK`` at the grid of one that ``run_suite``
+passes. Every build of a part, plain or not, goes through one
 ``norms._run_all`` call, whose kernel call per round takes the norm
-requests of the block's norm and Heinz builds; an operator or trace grid
+requests of the part's norm and Heinz builds; an operator or trace grid
 build runs its grid form in that call's first round. The loop then
-yields the block's instances in draw order, each built at every grid
-value in one call. No bit depends on the block. A build reads no random
-number, so a pin cannot move a stream, and no stream state is saved or
-restored. ``run_suite`` decides each case as soon as its last instance
-is built, before any later case is built.
+yields the part's instances in draw order, each built at every grid
+value in one call. No bit depends on the block or the part. A build
+reads no random number, so a pin cannot move a stream, and no stream
+state is saved or restored. ``run_suite`` decides each case as soon as
+its last instance is built, before any later case is built.
 
 An instance draws from a ``_Stream``: its PCG64 stream, stepped in Python
 ints. ``random()`` and ``integers`` over fewer than 2^32 values, all that
@@ -1111,12 +1112,12 @@ _register(
 _BLOCK = 256
 
 
-def _blocks(slices, size=_BLOCK):
+def _blocks(slices):
     """Cut ``slices``, a list of (case, cfg, cond, indices), in order, into
-    blocks of at most ``size`` instances. A block is a list of (k, indices)
-    pieces, each a run of the indices of slice k; a slice may span
+    blocks of at most ``_BLOCK`` instances. A block is a list of (k,
+    indices) pieces, each a run of the indices of slice k; a slice may span
     blocks."""
-    block, room = [], size
+    block, room = [], _BLOCK
     for k, (_, _, _, indices) in enumerate(slices):
         start = 0
         while start < len(indices):
@@ -1126,7 +1127,7 @@ def _blocks(slices, size=_BLOCK):
             room -= len(piece)
             if not room:
                 yield block
-                block, room = [], size
+                block, room = [], _BLOCK
     if block:
         yield block
 
@@ -1142,11 +1143,11 @@ def _seated(slices, block) -> list:
     return _seed_words(b"".join(entropy)).tolist()
 
 
-def _instances(slices, rng: np.random.Generator, size=_BLOCK):
+def _instances(slices, rng: np.random.Generator):
     """Yield, block by block, the list of (k, index, args) of each instance
     of ``slices``, a list of (case, cfg, cond, indices), in draw order: the
-    slice k it belongs to, and its drawn build arguments. Each block of at
-    most ``size`` instances (``_blocks``) is
+    slice k it belongs to, and its drawn build arguments. Each block of
+    ``_blocks`` is
 
     1. seeded: each instance's stream is a ``_Stream`` of its ``_seated``
        row, which hands off to the one generator ``rng`` at its first
@@ -1159,7 +1160,7 @@ def _instances(slices, rng: np.random.Generator, size=_BLOCK):
     and then yielded, in the order it was drawn. The seeding works row by
     row, and the QR and the assembly matrix by matrix, so a draw does not
     depend on its block."""
-    for block in _blocks(slices, size):
+    for block in _blocks(slices):
         rows = iter(_seated(slices, block))
         drawn = []
         for k, indices in block:
@@ -1173,27 +1174,32 @@ def _instances(slices, rng: np.random.Generator, size=_BLOCK):
 def _evaluated(slices, rng: np.random.Generator, pins: list):
     """Yield ((k, index, args), builts) for each record of ``_instances``:
     the ``Built`` at each grid value of ``pins``, from one ``case.build(args,
-    pins)``, a value's pins in copies of the drawn dict. Its blocks hold
-    ``_BLOCK // len(pins)`` instances, and at least one: at most ``_BLOCK``
-    grid values in all, unless one instance's grid is longer. Each block builds every record, a build that raises
+    pins)``, a value's pins in copies of the drawn dict. The records, in
+    draw order across the blocks, are built in parts of ``_BLOCK //
+    len(pins)`` instances, and at least one: at most ``_BLOCK`` grid values
+    in all, unless one instance's grid is longer. A part may span two
+    blocks, so a block is seeded, drawn and assembled at its full size
+    whatever the grid. Each part builds every record, a build that raises
     leaving its error in the record's place, and makes one
     ``norms._run_all`` call of them: a norm or Heinz build, and any grid
     build of ``_grid_refinement``, is a generator run
     (``norms._batchable``), and each round's one kernel call takes the
-    requests of the block's norm and Heinz builds; the runner keeps the
+    requests of the part's norm and Heinz builds; the runner keeps the
     error of a run that raises in its place, and any other build's result
-    as it is. The block's records are then yielded in draw order; a build
+    as it is. The part's records are then yielded in draw order; a build
     that raised raises as its instance is reached, after every earlier
     instance has been yielded."""
+    step = max(1, _BLOCK // max(1, len(pins)))
     builds = [case.build for case, *_ in slices]
-    for block in _instances(slices, rng, max(1, _BLOCK // max(1, len(pins)))):
+    records = itertools.chain.from_iterable(_instances(slices, rng))
+    while part := list(itertools.islice(records, step)):
         runs = []
-        for k, _, args in block:
+        for k, _, args in part:
             try:
                 runs.append(builds[k](args, pins))
             except Exception as exc:  # raised in its instance's place
                 runs.append(exc)
-        for record, outcome in zip(block, norms._run_all(runs)):
+        for record, outcome in zip(part, norms._run_all(runs)):
             if isinstance(outcome, Exception):
                 raise outcome
             yield record, outcome

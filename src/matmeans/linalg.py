@@ -18,9 +18,9 @@ verification harness) is built on the small toolkit in this module:
 * the spectral kernels that ``means`` and ``norms`` share: the powers
   w ** t of a positive spectrum or of a stack of them, ``_spectrum_powers``,
   which name an overflow or an underflow; the graded stack
-  diag(wa^l) Y diag(wb^r) of a stack of matrices Y in the eigenbases of
-  their A and B, ``_graded``; and the one LAPACK SVD wrapper,
-  ``_singular_values``. No power of a matrix is assembled,
+  diag(wa^l) Y diag(wb^r), one per weight, of matrices Y in the
+  eigenbases of their A and B, ``_graded``; and the one LAPACK SVD
+  wrapper, ``_singular_values``. No power of a matrix is assembled,
 * the semidefinite (Loewner) order check ``loewner_leq``,
 * seeded random SPD generation on Haar unitaries (``_haar``); an SPD draw
   (``_draw_spds``) and its assembly (``_assemble_spds``) are separate
@@ -348,16 +348,19 @@ def _spectrum_powers(w: np.ndarray, ts) -> np.ndarray:
     return out
 
 
-def _graded(wa, wb, y, left, right, rows) -> np.ndarray:
-    """The stack of diag(wa^{left_i}) Y diag(wb^{right_i}) for matrices Y
-    in the eigenbases of A and B, whose spectra are wa and wb: each entry is
-    Y_jk wa_j^l wb_k^r. wa, wb and Y are stacks, and graded matrix i takes
-    its spectra and Y from their row rows[i]. The powers of both sides come
-    from one ``_spectrum_powers`` call, A's rows first, and each graded
-    matrix has the bits of its own call."""
+def _graded(wa, wb, y, left, right) -> np.ndarray:
+    """The stack of diag(wa_i^{left_i}) Y_i diag(wb_i^{right_i}) for
+    matrices Y_i in the eigenbases of A_i and B_i, whose spectra are wa_i
+    and wb_i: each entry is Y_jk wa_j^l wb_k^r. wa, wb and Y are stacks
+    aligned with the weights row for row, or one spectrum or matrix that
+    broadcasts over them. The powers of both sides come from one
+    ``_spectrum_powers`` call, A's rows first, and each graded matrix has
+    the bits of its own call."""
     k = len(left)
-    powers = _spectrum_powers(np.concatenate((wa[rows], wb[rows])), [*left, *right])
-    graded = y[rows] * powers[:k, :, None]
+    spectra = np.empty((2 * k, wa.shape[-1]))
+    spectra[:k], spectra[k:] = wa, wb
+    powers = _spectrum_powers(spectra, [*left, *right])
+    graded = y * powers[:k, :, None]
     graded *= powers[k:, None, :]
     return graded
 

@@ -93,10 +93,8 @@ class _Pair:
         return self.qa.conj().T @ self.b.eig.eigenvectors
 
     def graded(self, y: np.ndarray, left, right) -> np.ndarray:
-        """``linalg._graded`` of Y in the eigenbases of A and B: its one Y
-        and the two spectra as stacks of one, every graded matrix on row 0."""
-        rows = np.zeros(len(left), dtype=np.intp)
-        return _graded(self.wa[None], self.b.eig.eigenvalues[None], y[None], left, right, rows)
+        """``linalg._graded`` of Y in the eigenbases of A and B."""
+        return _graded(self.wa, self.b.eig.eigenvalues, y, left, right)
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, _Transfer]:

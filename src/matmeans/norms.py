@@ -30,8 +30,8 @@ A function that needs norms yields its request and is sent the values
 (``_batchable``). Every request goes through one runner, ``_run_all``:
 called, such a function is the one run of a ``_run_all`` call, as
 ``heinz_norm`` is; its ``steps`` form lets the harness run the builds of
-a block in one ``_run_all`` call, whose kernel call per round evaluates
-all their requests (a plain build's result is kept as it is).
+a part of a block in one ``_run_all`` call, whose kernel call per round
+evaluates all their requests (a plain build's result is kept as it is).
 Every public functional of (A, B, X) checks its operands once, on entry
 (``_operands``): A and B positive definite of one n, and X an n x n
 matrix (``linalg._check_dims``); the kernel does not check them again.
@@ -183,9 +183,9 @@ def _operands(a, b, x) -> tuple:
     return a, b, _check_dims(a, b, x)
 
 
-#: The most graded matrices one kernel call stacks: the requests of one n go
-#: in runs of at most this many rows (a longer request alone), so a call's
-#: memory stays bounded whatever its block and its grid.
+#: The most graded matrices one kernel call stacks: the requests of one n
+#: and one pairing go in runs of at most this many rows (a longer request
+#: alone), so a call's memory stays bounded whatever its block and its grid.
 _MAX_ROWS = 512
 
 
@@ -229,14 +229,15 @@ def _norms_of_run(group) -> list[np.ndarray]:
     halves = 2 if paired[0] else 1
     sizes = [len(ts) // halves for ts in left]
     picks = [(i, h * k, (h + 1) * k) for h in range(halves) for i, k in enumerate(sizes)]
+    rows = np.repeat([i for i, _, _ in picks], [hi - lo for _, lo, hi in picks])
     qa = np.array([m.eig.eigenvectors for m in a]).conj().swapaxes(-1, -2)
+    y = qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b])
     s = _graded(
-        np.array([m.eig.eigenvalues for m in a]),
-        np.array([m.eig.eigenvalues for m in b]),
-        qa @ np.array(x) @ np.array([m.eig.eigenvectors for m in b]),
+        np.array([m.eig.eigenvalues for m in a])[rows],
+        np.array([m.eig.eigenvalues for m in b])[rows],
+        y[rows],
         [t for i, lo, hi in picks for t in left[i][lo:hi]],
         [t for i, lo, hi in picks for t in right[i][lo:hi]],
-        np.repeat([i for i, _, _ in picks], [hi - lo for _, lo, hi in picks]),
     )
     ends = list(itertools.accumulate(sizes, initial=0))
     stack = s[: ends[-1]]
@@ -298,7 +299,7 @@ def _batchable(steps):
     """The function that runs the generator function ``steps`` alone, as
     the one run of a ``_run_all`` call, and returns its result or raises
     its error. Its ``steps`` attribute is the generator form, which the
-    harness runs with those of the other instances of a block in one
+    harness runs with those of the other instances of a part in one
     ``_run_all`` call, to the same bits."""
 
     @functools.wraps(steps)

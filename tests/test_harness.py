@@ -735,7 +735,7 @@ class TestStreamSeeding:
             (case, CaseConfig(), 100.0, range(3, 203)),
             (dataclasses.replace(case, name="case"), CaseConfig(seed=7), 100.0, range(3, 203)),
         ]
-        blocks = list(harness._blocks(slices, harness._BLOCK))
+        blocks = list(harness._blocks(slices))
         assert [sum(len(run) for _, run in block) for block in blocks] == [256, 144]
         keys = [(k, i) for block in blocks for k, run in block for i in run]
         assert keys == [(k, i) for k in (0, 1) for i in range(3, 203)]
@@ -1281,11 +1281,11 @@ class TestSweepReuse:
     """A sweep draws each instance's inputs once per cond, with unchanged results."""
 
     def test_long_grid_runs_in_bounded_parts(self, monkeypatch):
-        # A block holds at most _BLOCK grid values in all, so a long grid
-        # holds the builds of few instances at once; each block, a norm
-        # case's or an operator case's that needs no kernel, makes one
-        # _run_all call. The rows equal those of the same sweep run one
-        # instance per block.
+        # A block's builds run in parts of at most _BLOCK grid values in
+        # all, so a long grid holds the builds of few instances at once;
+        # each part, a norm case's or an operator case's that needs no
+        # kernel, makes one _run_all call. The rows equal those of the same
+        # sweep run one instance per part.
         monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
         grid = list(range(1, 7))
         parts, run_all = [], norms._run_all
@@ -1293,7 +1293,7 @@ class TestSweepReuse:
         for name in ("heinz_reverse", "operator_reverse_pos"):
             parts.clear()
             rows = harness.sweep(name, "depth", grid, instances=7)
-            assert parts == [2, 2, 2, 1], name  # 16 // 6 instances a block
+            assert parts == [2, 2, 2, 1], name  # 16 // 6 instances a part
             monkeypatch.setattr(harness, "_BLOCK", 1)
             alone = harness.sweep(name, "depth", grid, instances=7)
             monkeypatch.setattr(harness, "_BLOCK", MIXED_BLOCK)
